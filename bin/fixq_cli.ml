@@ -338,6 +338,10 @@ let check_cmd =
           | Some true -> "distributive — µ∆ applies"
           | Some false -> "not distributive"
           | None -> "body outside the compilable subset");
+        Printf.printf "delta licensed by: %s\n"
+          (match Fixq.delta_by ~syntactic:syn ~algebraic:alg with
+          | Some check -> check ^ " check"
+          | None -> "neither check — Naïve");
         Printf.printf "SQL:1999 rendering: %s\n"
           (match Fixq.sql_of_first_ifp ~registry p with
           | Some (Ok _) -> "renderable — WITH RECURSIVE applies"
@@ -491,21 +495,13 @@ let lint_cmd =
       let analysis = Analyze.analyze ~stratified ~spans p in
       let push = push_of registry p in
       let diagnostics =
-        let push_block =
-          match (push, analysis.Analyze.ifps) with
-          | (Some o, r :: _) -> (
-            match Analyze.push_block_diag ~spans r o with
-            | Some d -> [ d ]
-            | None -> [])
-          | _ -> []
-        in
         (* the cost analyzer's FQ050–FQ054 findings lint alongside the
            structural ones *)
         let cost =
           (cost_report ~spans registry p).Fixq_cost.Estimate.diagnostics
         in
         List.stable_sort Diag.compare
-          (analysis.Analyze.diagnostics @ push_block @ cost)
+          (Analyze.with_push ~spans analysis push @ cost)
       in
       let errors =
         List.length (List.filter Diag.is_error diagnostics)
@@ -570,6 +566,14 @@ let lint_cmd =
                 Json.Bool
                   (r.Analyze.node_only_seed && r.Analyze.node_only_body));
                ("syntactic", Json.Bool r.Analyze.syntactic);
+               ("delta_by",
+                Json.of_string_opt
+                  (Fixq.delta_by ~syntactic:r.Analyze.syntactic
+                     ~algebraic:
+                       (match push with
+                       | Some o when r.Analyze.index = 0 ->
+                         Some o.Fixq_algebra.Push.distributive
+                       | _ -> None)));
                ("hint_repairable", Json.Bool r.Analyze.hint_repairable) ]
             @ (match r.Analyze.blame with
               | None -> []

@@ -475,12 +475,11 @@ let report_of ~functions ~stratified ?spans index (ctx, site) =
     }
   | _ -> invalid_arg "report_of: not an IFP site"
 
-let ifp_diags ?spans (r : ifp_report) =
-  let at_ifp = r.loc in
-  let blame_diags =
-    match r.blame with
-    | None -> []
-    | Some b ->
+(* FQ030: the Figure-5 blame of one IFP body, located at the smallest
+   blamed subexpression. *)
+let blame_diag ?spans (r : ifp_report) =
+  Option.map
+    (fun (b : Lang.Distributivity.blame) ->
       let reason = b.Lang.Distributivity.reason in
       let suffix =
         (* most reasons already name their rule *)
@@ -488,13 +487,18 @@ let ifp_diags ?spans (r : ifp_report) =
           ""
         else Printf.sprintf " (rule %s)" b.Lang.Distributivity.rule
       in
-      let d =
-        Diag.make
-          ~loc:(loc_of spans (Some b.Lang.Distributivity.blamed))
-          ~code:"FQ030" ~severity:Diag.Warning ~context:r.context
-          (Printf.sprintf "not distributive for $%s: %s%s" r.var reason
-             suffix)
-      in
+      Diag.make
+        ~loc:(loc_of spans (Some b.Lang.Distributivity.blamed))
+        ~code:"FQ030" ~severity:Diag.Warning ~context:r.context
+        (Printf.sprintf "not distributive for $%s: %s%s" r.var reason suffix))
+    r.blame
+
+let ifp_diags ?spans (r : ifp_report) =
+  let at_ifp = r.loc in
+  let blame_diags =
+    match blame_diag ?spans r with
+    | None -> []
+    | Some d ->
       if r.hint_repairable then
         [
           d;
@@ -601,6 +605,35 @@ let push_block_diag ?spans (r : ifp_report) (o : Push.outcome) =
             (match culprit with
             | Some _ -> " \xe2\x80\x94 introduced by this construct"
             | None -> "")))
+
+(* The analyzer's findings with the first IFP's algebraic verdict
+   folded in. A blocked push adds its FQ031 mapping. A successful push
+   licenses Delta by itself (Theorem 3.2), so Figure 5's FQ030 is then a
+   gap in that check's coverage, not a fact about the body: it drops to
+   info and says so. *)
+let with_push ?spans (a : t) (push : Push.outcome option) =
+  match (push, a.ifps) with
+  | Some o, r :: _ when o.Push.distributive -> (
+    match blame_diag ?spans r with
+    | None -> a.diagnostics
+    | Some d ->
+      let licensed =
+        { d with
+          Diag.severity = Diag.Info;
+          message =
+            d.Diag.message ^ "; Delta is still licensed by the algebraic check"
+        }
+      in
+      let rec demote = function
+        | [] -> []
+        | x :: rest when x = d -> licensed :: rest
+        | x :: rest -> x :: demote rest
+      in
+      demote a.diagnostics)
+  | Some o, r :: _ ->
+    List.stable_sort Diag.compare
+      (a.diagnostics @ Option.to_list (push_block_diag ?spans r o))
+  | _ -> a.diagnostics
 
 (* ------------------------------------------------------------------ *)
 (* Assembly *)

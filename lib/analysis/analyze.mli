@@ -99,6 +99,15 @@ val parse_error_diag : line:int -> col:int -> string -> Diag.t
 val push_block_diag :
   ?spans:Lang.Parser.Spans.t -> ifp_report -> Push.outcome -> Diag.t option
 
+(** [a]'s diagnostics with the first IFP's ∪ push-up outcome folded in:
+    when the push is blocked, the {!push_block_diag} [FQ031] is added;
+    when it succeeds, the first IFP's [FQ030] is demoted to [Info] with
+    the suffix "Delta is still licensed by the algebraic check" —
+    Theorem 3.2 makes either check a licence for Delta. Sorted like
+    [a.diagnostics]. *)
+val with_push :
+  ?spans:Lang.Parser.Spans.t -> t -> Push.outcome option -> Diag.t list
+
 (** The cluster's scatter precondition, centralised: exactly one IFP,
     it is the main expression, it [Terminates] (node-only seed and
     body), and Figure 5 accepts the body. *)

@@ -57,91 +57,126 @@ module Expr_tbl = Hashtbl.Make (struct
 end)
 
 type compiled_site = {
-  cs : Compile.compiled;
+  cs : Compile.compiled;  (** optimized plan *)
   used_refs : (string * int) list;
       (** binding refs that actually occur in the plan *)
-  push_distributive : bool;
   mutable session : (Xdm.Item.seq list * Plan_eval.session) option;
       (** last used-binding values (physical) and the session memo *)
 }
 
-let install_algebra_handler ~registry ~max_iterations ~stratified ~mode
+(* Per-body verdicts shared by every engine of one run: the Table-1
+   compilation of the body and its Delta licence. Theorem 3.2 makes
+   either check sufficient, so the licence is Figure 5 ∨ ∪ push-up —
+   the same disjunction the prepared-query layer pins. Entries are keyed
+   by body expression and computed on first sight of the site, never
+   per evaluation: the bidder network's per-person fixpoints share one
+   entry. *)
+type site_verdict = {
+  compiled : (compiled_site, string) result;
+  licensed : bool Lazy.t;  (** forced only by [Auto] decisions *)
+}
+
+type verdicts = {
+  functions : (string, Lang.Ast.fundef) Hashtbl.t;
+  stratified : bool;
+  table : site_verdict Expr_tbl.t;
+}
+
+let create_verdicts ~stratified ev =
+  { functions = Eval.functions ev; stratified; table = Expr_tbl.create 8 }
+
+let site_verdict v (site : Eval.ifp_site) =
+  match Expr_tbl.find_opt v.table site.Eval.ifp_body with
+  | Some sv -> sv
+  | None ->
+    let names =
+      List.map fst site.Eval.ifp_bindings
+      @ if site.Eval.ifp_context <> None then [ "." ] else []
+    in
+    let compiled : (Compile.compiled, string) result =
+      match
+        Compile.body ~functions:v.functions ~recursion_var:site.Eval.ifp_var
+          ~bindings:names site.Eval.ifp_body
+      with
+      | exception Compile.Unsupported reason -> Error reason
+      | cs -> Ok cs
+    in
+    let licensed =
+      lazy
+        (Lang.Distributivity.check ~functions:v.functions
+           ~stratified:v.stratified site.Eval.ifp_var site.Eval.ifp_body
+        ||
+        match compiled with
+        | Ok cs ->
+          (Push.check ~stratified:v.stratified ~fix_id:cs.Compile.fix_id
+             cs.Compile.body)
+            .Push.distributive
+        | Error _ -> false)
+    in
+    let compiled =
+      Result.map
+        (fun cs ->
+          let cs = { cs with Compile.body = Optimize.optimize cs.Compile.body } in
+          let used_refs =
+            List.filter
+              (fun (_, id) -> Plan.contains_fix_ref id cs.Compile.body)
+              cs.Compile.binding_refs
+          in
+          { cs; used_refs; session = None })
+        compiled
+    in
+    let sv = { compiled; licensed } in
+    Expr_tbl.replace v.table site.Eval.ifp_body sv;
+    sv
+
+let use_delta mode sv =
+  match mode with
+  | Naive -> false
+  | Delta -> true
+  | Auto -> Lazy.force sv.licensed
+
+(* Record each declined body's reason once per run, however often its
+   site is evaluated. *)
+let decliner fallbacks =
+  let seen : unit Expr_tbl.t = Expr_tbl.create 8 in
+  fun reason (site : Eval.ifp_site) ->
+    if not (Expr_tbl.mem seen site.Eval.ifp_body) then begin
+      fallbacks := reason :: !fallbacks;
+      Expr_tbl.replace seen site.Eval.ifp_body ()
+    end;
+    None
+
+let annotated_reason =
+  "accumulate by: annotated fixpoints run on the interpreter's semiring \
+   kernel"
+
+(* Definition 2.1 restricts IFP to node()*; handlers decline atom seeds
+   so every engine raises the interpreter's dynamic error. *)
+let atom_seed (site : Eval.ifp_site) =
+  List.exists
+    (function Xdm.Item.A _ -> true | Xdm.Item.N _ -> false)
+    site.Eval.ifp_seed
+
+let install_algebra_handler ~registry ~max_iterations ~verdicts ~mode
     ~fallbacks ~used_delta ev =
   let pe =
     Plan_eval.create ~registry ~max_iterations ~stats:(Eval.stats ev) ()
   in
-  let cache : compiled_site Expr_tbl.t = Expr_tbl.create 8 in
-  let failed : string Expr_tbl.t = Expr_tbl.create 8 in
+  let decline = decliner fallbacks in
   Eval.set_ifp_handler ev
     (Some
        (fun (site : Eval.ifp_site) ->
-         if site.Eval.ifp_accum <> None then begin
-           (* Annotated sites: Table-1 relations carry node identities,
-              not semiring annotations — both engines run the
-              interpreter's semiring kernel, keeping results equal. *)
-           if not (Expr_tbl.mem failed site.Eval.ifp_body) then begin
-             let reason =
-               "accumulate by: annotated fixpoints run on the \
-                interpreter's semiring kernel"
-             in
-             fallbacks := reason :: !fallbacks;
-             Expr_tbl.replace failed site.Eval.ifp_body reason
-           end;
-           None
-         end
-         else if
-           (* Definition 2.1 restricts IFP to node()*; decline atom
-              seeds so both engines raise the same dynamic error *)
-           List.exists
-             (function Xdm.Item.A _ -> true | Xdm.Item.N _ -> false)
-             site.Eval.ifp_seed
-         then None
-         else if Expr_tbl.mem failed site.Eval.ifp_body then None
+         (* Annotated sites: Table-1 relations carry node identities,
+            not semiring annotations — both engines run the
+            interpreter's semiring kernel, keeping results equal. *)
+         if site.Eval.ifp_accum <> None then decline annotated_reason site
+         else if atom_seed site then None
          else
-           let compiled =
-             match Expr_tbl.find_opt cache site.Eval.ifp_body with
-             | Some c -> Some c
-             | None -> (
-               let names =
-                 List.map fst site.Eval.ifp_bindings
-                 @ (if site.Eval.ifp_context <> None then [ "." ] else [])
-               in
-               match
-                 Compile.body ~functions:(Eval.functions ev)
-                   ~recursion_var:site.Eval.ifp_var ~bindings:names
-                   site.Eval.ifp_body
-               with
-               | exception Compile.Unsupported reason ->
-                 fallbacks := reason :: !fallbacks;
-                 Expr_tbl.replace failed site.Eval.ifp_body reason;
-                 None
-               | cs ->
-                 let cs =
-                   { cs with Compile.body = Optimize.optimize cs.Compile.body }
-                 in
-                 let push_distributive =
-                   (Push.check ~stratified ~fix_id:cs.Compile.fix_id
-                      cs.Compile.body)
-                     .Push.distributive
-                 in
-                 let used_refs =
-                   List.filter
-                     (fun (_, id) -> Plan.contains_fix_ref id cs.Compile.body)
-                     cs.Compile.binding_refs
-                 in
-                 let c = { cs; used_refs; push_distributive; session = None } in
-                 Expr_tbl.replace cache site.Eval.ifp_body c;
-                 Some c)
-           in
-           match compiled with
-           | None -> None
-           | Some c ->
-             let use_delta =
-               match mode with
-               | Naive -> false
-               | Delta -> true
-               | Auto -> c.push_distributive
-             in
+           let sv = site_verdict verdicts site in
+           match sv.compiled with
+           | Error reason -> decline reason site
+           | Ok c ->
+             let use_delta = use_delta mode sv in
              used_delta := Some use_delta;
              let fix =
                { Plan.fix_id = c.cs.Compile.fix_id;
@@ -186,72 +221,42 @@ let install_algebra_handler ~registry ~max_iterations ~stratified ~mode
    rendering only changes which fixpoint loop produces them. *)
 type sql_site = {
   sql_cs : Compile.compiled;
-  sql_distributive : bool;
   mutable sql_prep : Render_sql.prepared option;
       (** materialization, reusable while the seed's document root is
           unchanged (e.g. the per-course fixpoints of Rule 5) *)
 }
 
-let install_sql_handler ~mode ~fallbacks ~used_delta ev =
-  let cache : sql_site Expr_tbl.t = Expr_tbl.create 8 in
-  let failed : string Expr_tbl.t = Expr_tbl.create 8 in
+let install_sql_handler ~verdicts ~mode ~fallbacks ~used_delta ev =
+  (* [None]: the body has no rendering — a property of the body, so
+     permanent for the site *)
+  let cache : sql_site option Expr_tbl.t = Expr_tbl.create 8 in
   let stats = Eval.stats ev in
-  let decline reason site =
-    if not (Expr_tbl.mem failed site.Eval.ifp_body) then begin
-      fallbacks := reason :: !fallbacks;
-      Expr_tbl.replace failed site.Eval.ifp_body reason
-    end;
-    None
-  in
+  let decline = decliner fallbacks in
   Eval.set_ifp_handler ev
     (Some
        (fun (site : Eval.ifp_site) ->
-         if site.Eval.ifp_accum <> None then
-           decline
-             "accumulate by: annotated fixpoints run on the interpreter's \
-              semiring kernel"
-             site
-         else if
-           List.exists
-             (function Xdm.Item.A _ -> true | Xdm.Item.N _ -> false)
-             site.Eval.ifp_seed
-         then None (* Definition 2.1: let the interpreter raise *)
-         else if Expr_tbl.mem failed site.Eval.ifp_body then None
+         if site.Eval.ifp_accum <> None then decline annotated_reason site
+         else if atom_seed site then None
          else
+           let sv = site_verdict verdicts site in
            let compiled =
              match Expr_tbl.find_opt cache site.Eval.ifp_body with
-             | Some c -> Some c
-             | None -> (
-               let names =
-                 List.map fst site.Eval.ifp_bindings
-                 @ (if site.Eval.ifp_context <> None then [ "." ] else [])
-               in
-               match
-                 Compile.body ~functions:(Eval.functions ev)
-                   ~recursion_var:site.Eval.ifp_var ~bindings:names
-                   site.Eval.ifp_body
-               with
-               | exception Compile.Unsupported reason ->
-                 decline ("no SQL rendering: " ^ reason) site
-               | cs ->
-                 let cs =
-                   { cs with Compile.body = Optimize.optimize cs.Compile.body }
-                 in
-                 (* Static renderability is a property of the body; a
-                    failure here is permanent for the site. *)
-                 (match
-                    Render_sql.render ~fix_id:cs.Compile.fix_id cs.Compile.body
-                  with
+             | Some c -> c
+             | None ->
+               let c =
+                 match sv.compiled with
                  | Error reason -> decline ("no SQL rendering: " ^ reason) site
-                 | Ok _ ->
-                   let sql_distributive =
-                     (Push.check ~stratified:false ~fix_id:cs.Compile.fix_id
-                        cs.Compile.body)
-                       .Push.distributive
-                   in
-                   let c = { sql_cs = cs; sql_distributive; sql_prep = None } in
-                   Expr_tbl.replace cache site.Eval.ifp_body c;
-                   Some c))
+                 | Ok c -> (
+                   match
+                     Render_sql.render ~fix_id:c.cs.Compile.fix_id
+                       c.cs.Compile.body
+                   with
+                   | Error reason ->
+                     decline ("no SQL rendering: " ^ reason) site
+                   | Ok _ -> Some { sql_cs = c.cs; sql_prep = None })
+               in
+               Expr_tbl.replace cache site.Eval.ifp_body c;
+               c
            in
            match compiled with
            | None -> None
@@ -273,12 +278,7 @@ let install_sql_handler ~mode ~fallbacks ~used_delta ev =
                None
              | Ok p ->
                c.sql_prep <- Some p;
-               let use_delta =
-                 match mode with
-                 | Naive -> false
-                 | Delta -> true
-                 | Auto -> c.sql_distributive
-               in
+               let use_delta = use_delta mode sv in
                used_delta := Some use_delta;
                let seed_rows =
                  List.filter_map
@@ -316,29 +316,24 @@ let run_program ?(registry = Xdm.Doc_registry.default)
     ?chunk_threshold ?deadline ?round_hook ?max_call_depth ~engine p =
   let fallbacks = ref [] in
   let used_delta = ref None in
+  let mode = match engine with Interpreter m | Algebra m | Sql m -> m in
+  (* Interpreter strategy doubles as the fallback policy of the plan
+     engines (and runs any IFP they decline, hence the parallel
+     knobs). *)
   let ev =
-    match engine with
-    | Interpreter mode ->
-      Eval.create ~registry ~max_iterations ~stratified ?domains
-        ?chunk_threshold ?max_call_depth ~strategy:(strategy_of_mode mode) ()
-    | Algebra mode ->
-      let ev =
-        (* Interpreter strategy doubles as the fallback policy (and runs
-           any IFP the compiler rejects, hence the parallel knobs). *)
-        Eval.create ~registry ~max_iterations ~stratified ?domains
-          ?chunk_threshold ?max_call_depth ~strategy:(strategy_of_mode mode) ()
-      in
-      install_algebra_handler ~registry ~max_iterations ~stratified ~mode
-        ~fallbacks ~used_delta ev;
-      ev
-    | Sql mode ->
-      let ev =
-        Eval.create ~registry ~max_iterations ~stratified ?domains
-          ?chunk_threshold ?max_call_depth ~strategy:(strategy_of_mode mode) ()
-      in
-      install_sql_handler ~mode ~fallbacks ~used_delta ev;
-      ev
+    Eval.create ~registry ~max_iterations ~stratified ?domains
+      ?chunk_threshold ?max_call_depth ~strategy:(strategy_of_mode mode) ()
   in
+  let verdicts = create_verdicts ~stratified ev in
+  if mode = Auto then
+    Eval.set_delta_licence ev
+      (Some (fun site -> Lazy.force (site_verdict verdicts site).licensed));
+  (match engine with
+  | Interpreter _ -> ()
+  | Algebra _ ->
+    install_algebra_handler ~registry ~max_iterations ~verdicts ~mode
+      ~fallbacks ~used_delta ev
+  | Sql _ -> install_sql_handler ~verdicts ~mode ~fallbacks ~used_delta ev);
   (match (deadline, round_hook) with
   | None, None -> ()
   | _ ->
@@ -688,3 +683,10 @@ let distributivity_verdicts ?registry ?(stratified = false) p =
         Some (Push.check ~stratified ~fix_id plan).Push.distributive
     in
     Some (syntactic, algebraic)
+
+(* Figure 5 is named when both accept: it is the check every engine
+   consults first. *)
+let delta_by ~syntactic ~algebraic =
+  if syntactic then Some "syntactic"
+  else if algebraic = Some true then Some "algebraic"
+  else None

@@ -7,12 +7,10 @@
     engines:
 
     - {!Interpreter}: a conventional tree-walking processor (the Saxon
-      stand-in). Its [Auto] strategy applies the {e syntactic}
-      distributivity check (Figure 5) to trade Naïve for Delta.
+      stand-in).
     - {!Algebra}: the Relational-XQuery hybrid (the MonetDB/XQuery
-      stand-in). Each IFP body is compiled to a Table-1 algebra plan;
-      the {e algebraic} ∪ push-up (Section 4.1) decides between the µ
-      and µ∆ fixpoint operators; evaluation runs over [iter|item]
+      stand-in). Each IFP body is compiled to a Table-1 algebra plan
+      and run by the µ or µ∆ fixpoint operator over [iter|item]
       relations with staircase-join steps. Bodies outside the
       compilable subset fall back to the interpreter.
     - {!Sql}: the SQL:1999 comparison engine (Sections 2 and 6). IFP
@@ -23,7 +21,14 @@
 
     Re-exported substrate libraries: {!Xdm} (data model), {!Lang}
     (language), {!Algebra_ir} (plans), {!Store} (pre/size/level
-    encoding). *)
+    encoding).
+
+    Every engine's [Auto] mode trades Naïve for Delta under one licence
+    per IFP body: the {e syntactic} check (Figure 5) or, when it
+    rejects, the {e algebraic} ∪ push-up (Section 4.1) on the body's
+    Table-1 plan. Theorem 3.2 makes either sufficient. The verdicts are
+    computed once per body expression per run and shared by all
+    engines. *)
 
 module Xdm = Fixq_xdm
 module Lang = Fixq_lang
@@ -34,7 +39,9 @@ module Store = Fixq_store
 type mode =
   | Naive  (** always Figure 3(a) / µ *)
   | Delta  (** always Figure 3(b) / µ∆ — unsound if non-distributive *)
-  | Auto  (** Delta when the engine's distributivity check succeeds *)
+  | Auto
+      (** Delta when Figure 5 or the ∪ push-up accepts the body — the
+          same licence on every engine *)
 
 type engine = Interpreter of mode | Algebra of mode | Sql of mode
 
@@ -156,6 +163,13 @@ val distributivity_verdicts :
   ?stratified:bool ->
   Lang.Ast.program ->
   (bool * bool option) option
+
+(** Which check licenses Delta for a body, given its
+    [(syntactic, algebraic)] verdicts: ["syntactic"] when Figure 5
+    accepts, else ["algebraic"] when the ∪ push-up does, else [None].
+    Theorem 3.2 makes either sufficient, and every engine's [Auto] runs
+    Delta exactly when this is [Some _]. *)
+val delta_by : syntactic:bool -> algebraic:bool option -> string option
 
 (** Compile the first IFP body of a program to its algebra plan (for
     plan inspection à la Figure 9). Returns the fix-ref id and plan.

@@ -1005,15 +1005,18 @@ and ifp_est env vars ctx d e ~var ~seed ~body ~accum =
 (* Engine cost model and selection                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* [delta] is the one Delta licence (Figure 5 or the ∪ push-up): every
+   engine runs the fixpoint it licenses, so every engine gets the same
+   discount. *)
 let engine_estimates ~work ~mat_nodes ~has_ifp ~compiled ~sql_renderable
-    ~algebra_delta ~interp_delta =
-  let delta_factor d = if d then 0.7 else 1.0 in
+    ~delta =
+  let delta_factor = if delta then 0.7 else 1.0 in
   let interp =
     { eng_name = "interp";
-      eng_cost = work *. delta_factor interp_delta;
+      eng_cost = work *. delta_factor;
       eng_native = true;
       eng_note =
-        (if interp_delta then "Delta (Figure 5) halves refeeding"
+        (if delta then "Delta halves refeeding"
          else "Naive fixpoint on the tree interpreter") }
   in
   let algebra =
@@ -1023,15 +1026,13 @@ let engine_estimates ~work ~mat_nodes ~has_ifp ~compiled ~sql_renderable
         eng_note = "no compilable fixpoint: runs on the interpreter" }
     | true, Some true ->
       (* calibrated against bench -- cost: the relational emulation pays
-         roughly a 1.4x per-unit overhead over the tree interpreter, so
-         it only wins via the delta discount when the interpreter cannot
-         have it (push-up holds but Figure 5 is blamed) *)
+         roughly a 1.4x per-unit overhead over the tree interpreter *)
       { eng_name = "algebra";
-        eng_cost = 40.0 +. (1.4 *. work *. delta_factor algebra_delta);
+        eng_cost = 40.0 +. (1.4 *. work *. delta_factor);
         eng_native = true;
         eng_note =
-          (if algebra_delta then "Table-1 plan, mu-delta (push-up holds)"
-           else "Table-1 plan, mu (push-up blocked)") }
+          (if delta then "Table-1 plan, mu-delta"
+           else "Table-1 plan, mu (no Delta licence)") }
     | true, Some false ->
       { eng_name = "algebra"; eng_cost = work +. 15.0; eng_native = false;
         eng_note = "body outside the compilable subset: interpreter fallback" }
@@ -1047,7 +1048,7 @@ let engine_estimates ~work ~mat_nodes ~has_ifp ~compiled ~sql_renderable
       { eng_name = "sql";
         eng_cost =
           60.0 +. (0.25 *. mat_nodes)
-          +. (2.5 *. work *. delta_factor algebra_delta);
+          +. (2.5 *. work *. delta_factor);
         eng_native = true;
         eng_note = "WITH RECURSIVE over materialized document relations" }
     | true, Some false ->
@@ -1101,7 +1102,7 @@ let analyze ?registry ?spans ?(compiled = None) ?(sql_renderable = None)
   let work = max 1.0 env.work in
   let engines =
     engine_estimates ~work ~mat_nodes ~has_ifp ~compiled ~sql_renderable
-      ~algebra_delta ~interp_delta
+      ~delta:(algebra_delta || interp_delta)
   in
   let chosen, choice_reason = choose engines in
   let rounds_bound, bound_reason =

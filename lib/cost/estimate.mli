@@ -74,8 +74,10 @@ type t = {
     nothing degrade to unbounded estimates. [compiled] /
     [sql_renderable] are the prepared-query verdicts for the first IFP
     ([Some true] = the engine runs it natively), [algebra_delta] /
-    [interp_delta] the distributivity verdicts — together they shape
-    the per-engine costs. *)
+    [interp_delta] the ∪ push-up and Figure 5 verdicts — together they
+    shape the per-engine costs. Theorem 3.2 makes either verdict a
+    licence for Delta on every engine, so the two fold into one Δ
+    discount applied to all three estimates. *)
 val analyze :
   ?registry:Xdm.Doc_registry.t ->
   ?spans:Lang.Parser.Spans.t ->

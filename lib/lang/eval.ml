@@ -37,6 +37,8 @@ type t = {
     (Semiring.kind * (Node.t * Semiring.ann) list) option;
       (** annotated result of the most recent [accumulate by] fixpoint *)
   mutable ifp_handler : (ifp_site -> Item.seq option) option;
+  mutable delta_licence : (ifp_site -> bool) option;
+      (** [Auto]'s second opinion when Figure 5 rejects a body *)
   stratified : bool;
   domains : int option;  (** Some d: run Delta rounds on d domains *)
   chunk_threshold : int;
@@ -54,9 +56,10 @@ let create ?(registry = Doc_registry.default) ?(strategy = Auto)
   { functions = Hashtbl.create 16; registry; stats = Stats.create ();
     strategy; max_iterations; max_call_depth; globals = Smap.empty;
     last_ifp_used_delta = None; last_annotations = None; ifp_handler = None;
-    stratified; domains; chunk_threshold }
+    delta_licence = None; stratified; domains; chunk_threshold }
 
 let set_ifp_handler t h = t.ifp_handler <- h
+let set_delta_licence t l = t.delta_licence <- l
 
 let stats t = t.stats
 let strategy t = t.strategy
@@ -537,25 +540,27 @@ and eval_call t env f args =
 
 and eval_ifp t env var seed body accum =
   let seed_v = eval t env seed in
-  let external_result =
-    match t.ifp_handler with
-    | None -> None
-    | Some handler ->
+  let site =
+    lazy
       (* The whole scope (locals and globals), not just fv(body):
          compiling the body may inline functions whose own bodies
          reference global variables. *)
-      let bindings =
-        Smap.fold
-          (fun v value acc ->
-            if String.equal v var then acc else (v, value) :: acc)
-          env.vars []
-      in
-      let context =
-        match env.ctx with Some (it, _, _) -> Some it | None -> None
-      in
-      handler
-        { ifp_var = var; ifp_seed = seed_v; ifp_body = body;
-          ifp_accum = accum; ifp_bindings = bindings; ifp_context = context }
+      (let bindings =
+         Smap.fold
+           (fun v value acc ->
+             if String.equal v var then acc else (v, value) :: acc)
+           env.vars []
+       in
+       let context =
+         match env.ctx with Some (it, _, _) -> Some it | None -> None
+       in
+       { ifp_var = var; ifp_seed = seed_v; ifp_body = body;
+         ifp_accum = accum; ifp_bindings = bindings; ifp_context = context })
+  in
+  let external_result =
+    match t.ifp_handler with
+    | None -> None
+    | Some handler -> handler (Lazy.force site)
   in
   match external_result with
   | Some result -> result
@@ -567,9 +572,13 @@ and eval_ifp t env var seed body accum =
       match t.strategy with
       | Naive -> false
       | Delta -> true
-      | Auto ->
+      | Auto -> (
         Distributivity.check ~functions:t.functions ~stratified:t.stratified
           var body
+        ||
+        match t.delta_licence with
+        | Some licensed -> licensed (Lazy.force site)
+        | None -> false)
     in
     match accum with
     | Some a -> eval_ifp_semiring t env var seed_v body a ~use_delta ~body_fn

@@ -9,9 +9,11 @@
     - [Delta]: always run Figure 3(b) — {e unsound} for
       non-distributive bodies (exposed deliberately, to reproduce
       Example 2.4);
-    - [Auto]: run Delta exactly when the syntactic distributivity check
-      ({!Distributivity.check}) accepts the body, else fall back to
-      Naive — the mode a production processor would ship. *)
+    - [Auto]: run Delta when the syntactic distributivity check
+      ({!Distributivity.check}) accepts the body or, failing that, the
+      installed {!set_delta_licence} callback does (Theorem 3.2 makes
+      either check sufficient); else fall back to Naive — the mode a
+      production processor would ship. *)
 
 type strategy = Naive | Delta | Auto
 
@@ -74,6 +76,12 @@ type ifp_site = {
     to its own strategy; exceptions propagate. *)
 val set_ifp_handler :
   t -> (ifp_site -> Fixq_xdm.Item.seq option) option -> unit
+
+(** Install (or clear) [Auto]'s second distributivity opinion: called
+    for an IFP site only when Figure 5 rejects its body, and Delta runs
+    when it returns [true]. {!Fixq.run_program} installs the algebraic
+    ∪ push-up here, memoized per body expression. *)
+val set_delta_licence : t -> (ifp_site -> bool) option -> unit
 
 (** Install the functions and evaluate the global variable declarations
     of a program, then evaluate its main expression. *)

@@ -301,3 +301,4 @@ let int_opt = function
 let bool_opt = function Bool b -> Some b | _ -> None
 let of_int n = Num (float_of_int n)
 let of_bool_opt = function None -> Null | Some b -> Bool b
+let of_string_opt = function None -> Null | Some s -> Str s

@@ -37,3 +37,5 @@ val bool_opt : t -> bool option
 
 val of_int : int -> t
 val of_bool_opt : bool option -> t  (** [Null] for [None] *)
+
+val of_string_opt : string option -> t  (** [Null] for [None] *)

@@ -18,8 +18,7 @@ type t = {
   plan : (int * Fixq_algebra.Plan.t) option;
   sql : (Fixq_algebra.Render_sql.rendered, string) result option;
   cost : Estimate.t;
-  interp_mode : Fixq.mode;
-  algebra_mode : Fixq.mode;
+  mode : Fixq.mode;
   stratified : bool;
   generation : int;
   prepare_ms : float;
@@ -84,27 +83,20 @@ let prepare ~store ~stratified ~max_iterations source =
       ~algebra_delta:(algebraic = Some true)
       ~interp_delta:syntactic program
   in
-  let interp_mode =
+  (* One licence for every engine (Theorem 3.2): Delta when either
+     check accepts, Naive when both reject. No algebraic verdict (the
+     site was not reached or its body does not compile) pins nothing:
+     Auto re-decides at the site with the same two checks. *)
+  let mode =
     if ifp_count = 0 then Fixq.Naive
     else if ifp_count > 1 then Fixq.Auto
-    else if syntactic then Fixq.Delta
+    else if Fixq.delta_by ~syntactic ~algebraic <> None then Fixq.Delta
+    else if algebraic = None then Fixq.Auto
     else Fixq.Naive
   in
-  let algebra_mode =
-    if ifp_count = 0 then Fixq.Naive
-    else if ifp_count > 1 then Fixq.Auto
-    else
-      match algebraic with
-      | Some true -> Fixq.Delta
-      | Some false -> Fixq.Naive
-      | None ->
-        (* body outside the compilable subset: the site falls back to
-           the interpreter, whose Auto strategy re-checks syntactically *)
-        Fixq.Auto
-  in
   { source; hash = hash_source source; program; spans; warnings; analysis;
-    push; ifp_count; syntactic; algebraic; plan; sql; cost; interp_mode;
-    algebra_mode; stratified; generation;
+    push; ifp_count; syntactic; algebraic; plan; sql; cost; mode;
+    stratified; generation;
     prepare_ms = (Unix.gettimeofday () -. t0) *. 1000.0 }
 
 (* The parse, the static check and the distributivity verdicts depend
@@ -125,20 +117,15 @@ let refresh ~store t =
     in
     { t with cost; generation }
 
-(* Diagnostics including the FQ031 push-block mapping, which needs the
-   plan verdict and so cannot be part of [Analyze.analyze], plus the
-   cost analyzer's FQ050–FQ054 findings. *)
+let delta_by t = Fixq.delta_by ~syntactic:t.syntactic ~algebraic:t.algebraic
+
+(* Diagnostics with the plan verdict folded in (the FQ031 push-block
+   mapping, FQ030 demoted when the push-up licenses Delta), which
+   cannot be part of [Analyze.analyze], plus the cost analyzer's
+   FQ050–FQ054 findings. *)
 let diagnostics t =
-  let push_blocks =
-    match (t.push, t.analysis.Analyze.ifps) with
-    | Some o, r :: _ -> (
-      match Analyze.push_block_diag ~spans:t.spans r o with
-      | Some d -> [ d ]
-      | None -> [])
-    | _ -> []
-  in
   List.stable_sort Diag.compare
-    (t.analysis.Analyze.diagnostics @ push_blocks
+    (Analyze.with_push ~spans:t.spans t.analysis t.push
     @ t.cost.Estimate.diagnostics)
 
 let divergence t =
@@ -156,11 +143,3 @@ let chosen_engine t =
   | "algebra" -> `Algebra
   | "sql" -> `Sql
   | _ -> `Interp
-
-(* The Sql engine compiles the same Table-1 plan as the algebra engine
-   before rendering, so it inherits the algebraic mode pin. *)
-let rec mode_for t = function
-  | `Interp -> t.interp_mode
-  | `Algebra -> t.algebra_mode
-  | `Sql -> t.algebra_mode
-  | `Auto -> mode_for t (chosen_engine t)

@@ -6,8 +6,9 @@
     pass ({!Fixq_analysis.Analyze}: lint rules, distributivity blame,
     divergence classification), compilation of the first IFP body to a
     Table-1 algebra plan, and the algebraic ∪ push-up (Section 4.1) —
-    and pins the fixpoint algorithm each engine should use: Delta/µ∆
-    when the respective check proves distributivity, Naïve/µ otherwise.
+    and pins one fixpoint algorithm for every engine: Delta/µ∆ when
+    either check proves distributivity (Theorem 3.2), Naïve/µ when both
+    reject.
     Repeat runs of the same query text skip all of it (an LRU cache in
     the server keys prepared queries by source text).
 
@@ -41,8 +42,11 @@ type t = {
       (** synopsis-driven cost & cardinality estimate: per-operator
           cardinalities, certified round bound, per-engine costs and the
           cheapest-engine verdict ([--engine auto]) *)
-  interp_mode : Fixq.mode;  (** pinned algorithm for the interpreter *)
-  algebra_mode : Fixq.mode;  (** pinned algorithm for the algebra engine *)
+  mode : Fixq.mode;
+      (** pinned algorithm for every engine: [Delta] when {!delta_by} is
+          [Some _], [Naive] when both checks reject, [Auto] for
+          multi-IFP programs and for a first IFP without an algebraic
+          verdict (the site re-decides with the same two checks) *)
   stratified : bool;  (** checks ran with the Section-6 refinement *)
   generation : int;  (** registry generation at preparation time *)
   prepare_ms : float;
@@ -76,9 +80,16 @@ val prepare :
     grown documents. *)
 val refresh : store:Store.t -> t -> t
 
+(** Which check licenses Delta for the first IFP:
+    [Some "syntactic"], [Some "algebraic"] or [None]
+    (see {!Fixq.delta_by}). *)
+val delta_by : t -> string option
+
 (** All located diagnostics for the query, sorted by position: the
-    analyzer's, plus the FQ031 push-block mapping (which needs the
-    compiled plan's verdict and so is assembled here). *)
+    analyzer's with the compiled plan's verdict folded in
+    ({!Fixq_analysis.Analyze.with_push}: the FQ031 push-block mapping,
+    FQ030 demoted to info when the push-up licenses Delta), plus the
+    cost analyzer's. *)
 val diagnostics : t -> Fixq_analysis.Diag.t list
 
 (** Divergence class of the first IFP ([None] when the query has no
@@ -92,11 +103,5 @@ val semiring : t -> Fixq_semiring.Semiring.kind option
 (** The engine the cost model picked as cheapest — what [--engine auto]
     resolves to. *)
 val chosen_engine : t -> [ `Interp | `Algebra | `Sql ]
-
-(** The mode a request for the given engine kind should run with:
-    [`Interp] → [interp_mode], [`Algebra]/[`Sql] → [algebra_mode] (the
-    Sql engine runs the same compiled plan), [`Auto] → the mode of
-    {!chosen_engine}. *)
-val mode_for : t -> [ `Interp | `Algebra | `Sql | `Auto ] -> Fixq.mode
 
 val hash_source : string -> string

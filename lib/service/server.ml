@@ -344,9 +344,7 @@ let handle_run t ~id
   let max_iterations = Option.value ~default:max_iterations down_budgeted in
   let run_mode =
     match mode with
-    | `Pinned ->
-      Prepared.mode_for prepared
-        (engine :> [ `Interp | `Algebra | `Sql | `Auto ])
+    | `Pinned -> prepared.Prepared.mode
     | `Naive -> Fixq.Naive
     | `Delta -> Fixq.Delta
   in
@@ -467,8 +465,9 @@ let handle_prepare t ~id query stratified =
     [ ("prepared_cache", Json.Str prepared_status);
       ("hash", Json.Str p.Prepared.hash);
       ("ifp_count", Json.of_int p.Prepared.ifp_count);
-      ("interp_mode", Json.Str (mode_string p.Prepared.interp_mode));
-      ("algebra_mode", Json.Str (mode_string p.Prepared.algebra_mode));
+      ("interp_mode", Json.Str (mode_string p.Prepared.mode));
+      ("algebra_mode", Json.Str (mode_string p.Prepared.mode));
+      ("delta_by", Json.of_string_opt (Prepared.delta_by p));
       ("has_plan", Json.Bool (p.Prepared.plan <> None));
       ("prepare_ms", Json.Num p.Prepared.prepare_ms) ]
 
@@ -489,8 +488,9 @@ let handle_check t ~id query stratified =
     [ ("ifp_count", Json.of_int p.Prepared.ifp_count);
       ("syntactic", Json.Bool p.Prepared.syntactic);
       ("algebraic", Json.of_bool_opt p.Prepared.algebraic);
-      ("interp_mode", Json.Str (mode_string p.Prepared.interp_mode));
-      ("algebra_mode", Json.Str (mode_string p.Prepared.algebra_mode));
+      ("interp_mode", Json.Str (mode_string p.Prepared.mode));
+      ("algebra_mode", Json.Str (mode_string p.Prepared.mode));
+      ("delta_by", Json.of_string_opt (Prepared.delta_by p));
       ("stratified", Json.Bool stratified);
       ("warnings",
        Json.List (List.map (fun w -> Json.Str w) p.Prepared.warnings));

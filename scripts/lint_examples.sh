@@ -28,11 +28,13 @@ for f in "${examples[@]}"; do
       (.context | type == "string") and
       (.message | type == "string"))' <<<"$out" >/dev/null
 
-  # every IFP got a divergence verdict and both checker fields
+  # every IFP got a divergence verdict, both checker fields and the
+  # check that licensed Delta (null when neither did)
   jq -e '
     .ifps | all(
       (.divergence | IN("terminates", "bounded", "may-diverge")) and
       (.syntactic | type == "boolean") and
+      (.delta_by | . == null or IN("syntactic", "algebraic")) and
       (.hint_repairable | type == "boolean"))' <<<"$out" >/dev/null
 
   # the error counter agrees with the per-diagnostic severities

@@ -127,14 +127,64 @@ let test_verdicts_q2 () =
   | None -> Alcotest.fail "no IFP found"
 
 let test_section41_behaviour () =
-  (* interpreter falls back to Naive, algebra engine runs µ∆; results
-     agree *)
+  (* Figure 5 rejects the unfolding, the ∪ push-up accepts it, and
+     either check licenses Delta (Theorem 3.2): every engine's Auto
+     runs Delta, feeds back what forced Delta does — strictly less than
+     Naive — and returns Naive's set *)
+  let naive = run (Fixq.Interpreter Fixq.Naive) q1_unfolded in
+  let delta = run (Fixq.Interpreter Fixq.Delta) q1_unfolded in
   let ri = run (Fixq.Interpreter Fixq.Auto) q1_unfolded in
-  let ra = run (Fixq.Algebra Fixq.Auto) q1_unfolded in
-  check "interpreter naive" true (ri.Fixq.used_delta = Some false);
-  check "algebra delta" true (ra.Fixq.used_delta = Some true);
-  check "same result" true (Item.set_equal ri.Fixq.result ra.Fixq.result);
-  check "algebra feeds fewer" true (ra.Fixq.nodes_fed < ri.Fixq.nodes_fed)
+  check "interpreter auto runs delta" true (ri.Fixq.used_delta = Some true);
+  check "interpreter same set as naive" true
+    (Item.set_equal ri.Fixq.result naive.Fixq.result);
+  check_int "interpreter feeds as delta" delta.Fixq.nodes_fed ri.Fixq.nodes_fed;
+  check "interpreter feeds fewer than naive" true
+    (ri.Fixq.nodes_fed < naive.Fixq.nodes_fed);
+  List.iter
+    (fun (name, engine) ->
+      let r = run engine q1_unfolded in
+      check (name ^ " runs delta") true (r.Fixq.used_delta = Some true);
+      check (name ^ " same set as naive") true
+        (Item.set_equal r.Fixq.result naive.Fixq.result))
+    [ ("algebra auto", Fixq.Algebra Fixq.Auto); ("sql auto", Fixq.Sql Fixq.Auto) ];
+  (* an [accumulate by bool] site gets the same licence: both engines
+     run it on the interpreter's semiring kernel *)
+  let annotated = q1_unfolded ^ " accumulate by bool" in
+  let naive_bool = run (Fixq.Interpreter Fixq.Naive) annotated in
+  List.iter
+    (fun (name, engine) ->
+      let r = run engine annotated in
+      check (name ^ " bool runs delta") true (r.Fixq.used_delta = Some true);
+      check (name ^ " bool same set") true
+        (Item.set_equal r.Fixq.result naive.Fixq.result);
+      check (name ^ " bool feeds fewer") true
+        (r.Fixq.nodes_fed < naive_bool.Fixq.nodes_fed))
+    [ ("interpreter auto", Fixq.Interpreter Fixq.Auto);
+      ("algebra auto", Fixq.Algebra Fixq.Auto) ]
+
+let test_multi_ifp_second_site_licensed () =
+  (* two sites: the prepared layer pins nothing for multi-IFP programs,
+     so the unfolded second site is decided per site by Auto — which
+     must still see the algebraic licence *)
+  let q =
+    Printf.sprintf
+      {|count(with $y seeded by doc("curriculum.xml")/curriculum/course[@code="c2"]
+             recurse $y/id(./prerequisites/pre_code)),
+        count(%s)|}
+      q1_unfolded
+  in
+  let naive = run (Fixq.Interpreter Fixq.Naive) q in
+  List.iter
+    (fun (name, engine) ->
+      let r = run engine q in
+      (* used_delta reports the last site run: the unfolded one *)
+      check (name ^ ": unfolded site runs delta") true
+        (r.Fixq.used_delta = Some true);
+      check (name ^ ": same answer as naive") true
+        (Item.deep_equal r.Fixq.result naive.Fixq.result);
+      check (name ^ ": feeds fewer than naive") true
+        (r.Fixq.nodes_fed < naive.Fixq.nodes_fed))
+    [ ("interp", Fixq.Interpreter Fixq.Auto); ("algebra", Fixq.Algebra Fixq.Auto) ]
 
 let test_plan_capture () =
   match Fixq.plan_of_first_ifp ~registry (Parser.parse_program q1) with
@@ -335,7 +385,9 @@ let () =
           Alcotest.test_case "IFP seeding an IFP" `Quick
             test_ifp_seeded_by_ifp;
           Alcotest.test_case "repeated sites" `Quick
-            test_repeated_site_uses_cache ] );
+            test_repeated_site_uses_cache;
+          Alcotest.test_case "licensed second site" `Quick
+            test_multi_ifp_second_site_licensed ] );
       ( "reporting",
         [ Alcotest.test_case "stratified end-to-end" `Quick
             test_stratified_end_to_end;

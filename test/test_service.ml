@@ -152,14 +152,15 @@ let test_prepared_modes () =
   checki "q1 one ifp" 1 p1.Prepared.ifp_count;
   checkb "q1 syntactic" true p1.Prepared.syntactic;
   checkb "q1 algebraic" true (p1.Prepared.algebraic = Some true);
-  checkb "q1 interp pins delta" true (p1.Prepared.interp_mode = Fixq.Delta);
-  checkb "q1 algebra pins delta" true (p1.Prepared.algebra_mode = Fixq.Delta);
+  checkb "q1 pins delta" true (p1.Prepared.mode = Fixq.Delta);
+  checkb "q1 licensed by figure 5" true
+    (Prepared.delta_by p1 = Some "syntactic");
   checkb "q1 has plan" true (p1.Prepared.plan <> None);
   let p2 = prepare store q2 in
   checkb "q2 syntactic" false p2.Prepared.syntactic;
   checkb "q2 algebraic" true (p2.Prepared.algebraic = Some false);
-  checkb "q2 interp pins naive" true (p2.Prepared.interp_mode = Fixq.Naive);
-  checkb "q2 algebra pins naive" true (p2.Prepared.algebra_mode = Fixq.Naive);
+  checkb "q2 pins naive" true (p2.Prepared.mode = Fixq.Naive);
+  checkb "q2 unlicensed" true (Prepared.delta_by p2 = None);
   let p3 = prepare store "1 + 1" in
   checki "no ifp" 0 p3.Prepared.ifp_count;
   checkb "no plan" true (p3.Prepared.plan = None)
@@ -191,8 +192,38 @@ let test_prepared_multi_ifp_keeps_auto () =
   in
   let p = prepare store q in
   checki "two ifps" 2 p.Prepared.ifp_count;
-  checkb "interp auto" true (p.Prepared.interp_mode = Fixq.Auto);
-  checkb "algebra auto" true (p.Prepared.algebra_mode = Fixq.Auto)
+  checkb "auto" true (p.Prepared.mode = Fixq.Auto)
+
+(* Section 4.1: Figure 5 rejects the unfolded Q1 but the ∪ push-up
+   accepts it, and either check licenses Delta (Theorem 3.2) — so the
+   pin is Delta for every engine, while Example 2.4 stays Naive. *)
+let test_prepared_pins_algebraic_licence () =
+  let store = make_store () in
+  let p = prepare store Fixq_workloads.Queries.q1_unfolded in
+  checkb "figure 5 rejects" false p.Prepared.syntactic;
+  checkb "push-up accepts" true (p.Prepared.algebraic = Some true);
+  checkb "pins delta" true (p.Prepared.mode = Fixq.Delta);
+  checkb "licensed by the algebraic check" true
+    (Prepared.delta_by p = Some "algebraic");
+  (* FQ030 is a gap in Figure 5's coverage here, not a fact about the
+     body: info severity, and it says Delta stays licensed *)
+  (match
+     List.find_opt
+       (fun d -> d.Fixq_analysis.Diag.code = "FQ030")
+       (Prepared.diagnostics p)
+   with
+  | Some d ->
+    checkb "FQ030 is info" true
+      (d.Fixq_analysis.Diag.severity = Fixq_analysis.Diag.Info);
+    let suffix = "Delta is still licensed by the algebraic check" in
+    let m = d.Fixq_analysis.Diag.message in
+    let n = String.length m and k = String.length suffix in
+    checkb "FQ030 names the licence" true
+      (n >= k && String.sub m (n - k) k = suffix)
+  | None -> Alcotest.fail "expected FQ030");
+  let p2 = prepare store Fixq_workloads.Queries.q2 in
+  checkb "q2 pins naive" true (p2.Prepared.mode = Fixq.Naive);
+  checkb "q2 unlicensed" true (Prepared.delta_by p2 = None)
 
 let test_prepared_rejects () =
   let store = make_store () in
@@ -268,6 +299,61 @@ let test_server_cache_lifecycle () =
   checki "result misses" 2 (cache "results" "misses");
   checki "generation" 2
     (Option.get (Json.int_opt (field "generation" stats)))
+
+(* Theorem 3.2 end to end: the default (pinned) mode may run Delta on
+   the strength of either check, and must answer byte-for-byte what a
+   forced Naive run does — over the four Table-2 families, the unfolded
+   Q1 (licensed by the algebraic check alone) and random curriculum
+   seeds. *)
+let prop_default_mode_matches_naive =
+  let module W = Fixq_workloads in
+  QCheck2.Test.make ~count:6 ~name:"default-mode run = naive run"
+    QCheck2.Gen.(pair (int_bound 10_000) (int_range 12 60))
+    (fun (seed, courses) ->
+      let server = mk_server () in
+      let load uri kind size seed =
+        let r =
+          send server
+            (Json.to_string
+               (Json.Obj
+                  [ ("op", Json.Str "load-doc"); ("uri", Json.Str uri);
+                    ("generate", Json.Str kind); ("size", Json.Num size);
+                    ("seed", Json.of_int seed) ]))
+        in
+        if not (ok r) then QCheck2.Test.fail_reportf "load %s failed" uri
+      in
+      load "auction.xml" "xmark" 0.002 11;
+      load "romeo.xml" "play" 0. 11;
+      load "curriculum.xml" "curriculum" (float_of_int courses) seed;
+      load "hospital.xml" "hospital" 200. 11;
+      let run ?mode q =
+        send server
+          (Json.to_string
+             (Json.Obj
+                ([ ("op", Json.Str "run"); ("query", Json.Str q);
+                   ("cache", Json.Bool false) ]
+                @ match mode with
+                  | Some m -> [ ("mode", Json.Str m) ]
+                  | None -> [])))
+      in
+      List.for_all
+        (fun (family, q) ->
+          let default = run q and naive = run ~mode:"naive" q in
+          if not (ok default && ok naive) then
+            QCheck2.Test.fail_reportf "%s: run failed" family
+          else if sfield "result" default <> sfield "result" naive then
+            QCheck2.Test.fail_reportf "%s (seed %d, %d courses): %s <> %s"
+              family seed courses (sfield "result" default)
+              (sfield "result" naive)
+          else if
+            family = "q1_unfolded"
+            && Json.bool_opt (field "used_delta" default) <> Some true
+          then QCheck2.Test.fail_reportf "q1_unfolded: default ran Naive"
+          else true)
+        [ ("bidder", W.Queries.bidder_network); ("dialogs", W.Queries.dialogs);
+          ("curriculum", W.Queries.curriculum_check);
+          ("hospital", W.Queries.hospital);
+          ("q1_unfolded", W.Queries.q1_unfolded) ])
 
 let test_server_engines_agree () =
   let server = mk_server () in
@@ -522,11 +608,14 @@ let () =
            test_prepared_parity_with_check;
          Alcotest.test_case "multi-ifp keeps auto" `Quick
            test_prepared_multi_ifp_keeps_auto;
+         Alcotest.test_case "algebraic licence pins delta" `Quick
+           test_prepared_pins_algebraic_licence;
          Alcotest.test_case "rejects" `Quick test_prepared_rejects ]);
       ("server",
        [ Alcotest.test_case "cache lifecycle" `Quick
            test_server_cache_lifecycle;
          Alcotest.test_case "engines agree" `Quick test_server_engines_agree;
+         QCheck_alcotest.to_alcotest prop_default_mode_matches_naive;
          Alcotest.test_case "failures stay up" `Quick
            test_server_failures_stay_up;
          Alcotest.test_case "cache bypass" `Quick test_server_cache_bypass;
