@@ -1055,31 +1055,6 @@ let cost_bench () =
            (W.Hospital.load ~registry
               { W.Hospital.default with W.Hospital.total = 20_000 })) ]
   in
-  let analyze registry query =
-    let p = Parser.parse_program query in
-    let no_ifp = Fixq.count_ifps p = 0 in
-    let compiled =
-      if no_ifp then None
-      else
-        Some
-          (match Fixq.plan_of_first_ifp ~registry p with
-          | Some _ -> true
-          | None -> false
-          | exception _ -> false)
-    in
-    let sql =
-      if no_ifp then None
-      else try Fixq.sql_of_first_ifp ~registry p with _ -> None
-    in
-    let (syntactic, algebraic) =
-      match try Fixq.distributivity_verdicts ~registry p with _ -> None with
-      | Some v -> v
-      | None -> (false, None)
-    in
-    E.analyze ~registry ~compiled
-      ~sql_renderable:(Option.map Result.is_ok sql)
-      ~algebra_delta:(algebraic = Some true) ~interp_delta:syntactic p
-  in
   printf "%-18s | %-7s | %9s | %9s | %9s | %7s | %6s | %5s\n" "Family"
     "chosen" "interp ms" "algeb. ms" "sql ms" "auto ms" "rounds" "bound";
   printf "%s\n" (String.make 88 '-');
@@ -1087,7 +1062,12 @@ let cost_bench () =
     (fun (name, query, setup) ->
       let registry = Doc_registry.create () in
       setup registry;
-      let est = analyze registry query in
+      let prepared =
+        Fixq_service.Prepared.prepare
+          ~store:(Fixq_service.Store.create ~registry ())
+          ~stratified:false ~max_iterations:100_000 query
+      in
+      let est = prepared.Fixq_service.Prepared.cost in
       let run engine = Fixq.run ~registry ~engine query in
       let interp = run (Fixq.Interpreter Fixq.Auto) in
       let alg = run (Fixq.Algebra Fixq.Auto) in
@@ -1096,10 +1076,10 @@ let cost_bench () =
         [ ("interp", interp); ("algebra", alg); ("sql", sql) ]
       in
       let chosen_engine =
-        match est.E.chosen with
-        | "algebra" -> Fixq.Algebra Fixq.Auto
-        | "sql" -> Fixq.Sql Fixq.Auto
-        | _ -> Fixq.Interpreter Fixq.Auto
+        match Fixq_service.Prepared.chosen_engine prepared with
+        | `Algebra -> Fixq.Algebra Fixq.Auto
+        | `Sql -> Fixq.Sql Fixq.Auto
+        | `Interp -> Fixq.Interpreter Fixq.Auto
       in
       let auto = run chosen_engine in
       let worst_ms =
@@ -1141,6 +1121,9 @@ let cost_bench () =
         | Some e -> Json.Num (Float.round e.E.eng_cost)
         | None -> Json.Null
       in
+      let fallbacks r =
+        Json.List (List.map (fun f -> Json.Str f) r.Fixq.fallbacks)
+      in
       record_json
         [ ("section", Json.Str "cost"); ("family", Json.Str name);
           ("work", Json.Num (Float.round est.E.work));
@@ -1151,6 +1134,9 @@ let cost_bench () =
           ("interp_ms", Json.Num interp.Fixq.wall_ms);
           ("algebra_ms", Json.Num alg.Fixq.wall_ms);
           ("sql_ms", Json.Num sql.Fixq.wall_ms);
+          (* non-empty when that engine ran the site on the interpreter *)
+          ("fallbacks_algebra", fallbacks alg);
+          ("fallbacks_sql", fallbacks sql);
           ("auto_ms", Json.Num auto.Fixq.wall_ms);
           ("worst_ms", Json.Num worst_ms);
           ("never_slower", Json.Bool never_slower);

@@ -12,6 +12,7 @@
 module Xdm = Fixq_xdm
 module Lang = Fixq_lang
 module W = Fixq_workloads
+module Prepared = Fixq_service.Prepared
 open Cmdliner
 
 let read_file path =
@@ -183,47 +184,28 @@ let to_engine engine mode =
   | `Algebra -> Fixq.Algebra mode
   | `Sql -> Fixq.Sql mode
 
-(* The full static cost report for an already-parsed program: both
-   distributivity verdicts plus the compiled/renderable probes shape
-   the per-engine estimates exactly as [Prepared.prepare] does. *)
-let cost_report ?spans registry p =
-  let module E = Fixq_cost.Estimate in
-  let no_ifp = Fixq.count_ifps p = 0 in
-  let compiled =
-    if no_ifp then None
-    else
-      Some
-        (match Fixq.plan_of_first_ifp ~registry p with
-        | Some _ -> true
-        | None -> false
-        | exception _ -> false)
-  in
-  let sql =
-    if no_ifp then None
-    else try Fixq.sql_of_first_ifp ~registry p with _ -> None
-  in
-  let (syntactic, algebraic) =
-    match try Fixq.distributivity_verdicts ~registry p with _ -> None with
-    | Some v -> v
-    | None -> (false, None)
-  in
-  E.analyze ~registry ?spans ~compiled
-    ~sql_renderable:(Option.map Result.is_ok sql)
-    ~algebra_delta:(algebraic = Some true) ~interp_delta:syntactic p
+(* Every static fact about a query — both distributivity verdicts, the
+   first site's plan and SQL rendering, the cost estimate and the
+   merged diagnostics — comes from the prepare pipeline serve uses, so
+   check, lint and explain report exactly what serve reports. Only
+   parse errors raise [Prepared.Rejected]; a program with static
+   errors is still analyzed, so its findings print in full. *)
+let inspect ~stratified registry src =
+  Prepared.inspect
+    ~store:(Fixq_service.Store.create ~registry ())
+    ~stratified
+    ~max_iterations:Fixq_service.Server.default_config.max_iterations src
 
 (* [--engine auto]: resolve to a fixed engine before execution, so an
    auto run is byte-identical to the chosen engine spelled out. *)
-let resolve_engine registry src engine =
+let resolve_engine ~stratified registry src engine =
   match engine with
   | (`Interp | `Algebra | `Sql) as e -> e
   | `Auto -> (
-    match Lang.Parser.parse_program src with
-    | exception _ -> `Interp (* let the evaluator report the error *)
-    | p -> (
-      match (cost_report registry p).Fixq_cost.Estimate.chosen with
-      | "algebra" -> `Algebra
-      | "sql" -> `Sql
-      | _ -> `Interp))
+    match inspect ~stratified registry src with
+    | p -> Prepared.chosen_engine p
+    | exception Prepared.Rejected _ ->
+      `Interp (* let the evaluator report the error *))
 
 let engine_name = function
   | `Interp -> "interp"
@@ -240,7 +222,7 @@ let run_cmd =
     apply_patches registry patches;
     let src = query_source file expr in
     let auto = engine = `Auto in
-    let engine = resolve_engine registry src engine in
+    let engine = resolve_engine ~stratified registry src engine in
     if auto && stats then
       Printf.eprintf "engine chosen: %s\n" (engine_name engine);
     match
@@ -291,7 +273,9 @@ let repl_cmd =
       | line -> (
         (match
            Fixq.run ~registry ~stratified
-             ~engine:(to_engine (resolve_engine registry line engine) mode)
+             ~engine:
+               (to_engine (resolve_engine ~stratified registry line engine)
+                  mode)
              line
          with
         | report ->
@@ -315,39 +299,41 @@ let check_cmd =
     let registry = Xdm.Doc_registry.create () in
     load_docs registry docs;
     let src = query_source file expr in
-    match Lang.Parser.parse_program src with
-    | exception Lang.Parser.Error { line; col; msg } ->
-      Printf.eprintf "parse error at %d:%d: %s\n" line col msg;
+    match inspect ~stratified:false registry src with
+    | exception Prepared.Rejected { message; _ } ->
+      prerr_endline message;
       1
-    | p -> (
-      let diagnostics = Lang.Static.check_program p in
-      List.iter
-        (fun d -> Format.printf "%a@." Lang.Static.pp_diagnostic d)
-        diagnostics;
-      if Lang.Static.errors diagnostics <> [] then 1
-      else
-      match Fixq.distributivity_verdicts ~registry p with
-      | None ->
+    | p ->
+      List.iter print_endline p.Prepared.warnings;
+      (* the analyzer's error-severity findings are exactly the static
+         errors, which serve's prepare would reject *)
+      if List.exists Fixq_analysis.Diag.is_error
+           p.Prepared.analysis.Fixq_analysis.Analyze.diagnostics
+      then 1
+      else if p.Prepared.ifp_count = 0 then begin
         print_endline "the query contains no inflationary fixed point";
         0
-      | Some (syn, alg) ->
+      end
+      else begin
         Printf.printf "syntactic check (Figure 5): %s\n"
-          (if syn then "distributive — Delta applies" else "not established");
+          (if p.Prepared.syntactic then "distributive — Delta applies"
+           else "not established");
         Printf.printf "algebraic check (∪ push-up): %s\n"
-          (match alg with
+          (match p.Prepared.algebraic with
           | Some true -> "distributive — µ∆ applies"
           | Some false -> "not distributive"
           | None -> "body outside the compilable subset");
         Printf.printf "delta licensed by: %s\n"
-          (match Fixq.delta_by ~syntactic:syn ~algebraic:alg with
+          (match Prepared.delta_by p with
           | Some check -> check ^ " check"
           | None -> "neither check — Naïve");
         Printf.printf "SQL:1999 rendering: %s\n"
-          (match Fixq.sql_of_first_ifp ~registry p with
+          (match p.Prepared.sql with
           | Some (Ok _) -> "renderable — WITH RECURSIVE applies"
           | Some (Error reason) -> "not renderable (" ^ reason ^ ")"
           | None -> "body outside the compilable subset");
-        0)
+        0
+      end
   in
   let term = Term.(const action $ file_arg $ expr_arg $ docs_arg) in
   Cmd.v
@@ -440,30 +426,6 @@ let lint_cmd =
                     ("results", Json.List (List.map result diagnostics)) ]
               ]) ])
   in
-  let push_of registry p =
-    (* Compiling the first IFP body may evaluate the program up to that
-       site; missing documents or interpreter-only bodies just mean
-       there is no algebraic verdict to lint. *)
-    match Fixq.plan_of_first_ifp ~registry ~max_iterations:10_000 p with
-    | Some (fix_id, plan) ->
-      Some (Fixq_algebra.Push.check ~fix_id plan)
-    | None -> None
-    | exception _ -> None
-  in
-  let verdicts registry stratified p =
-    (* both checkers, for confirming a --fix-hints repair *)
-    let syntactic =
-      match (Analyze.analyze ~stratified p).Analyze.ifps with
-      | [] -> false
-      | r :: _ -> r.Analyze.syntactic
-    in
-    let algebraic =
-      Option.map
-        (fun o -> o.Fixq_algebra.Push.distributive)
-        (push_of registry p)
-    in
-    (syntactic, algebraic)
-  in
   let action file expr docs stratified format fix_hints =
     let registry = Xdm.Doc_registry.create () in
     load_docs registry docs;
@@ -474,35 +436,23 @@ let lint_cmd =
       | (Some f, None) -> f
       | (None, None) -> "<stdin>"
     in
-    let fail_parse ~line ~col msg =
-      let d = Analyze.parse_error_diag ~line ~col msg in
+    match inspect ~stratified registry src with
+    | exception Prepared.Rejected { diagnostics; _ } ->
+      (* parse errors: the FQ001 finding alone *)
       (match format with
-      | `Text -> print_endline (Diag.to_text d)
+      | `Text ->
+        List.iter (fun d -> print_endline (Diag.to_text d)) diagnostics
       | `Json ->
         print_endline
           (Json.to_string
-             (Json.Obj [ ("diagnostics", Json.List [ diag_json d ]) ]))
-      | `Sarif -> print_endline (sarif_string ~artifact [ d ]));
+             (Json.Obj
+                [ ("diagnostics",
+                   Json.List (List.map diag_json diagnostics)) ]))
+      | `Sarif -> print_endline (sarif_string ~artifact diagnostics));
       1
-    in
-    match Lang.Parser.parse_program_spans src with
-    | exception Lang.Parser.Error { line; col; msg } ->
-      fail_parse ~line ~col msg
-    | exception Lang.Lexer.Error { pos; msg } ->
-      let (line, col) = Lang.Lexer.line_col_of src pos in
-      fail_parse ~line ~col msg
-    | (p, spans) ->
-      let analysis = Analyze.analyze ~stratified ~spans p in
-      let push = push_of registry p in
-      let diagnostics =
-        (* the cost analyzer's FQ050–FQ054 findings lint alongside the
-           structural ones *)
-        let cost =
-          (cost_report ~spans registry p).Fixq_cost.Estimate.diagnostics
-        in
-        List.stable_sort Diag.compare
-          (Analyze.with_push ~spans analysis push @ cost)
-      in
+    | prepared ->
+      let { Prepared.program = p; analysis; push; _ } = prepared in
+      let diagnostics = Prepared.diagnostics prepared in
       let errors =
         List.length (List.filter Diag.is_error diagnostics)
       in
@@ -513,8 +463,9 @@ let lint_cmd =
           if applied = 0 then None
           else
             let src' = Lang.Pretty.program_to_string p' in
-            let (syn, alg) = verdicts registry stratified p' in
-            Some (src', applied, syn, alg)
+            (* both checkers again, on the repaired query *)
+            let q = inspect ~stratified registry src' in
+            Some (src', applied, q.Prepared.syntactic, q.Prepared.algebraic)
       in
       (match format with
       | `Text ->
@@ -697,13 +648,13 @@ let explain_cmd =
   in
   let action file expr docs template =
     let src = query_source file expr in
-    match Lang.Parser.parse_program_spans src with
-    | exception Lang.Parser.Error { line; col; msg } ->
-      Printf.eprintf "parse error at %d:%d: %s\n" line col msg;
-      1
-    | (p, spans) -> (
-      match template with
-      | Some template ->
+    match template with
+    | Some template -> (
+      match Lang.Parser.parse_program src with
+      | exception Lang.Parser.Error { line; col; msg } ->
+        Printf.eprintf "parse error at %d:%d: %s\n" line col msg;
+        1
+      | p ->
         let rewritten =
           match template with
           | `Tnaive -> Lang.Rewrite.desugar_naive p
@@ -711,12 +662,16 @@ let explain_cmd =
           | `Thint -> Lang.Rewrite.hint_program p
         in
         print_endline (Lang.Pretty.program_to_string rewritten);
-        0
-      | None ->
-        let registry = Xdm.Doc_registry.create () in
-        load_docs registry docs;
-        let report = cost_report ~spans registry p in
-        print_string (Fixq_cost.Estimate.to_text report);
+        0)
+    | None -> (
+      let registry = Xdm.Doc_registry.create () in
+      load_docs registry docs;
+      match inspect ~stratified:false registry src with
+      | exception Prepared.Rejected { message; _ } ->
+        prerr_endline message;
+        1
+      | p ->
+        print_string (Fixq_cost.Estimate.to_text p.Prepared.cost);
         0)
   in
   let term =
@@ -725,10 +680,11 @@ let explain_cmd =
   Cmd.v
     (Cmd.info "explain"
        ~doc:
-         "Print the static cost report — per-operator cardinality \
-          intervals from the document synopses, the certified fixpoint \
-          round bound when one is derivable, and the per-engine cost \
-          estimates behind --engine auto. With --template, instead \
+         "Print the static cost report serve's explain op returns — \
+          per-operator cardinality intervals from the document synopses, \
+          the certified fixpoint round bound when one is derivable, and \
+          the per-engine cost estimates behind --engine auto. With \
+          --template, instead \
           print the query rewritten into the paper's recursive-function \
           templates (Figures 2/4) or the distributivity hint.")
     term
@@ -1010,17 +966,9 @@ let cluster_cmd =
     let doc = "Default per-request wall-clock budget in milliseconds." in
     Arg.(value & opt (some float) None & info [ "timeout-ms" ] ~docv:"MS" ~doc)
   in
-  let min_slice_cost_arg =
-    let doc =
-      "Cost-sized scatter: cap the scatter fan-out so each leg carries \
-       at least this much estimated work (0 disables — every eligible \
-       replica gets a leg, the legacy sizing)."
-    in
-    Arg.(value & opt float 0. & info [ "min-slice-cost" ] ~docv:"UNITS" ~doc)
-  in
   let action docs pipe socket workers replication worker_dir no_scatter
       retries backoff_ms jitter compact_patches state_dir health_ms
-      max_iterations timeout_ms min_slice_cost stratified chaos
+      max_iterations timeout_ms stratified chaos
       chaos_log max_heap_mb shed_heap_mb max_pending max_call_depth
       max_cost retry_after_ms =
     (* the coordinator process hosts the transport/scatter/ping points;
@@ -1067,7 +1015,7 @@ let cluster_cmd =
     in
     let config =
       { C.Coordinator.replication; scatter = not no_scatter; retries;
-        backoff_ms; jitter; compact_patches; min_slice_cost;
+        backoff_ms; jitter; compact_patches;
         (* transport read budget: the workers' own budget plus slack,
            unbounded when the workers are unbudgeted *)
         timeout_ms = Option.map (fun t -> (t *. 2.) +. 5000.) timeout_ms }
@@ -1151,7 +1099,7 @@ let cluster_cmd =
           $ replication_arg $ worker_dir_arg $ no_scatter_arg $ retries_arg
           $ backoff_arg $ jitter_arg $ compact_arg $ cluster_state_dir_arg
           $ health_arg $ max_iterations_arg $ timeout_arg
-          $ min_slice_cost_arg $ stratified_arg $ chaos_arg $ chaos_log_arg
+          $ stratified_arg $ chaos_arg $ chaos_log_arg
           $ max_heap_arg $ shed_heap_arg $ max_pending_arg
           $ max_call_depth_arg $ max_cost_arg $ retry_after_arg)
   in

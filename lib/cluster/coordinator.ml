@@ -1,6 +1,5 @@
 module Json = Fixq_service.Json
 module Protocol = Fixq_service.Protocol
-module Mirror = Fixq_service.Store
 module Lang = Fixq.Lang
 
 type backend = {
@@ -23,13 +22,11 @@ type config = {
   jitter : float;
   timeout_ms : float option;
   compact_patches : int;
-  min_slice_cost : float;
 }
 
 let default_config =
   { replication = 2; scatter = true; retries = 2; backoff_ms = 50.;
-    jitter = 0.5; timeout_ms = None; compact_patches = 16;
-    min_slice_cost = 0. }
+    jitter = 0.5; timeout_ms = None; compact_patches = 16 }
 
 (* What one worker process holds, and in which order it loaded it. A
    worker allocates node ids in load order and [Item.ddo] sorts
@@ -77,11 +74,6 @@ type t = {
           order agrees, so position() enumeration and cross-document
           serialization match across processes. *)
   loaded : (string, worker_docs) Hashtbl.t;
-  mirror : Mirror.t;
-      (** coordinator-local copy of every loaded document, maintained
-          best-effort from the same op stream the workers see — the
-          synopsis source for cost-sized scatter ([min_slice_cost]);
-          losing an update only degrades estimates, never answers *)
   mutable doc_seq : int;
   mutable generation : int;
   mutable retries_total : int;
@@ -106,7 +98,7 @@ let create ?(config = default_config) (backend : backend) =
     lock = Mutex.create ();
     doc_lock = Mutex.create (); alive;
     docs = Hashtbl.create 16; loaded = Hashtbl.create 8;
-    mirror = Mirror.create (); doc_seq = 0;
+    doc_seq = 0;
     generation = 0; retries_total = 0; backoff_ms_total = 0.;
     failovers_total = 0; scatter_runs = 0;
     routed_runs = 0; rebalances_total = 0; docs_moved_total = 0;
@@ -789,27 +781,6 @@ let handle_run t ~id req (params : Protocol.run_params) =
         scatter_set t ~docs ~query:params.Protocol.query
       else []
     in
-    (* Cost-sized scatter: instead of fanning out to every eligible
-       replica, give each leg at least [min_slice_cost] estimated work
-       — per the local mirror's synopses — so a cheap query over a
-       small seed doesn't pay per-leg coordination for nothing. *)
-    let scatter_workers =
-      if t.config.min_slice_cost <= 0. || List.length scatter_workers < 2
-      then scatter_workers
-      else begin
-        let estimate =
-          try
-            (Fixq_cost.Estimate.analyze ~registry:(Mirror.registry t.mirror)
-               program)
-              .Fixq_cost.Estimate.work
-          with _ -> Float.infinity
-        in
-        let legs =
-          max 1 (int_of_float (ceil (estimate /. t.config.min_slice_cost)))
-        in
-        List.filteri (fun i _ -> i < legs) scatter_workers
-      end
-    in
     if List.length scatter_workers >= 2 then
       match
         run_scatter t ~id ~docs ~workers:scatter_workers ~timeout_ms
@@ -831,34 +802,6 @@ let handle_run t ~id req (params : Protocol.run_params) =
    threads, two racing load-docs for the same uri with different
    sources could otherwise leave replicas holding different content
    while [t.docs] records a single line. *)
-(* Best-effort replay of an accepted document op into the coordinator's
-   local mirror. The mirror only feeds cost estimation (synopses for
-   scatter sizing); a failed replay — unreadable path on this host, a
-   patch racing a reload — degrades estimates, so it is swallowed. *)
-let mirror_apply t req =
-  try
-    match Protocol.parse_request req with
-    | Ok (Protocol.Load_doc { uri; source }) -> (
-      match source with
-      | Protocol.From_xml xml -> Mirror.load_xml t.mirror ~uri xml
-      | Protocol.From_path path -> Mirror.load_file t.mirror ~uri path
-      | Protocol.From_generator { kind; size; seed } ->
-        let size =
-          match size with
-          | Some s -> s
-          | None -> (
-            match kind with
-            | "xmark" -> 0.002
-            | "hospital" -> 1000.0
-            | _ -> 100.0)
-        in
-        Mirror.load_generated t.mirror ~uri ~kind ~size ~seed)
-    | Ok (Protocol.Patch_doc { uri; op }) ->
-      ignore (Mirror.patch t.mirror ~uri op)
-    | Ok (Protocol.Unload_doc { uri }) -> Mirror.unload t.mirror uri
-    | Ok _ | Error _ -> ()
-  with _ -> ()
-
 let handle_load_doc t ~id req uri =
   doc_locked t @@ fun () ->
   let line = Json.to_string (Json.Obj (without [ "id" ] (obj_fields req))) in
@@ -898,7 +841,6 @@ let handle_load_doc t ~id req uri =
         (Protocol.error_response ~id
            (Printf.sprintf "no live replica accepted document %s" uri))
     else begin
-      mirror_apply t req;
       let generation =
         locked t (fun () ->
             (* a (re)load allocates fresh node ids on every worker that
@@ -938,7 +880,6 @@ let handle_unload_doc t ~id req uri =
         ignore (send_retry t name ~timeout_ms:t.config.timeout_ms line);
       locked t (fun () -> Hashtbl.remove (worker_docs t name).ords uri))
     holders;
-  mirror_apply t req;
   let generation =
     locked t (fun () ->
         Hashtbl.remove t.docs uri;
@@ -1012,7 +953,6 @@ let handle_patch_doc t ~id req uri =
           (Protocol.error_response ~id
              (Printf.sprintf "no live holder accepted patch for %s" uri))
       else begin
-        mirror_apply t req;
         let generation =
           locked t (fun () ->
               t.doc_seq <- t.doc_seq + 1;

@@ -62,11 +62,6 @@ type config = {
       (** fold a document's line history into one materialized load
           once it exceeds this many lines (and before respawn replay /
           rebalance shipping); [0] disables compaction (default 16) *)
-  min_slice_cost : float;
-      (** cost-sized scatter: cap the fan-out so every leg carries at
-          least this much estimated work (per the coordinator's local
-          document mirror and {!Fixq_cost.Estimate}); [0.] disables the
-          sizing — every eligible replica gets a leg (default) *)
 }
 
 val default_config : config

@@ -182,10 +182,15 @@ val plan_of_first_ifp :
   Lang.Ast.program ->
   (int * Algebra_ir.Plan.t) option
 
-(** The SQL:1999 rendering of the first IFP's optimized body — the
-    [WITH RECURSIVE] query the {!Sql} engine would run at that site, or
-    the reason there is none. [None] when no IFP body compiles at
-    all. *)
+(** The SQL:1999 rendering of a captured plan (as returned by
+    {!plan_of_first_ifp}), optimized first — the [WITH RECURSIVE] query
+    the {!Sql} engine would run at that site, or the reason there is
+    none. *)
+val sql_of_plan :
+  int * Algebra_ir.Plan.t -> (Algebra_ir.Render_sql.rendered, string) result
+
+(** {!sql_of_plan} of {!plan_of_first_ifp}: [None] when no IFP body
+    compiles at all. *)
 val sql_of_first_ifp :
   ?registry:Xdm.Doc_registry.t ->
   ?max_iterations:int ->

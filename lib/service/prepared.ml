@@ -32,7 +32,17 @@ let hash_source src = Digest.to_hex (Digest.string src)
 
 let format_diagnostic d = Format.asprintf "%a" Lang.Static.pp_diagnostic d
 
-let prepare ~store ~stratified ~max_iterations source =
+(* The synopsis-driven cost estimate, shaped by the first site's
+   verdicts and compile/render outcomes. *)
+let estimate ~registry ~spans ~ifp_count ~plan ~sql ~algebraic ~syntactic
+    program =
+  Estimate.analyze ~registry ~spans
+    ~compiled:(if ifp_count = 0 then None else Some (plan <> None))
+    ~sql_renderable:(Option.map Result.is_ok sql)
+    ~algebra_delta:(algebraic = Some true)
+    ~interp_delta:syntactic program
+
+let run ~static_gate ~store ~stratified ~max_iterations source =
   let t0 = Unix.gettimeofday () in
   let registry = Store.registry store in
   let generation = Store.generation store in
@@ -50,6 +60,7 @@ let prepare ~store ~stratified ~max_iterations source =
   let static = Lang.Static.check_program program in
   (match Lang.Static.errors static with
   | [] -> ()
+  | _ when not static_gate -> ()
   | errs ->
     reject
       (String.concat "; " (List.map format_diagnostic errs))
@@ -62,6 +73,9 @@ let prepare ~store ~stratified ~max_iterations source =
     | [] -> false
     | r :: _ -> r.Analyze.syntactic
   in
+  (* The one capture of the first IFP site: evaluating the program
+     prefix up to it is the expensive part of preparing, so the plan,
+     the push-up verdict and the SQL rendering all derive from it. *)
   let plan =
     if ifp_count = 0 then None
     else Fixq.plan_of_first_ifp ~registry ~max_iterations program
@@ -72,16 +86,10 @@ let prepare ~store ~stratified ~max_iterations source =
       plan
   in
   let algebraic = Option.map (fun o -> o.Push.distributive) push in
-  let sql =
-    if ifp_count = 0 then None
-    else Fixq.sql_of_first_ifp ~registry ~max_iterations program
-  in
+  let sql = Option.map Fixq.sql_of_plan plan in
   let cost =
-    Estimate.analyze ~registry ~spans
-      ~compiled:(if ifp_count = 0 then None else Some (plan <> None))
-      ~sql_renderable:(Option.map Result.is_ok sql)
-      ~algebra_delta:(algebraic = Some true)
-      ~interp_delta:syntactic program
+    estimate ~registry ~spans ~ifp_count ~plan ~sql ~algebraic ~syntactic
+      program
   in
   (* One licence for every engine (Theorem 3.2): Delta when either
      check accepts, Naive when both reject. No algebraic verdict (the
@@ -99,6 +107,10 @@ let prepare ~store ~stratified ~max_iterations source =
     stratified; generation;
     prepare_ms = (Unix.gettimeofday () -. t0) *. 1000.0 }
 
+let prepare = run ~static_gate:true
+
+let inspect = run ~static_gate:false
+
 (* The parse, the static check and the distributivity verdicts depend
    only on the query text, but the cost estimate reads the document
    synopses — so a cached entry served after a load-doc/patch-doc must
@@ -109,11 +121,9 @@ let refresh ~store t =
   if t.generation = generation then t
   else
     let cost =
-      Estimate.analyze ~registry:(Store.registry store) ~spans:t.spans
-        ~compiled:(if t.ifp_count = 0 then None else Some (t.plan <> None))
-        ~sql_renderable:(Option.map Result.is_ok t.sql)
-        ~algebra_delta:(t.algebraic = Some true)
-        ~interp_delta:t.syntactic t.program
+      estimate ~registry:(Store.registry store) ~spans:t.spans
+        ~ifp_count:t.ifp_count ~plan:t.plan ~sql:t.sql
+        ~algebraic:t.algebraic ~syntactic:t.syntactic t.program
     in
     { t with cost; generation }
 

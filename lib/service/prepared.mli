@@ -23,7 +23,9 @@ type t = {
   program : Fixq.Lang.Ast.program;
   spans : Fixq.Lang.Parser.Spans.t;
       (** node → source position side-table from parsing *)
-  warnings : string list;  (** static warnings; static errors reject *)
+  warnings : string list;
+      (** static warnings; static errors reject, except in {!inspect}
+          where they are listed here too *)
   analysis : Fixq_analysis.Analyze.t;
       (** located diagnostics and per-IFP reports *)
   push : Fixq_algebra.Push.outcome option;
@@ -69,6 +71,15 @@ exception
 
     @raise Rejected on parse errors or static errors. *)
 val prepare :
+  store:Store.t -> stratified:bool -> max_iterations:int -> string -> t
+
+(** [inspect] is {!prepare} without the static-error gate, for the
+    command-line inspection tools ([fixq check], [lint], [explain]):
+    a program with static errors is still analyzed, planned and
+    costed, so its findings can be reported in full.
+
+    @raise Rejected on parse errors only. *)
+val inspect :
   store:Store.t -> stratified:bool -> max_iterations:int -> string -> t
 
 (** [refresh ~store t] — [t] unchanged when the store generation still

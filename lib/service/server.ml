@@ -480,10 +480,6 @@ let handle_check t ~id query stratified =
     | r :: _ -> Some r
     | [] -> None
   in
-  let sql =
-    Fixq.sql_of_first_ifp ~registry:(Store.registry t.store)
-      p.Prepared.program
-  in
   Protocol.ok_response ~id
     [ ("ifp_count", Json.of_int p.Prepared.ifp_count);
       ("syntactic", Json.Bool p.Prepared.syntactic);
@@ -521,9 +517,10 @@ let handle_check t ~id query stratified =
        (match p.Prepared.push with
        | Some { Fixq_algebra.Push.blocking = Some b; _ } -> Json.Str b
        | _ -> Json.Null));
-      ("sql_renderable", Json.of_bool_opt (Option.map Result.is_ok sql));
+      ("sql_renderable",
+       Json.of_bool_opt (Option.map Result.is_ok p.Prepared.sql));
       ("sql_reason",
-       (match sql with
+       (match p.Prepared.sql with
        | Some (Error reason) -> Json.Str reason
        | Some (Ok _) | None -> Json.Null));
       ("rounds_bound",

@@ -3,7 +3,10 @@
 # check the JSON diagnostic schema with jq, and fail on any
 # error-severity finding (the CLI exits non-zero exactly then, but we
 # also assert it from the JSON so the schema and the exit code cannot
-# drift apart silently).
+# drift apart silently). Every example runs against a generated
+# curriculum.xml, and lint's first-IFP verdicts must equal those of a
+# `fixq serve` check on the same text and document, with and without
+# --stratified: the CLI and serve share one prepare pipeline.
 set -euo pipefail
 
 FIXQ=${FIXQ:-dune exec fixq --}
@@ -14,9 +17,21 @@ if [ ${#examples[@]} -eq 0 ]; then
   exit 1
 fi
 
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+$FIXQ generate curriculum --size 20 --seed 1 >"$tmp/curriculum.xml"
+docs=(--doc "curriculum.xml=$tmp/curriculum.xml")
+
+# the verdict triple of the first IFP, null when there is none
+verdicts='if (.ifps | length) == 0 then null
+          else .ifps[0] | {syntactic, algebraic, delta_by} end'
+
 for f in "${examples[@]}"; do
   echo "lint $f"
-  out=$($FIXQ lint --format json "$f")
+  out=$($FIXQ lint --format json "${docs[@]}" "$f")
+  jq -c "$verdicts" <<<"$out" >"$tmp/$(basename "$f").plain"
+  $FIXQ lint --stratified --format json "${docs[@]}" "$f" \
+    | jq -c "$verdicts" >"$tmp/$(basename "$f").stratified"
 
   # every diagnostic carries the full located shape with a stable code
   jq -e '
@@ -51,7 +66,7 @@ for f in "${examples[@]}"; do
 
   # the SARIF view carries the same findings in the 2.1.0 shape:
   # versioned log, one fixq driver run, every result a located FQ0xx
-  sarif=$($FIXQ lint --format sarif "$f")
+  sarif=$($FIXQ lint --format sarif "${docs[@]}" "$f")
   jq -e '.version == "2.1.0" and (.runs | length == 1)
          and .runs[0].tool.driver.name == "fixq"' <<<"$sarif" >/dev/null
   jq -e '
@@ -71,4 +86,35 @@ for f in "${examples[@]}"; do
     '.runs[0].results | length == $n' <<<"$sarif" >/dev/null
 done
 
-echo "all ${#examples[@]} example queries lint clean"
+
+# One serve session checks every example in both modes; response i
+# answers example i/2, stratified when i is odd.
+{
+  jq -cn --arg path "$tmp/curriculum.xml" \
+    '{op: "load-doc", uri: "curriculum.xml", path: $path}'
+  i=0
+  for f in "${examples[@]}"; do
+    for stratified in false true; do
+      jq -cn --rawfile q "$f" --argjson s "$stratified" --argjson id "$i" \
+        '{op: "check", id: $id, query: $q, stratified: $s}'
+      i=$((i + 1))
+    done
+  done
+} | $FIXQ serve --pipe >"$tmp/serve.jsonl"
+
+i=0
+for f in "${examples[@]}"; do
+  for mode in plain stratified; do
+    lint=$(cat "$tmp/$(basename "$f").$mode")
+    serve=$(jq -c --argjson id "$i" 'select(.id == $id)
+      | if .ok and .ifp_count == 0 then null
+        else {syntactic, algebraic, delta_by} end' "$tmp/serve.jsonl")
+    if [ "$lint" != "$serve" ]; then
+      echo "lint and serve disagree on $f ($mode): lint $lint, serve $serve" >&2
+      exit 1
+    fi
+    i=$((i + 1))
+  done
+done
+
+echo "all ${#examples[@]} example queries lint clean and match serve"

@@ -7,42 +7,23 @@
 module E = Fixq_cost.Estimate
 module W = Fixq_workloads
 module Store = Fixq_service.Store
+module Prepared = Fixq_service.Prepared
 module Synopsis = Fixq_xdm.Synopsis
 module Node = Fixq_xdm.Node
 module Patch = Fixq_xdm.Patch
 module Serializer = Fixq_xdm.Serializer
 module Doc_registry = Fixq_xdm.Doc_registry
-module Parser = Fixq_lang.Parser
 module Diag = Fixq_analysis.Diag
 
 let check = Alcotest.(check bool)
 
-(* Same probe wiring as the CLI and the bench: the prepared-query and
-   distributivity verdicts shape the per-engine costs. *)
-let analyze registry query =
-  let p = Parser.parse_program query in
-  let no_ifp = Fixq.count_ifps p = 0 in
-  let compiled =
-    if no_ifp then None
-    else
-      Some
-        (match Fixq.plan_of_first_ifp ~registry p with
-        | Some _ -> true
-        | None -> false
-        | exception _ -> false)
-  in
-  let sql =
-    if no_ifp then None
-    else try Fixq.sql_of_first_ifp ~registry p with _ -> None
-  in
-  let (syntactic, algebraic) =
-    match try Fixq.distributivity_verdicts ~registry p with _ -> None with
-    | Some v -> v
-    | None -> (false, None)
-  in
-  E.analyze ~registry ~compiled
-    ~sql_renderable:(Option.map Result.is_ok sql)
-    ~algebra_delta:(algebraic = Some true) ~interp_delta:syntactic p
+(* The estimate serve, the CLI and the bench all read: the one the
+   prepare pipeline computes. *)
+let prepare registry query =
+  Prepared.prepare ~store:(Store.create ~registry ()) ~stratified:false
+    ~max_iterations:100_000 query
+
+let estimate registry query = (prepare registry query).Prepared.cost
 
 (* ------------------------------------------------------------------ *)
 (* Rounds bound ≥ actual and auto byte-parity, across all four
@@ -87,15 +68,16 @@ let prop_round_bounds =
     (fun (family, seed, size) ->
       let registry = Doc_registry.create () in
       let query = load_family registry ~family ~seed ~size in
-      let est = analyze registry query in
+      let prepared = prepare registry query in
+      let est = prepared.Prepared.cost in
       let interp =
         Fixq.run ~registry ~engine:(Fixq.Interpreter Fixq.Auto) query
       in
       let chosen =
-        match est.E.chosen with
-        | "algebra" -> Fixq.Algebra Fixq.Auto
-        | "sql" -> Fixq.Sql Fixq.Auto
-        | _ -> Fixq.Interpreter Fixq.Auto
+        match Prepared.chosen_engine prepared with
+        | `Algebra -> Fixq.Algebra Fixq.Auto
+        | `Sql -> Fixq.Sql Fixq.Auto
+        | `Interp -> Fixq.Interpreter Fixq.Auto
       in
       let auto = Fixq.run ~registry ~engine:chosen query in
       let actual = max interp.Fixq.depth auto.Fixq.depth in
@@ -221,7 +203,7 @@ let has_code code (est : E.t) =
   List.exists (fun d -> d.Diag.code = code) est.E.diagnostics
 
 let test_certified_bound_diag () =
-  let est = analyze registry W.Queries.q1 in
+  let est = estimate registry W.Queries.q1 in
   check "FQ053 on a node-only IFP" true (has_code "FQ053" est);
   check "a bound is derived" true (est.E.rounds_bound <> None);
   check "the chosen engine is one of the estimates" true
@@ -229,7 +211,7 @@ let test_certified_bound_diag () =
 
 let test_empty_step_diag () =
   let est =
-    analyze registry
+    estimate registry
       "with $x seeded by doc(\"curriculum.xml\")/curriculum/course \
        recurse $x/no_such_child/course"
   in
@@ -237,18 +219,18 @@ let test_empty_step_diag () =
 
 let test_empty_seed_diag () =
   let est =
-    analyze registry
+    estimate registry
       "with $x seeded by doc(\"curriculum.xml\")/nowhere recurse $x/course"
   in
   check "FQ052 on a statically empty seed" true (has_code "FQ052" est)
 
 let test_uncertified_diag () =
-  let est = analyze registry "with $x seeded by 1 recurse $x + 1" in
+  let est = estimate registry "with $x seeded by 1 recurse $x + 1" in
   check "FQ054 when no bound is derivable" true (has_code "FQ054" est);
   check "no bound" true (est.E.rounds_bound = None)
 
 let test_explain_text () =
-  let est = analyze registry W.Queries.q1 in
+  let est = estimate registry W.Queries.q1 in
   let text = E.to_text est in
   check "explain text names the chosen engine" true
     (let needle = "* " ^ est.E.chosen in

@@ -165,23 +165,6 @@ let test_prepared_modes () =
   checki "no ifp" 0 p3.Prepared.ifp_count;
   checkb "no plan" true (p3.Prepared.plan = None)
 
-(* The prepared layer must agree with what `fixq check` reports — both
-   call the same verdicts, but this pins the wiring. *)
-let test_prepared_parity_with_check () =
-  let store = make_store () in
-  let registry = Store.registry store in
-  List.iter
-    (fun q ->
-      let p = prepare store q in
-      match
-        Fixq.distributivity_verdicts ~registry (Parser.parse_program q)
-      with
-      | None -> checki "no ifp" 0 p.Prepared.ifp_count
-      | Some (syn, alg) ->
-        checkb "syntactic parity" syn p.Prepared.syntactic;
-        checkb "algebraic parity" true (alg = p.Prepared.algebraic))
-    [ q1; q2; "count((1,2,3))" ]
-
 let test_prepared_multi_ifp_keeps_auto () =
   let store = make_store () in
   let q =
@@ -224,6 +207,55 @@ let test_prepared_pins_algebraic_licence () =
   let p2 = prepare store Fixq_workloads.Queries.q2 in
   checkb "q2 pins naive" true (p2.Prepared.mode = Fixq.Naive);
   checkb "q2 unlicensed" true (Prepared.delta_by p2 = None)
+
+(* Prepare captures the first IFP site once and derives the SQL
+   rendering and the push-up verdict from that capture: all verdicts
+   must equal what the standalone entry points compute on the same
+   registry, for Q1, Q2, the four Table-2 families, Section 4.1's
+   unfolded Q1 and the Section-6 stratified difference, with and
+   without the refinement. *)
+let test_prepared_parity_with_check () =
+  let module Q = Fixq_workloads.Queries in
+  let store = make_store () in
+  Store.load_generated store ~uri:"auction.xml" ~kind:"xmark" ~size:0.002
+    ~seed:1;
+  Store.load_generated store ~uri:"romeo.xml" ~kind:"play" ~size:0. ~seed:1;
+  Store.load_generated store ~uri:"hospital.xml" ~kind:"hospital"
+    ~size:200. ~seed:1;
+  let registry = Store.registry store in
+  let stratified_except =
+    {|with $x seeded by doc("curriculum.xml")/curriculum/course[@code="c1"]
+      recurse ($x/id(./prerequisites/pre_code)
+               except doc("curriculum.xml")/curriculum/course[@code="c3"])|}
+  in
+  List.iter
+    (fun (name, q) ->
+      List.iter
+        (fun stratified ->
+          let label what =
+            Printf.sprintf "%s%s: %s" name
+              (if stratified then " (stratified)" else "") what
+          in
+          let p =
+            Prepared.prepare ~store ~stratified ~max_iterations:10_000 q
+          in
+          let program = Parser.parse_program q in
+          match
+            Fixq.distributivity_verdicts ~registry ~stratified program
+          with
+          | None -> checki (label "no ifp") 0 p.Prepared.ifp_count
+          | Some (syn, alg) ->
+            checkb (label "site captured") true (p.Prepared.plan <> None);
+            checkb (label "syntactic verdict") syn p.Prepared.syntactic;
+            checkb (label "algebraic verdict") true
+              (alg = p.Prepared.algebraic);
+            checkb (label "sql from the capture") true
+              (p.Prepared.sql = Fixq.sql_of_first_ifp ~registry program))
+        [ false; true ])
+    [ ("q1", q1); ("q2", q2); ("no ifp", "count((1,2,3))");
+      ("bidder", Q.bidder_network); ("dialogs", Q.dialogs);
+      ("hospital", Q.hospital); ("q1 unfolded", Q.q1_unfolded);
+      ("except", stratified_except) ]
 
 let test_prepared_rejects () =
   let store = make_store () in
