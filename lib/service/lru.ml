@@ -54,14 +54,18 @@ let find t key =
         t.misses <- t.misses + 1;
         None)
 
-let find_valid t key ~valid =
+let find_valid ?(usable = fun _ -> true) t key ~valid =
   with_lock t (fun () ->
       match Hashtbl.find_opt t.table key with
-      | Some node when valid node.value ->
+      | Some node when valid node.value && usable node.value ->
         t.hits <- t.hits + 1;
         unlink t node;
         push_front t node;
         Some node.value
+      | Some node when valid node.value ->
+        (* live but not for this caller: keep it for the others *)
+        t.misses <- t.misses + 1;
+        None
       | Some node ->
         (* present but stale: evict and account a miss, so staleness is
            indistinguishable from absence to callers and stats alike *)

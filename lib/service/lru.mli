@@ -19,8 +19,11 @@ val find : ('k, 'v) t -> 'k -> 'v option
 
 (** [find_valid t k ~valid] — like {!find}, but an entry failing [valid]
     is evicted and counted as a miss: staleness behaves exactly like
-    absence, both to the caller and in the hit/miss statistics. *)
-val find_valid : ('k, 'v) t -> 'k -> valid:('v -> bool) -> 'v option
+    absence, both to the caller and in the hit/miss statistics. A valid
+    entry failing [usable] (default: none fails) stays cached, but this
+    lookup answers [None] and counts a miss. *)
+val find_valid :
+  ?usable:('v -> bool) -> ('k, 'v) t -> 'k -> valid:('v -> bool) -> 'v option
 
 (** Insert or replace; promotes to most-recently-used, evicting the LRU
     entry if the cache was full. Does not touch the hit/miss

@@ -2,16 +2,25 @@ type key = { hash : string; config : string }
 
 type entry = {
   serialized : string;
+  engine : string;
+  mode : string;
   used_delta : bool option;
   nodes_fed : int;
   depth : int;
+  rounds : int;
   wall_ms : float;
   footprint : (string * int) list;
   semiring : string option;
   annotations : (string * string) list;
+  may_diverge : bool;
+  over_envelope : bool;
 }
 
 type t = (string, entry) Lru.t
+
+let key ~query ~engine ~mode ~stratified =
+  { hash = Prepared.hash_source query;
+    config = Printf.sprintf "%s:%s:%b" engine mode stratified }
 
 let render { hash; config } = hash ^ "|" ^ config
 
@@ -26,10 +35,13 @@ let parse rendered =
 let fresh ~current entry =
   List.for_all (fun (uri, gen) -> current uri = gen) entry.footprint
 
+let within ~max_iterations entry = entry.rounds <= max_iterations
+
 let create ?(capacity = 256) () : t = Lru.create ~capacity ()
 
-let find t key ~current =
+let find t key ~current ~max_iterations =
   Lru.find_valid t (render key) ~valid:(fresh ~current)
+    ~usable:(within ~max_iterations)
 
 let put t key entry = Lru.put t (render key) entry
 let remove t key = Lru.remove t (render key)

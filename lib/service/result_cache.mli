@@ -1,7 +1,11 @@
-(** The result cache: serialized query answers keyed by
-    [(query hash, engine/mode configuration)] and guarded by the
-    {e per-document generation footprint} recorded when the answer was
-    computed.
+(** The result cache: serialized query answers keyed by what a [run]
+    request alone determines — [(hash of the query text, requested
+    engine/mode/stratified)] — and guarded by the {e per-document
+    generation footprint} recorded when the answer was computed.
+
+    Because the key needs no prepared query, a server looks results up
+    {e before} preparing: a valid entry that the request's admission
+    cannot change is answered with no parse, no checks and no plan.
 
     Instead of baking the global registry generation into the key — and
     so losing every cached answer whenever {e any} document loads — each
@@ -10,20 +14,29 @@
     revalidates that footprint: loading an unrelated document leaves the
     entry live, while touching a footprint document evicts it (counted
     as a miss, exactly as if it had never been cached). An entry stores
-    the serialized result plus the Table-2 instrumentation (nodes fed
-    back, recursion depth) so a cache hit can answer with the same
-    statistics the original execution reported. *)
+    the serialized result, what the response echoes (the resolved
+    engine and mode, the Table-2 instrumentation: nodes fed back,
+    recursion depth) and the admission facts it was computed under, so
+    a hit can answer with the same statistics the original execution
+    reported and a server can tell when admission must run first. *)
 
 type key = {
-  hash : string;  (** prepared-query hash *)
-  config : string;  (** engine/mode/stratified discriminator *)
+  hash : string;  (** {!Prepared.hash_source} of the query text *)
+  config : string;
+      (** requested [engine:mode:stratified], e.g. ["interp:pinned:false"] *)
 }
 
 type entry = {
   serialized : string;
+  engine : string;  (** engine that ran, after resolving [auto] *)
+  mode : string;  (** fixpoint mode that ran, after resolving [pinned] *)
   used_delta : bool option;
   nodes_fed : int;
   depth : int;
+  rounds : int;
+      (** most rounds any fixpoint site needed: a fresh run capped at
+          [rounds] iterations cannot diverge, so the answer serves any
+          request whose [max_iterations] is at least this *)
   wall_ms : float;  (** cost of the original execution *)
   footprint : (string * int) list;
       (** sorted [(uri, doc_generation)] pairs read by the execution *)
@@ -32,16 +45,32 @@ type entry = {
   annotations : (string * string) list;
       (** [(serialized node, annotation)] pairs for annotated queries,
           replayed verbatim on a cache hit *)
+  may_diverge : bool;
+      (** the divergence check said may-diverge: an unbudgeted request
+          must be refused (FQ040/FQ043), not answered *)
+  over_envelope : bool;
+      (** the predicted cost exceeded the governor's [max_cost]: an
+          unbudgeted request is refused (FQ055), a budgeted one
+          down-budgeted *)
 }
 
 type t
 
 val create : ?capacity:int -> unit -> t
 
-(** [find t key ~current] — [current uri] must return the live per-doc
-    generation. A footprint mismatch evicts the entry and counts a
-    miss. *)
-val find : t -> key -> current:(string -> int) -> entry option
+(** The key of a [run] request, from its text and requested options. *)
+val key : query:string -> engine:string -> mode:string -> stratified:bool -> key
+
+(** [find t key ~current ~max_iterations] — [current uri] must return
+    the live per-doc generation. A footprint mismatch evicts the entry
+    and counts a miss. An entry needing more than [max_iterations]
+    rounds stays cached but answers [None] and counts a miss: a fresh
+    run under that cap may diverge, so the request must recompute. *)
+val find :
+  t -> key -> current:(string -> int) -> max_iterations:int -> entry option
+
+(** [within ~max_iterations e] — [e]'s rounds fit under the cap. *)
+val within : max_iterations:int -> entry -> bool
 
 val put : t -> key -> entry -> unit
 val remove : t -> key -> unit

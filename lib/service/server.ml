@@ -241,6 +241,17 @@ let record_persist t key ~query ~stratified ~max_iterations items =
     Mutex.unlock t.persist_lock
   end
 
+let engine_string = function
+  | `Interp -> "interp"
+  | `Algebra -> "algebra"
+  | `Sql -> "sql"
+  | `Auto -> "auto"
+
+(* A run looks its result up first, keyed by the text and the requested
+   options, so a valid cached answer that admission cannot change skips
+   preparing altogether. Everything else prepares, passes admission
+   (FQ040/FQ043/FQ055, down-budgeting) and then uses the entry that one
+   lookup found, or executes. *)
 let handle_run t ~id
     { Protocol.query; engine; mode; stratified; max_iterations; timeout_ms;
       cache; partition } =
@@ -258,11 +269,73 @@ let handle_run t ~id
     match timeout_ms with Some _ as x -> x | None -> t.config.timeout_ms
   in
   let generation = Store.generation t.store in
+  let auto = engine = `Auto in
+  let rkey =
+    Result_cache.key ~query ~engine:(engine_string engine)
+      ~mode:
+        (match mode with
+        | `Pinned -> "pinned"
+        | `Naive -> "naive"
+        | `Delta -> "delta")
+      ~stratified
+  in
+  (* Partitioned runs (the cluster's scatter legs) always execute: the
+     keyed item list cannot be rebuilt from a cached serialization, and
+     the coordinator only scatters cold or invalidated work anyway. *)
+  let cache = cache && partition = None in
+  let cached =
+    if cache then
+      Result_cache.find t.results rkey
+        ~current:(Store.doc_generation t.store) ~max_iterations
+    else None
+  in
+  let respond ?prepared_status ~result_status ?(cost_extra = [])
+      ?(extra = []) (entry : Result_cache.entry) =
+    let annotated =
+      match entry.Result_cache.semiring with
+      | None -> []
+      | Some kind ->
+        [ ("semiring", Json.Str kind);
+          ("annotations",
+           Json.List
+             (List.map
+                (fun (x, a) ->
+                  Json.Obj [ ("x", Json.Str x); ("a", Json.Str a) ])
+                entry.Result_cache.annotations)) ]
+    in
+    Protocol.ok_response ~id
+      ([ ("engine", Json.Str entry.Result_cache.engine);
+         ("mode", Json.Str entry.Result_cache.mode);
+         ("used_delta", Json.of_bool_opt entry.Result_cache.used_delta) ]
+      @ (match prepared_status with
+        | Some s -> [ ("prepared_cache", Json.Str s) ]
+        | None -> [])
+      @ [ ("result_cache", Json.Str result_status);
+          ("generation", Json.of_int generation);
+          ("nodes_fed", Json.of_int entry.Result_cache.nodes_fed);
+          ("depth", Json.of_int entry.Result_cache.depth);
+          ("result", Json.Str entry.Result_cache.serialized) ]
+      @ (if auto then [ ("chosen_by", Json.Str "cost") ] else [])
+      @ cost_extra @ annotated @ extra
+      @ [ ("wall_ms", Json.Num entry.Result_cache.wall_ms) ])
+  in
+  match cached with
+  | Some entry
+    when not
+           (entry.Result_cache.over_envelope
+           || (unbudgeted && entry.Result_cache.may_diverge)) ->
+    respond ~result_status:"hit" entry
+  | _ ->
   let (prepared, prepared_status) =
     get_prepared t ~stratified ~max_iterations query
   in
-  match (if unbudgeted then Prepared.divergence prepared else None) with
-  | Some (Analyze.May_diverge reason) ->
+  let may_diverge =
+    match Prepared.divergence prepared with
+    | Some (Analyze.May_diverge reason) -> Some reason
+    | _ -> None
+  in
+  match may_diverge with
+  | Some reason when unbudgeted ->
     bump_analysis t "refused";
     (* An unstable [accumulate by] semiring gets its own code so
        clients can distinguish "your aggregate cannot stabilize" from
@@ -283,21 +356,15 @@ let handle_run t ~id
          reason)
   | _ ->
   (* [engine:"auto"]: resolve to the cost model's cheapest engine before
-     anything downstream — cache keys, pinned modes and execution all see
-     a plain fixed engine, so an auto run is byte-identical to the same
-     request with the chosen engine spelled out. *)
-  let auto = engine = `Auto in
+     anything downstream — pinned modes and execution all see a plain
+     fixed engine, so an auto run is byte-identical to the same request
+     with the chosen engine spelled out. *)
   let engine =
     match engine with
     | `Auto -> Prepared.chosen_engine prepared
     | (`Interp | `Algebra | `Sql) as e -> e
   in
-  let engine_str =
-    match engine with
-    | `Interp -> "interp"
-    | `Algebra -> "algebra"
-    | `Sql -> "sql"
-  in
+  let engine_str = engine_string engine in
   let cost = prepared.Prepared.cost in
   let predicted_cost =
     match
@@ -342,60 +409,23 @@ let handle_run t ~id
     | _ -> None
   in
   let max_iterations = Option.value ~default:max_iterations down_budgeted in
-  let run_mode =
-    match mode with
-    | `Pinned -> prepared.Prepared.mode
-    | `Naive -> Fixq.Naive
-    | `Delta -> Fixq.Delta
+  let cost_extra =
+    match down_budgeted with
+    | Some bound ->
+      [ ("down_budgeted", Json.of_int bound);
+        ("estimated_cost", Json.Num (Float.round predicted_cost)) ]
+    | None -> []
   in
-  let rkey =
-    { Result_cache.hash = prepared.Prepared.hash;
-      config =
-        Printf.sprintf "%s:%s:%b" engine_str (mode_string run_mode) stratified }
-  in
-  let respond ~result_status ?(extra = []) (entry : Result_cache.entry) =
-    let annotated =
-      match entry.Result_cache.semiring with
-      | None -> []
-      | Some kind ->
-        [ ("semiring", Json.Str kind);
-          ("annotations",
-           Json.List
-             (List.map
-                (fun (x, a) ->
-                  Json.Obj [ ("x", Json.Str x); ("a", Json.Str a) ])
-                entry.Result_cache.annotations)) ]
+  match cached with
+  | Some entry when Result_cache.within ~max_iterations entry ->
+    respond ~prepared_status ~result_status:"hit" ~cost_extra entry
+  | _ ->
+    let run_mode =
+      match mode with
+      | `Pinned -> prepared.Prepared.mode
+      | `Naive -> Fixq.Naive
+      | `Delta -> Fixq.Delta
     in
-    let cost_extra =
-      (if auto then [ ("chosen_by", Json.Str "cost") ] else [])
-      @
-      match down_budgeted with
-      | Some bound ->
-        [ ("down_budgeted", Json.of_int bound);
-          ("estimated_cost", Json.Num (Float.round predicted_cost)) ]
-      | None -> []
-    in
-    Protocol.ok_response ~id
-      ([ ("engine", Json.Str engine_str);
-         ("mode", Json.Str (mode_string run_mode));
-         ("used_delta", Json.of_bool_opt entry.Result_cache.used_delta);
-         ("prepared_cache", Json.Str prepared_status);
-         ("result_cache", Json.Str result_status);
-         ("generation", Json.of_int generation);
-         ("nodes_fed", Json.of_int entry.Result_cache.nodes_fed);
-         ("depth", Json.of_int entry.Result_cache.depth);
-         ("result", Json.Str entry.Result_cache.serialized) ]
-      @ cost_extra @ annotated @ extra
-      @ [ ("wall_ms", Json.Num entry.Result_cache.wall_ms) ])
-  in
-  (* Partitioned runs (the cluster's scatter legs) always execute: the
-     keyed item list cannot be rebuilt from a cached serialization, and
-     the coordinator only scatters cold or invalidated work anyway. *)
-  let cache = cache && partition = None in
-  let current uri = Store.doc_generation t.store uri in
-  match (if cache then Result_cache.find t.results rkey ~current else None) with
-  | Some entry -> respond ~result_status:"hit" entry
-  | None ->
     let deadline =
       Option.map (fun ms -> Unix.gettimeofday () +. (ms /. 1000.0)) timeout_ms
     in
@@ -423,11 +453,14 @@ let handle_run t ~id
     let entry =
       { Result_cache.serialized =
           Xdm.Serializer.seq_to_string report.Fixq.result;
+        engine = engine_str; mode = mode_string run_mode;
         used_delta = report.Fixq.used_delta;
         nodes_fed = report.Fixq.nodes_fed; depth = report.Fixq.depth;
-        wall_ms = report.Fixq.wall_ms; footprint;
-        semiring = report.Fixq.semiring;
-        annotations = report.Fixq.annotations }
+        rounds = report.Fixq.depth; wall_ms = report.Fixq.wall_ms;
+        footprint; semiring = report.Fixq.semiring;
+        annotations = report.Fixq.annotations;
+        may_diverge = may_diverge <> None;
+        over_envelope = over_envelope <> None }
     in
     (* Cache only when no document changed under the evaluation: a
        concurrent load-doc would make this entry's footprint stamps a
@@ -451,7 +484,7 @@ let handle_run t ~id
         [ ("partition", Json.Str (Printf.sprintf "%d/%d" index count));
           ("keyed", keyed_items t report.Fixq.result) ]
     in
-    respond ~result_status:"miss" ~extra entry
+    respond ~prepared_status ~result_status:"miss" ~cost_extra ~extra entry
 
 (* prepare: warm the prepared-query LRU (parse + static check + both
    verdicts + pinned modes + compiled plan) without executing — the
@@ -658,10 +691,14 @@ let handle_patch_doc t ~id uri op =
             (* Refresh the cached bytes in place. Only the patched
                document's stamp advances; the rest of the footprint
                keeps its recorded generations, so an unrelated
-               concurrent load still invalidates as before. *)
+               concurrent load still invalidates as before. A fresh run
+               over the patched document is at most the maintenance's
+               rounds deeper: every new derivation starts from a node
+               the old run reached or from a fresh seed node. *)
             Result_cache.put t.results key
               { entry with
                 Result_cache.serialized;
+                rounds = entry.Result_cache.rounds + rounds;
                 footprint =
                   List.map
                     (fun (u, g) -> (u, if u = uri then current u else g))
@@ -807,9 +844,14 @@ let snapshot_state t () =
              ("hash", Json.Str key.Result_cache.hash);
              ("config", Json.Str key.Result_cache.config);
              ("serialized", Json.Str e.Result_cache.serialized);
+             ("engine", Json.Str e.Result_cache.engine);
+             ("mode", Json.Str e.Result_cache.mode);
              ("used_delta", Json.of_bool_opt e.Result_cache.used_delta);
              ("nodes_fed", Json.of_int e.Result_cache.nodes_fed);
              ("depth", Json.of_int e.Result_cache.depth);
+             ("rounds", Json.of_int e.Result_cache.rounds);
+             ("may_diverge", Json.Bool e.Result_cache.may_diverge);
+             ("over_envelope", Json.Bool e.Result_cache.over_envelope);
              ("wall_ms", Json.Num e.Result_cache.wall_ms);
              ("footprint",
               Json.List
@@ -961,19 +1003,41 @@ let restore_cache_row t row =
     in
     let footprint = pairs "footprint" Json.str_opt Json.int_opt in
     let key = { Result_cache.hash; config } in
+    (* A row written before entries recorded what they resolved to has
+       a config naming the engine and mode that ran
+       ([engine:mode:stratified]); it lacks the admission facts, so it
+       is only ever used after admission has run. *)
+    let config_part i default =
+      match List.nth_opt (String.split_on_char ':' config) i with
+      | Some s -> s
+      | None -> default
+    in
+    let str name ~default =
+      Option.value ~default (Json.str_opt (Json.member name row))
+    in
+    let int name ~default =
+      Option.value ~default (Json.int_opt (Json.member name row))
+    in
+    let flag name =
+      Option.value ~default:true (Json.bool_opt (Json.member name row))
+    in
+    let depth = int "depth" ~default:0 in
     Result_cache.put t.results key
       { Result_cache.serialized;
+        engine = str "engine" ~default:(config_part 0 "interp");
+        mode = str "mode" ~default:(config_part 1 "auto");
         used_delta = Json.bool_opt (Json.member "used_delta" row);
-        nodes_fed =
-          Option.value ~default:0 (Json.int_opt (Json.member "nodes_fed" row));
-        depth =
-          Option.value ~default:0 (Json.int_opt (Json.member "depth" row));
+        nodes_fed = int "nodes_fed" ~default:0;
+        depth;
+        rounds = int "rounds" ~default:depth;
         wall_ms =
           Option.value ~default:0.0
             (Json.num_opt (Json.member "wall_ms" row));
         footprint;
         semiring = Json.str_opt (Json.member "semiring" row);
-        annotations };
+        annotations;
+        may_diverge = flag "may_diverge";
+        over_envelope = flag "over_envelope" };
     let revived =
       match Json.member "ivm" row with
       | Json.Obj _ as iv -> (

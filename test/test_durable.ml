@@ -320,6 +320,60 @@ let test_server_result_cache_recovered () =
   checks "maintained equals recomputed" (str "result" fresh)
     (str "result" maintained)
 
+(* A cache row as snapshots wrote it before rows recorded what they
+   resolved to: its config names the engine and mode that ran
+   ([engine:mode:stratified]) and it carries no admission facts. *)
+let parent_format_row row =
+  match row with
+  | Json.Obj fields when str "t" row = "cache" ->
+    let stratified =
+      match String.split_on_char ':' (str "config" row) with
+      | [ _; _; s ] -> s
+      | _ -> "false"
+    in
+    let config =
+      String.concat ":" [ str "engine" row; str "mode" row; stratified ]
+    in
+    Json.Obj
+      (List.filter_map
+         (fun (k, v) ->
+           match k with
+           | "engine" | "mode" | "rounds" | "may_diverge" | "over_envelope" ->
+             None
+           | "config" -> Some (k, Json.Str config)
+           | _ -> Some (k, v))
+         fields)
+  | _ -> row
+
+let test_server_parent_format_cache_rows () =
+  let dir = fresh_dir () in
+  let a = server_with dir in
+  checkb "load" true (ok (send a (load_line "t.xml" "<r><a><b/></a></r>")));
+  let j1 = send a (run_line closure_query) in
+  checks "the pinned run resolves to delta" "delta" (str "mode" j1);
+  checkb "snapshot" true (ok (send a {|{"op":"snapshot"}|}));
+  (match Snapshot.read ~dir with
+  | Ok (Some s) ->
+    let items =
+      List.map
+        (fun item -> Json.to_string (parent_format_row (Json.parse item)))
+        s.Snapshot.items
+    in
+    checkb "rewritten in the old format" true
+      (Snapshot.write ~dir ~meta:s.Snapshot.meta ~items = Ok ())
+  | _ -> Alcotest.fail "expected a committed snapshot");
+  let b = server_with dir in
+  checki "the old row is recovered" 1 (recovered_stat b "cache_entries");
+  let explicit = send b (run_line ~extra:{|,"mode":"delta"|} closure_query) in
+  checks "an explicit-mode request hits it" "hit" (str "result_cache" explicit);
+  checks "with the mode from its config" "delta" (str "mode" explicit);
+  checks "and the engine" "interp" (str "engine" explicit);
+  checks "answering identically" (str "result" j1) (str "result" explicit);
+  let pinned = send b (run_line closure_query) in
+  checks "a pinned request recomputes" "miss" (str "result_cache" pinned);
+  checks "correctly" (str "result" j1) (str "result" pinned);
+  checks "under the same mode" "delta" (str "mode" pinned)
+
 let test_server_torn_wal_tail_recovers_prefix () =
   let dir = fresh_dir () in
   let a = server_with dir in
@@ -372,6 +426,8 @@ let () =
            test_server_clean_shutdown_replays_nothing;
          Alcotest.test_case "result cache + IVM recovered" `Quick
            test_server_result_cache_recovered;
+         Alcotest.test_case "old-format cache rows recovered" `Quick
+           test_server_parent_format_cache_rows;
          Alcotest.test_case "torn WAL tail keeps the prefix" `Quick
            test_server_torn_wal_tail_recovers_prefix;
          Alcotest.test_case "op-count snapshot threshold" `Quick

@@ -295,9 +295,10 @@ let run_line =
           Json.Str
             ("count(" ^ q1 ^ ")")) ])
 
-(* The ISSUE's acceptance scenario: same query twice hits both caches;
-   a load-doc between runs invalidates the result cache but not the
-   prepared query; the stats op reports the counters. *)
+(* Same query twice: the second is a result hit answered before
+   preparing, so it never consults the prepared cache; a load-doc
+   between runs invalidates the result cache but not the prepared
+   query; the stats op reports the counters. *)
 let test_server_cache_lifecycle () =
   let server = mk_server () in
   checkb "load ok" true (ok (send server load_doc_line));
@@ -308,7 +309,8 @@ let test_server_cache_lifecycle () =
   checks "r1 results" "miss" (sfield "result_cache" r1);
   checks "r1 mode" "delta" (sfield "mode" r1);
   let r2 = send server run_line in
-  checks "r2 prepared" "hit" (sfield "prepared_cache" r2);
+  checkb "r2 answered before preparing" true
+    (field "prepared_cache" r2 = Json.Null);
   checks "r2 results" "hit" (sfield "result_cache" r2);
   checks "r2 result" "3" (sfield "result" r2);
   checki "r2 nodes_fed preserved" 4
@@ -325,7 +327,7 @@ let test_server_cache_lifecycle () =
   let cache name counter =
     Option.get (Json.int_opt (field counter (field name stats)))
   in
-  checki "prepared hits" 3 (cache "prepared" "hits");
+  checki "prepared hits" 1 (cache "prepared" "hits");
   checki "prepared misses" 1 (cache "prepared" "misses");
   checki "result hits" 2 (cache "results" "hits");
   checki "result misses" 2 (cache "results" "misses");
@@ -621,6 +623,270 @@ let test_server_cost_refresh () =
   checks "still a prepared hit" "hit" (sfield "prepared_cache" after);
   checki "bound tracks the grown document" (bound before + 1) (bound after)
 
+(* ------------------------------------------------------------------ *)
+(* Result lookup ahead of preparing                                    *)
+(* ------------------------------------------------------------------ *)
+
+module Governor = Service.Governor
+
+let run_req ?engine ?mode ?stratified ?max_iterations ?timeout_ms
+    ?(cache = true) query =
+  let opt name f = function Some v -> [ (name, f v) ] | None -> [] in
+  Json.to_string
+    (Json.Obj
+       ([ ("op", Json.Str "run"); ("query", Json.Str query) ]
+       @ opt "engine" (fun e -> Json.Str e) engine
+       @ opt "mode" (fun m -> Json.Str m) mode
+       @ opt "stratified" (fun b -> Json.Bool b) stratified
+       @ opt "max_iterations" Json.of_int max_iterations
+       @ opt "timeout_ms" (fun ms -> Json.Num ms) timeout_ms
+       @ if cache then [] else [ ("cache", Json.Bool false) ]))
+
+let load_xml_line uri xml =
+  Json.to_string
+    (Json.Obj
+       [ ("op", Json.Str "load-doc"); ("uri", Json.Str uri);
+         ("xml", Json.Str xml) ])
+
+(* A prerequisite chain c1 → c2 → … → cn: the closure from c1 needs one
+   round per course. *)
+let chain_xml n =
+  let course i =
+    Printf.sprintf
+      {|<course code="c%d"><prerequisites>%s</prerequisites></course>|} i
+      (if i < n then Printf.sprintf "<pre_code>c%d</pre_code>" (i + 1)
+       else "")
+  in
+  {|<!DOCTYPE curriculum [ <!ATTLIST course code ID #REQUIRED> ]><curriculum>|}
+  ^ String.concat "" (List.init n (fun i -> course (i + 1)))
+  ^ "</curriculum>"
+
+(* What a run answered: its result, or its error code and message. *)
+let outcome r =
+  if ok r then Ok (sfield "result" r)
+  else Error (Json.str_opt (field "code" r), sfield "error" r)
+
+let int_field name r = Option.get (Json.int_opt (field name r))
+
+(* A cached answer serves only requests whose iteration cap a fresh run
+   would survive: on both sides of the boundary the cached request
+   answers exactly what a cache:false run does. *)
+let test_server_budget_boundary () =
+  let server = mk_server () in
+  checkb "load" true
+    (ok (send server (load_xml_line "curriculum.xml" (chain_xml 9))));
+  let warm = send server (run_req q1) in
+  checkb "warm ok" true (ok warm);
+  let depth = int_field "depth" warm in
+  checkb "a deep closure" true (depth >= 5);
+  List.iter
+    (fun m ->
+      let cached = send server (run_req ~max_iterations:m q1) in
+      let fresh = send server (run_req ~max_iterations:m ~cache:false q1) in
+      checkb
+        (Printf.sprintf "max_iterations %d: cached = cache:false" m)
+        true
+        (outcome cached = outcome fresh))
+    [ 1; depth - 2; depth - 1; depth; depth + 1 ];
+  checkb "a cap below the rounds fails like a fresh run" false
+    (ok (send server (run_req ~max_iterations:1 q1)));
+  checks "a cap at the rounds is answered from the cache" "hit"
+    (sfield "result_cache" (send server (run_req ~max_iterations:depth q1)))
+
+(* May-diverge by the analyzer (a constructor in the body), yet it
+   terminates at run time: a budgeted run succeeds and is cached. *)
+let constructing_q =
+  {|with $x seeded by doc("curriculum.xml")/curriculum/course[@code="c1"]
+    recurse (if (false()) then <b/> else $x/id(./prerequisites/pre_code))|}
+
+(* A cached entry never lets a request past admission that a fresh run
+   would be refused at, and a budgeted hit still reports the
+   down-budgeting its admission applies. *)
+let test_server_cache_keeps_admission () =
+  let server = mk_server () in
+  ignore (send server load_doc_line);
+  let refused code q =
+    checkb (code ^ ": budgeted run ok") true
+      (ok (send server (run_req ~max_iterations:50 q)));
+    checks (code ^ ": budgeted repeat hits") "hit"
+      (sfield "result_cache" (send server (run_req ~max_iterations:50 q)));
+    let r = send server (run_req q) in
+    checkb (code ^ ": unbudgeted refused") false (ok r);
+    checks (code ^ ": code") code (sfield "code" r)
+  in
+  refused "FQ040" constructing_q;
+  refused "FQ043" (q1 ^ " accumulate by count");
+  let server =
+    Server.create
+      ~config:
+        { Server.default_config with
+          governor = { Governor.default_config with max_cost = Some 50. } }
+      ()
+  in
+  ignore (send server load_doc_line);
+  let first = send server (run_req ~max_iterations:50 q1) in
+  checkb "over the envelope, budgeted: down-budgeted" true
+    (field "down_budgeted" first <> Json.Null);
+  let again = send server (run_req ~max_iterations:50 q1) in
+  checks "budgeted repeat hits" "hit" (sfield "result_cache" again);
+  checkb "the hit is down-budgeted alike" true
+    (field "down_budgeted" again = field "down_budgeted" first);
+  checkb "and carries the estimate" true
+    (field "estimated_cost" again = field "estimated_cost" first);
+  let r = send server (run_req q1) in
+  checkb "unbudgeted hit refused" false (ok r);
+  checks "with FQ055" "FQ055" (sfield "code" r)
+
+let tree_xmls =
+  [| "<r><a><b/><b/></a><a><b/></a></r>"; "<r><a/><a><b><c/></b></a></r>" |]
+
+let parity_queries =
+  [| q1; "count(" ^ q1 ^ ")"; constructing_q; q1 ^ " accumulate by count";
+     {|with $x seeded by doc("t.xml")/r recurse $x/*|};
+     {|with $x seeded by doc("t.xml")/r recurse $x/*[1]|}; "1 + 1" |]
+
+let patch_lines =
+  [| {|{"op":"patch-doc","uri":"t.xml","action":"insert","path":"/r","xml":"<c/>"}|};
+     {|{"op":"patch-doc","uri":"t.xml","action":"insert","path":"/r/a[1]","xml":"<b><b><b/></b></b>"}|};
+     {|{"op":"patch-doc","uri":"t.xml","action":"delete","path":"/r/a[1]"}|};
+     {|{"op":"patch-doc","uri":"curriculum.xml","action":"insert","path":"/curriculum","xml":"<course code=\"c9\"><prerequisites/></course>"}|} |]
+
+(* What a run request varies by: its result-cache key. *)
+type parity_request = {
+  query : int;
+  engine : string option;
+  mode : string option;
+  stratified : bool option;
+}
+
+type parity_step =
+  | Run_step of {
+      request : int;  (** index into the case's requests *)
+      max_iterations : int option;
+      timeout_ms : float option;
+    }
+  | Load_step of int
+  | Patch_step of int
+
+let gen_parity_request =
+  let open QCheck2.Gen in
+  let opt g = oneof [ pure None; map Option.some g ] in
+  map
+    (fun (query, engine, (mode, stratified)) ->
+      { query; engine; mode; stratified })
+    (triple
+       (int_bound (Array.length parity_queries - 1))
+       (opt (oneofl [ "interp"; "algebra"; "sql"; "auto" ]))
+       (pair (opt (oneofl [ "auto"; "naive"; "delta" ])) (opt bool)))
+
+(* A few requests per case, each sent many times under varied budgets,
+   so runs hit, miss, and meet entries that edits made stale. *)
+let gen_parity_case =
+  let open QCheck2.Gen in
+  let step n_requests =
+    frequency
+      [ ( 8,
+          map
+            (fun (request, budget) ->
+              let max_iterations, timeout_ms =
+                match budget with
+                | `None -> (None, None)
+                | `Iter n -> (Some n, None)
+                | `Time -> (None, Some 60_000.)
+              in
+              Run_step { request; max_iterations; timeout_ms })
+            (pair (int_bound (n_requests - 1))
+               (oneofl
+                  [ `None; `Iter 1; `Iter 2; `Iter 3; `Iter 4; `Iter 5;
+                    `Iter 50; `Time ])) );
+        ( 1,
+          map (fun i -> Load_step i) (int_bound (Array.length tree_xmls - 1))
+        );
+        ( 2,
+          map (fun i -> Patch_step i) (int_bound (Array.length patch_lines - 1))
+        ) ]
+  in
+  int_range 1 3 >>= fun n ->
+  pair
+    (array_size (pure n) gen_parity_request)
+    (list_size (int_range 4 24) (step n))
+
+let parity_line requests ~cache = function
+  | Run_step { request; max_iterations; timeout_ms } ->
+    let r = requests.(request) in
+    run_req ?engine:r.engine ?mode:r.mode ?stratified:r.stratified
+      ?max_iterations ?timeout_ms ~cache parity_queries.(r.query)
+  | Load_step i -> load_xml_line "t.xml" tree_xmls.(i)
+  | Patch_step i -> patch_lines.(i)
+
+let print_parity_case (requests, steps) =
+  String.concat "\n" (List.map (parity_line requests ~cache:true) steps)
+
+(* Random request sequences over tiny caches: every run answers what the
+   same request with cache:false answers — result, resolved mode,
+   used_delta and the round statistics — or fails with the same error,
+   and looks its result up exactly once. A hit on an entry that
+   patch-doc maintained echoes the adopting run's nodes_fed and depth
+   (only its bytes are maintained), so those two are compared only on
+   entries computed since the last maintaining patch. *)
+let prop_cached_run_matches_uncached =
+  QCheck2.Test.make ~count:100 ~name:"cached run = cache:false run"
+    ~print:print_parity_case gen_parity_case
+    (fun (requests, steps) ->
+      let server =
+        Server.create
+          ~config:
+            { Server.default_config with
+              prepared_capacity = 1; result_capacity = 2 }
+          ()
+      in
+      ignore (send server load_doc_line);
+      ignore (send server (load_xml_line "t.xml" tree_xmls.(0)));
+      let lookups () =
+        let results =
+          field "results" (field "stats" (send server {|{"op":"stats"}|}))
+        in
+        int_field "hits" results + int_field "misses" results
+      in
+      (* requests whose cached entry a full run computed *)
+      let exact = Hashtbl.create 8 in
+      List.iter
+        (fun step ->
+          match step with
+          | Load_step _ ->
+            ignore (send server (parity_line requests ~cache:true step))
+          | Patch_step _ ->
+            let r = send server (parity_line requests ~cache:true step) in
+            if ok r && int_field "maintained" r > 0 then Hashtbl.reset exact
+          | Run_step { request; _ } ->
+            let before = lookups () in
+            let cached = send server (parity_line requests ~cache:true step) in
+            let looked = lookups () - before in
+            let fresh = send server (parity_line requests ~cache:false step) in
+            let fail what =
+              QCheck2.Test.fail_reportf "%s: %s\ncached %s\nfresh  %s" what
+                (parity_line requests ~cache:true step)
+                (Json.to_string cached) (Json.to_string fresh)
+            in
+            if looked <> 1 then
+              fail (Printf.sprintf "%d result lookups" looked);
+            if outcome cached <> outcome fresh then fail "outcome differs";
+            if ok cached then begin
+              let same names =
+                List.iter
+                  (fun name ->
+                    if field name cached <> field name fresh then fail name)
+                  names
+              in
+              same [ "mode"; "used_delta" ];
+              let computed = sfield "result_cache" cached = "miss" in
+              if computed || Hashtbl.mem exact request then
+                same [ "nodes_fed"; "depth" ];
+              if computed then Hashtbl.replace exact request ()
+            end)
+        steps;
+      true)
+
 let () =
   Alcotest.run "service"
     [ ("json",
@@ -660,4 +926,10 @@ let () =
          Alcotest.test_case "check diagnostics" `Quick
            test_server_check_diagnostics;
          Alcotest.test_case "cost refresh after patch" `Quick
-           test_server_cost_refresh ]) ]
+           test_server_cost_refresh ]);
+      ( "result cache",
+        [ Alcotest.test_case "budget boundary" `Quick
+            test_server_budget_boundary;
+          Alcotest.test_case "admission never bypassed" `Quick
+            test_server_cache_keeps_admission;
+          QCheck_alcotest.to_alcotest prop_cached_run_matches_uncached ] ) ]
