@@ -682,6 +682,94 @@ let ivm_bench () =
     \  cost the recompute column. Byte equality is asserted per row.\n\n"
 
 (* ------------------------------------------------------------------ *)
+(* Patch: what one write costs, by document size                       *)
+(* ------------------------------------------------------------------ *)
+
+(* One [Store.patch] per action on xmark 0.01, 0.04 and 0.16, with the
+   synopsis built as serving leaves it. A patch edits the tree in place,
+   so it allocates its inserted copy, the edited children array and the
+   delta — never a copy of the document. The edits sit directly under
+   /site, whose fan-out is the same at every size, so the words
+   allocated per patch (minor + major - promoted) must not
+   move with the document; CI gates on exact equality. The median
+   wall-clock is reported only: renumbering is one O(|doc|) walk. *)
+let patch_bench () =
+  printf "== Patch: one Store.patch by document size ==\n\n";
+  let module Store = Fixq_service.Store in
+  let module Patch = Fixq_xdm.Patch in
+  let uri = "auction.xml" in
+  let ops =
+    [ ( "insert",
+        Patch.Insert
+          { path = "/site"; position = Patch.Last;
+            xml = "<probe><name>p</name></probe>" } );
+      ("set-text", Patch.Set_text { path = "/site/probe/name"; text = "q" });
+      ("delete", Patch.Delete { path = "/site/probe" }) ]
+  in
+  (* Gc.counters' minor count lags the live minor heap on OCaml 5.1;
+     Gc.minor_words is exact *)
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  (* what the measuring itself allocates, so rows report the patch alone *)
+  let overhead =
+    let w0 = words () in
+    let t0 = Unix.gettimeofday () in
+    let t1 = Unix.gettimeofday () in
+    let w1 = words () in
+    ignore (Sys.opaque_identity (t1 -. t0));
+    w1 -. w0
+  in
+  let median l =
+    let a = Array.of_list l in
+    Array.sort compare a;
+    a.(Array.length a / 2)
+  in
+  List.iter
+    (fun scale ->
+      let store = Store.create () in
+      Store.load_generated store ~uri ~kind:"xmark" ~size:scale ~seed:42;
+      ignore (Store.synopsis store uri);
+      let nodes =
+        match Doc_registry.find ~registry:(Store.registry store) uri with
+        | Some root -> Node.subtree_size root
+        | None -> 0
+      in
+      let samples = List.map (fun (name, _) -> (name, ref [])) ops in
+      let warmup = 5 and rounds = 41 in
+      for i = 1 to warmup + rounds do
+        List.iter
+          (fun (name, op) ->
+            let w0 = words () in
+            let t0 = Unix.gettimeofday () in
+            ignore (Store.patch store ~uri op);
+            let t1 = Unix.gettimeofday () in
+            let w1 = words () in
+            if i > warmup then
+              let r = List.assoc name samples in
+              r := ((t1 -. t0) *. 1000., w1 -. w0 -. overhead) :: !r)
+          ops
+      done;
+      List.iter
+        (fun (name, r) ->
+          let ms = median (List.map fst !r) in
+          let w = int_of_float (median (List.map snd !r)) in
+          printf "  xmark %-5g %8d nodes   %-8s %8.3f ms   %6d words/patch\n"
+            scale nodes name ms w;
+          record_json
+            [ ("section", Json.Str "patch"); ("doc", Json.Str "xmark");
+              ("scale", Json.Num scale); ("nodes", Json.of_int nodes);
+              ("action", Json.Str name); ("median_ms", Json.Num ms);
+              ("words", Json.of_int w); ("rounds", Json.of_int rounds) ])
+        samples)
+    [ 0.01; 0.04; 0.16 ];
+  printf
+    "\n  words/patch must not grow with the document (CI gate); ms is\n\
+    \  the median of %d patches per action, after 5 warm-up rounds.\n\n"
+    41
+
+(* ------------------------------------------------------------------ *)
 (* Recovery: snapshot + tail vs full-history replay                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -1501,7 +1589,7 @@ let () =
         List.mem a
           [ "table1"; "table2"; "figure9"; "example24"; "section41";
             "section6"; "section7"; "accum"; "micro"; "cluster"; "ivm";
-            "semiring"; "columnar"; "cost"; "recovery" ])
+            "semiring"; "columnar"; "cost"; "recovery"; "patch" ])
       args
   in
   let when_ opt f = if (not explicit) || has opt then f () in
@@ -1519,6 +1607,7 @@ let () =
   when_ "cost" cost_bench;
   when_ "semiring" semiring_bench;
   when_ "ivm" ivm_bench;
+  when_ "patch" patch_bench;
   (* opt-in like micro: stateful temp dirs + a long patch history *)
   when_ "recovery" (fun () -> if has "recovery" then recovery_bench ());
   when_ "micro" (fun () -> if has "micro" then micro ());

@@ -67,7 +67,7 @@ let apply_patches registry specs =
         exit 1
       | Some root -> (
         match Xdm.Patch.apply root op with
-        | delta -> Xdm.Doc_registry.register ~registry uri delta.Xdm.Patch.new_root
+        | delta -> Xdm.Doc_registry.patched ~registry uri delta
         | exception Xdm.Patch.Patch_error msg ->
           Printf.eprintf "error: --patch %s: %s\n" uri msg;
           exit 1))

@@ -136,20 +136,21 @@ exception Maintenance_failed of string
    For eligible (downward) bodies the producers whose output a patch can
    change are exactly the ancestors of the edit point, so the frontier
    is [fresh seed nodes ∪ (ancestor spine ∩ previously-fed nodes)] —
-   sub-linear in the document. The cached result survives the patch via
-   the delta's old-id → new-node remap (dropping deleted nodes, which
-   for filter-free downward bodies removes exactly the derivations the
-   deleted subtree supported), and new derivations are absorbed into a
-   rebuilt accumulator by the standard [∆ ← body(∆) except res] loop. *)
+   sub-linear in the document. The cached result survives the patch
+   because the edit is in place: its nodes keep their identity, and only
+   those in the deleted subtrees are dropped (which, for filter-free
+   downward bodies, removes exactly the derivations the deleted subtree
+   supported). New derivations are absorbed into a rebuilt accumulator
+   by the standard [∆ ← body(∆) except res] loop. *)
 let maintain t entry (delta : Patch.delta) =
-  let remap ns =
-    List.filter_map (fun n -> Hashtbl.find_opt delta.Patch.remap n.Node.id) ns
-  in
-  let old_result = remap entry.nodes in
-  let old_seed = remap entry.seed_nodes in
+  let gone : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+  List.iter (fun id -> Hashtbl.replace gone id ()) delta.Patch.deleted;
+  let survivors ns = List.filter (fun n -> not (Hashtbl.mem gone n.Node.id)) ns in
+  let old_result = survivors entry.nodes in
+  let old_seed = survivors entry.seed_nodes in
   let acc = Accumulator.create () in
   ignore
-    (Accumulator.absorb acc ~who:"ivm remap"
+    (Accumulator.absorb acc ~who:"ivm survivors"
        (List.map (fun n -> Item.N n) old_result));
   let ev =
     Lang.Eval.create ~registry:t.registry
@@ -166,14 +167,11 @@ let maintain t entry (delta : Patch.delta) =
     List.filter (fun n -> not (Hashtbl.mem fed n.Node.id)) seed'
   in
   let spine =
-    match delta.Patch.edit_parent with
-    | None -> []
-    | Some p ->
-      let rec up n acc =
-        let acc = if Hashtbl.mem fed n.Node.id then n :: acc else acc in
-        match Node.parent n with None -> acc | Some q -> up q acc
-      in
-      up p []
+    let rec up n acc =
+      let acc = if Hashtbl.mem fed n.Node.id then n :: acc else acc in
+      match Node.parent n with None -> acc | Some q -> up q acc
+    in
+    up delta.Patch.edit_parent []
   in
   let frontier =
     Item.ddo (List.map (fun n -> Item.N n) (fresh_seed @ spine))

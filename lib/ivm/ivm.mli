@@ -7,8 +7,9 @@
     existing [∆ ← body(∆) except res] delta loop from the {e edit
     frontier} instead of recomputing from scratch. This module holds the
     machinery: a bounded store of {e maintained entries} (one per cached
-    result the service adopted), and {!on_patch}, which remaps a cached
-    result through a {!Xdm.Patch.delta} and runs the differential loop.
+    result the service adopted), and {!on_patch}, which drops a cached
+    result's deleted nodes (the edit is in place, so the rest keep their
+    identity) and runs the differential loop from the edit frontier.
 
     Eligibility comes from {!Fixq_analysis.Analyze.ivm_eligibility}:
     [Ivm_full] entries survive inserts, deletes, replaces and text
@@ -54,7 +55,7 @@ val adopt :
   unit
 
 (** Drop entries whose footprint mentions [uri] (document replaced or
-    unloaded wholesale — nothing to remap through). *)
+    unloaded wholesale — its nodes are gone). *)
 val on_unload : t -> uri:string -> unit
 
 (** [on_patch t ~uri ~op delta] maintains (or drops) every entry whose

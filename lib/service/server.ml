@@ -45,11 +45,9 @@ type t = {
       (** maintained fixpoint entries mirroring eligible result-cache
           entries; consulted by [patch-doc] *)
   started_at : float;
-  ranks : (int, (int, int) Hashtbl.t) Hashtbl.t;
-      (** per-document preorder ranks, keyed by root node id — node ids
-          are process-global and never reused, so entries never go
-          stale (see {!keyed_items}) *)
-  ranks_lock : Mutex.t;
+  docs_lock : Rwlock.t;
+      (** [load-doc], [unload-doc] and [patch-doc] edit trees in place,
+          so they hold it exclusively; every other op shares it *)
   analysis_counters : (string, int) Hashtbl.t;
       (** divergence class of each freshly prepared query, plus
           refusals — exposed in stats JSON and Prometheus *)
@@ -74,7 +72,7 @@ let create_raw ?(config = default_config) ?(store = Store.create ()) () =
       Ivm.create ~capacity:config.result_capacity
         ~registry:(Store.registry store) ();
     started_at = Unix.gettimeofday ();
-    ranks = Hashtbl.create 8; ranks_lock = Mutex.create ();
+    docs_lock = Rwlock.create ();
     analysis_counters = Hashtbl.create 8; analysis_lock = Mutex.create ();
     durable = None; persist = Hashtbl.create 8;
     persist_lock = Mutex.create (); recovered_stats = [] }
@@ -150,37 +148,15 @@ let diag_json (d : Diag.t) =
    generator+seed) hold structurally identical trees, so a node's
    preorder position within its tree — element, then its attributes,
    then its children, the id order documented in [Node] — names the
-   same node in both processes. [keyed_items] tags each result item
-   with that portable identity so a cluster coordinator can unite
-   result slices by node identity and document order, reproducing
-   byte-for-byte what a single process would serialize. *)
+   same node in both processes. Every registered tree holds one
+   contiguous block of ids ([Doc_registry.register] and [Patch.apply]
+   renumber it), so that rank is the node's id offset from its root.
+   [keyed_items] tags each result item with this portable identity so a
+   cluster coordinator can unite result slices by node identity and
+   document order, reproducing byte-for-byte what a single process
+   would serialize. *)
 
-let rank_table root =
-  let tbl = Hashtbl.create 256 in
-  let next = ref 0 in
-  let rec walk n =
-    Hashtbl.replace tbl n.Xdm.Node.id !next;
-    incr next;
-    List.iter walk (Xdm.Node.attributes n);
-    List.iter walk (Xdm.Node.children n)
-  in
-  walk root;
-  tbl
-
-let rank_of t root =
-  Mutex.lock t.ranks_lock;
-  let tbl =
-    match Hashtbl.find_opt t.ranks root.Xdm.Node.id with
-    | Some tbl -> tbl
-    | None ->
-      let tbl = rank_table root in
-      Hashtbl.replace t.ranks root.Xdm.Node.id tbl;
-      tbl
-  in
-  Mutex.unlock t.ranks_lock;
-  tbl
-
-let keyed_items t (items : Xdm.Item.seq) =
+let keyed_items (items : Xdm.Item.seq) =
   Json.List
     (List.map
        (fun item ->
@@ -190,16 +166,10 @@ let keyed_items t (items : Xdm.Item.seq) =
            let xml = Xdm.Serializer.to_string n in
            match Xdm.Node.uri root with
            | Some u ->
-             let rank =
-               match Hashtbl.find_opt (rank_of t root) n.Xdm.Node.id with
-               | Some r -> r
-               | None -> -1 (* detached from its indexed tree; content key *)
-             in
-             if rank >= 0 then
-               Json.Obj
-                 [ ("u", Json.Str u); ("r", Json.of_int rank);
-                   ("x", Json.Str xml) ]
-             else Json.Obj [ ("k", Json.Str ("x:" ^ xml)); ("x", Json.Str xml) ]
+             Json.Obj
+               [ ("u", Json.Str u);
+                 ("r", Json.of_int (n.Xdm.Node.id - root.Xdm.Node.id));
+                 ("x", Json.Str xml) ]
            | None ->
              (* constructed node: no portable identity; key by content.
                 Distributive bodies never construct (constructors void
@@ -224,11 +194,8 @@ let record_persist t key ~query ~stratified ~max_iterations items =
           | (Some acc, Xdm.Item.N n) -> (
             let root = Xdm.Node.root n in
             match Xdm.Node.uri root with
-            | None -> None
-            | Some u -> (
-              match Hashtbl.find_opt (rank_of t root) n.Xdm.Node.id with
-              | Some r -> Some ((u, r) :: acc)
-              | None -> None)))
+            | Some u -> Some ((u, n.Xdm.Node.id - root.Xdm.Node.id) :: acc)
+            | None -> None))
         (Some []) items
     in
     Mutex.lock t.persist_lock;
@@ -482,7 +449,7 @@ let handle_run t ~id
       | None -> []
       | Some (index, count) ->
         [ ("partition", Json.Str (Printf.sprintf "%d/%d" index count));
-          ("keyed", keyed_items t report.Fixq.result) ]
+          ("keyed", keyed_items report.Fixq.result) ]
     in
     respond ~prepared_status ~result_status:"miss" ~cost_extra ~extra entry
 
@@ -655,7 +622,7 @@ let handle_load_doc t ~id uri (source : Protocol.doc_source) =
         match kind with "xmark" -> 0.002 | "hospital" -> 1000.0 | _ -> 100.0)
     in
     Store.load_generated t.store ~uri ~kind ~size ~seed);
-  (* A wholesale replacement leaves nothing to remap a maintained entry
+  (* A wholesale replacement leaves nothing to maintain an entry
      through — only patch-doc preserves node identity. *)
   Ivm.on_unload t.ivm ~uri;
   Protocol.ok_response ~id
@@ -899,7 +866,7 @@ let maybe_snapshot t =
 (* ------------------------------------------------------------------ *)
 
 (* Invert the preorder rank: nodes of [root] as an array indexed by
-   rank (the walk order of [rank_table]). *)
+   rank (preorder, attributes after their element). *)
 let nodes_by_rank root =
   let acc = ref [] in
   let rec walk n =
@@ -1351,11 +1318,20 @@ let handle t request =
         true
       | _ -> false
     in
+    (* Document ops edit trees in place, so they run alone; everything
+       else reads and shares the lock. *)
+    let hold =
+      match req with
+      | Protocol.Load_doc _ | Protocol.Unload_doc _ | Protocol.Patch_doc _ ->
+        Rwlock.write
+      | _ -> Rwlock.read
+    in
     try
       if admitted then Governor.admit t.governor;
       Fun.protect
         ~finally:(fun () -> if admitted then Governor.release t.governor)
         (fun () ->
+          hold t.docs_lock @@ fun () ->
           chaos_handle_point ();
           match req with
           | Protocol.Run r -> (handle_run t ~id r, false)

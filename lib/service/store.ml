@@ -81,9 +81,11 @@ let chaos_patch_point uri =
   | Some (Fixq_chaos.Drop | Fixq_chaos.Truncate) ->
     raise (Error (Printf.sprintf "chaos: injected patch failure on %s" uri))
 
-(* The chaos point fires before any mutation: a killed worker leaves the
-   registry exactly as it was, so a respawn that replays the document
-   history (load + patches) converges to the same tree. *)
+(* The chaos point fires before any mutation, and [Patch.apply] refuses
+   a bad edit before touching the tree: a killed worker or a failed
+   patch leaves the registry exactly as it was, so a respawn that
+   replays the document history (load + patches) converges to the same
+   tree. *)
 let patch t ~uri op =
   chaos_patch_point uri;
   match Xdm.Doc_registry.find ~registry:t.reg uri with
@@ -91,16 +93,7 @@ let patch t ~uri op =
   | Some root -> (
     match Xdm.Patch.apply root op with
     | delta ->
-      (* Maintain an already-built synopsis incrementally (cost of the
-         edited subtrees); an unbuilt one stays lazy. *)
-      let syn = Xdm.Doc_registry.cached_synopsis ~registry:t.reg uri in
-      Xdm.Doc_registry.register ~registry:t.reg uri delta.Xdm.Patch.new_root;
-      (match syn with
-      | None -> ()
-      | Some syn ->
-        (match Xdm.Synopsis.patched syn ~old_root:root ~op ~delta with
-        | syn -> Xdm.Doc_registry.set_synopsis ~registry:t.reg uri syn
-        | exception _ -> ()));
+      Xdm.Doc_registry.patched ~registry:t.reg uri delta;
       delta
     | exception Xdm.Patch.Patch_error msg ->
       raise (Error (Printf.sprintf "cannot patch %S: %s" uri msg)))

@@ -54,10 +54,11 @@ val synopsis : t -> string -> Fixq_xdm.Synopsis.t option
     [f] and report which documents it read, at which generations. *)
 val track : t -> (unit -> 'a) -> 'a * (string * int) list
 
-(** [patch t ~uri op] applies a structural edit to the document
-    registered under [uri] and re-registers the patched tree (bumping
-    its per-doc generation), returning the structured delta for
-    incremental maintenance. Raises {!Error} when nothing is loaded
+(** [patch t ~uri op] edits the document registered under [uri] in
+    place ({!Fixq_xdm.Patch.apply}), bumps its per-doc generation and
+    maintains its synopsis, returning the structured delta for
+    incremental maintenance. Readers must not run concurrently: the
+    server holds its document lock exclusively around this call. Raises {!Error} when nothing is loaded
     under [uri] or the edit is invalid. Subject to the ["store.patch"]
     chaos point, which fires {e before} any mutation so a killed worker
     can be replayed to a consistent state. *)

@@ -46,13 +46,20 @@ let row_of_node t (n : Node.t) =
 let row t pre = t.rows.(pre)
 let size t = Array.length t.rows
 
-let cache : (int, t) Hashtbl.t = Hashtbl.create 8
+(* Keyed by URI where there is one, so a patched document's encoding
+   (new root id after renumbering) replaces the stale one. *)
+let cache : (string, int * t) Hashtbl.t = Hashtbl.create 8
 
 let of_tree_cached n =
   let root = Node.root n in
-  match Hashtbl.find_opt cache root.Node.id with
-  | Some t -> t
-  | None ->
+  let key =
+    match Node.uri root with
+    | Some u -> u
+    | None -> "#" ^ string_of_int root.Node.id
+  in
+  match Hashtbl.find_opt cache key with
+  | Some (id, t) when id = root.Node.id -> t
+  | _ ->
     let t = of_tree root in
-    Hashtbl.replace cache root.Node.id t;
+    Hashtbl.replace cache key (root.Node.id, t);
     t

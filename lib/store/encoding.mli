@@ -41,5 +41,7 @@ val row : t -> int -> row
 (** Number of rows (nodes). *)
 val size : t -> int
 
-(** A process-wide cache: encodings are built once per tree root. *)
+(** A process-wide cache: encodings are built once per tree root and
+    its ids. A document with a URI keeps one entry, which a patch
+    (renumbering the tree) replaces on the next use. *)
 val of_tree_cached : Fixq_xdm.Node.t -> t

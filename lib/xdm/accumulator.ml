@@ -1,33 +1,41 @@
 type t = {
   mutable bitmap : Bytes.t;
+  mutable base : int;  (* byte index of [bitmap.[0]] in id space *)
   mutable runs : Node.t array list;  (* newest first; sorted, disjoint *)
   mutable size : int;
   mutable cache : Node.t array option;
 }
 
 let create () =
-  { bitmap = Bytes.make 1024 '\000'; runs = []; size = 0; cache = None }
+  { bitmap = Bytes.empty; base = 0; runs = []; size = 0; cache = None }
 
 let size t = t.size
 
-let ensure t id =
-  let need = (id lsr 3) + 1 in
+(* Make id byte [b] addressable. The bitmap covers only the ids this
+   fixpoint touches, from the lowest one absorbed: growing (up or
+   down) at least doubles it, so growth stays amortised O(1). *)
+let ensure t b =
   let len = Bytes.length t.bitmap in
-  if len < need then begin
-    let n = ref len in
-    while !n < need do
-      n := !n * 2
-    done;
-    let b = Bytes.make !n '\000' in
-    Bytes.blit t.bitmap 0 b 0 len;
-    t.bitmap <- b
+  if len = 0 then begin
+    t.base <- b;
+    t.bitmap <- Bytes.make 64 '\000'
+  end
+  else if b < t.base || b >= t.base + len then begin
+    let top = t.base + len in
+    let n = max (2 * len) (max top (b + 1) - min t.base b) in
+    let base = if b < t.base then max 0 (top - n) else t.base in
+    let bm = Bytes.make n '\000' in
+    Bytes.blit t.bitmap 0 bm (t.base - base) len;
+    t.bitmap <- bm;
+    t.base <- base
   end
 
 let mem_id t id =
   incr Counters.bitmap_tests;
-  let byte = id lsr 3 in
+  let byte = (id lsr 3) - t.base in
   let hit =
-    byte < Bytes.length t.bitmap
+    byte >= 0
+    && byte < Bytes.length t.bitmap
     && Char.code (Bytes.unsafe_get t.bitmap byte) land (1 lsl (id land 7)) <> 0
   in
   if hit then incr Counters.bitmap_hits;
@@ -36,8 +44,8 @@ let mem_id t id =
 let mem t (n : Node.t) = mem_id t n.Node.id
 
 let set_id t id =
-  ensure t id;
-  let byte = id lsr 3 in
+  ensure t (id lsr 3);
+  let byte = (id lsr 3) - t.base in
   Bytes.unsafe_set t.bitmap byte
     (Char.chr
        (Char.code (Bytes.unsafe_get t.bitmap byte) lor (1 lsl (id land 7))))
@@ -135,17 +143,7 @@ let merged t =
   match t.cache with
   | Some a -> a
   | None ->
-    let rec pairs = function
-      | [] -> []
-      | [ r ] -> [ r ]
-      | a :: b :: rest -> merge_two a b :: pairs rest
-    in
-    let rec reduce = function
-      | [] -> [||]
-      | [ r ] -> r
-      | runs -> reduce (pairs runs)
-    in
-    let a = reduce t.runs in
+    let a = merge_runs t.runs in
     t.cache <- Some a;
     t.runs <- (if Array.length a = 0 then [] else [ a ]);
     a

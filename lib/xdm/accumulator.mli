@@ -3,9 +3,12 @@
     Carries the accumulated result of an inflationary fixpoint across
     rounds as a set of sorted, pairwise-disjoint runs (one per round's
     delta) plus a growable bitmap over node ids for O(1) membership.
-    Node ids are dense preorder integers assigned by a single global
-    counter ({!Node.id}), so document order is id order and one bitmap
-    covers all documents.
+    Node ids are preorder integers from a single global counter
+    ({!Node.id}), so document order is id order and one bitmap covers
+    all documents. The bitmap starts at the lowest id absorbed and
+    grows downward when a lower one arrives, so its size follows the
+    id range the fixpoint touches, not how many ids the process has
+    ever minted.
 
     Per round, {!absorb} costs O(|out| + |Δ| log |Δ|) — independent of
     the accumulated size |res| — replacing the

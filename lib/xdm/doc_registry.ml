@@ -30,10 +30,27 @@ let bump_doc registry uri =
 
 let register ?(registry = default) uri doc =
   Node.set_uri doc uri;
+  Node.ensure_contiguous doc;
   with_lock registry (fun () ->
       Hashtbl.replace registry.docs uri doc;
       bump_doc registry uri;
       registry.generation <- registry.generation + 1)
+
+let patched ?(registry = default) uri delta =
+  with_lock registry (fun () ->
+      if Hashtbl.mem registry.docs uri then begin
+        let gen = Option.value ~default:0 (Hashtbl.find_opt registry.gens uri) in
+        bump_doc registry uri;
+        registry.generation <- registry.generation + 1;
+        (* a synopsis of the pre-edit tree follows the edit in place; if
+           that fails, its stale stamp leaves it to a lazy rebuild *)
+        match Hashtbl.find_opt registry.syns uri with
+        | Some (g, syn) when g = gen -> (
+          match Synopsis.patch syn delta with
+          | () -> Hashtbl.replace registry.syns uri (gen + 1, syn)
+          | exception _ -> ())
+        | _ -> ()
+      end)
 
 let unregister ?(registry = default) uri =
   with_lock registry (fun () ->
@@ -82,6 +99,7 @@ let find ?(registry = default) uri =
       | s -> (
         match Xml_parser.parse_string ~uri s with
         | doc ->
+          Node.ensure_contiguous doc;
           let found =
             with_lock registry (fun () ->
                 match Hashtbl.find_opt registry.docs uri with
@@ -140,16 +158,6 @@ let synopsis ?(registry = default) uri =
       with_lock registry (fun () ->
           Hashtbl.replace registry.syns uri (gen, syn));
       Some syn)
-
-let set_synopsis ?(registry = default) uri syn =
-  let gen = doc_generation ~registry uri in
-  with_lock registry (fun () -> Hashtbl.replace registry.syns uri (gen, syn))
-
-let cached_synopsis ?(registry = default) uri =
-  let gen = doc_generation ~registry uri in
-  match with_lock registry (fun () -> Hashtbl.find_opt registry.syns uri) with
-  | Some (g, syn) when g = gen -> Some syn
-  | _ -> None
 
 let track ?(registry = default) f =
   let seen : (string, unit) Hashtbl.t = Hashtbl.create 8 in

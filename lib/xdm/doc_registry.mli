@@ -7,8 +7,8 @@
     node, preserving [doc] stability as required by XQuery.
 
     Each registry carries a {e generation counter}, bumped on every
-    mutation of the visible document set ({!register}, {!unregister},
-    {!clear}, and the file-system fallback of {!find}). Long-lived
+    mutation of the visible document set ({!register}, {!patched},
+    {!unregister}, {!clear}, and the file-system fallback of {!find}). Long-lived
     consumers — the [fixq serve] result cache in particular — key
     cached answers on the generation, so a document swap invalidates
     exactly the answers it could have changed. All operations are
@@ -22,7 +22,19 @@ val create : unit -> t
 (** The process-wide default registry. *)
 val default : t
 
+(** [register uri doc] binds [uri] to [doc] after
+    {!Node.ensure_contiguous} (as does the file-system fallback of
+    {!find}), so a registered node's offset from its root's id is its
+    preorder rank, an identity portable across processes. *)
 val register : ?registry:t -> string -> Node.t -> unit
+
+(** [patched uri delta] records an in-place edit ({!Patch.apply}
+    returned [delta]) of the document registered under [uri]: bumps its
+    stamp and the generation, as re-registering would, and maintains
+    its cached synopsis in place ({!Synopsis.patch}), so the next
+    {!synopsis} is a hit instead of an [O(|doc|)] rebuild. No-op for an
+    unregistered URI. *)
+val patched : ?registry:t -> string -> Patch.delta -> unit
 
 (** Remove a URI from the registry. Bumps the generation only when the
     URI was actually registered. *)
@@ -37,8 +49,8 @@ val find : ?registry:t -> string -> Node.t option
 val generation : ?registry:t -> unit -> int
 
 (** [doc_generation uri] — per-document generation stamp: how many times
-    {e this} URI's binding changed ({!register}, {!unregister},
-    {!clear}, fallback loads). [0] for a URI never seen. Stamps persist
+    {e this} URI's binding or tree changed ({!register}, {!patched},
+    {!unregister}, {!clear}, fallback loads). [0] for a URI never seen. Stamps persist
     across {!unregister}, so a re-registered URI never repeats one.
     Fine-grained consumers (the result-cache footprint) key on these
     instead of the global {!generation}, so an unrelated [load-doc] no
@@ -55,20 +67,9 @@ val track : ?registry:t -> (unit -> 'a) -> 'a * (string * int) list
 (** [synopsis uri] — the structural synopsis of the registered
     document ({!Synopsis}), built lazily on first use and cached
     against the URI's {!doc_generation}: any re-registration (swap,
-    patch, reload) invalidates it automatically. [None] when the URI
-    resolves to nothing. *)
+    reload) invalidates it automatically, and {!patched} maintains it.
+    [None] when the URI resolves to nothing. *)
 val synopsis : ?registry:t -> string -> Synopsis.t option
-
-(** Install an incrementally maintained synopsis for the URI's {e
-    current} generation — the [patch-doc] path calls this with
-    {!Synopsis.patched} output right after registering the patched
-    tree, so the next {!synopsis} is a cache hit instead of an
-    [O(|doc|)] rebuild. *)
-val set_synopsis : ?registry:t -> string -> Synopsis.t -> unit
-
-(** The cached synopsis for the URI's current generation, without
-    building one. *)
-val cached_synopsis : ?registry:t -> string -> Synopsis.t option
 
 (** Registered URIs, sorted. *)
 val uris : ?registry:t -> unit -> string list

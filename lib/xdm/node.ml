@@ -1,7 +1,7 @@
 type kind = Document | Element | Attribute | Text | Comment | Pi
 
 type t = {
-  id : int;
+  mutable id : int;
   kind : kind;
   name : Qname.t option;
   mutable content : string;
@@ -331,8 +331,46 @@ let elements_by_name n nm =
   | Some t -> Some (Option.value ~default:[||] (Hashtbl.find_opt t nm))
 
 (* ------------------------------------------------------------------ *)
-(* Patch rebuild                                                       *)
+(* In-place edits                                                      *)
 (* ------------------------------------------------------------------ *)
+
+(* Preorder walk from id [next]: with [set] it numbers the nodes, else
+   it raises [Exit] at the first id off that block. Allocates nothing. *)
+let visit_id ~set n id =
+  if set then n.id <- id else if n.id <> id then raise_notrace Exit
+
+let rec walk_ids ~set n next =
+  visit_id ~set n next;
+  let next = ref (next + 1) in
+  for i = 0 to Array.length n.attributes - 1 do
+    visit_id ~set (Array.unsafe_get n.attributes i) !next;
+    incr next
+  done;
+  for i = 0 to Array.length n.children - 1 do
+    next := walk_ids ~set (Array.unsafe_get n.children i) !next
+  done;
+  !next
+
+(* One walk numbers the tree from just past the counter. A thread switch
+   inside it could let another thread mint ids from the same range, so
+   the block is taken only if the counter did not move; else the tree
+   is walked again from past the new counter. *)
+let rec renumber root =
+  let base = !counter + 1 in
+  let next = walk_ids ~set:true root base in
+  if !counter <> base - 1 then renumber root
+  else begin
+    counter := next - 1;
+    match root.doc with
+    | Some d ->
+      d.id_index <- None;
+      d.idref_index <- None;
+      d.name_index <- Ni_unbuilt
+    | None -> ()
+  end
+
+let ensure_contiguous root =
+  try ignore (walk_ids ~set:false root root.id) with Exit -> renumber root
 
 type patch_action =
   | Pa_delete
@@ -341,126 +379,62 @@ type patch_action =
   | Pa_insert_sibling of t * [ `Before | `After ]
   | Pa_set_text of string
 
-(* In-place edits would break the id-is-document-order invariant (a
-   node inserted mid-tree cannot receive an id between its neighbours'),
-   which the accumulator bitmaps, ddo and the name index all rely on.
-   So a patch rebuilds the whole tree with fresh preorder ids — an
-   O(|doc|) pointer walk with no query evaluation — and reports how old
-   ids map to surviving new nodes, which inserted subtrees are new, and
-   which old ids disappeared. *)
-let rebuild_patched old_root ~target ~action =
-  let remap : (int, t) Hashtbl.t = Hashtbl.create 1024 in
-  let inserted = ref [] in
-  let deleted = ref [] in
-  let record_deleted old =
-    let rec go n =
-      deleted := n.id :: !deleted;
-      Array.iter (fun a -> deleted := a.id :: !deleted) n.attributes;
-      Array.iter go n.children
-    in
-    go old
+let position p c =
+  let rec go i = if p.children.(i) == c then i else go (i + 1) in
+  go 0
+
+(* [p]'s children with [kids] in place of the [drop] children at [i]. *)
+let splice_children p i ~drop kids =
+  let old = p.children in
+  let nk = Array.length kids in
+  Array.iter (fun k -> k.parent <- Some p) kids;
+  p.children <-
+    Array.init
+      (Array.length old - drop + nk)
+      (fun j ->
+        if j < i then old.(j)
+        else if j < i + nk then kids.(j - i)
+        else old.(j - nk + drop))
+
+let splice root ~target action =
+  let parent () =
+    match target.parent with
+    | Some p -> p
+    | None -> invalid_arg "Node.splice: target has no parent"
   in
-  (* Templates are deep-copied at their splice point, so the copies'
-     fresh ids land exactly where document order puts them. *)
-  let insert_copy template =
-    let n = deep_copy template in
-    inserted := n :: !inserted;
-    n
+  let inserted, removed =
+    match action with
+    | Pa_insert_child (tpl, pos) ->
+      let n = deep_copy tpl in
+      let i = if pos = `First then 0 else Array.length target.children in
+      splice_children target i ~drop:0 [| n |];
+      ([ n ], [])
+    | Pa_insert_sibling (tpl, dir) ->
+      let p = parent () in
+      let n = deep_copy tpl in
+      let i = position p target in
+      splice_children p (if dir = `Before then i else i + 1) ~drop:0 [| n |];
+      ([ n ], [])
+    | Pa_delete ->
+      let p = parent () in
+      splice_children p (position p target) ~drop:1 [||];
+      target.parent <- None;
+      ([], [ target ])
+    | Pa_replace tpl ->
+      let p = parent () in
+      let n = deep_copy tpl in
+      splice_children p (position p target) ~drop:1 [| n |];
+      target.parent <- None;
+      ([ n ], [ target ])
+    | Pa_set_text text ->
+      let old = Array.to_list target.children in
+      let tn = mk Text None text in
+      splice_children target 0 ~drop:(List.length old) [| tn |];
+      List.iter (fun c -> c.parent <- None) old;
+      ([ tn ], old)
   in
-  let remember old n =
-    Hashtbl.replace remap old.id n;
-    n
-  in
-  let rec copy_kids olds =
-    List.concat_map
-      (fun c ->
-        if c == target then
-          match action with
-          | Pa_delete ->
-            record_deleted c;
-            []
-          | Pa_insert_sibling (tpl, `Before) ->
-            let n = insert_copy tpl in
-            let c' = copy_one c in
-            [ n; c' ]
-          | Pa_insert_sibling (tpl, `After) ->
-            let c' = copy_one c in
-            let n = insert_copy tpl in
-            [ c'; n ]
-          | Pa_replace _ | Pa_insert_child _ | Pa_set_text _ -> [ copy_one c ]
-        else [ copy_one c ])
-      (Array.to_list olds)
-  and copy_one old =
-    if old == target then
-      match action with
-      | Pa_replace tpl ->
-        record_deleted old;
-        insert_copy tpl
-      | Pa_set_text text when old.kind = Text || old.kind = Comment ->
-        remember old (mk old.kind None text)
-      | _ -> copy_plain old
-    else copy_plain old
-  and copy_plain old =
-    match old.kind with
-    | Text -> remember old (mk Text None old.content)
-    | Comment -> remember old (mk Comment None old.content)
-    | Pi -> remember old (mk Pi old.name old.content)
-    | Attribute -> remember old (mk Attribute old.name old.content)
-    | Element ->
-      let e = remember old (mk Element old.name "") in
-      let attrs =
-        Array.map
-          (fun a ->
-            let a' = remember a (mk Attribute a.name a.content) in
-            a'.parent <- Some e;
-            a')
-          old.attributes
-      in
-      e.attributes <- attrs;
-      let kids =
-        if old == target then
-          match action with
-          | Pa_insert_child (tpl, `First) ->
-            let n = insert_copy tpl in
-            n :: copy_kids old.children
-          | Pa_insert_child (tpl, `Last) ->
-            let kids = copy_kids old.children in
-            let n = insert_copy tpl in
-            kids @ [ n ]
-          | Pa_set_text text ->
-            Array.iter record_deleted old.children;
-            let tn = mk Text None text in
-            inserted := tn :: !inserted;
-            [ tn ]
-          | Pa_delete | Pa_replace _ | Pa_insert_sibling _ ->
-            copy_kids old.children
-        else copy_kids old.children
-      in
-      let kids = Array.of_list kids in
-      Array.iter (fun c -> c.parent <- Some e) kids;
-      e.children <- kids;
-      e
-    | Document ->
-      let d = remember old (mk Document None "") in
-      let meta =
-        match old.doc with
-        | Some m ->
-          { uri = m.uri; id_attribute_names = m.id_attribute_names;
-            id_index = None; idref_attribute_names = m.idref_attribute_names;
-            idref_index = None; name_index = Ni_unbuilt }
-        | None ->
-          { uri = None; id_attribute_names = []; id_index = None;
-            idref_attribute_names = []; idref_index = None;
-            name_index = Ni_unbuilt }
-      in
-      d.doc <- Some meta;
-      let kids = Array.of_list (copy_kids old.children) in
-      Array.iter (fun c -> c.parent <- Some d) kids;
-      d.children <- kids;
-      d
-  in
-  let new_root = copy_one old_root in
-  (new_root, remap, List.rev !inserted, !deleted)
+  renumber root;
+  (inserted, removed)
 
 let pp ppf n =
   match n.kind with

@@ -1,22 +1,22 @@
 (** Ordered, unranked trees with node identity — the backbone of the
     XQuery Data Model.
 
-    Every node carries a globally unique integer {!id} assigned at
-    construction time in document (pre-)order: within a tree, [id]
-    increases in preorder (element, then its attributes, then its
-    children); across trees, ids order trees by construction time. As a
-    consequence, document order is exactly the order of [id] and
-    [fs:distinct-doc-order] is "sort by id, drop duplicates"
-    (see {!Item.ddo}).
+    Every node carries an integer {!id} from one process-wide counter,
+    and within a tree [id] increases in preorder (element, then its
+    attributes, then its children); across trees, ids order trees by
+    when they were last numbered. As a consequence, document order is
+    exactly the order of [id] and [fs:distinct-doc-order] is "sort by
+    id, drop duplicates" (see {!Item.ddo}).
 
     Node construction from a {!spec} and {!deep_copy} both allocate
     fresh ids, matching XQuery's semantics of node constructors (new
-    node identities on every evaluation). *)
+    node identities on every evaluation). A registered document is
+    edited in place ({!splice}) and then {!renumber}ed. *)
 
 type kind = Document | Element | Attribute | Text | Comment | Pi
 
 type t = private {
-  id : int;
+  mutable id : int;  (** preorder position; changes only in {!renumber} *)
   kind : kind;
   name : Qname.t option;
   mutable content : string;  (** text / comment / PI / attribute value *)
@@ -143,9 +143,21 @@ val subtree_max_id : t -> int
     validation failed); callers must then walk the tree. *)
 val elements_by_name : t -> string -> t array option
 
-(** One structural edit applied during a {!rebuild_patched} walk.
-    Template nodes ([Pa_replace], [Pa_insert_*]) are deep-copied at
-    their splice point so their fresh ids land in document order. *)
+(** [renumber root] gives every node of the tree under [root]
+    (attributes included) a fresh preorder id from one block reserved
+    from the counter, so the tree's ids are contiguous and [n.id -
+    root.id] is [n]'s preorder rank. It also resets the root's lazy id,
+    IDREF and name indexes. One walk over the tree, which allocates
+    nothing. The tree moves to the end of the cross-document order. *)
+val renumber : t -> unit
+
+(** [ensure_contiguous root] {!renumber}s [root] unless its ids already
+    are one contiguous preorder block from [root.id] — as a fresh parse
+    or {!of_spec} leaves them, in which case ids stay as they are. *)
+val ensure_contiguous : t -> unit
+
+(** One structural edit for {!splice}. Template nodes ([Pa_replace],
+    [Pa_insert_*]) are deep-copied at their splice point. *)
 type patch_action =
   | Pa_delete
   | Pa_replace of t
@@ -154,24 +166,15 @@ type patch_action =
   | Pa_set_text of string
       (** replace the element's content with a single text node *)
 
-(** [rebuild_patched root ~target ~action] copies the whole tree under
-    [root] with fresh preorder ids, applying [action] at [target]
-    (compared by physical identity, so [target] must come from this
-    tree). In-place splicing is impossible here: node ids {e are}
-    document order, and no fresh id fits between two existing
-    neighbours — so every patch is a full O(|doc|) rebuild (still a
-    plain pointer walk, far cheaper than re-running a fixpoint).
-
-    Returns [(new_root, remap, inserted, deleted)]: the patched tree;
-    a map from every surviving old id (attributes included) to its new
-    node; the roots of newly inserted subtrees inside the new tree, in
-    document order; and the old ids that were removed. Document
-    metadata (URI, ID/IDREF attribute declarations) is carried over;
-    lazy indexes restart unbuilt. *)
-val rebuild_patched :
-  t ->
-  target:t ->
-  action:patch_action ->
-  t * (int, t) Hashtbl.t * t list * int list
+(** [splice root ~target action] edits the tree under [root] in place
+    at [target] (a node of that tree; it must have a parent unless the
+    action is [Pa_insert_child] or [Pa_set_text]), then {!renumber}s
+    [root]. Untouched nodes keep their physical identity. Returns
+    [(inserted, removed)]: the roots of the inserted subtrees, in
+    document order, and the roots of the removed subtrees, which are
+    detached (no parent) but keep their old ids. Allocates the inserted
+    copies and the edited children array, nothing proportional to the
+    document. *)
+val splice : t -> target:t -> patch_action -> t list * t list
 
 val pp : Format.formatter -> t -> unit

@@ -11,12 +11,11 @@ type op =
   | Set_text of { path : string; text : string }
 
 type delta = {
-  new_root : Node.t;
-  remap : (int, Node.t) Hashtbl.t;
   inserted : Node.t list;
   inserted_count : int;
+  removed : Node.t list;
   deleted : int list;
-  edit_parent : Node.t option;
+  edit_parent : Node.t;
 }
 
 let position_of_string = function
@@ -59,22 +58,25 @@ let parse_path s =
         | _ -> err "positional selector in %S must be a positive integer" seg))
     segs
 
+(* Walks the children arrays: resolving allocates nothing per sibling. *)
 let resolve root path =
   let steps = parse_path path in
   List.fold_left
     (fun ctx (nm, k) ->
-      let kids =
-        List.filter
-          (fun c -> c.Node.kind = Node.Element && Node.name c = nm)
-          (Node.children ctx)
+      let kids = ctx.Node.children in
+      let rec find i seen =
+        if i >= Array.length kids then
+          err "path %S: no element %s[%d] under %s" path nm k
+            (match ctx.Node.kind with
+            | Node.Document -> "the document root"
+            | _ -> "<" ^ Node.name ctx ^ ">")
+        else
+          let c = kids.(i) in
+          if c.Node.kind = Node.Element && String.equal (Node.name c) nm then
+            if seen + 1 = k then c else find (i + 1) (seen + 1)
+          else find (i + 1) seen
       in
-      match List.nth_opt kids (k - 1) with
-      | Some c -> c
-      | None ->
-        err "path %S: no element %s[%d] under %s" path nm k
-          (match ctx.Node.kind with
-          | Node.Document -> "the document root"
-          | _ -> "<" ^ Node.name ctx ^ ">"))
+      find 0 0)
     root steps
 
 let fragment xml =
@@ -83,12 +85,14 @@ let fragment xml =
   | exception Xml_parser.Parse_error { line; col; msg } ->
     err "bad patch XML (line %d, col %d): %s" line col msg
 
-let count_subtree n =
-  let k = ref 0 in
+let subtree_ids n =
+  let ids = ref [] in
   Node.iter_subtree
-    (fun x -> k := !k + 1 + List.length (Node.attributes x))
+    (fun x ->
+      ids := x.Node.id :: !ids;
+      Array.iter (fun (a : Node.t) -> ids := a.Node.id :: !ids) x.Node.attributes)
     n;
-  !k
+  !ids
 
 let under_document t =
   match Node.parent t with
@@ -96,41 +100,37 @@ let under_document t =
   | None -> true
 
 let apply root op =
+  let parent_of t = match Node.parent t with Some p -> p | None -> t in
+  (* Every check that can fail runs before the tree is touched, so a
+     refused patch leaves the document exactly as it was. *)
   let target, action, anchor =
     match op with
-    | Insert { path; position; xml } ->
+    | Insert { path; position; xml } -> (
       let t = resolve root path in
       let tpl = fragment xml in
-      (match position with
+      match position with
       | First -> (t, Node.Pa_insert_child (tpl, `First), t)
       | Last -> (t, Node.Pa_insert_child (tpl, `Last), t)
       | Before | After ->
         if under_document t then
           err "cannot insert a sibling of the document root element";
         let dir = if position = Before then `Before else `After in
-        let anchor =
-          match Node.parent t with Some p -> p | None -> t
-        in
-        (t, Node.Pa_insert_sibling (tpl, dir), anchor))
+        (t, Node.Pa_insert_sibling (tpl, dir), parent_of t))
     | Delete { path } ->
       let t = resolve root path in
       if under_document t then
         err "cannot delete the document root element";
-      let anchor = match Node.parent t with Some p -> p | None -> t in
-      (t, Node.Pa_delete, anchor)
+      (t, Node.Pa_delete, parent_of t)
     | Replace { path; xml } ->
       let t = resolve root path in
-      let anchor = match Node.parent t with Some p -> p | None -> t in
-      (t, Node.Pa_replace (fragment xml), anchor)
+      (t, Node.Pa_replace (fragment xml), parent_of t)
     | Set_text { path; text } ->
       let t = resolve root path in
       (t, Node.Pa_set_text text, t)
   in
-  let new_root, remap, inserted, deleted =
-    Node.rebuild_patched root ~target ~action
-  in
-  let edit_parent = Hashtbl.find_opt remap anchor.Node.id in
-  let inserted_count =
-    List.fold_left (fun a n -> a + count_subtree n) 0 inserted
-  in
-  { new_root; remap; inserted; inserted_count; deleted; edit_parent }
+  let inserted, removed = Node.splice root ~target action in
+  { inserted;
+    inserted_count = List.length (List.concat_map subtree_ids inserted);
+    removed;
+    deleted = List.concat_map subtree_ids removed;
+    edit_parent = anchor }

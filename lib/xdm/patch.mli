@@ -3,13 +3,16 @@
     An {!op} addresses an element with a tiny path language
     ([/site/people[2]/person] — child element steps with 1-based
     positional selectors) and inserts, deletes or replaces a subtree
-    there, or rewrites its text content. {!apply} executes the edit by
-    rebuilding the tree with fresh preorder ids (see
-    {!Node.rebuild_patched}) and returns the structured {!delta} that
-    incremental-maintenance consumers need: the old-id → new-node remap
-    for surviving nodes, the inserted subtree roots, the deleted old
-    ids, and the surviving parent of the edit point (the frontier from
-    which differential re-evaluation restarts). *)
+    there, or rewrites its text content.
+
+    {!apply} runs every check that can fail first, then edits the tree
+    in place ({!Node.splice}): a refused patch leaves the document
+    untouched, and a successful one allocates what it inserts, not a
+    copy of the document. Nodes outside the edit keep their identity;
+    their ids change, but id order stays document order. The {!delta}
+    is what incremental-maintenance consumers need: the inserted and
+    removed subtrees, the removed ids, and the node whose children
+    changed (where differential re-evaluation restarts). *)
 
 exception Patch_error of string
 
@@ -25,16 +28,18 @@ type op =
   | Set_text of { path : string; text : string }
 
 type delta = {
-  new_root : Node.t;  (** the patched document, fresh preorder ids *)
-  remap : (int, Node.t) Hashtbl.t;
-      (** every surviving old id (attributes included) → its new node *)
   inserted : Node.t list;
-      (** roots of inserted subtrees in the new tree, document order *)
+      (** roots of inserted subtrees, in document order *)
   inserted_count : int;  (** total inserted nodes, attributes included *)
-  deleted : int list;  (** old ids that no longer exist *)
-  edit_parent : Node.t option;
-      (** surviving node (new tree) whose subtree changed — the
-          maintenance frontier anchor *)
+  removed : Node.t list;
+      (** roots of the removed subtrees, detached from the document *)
+  deleted : int list;
+      (** ids of every removed node (attributes included); detached
+          nodes keep them, and no surviving node reuses one *)
+  edit_parent : Node.t;
+      (** the node whose children changed — the maintenance frontier
+          anchor: the target for [into-*] inserts and [set-text], its
+          parent otherwise *)
 }
 
 (** [None] if the string is not one of [into], [into-first],
@@ -49,10 +54,12 @@ val path_of_op : op -> string
 val parse_path : string -> (string * int) list
 
 (** Resolve a path from a (document or element) root to the addressed
-    element. Raises {!Patch_error} when a step matches nothing. *)
+    element, scanning children arrays without allocating per sibling.
+    Raises {!Patch_error} when a step matches nothing. *)
 val resolve : Node.t -> string -> Node.t
 
-(** [apply root op] — rebuild the tree with the edit applied. Raises
-    {!Patch_error} on bad paths/XML and on edits that would damage the
-    document shape (deleting the root element, giving it siblings). *)
+(** [apply root op] — edit the tree under [root] in place. Raises
+    {!Patch_error}, before any mutation, on bad paths/XML and on edits
+    that would damage the document shape (deleting the root element,
+    giving it siblings). *)
 val apply : Node.t -> op -> delta

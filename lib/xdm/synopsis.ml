@@ -63,24 +63,29 @@ let rec record t ~sign key (n : Node.t) =
     let elt_kids = ref 0 in
     Array.iter
       (fun (c : Node.t) ->
-        match c.Node.kind with
-        | Node.Element ->
-          incr elt_kids;
-          let cn = Node.name c in
-          if sign > 0 then Hashtbl.replace e.kids cn ();
-          record t ~sign (child_key key cn) c
-        | Node.Text ->
-          e.texts <- e.texts + sign;
-          t.total_nodes <- t.total_nodes + sign
-        | Node.Comment | Node.Pi ->
-          e.comments <- e.comments + sign;
-          t.total_nodes <- t.total_nodes + sign
-        | Node.Document | Node.Attribute -> ())
+        if c.Node.kind = Node.Element then incr elt_kids;
+        record_child t ~sign key e c)
       n.Node.children;
     if sign > 0 && !elt_kids > e.max_children then e.max_children <- !elt_kids
   | Node.Attribute | Node.Text | Node.Comment | Node.Pi ->
     (* a bare non-element root: count it, no path structure *)
     t.total_nodes <- t.total_nodes + sign
+
+(* Add or remove the subtree of [c], a child of a node at path [key]
+   whose entry is [e]. *)
+and record_child t ~sign key e (c : Node.t) =
+  match c.Node.kind with
+  | Node.Element ->
+    let cn = Node.name c in
+    if sign > 0 then Hashtbl.replace e.kids cn ();
+    record t ~sign (child_key key cn) c
+  | Node.Text ->
+    e.texts <- e.texts + sign;
+    t.total_nodes <- t.total_nodes + sign
+  | Node.Comment | Node.Pi ->
+    e.comments <- e.comments + sign;
+    t.total_nodes <- t.total_nodes + sign
+  | Node.Document | Node.Attribute -> ()
 
 let build root =
   let t = create () in
@@ -88,21 +93,6 @@ let build root =
     (match root.Node.kind with Node.Document -> "" | _ -> Node.name root);
   record t ~sign:1 t.root_key root;
   t
-
-let copy t =
-  { paths =
-      (let h = Hashtbl.create (Hashtbl.length t.paths) in
-       Hashtbl.iter
-         (fun k e ->
-           Hashtbl.replace h k
-             { e with kids = Hashtbl.copy e.kids; attrs = Hashtbl.copy e.attrs })
-         t.paths;
-       h);
-    name_totals = Hashtbl.copy t.name_totals;
-    attr_totals = Hashtbl.copy t.attr_totals;
-    total_nodes = t.total_nodes;
-    total_elements = t.total_elements;
-    root_key = t.root_key }
 
 (* Path key of a node already attached to its tree: element names from
    the top down to (and including) [n]. *)
@@ -116,47 +106,26 @@ let key_of (n : Node.t) =
   in
   String.concat "/" (up [] n)
 
-let parent_key (n : Node.t) =
-  match n.Node.parent with None -> "" | Some p -> key_of p
-
 (* After an insert, the edit parent's single-node fan-out may exceed
    the recorded bound; re-probe that one node. *)
-let refresh_fanout t (parent : Node.t option) =
-  match parent with
-  | None -> ()
-  | Some p ->
-    let key = match p.Node.kind with Node.Document -> "" | _ -> key_of p in
-    let e = entry t key in
-    let kids =
-      Array.fold_left
-        (fun acc (c : Node.t) ->
-          if c.Node.kind = Node.Element then acc + 1 else acc)
-        0 p.Node.children
-    in
-    if kids > e.max_children then e.max_children <- kids
+let refresh_fanout e (p : Node.t) =
+  let kids =
+    Array.fold_left
+      (fun acc (c : Node.t) ->
+        if c.Node.kind = Node.Element then acc + 1 else acc)
+      0 p.Node.children
+  in
+  if kids > e.max_children then e.max_children <- kids
 
-let patched t ~old_root ~op ~(delta : Patch.delta) =
-  let t = copy t in
-  let target = Patch.resolve old_root (Patch.path_of_op op) in
-  (match op with
-  | Patch.Insert _ -> ()
-  | Patch.Delete _ | Patch.Replace _ | Patch.Set_text _ ->
-    record t ~sign:(-1) (key_of target) target);
-  (match op with
-  | Patch.Set_text _ -> (
-    (* the element survives with rewritten content — re-add its (now
-       single-text-child) subtree from the new tree *)
-    match Hashtbl.find_opt delta.Patch.remap target.Node.id with
-    | Some fresh -> record t ~sign:1 (key_of fresh) fresh
-    | None -> ())
-  | Patch.Insert _ | Patch.Delete _ | Patch.Replace _ ->
-    List.iter
-      (fun (inserted : Node.t) ->
-        let key = child_key (parent_key inserted) (Node.name inserted) in
-        record t ~sign:1 key inserted)
-      delta.Patch.inserted);
-  refresh_fanout t delta.Patch.edit_parent;
-  t
+(* Every edit changes the children of one node, [edit_parent]: its
+   removed subtrees leave the counts and its inserted ones enter them. *)
+let patch t (delta : Patch.delta) =
+  let p = delta.Patch.edit_parent in
+  let key = match p.Node.kind with Node.Document -> "" | _ -> key_of p in
+  let e = entry t key in
+  List.iter (record_child t ~sign:(-1) key e) delta.Patch.removed;
+  List.iter (record_child t ~sign:1 key e) delta.Patch.inserted;
+  refresh_fanout e p
 
 let total_nodes t = t.total_nodes
 let total_elements t = t.total_elements

@@ -11,7 +11,7 @@
 
     Synopses are built lazily per registered document (see
     {!Doc_registry.synopsis}) and maintained {e incrementally} under
-    [patch-doc] by {!patched}: path counts stay exact across arbitrary
+    [patch-doc] by {!patch}: path counts stay exact across arbitrary
     edit sequences (property-tested); fan-out stays a sound upper
     bound (a delete never shrinks it). *)
 
@@ -28,13 +28,11 @@ val child_key : string -> string -> string
 (** Walk the whole tree. [O(|doc|)]. *)
 val build : Node.t -> t
 
-(** Structure-only copy (the result shares nothing mutable). *)
-val copy : t -> t
-
-(** [patched t ~old_root ~op ~delta] — the synopsis of
-    [delta.new_root], derived from [t] (the synopsis of [old_root]) in
-    time proportional to the edited subtrees, not the document. *)
-val patched : t -> old_root:Node.t -> op:Patch.op -> delta:Patch.delta -> t
+(** [patch t delta] updates [t], the synopsis of a document before
+    {!Patch.apply} returned [delta], to describe the edited document,
+    in place and in time proportional to the edited subtrees, not the
+    document. *)
+val patch : t -> Patch.delta -> unit
 
 val total_nodes : t -> int
 (** Every node: document, elements, attributes, text, comments, PIs. *)

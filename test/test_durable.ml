@@ -389,6 +389,103 @@ let test_server_torn_wal_tail_recovers_prefix () =
   let j = send b (run_line closure_query) in
   checkb "server serves the recovered prefix" true (ok j)
 
+(* A node's portable rank — its id offset from its root, which keyed
+   results and snapshot IVM rows carry — must be its position in a
+   preorder walk (element, attributes, children) on every path that
+   registers a tree and after every kind of patch. *)
+let check_ranks label server uri =
+  let query =
+    Printf.sprintf {|with $x seeded by doc(%S) recurse ($x/node() | $x/@*)|} uri
+  in
+  (* runs first, so an unregistered [uri] takes the lazy doc() load *)
+  let resp =
+    send server
+      (Printf.sprintf {|{"op":"run","query":%s,"partition":{"index":0,"of":1}}|}
+         (Json.to_string (Json.Str query)))
+  in
+  let reg = Service.Store.registry (Server.store server) in
+  let root =
+    match Fixq_xdm.Doc_registry.find ~registry:reg uri with
+    | Some root -> root
+    | None -> Alcotest.failf "%s: %s not loaded" label uri
+  in
+  let walk = ref [] in
+  let rec go (n : Fixq_xdm.Node.t) =
+    walk := n :: !walk;
+    Array.iter go n.attributes;
+    Array.iter go n.children
+  in
+  go root;
+  let nodes = Array.of_list (List.rev !walk) in
+  Array.iteri
+    (fun i (n : Fixq_xdm.Node.t) ->
+      checki (label ^ ": id offset = preorder position") i (n.id - root.id))
+    nodes;
+  match Json.member "keyed" resp with
+  | Json.List items ->
+    checki (label ^ ": every node but the root is keyed")
+      (Array.length nodes - 1) (List.length items);
+    List.iter
+      (fun it ->
+        match (Json.int_opt (Json.member "r" it), str "x" it) with
+        | (Some r, x) ->
+          checks (label ^ ": rank names the node")
+            (Fixq_xdm.Serializer.to_string nodes.(r)) x
+        | (None, _) ->
+          Alcotest.failf "%s: item without a rank: %s" label (Json.to_string it))
+      items
+  | _ -> Alcotest.failf "%s: no keyed items: %s" label (Json.to_string resp)
+
+let test_portable_ranks () =
+  let dir = fresh_dir () in
+  let server = server_with dir in
+  let xml = {|<r a="1"><b c="2">t<d/></b><!--c--><e/></r>|} in
+  ignore (send server (load_line "x.xml" xml));
+  check_ranks "xml" server "x.xml";
+  let path = Filename.concat dir "f.xml" in
+  write_file path xml;
+  ignore
+    (send server
+       (Printf.sprintf {|{"op":"load-doc","uri":"f.xml","path":%s}|}
+          (Json.to_string (Json.Str path))));
+  check_ranks "file" server "f.xml";
+  ignore
+    (send server
+       {|{"op":"load-doc","uri":"g.xml","generate":"curriculum","size":6,"seed":3}|});
+  check_ranks "generator" server "g.xml";
+  let lazy_path = Filename.concat dir "lazy.xml" in
+  write_file lazy_path xml;
+  check_ranks "lazy doc()" server lazy_path;
+  List.iter
+    (fun (label, action, path, fields) ->
+      let resp =
+        send server
+          (Json.to_string
+             (Json.Obj
+                ([ ("op", Json.Str "patch-doc"); ("uri", Json.Str "x.xml");
+                   ("action", Json.Str action); ("path", Json.Str path) ]
+                @ fields)))
+      in
+      checkb (label ^ " applied") true (ok resp);
+      check_ranks label server "x.xml")
+    [ ("into-first", "insert", "/r",
+       [ ("position", Json.Str "into-first");
+         ("xml", Json.Str {|<p q="3"><s/></p>|}) ]);
+      ("into-last", "insert", "/r", [ ("xml", Json.Str "<l>z</l>") ]);
+      ("before", "insert", "/r/b",
+       [ ("position", Json.Str "before"); ("xml", Json.Str {|<v w="4"/>|}) ]);
+      ("after", "insert", "/r/b",
+       [ ("position", Json.Str "after"); ("xml", Json.Str "<f/>") ]);
+      ("set-text", "set-text", "/r/b", [ ("text", Json.Str "new") ]);
+      ("replace", "replace", "/r/e",
+       [ ("xml", Json.Str {|<e2 z="1">y</e2>|}) ]);
+      ("delete", "delete", "/r/p", []) ];
+  checkb "snapshot" true (ok (send server {|{"op":"snapshot"}|}));
+  let recovered = server_with dir in
+  List.iter
+    (fun uri -> check_ranks ("recovered " ^ uri) recovered uri)
+    [ "x.xml"; "f.xml"; "g.xml" ]
+
 let test_snapshot_threshold_triggers () =
   let dir = fresh_dir () in
   let a = server_with ~threshold:3 dir in
@@ -431,4 +528,6 @@ let () =
          Alcotest.test_case "torn WAL tail keeps the prefix" `Quick
            test_server_torn_wal_tail_recovers_prefix;
          Alcotest.test_case "op-count snapshot threshold" `Quick
-           test_snapshot_threshold_triggers ]) ]
+           test_snapshot_threshold_triggers;
+         Alcotest.test_case "portable ranks on every load path" `Quick
+           test_portable_ranks ]) ]

@@ -277,6 +277,27 @@ let test_parallel_delta_through_eval () =
   check "xquery body parallel s= sequential" true (Item.set_equal par seq);
   check_int "descendants found" (30 + (30 * 40)) (List.length par)
 
+(* The accumulator bitmap spans the ids a fixpoint touches, not every id
+   the process has minted: after 2^22 throwaway nodes, a fixpoint over a
+   small document stays small. *)
+let test_bitmap_follows_ids () =
+  for _ = 1 to 1 lsl 22 do
+    ignore (Sys.opaque_identity (Node.text ""))
+  done;
+  let registry = Doc_registry.create () in
+  Doc_registry.register ~registry "t.xml"
+    (Xml_parser.parse_string "<r><a><b/></a><a><b/><b/></a></r>");
+  let prog =
+    Parser.parse_program {|with $x seeded by doc("t.xml")/r recurse $x/*|}
+  in
+  let ev = Eval.create ~registry () in
+  let before = Gc.allocated_bytes () in
+  let r = Eval.run_program ev prog in
+  let bytes = Gc.allocated_bytes () -. before in
+  check_int "closure" 5 (List.length r);
+  check (Printf.sprintf "allocated %.0f bytes, want < 64 KB" bytes) true
+    (bytes < 65536.)
+
 (* ------------------------------------------------------------------ *)
 (* Property: Naïve s= Delta for distributive (step) bodies             *)
 (* ------------------------------------------------------------------ *)
@@ -349,7 +370,9 @@ let () =
             test_descendants_closure;
           Alcotest.test_case "empty seed" `Quick test_empty_seed;
           Alcotest.test_case "divergence guard" `Quick test_divergence_guard;
-          Alcotest.test_case "stats accounting" `Quick test_stats_accounting
+          Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
+          Alcotest.test_case "bitmap sized by touched ids" `Quick
+            test_bitmap_follows_ids
         ] );
       ( "parallel",
         [ Alcotest.test_case "equivalence" `Quick

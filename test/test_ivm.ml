@@ -35,51 +35,58 @@ let root_elem n =
 (* Patch primitives                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* [Patch.apply] edits in place, so each op gets a fresh document. *)
 let test_patch_insert () =
-  let d = doc_of "<r><a><k/></a><a/></r>" in
-  let apply op = Patch.apply d op in
-  let last =
+  let apply op =
+    let d = doc_of "<r><a><k/></a><a/></r>" in
+    (d, Patch.apply d op)
+  in
+  let d, last =
     apply (Patch.Insert { path = "/r"; position = Patch.Last; xml = "<z/>" })
   in
-  checks "into-last" "<r><a><k/></a><a/><z/></r>" (ser (root_elem last.Patch.new_root));
-  let first =
+  checks "into-last" "<r><a><k/></a><a/><z/></r>" (ser (root_elem d));
+  let d, _ =
     apply (Patch.Insert { path = "/r"; position = Patch.First; xml = "<z/>" })
   in
-  checks "into-first" "<r><z/><a><k/></a><a/></r>" (ser (root_elem first.Patch.new_root));
-  let before =
+  checks "into-first" "<r><z/><a><k/></a><a/></r>" (ser (root_elem d));
+  let d, _ =
     apply
       (Patch.Insert { path = "/r/a[2]"; position = Patch.Before; xml = "<z/>" })
   in
-  checks "before" "<r><a><k/></a><z/><a/></r>" (ser (root_elem before.Patch.new_root));
-  let after =
+  checks "before" "<r><a><k/></a><z/><a/></r>" (ser (root_elem d));
+  let d, _ =
     apply
       (Patch.Insert { path = "/r/a[1]"; position = Patch.After; xml = "<z/>" })
   in
-  checks "after" "<r><a><k/></a><z/><a/></r>" (ser (root_elem after.Patch.new_root));
+  checks "after" "<r><a><k/></a><z/><a/></r>" (ser (root_elem d));
   checki "one inserted element" 1 last.Patch.inserted_count;
   checkb "nothing deleted" true (last.Patch.deleted = [])
 
 let test_patch_delete_replace_settext () =
-  let d = doc_of "<r><a><k/></a><b>old</b></r>" in
+  let fresh () = doc_of "<r><a><k/></a><b>old</b></r>" in
+  let d = fresh () in
   let del = Patch.apply d (Patch.Delete { path = "/r/a" }) in
-  checks "delete" "<r><b>old</b></r>" (ser (root_elem del.Patch.new_root));
+  checks "delete" "<r><b>old</b></r>" (ser (root_elem d));
   checkb "deleted ids recorded" true (List.length del.Patch.deleted >= 2);
-  let rep =
-    Patch.apply d (Patch.Replace { path = "/r/b"; xml = "<b>new</b>" })
-  in
-  checks "replace" "<r><a><k/></a><b>new</b></r>" (ser (root_elem rep.Patch.new_root));
-  let txt = Patch.apply d (Patch.Set_text { path = "/r/b"; text = "t2" }) in
-  checks "set-text" "<r><a><k/></a><b>t2</b></r>" (ser (root_elem txt.Patch.new_root))
+  let d = fresh () in
+  ignore (Patch.apply d (Patch.Replace { path = "/r/b"; xml = "<b>new</b>" }));
+  checks "replace" "<r><a><k/></a><b>new</b></r>" (ser (root_elem d));
+  let d = fresh () in
+  ignore (Patch.apply d (Patch.Set_text { path = "/r/b"; text = "t2" }));
+  checks "set-text" "<r><a><k/></a><b>t2</b></r>" (ser (root_elem d))
 
-(* fresh ids must be a valid preorder: strictly increasing across a
-   document-order walk (element, attributes, children) *)
+(* ids after a patch must be a valid preorder: strictly increasing
+   across a document-order walk (element, attributes, children) *)
 let test_patch_preorder () =
   let d = doc_of "<r><a x=\"1\"><k/></a><b/></r>" in
-  let { Patch.new_root; remap; _ } =
-    Patch.apply d
-      (Patch.Insert
-         { path = "/r/a"; position = Patch.Last; xml = "<w y=\"2\"><v/></w>" })
-  in
+  let r = root_elem d in
+  let a = r.Node.children.(0) and b = r.Node.children.(1) in
+  let k = a.Node.children.(0) in
+  ignore
+    (Patch.apply d
+       (Patch.Insert
+          { path = "/r/a"; position = Patch.Last; xml = "<w y=\"2\"><v/></w>" }));
+  let del = Patch.apply d (Patch.Delete { path = "/r/a/k" }) in
   let last = ref (-1) in
   let rec walk n =
     checkb "preorder id" true (n.Node.id > !last);
@@ -87,16 +94,22 @@ let test_patch_preorder () =
     Array.iter walk n.Node.attributes;
     Array.iter walk n.Node.children
   in
-  walk new_root;
-  (* the remap covers every surviving old node, mapping to the
-     same-name copy *)
-  checkb "root remapped" true (Hashtbl.mem remap d.Node.id);
-  Hashtbl.iter
-    (fun _old_id n -> checkb "remap into new tree" true (n.Node.id >= new_root.Node.id))
-    remap
+  walk d;
+  checki "contiguous ids" (d.Node.id + 7) !last;
+  (* survivors are physically the same nodes *)
+  let r' = root_elem d in
+  checkb "root element kept" true (r == r');
+  checkb "a kept" true (r'.Node.children.(0) == a);
+  checkb "b kept" true (r'.Node.children.(1) == b);
+  (* the deleted subtree is detached and keeps its old id *)
+  checkb "k detached" true (k.Node.parent = None);
+  checkb "k reported removed" true (del.Patch.removed = [ k ]);
+  checkb "k's id reported deleted" true (List.mem k.Node.id del.Patch.deleted);
+  checkb "edit parent is a" true (del.Patch.edit_parent == a)
 
 let test_patch_errors () =
   let d = doc_of "<r><a/></r>" in
+  let before = ser d in
   let fails op =
     match Patch.apply d op with
     | _ -> Alcotest.fail "expected Patch_error"
@@ -106,7 +119,52 @@ let test_patch_errors () =
   fails (Patch.Delete { path = "/r" });
   fails (Patch.Insert { path = "/r"; position = Patch.Before; xml = "<z/>" });
   fails (Patch.Replace { path = "/r/a[3]"; xml = "<z/>" });
-  fails (Patch.Insert { path = "/r/a"; position = Patch.Last; xml = "<open" })
+  fails (Patch.Insert { path = "/r/a"; position = Patch.Last; xml = "<open" });
+  checks "refused patches leave the tree" before (ser d);
+  (* the same refusals through the server: the document bytes, its
+     generation and the maintained IVM entries all stay as they were *)
+  let server = Server.create () in
+  let send line = fst (Server.handle_line server line) in
+  let member name resp = Json.member name (Json.parse resp) in
+  ignore (send (Json.to_string (Json.Obj [ ("op", Json.Str "load-doc");
+      ("uri", Json.Str "u.xml"); ("xml", Json.Str "<r><a><k/></a><a/></r>") ])));
+  ignore
+    (send
+       (Json.to_string
+          (Json.Obj
+             [ ("op", Json.Str "run");
+               ("query", Json.Str {|with $x seeded by doc("u.xml")/r recurse $x/*|}) ])));
+  let state () =
+    let dump = send {|{"op":"dump-doc","uri":"u.xml"}|} in
+    let stats = member "stats" (send {|{"op":"stats"}|}) in
+    ( Json.str_opt (member "xml" dump),
+      Json.int_opt (member "doc_generation" dump),
+      Json.int_opt (Json.member "entries" (Json.member "ivm" stats)) )
+  in
+  let s0 = state () in
+  let (_, _, entries) = s0 in
+  checkb "one maintained entry" true (entries = Some 1);
+  List.iter
+    (fun (label, fields) ->
+      let resp =
+        send
+          (Json.to_string
+             (Json.Obj
+                ([ ("op", Json.Str "patch-doc"); ("uri", Json.Str "u.xml") ]
+                @ fields)))
+      in
+      checkb (label ^ " refused") true
+        (Json.bool_opt (member "ok" resp) = Some false);
+      checkb (label ^ " leaves the state") true (state () = s0))
+    [ ("bad path",
+       [ ("action", Json.Str "delete"); ("path", Json.Str "/r/zz") ]);
+      ("bad XML",
+       [ ("action", Json.Str "insert"); ("path", Json.Str "/r/a");
+         ("xml", Json.Str "<open") ]);
+      ("root delete", [ ("action", Json.Str "delete"); ("path", Json.Str "/r") ]);
+      ("root sibling",
+       [ ("action", Json.Str "insert"); ("path", Json.Str "/r");
+         ("position", Json.Str "after"); ("xml", Json.Str "<z/>") ]) ]
 
 (* ------------------------------------------------------------------ *)
 (* Per-document generations                                            *)
@@ -253,6 +311,92 @@ let test_server_patch_errors () =
   checkb "unknown uri is an error" true
     (Json.bool_opt (member "ok" missing) = Some false)
 
+(* Patches edit trees in place, so the server runs them alone. Readers
+   streaming cache:false closures while a writer applies balanced edit
+   triples must each see one whole tree, never a half-spliced one, and
+   the writer must get through. *)
+let test_readers_writer () =
+  let server = Server.create () in
+  ignore
+    (send server
+       {|{"op":"load-doc","uri":"auction.xml","generate":"xmark","size":0.002,"seed":42}|});
+  let auction = "/site/open_auctions/open_auction[1]" in
+  let q =
+    Printf.sprintf
+      {|with $x seeded by doc("auction.xml")%s recurse $x/*|}
+      "/site/open_auctions"
+  in
+  let answer () = member_str "result" (send server (run_line ~cache:false q)) in
+  let bidders =
+    int_of_string
+      (member_str "result"
+         (send server
+            (run_line
+               (Printf.sprintf {|count(doc("auction.xml")%s/bidder)|} auction))))
+  in
+  (* each edit yields, so readers run between the edits of a triple *)
+  let edit line =
+    let resp = send server line in
+    if Json.bool_opt (member "ok" resp) <> Some true then
+      Alcotest.failf "edit failed: %s" resp;
+    Thread.yield ()
+  in
+  let insert =
+    patch_line ~uri:"auction.xml" ~action:"insert" ~path:auction
+      [ ("xml", Json.Str "<bidder><increase>1.00</increase></bidder>") ]
+  in
+  let delete =
+    patch_line ~uri:"auction.xml" ~action:"delete"
+      ~path:(Printf.sprintf "%s/bidder[%d]" auction (bidders + 1))
+      []
+  in
+  let rename k =
+    patch_line ~uri:"auction.xml" ~action:"set-text"
+      ~path:"/site/people/person[1]/name"
+      [ ("text", Json.Str (Printf.sprintf "Renamed %d" k)) ]
+  in
+  let pre = answer () in
+  edit insert;
+  let post = answer () in
+  edit delete;
+  checkb "the insert changes the answer" true (pre <> post);
+  let writing = Atomic.make true in
+  let reads = Atomic.make 0 in
+  let bad = ref [] and bad_lock = Mutex.create () in
+  let reader () =
+    while Atomic.get writing do
+      let a = answer () in
+      Atomic.incr reads;
+      if a <> pre && a <> post then begin
+        Mutex.lock bad_lock;
+        bad := a :: !bad;
+        Mutex.unlock bad_lock
+      end
+    done
+  in
+  let readers = List.init 2 (fun _ -> Thread.create reader ()) in
+  let writer =
+    Thread.create
+      (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Atomic.set writing false)
+          (fun () ->
+            while Atomic.get reads < 2 do
+              Thread.yield ()
+            done;
+            for k = 1 to 100 do
+              edit insert;
+              edit (rename k);
+              edit delete
+            done))
+      ()
+  in
+  Thread.join writer;
+  List.iter Thread.join readers;
+  checkb "readers ran beside the writer" true (Atomic.get reads > 2);
+  checki "every answer is a whole tree's" 0 (List.length !bad);
+  checks "balanced edits restore the answer" pre (answer ())
+
 (* ------------------------------------------------------------------ *)
 (* Property: maintained ≡ recompute over randomized edit sequences     *)
 (* ------------------------------------------------------------------ *)
@@ -323,7 +467,8 @@ let () =
          Alcotest.test_case "delete/replace/set-text" `Quick
            test_patch_delete_replace_settext;
          Alcotest.test_case "preorder + remap" `Quick test_patch_preorder;
-         Alcotest.test_case "errors" `Quick test_patch_errors ]);
+         Alcotest.test_case "errors" `Quick test_patch_errors;
+         Alcotest.test_case "readers and a writer" `Quick test_readers_writer ]);
       ("registry",
        [ Alcotest.test_case "per-doc generations" `Quick test_doc_generations ]);
       ("eligibility",
