@@ -679,7 +679,82 @@ let ivm_bench () =
     \  every eligible cached entry (paid once per edit, amortized over\n\
     \  all cached queries); cached = serving the query after the edit\n\
     \  from the maintained cache — without IVM the same request would\n\
-    \  cost the recompute column. Byte equality is asserted per row.\n\n"
+    \  cost the recompute column. Byte equality is asserted per row.\n\n";
+  (* The same parity across a restart: adopt, a rank-shifting patch
+     (into-first under /site renumbers every node the result holds),
+     snapshot, recover from the state dir, patch again. The recovered
+     entry must be maintained by the second patch, and its hit must
+     equal cache:false. *)
+  printf "== IVM across a restart: adopt, patch, snapshot, recover, patch ==\n\n";
+  let first_patch =
+    Json.to_string
+      (Json.Obj
+         [ ("op", Json.Str "patch-doc"); ("uri", Json.Str "auction.xml");
+           ("action", Json.Str "insert"); ("path", Json.Str "/site");
+           ("position", Json.Str "into-first");
+           ("xml", Json.Str "<probe><bidder/></probe>") ])
+  in
+  List.iter
+    (fun (label, scale) ->
+      let dir = Filename.temp_file "fixq-ivm" "" in
+      Sys.remove dir;
+      Unix.mkdir dir 0o755;
+      let mk () =
+        Server.create
+          ~config:{ Server.default_config with state_dir = Some dir } ()
+      in
+      let a = mk () in
+      let send s line = fst (Server.handle_line s line) in
+      ignore
+        (send a
+           (Printf.sprintf
+              {|{"op":"load-doc","uri":"auction.xml","generate":"xmark","size":%g,"seed":42}|}
+              scale));
+      ignore (send a run_line);
+      ignore (send a first_patch);
+      ignore (send a {|{"op":"snapshot"}|});
+      let b = mk () in
+      let recovered =
+        Json.member "recovered"
+          (Json.member "durability"
+             (Json.member "stats" (Json.parse (send b {|{"op":"stats"}|}))))
+      in
+      let ivm_entries =
+        Option.value ~default:(-1)
+          (Json.int_opt (Json.member "ivm_entries" recovered))
+      in
+      let patch_resp = send b patch_line in
+      let outcome =
+        match Json.member "entries" (Json.parse patch_resp) with
+        | Json.List [ e ] ->
+          Option.value ~default:"" (Json.str_opt (Json.member "outcome" e))
+        | _ -> ""
+      in
+      let hit_resp = send b run_line in
+      let cache_status = member_str "result_cache" hit_resp in
+      let byte_equal =
+        member_str "result" hit_resp = member_str "result" (send b nocache_line)
+      in
+      printf "  %-14s recovered %d IVM entr%s, patch %s, cache %s, %s\n" label
+        ivm_entries
+        (if ivm_entries = 1 then "y" else "ies")
+        (if outcome = "" then "maintained nothing" else outcome)
+        cache_status
+        (if byte_equal then "bytes equal" else "BYTES DIFFER");
+      record_json
+        [ ("section", Json.Str "ivm-recovered"); ("doc", Json.Str label);
+          ("scale", Json.Num scale);
+          ("ivm_entries", Json.of_int ivm_entries);
+          ("maintained_entries", Json.of_int (member_int "maintained" patch_resp));
+          ("outcome", Json.Str outcome);
+          ("result_cache", Json.Str cache_status);
+          ("byte_equal", Json.Bool byte_equal) ];
+      Array.iter
+        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+        (Sys.readdir dir);
+      (try Unix.rmdir dir with Unix.Unix_error _ -> ()))
+    [ ("bidder-small", 0.004); ("bidder-medium", 0.01) ];
+  printf "\n"
 
 (* ------------------------------------------------------------------ *)
 (* Patch: what one write costs, by document size                       *)

@@ -218,6 +218,35 @@ let send_retry t name ~timeout_ms line =
   in
   go 0
 
+(* Send [uri]'s request-line history (load line, then patch lines) to
+   [name] in order. Every line must answer ["ok":true]; only then is
+   [name] recorded as a holder, so a history that did not land whole —
+   a dead link, or a line the worker refused, such as a load from a
+   file since deleted — leaves [name] out of the replica set, and
+   [ensure_docs] ships again when a query needs it. Requires
+   [doc_lock]. *)
+let ship_history t name uri lines =
+  let rec push = function
+    | [] ->
+      locked t (fun () -> record_loaded t name uri);
+      Ok ()
+    | line :: rest -> (
+      match send_retry t name ~timeout_ms:t.config.timeout_ms line with
+      | Error _ as e -> e
+      | Ok resp -> (
+        match Json.parse resp with
+        | j when Json.bool_opt (Json.member "ok" j) = Some true -> push rest
+        | j ->
+          Error
+            (Printf.sprintf "replaying %s on %s: %s" uri name
+               (Option.value ~default:"refused"
+                  (Json.str_opt (Json.member "error" j))))
+        | exception Json.Parse_error _ ->
+          Error (Printf.sprintf "replaying %s on %s: bad response" uri name)))
+  in
+  if lines = [] then Error (Printf.sprintf "no recorded history for %s" uri)
+  else push lines
+
 (* The documents of [uris] that [name] is missing, oldest global load
    sequence first — shipping in that order keeps the worker's local
    node-id order aligned with the global one whenever possible. *)
@@ -250,31 +279,12 @@ let ensure_docs t name uris =
        not interleave — the worker would hold content or a load order
        the coordinator did not record *)
     doc_locked t (fun () ->
-        (* a document's history (load line then patch lines) must land
-           whole: recording the uri only after the last line means a
-           partial replay leaves the worker out of the replica set *)
-        let rec push_lines uri = function
-          | [] -> Ok ()
-          | line :: rest -> (
-            match send_retry t name ~timeout_ms:t.config.timeout_ms line with
-            | Error e -> Error e
-            | Ok resp -> (
-              match Json.parse resp with
-              | j when Json.bool_opt (Json.member "ok" j) = Some true ->
-                push_lines uri rest
-              | _ -> Error (Printf.sprintf "replaying %s on %s failed" uri name)
-              | exception Json.Parse_error _ ->
-                Error (Printf.sprintf "replaying %s on %s: bad response" uri
-                         name)))
-        in
         let rec push = function
           | [] -> Ok ()
           | (_, uri, lines) :: rest -> (
-            match push_lines uri lines with
+            match ship_history t name uri lines with
             | Error e -> Error e
-            | Ok () ->
-              locked t (fun () -> record_loaded t name uri);
-              push rest)
+            | Ok () -> push rest)
         in
         (* recompute under the lock: a racing shipper may have won *)
         push (missing_docs t name uris))
@@ -393,17 +403,7 @@ let on_worker_respawn t name =
               | Error _ -> doc_lines
             else doc_lines
           in
-          let ok =
-            List.for_all
-              (fun line ->
-                match
-                  send_retry t name ~timeout_ms:t.config.timeout_ms line
-                with
-                | Ok _ -> true
-                | Error _ -> false)
-              doc_lines
-          in
-          if ok then locked t (fun () -> record_loaded t name uri))
+          ignore (ship_history t name uri doc_lines))
         lines)
 
 (* ------------------------------------------------------------------ *)
@@ -1047,29 +1047,9 @@ let move_key t ~next uri =
       | None -> [])
   in
   let ship_to dest =
-    if lines = [] then Error (Printf.sprintf "no recorded history for %s" uri)
-    else
     match chaos_rebalance t ~dest with
     | Error _ as e -> e
-    | Ok () ->
-      let rec push = function
-        | [] ->
-          locked t (fun () -> record_loaded t dest uri);
-          Ok ()
-        | line :: rest -> (
-          match send_retry t dest ~timeout_ms:t.config.timeout_ms line with
-          | Error _ as e -> e
-          | Ok resp -> (
-            match Json.parse resp with
-            | j when Json.bool_opt (Json.member "ok" j) = Some true ->
-              push rest
-            | j ->
-              Error
-                (Option.value ~default:"load refused"
-                   (Json.str_opt (Json.member "error" j)))
-            | exception Json.Parse_error _ -> Error "bad response"))
-      in
-      push lines
+    | Ok () -> ship_history t dest uri lines
   in
   let shipped =
     List.fold_left

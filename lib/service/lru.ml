@@ -96,6 +96,12 @@ let put t key value =
         Hashtbl.replace t.table key node;
         push_front t node)
 
+let replace t key value =
+  with_lock t (fun () ->
+      match Hashtbl.find_opt t.table key with
+      | Some node -> node.value <- value
+      | None -> ())
+
 let remove t key =
   with_lock t (fun () ->
       match Hashtbl.find_opt t.table key with
@@ -103,12 +109,6 @@ let remove t key =
         unlink t node;
         Hashtbl.remove t.table key
       | None -> ())
-
-let clear t =
-  with_lock t (fun () ->
-      Hashtbl.reset t.table;
-      t.first <- None;
-      t.last <- None)
 
 let length t = with_lock t (fun () -> Hashtbl.length t.table)
 let capacity t = t.cap
@@ -125,10 +125,12 @@ let keys t =
 
 (* A snapshot with no recency or counter effects — enumeration for
    maintenance sweeps must not masquerade as cache traffic. *)
-let bindings t =
+let bindings ?(p = fun _ -> true) t =
   with_lock t (fun () ->
       let rec go acc = function
         | None -> List.rev acc
-        | Some node -> go ((node.key, node.value) :: acc) node.next
+        | Some node when p node.value ->
+          go ((node.key, node.value) :: acc) node.next
+        | Some node -> go acc node.next
       in
       go [] t.first)

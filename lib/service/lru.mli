@@ -30,8 +30,11 @@ val find_valid :
     counters. *)
 val put : ('k, 'v) t -> 'k -> 'v -> unit
 
+(** Swap a live entry's value with no recency or counter effects;
+    no-op when [k] is absent. *)
+val replace : ('k, 'v) t -> 'k -> 'v -> unit
+
 val remove : ('k, 'v) t -> 'k -> unit
-val clear : ('k, 'v) t -> unit
 val length : ('k, 'v) t -> int
 val capacity : ('k, 'v) t -> int
 val hits : ('k, 'v) t -> int
@@ -40,6 +43,7 @@ val misses : ('k, 'v) t -> int
 (** Keys from most to least recently used (a debugging/stats aid). *)
 val keys : ('k, 'v) t -> 'k list
 
-(** Key/value snapshot, MRU first, with {e no} recency or counter
-    effects — for maintenance sweeps over live entries. *)
-val bindings : ('k, 'v) t -> ('k * 'v) list
+(** Key/value snapshot of the entries whose value satisfies [p]
+    (default: all), MRU first, with {e no} recency or counter effects —
+    for maintenance sweeps over live entries. *)
+val bindings : ?p:('v -> bool) -> ('k, 'v) t -> ('k * 'v) list

@@ -14,6 +14,7 @@ type entry = {
   annotations : (string * string) list;
   may_diverge : bool;
   over_envelope : bool;
+  ivm : Fixq_ivm.Ivm.state option;
 }
 
 type t = (string, entry) Lru.t
@@ -44,12 +45,12 @@ let find t key ~current ~max_iterations =
     ~usable:(within ~max_iterations)
 
 let put t key entry = Lru.put t (render key) entry
+let replace t key entry = Lru.replace t (render key) entry
 let remove t key = Lru.remove t (render key)
 
-let bindings t =
-  List.map (fun (k, entry) -> (parse k, entry)) (Lru.bindings t)
+let bindings ?p t =
+  List.map (fun (k, entry) -> (parse k, entry)) (Lru.bindings ?p t)
 
-let clear = Lru.clear
 let length = Lru.length
 let hits = Lru.hits
 let misses = Lru.misses

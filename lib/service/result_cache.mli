@@ -18,7 +18,13 @@
     engine and mode, the Table-2 instrumentation: nodes fed back,
     recursion depth) and the admission facts it was computed under, so
     a hit can answer with the same statistics the original execution
-    reported and a server can tell when admission must run first. *)
+    reported and a server can tell when admission must run first.
+
+    This is the only store of cached-result state: an entry whose query
+    is IVM-eligible also carries its maintenance state
+    ({!Fixq_ivm.Ivm.state}), so eviction drops the bytes and the state
+    together, and [patch-doc] and snapshots read the state from the
+    live entries. *)
 
 type key = {
   hash : string;  (** {!Prepared.hash_source} of the query text *)
@@ -52,6 +58,9 @@ type entry = {
       (** the predicted cost exceeded the governor's [max_cost]: an
           unbudgeted request is refused (FQ055), a budgeted one
           down-budgeted *)
+  ivm : Fixq_ivm.Ivm.state option;
+      (** the state [patch-doc] maintains [serialized] through, for an
+          IVM-eligible fixpoint *)
 }
 
 type t
@@ -73,13 +82,19 @@ val find :
 val within : max_iterations:int -> entry -> bool
 
 val put : t -> key -> entry -> unit
+
+(** [replace t key entry] swaps a live entry's value without touching
+    its recency or the counters — maintenance is not a use. No-op when
+    [key] is not cached. *)
+val replace : t -> key -> entry -> unit
+
 val remove : t -> key -> unit
 
-(** Live entries, MRU first, without touching hit/miss counters or
-    recency — the [patch-doc] maintenance sweep. *)
-val bindings : t -> (key * entry) list
+(** Live entries whose value satisfies [p] (default: all), MRU first,
+    without touching hit/miss counters or recency — the [patch-doc]
+    maintenance sweep and snapshots. *)
+val bindings : ?p:(entry -> bool) -> t -> (key * entry) list
 
-val clear : t -> unit
 val length : t -> int
 val hits : t -> int
 val misses : t -> int

@@ -22,18 +22,6 @@ let default_config =
     governor = Governor.default_config; state_dir = None;
     snapshot_threshold = 64 }
 
-(* What a snapshot needs to revive a maintained IVM entry: the query
-   source (to re-prepare) and the result as portable (uri, preorder
-   rank) node identities (to rebuild the item sequence against the
-   reloaded trees). Recorded at adoption time, keyed like the result
-   cache. *)
-type persist_row = {
-  p_source : string;
-  p_stratified : bool;
-  p_max_iterations : int;
-  p_items : (string * int) list;
-}
-
 type t = {
   config : config;
   store : Store.t;
@@ -41,9 +29,10 @@ type t = {
   results : Result_cache.t;
   metrics : Metrics.t;
   governor : Governor.t;
-  ivm : Ivm.t;
-      (** maintained fixpoint entries mirroring eligible result-cache
-          entries; consulted by [patch-doc] *)
+  ivm_counters : (string, int * int * int) Hashtbl.t;
+      (** per query hash: maintained, fallback recomputes, ∆ nodes.
+          Kept apart from the entries so they survive eviction; written
+          only by [patch-doc], which holds [docs_lock] exclusively *)
   started_at : float;
   docs_lock : Rwlock.t;
       (** [load-doc], [unload-doc] and [patch-doc] edit trees in place,
@@ -55,8 +44,6 @@ type t = {
   mutable durable : Durability.t option;
       (** the snapshot+WAL pair when running with [state_dir] — [None]
           during recovery replay, so replayed ops are not re-logged *)
-  persist : (Result_cache.key, persist_row) Hashtbl.t;
-  persist_lock : Mutex.t;
   mutable recovered_stats : (string * Json.t) list;
       (** what the last recovery restored (stats exposition) *)
 }
@@ -68,14 +55,11 @@ let create_raw ?(config = default_config) ?(store = Store.create ()) () =
     prepared = Lru.create ~capacity:config.prepared_capacity ();
     results = Result_cache.create ~capacity:config.result_capacity ();
     metrics = Metrics.create (); governor = Governor.create config.governor;
-    ivm =
-      Ivm.create ~capacity:config.result_capacity
-        ~registry:(Store.registry store) ();
+    ivm_counters = Hashtbl.create 8;
     started_at = Unix.gettimeofday ();
     docs_lock = Rwlock.create ();
     analysis_counters = Hashtbl.create 8; analysis_lock = Mutex.create ();
-    durable = None; persist = Hashtbl.create 8;
-    persist_lock = Mutex.create (); recovered_stats = [] }
+    durable = None; recovered_stats = [] }
 
 let bump_analysis t key =
   Mutex.lock t.analysis_lock;
@@ -179,34 +163,6 @@ let keyed_items (items : Xdm.Item.seq) =
            let s = Xdm.Serializer.escape_text (Xdm.Atom.to_string a) in
            Json.Obj [ ("k", Json.Str ("a:" ^ s)); ("x", Json.Str s) ])
        items)
-
-(* Record the snapshot-persistable identity of a just-adopted IVM
-   entry: possible exactly when every result item is a node with a
-   portable (uri, preorder rank) identity — the same condition the
-   cluster's keyed merge needs. Anything else clears the row. *)
-let record_persist t key ~query ~stratified ~max_iterations items =
-  if t.durable <> None then begin
-    let rows =
-      List.fold_left
-        (fun acc item ->
-          match (acc, (item : Xdm.Item.t)) with
-          | (None, _) | (_, Xdm.Item.A _) -> None
-          | (Some acc, Xdm.Item.N n) -> (
-            let root = Xdm.Node.root n in
-            match Xdm.Node.uri root with
-            | Some u -> Some ((u, n.Xdm.Node.id - root.Xdm.Node.id) :: acc)
-            | None -> None))
-        (Some []) items
-    in
-    Mutex.lock t.persist_lock;
-    (match rows with
-    | Some rows ->
-      Hashtbl.replace t.persist key
-        { p_source = query; p_stratified = stratified;
-          p_max_iterations = max_iterations; p_items = List.rev rows }
-    | None -> Hashtbl.remove t.persist key);
-    Mutex.unlock t.persist_lock
-  end
 
 let engine_string = function
   | `Interp -> "interp"
@@ -427,21 +383,19 @@ let handle_run t ~id
         footprint; semiring = report.Fixq.semiring;
         annotations = report.Fixq.annotations;
         may_diverge = may_diverge <> None;
-        over_envelope = over_envelope <> None }
+        over_envelope = over_envelope <> None; ivm = None }
     in
     (* Cache only when no document changed under the evaluation: a
        concurrent load-doc would make this entry's footprint stamps a
-       lie. *)
-    if cache && Store.generation t.store = generation then begin
-      Result_cache.put t.results rkey entry;
-      (* Eligible fixpoints additionally become maintained entries so a
-         later patch-doc can update the cached bytes differentially. *)
-      Ivm.adopt t.ivm ~hash:rkey.Result_cache.hash
-        ~config:rkey.Result_cache.config ~program:prepared.Prepared.program
-        ~stratified ~max_iterations ~result:report.Fixq.result ~footprint;
-      record_persist t rkey ~query ~stratified ~max_iterations
-        report.Fixq.result
-    end;
+       lie. Eligible fixpoints carry their IVM state, so a later
+       patch-doc can update the cached bytes differentially. *)
+    if cache && Store.generation t.store = generation then
+      Result_cache.put t.results rkey
+        { entry with
+          Result_cache.ivm =
+            Ivm.adopt ~registry:(Store.registry t.store) ~source:query
+              ~program:prepared.Prepared.program ~stratified ~max_iterations
+              report.Fixq.result };
     Metrics.record t.metrics ~key:prepared.Prepared.hash
       ~label:(preview query) ~ms:report.Fixq.wall_ms;
     let extra =
@@ -610,6 +564,21 @@ let handle_explain t ~id query stratified =
       ("diagnostics", Json.List (List.map diag_json c.E.diagnostics));
       ("text", Json.Str (E.to_text c)) ]
 
+(* Live result-cache entries that carry IVM state over [uri]. *)
+let maintained_over t uri =
+  Result_cache.bindings t.results ~p:(fun e ->
+      e.Result_cache.ivm <> None && List.mem_assoc uri e.Result_cache.footprint)
+
+(* A wholesale replacement or an unload leaves nothing to maintain an
+   entry through — only patch-doc preserves node identity — so entries
+   over [uri] lose their IVM state, and with it their hold on the old
+   tree. Their bytes stay until a lookup finds the footprint stale. *)
+let drop_maintenance t uri =
+  List.iter
+    (fun (key, e) ->
+      Result_cache.replace t.results key { e with Result_cache.ivm = None })
+    (maintained_over t uri)
+
 let handle_load_doc t ~id uri (source : Protocol.doc_source) =
   (match source with
   | Protocol.From_xml xml -> Store.load_xml t.store ~uri xml
@@ -622,68 +591,77 @@ let handle_load_doc t ~id uri (source : Protocol.doc_source) =
         match kind with "xmark" -> 0.002 | "hospital" -> 1000.0 | _ -> 100.0)
     in
     Store.load_generated t.store ~uri ~kind ~size ~seed);
-  (* A wholesale replacement leaves nothing to maintain an entry
-     through — only patch-doc preserves node identity. *)
-  Ivm.on_unload t.ivm ~uri;
+  drop_maintenance t uri;
   Protocol.ok_response ~id
     [ ("uri", Json.Str uri);
       ("generation", Json.of_int (Store.generation t.store)) ]
 
+let handle_unload_doc t ~id uri =
+  Store.unload t.store uri;
+  drop_maintenance t uri;
+  Protocol.ok_response ~id
+    [ ("uri", Json.Str uri);
+      ("generation", Json.of_int (Store.generation t.store)) ]
+
+(* One sweep over the live entries: each one carrying IVM state over
+   [uri] is maintained in place or, when maintenance falls back, dropped
+   so the next run recomputes. *)
 let handle_patch_doc t ~id uri op =
   let t0 = Unix.gettimeofday () in
   let delta = Store.patch t.store ~uri op in
-  let outcomes =
-    Ivm.on_patch t.ivm ~uri ~op delta
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
+  let registry = Store.registry t.store in
   let current u = Store.doc_generation t.store u in
+  let count hash (m, f, d) =
+    let (m0, f0, d0) =
+      Option.value ~default:(0, 0, 0) (Hashtbl.find_opt t.ivm_counters hash)
+    in
+    Hashtbl.replace t.ivm_counters hash (m0 + m, f0 + f, d0 + d)
+  in
   let maintained = ref 0 in
   let dropped = ref 0 in
   let entry_rows =
-    List.map
-      (fun ((hash, config), outcome) ->
-        let key = { Result_cache.hash; config } in
-        let base =
-          [ ("hash", Json.Str hash); ("config", Json.Str config) ]
-        in
-        match (outcome : Ivm.outcome) with
-        | Ivm.Maintained { serialized; delta_count; rounds } ->
-          incr maintained;
-          (match
-             List.find_opt
-               (fun (k, _) -> k = key)
-               (Result_cache.bindings t.results)
-           with
-          | Some (_, entry) ->
-            (* Refresh the cached bytes in place. Only the patched
-               document's stamp advances; the rest of the footprint
-               keeps its recorded generations, so an unrelated
-               concurrent load still invalidates as before. A fresh run
-               over the patched document is at most the maintenance's
-               rounds deeper: every new derivation starts from a node
-               the old run reached or from a fresh seed node. *)
-            Result_cache.put t.results key
-              { entry with
-                Result_cache.serialized;
-                rounds = entry.Result_cache.rounds + rounds;
-                footprint =
-                  List.map
-                    (fun (u, g) -> (u, if u = uri then current u else g))
-                    entry.Result_cache.footprint }
-          | None -> ());
-          Json.Obj
-            (base
-            @ [ ("outcome", Json.Str "maintained");
-                ("delta", Json.of_int delta_count);
-                ("rounds", Json.of_int rounds) ])
-        | Ivm.Dropped reason ->
-          incr dropped;
-          Result_cache.remove t.results key;
-          Json.Obj
-            (base
-            @ [ ("outcome", Json.Str "recompute");
-                ("reason", Json.Str reason) ]))
-      outcomes
+    maintained_over t uri
+    |> List.filter_map (fun (key, (e : Result_cache.entry)) ->
+           Option.map (fun st -> (key, e, st)) e.Result_cache.ivm)
+    |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+    |> List.map (fun ((key : Result_cache.key), (e : Result_cache.entry), st) ->
+           let base =
+             [ ("hash", Json.Str key.Result_cache.hash);
+               ("config", Json.Str key.Result_cache.config) ]
+           in
+           match Ivm.maintain ~registry ~op delta st with
+           | Ivm.Maintained { state; serialized; delta_count; rounds } ->
+             incr maintained;
+             count key.Result_cache.hash (1, 0, delta_count);
+             (* Only the patched document's stamp advances; the rest of
+                the footprint keeps its recorded generations, so an
+                unrelated concurrent load still invalidates as before. A
+                fresh run over the patched document is at most the
+                maintenance's rounds deeper: every new derivation starts
+                from a node the old run reached or from a fresh seed
+                node. *)
+             Result_cache.replace t.results key
+               { e with
+                 Result_cache.serialized;
+                 rounds = e.Result_cache.rounds + rounds;
+                 footprint =
+                   List.map
+                     (fun (u, g) -> (u, if u = uri then current u else g))
+                     e.Result_cache.footprint;
+                 ivm = Some state };
+             Json.Obj
+               (base
+               @ [ ("outcome", Json.Str "maintained");
+                   ("delta", Json.of_int delta_count);
+                   ("rounds", Json.of_int rounds) ])
+           | Ivm.Dropped reason ->
+             incr dropped;
+             count key.Result_cache.hash (0, 1, 0);
+             Result_cache.remove t.results key;
+             Json.Obj
+               (base
+               @ [ ("outcome", Json.Str "recompute");
+                   ("reason", Json.Str reason) ]))
   in
   Protocol.ok_response ~id
     [ ("uri", Json.Str uri);
@@ -754,12 +732,42 @@ let logged t op f =
   | None -> f ()
   | Some d -> Durability.with_op d op f
 
+(* What a snapshot needs to revive a maintained entry: the query source
+   (to re-prepare) and the result as portable (uri, preorder rank) node
+   identities, to rebuild the item sequence against the reloaded trees.
+   The ranks are read from the state's nodes at snapshot time, since a
+   patch renumbers the tree it edits. [None] when a result node belongs
+   to no registered document. *)
+let ivm_row st =
+  let rec items acc = function
+    | [] -> Some (List.rev acc)
+    | n :: rest -> (
+      let root = Xdm.Node.root n in
+      match Xdm.Node.uri root with
+      | Some u ->
+        items
+          (Json.Obj
+             [ ("u", Json.Str u);
+               ("r", Json.of_int (n.Xdm.Node.id - root.Xdm.Node.id)) ]
+          :: acc)
+          rest
+      | None -> None)
+  in
+  Option.map
+    (fun items ->
+      Json.Obj
+        [ ("source", Json.Str (Ivm.source st));
+          ("stratified", Json.Bool (Ivm.stratified st));
+          ("max_iterations", Json.of_int (Ivm.max_iterations st));
+          ("items", Json.List items) ])
+    (items [] (Ivm.nodes st))
+
 (* The snapshot's view of the server, evaluated under the durability op
    lock so no document op is in flight: documents (in construction
    order — node ids grow monotonically, so sorting roots by id replays
    registrations in a compatible order), every per-URI generation
-   stamp, and the live result-cache rows (with IVM revival info where
-   recorded). *)
+   stamp, and the live result-cache rows (with IVM revival info read
+   from each entry's current state). *)
 let snapshot_state t () =
   let reg = Store.registry t.store in
   let docs =
@@ -777,34 +785,13 @@ let snapshot_state t () =
           [ ("t", Json.Str "doc"); ("u", Json.Str u); ("x", Json.Str x) ])
       docs
   in
-  let bindings = Result_cache.bindings t.results in
-  Mutex.lock t.persist_lock;
-  (* drop persist rows whose cache entry was evicted (bounds the table) *)
-  let live = Hashtbl.create 16 in
-  List.iter (fun (k, _) -> Hashtbl.replace live k ()) bindings;
-  Hashtbl.iter
-    (fun k _ -> if not (Hashtbl.mem live k) then Hashtbl.remove t.persist k)
-    (Hashtbl.copy t.persist);
-  let persist_of k = Hashtbl.find_opt t.persist k in
   let cache_rows =
     List.rev_map
       (fun ((key : Result_cache.key), (e : Result_cache.entry)) ->
         let ivm_field =
-          match persist_of key with
+          match Option.bind e.Result_cache.ivm ivm_row with
           | None -> []
-          | Some p ->
-            [ ( "ivm",
-                Json.Obj
-                  [ ("source", Json.Str p.p_source);
-                    ("stratified", Json.Bool p.p_stratified);
-                    ("max_iterations", Json.of_int p.p_max_iterations);
-                    ("items",
-                     Json.List
-                       (List.map
-                          (fun (u, r) ->
-                            Json.Obj
-                              [ ("u", Json.Str u); ("r", Json.of_int r) ])
-                          p.p_items)) ] ) ]
+          | Some row -> [ ("ivm", row) ]
         in
         Json.Obj
           ([ ("t", Json.Str "cache");
@@ -837,9 +824,8 @@ let snapshot_state t () =
                      Json.Obj [ ("x", Json.Str x); ("a", Json.Str a) ])
                    e.Result_cache.annotations)) ]
           @ ivm_field))
-      bindings
+      (Result_cache.bindings t.results)
   in
-  Mutex.unlock t.persist_lock;
   let meta =
     [ ("generation", Json.of_int (Store.generation t.store));
       ("gens",
@@ -877,64 +863,54 @@ let nodes_by_rank root =
   walk root;
   Array.of_list (List.rev !acc)
 
-(* Best-effort revival of one maintained IVM entry: re-prepare the
-   source, rebuild the item sequence from (uri, rank) identities
-   against the reloaded trees, and re-adopt. Any mismatch (document
-   gone, rank out of range, program no longer eligible) silently
-   degrades to "cached result without maintenance" — correct, just
-   slower on the next patch. *)
-let readopt_ivm t ~key ~footprint iv =
+(* Best-effort revival of one maintained entry's IVM state: rebuild the
+   item sequence from (uri, rank) identities against the reloaded trees,
+   re-prepare the source and re-adopt. The snapshot is outside input
+   (and older servers wrote rows whose ranks went stale after a patch),
+   so the rebuilt nodes must serialize to the row's cached bytes. Any
+   mismatch (document gone, rank out of range, other bytes, program no
+   longer eligible) degrades to "cached result without maintenance" —
+   correct, just slower on the next patch. *)
+let revive_ivm t ~serialized iv =
   match
     ( Json.str_opt (Json.member "source" iv),
       Json.bool_opt (Json.member "stratified" iv),
-      Json.int_opt (Json.member "max_iterations" iv) )
+      Json.int_opt (Json.member "max_iterations" iv),
+      Json.member "items" iv )
   with
-  | (Some source, Some stratified, Some max_iterations) -> (
-    let items =
-      match Json.member "items" iv with
-      | Json.List rows ->
-        List.map
-          (fun r ->
-            match
-              ( Json.str_opt (Json.member "u" r),
-                Json.int_opt (Json.member "r" r) )
-            with
-            | (Some u, Some rank) -> (u, rank)
-            | _ -> raise Exit)
-          rows
-      | _ -> raise Exit
-    in
-    let reg = Store.registry t.store in
+  | (Some source, Some stratified, Some max_iterations, Json.List rows) ->
+    let registry = Store.registry t.store in
     let by_root : (string, Xdm.Node.t array) Hashtbl.t = Hashtbl.create 4 in
     let result =
       List.map
-        (fun (u, rank) ->
-          let arr =
-            match Hashtbl.find_opt by_root u with
-            | Some arr -> arr
-            | None -> (
-              match Xdm.Doc_registry.find ~registry:reg u with
-              | None -> raise Exit
-              | Some root ->
-                let arr = nodes_by_rank root in
-                Hashtbl.replace by_root u arr;
-                arr)
-          in
-          if rank >= 0 && rank < Array.length arr then Xdm.Item.N arr.(rank)
-          else raise Exit)
-        items
+        (fun r ->
+          match
+            ( Json.str_opt (Json.member "u" r),
+              Json.int_opt (Json.member "r" r) )
+          with
+          | (Some u, Some rank) ->
+            let arr =
+              match Hashtbl.find_opt by_root u with
+              | Some arr -> arr
+              | None -> (
+                match Xdm.Doc_registry.find ~registry u with
+                | None -> raise Exit
+                | Some root ->
+                  let arr = nodes_by_rank root in
+                  Hashtbl.replace by_root u arr;
+                  arr)
+            in
+            if rank >= 0 && rank < Array.length arr then Xdm.Item.N arr.(rank)
+            else raise Exit
+          | _ -> raise Exit)
+        rows
     in
-    let (prepared, _) = get_prepared t ~stratified ~max_iterations source in
-    Ivm.adopt t.ivm ~hash:key.Result_cache.hash
-      ~config:key.Result_cache.config ~program:prepared.Prepared.program
-      ~stratified ~max_iterations ~result ~footprint;
-    Mutex.lock t.persist_lock;
-    Hashtbl.replace t.persist key
-      { p_source = source; p_stratified = stratified;
-        p_max_iterations = max_iterations; p_items = items };
-    Mutex.unlock t.persist_lock;
-    true)
-  | _ -> false
+    if Xdm.Serializer.seq_to_string result <> serialized then None
+    else
+      let (prepared, _) = get_prepared t ~stratified ~max_iterations source in
+      Ivm.adopt ~registry ~source ~program:prepared.Prepared.program
+        ~stratified ~max_iterations result
+  | _ -> None
 
 let restore_cache_row t row =
   match
@@ -989,6 +965,12 @@ let restore_cache_row t row =
       Option.value ~default:true (Json.bool_opt (Json.member name row))
     in
     let depth = int "depth" ~default:0 in
+    let ivm =
+      match Json.member "ivm" row with
+      | Json.Obj _ as iv -> (
+        try revive_ivm t ~serialized iv with _ -> None)
+      | _ -> None
+    in
     Result_cache.put t.results key
       { Result_cache.serialized;
         engine = str "engine" ~default:(config_part 0 "interp");
@@ -1004,14 +986,8 @@ let restore_cache_row t row =
         semiring = Json.str_opt (Json.member "semiring" row);
         annotations;
         may_diverge = flag "may_diverge";
-        over_envelope = flag "over_envelope" };
-    let revived =
-      match Json.member "ivm" row with
-      | Json.Obj _ as iv -> (
-        try readopt_ivm t ~key ~footprint iv with _ -> false)
-      | _ -> false
-    in
-    Some revived
+        over_envelope = flag "over_envelope"; ivm };
+    Some (ivm <> None)
   | _ -> None
 
 (* Replay one WAL tail op through the live handlers (durability is
@@ -1026,8 +1002,7 @@ let apply_recovered_op t op =
       true
     with _ -> false)
   | Ok (Protocol.Unload_doc { uri }) ->
-    Store.unload t.store uri;
-    Ivm.on_unload t.ivm ~uri;
+    ignore (handle_unload_doc t ~id:Json.Null uri);
     true
   | Ok (Protocol.Patch_doc { uri; op }) -> (
     try
@@ -1085,6 +1060,16 @@ let create ?(config = default_config) ?store () =
   | Some dir ->
     recover_state t ~dir ~threshold:config.snapshot_threshold);
   t
+
+(* Result-cache entries that carry maintenance state. *)
+let ivm_entries t =
+  List.length
+    (Result_cache.bindings t.results ~p:(fun e -> e.Result_cache.ivm <> None))
+
+(* Per-query [(hash, (maintained, fallback, ∆ nodes))], sorted by hash. *)
+let ivm_counter_rows t =
+  List.sort compare
+    (Hashtbl.fold (fun hash c acc -> (hash, c) :: acc) t.ivm_counters [])
 
 let cache_stats_json ~hits ~misses ~size ~capacity =
   Json.Obj
@@ -1209,8 +1194,8 @@ let prometheus_stats t =
         match cost with
         | Some n -> [ ("reason=\"cost\"", n) ]
         | None -> [])));
-  gauge "fixq_ivm_entries" (string_of_int (Ivm.size t.ivm));
-  (match Ivm.counters t.ivm with
+  gauge "fixq_ivm_entries" (string_of_int (ivm_entries t));
+  (match ivm_counter_rows t with
   | [] -> ()
   | rows ->
     counter_family "fixq_ivm_maintained_total"
@@ -1272,9 +1257,14 @@ let handle_stats t ~id =
                  (fun (k, v) -> (k, Json.of_int v))
                  (analysis_counter_rows t)));
            ("ivm",
-            (let m, f, d = Ivm.totals t.ivm in
+            (let rows = ivm_counter_rows t in
+             let (m, f, d) =
+               List.fold_left
+                 (fun (m, f, d) (_, (m', f', d')) -> (m + m', f + f', d + d'))
+                 (0, 0, 0) rows
+             in
              Json.Obj
-               [ ("entries", Json.of_int (Ivm.size t.ivm));
+               [ ("entries", Json.of_int (ivm_entries t));
                  ("maintained_total", Json.of_int m);
                  ("fallback_recompute_total", Json.of_int f);
                  ("delta_nodes_total", Json.of_int d);
@@ -1287,7 +1277,7 @@ let handle_stats t ~id =
                              [ ("maintained", Json.of_int m);
                                ("fallback_recompute", Json.of_int f);
                                ("delta_nodes", Json.of_int d) ] ))
-                       (Ivm.counters t.ivm))) ]));
+                       rows)) ]));
            ("uptime_ms",
             Json.Num ((Unix.gettimeofday () -. t.started_at) *. 1000.0)) ]) ]
 
@@ -1361,12 +1351,7 @@ let handle t request =
           | Protocol.Unload_doc { uri } ->
             let resp =
               logged t (op_json_of_unload uri) (fun () ->
-                  Store.unload t.store uri;
-                  Ivm.on_unload t.ivm ~uri;
-                  Protocol.ok_response ~id
-                    [ ("uri", Json.Str uri);
-                      ("generation", Json.of_int (Store.generation t.store))
-                    ])
+                  handle_unload_doc t ~id uri)
             in
             maybe_snapshot t;
             (resp, false)

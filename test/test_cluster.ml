@@ -349,6 +349,40 @@ let test_coordinator_respawn_replays_docs () =
   checks "answer unchanged" (single_process_result closure_query)
     (str "result" j)
 
+(* A replay the respawned worker refuses does not make it a holder: the
+   document was loaded from a file that is gone by the respawn, so the
+   first-ranked replica comes back empty, and a routed run must fail
+   over to the healthy replica instead of answering the empty worker's
+   error. *)
+let test_refused_replay_fails_over () =
+  let h = make_harness ~workers:3 () in
+  let path = Filename.temp_file "fixq-cluster" ".xml" in
+  let oc = open_out_bin path in
+  output_string oc tree_xml;
+  close_out oc;
+  checkb "load by path" true
+    (ok
+       (request h
+          (Printf.sprintf {|{"op":"load-doc","uri":"t.xml","path":%s}|}
+             (Json.to_string (Json.Str path)))));
+  Sys.remove path;
+  let (victim, healthy) =
+    match Router.replicas (Coordinator.router h.coordinator) ~key:"t.xml" with
+    | first :: second :: _ -> (first, second)
+    | _ -> Alcotest.fail "expected two replicas"
+  in
+  h.servers <-
+    List.map
+      (fun (n, s) -> if n = victim then (n, Server.create ()) else (n, s))
+      h.servers;
+  Coordinator.on_worker_respawn h.coordinator victim;
+  (* non-distributive: routes whole, to the first-ranked live worker *)
+  let q = {|with $x seeded by doc("t.xml")/r recurse doc("t.xml")//b[$x]|} in
+  let j = request h (run_line q) in
+  checkb "routed run answers" true (ok j);
+  checks "from the healthy replica" healthy (str "worker" j);
+  checks "answer unchanged" (single_process_result q) (str "result" j)
+
 (* ------------------------------------------------------------------ *)
 (* Load-order soundness and atom results                               *)
 (* ------------------------------------------------------------------ *)
@@ -744,6 +778,8 @@ let () =
            test_coordinator_respawn_replays_docs;
          Alcotest.test_case "out-of-order worker excluded from scatter"
            `Quick test_scatter_excludes_out_of_order_worker;
+         Alcotest.test_case "refused replay fails over" `Quick
+           test_refused_replay_fails_over;
          Alcotest.test_case "respawn replays in load order" `Quick
            test_respawn_replay_order;
          Alcotest.test_case "constructed seed routes whole" `Quick

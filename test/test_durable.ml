@@ -374,6 +374,59 @@ let test_server_parent_format_cache_rows () =
   checks "correctly" (str "result" j1) (str "result" pinned);
   checks "under the same mode" "delta" (str "mode" pinned)
 
+(* Rewrite a cache row's IVM items to ranks shifted by [k], the way a
+   row went stale on older servers, which wrote it once at adoption
+   while later patches renumbered the tree. *)
+let shifted_ivm_row k row =
+  let map_field name f = function
+    | Json.Obj fields ->
+      Json.Obj (List.map (fun (n, v) -> (n, if n = name then f v else v)) fields)
+    | j -> j
+  in
+  let shift = function
+    | Json.List items ->
+      Json.List
+        (List.map
+           (map_field "r" (fun r ->
+                Json.of_int (Option.value ~default:0 (Json.int_opt r) + k)))
+           items)
+    | j -> j
+  in
+  map_field "ivm" (map_field "items" shift) row
+
+let test_server_stale_ivm_rows_not_revived () =
+  let dir = fresh_dir () in
+  let a = server_with dir in
+  checkb "load" true
+    (ok (send a (load_line "t.xml" "<r><a><b/></a><a><b/><c/></a><d/></r>")));
+  let j1 = send a (run_line closure_query) in
+  checkb "snapshot" true (ok (send a {|{"op":"snapshot"}|}));
+  (match Snapshot.read ~dir with
+  | Ok (Some s) ->
+    let items =
+      List.map
+        (fun item -> Json.to_string (shifted_ivm_row 1 (Json.parse item)))
+        s.Snapshot.items
+    in
+    checkb "rewritten with shifted ranks" true
+      (Snapshot.write ~dir ~meta:s.Snapshot.meta ~items = Ok ())
+  | _ -> Alcotest.fail "expected a committed snapshot");
+  let b = server_with dir in
+  checki "the entry is recovered" 1 (recovered_stat b "cache_entries");
+  checki "without maintenance" 0 (recovered_stat b "ivm_entries");
+  let hit = send b (run_line closure_query) in
+  checks "it still hits" "hit" (str "result_cache" hit);
+  checks "with its bytes" (str "result" j1) (str "result" hit);
+  let patched = send b (patch_line "t.xml") in
+  checkb "patch" true (ok patched);
+  checkb "nothing to maintain" true
+    (Json.int_opt (Json.member "maintained" patched) = Some 0);
+  let after = send b (run_line closure_query) in
+  checks "the next run recomputes" "miss" (str "result_cache" after);
+  checks "to the cache:false bytes"
+    (str "result" (send b (run_line ~extra:{|,"cache":false|} closure_query)))
+    (str "result" after)
+
 let test_server_torn_wal_tail_recovers_prefix () =
   let dir = fresh_dir () in
   let a = server_with dir in
@@ -525,6 +578,8 @@ let () =
            test_server_result_cache_recovered;
          Alcotest.test_case "old-format cache rows recovered" `Quick
            test_server_parent_format_cache_rows;
+         Alcotest.test_case "stale IVM rows not revived" `Quick
+           test_server_stale_ivm_rows_not_revived;
          Alcotest.test_case "torn WAL tail keeps the prefix" `Quick
            test_server_torn_wal_tail_recovers_prefix;
          Alcotest.test_case "op-count snapshot threshold" `Quick

@@ -281,6 +281,46 @@ let test_server_patch_maintains () =
   checks "maintained bytes = recompute bytes" (member_str "result" fresh)
     (member_str "result" hit)
 
+(* Query hashes a patch response reports as maintained. *)
+let maintained_hashes presp =
+  match member "entries" presp with
+  | Json.List rows ->
+    List.filter_map
+      (fun row ->
+        match Json.str_opt (Json.member "outcome" row) with
+        | Some "maintained" -> Json.str_opt (Json.member "hash" row)
+        | _ -> None)
+      rows
+  | _ -> []
+
+(* Maintenance follows the result cache's LRU: with room for two
+   entries, running Q1, Q2, Q1, Q3 keeps Q1 and Q3, so a patch must
+   maintain exactly those and not the evicted Q2, and the hot Q1 must
+   still hit afterwards. *)
+let test_maintenance_follows_lru () =
+  let server =
+    Server.create ~config:{ Server.default_config with result_capacity = 2 } ()
+  in
+  ignore (send server (load_line "t.xml" "<r><a><b/><b/></a><a><b/></a></r>"));
+  let q1 = {|with $x seeded by doc("t.xml")/r recurse $x/*|} in
+  let q2 = {|with $x seeded by doc("t.xml")/r/a recurse $x/*|} in
+  let q3 = {|with $x seeded by doc("t.xml")/r recurse $x/b|} in
+  List.iter (fun q -> ignore (send server (run_line q))) [ q1; q2; q1; q3 ];
+  let presp =
+    send server
+      (patch_line ~uri:"t.xml" ~action:"insert" ~path:"/r/a[1]"
+         [ ("xml", Json.Str "<b/>") ])
+  in
+  Alcotest.(check (list string))
+    "the patch maintains Q1 and Q3"
+    (List.sort compare (List.map Service.Prepared.hash_source [ q1; q3 ]))
+    (List.sort compare (maintained_hashes presp));
+  let hit = send server (run_line q1) in
+  checks "Q1 hits after the patch" "hit" (member_str "result_cache" hit);
+  checks "with the recomputed bytes"
+    (member_str "result" (send server (run_line ~cache:false q1)))
+    (member_str "result" hit)
+
 let test_server_patch_drops_ineligible () =
   let server = Server.create () in
   ignore (send server (load_line "u.xml" "<r><a><k/></a><a/></r>"));
@@ -401,22 +441,52 @@ let test_readers_writer () =
 (* Property: maintained ≡ recompute over randomized edit sequences     *)
 (* ------------------------------------------------------------------ *)
 
+let state_dirs = ref 0
+
+let fresh_state_dir () =
+  incr state_dirs;
+  let d =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "fixq-ivm-%d-%d" (Unix.getpid ()) !state_dirs)
+  in
+  if not (Sys.file_exists d) then Unix.mkdir d 0o755;
+  d
+
 (* Drive a server through a deterministic random edit sequence and
    assert, after every edit and for every query class (full-eligible,
    insert-only, ineligible), that the default (cached, maintained)
-   result is byte-identical to a cache-bypassing recompute. *)
-let run_edit_property ~seed ~steps =
+   result is byte-identical to a cache-bypassing recompute, and that
+   every edit maintains the full-eligible entry. With [durable], the
+   server runs from a state dir, and before seeded random edits it
+   takes a snapshot and is re-created from that dir, as after a crash:
+   the recovered entries must go on being maintained, with the same
+   bytes. Replaces and deletes renumber the edited tree between
+   snapshots, so a snapshot must read each result's ranks live. *)
+let run_edit_property ?(durable = false) ~seed ~steps () =
   let rng = Random.State.make [| seed |] in
-  let server = Server.create () in
-  ignore (send server (load_line "u.xml" "<r><a><k/></a><a><k/><k/></a></r>"));
+  let restarts = Random.State.make [| seed; 1 |] in
+  let config =
+    if durable then
+      { Server.default_config with state_dir = Some (fresh_state_dir ()) }
+    else Server.default_config
+  in
+  let server = ref (Server.create ~config ()) in
+  let send line = send !server line in
+  ignore (send (load_line "u.xml" "<r><a><k/></a><a><k/><k/></a></r>"));
   let queries =
     [ ("full", {|with $x seeded by doc("u.xml")/r recurse $x/*|});
       ("insert-only", {|with $x seeded by doc("u.xml")/r recurse $x/*[k]|});
       ("ineligible", {|with $x seeded by doc("u.xml")/r recurse $x/id("c")|}) ]
   in
-  List.iter (fun (_, q) -> ignore (send server (run_line q))) queries;
+  List.iter (fun (_, q) -> ignore (send (run_line q))) queries;
+  let full_hash = Service.Prepared.hash_source (List.assoc "full" queries) in
   let c_count = ref 0 in
   for step = 1 to steps do
+    if durable && Random.State.int restarts 3 = 0 then begin
+      ignore (send {|{"op":"snapshot"}|});
+      server := Server.create ~config ()
+    end;
     let edit =
       match Random.State.int rng 5 with
       | 0 | 4 ->
@@ -435,30 +505,39 @@ let run_edit_property ~seed ~steps =
           [ ("xml", Json.Str (Printf.sprintf "<a><k/><m n=\"%d\"/></a>" step)) ]
       | _ -> patch_line ~action:"set-text" ~path:"/r/a[2]" [ ("text", Json.Str "t") ]
     in
-    let presp = send server edit in
+    let presp = send edit in
     if Json.bool_opt (member "ok" presp) <> Some true then
       Alcotest.failf "step %d: patch failed: %s" step presp;
+    if not (List.mem full_hash (maintained_hashes presp)) then
+      Alcotest.failf "step %d: full query not maintained: %s" step presp;
     List.iter
       (fun (label, q) ->
-        let cached = send server (run_line q) in
-        let fresh = send server (run_line ~cache:false q) in
+        let cached = send (run_line q) in
+        let fresh = send (run_line ~cache:false q) in
         let c = member_str "result" cached and f = member_str "result" fresh in
         if c <> f then
           Alcotest.failf "step %d: %s diverged:\n cached: %s\n  fresh: %s" step
             label c f)
       queries
   done;
-  (* the full-eligible query must actually have been maintained, not
-     silently recomputed every time *)
-  let stats = send server {|{"op":"stats"}|} in
-  let ivm = Json.member "ivm" (member "stats" stats) in
-  checkb "maintenance engaged" true
-    (match Json.int_opt (Json.member "maintained_total" ivm) with
-    | Some n -> n >= steps
-    | None -> false)
+  (* the stats counters agree; they start over with each server, so
+     only a run without restarts has counted every edit *)
+  if not durable then begin
+    let stats = send {|{"op":"stats"}|} in
+    let ivm = Json.member "ivm" (member "stats" stats) in
+    checkb "maintenance engaged" true
+      (match Json.int_opt (Json.member "maintained_total" ivm) with
+      | Some n -> n >= steps
+      | None -> false)
+  end
 
-let test_property_edits_seed7 () = run_edit_property ~seed:7 ~steps:25
-let test_property_edits_seed42 () = run_edit_property ~seed:42 ~steps:25
+let test_property_edits_seed7 () = run_edit_property ~seed:7 ~steps:25 ()
+let test_property_edits_seed42 () = run_edit_property ~seed:42 ~steps:25 ()
+
+let test_property_restarts () =
+  List.iter
+    (fun seed -> run_edit_property ~durable:true ~seed ~steps:25 ())
+    [ 7; 42; 1001 ]
 
 let () =
   Alcotest.run "ivm"
@@ -478,6 +557,8 @@ let () =
            test_footprint_survives_unrelated_load;
          Alcotest.test_case "patch maintains cached entry" `Quick
            test_server_patch_maintains;
+         Alcotest.test_case "maintenance follows the LRU" `Quick
+           test_maintenance_follows_lru;
          Alcotest.test_case "delete drops insert-only entry" `Quick
            test_server_patch_drops_ineligible;
          Alcotest.test_case "patch errors" `Quick test_server_patch_errors ]);
@@ -485,4 +566,6 @@ let () =
        [ Alcotest.test_case "random edits, seed 7" `Quick
            test_property_edits_seed7;
          Alcotest.test_case "random edits, seed 42" `Quick
-           test_property_edits_seed42 ]) ]
+           test_property_edits_seed42;
+         Alcotest.test_case "random edits across restarts" `Quick
+           test_property_restarts ]) ]
