@@ -1225,10 +1225,11 @@ let cost_bench () =
     (fun (name, query, setup) ->
       let registry = Doc_registry.create () in
       setup registry;
+      let store = Fixq_service.Store.create ~registry () in
       let prepared =
-        Fixq_service.Prepared.prepare
-          ~store:(Fixq_service.Store.create ~registry ())
-          ~stratified:false ~max_iterations:100_000 query
+        Fixq_service.Prepared.with_sql ~store
+          (Fixq_service.Prepared.prepare ~store ~stratified:false
+             ~max_iterations:100_000 query)
       in
       let est = prepared.Fixq_service.Prepared.cost in
       let run engine = Fixq.run ~registry ~engine query in

@@ -92,7 +92,11 @@ let launch ~dir ~count ~command ?(config = Coordinator.default_config)
     if chaos_dead then false
     else
     match find_ping name with
-    | None -> false
+    | None ->
+      (* listed by the supervisor but not registered yet: an
+         [add-worker] still waiting for the socket. A crash meanwhile
+         is seen by reaping, not by pinging. *)
+      true
     | Some tr -> (
       let once () = Transport.call ~timeout_ms:5000. tr {|{"op":"ping"}|} in
       match once () with

@@ -91,25 +91,6 @@ let next_name workers =
   in
   Printf.sprintf "w%d" (top + 1)
 
-let add_worker t =
-  Mutex.lock t.lock;
-  if t.stopping then begin
-    Mutex.unlock t.lock;
-    failwith "Supervisor.add_worker: supervisor is stopping"
-  end;
-  let name = next_name t.workers in
-  let w =
-    { w_name = name;
-      w_socket = Filename.concat t.dir (name ^ ".sock");
-      w_log = Filename.concat t.dir (name ^ ".log");
-      w_pid = -1; w_restarts = 0 }
-  in
-  t.workers <- t.workers @ [ w ];
-  spawn_process t w;
-  Mutex.unlock t.lock;
-  wait_ready t w;
-  name
-
 let socket_path t name =
   match find t name with
   | Some w -> w.w_socket
@@ -161,6 +142,30 @@ let retire_worker t name =
       if Sys.file_exists w.w_socket then
         try Unix.unlink w.w_socket with Unix.Unix_error _ | Sys_error _ -> ())
     gone
+
+let add_worker t =
+  Mutex.lock t.lock;
+  if t.stopping then begin
+    Mutex.unlock t.lock;
+    failwith "Supervisor.add_worker: supervisor is stopping"
+  end;
+  let name = next_name t.workers in
+  let w =
+    { w_name = name;
+      w_socket = Filename.concat t.dir (name ^ ".sock");
+      w_log = Filename.concat t.dir (name ^ ".log");
+      w_pid = -1; w_restarts = 0 }
+  in
+  t.workers <- t.workers @ [ w ];
+  spawn_process t w;
+  Mutex.unlock t.lock;
+  match wait_ready t w with
+  | () -> name
+  | exception e ->
+    (* a worker that never came up must not stay listed, or the health
+       thread respawns it forever *)
+    retire_worker t name;
+    raise e
 
 let kill9 t name =
   match find t name with

@@ -34,8 +34,8 @@ val restarts : t -> int
 (** Spawn one more worker and block until its socket accepts. The name
     is the lowest [wN] above every name ever used — names are never
     reused, since rendezvous placement is keyed on them. Raises
-    [Failure] if the worker does not come up or the supervisor is
-    stopping. *)
+    [Failure] if the supervisor is stopping, or if the worker does not
+    come up (it is then retired, not left for {!check} to respawn). *)
 val add_worker : t -> string
 
 (** Permanently remove a worker: drop it from supervision (so the

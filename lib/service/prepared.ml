@@ -74,8 +74,9 @@ let run ~static_gate ~store ~stratified ~max_iterations source =
     | r :: _ -> r.Analyze.syntactic
   in
   (* The one capture of the first IFP site: evaluating the program
-     prefix up to it is the expensive part of preparing, so the plan,
-     the push-up verdict and the SQL rendering all derive from it. *)
+     prefix up to it is the expensive part of preparing, so the plan
+     and the push-up verdict both derive from it (and so does the SQL
+     rendering, on demand: [with_sql]). *)
   let plan =
     if ifp_count = 0 then None
     else Fixq.plan_of_first_ifp ~registry ~max_iterations program
@@ -86,10 +87,9 @@ let run ~static_gate ~store ~stratified ~max_iterations source =
       plan
   in
   let algebraic = Option.map (fun o -> o.Push.distributive) push in
-  let sql = Option.map Fixq.sql_of_plan plan in
   let cost =
-    estimate ~registry ~spans ~ifp_count ~plan ~sql ~algebraic ~syntactic
-      program
+    estimate ~registry ~spans ~ifp_count ~plan ~sql:None ~algebraic
+      ~syntactic program
   in
   (* One licence for every engine (Theorem 3.2): Delta when either
      check accepts, Naive when both reject. No algebraic verdict (the
@@ -103,13 +103,31 @@ let run ~static_gate ~store ~stratified ~max_iterations source =
     else Fixq.Naive
   in
   { source; hash = hash_source source; program; spans; warnings; analysis;
-    push; ifp_count; syntactic; algebraic; plan; sql; cost; mode;
+    push; ifp_count; syntactic; algebraic; plan; sql = None; cost; mode;
     stratified; generation;
     prepare_ms = (Unix.gettimeofday () -. t0) *. 1000.0 }
 
 let prepare = run ~static_gate:true
 
-let inspect = run ~static_gate:false
+let reestimate ~store t sql =
+  let cost =
+    estimate ~registry:(Store.registry store) ~spans:t.spans
+      ~ifp_count:t.ifp_count ~plan:t.plan ~sql ~algebraic:t.algebraic
+      ~syntactic:t.syntactic t.program
+  in
+  { t with sql; cost; generation = Store.generation store }
+
+(* The SQL:1999 rendering runs the algebra optimizer over the captured
+   plan, which costs more than the rest of preparing together, and only
+   the sql engine's estimate row reads the verdict — so it is rendered
+   here, for the callers that read it, not in [run]. *)
+let with_sql ~store t =
+  match (t.sql, t.plan) with
+  | Some _, _ | None, None -> t
+  | None, Some plan -> reestimate ~store t (Some (Fixq.sql_of_plan plan))
+
+let inspect ~store ~stratified ~max_iterations src =
+  with_sql ~store (run ~static_gate:false ~store ~stratified ~max_iterations src)
 
 (* The parse, the static check and the distributivity verdicts depend
    only on the query text, but the cost estimate reads the document
@@ -117,15 +135,8 @@ let inspect = run ~static_gate:false
    re-run just the abstract interpreter, or admission and engine
    choice would act on the document as it was at prepare time. *)
 let refresh ~store t =
-  let generation = Store.generation store in
-  if t.generation = generation then t
-  else
-    let cost =
-      estimate ~registry:(Store.registry store) ~spans:t.spans
-        ~ifp_count:t.ifp_count ~plan:t.plan ~sql:t.sql
-        ~algebraic:t.algebraic ~syntactic:t.syntactic t.program
-    in
-    { t with cost; generation }
+  if t.generation = Store.generation store then t
+  else reestimate ~store t t.sql
 
 let delta_by t = Fixq.delta_by ~syntactic:t.syntactic ~algebraic:t.algebraic
 

@@ -94,8 +94,10 @@ let preview query =
 
 (* Prepared-query cache: keyed by source text (and the stratified flag,
    which changes both distributivity checks). *)
+let prepared_key ~stratified query = (if stratified then "s|" else "p|") ^ query
+
 let get_prepared t ~stratified ~max_iterations query =
-  let key = (if stratified then "s|" else "p|") ^ query in
+  let key = prepared_key ~stratified query in
   match Lru.find t.prepared key with
   | Some p ->
     (* still a hit — only the synopsis-dependent cost estimate is
@@ -113,6 +115,14 @@ let get_prepared t ~stratified ~max_iterations query =
     | None -> ());
     Lru.put t.prepared key p;
     (p, "miss")
+
+(* The SQL verdict and the per-engine estimate rows it shapes, for the
+   requests that read them; the rendered entry replaces the cached one
+   so its next reader does not render again. *)
+let with_sql t ~stratified query p =
+  let p' = Prepared.with_sql ~store:t.store p in
+  if p' != p then Lru.put t.prepared (prepared_key ~stratified query) p';
+  p'
 
 let diag_json (d : Diag.t) =
   let line, col = match d.Diag.loc with Some lc -> lc | None -> (0, 0) in
@@ -278,6 +288,14 @@ let handle_run t ~id
           max_iterations or timeout_ms"
          reason)
   | _ ->
+  (* Admission reads the requested engine's estimate row, and the sql
+     row (and so the cheapest-engine verdict) needs the rendering; an
+     interp or algebra run never renders. *)
+  let prepared =
+    match engine with
+    | `Sql | `Auto -> with_sql t ~stratified query prepared
+    | `Interp | `Algebra -> prepared
+  in
   (* [engine:"auto"]: resolve to the cost model's cheapest engine before
      anything downstream — pinned modes and execution all see a plain
      fixed engine, so an auto run is byte-identical to the same request
@@ -430,6 +448,7 @@ let handle_check t ~id query stratified =
   let (p, prepared_status) =
     get_prepared t ~stratified ~max_iterations:t.config.max_iterations query
   in
+  let p = with_sql t ~stratified query p in
   let first = match p.Prepared.analysis.Analyze.ifps with
     | r :: _ -> Some r
     | [] -> None
@@ -521,6 +540,7 @@ let handle_explain t ~id query stratified =
   let (p, prepared_status) =
     get_prepared t ~stratified ~max_iterations:t.config.max_iterations query
   in
+  let p = with_sql t ~stratified query p in
   let module E = Fixq_cost.Estimate in
   let c = p.Prepared.cost in
   Protocol.ok_response ~id

@@ -752,6 +752,62 @@ let test_chaos_rebalance_kill_recovers () =
       settle h;
       List.iter (check_moved_doc_parity h) moved)
 
+(* ------------------------------------------------------------------ *)
+(* Supervision over real worker processes                              *)
+(* ------------------------------------------------------------------ *)
+
+(* This test binary doubles as the worker executable: re-executed with
+   [--serve-worker SOCKET DELAY_S] it sleeps, then serves a fresh
+   server on the socket until killed. *)
+let serve_worker_flag = "--serve-worker"
+
+let () =
+  match Sys.argv with
+  | [| _; flag; socket; delay |] when flag = serve_worker_flag ->
+    Unix.sleepf (float_of_string delay);
+    Server.serve_socket (Server.create ()) ~path:socket;
+    exit 0
+  | _ -> ()
+
+(* The health thread sweeps every 10 ms while [add-worker] waits 400 ms
+   for the new worker's socket: every sweep in that window sees the
+   worker listed by the supervisor before the cluster has its ping
+   transport, and must leave it alone. Killing it there raced
+   [add-worker]'s own startup wait and could leave a never-registered
+   worker that every later sweep killed again. *)
+let test_health_check_during_add_worker () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "fixq-hc-%d" (Unix.getpid ()))
+  in
+  let command ~name ~socket =
+    [| Sys.executable_name; serve_worker_flag; socket;
+       (if name = "w0" then "0" else "0.4") |]
+  in
+  let cluster =
+    Fixq_cluster.Cluster.launch ~dir ~count:1 ~command
+      ~health_interval_ms:10. ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Fixq_cluster.Cluster.shutdown cluster;
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat dir f))
+        (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () ->
+      let line, _ =
+        Fixq_cluster.Cluster.handle_line cluster {|{"op":"add-worker"}|}
+      in
+      let j = Json.parse line in
+      checkb "add-worker ok" true (ok j);
+      checks "added w1" "w1"
+        (Option.get (Json.str_opt (Json.member "worker" j)));
+      checki "no worker restarted" 0
+        (Fixq_cluster.Supervisor.restarts
+           (Fixq_cluster.Cluster.supervisor cluster)))
+
 let () =
   Alcotest.run "cluster"
     [ ("router",
@@ -800,4 +856,7 @@ let () =
          Alcotest.test_case "patch history compacts" `Quick
            test_compaction_after_patches;
          Alcotest.test_case "chaos kill mid-move recovers" `Quick
-           test_chaos_rebalance_kill_recovers ]) ]
+           test_chaos_rebalance_kill_recovers ]);
+      ("supervision",
+       [ Alcotest.test_case "health check during add-worker" `Quick
+           test_health_check_during_add_worker ]) ]

@@ -18,10 +18,12 @@ module Diag = Fixq_analysis.Diag
 let check = Alcotest.(check bool)
 
 (* The estimate serve, the CLI and the bench all read: the one the
-   prepare pipeline computes. *)
+   prepare pipeline computes, with the SQL rendered on demand as every
+   reader of the per-engine rows does. *)
 let prepare registry query =
-  Prepared.prepare ~store:(Store.create ~registry ()) ~stratified:false
-    ~max_iterations:100_000 query
+  let store = Store.create ~registry () in
+  Prepared.with_sql ~store
+    (Prepared.prepare ~store ~stratified:false ~max_iterations:100_000 query)
 
 let estimate registry query = (prepare registry query).Prepared.cost
 

@@ -249,8 +249,11 @@ let test_prepared_parity_with_check () =
             checkb (label "syntactic verdict") syn p.Prepared.syntactic;
             checkb (label "algebraic verdict") true
               (alg = p.Prepared.algebraic);
-            checkb (label "sql from the capture") true
-              (p.Prepared.sql = Fixq.sql_of_first_ifp ~registry program))
+            checkb (label "prepare leaves sql unrendered") true
+              (p.Prepared.sql = None);
+            checkb (label "sql rendered on demand from the capture") true
+              ((Prepared.with_sql ~store p).Prepared.sql
+              = Fixq.sql_of_first_ifp ~registry program))
         [ false; true ])
     [ ("q1", q1); ("q2", q2); ("no ifp", "count((1,2,3))");
       ("bidder", Q.bidder_network); ("dialogs", Q.dialogs);
@@ -737,6 +740,48 @@ let test_server_cache_keeps_admission () =
   checkb "unbudgeted hit refused" false (ok r);
   checks "with FQ055" "FQ055" (sfield "code" r)
 
+(* Admission reads the requested engine's estimate row. The sql row
+   needs the SQL rendering, which preparing skips: an unrendered row
+   would read work + 5 and admit q1 (interp 74, algebra 144, sql 252)
+   under an envelope of 200. *)
+let test_server_sql_admission_reads_rendered_row () =
+  let server =
+    Server.create
+      ~config:
+        { Server.default_config with
+          governor = { Governor.default_config with max_cost = Some 200. } }
+      ()
+  in
+  ignore (send server load_doc_line);
+  checkb "interp answers" true (ok (send server (run_req ~engine:"interp" q1)));
+  checkb "algebra answers" true
+    (ok (send server (run_req ~engine:"algebra" q1)));
+  let r = send server (run_req ~engine:"sql" q1) in
+  checkb "sql refused" false (ok r);
+  checks "with FQ055" "FQ055" (sfield "code" r);
+  checki "at the rendered estimate" 252
+    (Option.get (Json.int_opt (field "estimated_cost" r)))
+
+(* A serving run prepares without rendering SQL, so it never runs the
+   algebra optimizer that the rendering starts with. *)
+let test_server_run_skips_optimizer () =
+  ignore
+    (Fixq_algebra.Optimize.optimize (Fixq_algebra.Plan.Lit_table ([ "x" ], [])));
+  checki "probe reset" 0 (Fixq_algebra.Optimize.last_rewrite_count ());
+  let server = mk_server () in
+  checkb "load auction" true
+    (ok
+       (send server
+          {|{"op":"load-doc","uri":"auction.xml","generate":"xmark","size":0.001}|}));
+  let r =
+    send server
+      (run_req ~cache:false
+         (Fixq_workloads.Queries.bidder_network_single "person0"))
+  in
+  checkb "run ok" true (ok r);
+  checks "prepared miss" "miss" (sfield "prepared_cache" r);
+  checki "optimizer never ran" 0 (Fixq_algebra.Optimize.last_rewrite_count ())
+
 let tree_xmls =
   [| "<r><a><b/><b/></a><a><b/></a></r>"; "<r><a/><a><b><c/></b></a></r>" |]
 
@@ -932,4 +977,8 @@ let () =
             test_server_budget_boundary;
           Alcotest.test_case "admission never bypassed" `Quick
             test_server_cache_keeps_admission;
+          Alcotest.test_case "sql admission reads the rendered row" `Quick
+            test_server_sql_admission_reads_rendered_row;
+          Alcotest.test_case "serving run skips the optimizer" `Quick
+            test_server_run_skips_optimizer;
           QCheck_alcotest.to_alcotest prop_cached_run_matches_uncached ] ) ]
