@@ -6,6 +6,7 @@
      dune exec bench/main.exe                    # everything (quick sizes)
      dune exec bench/main.exe -- table2 --paper  # paper-like sizes (slow)
      dune exec bench/main.exe -- table1|figure9|example24|section41|micro
+     dune exec bench/main.exe -- compare OLD.json NEW.json  # table2 gate
 
    Absolute milliseconds are not comparable with the paper's 2007
    testbed; the reproduced *shape* is: Delta beats Naïve on both
@@ -1646,8 +1647,69 @@ let micro () =
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* compare OLD NEW: the committed trajectory gate                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Table 2's machine-independent cost is its work counters: a
+   [(query, engine)] row of OLD that NEW lacks, or whose [nodes_fed] or
+   [iterations] differ, fails the comparison. Wall-clock slowdowns over
+   10% are printed as warnings only — they depend on the host. *)
+let compare_bench old_path new_path =
+  let table2 path =
+    let ic = open_in_bin path in
+    let text = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    match Json.parse text with
+    | Json.List rows ->
+      List.filter_map
+        (fun row ->
+          match Json.str_opt (Json.member "section" row) with
+          | Some "table2" ->
+            let str name = Option.value ~default:"" (Json.str_opt (Json.member name row)) in
+            Some ((str "query", str "engine"), row)
+          | _ -> None)
+        rows
+    | _ -> failwith (path ^ ": not a JSON array of bench rows")
+  in
+  let old_rows = table2 old_path and new_rows = table2 new_path in
+  let failures = ref 0 in
+  List.iter
+    (fun (((query, engine) as key), o) ->
+      let name = Printf.sprintf "%s / %s" query engine in
+      match List.assoc_opt key new_rows with
+      | None ->
+        incr failures;
+        printf "FAIL %s: row missing\n" name
+      | Some n ->
+        List.iter
+          (fun field ->
+            let get r = Json.int_opt (Json.member field r) in
+            if get o <> get n then begin
+              incr failures;
+              let show = function Some v -> string_of_int v | None -> "-" in
+              printf "FAIL %s: %s %s -> %s\n" name field (show (get o)) (show (get n))
+            end)
+          [ "nodes_fed"; "iterations" ];
+        (match (Json.num_opt (Json.member "ms" o), Json.num_opt (Json.member "ms" n)) with
+        | (Some a, Some b) when a > 0.0 && b > 1.1 *. a ->
+          printf "warning %s: %.1f ms -> %.1f ms (+%.0f%%)\n" name a b
+            ((b /. a -. 1.0) *. 100.0)
+        | _ -> ()))
+    old_rows;
+  printf "compare: %d table2 rows, %d failures\n" (List.length old_rows) !failures;
+  if !failures > 0 || old_rows = [] then exit 1
+
 let () =
   let args = Array.to_list Sys.argv in
+  (match args with
+  | _ :: "compare" :: old_path :: new_path :: _ ->
+    compare_bench old_path new_path;
+    exit 0
+  | _ :: "compare" :: _ ->
+    prerr_endline "usage: main.exe compare OLD.json NEW.json";
+    exit 2
+  | _ -> ());
   let has f = List.mem f args in
   (* --json OUT (e.g. BENCH_table2.json): written on exit *)
   let json_out =

@@ -34,11 +34,14 @@ type t = {
   max_iterations : int;
   stats : Stats.t;
   persistent : Relation.t Phys.t;
+  contains : (int, bool) Hashtbl.t Phys.t;
+      (** [contains_ref] answers per plan node, for this engine's plans *)
 }
 
 let create ?(registry = Doc_registry.default) ?(max_iterations = 1_000_000)
     ~stats () =
-  { registry; max_iterations; stats; persistent = Phys.create 256 }
+  { registry; max_iterations; stats; persistent = Phys.create 256;
+    contains = Phys.create 256 }
 
 let stats t = t.stats
 
@@ -152,10 +155,12 @@ let whitespace_tokens s =
 
 (* Axis steps repeat heavily across fixpoint rounds (lifted
    loop-invariant paths re-enter the step with the same context nodes),
-   so results are cached per (axis, test, context node). The (axis,
-   test) part is interned to a small integer once per step evaluation,
-   so the per-row cache key is a single unboxed int — hashing a string
-   tuple per row costs more than the staircase scan it saves. *)
+   so results are cached per (axis, test, context node) in the step
+   memo of the context tree's encoding, which a patch retires with the
+   encoding. The (axis, test) part is interned to a small integer once
+   per step evaluation, so the per-row cache key is a single unboxed
+   int — hashing a string tuple per row costs more than the staircase
+   scan it saves. *)
 let step_ids : (string, int) Hashtbl.t = Hashtbl.create 64
 
 let step_id_of key =
@@ -166,18 +171,16 @@ let step_id_of key =
     Hashtbl.add step_ids key i;
     i
 
-let step_cache : (int, Node.t list) Hashtbl.t = Hashtbl.create 4096
-
 (* node ids are dense ints; 20 bits cover every (axis, name-test) pair
    a process will ever intern while leaving 42 for the node id *)
-let step_single axis test step_id (n : Node.t) =
+let step_single enc axis test step_id (n : Node.t) =
   let key = (n.Node.id lsl 20) lor step_id in
-  match Hashtbl.find_opt step_cache key with
+  let memo = Encoding.steps enc in
+  match Hashtbl.find_opt memo key with
   | Some r -> r
   | None ->
-    let enc = Encoding.of_tree_cached n in
     let r = Staircase.step_nodes enc axis test [ n ] in
-    Hashtbl.replace step_cache key r;
+    Hashtbl.replace memo key r;
     r
 
 (* Growable parallel (source index, result node) buffers for the step
@@ -217,9 +220,21 @@ let eval_step rel axis test colname =
     | Relation.Nodes a -> fun i -> a.(i)
     | _ -> fun i -> Value.as_node "step" (Relation.col_get c i)
   in
+  (* consecutive rows mostly share a tree: look its encoding up once *)
+  let last = ref None in
+  let encoding_of (m : Node.t) =
+    let root = Node.root m in
+    match !last with
+    | Some (r, enc) when r == root -> enc
+    | _ ->
+      let enc = Encoding.of_tree_cached root in
+      last := Some (root, enc);
+      enc
+  in
   let buf = { src = [||]; nds = [||]; n = 0 } in
   for i = 0 to n - 1 do
-    List.iter (step_push buf i) (step_single axis test step_id (node_at i))
+    let m = node_at i in
+    List.iter (step_push buf i) (step_single (encoding_of m) axis test step_id m)
   done;
   let src = Array.sub buf.src 0 buf.n in
   let gathered = Relation.gather rel src in
@@ -349,16 +364,14 @@ type env = {
   run_ids : int list;  (** externally bound Fix_ref ids *)
 }
 
-let contains_cache : (int, bool) Hashtbl.t Phys.t = Phys.create 256
-
-let contains_ref id p =
+let contains_ref t id p =
   let tbl =
-    match Phys.find_opt contains_cache p with
-    | Some t -> t
+    match Phys.find_opt t.contains p with
+    | Some tbl -> tbl
     | None ->
-      let t = Hashtbl.create 4 in
-      Phys.replace contains_cache p t;
-      t
+      let tbl = Hashtbl.create 4 in
+      Phys.replace t.contains p tbl;
+      tbl
   in
   match Hashtbl.find_opt tbl id with
   | Some b -> b
@@ -368,8 +381,8 @@ let contains_ref id p =
     b
 
 let memo_for t env p =
-  if List.exists (fun id -> contains_ref id p) env.dep_ids then env.volatile
-  else if List.exists (fun id -> contains_ref id p) env.run_ids then env.run
+  if List.exists (fun id -> contains_ref t id p) env.dep_ids then env.volatile
+  else if List.exists (fun id -> contains_ref t id p) env.run_ids then env.run
   else t.persistent
 
 let profile : (string, int * int * float) Hashtbl.t = Hashtbl.create 64

@@ -48,7 +48,24 @@ type env = {
   vars : Item.seq Smap.t;
   ctx : (Item.t * int * int) option;  (** item, position, size *)
   depth : int;
+  slots : slot list;
+      (** loop-invariant subexpressions of the enclosing loops *)
 }
+
+(* A subexpression of a [for] body or filter predicate that reads
+   nothing the loop changes, found again by the physical identity of
+   its AST node. [home] is the loop's entry environment, which binds
+   everything the subexpression reads. The value is computed on first
+   use, so a guarded branch the loop never takes (say [1 div 0]) still
+   never runs; a use that raises leaves it uncomputed. *)
+and slot = {
+  key : expr;
+  home : env;
+  mutable value : Item.seq option;
+  mutable probe : probe option;  (** atomized once for a general [=] *)
+}
+
+and probe = { atoms : Atom.t list; strings : (string, unit) Hashtbl.t option }
 
 let create ?(registry = Doc_registry.default) ?(strategy = Auto)
     ?(max_iterations = 1_000_000) ?(max_call_depth = 100_000)
@@ -180,6 +197,12 @@ let cmp_result c ord =
   | Gt -> ord > 0
   | Ge -> ord >= 0
 
+(* General comparison: some pair of atoms compares as [c]. *)
+let exists_pair c va vb =
+  List.exists
+    (fun x -> List.exists (fun y -> cmp_result c (Atom.compare_value x y)) vb)
+    va
+
 (* ------------------------------------------------------------------ *)
 (* Node construction                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -215,10 +238,116 @@ let assemble_content (content : Item.seq) =
   (List.rev !attrs, List.rev !kids)
 
 (* ------------------------------------------------------------------ *)
+(* Loop-invariant subexpressions                                       *)
+(* ------------------------------------------------------------------ *)
+
+let rec find_slot e = function
+  | [] -> None
+  | s :: rest -> if s.key == e then Some s else find_slot e rest
+
+(* [invariants outer ~binders body]: the maximal subexpressions of a
+   loop body worth evaluating once per loop instance.
+
+   Variables and focuses are numbered by nesting depth inside the body:
+   the loop's own variables ([binders]) and its focus are level 0, and a
+   binder or a path step / predicate focus opened inside gets the next
+   level. A subexpression analysed at variable level [vl] and focus
+   level [fl] is invariant when every variable it reads has a level of
+   at least [vl] (bound inside it) or is bound outside the loop, and
+   every focus it reads has a level above [fl] (opened inside it).
+   [go] returns the least variable and focus levels read; [-1] marks
+   what is never hoisted and never lets its enclosing expressions be:
+   node constructors (fresh identities on every evaluation), nested
+   fixpoints (their rounds are counted), and user-function calls.
+   Focus readers — [.], [/], axis steps, [position()], [last()],
+   [id()], [idref()] and every zero-argument builtin — are never
+   invariant at their own level.
+
+   Trivial expressions (literals, variables) are not worth a slot, and
+   neither is [e/descendant-or-self::node()]: it is the first half of
+   an [e//name] path, which [eval_path] answers from the name index
+   only as a whole. Expressions an enclosing loop already hoisted stay
+   with that loop. The function reads the AST; it never rewrites it. *)
+let invariants outer ~binders body =
+  let found = ref [] in
+  let none = max_int and never = (-1, -1) in
+  let rec go vl fl scope e =
+    if find_slot e outer <> None then (none, none)
+    else
+      let before = !found in
+      let ((mv, mf) as r) = levels vl fl scope e in
+      if mv >= vl && mf > fl && worth_a_slot e then found := e :: before;
+      r
+  and levels vl fl scope e =
+    let both a b = (min (fst a) (fst b), min (snd a) (snd b)) in
+    let same = go vl fl scope in
+    let inner = go vl (fl + 1) scope in
+    let bind vars = List.fold_left (fun sc v -> Smap.add v vl sc) scope vars in
+    let under vars = go (vl + 1) fl (bind vars) in
+    match e with
+    | Literal _ | Empty_seq -> (none, none)
+    | Var v -> (Option.value (Smap.find_opt v scope) ~default:none, none)
+    | Context_item | Root | Axis_step _ -> (none, fl)
+    | Sequence (a, b) | Union (a, b) | Except (a, b) | Intersect (a, b)
+    | Arith (_, a, b) | Gen_cmp (_, a, b) | Val_cmp (_, a, b)
+    | Node_is (a, b) | Node_before (a, b) | Node_after (a, b)
+    | And (a, b) | Or (a, b) | Range (a, b) ->
+      both (same a) (same b)
+    | Path (a, b) | Filter (a, b) -> both (same a) (inner b)
+    | Neg a | Instance_of (a, _) | Cast (a, _, _) | Castable (a, _, _) ->
+      same a
+    | If (c, a, b) -> both (same c) (both (same a) (same b))
+    | For { var; pos; source; body } ->
+      both (same source) (under (var :: Option.to_list pos) body)
+    | Sort { var; source; key; body; _ } ->
+      both (same source) (both (under [ var ] key) (under [ var ] body))
+    | Let { var; value; body } -> both (same value) (under [ var ] body)
+    | Quantified (_, v, source, pred) -> both (same source) (under [ v ] pred)
+    | Typeswitch (scrut, cases, dvar, dbody) ->
+      List.fold_left
+        (fun r (_, v, b) -> both r (under (Option.to_list v) b))
+        (both (same scrut) (under (Option.to_list dvar) dbody))
+        cases
+    | Call (f, args) ->
+      let r = List.fold_left (fun r a -> both r (same a)) (none, none) args in
+      if not (Builtins.is_builtin f) then never
+      else if args = [] then (fst r, fl)
+      else (
+        match f with
+        | "position" | "last" | "id" | "idref" -> (fst r, min (snd r) fl)
+        | _ -> r)
+    | Elem_constr (_, attrs, content) ->
+      List.iter
+        (fun (_, pieces) ->
+          List.iter (function A_lit _ -> () | A_expr e -> ignore (same e)) pieces)
+        attrs;
+      List.iter (fun c -> ignore (same c)) content;
+      never
+    | Comp_elem (_, a) | Text_constr a | Attr_constr (_, a)
+    | Comment_constr a | Doc_constr a ->
+      ignore (same a);
+      never
+    | Ifp _ -> never
+  and worth_a_slot = function
+    | Literal _ | Empty_seq | Var _ -> false
+    | Path (_, Axis_step { axis = Axis.Descendant_or_self; test = Axis.Kind_node }) ->
+      false
+    | _ -> true
+  in
+  let scope = List.fold_left (fun sc v -> Smap.add v 0 sc) Smap.empty binders in
+  ignore (go 1 0 scope body);
+  !found
+
+(* ------------------------------------------------------------------ *)
 (* The evaluator                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* Inside a loop body, a node that is one of the enclosing loops' slots
+   answers from the slot; everything else evaluates as usual. *)
 let rec eval t env (e : expr) : Item.seq =
+  match if env.slots == [] then None else find_slot e env.slots with
+  | Some s -> slot_value t s
+  | None -> (
   match e with
   | Literal a -> [ Item.A a ]
   | Empty_seq -> []
@@ -255,9 +384,20 @@ let rec eval t env (e : expr) : Item.seq =
       List.map Item.node (Axis.step axis test n)
     | Some (Item.A _, _, _) -> err "axis step on a non-node context item"
     | None -> err "no context item for an axis step")
+  | Filter
+      ( Axis_step
+          { axis = (Axis.Child | Axis.Following_sibling | Axis.Preceding_sibling) as axis;
+            test },
+        Literal (Atom.Int k) ) -> (
+    match env.ctx with
+    | Some (Item.N n, _, _) -> (
+      match Axis.nth axis test n k with Some m -> [ Item.N m ] | None -> [])
+    | Some (Item.A _, _, _) -> err "axis step on a non-node context item"
+    | None -> err "no context item for an axis step")
   | Filter (a, p) -> eval_filter t env a p
   | For { var; pos; source; body } ->
     let src = eval t env source in
+    let env = hoist env ~binders:(var :: Option.to_list pos) body src in
     List.concat
       (List.mapi
          (fun i it ->
@@ -333,16 +473,11 @@ let rec eval t env (e : expr) : Item.seq =
     | [ Atom.Int i ] -> [ Item.A (Atom.Int (-i)) ]
     | [ x ] -> [ Item.A (Atom.Dbl (-.Atom.to_number x)) ]
     | _ -> err "unary minus over a non-singleton sequence")
+  | Gen_cmp (Eq, a, b) when env.slots <> [] -> eval_general_eq t env a b
   | Gen_cmp (c, a, b) ->
     let va = Item.atomize (eval t env a) in
     let vb = Item.atomize (eval t env b) in
-    let holds =
-      List.exists
-        (fun x ->
-          List.exists (fun y -> cmp_result c (Atom.compare_value x y)) vb)
-        va
-    in
-    [ Item.A (Atom.Bool holds) ]
+    [ Item.A (Atom.Bool (exists_pair c va vb)) ]
   | Val_cmp (c, a, b) -> (
     let va = Item.atomize (eval t env a) in
     let vb = Item.atomize (eval t env b) in
@@ -459,7 +594,73 @@ let rec eval t env (e : expr) : Item.seq =
         else try_cases rest
     in
     try_cases cases
-  | Ifp { var; seed; body; accum } -> eval_ifp t env var seed body accum
+  | Ifp { var; seed; body; accum } -> eval_ifp t env var seed body accum)
+
+(* The environment a loop instance evaluates its body in: the entry
+   environment plus one slot per invariant subexpression. A source of
+   fewer than two items has nothing to share. *)
+and hoist env ~binders body src =
+  match src with
+  | [] | [ _ ] -> env
+  | _ -> (
+    match invariants env.slots ~binders body with
+    | [] -> env
+    | keys ->
+      let slot key = { key; home = env; value = None; probe = None } in
+      { env with slots = List.rev_append (List.rev_map slot keys) env.slots })
+
+(* [s.home] is the loop's entry environment: its slots are the outer
+   loops', never [s] itself. *)
+and slot_value t s =
+  match s.value with
+  | Some v -> v
+  | None ->
+    let v = eval t s.home s.key in
+    s.value <- Some v;
+    v
+
+and slot_probe t s =
+  match s.probe with
+  | Some p -> p
+  | None ->
+    let atoms = Item.atomize (slot_value t s) in
+    let strings =
+      if List.for_all (function Atom.Str _ -> true | _ -> false) atoms then begin
+        let set = Hashtbl.create (List.length atoms) in
+        List.iter (function Atom.Str x -> Hashtbl.replace set x () | _ -> ()) atoms;
+        Some set
+      end
+      else None
+    in
+    let p = { atoms; strings } in
+    s.probe <- Some p;
+    p
+
+(* A general [=] with a hoisted operand: the operand is atomized once
+   per loop instance and, when both sides are all strings, probed as a
+   hash set. Any other mix compares pairwise in the usual order, where
+   [Atom.compare_value] may raise. Operands evaluate left to right. *)
+and eval_general_eq t env a b =
+  let pairwise = exists_pair Eq in
+  let probed p other ~probe_left =
+    match p.strings with
+    | Some set when List.for_all (function Atom.Str _ -> true | _ -> false) other ->
+      List.exists (function Atom.Str x -> Hashtbl.mem set x | _ -> false) other
+    | _ -> if probe_left then pairwise p.atoms other else pairwise other p.atoms
+  in
+  let holds =
+    match (find_slot a env.slots, find_slot b env.slots) with
+    | (Some s, _) ->
+      let p = slot_probe t s in
+      probed p (Item.atomize (eval t env b)) ~probe_left:true
+    | (None, Some s) ->
+      let va = Item.atomize (eval t env a) in
+      probed (slot_probe t s) va ~probe_left:false
+    | (None, None) ->
+      let va = Item.atomize (eval t env a) in
+      pairwise va (Item.atomize (eval t env b))
+  in
+  [ Item.A (Atom.Bool holds) ]
 
 and eval_node_cmp t env a b op =
   let na = eval t env a and nb = eval t env b in
@@ -505,6 +706,7 @@ and eval_path_steps t env a b =
 
 and eval_filter t env a p =
   let src = eval t env a in
+  let env = hoist env ~binders:[] p src in
   let size = List.length src in
   let keep i it =
     let env' = { env with ctx = Some (it, i + 1, size) } in
@@ -536,7 +738,7 @@ and eval_call t env f args =
           (fun m (p, _) v -> Smap.add p v m)
           t.globals fd.params vargs
       in
-      eval t { vars; ctx = None; depth = env.depth + 1 } fd.body)
+      eval t { vars; ctx = None; depth = env.depth + 1; slots = [] } fd.body)
 
 and eval_ifp t env var seed body accum =
   let seed_v = eval t env seed in
@@ -566,7 +768,7 @@ and eval_ifp t env var seed body accum =
   | Some result -> result
   | None -> (
     let body_fn input =
-      eval t { env with vars = Smap.add var input env.vars } body
+      eval t { env with vars = Smap.add var input env.vars; slots = [] } body
     in
     let use_delta =
       match t.strategy with
@@ -615,7 +817,9 @@ and eval_ifp_semiring t env var seed_v body a ~use_delta ~body_fn =
       Kernel.run ~max_iterations:t.max_iterations ~kind ~use_delta ~record
         ~body:body_fn
         ~step:(fun n ->
-          eval t { env with vars = Smap.add var [ Item.N n ] env.vars } body)
+          eval t
+            { env with vars = Smap.add var [ Item.N n ] env.vars; slots = [] }
+            body)
         ~weight:(weight_fn t env a) ~seed:seed_v ()
     with
     | acc -> acc
@@ -634,7 +838,7 @@ and weight_fn t env (a : Ast.accum) =
   | Some we ->
     Some
       (fun n ->
-        let env' = { env with ctx = Some (Item.N n, 1, 1) } in
+        let env' = { env with ctx = Some (Item.N n, 1, 1); slots = [] } in
         match Item.atomize (eval t env' we) with
         | [ atom ] -> Atom.to_number atom
         | [] -> err "accumulate by: the weight expression yielded ()"
@@ -649,7 +853,7 @@ let initial_env t ?(vars = []) ?context () =
     List.fold_left (fun m (k, v) -> Smap.add k v m) t.globals vars
   in
   let ctx = Option.map (fun it -> (it, 1, 1)) context in
-  { vars = vmap; ctx; depth = 0 }
+  { vars = vmap; ctx; depth = 0; slots = [] }
 
 let load_prolog t (p : program) =
   List.iter (fun fd -> Hashtbl.replace t.functions fd.fname fd) p.functions;

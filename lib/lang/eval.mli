@@ -13,7 +13,15 @@
       ({!Distributivity.check}) accepts the body or, failing that, the
       installed {!set_delta_licence} callback does (Theorem 3.2 makes
       either check sufficient); else fall back to Naive — the mode a
-      production processor would ship. *)
+      production processor would ship.
+
+    Within one evaluation, the maximal subexpressions of a [for] body or
+    filter predicate that read nothing the loop binds are evaluated at
+    most once per loop instance, on first use; a general [=] against
+    one atomizes it once (a hash probe when both sides are strings),
+    and [child::T\[k\]] and the sibling axes with a literal [k] read
+    the children array directly. None of this changes a result, an
+    error or the fixpoint statistics, and the AST is never rewritten. *)
 
 type strategy = Naive | Delta | Auto
 

@@ -1,5 +1,7 @@
 type key = { hash : string; config : string }
 
+type maintenance = { patches : int; delta : int; maintenance_rounds : int }
+
 type entry = {
   serialized : string;
   engine : string;
@@ -15,6 +17,7 @@ type entry = {
   may_diverge : bool;
   over_envelope : bool;
   ivm : Fixq_ivm.Ivm.state option;
+  maintenance : maintenance option;
 }
 
 type t = (string, entry) Lru.t

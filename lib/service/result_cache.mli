@@ -32,6 +32,12 @@ type key = {
       (** requested [engine:mode:stratified], e.g. ["interp:pinned:false"] *)
 }
 
+(** What [patch-doc] did to an entry since the run that adopted it:
+    the patches that maintained it, the ∆ nodes they fed and the rounds
+    they ran. The entry's [nodes_fed] and [depth] stay the adopting
+    run's. *)
+type maintenance = { patches : int; delta : int; maintenance_rounds : int }
+
 type entry = {
   serialized : string;
   engine : string;  (** engine that ran, after resolving [auto] *)
@@ -61,6 +67,8 @@ type entry = {
   ivm : Fixq_ivm.Ivm.state option;
       (** the state [patch-doc] maintains [serialized] through, for an
           IVM-eligible fixpoint *)
+  maintenance : maintenance option;
+      (** [None] until a patch maintains the entry *)
 }
 
 type t

@@ -180,6 +180,23 @@ let engine_string = function
   | `Sql -> "sql"
   | `Auto -> "auto"
 
+(* A maintained entry's hit reports what its maintenance did beside the
+   adopting run's [nodes_fed] and [depth]. *)
+let maintenance_json (m : Result_cache.maintenance) =
+  Json.Obj
+    [ ("patches", Json.of_int m.Result_cache.patches);
+      ("delta", Json.of_int m.Result_cache.delta);
+      ("rounds", Json.of_int m.Result_cache.maintenance_rounds) ]
+
+let maintenance_of_json = function
+  | Json.Obj _ as j -> (
+    let int name = Json.int_opt (Json.member name j) in
+    match (int "patches", int "delta", int "rounds") with
+    | (Some patches, Some delta, Some maintenance_rounds) ->
+      Some { Result_cache.patches; delta; maintenance_rounds }
+    | _ -> None)
+  | _ -> None
+
 (* A run looks its result up first, keyed by the text and the requested
    options, so a valid cached answer that admission cannot change skips
    preparing altogether. Everything else prepares, passes admission
@@ -246,8 +263,11 @@ let handle_run t ~id
       @ [ ("result_cache", Json.Str result_status);
           ("generation", Json.of_int generation);
           ("nodes_fed", Json.of_int entry.Result_cache.nodes_fed);
-          ("depth", Json.of_int entry.Result_cache.depth);
-          ("result", Json.Str entry.Result_cache.serialized) ]
+          ("depth", Json.of_int entry.Result_cache.depth) ]
+      @ (match entry.Result_cache.maintenance with
+        | Some m -> [ ("maintenance", maintenance_json m) ]
+        | None -> [])
+      @ [ ("result", Json.Str entry.Result_cache.serialized) ]
       @ (if auto then [ ("chosen_by", Json.Str "cost") ] else [])
       @ cost_extra @ annotated @ extra
       @ [ ("wall_ms", Json.Num entry.Result_cache.wall_ms) ])
@@ -401,7 +421,7 @@ let handle_run t ~id
         footprint; semiring = report.Fixq.semiring;
         annotations = report.Fixq.annotations;
         may_diverge = may_diverge <> None;
-        over_envelope = over_envelope <> None; ivm = None }
+        over_envelope = over_envelope <> None; ivm = None; maintenance = None }
     in
     (* Cache only when no document changed under the evaluation: a
        concurrent load-doc would make this entry's footprint stamps a
@@ -660,9 +680,19 @@ let handle_patch_doc t ~id uri op =
                 maintenance's rounds deeper: every new derivation starts
                 from a node the old run reached or from a fresh seed
                 node. *)
+             let m =
+               Option.value e.Result_cache.maintenance
+                 ~default:
+                   { Result_cache.patches = 0; delta = 0; maintenance_rounds = 0 }
+             in
              Result_cache.replace t.results key
                { e with
                  Result_cache.serialized;
+                 maintenance =
+                   Some
+                     { Result_cache.patches = m.patches + 1;
+                       delta = m.delta + delta_count;
+                       maintenance_rounds = m.maintenance_rounds + rounds };
                  rounds = e.Result_cache.rounds + rounds;
                  footprint =
                    List.map
@@ -809,9 +839,13 @@ let snapshot_state t () =
     List.rev_map
       (fun ((key : Result_cache.key), (e : Result_cache.entry)) ->
         let ivm_field =
-          match Option.bind e.Result_cache.ivm ivm_row with
+          (match Option.bind e.Result_cache.ivm ivm_row with
           | None -> []
-          | Some row -> [ ("ivm", row) ]
+          | Some row -> [ ("ivm", row) ])
+          @
+          match e.Result_cache.maintenance with
+          | None -> []
+          | Some m -> [ ("maintenance", maintenance_json m) ]
         in
         Json.Obj
           ([ ("t", Json.Str "cache");
@@ -1006,7 +1040,8 @@ let restore_cache_row t row =
         semiring = Json.str_opt (Json.member "semiring" row);
         annotations;
         may_diverge = flag "may_diverge";
-        over_envelope = flag "over_envelope"; ivm };
+        over_envelope = flag "over_envelope"; ivm;
+        maintenance = maintenance_of_json (Json.member "maintenance" row) };
     Some (ivm <> None)
   | _ -> None
 

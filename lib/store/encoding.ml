@@ -10,7 +10,11 @@ type row = {
   node : Node.t;
 }
 
-type t = { rows : row array; by_id : (int, int) Hashtbl.t }
+type t = {
+  rows : row array;
+  by_id : (int, int) Hashtbl.t;
+  steps : (int, Node.t list) Hashtbl.t;
+}
 
 let of_tree n =
   let root = Node.root n in
@@ -36,7 +40,7 @@ let of_tree n =
   ignore (visit 0 root);
   let arr = Array.make !count (List.hd !rows) in
   List.iter (fun r -> arr.(r.pre) <- r) !rows;
-  { rows = arr; by_id }
+  { rows = arr; by_id; steps = Hashtbl.create 64 }
 
 let row_of_node t (n : Node.t) =
   match Hashtbl.find_opt t.by_id n.Node.id with
@@ -45,21 +49,38 @@ let row_of_node t (n : Node.t) =
 
 let row t pre = t.rows.(pre)
 let size t = Array.length t.rows
+let steps t = t.steps
 
-(* Keyed by URI where there is one, so a patched document's encoding
-   (new root id after renumbering) replaces the stale one. *)
+(* Documents are keyed by URI, so a patched document's encoding (new
+   root id after renumbering) replaces the stale one. Trees without a
+   URI (constructed by queries) are keyed by root id in a table of at
+   most [anon_limit] entries, emptied when full. Entries are only ever
+   replaced or removed, never the tables themselves, so concurrent
+   readers never see a shrunk table. *)
 let cache : (string, int * t) Hashtbl.t = Hashtbl.create 8
+let anon : (int, t) Hashtbl.t = Hashtbl.create 64
+let anon_limit = 64
 
 let of_tree_cached n =
   let root = Node.root n in
-  let key =
-    match Node.uri root with
-    | Some u -> u
-    | None -> "#" ^ string_of_int root.Node.id
-  in
-  match Hashtbl.find_opt cache key with
-  | Some (id, t) when id = root.Node.id -> t
-  | _ ->
-    let t = of_tree root in
-    Hashtbl.replace cache key (root.Node.id, t);
-    t
+  match Node.uri root with
+  | Some key -> (
+    match Hashtbl.find_opt cache key with
+    | Some (id, t) when id = root.Node.id -> t
+    | _ ->
+      let t = of_tree root in
+      Hashtbl.replace cache key (root.Node.id, t);
+      t)
+  | None -> (
+    match Hashtbl.find_opt anon root.Node.id with
+    | Some t -> t
+    | None ->
+      let t = of_tree root in
+      if Hashtbl.length anon >= anon_limit then
+        Hashtbl.filter_map_inplace (fun _ _ -> None) anon;
+      Hashtbl.replace anon root.Node.id t;
+      t)
+
+let cached_step_entries () =
+  Hashtbl.fold (fun _ (_, t) acc -> acc + Hashtbl.length t.steps) cache
+    (Hashtbl.fold (fun _ t acc -> acc + Hashtbl.length t.steps) anon 0)

@@ -43,5 +43,14 @@ val size : t -> int
 
 (** A process-wide cache: encodings are built once per tree root and
     its ids. A document with a URI keeps one entry, which a patch
-    (renumbering the tree) replaces on the next use. *)
+    (renumbering the tree) replaces on the next use; trees without a
+    URI share a small table that is emptied when full. *)
 val of_tree_cached : Fixq_xdm.Node.t -> t
+
+(** A memo of axis-step results over this tree, keyed by the caller.
+    It lives and dies with the encoding, so a patch's renumbering
+    retires it with the stale encoding. *)
+val steps : t -> (int, Fixq_xdm.Node.t list) Hashtbl.t
+
+(** Entries in the step memos of all cached encodings. *)
+val cached_step_entries : unit -> int

@@ -101,12 +101,14 @@ let siblings_after (n : Node.t) =
     in
     drop sibs
 
+(* An attribute is not among its element's children, so it has no
+   siblings on either side. *)
 let siblings_before (n : Node.t) =
   match n.Node.parent with
   | None -> []
   | Some p ->
     let rec take acc = function
-      | [] -> List.rev acc
+      | [] -> []
       | s :: rest ->
         if Node.equal s n then List.rev acc else take (s :: acc) rest
     in
@@ -206,6 +208,44 @@ let step axis test n =
         hits
     | _ -> List.filter (matches axis test) (nodes axis n))
   | _ -> List.filter (matches axis test) (nodes axis n)
+
+(* [n]'s slot in its parent's children array, found by a binary search
+   on ids (children are in document order). An attribute is in no
+   slot. *)
+let child_slot (n : Node.t) =
+  match n.Node.parent with
+  | None -> None
+  | Some p ->
+    let kids = p.Node.children in
+    let l = ref 0 and r = ref (Array.length kids) in
+    while !l < !r do
+      let m = (!l + !r) / 2 in
+      if kids.(m).Node.id < n.Node.id then l := m + 1 else r := m
+    done;
+    if !l < Array.length kids && kids.(!l) == n then Some (kids, !l) else None
+
+let nth axis test (n : Node.t) k =
+  let rec scan kids i dir left =
+    if i < 0 || i >= Array.length kids then None
+    else
+      let c = kids.(i) in
+      if not (matches axis test c) then scan kids (i + dir) dir left
+      else if left = 1 then Some c
+      else scan kids (i + dir) dir (left - 1)
+  in
+  if k < 1 then None
+  else
+    match axis with
+    | Child -> scan n.Node.children 0 1 k
+    | Following_sibling -> (
+      match child_slot n with
+      | Some (kids, i) -> scan kids (i + 1) 1 k
+      | None -> None)
+    | Preceding_sibling -> (
+      match child_slot n with
+      | Some (kids, i) -> scan kids (i - 1) (-1) k
+      | None -> None)
+    | _ -> invalid_arg "Axis.nth: only the child and sibling axes"
 
 let pp_test ppf = function
   | Name s -> Format.pp_print_string ppf s

@@ -46,4 +46,11 @@ val nodes : t -> Node.t -> Node.t list
 (** [step axis test n]: axis step with node test, document order. *)
 val step : t -> test -> Node.t -> Node.t list
 
+(** [nth axis test n k] is the [k]-th node (1-based, axis order) of
+    [step axis test n] for [axis] one of [Child], [Following_sibling] and
+    [Preceding_sibling] — the answer of [axis::test\[k\]] — found by
+    scanning the children array from [n]'s own slot instead of building
+    the whole axis. *)
+val nth : t -> test -> Node.t -> int -> Node.t option
+
 val pp_test : Format.formatter -> test -> unit

@@ -62,9 +62,9 @@ type spec =
     names of DTD type ID (for [fn:id]). *)
 val of_spec : ?uri:string -> ?id_attrs:string list -> spec -> t
 
-(** Build a parentless element (XQuery element constructor). Children
-    that already have a parent are deep-copied, parentless ones are
-    adopted — both receive fresh ids. *)
+(** Build a parentless element (XQuery element constructor). Every
+    child is deep-copied with fresh ids (a document contributes its
+    children); the given nodes are left untouched. *)
 val element : string -> attrs:(string * string) list -> t list -> t
 
 val text : string -> t

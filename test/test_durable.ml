@@ -318,7 +318,16 @@ let test_server_result_cache_recovered () =
   let maintained = send b (run_line closure_query) in
   let fresh = send b (run_line ~extra:{|,"cache":false|} closure_query) in
   checks "maintained equals recomputed" (str "result" fresh)
-    (str "result" maintained)
+    (str "result" maintained);
+  (* the hit says what the maintenance did, and a snapshot keeps it *)
+  let maintenance = Json.member "maintenance" maintained in
+  checkb "maintained hit reports its maintenance" true (maintenance <> Json.Null);
+  checkb "snapshot after maintenance" true (ok (send b {|{"op":"snapshot"}|}));
+  let c = server_with dir in
+  let j3 = send c (run_line closure_query) in
+  checks "recovered maintained entry hits" "hit" (str "result_cache" j3);
+  checks "maintenance survives recovery" (Json.to_string maintenance)
+    (Json.to_string (Json.member "maintenance" j3))
 
 (* A cache row as snapshots wrote it before rows recorded what they
    resolved to: its config names the engine and mode that ran

@@ -333,13 +333,23 @@ let tree_gen =
 
 (* random recursion bodies over $x: mixes distributive and
    non-distributive shapes; engines must agree regardless (Auto only
-   applies Delta when its check passes) *)
+   applies Delta when its check passes). The second group gives the
+   interpreter loop-invariant operands to evaluate once (a hashed [=]
+   among them), positional child and sibling steps it answers from the
+   children array, and a division by zero behind a guard that never
+   holds. *)
 let body_gen =
   QCheck2.Gen.oneofl
     [ "$x/*"; "$x/a"; "$x/a union $x/b"; "$x/.."; "$x/descendant::b";
       "($x/a, $x/c)"; {|$x/*[@k = "0"]|}; "$x/self::a/*";
       "for $v in $x return $v/*"; "if (count($x) > 2) then $x/* else $x/a";
-      "$x/* except $x/leaf" ]
+      "$x/* except $x/leaf";
+      "for $v in $x/* where $v/@k = $x/@k return $v";
+      "$x/*[@k = $x/../@k]"; "$x/*[@k = $x/@k][2]";
+      "$x/following-sibling::*[1]"; "$x/preceding-sibling::a[2]";
+      "$x/child::*[2]"; "for $v in $x/* return $v/following-sibling::*[1]";
+      {|for $v in $x/* return if ($v/@k = "9") then (1 div 0) else $v|};
+      {|$x/*[if (@k = "9") then (1 div 0) else true()]|} ]
 
 let seed_gen = QCheck2.Gen.oneofl [ "/*"; "//a"; "/*/*"; "//leaf" ]
 

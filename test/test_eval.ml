@@ -453,6 +453,96 @@ let test_atom_result_kinds () =
   check "bool" true (atom_result "1 = 1" = Atom.Bool true);
   check "str" true (atom_result {|"a"|} = Atom.Str "a")
 
+(* ------------------------------------------------------------------ *)
+(* Loop-invariant evaluation                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A [for] body or predicate operand that reads nothing the loop binds
+   is evaluated at most once per loop instance, on first use. *)
+
+let test_guarded_error_in_body () =
+  check_run "guard never holds" "1 2"
+    "for $i in (1,2) return if ($i = 3) then (1 div 0) else $i";
+  check_run "guard holds late" "1"
+    "count(for $i in (1,2) return if ($i = 1) then 1 else ())";
+  check_error "guard holds"
+    "for $i in (1,2) return if ($i = 2) then (1 div 0) else $i"
+
+let test_guarded_error_in_predicate () =
+  check_run "context guard" "1 2 3"
+    "(1,2,3)[if (. = 7) then (1 div 0) else true()]";
+  check_run "path guard" "b1 b2 b3"
+    {|for $b in doc("lib.xml")//book[if (@year = "1900") then (1 div 0) else true()] return string($b/@id)|};
+  check_error "predicate guard holds"
+    "(1,2,3)[if (. = 2) then (1 div 0) else true()]"
+
+let test_constructors_in_loops () =
+  check_run "fresh element per binding" "false"
+    "let $n := for $i in (1,2) return <a/> return $n[1] is $n[2]";
+  check_run "invariant content, fresh copies" "false true"
+    {|let $s := for $i in (1,2) return <e>{doc("lib.xml")//book[1]/title}</e>
+      return ($s[1]/title is $s[2]/title, $s[1] << $s[2])|};
+  check_run "constructor in a predicate" "3"
+    "count((1,2,3)[not(<a/> is <a/>)])"
+
+let test_focus_builtins_in_predicates () =
+  check_run "position/last" "b3"
+    {|string(doc("lib.xml")//book[position() = last()]/@id)|};
+  check_run "string()" "b3"
+    {|string(doc("lib.xml")//book[string() = "MonetDB/XQueryBoncz"]/@id)|};
+  check_run "name()" "2"
+    {|count(doc("lib.xml")//book[2]/*[name() = "author"])|};
+  check_run "id()" "b2"
+    {|string(doc("lib.xml")//book[id("b2") is .]/@id)|};
+  (* the outer focus is a tree without IDs: id() must read each book's *)
+  check_run "id() under a foreign focus" "b2"
+    {|let $books := doc("lib.xml")//book
+      return string(<z/>/($books[id("b2") is .])/@id)|};
+  check_run "nested focus" "b2"
+    {|string(doc("lib.xml")//book[author[2][string() = "Teubner"]]/@id)|}
+
+let test_hashed_general_eq () =
+  check_run "all strings" "true true false"
+    {|for $s in ("a","b","z") return $s = ("a","b","c")|};
+  check_run "numeric promotion keeps pairwise" "true true false"
+    {|for $i in (1, 2, 5) return $i = ("1", "2.0")|};
+  check_run "attribute join" "b1 b2"
+    {|let $ys := (doc("lib.xml")//book[author = "Grust"]/@year)
+      for $b in doc("lib.xml")//book where $b/@year = $ys return string($b/@id)|};
+  check_error "incomparable pair still raises"
+    {|for $i in (1, 2) return $i = (1, true())|}
+
+let index_steps_of src =
+  let before = !Fixq_xdm.Counters.index_steps in
+  ignore (run src);
+  !Fixq_xdm.Counters.index_steps - before
+
+let test_invariant_index_steps () =
+  (* the whole [doc(...)//book] is invariant: one index step *)
+  check_int "invariant operand evaluated once" 1
+    (index_steps_of
+       {|for $y in (1,2,3) return count(doc("lib.xml")//book)|});
+  (* [//book[@year = $y]] reads the loop variable: each binding still
+     answers it from the name index (its [doc(...)//] prefix is not
+     hoisted on its own) *)
+  check_int "// step in a loop keeps the index" 2
+    (index_steps_of
+       {|for $y in ("2003","2006") return doc("lib.xml")//book[@year = $y]|})
+
+let test_positional_sibling_steps () =
+  let d = {|<r><a k="1"/><b/><a k="2"/><c/><a/></r>|} in
+  check_run "following-sibling [k]" "2"
+    (Printf.sprintf "string((%s)/b/following-sibling::a[1]/@k)" d);
+  check_run "preceding-sibling [k]" "1"
+    (Printf.sprintf "string((%s)/c/preceding-sibling::a[2]/@k)" d);
+  check_run "child [k]" "2" (Printf.sprintf "string((%s)/a[2]/@k)" d);
+  check_run "past the end" "0"
+    (Printf.sprintf "count((%s)/b/preceding-sibling::*[2])" d);
+  check_run "zero" "0" (Printf.sprintf "count((%s)/*[0])" d);
+  check_run "attributes have no siblings" "0 0"
+    {|let $x := <a x="1"><b/><c/></a>/@x
+      return (count($x/preceding-sibling::*), count($x/following-sibling::*))|}
+
 let () =
   Alcotest.run "eval"
     [ ( "basics",
@@ -487,4 +577,17 @@ let () =
         [ Alcotest.test_case "user functions" `Quick test_user_functions;
           Alcotest.test_case "isolation" `Quick test_function_isolation;
           Alcotest.test_case "eval_expr api" `Quick test_eval_expr_api;
-          Alcotest.test_case "errors" `Quick test_errors ] ) ]
+          Alcotest.test_case "errors" `Quick test_errors ] );
+      ( "loop invariants",
+        [ Alcotest.test_case "guarded error in a for body" `Quick
+            test_guarded_error_in_body;
+          Alcotest.test_case "guarded error in a predicate" `Quick
+            test_guarded_error_in_predicate;
+          Alcotest.test_case "constructors keep identities" `Quick
+            test_constructors_in_loops;
+          Alcotest.test_case "focus builtins in predicates" `Quick
+            test_focus_builtins_in_predicates;
+          Alcotest.test_case "hashed general =" `Quick test_hashed_general_eq;
+          Alcotest.test_case "index steps" `Quick test_invariant_index_steps;
+          Alcotest.test_case "positional sibling steps" `Quick
+            test_positional_sibling_steps ] ) ]

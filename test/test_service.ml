@@ -782,6 +782,47 @@ let test_server_run_skips_optimizer () =
   checks "prepared miss" "miss" (sfield "prepared_cache" r);
   checki "optimizer never ran" 0 (Fixq_algebra.Optimize.last_rewrite_count ())
 
+(* Algebra runs memoize axis steps per context node. Every patch
+   renumbers the document, so the memo of the old numbering must go
+   with it: over insert/delete cycles the entry count stays flat. *)
+let test_server_step_memo_bounded () =
+  let server = mk_server () in
+  let xml =
+    "<r>" ^ String.concat "" (List.init 20 (fun _ -> "<a><b/><b/></a>")) ^ "</r>"
+  in
+  checkb "load" true (ok (send server (load_xml_line "steps.xml" xml)));
+  let run () =
+    let r =
+      send server
+        (run_req ~engine:"algebra" ~cache:false
+           {|count(with $x seeded by doc("steps.xml")/r recurse $x/*)|})
+    in
+    checks "closure" "60" (sfield "result" r)
+  in
+  let patch action path extra =
+    let r =
+      send server
+        (Json.to_string
+           (Json.Obj
+              ([ ("op", Json.Str "patch-doc"); ("uri", Json.Str "steps.xml");
+                 ("action", Json.Str action); ("path", Json.Str path) ]
+              @ extra)))
+    in
+    checkb action true (ok r)
+  in
+  let cycle () =
+    run ();
+    patch "insert" "/r" [ ("xml", Json.Str "<a><b/></a>") ];
+    patch "delete" "/r/a[21]" []
+  in
+  cycle ();
+  let first = Fixq_store.Encoding.cached_step_entries () in
+  for _ = 1 to 40 do cycle () done;
+  let last = Fixq_store.Encoding.cached_step_entries () in
+  checkb
+    (Printf.sprintf "entries stay flat (%d after one cycle, %d after 41)" first last)
+    true (last <= first)
+
 let tree_xmls =
   [| "<r><a><b/><b/></a><a><b/></a></r>"; "<r><a/><a><b><c/></b></a></r>" |]
 
@@ -871,9 +912,9 @@ let print_parity_case (requests, steps) =
    same request with cache:false answers — result, resolved mode,
    used_delta and the round statistics — or fails with the same error,
    and looks its result up exactly once. A hit on an entry that
-   patch-doc maintained echoes the adopting run's nodes_fed and depth
-   (only its bytes are maintained), so those two are compared only on
-   entries computed since the last maintaining patch. *)
+   patch-doc maintained keeps the adopting run's nodes_fed and depth
+   and says so with a "maintenance" field, so those two are compared on
+   every answer without one. *)
 let prop_cached_run_matches_uncached =
   QCheck2.Test.make ~count:100 ~name:"cached run = cache:false run"
     ~print:print_parity_case gen_parity_case
@@ -893,17 +934,12 @@ let prop_cached_run_matches_uncached =
         in
         int_field "hits" results + int_field "misses" results
       in
-      (* requests whose cached entry a full run computed *)
-      let exact = Hashtbl.create 8 in
       List.iter
         (fun step ->
           match step with
-          | Load_step _ ->
+          | Load_step _ | Patch_step _ ->
             ignore (send server (parity_line requests ~cache:true step))
-          | Patch_step _ ->
-            let r = send server (parity_line requests ~cache:true step) in
-            if ok r && int_field "maintained" r > 0 then Hashtbl.reset exact
-          | Run_step { request; _ } ->
+          | Run_step _ ->
             let before = lookups () in
             let cached = send server (parity_line requests ~cache:true step) in
             let looked = lookups () - before in
@@ -924,10 +960,8 @@ let prop_cached_run_matches_uncached =
                   names
               in
               same [ "mode"; "used_delta" ];
-              let computed = sfield "result_cache" cached = "miss" in
-              if computed || Hashtbl.mem exact request then
-                same [ "nodes_fed"; "depth" ];
-              if computed then Hashtbl.replace exact request ()
+              if field "maintenance" cached = Json.Null then
+                same [ "nodes_fed"; "depth" ]
             end)
         steps;
       true)
@@ -970,6 +1004,8 @@ let () =
            test_server_divergence_refusal;
          Alcotest.test_case "check diagnostics" `Quick
            test_server_check_diagnostics;
+         Alcotest.test_case "algebra step memo bounded under patches" `Quick
+           test_server_step_memo_bounded;
          Alcotest.test_case "cost refresh after patch" `Quick
            test_server_cost_refresh ]);
       ( "result cache",

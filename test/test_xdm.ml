@@ -505,6 +505,33 @@ let prop_axes_partition =
           && Node_set.equal (Node_set.of_nodes total) (Node_set.of_nodes ns))
         ns)
 
+(* [Axis.nth] answers [axis::test[k]] from the children array; it must
+   pick the node the materialised axis holds at position k, attributes
+   (which have no siblings) included. *)
+let prop_nth_matches_step =
+  QCheck2.Test.make ~count:100 ~name:"positional child/sibling steps = step"
+    tree_gen
+    (fun doc ->
+      let ns =
+        List.concat_map (fun n -> n :: Node.attributes n) (all_nodes doc)
+      in
+      List.for_all
+        (fun n ->
+          List.for_all
+            (fun (axis, test) ->
+              let full = Axis.step axis test n in
+              List.for_all
+                (fun k ->
+                  Option.equal Node.equal (Axis.nth axis test n k)
+                    (if k < 1 then None else List.nth_opt full (k - 1)))
+                [ 0; 1; 2; 3 ])
+            [ (Axis.Child, Axis.Kind_node); (Axis.Child, Axis.Name "*");
+              (Axis.Following_sibling, Axis.Kind_node);
+              (Axis.Following_sibling, Axis.Name "a");
+              (Axis.Preceding_sibling, Axis.Kind_node);
+              (Axis.Preceding_sibling, Axis.Name "b") ])
+        ns)
+
 let prop_union_setops =
   QCheck2.Test.make ~count:100 ~name:"node-set algebra laws" tree_gen
     (fun doc ->
@@ -574,4 +601,5 @@ let () =
           [ prop_serializer_roundtrip;
             prop_doc_order_total;
             prop_axes_partition;
+            prop_nth_matches_step;
             prop_union_setops ] ) ]
