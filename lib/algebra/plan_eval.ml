@@ -36,12 +36,15 @@ type t = {
   persistent : Relation.t Phys.t;
   contains : (int, bool) Hashtbl.t Phys.t;
       (** [contains_ref] answers per plan node, for this engine's plans *)
+  trees : (int, Encoding.t) Hashtbl.t;
+      (** encodings of trees without a URI (built by the query), by root
+          id; documents use {!Encoding.of_tree_cached} *)
 }
 
 let create ?(registry = Doc_registry.default) ?(max_iterations = 1_000_000)
     ~stats () =
   { registry; max_iterations; stats; persistent = Phys.create 256;
-    contains = Phys.create 256 }
+    contains = Phys.create 256; trees = Hashtbl.create 16 }
 
 let stats t = t.stats
 
@@ -205,7 +208,18 @@ let step_push b i (m : Node.t) =
   b.nds.(b.n) <- m;
   b.n <- b.n + 1
 
-let eval_step rel axis test colname =
+let encoding t (root : Node.t) =
+  match Node.uri root with
+  | Some _ -> Encoding.of_tree_cached root
+  | None -> (
+    match Hashtbl.find_opt t.trees root.Node.id with
+    | Some enc -> enc
+    | None ->
+      let enc = Encoding.of_tree root in
+      Hashtbl.replace t.trees root.Node.id enc;
+      enc)
+
+let eval_step t rel axis test colname =
   let ci = Relation.column_index rel colname in
   let c = (Relation.cols rel).(ci) in
   let n = Relation.cardinal rel in
@@ -227,7 +241,7 @@ let eval_step rel axis test colname =
     match !last with
     | Some (r, enc) when r == root -> enc
     | _ ->
-      let enc = Encoding.of_tree_cached root in
+      let enc = encoding t root in
       last := Some (root, enc);
       enc
   in
@@ -527,7 +541,7 @@ and eval_raw t env (p : Plan.t) : Relation.t =
     Relation.number ~order:spec.Plan.num_order
       ~partition:spec.Plan.num_partition ~result:spec.Plan.num_result
       (eval t env q)
-  | Plan.Step (axis, test, col, q) -> eval_step (eval t env q) axis test col
+  | Plan.Step (axis, test, col, q) -> eval_step t (eval t env q) axis test col
   | Plan.Id_join (ctx, arg) ->
     eval_id_join t.registry (eval t env ctx) (eval t env arg)
   | Plan.Construct (kind, _) ->

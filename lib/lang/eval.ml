@@ -15,6 +15,14 @@ let err fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 module Semiring = Fixq_semiring.Semiring
 module Kernel = Fixq_semiring.Kernel
 
+(* AST nodes by physical identity *)
+module Loop_tbl = Hashtbl.Make (struct
+  type t = expr
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
 type ifp_site = {
   ifp_var : string;
   ifp_seed : Item.seq;
@@ -42,6 +50,9 @@ type t = {
   stratified : bool;
   domains : int option;  (** Some d: run Delta rounds on d domains *)
   chunk_threshold : int;
+  loops : (string list * expr list) Loop_tbl.t;
+      (** {!invariants} per loop body, by identity: binders, keys *)
+  loops_lock : Mutex.t;  (** Delta rounds may run on several domains *)
 }
 
 type env = {
@@ -73,7 +84,8 @@ let create ?(registry = Doc_registry.default) ?(strategy = Auto)
   { functions = Hashtbl.create 16; registry; stats = Stats.create ();
     strategy; max_iterations; max_call_depth; globals = Smap.empty;
     last_ifp_used_delta = None; last_annotations = None; ifp_handler = None;
-    delta_licence = None; stratified; domains; chunk_threshold }
+    delta_licence = None; stratified; domains; chunk_threshold;
+    loops = Loop_tbl.create 16; loops_lock = Mutex.create () }
 
 let set_ifp_handler t h = t.ifp_handler <- h
 let set_delta_licence t l = t.delta_licence <- l
@@ -245,8 +257,8 @@ let rec find_slot e = function
   | [] -> None
   | s :: rest -> if s.key == e then Some s else find_slot e rest
 
-(* [invariants outer ~binders body]: the maximal subexpressions of a
-   loop body worth evaluating once per loop instance.
+(* [invariants ~binders body]: the maximal subexpressions of a loop
+   body worth evaluating once per loop instance.
 
    Variables and focuses are numbered by nesting depth inside the body:
    the loop's own variables ([binders]) and its focus are level 0, and a
@@ -266,18 +278,17 @@ let rec find_slot e = function
    Trivial expressions (literals, variables) are not worth a slot, and
    neither is [e/descendant-or-self::node()]: it is the first half of
    an [e//name] path, which [eval_path] answers from the name index
-   only as a whole. Expressions an enclosing loop already hoisted stay
-   with that loop. The function reads the AST; it never rewrites it. *)
-let invariants outer ~binders body =
+   only as a whole. The result depends on the AST alone (an enclosing
+   loop's slot is invariant here too, so it or an expression around it
+   is found), and the function never rewrites the AST. *)
+let invariants ~binders body =
   let found = ref [] in
   let none = max_int and never = (-1, -1) in
   let rec go vl fl scope e =
-    if find_slot e outer <> None then (none, none)
-    else
-      let before = !found in
-      let ((mv, mf) as r) = levels vl fl scope e in
-      if mv >= vl && mf > fl && worth_a_slot e then found := e :: before;
-      r
+    let before = !found in
+    let ((mv, mf) as r) = levels vl fl scope e in
+    if mv >= vl && mf > fl && worth_a_slot e then found := e :: before;
+    r
   and levels vl fl scope e =
     let both a b = (min (fst a) (fst b), min (snd a) (snd b)) in
     let same = go vl fl scope in
@@ -338,9 +349,32 @@ let invariants outer ~binders body =
   ignore (go 1 0 scope body);
   !found
 
+(* A loop body is analysed once per evaluator, not once per entry: an
+   inner loop is entered once per binding of the loops around it. *)
+let loop_invariants t ~binders body =
+  Mutex.protect t.loops_lock (fun () ->
+      match Loop_tbl.find_opt t.loops body with
+      | Some (b, keys) when b = binders -> keys
+      | _ ->
+        let keys = invariants ~binders body in
+        Loop_tbl.replace t.loops body (binders, keys);
+        keys)
+
 (* ------------------------------------------------------------------ *)
 (* The evaluator                                                       *)
 (* ------------------------------------------------------------------ *)
+
+(* A general [=] against a hoisted operand [p], atomized once per loop
+   instance: a hash-set probe when both sides are all strings; any other
+   mix compares pairwise in the usual order, where [Atom.compare_value]
+   may raise. *)
+let probe_eq p other ~probe_left =
+  match p.strings with
+  | Some set when List.for_all (function Atom.Str _ -> true | _ -> false) other ->
+    List.exists (function Atom.Str x -> Hashtbl.mem set x | _ -> false) other
+  | _ ->
+    if probe_left then exists_pair Eq p.atoms other
+    else exists_pair Eq other p.atoms
 
 (* Inside a loop body, a node that is one of the enclosing loops' slots
    answers from the slot; everything else evaluates as usual. *)
@@ -397,7 +431,7 @@ let rec eval t env (e : expr) : Item.seq =
   | Filter (a, p) -> eval_filter t env a p
   | For { var; pos; source; body } ->
     let src = eval t env source in
-    let env = hoist env ~binders:(var :: Option.to_list pos) body src in
+    let env = hoist t env ~binders:(var :: Option.to_list pos) body src in
     List.concat
       (List.mapi
          (fun i it ->
@@ -473,11 +507,21 @@ let rec eval t env (e : expr) : Item.seq =
     | [ Atom.Int i ] -> [ Item.A (Atom.Int (-i)) ]
     | [ x ] -> [ Item.A (Atom.Dbl (-.Atom.to_number x)) ]
     | _ -> err "unary minus over a non-singleton sequence")
-  | Gen_cmp (Eq, a, b) when env.slots <> [] -> eval_general_eq t env a b
   | Gen_cmp (c, a, b) ->
-    let va = Item.atomize (eval t env a) in
-    let vb = Item.atomize (eval t env b) in
-    [ Item.A (Atom.Bool (exists_pair c va vb)) ]
+    (* operands evaluate left to right on every path *)
+    let holds =
+      match (c, find_slot a env.slots, find_slot b env.slots) with
+      | (Eq, Some s, _) ->
+        let p = slot_probe t s in
+        probe_eq p (Item.atomize (eval t env b)) ~probe_left:true
+      | (Eq, None, Some s) ->
+        let va = Item.atomize (eval t env a) in
+        probe_eq (slot_probe t s) va ~probe_left:false
+      | _ ->
+        let va = Item.atomize (eval t env a) in
+        exists_pair c va (Item.atomize (eval t env b))
+    in
+    [ Item.A (Atom.Bool holds) ]
   | Val_cmp (c, a, b) -> (
     let va = Item.atomize (eval t env a) in
     let vb = Item.atomize (eval t env b) in
@@ -597,17 +641,20 @@ let rec eval t env (e : expr) : Item.seq =
   | Ifp { var; seed; body; accum } -> eval_ifp t env var seed body accum)
 
 (* The environment a loop instance evaluates its body in: the entry
-   environment plus one slot per invariant subexpression. A source of
-   fewer than two items has nothing to share. *)
-and hoist env ~binders body src =
+   environment plus one slot per invariant subexpression that no
+   enclosing loop already holds. A source of fewer than two items has
+   nothing to share. *)
+and hoist t env ~binders body src =
   match src with
   | [] | [ _ ] -> env
-  | _ -> (
-    match invariants env.slots ~binders body with
+  | _ ->
+    let slot key =
+      if find_slot key env.slots <> None then None
+      else Some { key; home = env; value = None; probe = None }
+    in
+    match List.filter_map slot (loop_invariants t ~binders body) with
     | [] -> env
-    | keys ->
-      let slot key = { key; home = env; value = None; probe = None } in
-      { env with slots = List.rev_append (List.rev_map slot keys) env.slots })
+    | slots -> { env with slots = slots @ env.slots }
 
 (* [s.home] is the loop's entry environment: its slots are the outer
    loops', never [s] itself. *)
@@ -635,32 +682,6 @@ and slot_probe t s =
     let p = { atoms; strings } in
     s.probe <- Some p;
     p
-
-(* A general [=] with a hoisted operand: the operand is atomized once
-   per loop instance and, when both sides are all strings, probed as a
-   hash set. Any other mix compares pairwise in the usual order, where
-   [Atom.compare_value] may raise. Operands evaluate left to right. *)
-and eval_general_eq t env a b =
-  let pairwise = exists_pair Eq in
-  let probed p other ~probe_left =
-    match p.strings with
-    | Some set when List.for_all (function Atom.Str _ -> true | _ -> false) other ->
-      List.exists (function Atom.Str x -> Hashtbl.mem set x | _ -> false) other
-    | _ -> if probe_left then pairwise p.atoms other else pairwise other p.atoms
-  in
-  let holds =
-    match (find_slot a env.slots, find_slot b env.slots) with
-    | (Some s, _) ->
-      let p = slot_probe t s in
-      probed p (Item.atomize (eval t env b)) ~probe_left:true
-    | (None, Some s) ->
-      let va = Item.atomize (eval t env a) in
-      probed (slot_probe t s) va ~probe_left:false
-    | (None, None) ->
-      let va = Item.atomize (eval t env a) in
-      pairwise va (Item.atomize (eval t env b))
-  in
-  [ Item.A (Atom.Bool holds) ]
 
 and eval_node_cmp t env a b op =
   let na = eval t env a and nb = eval t env b in
@@ -706,7 +727,7 @@ and eval_path_steps t env a b =
 
 and eval_filter t env a p =
   let src = eval t env a in
-  let env = hoist env ~binders:[] p src in
+  let env = hoist t env ~binders:[] p src in
   let size = List.length src in
   let keep i it =
     let env' = { env with ctx = Some (it, i + 1, size) } in

@@ -51,19 +51,14 @@ let row t pre = t.rows.(pre)
 let size t = Array.length t.rows
 let steps t = t.steps
 
-(* Documents are keyed by URI, so a patched document's encoding (new
-   root id after renumbering) replaces the stale one. Trees without a
-   URI (constructed by queries) are keyed by root id in a table of at
-   most [anon_limit] entries, emptied when full. Entries are only ever
-   replaced or removed, never the tables themselves, so concurrent
-   readers never see a shrunk table. *)
+(* Keyed by URI, so a patched document's encoding (new root id after
+   renumbering) replaces the stale one. *)
 let cache : (string, int * t) Hashtbl.t = Hashtbl.create 8
-let anon : (int, t) Hashtbl.t = Hashtbl.create 64
-let anon_limit = 64
 
 let of_tree_cached n =
   let root = Node.root n in
   match Node.uri root with
+  | None -> of_tree root
   | Some key -> (
     match Hashtbl.find_opt cache key with
     | Some (id, t) when id = root.Node.id -> t
@@ -71,16 +66,6 @@ let of_tree_cached n =
       let t = of_tree root in
       Hashtbl.replace cache key (root.Node.id, t);
       t)
-  | None -> (
-    match Hashtbl.find_opt anon root.Node.id with
-    | Some t -> t
-    | None ->
-      let t = of_tree root in
-      if Hashtbl.length anon >= anon_limit then
-        Hashtbl.filter_map_inplace (fun _ _ -> None) anon;
-      Hashtbl.replace anon root.Node.id t;
-      t)
 
 let cached_step_entries () =
-  Hashtbl.fold (fun _ (_, t) acc -> acc + Hashtbl.length t.steps) cache
-    (Hashtbl.fold (fun _ t acc -> acc + Hashtbl.length t.steps) anon 0)
+  Hashtbl.fold (fun _ (_, t) acc -> acc + Hashtbl.length t.steps) cache 0

@@ -41,10 +41,11 @@ val row : t -> int -> row
 (** Number of rows (nodes). *)
 val size : t -> int
 
-(** A process-wide cache: encodings are built once per tree root and
-    its ids. A document with a URI keeps one entry, which a patch
-    (renumbering the tree) replaces on the next use; trees without a
-    URI share a small table that is emptied when full. *)
+(** A process-wide cache of document encodings: a document with a URI
+    keeps one entry, which a patch (renumbering the tree) replaces on
+    the next use. A tree without a URI (built by a query) is encoded
+    afresh on every call; a caller that revisits one keeps its own
+    table, so the encoding dies with the caller. *)
 val of_tree_cached : Fixq_xdm.Node.t -> t
 
 (** A memo of axis-step results over this tree, keyed by the caller.
@@ -52,5 +53,5 @@ val of_tree_cached : Fixq_xdm.Node.t -> t
     retires it with the stale encoding. *)
 val steps : t -> (int, Fixq_xdm.Node.t list) Hashtbl.t
 
-(** Entries in the step memos of all cached encodings. *)
+(** Entries in the step memos of all cached document encodings. *)
 val cached_step_entries : unit -> int

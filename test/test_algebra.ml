@@ -115,6 +115,30 @@ let test_plan_step () =
   let out = Plan_eval.run (pe ()) plan in
   check_int "descendant b" 3 (Relation.cardinal out)
 
+(* Trees built by a query have no URI: their encodings (and the step
+   memos inside) are kept by the engine instance that built them, not
+   process-wide, and a seed spanning many such trees encodes each once. *)
+let test_plan_constructed_trees () =
+  let spec = Node.E ("r", [], [ Node.E ("a", [], [ Node.E ("b", [], []) ]); Node.E ("a", [], []) ]) in
+  let roots = List.init 100 (fun _ -> Node.of_spec spec) in
+  let fix_id = Plan.fresh_fix_id () in
+  let body =
+    Plan.Distinct
+      (Plan.Step (Axis.Child, Axis.Kind_node, "item", Plan.Fix_ref (fix_id, [ "iter"; "item" ])))
+  in
+  let seed =
+    Plan.Lit_table
+      ([ "iter"; "item" ], List.map (fun r -> [| Value.Int 1; Value.Nd r |]) roots)
+  in
+  let global = Fixq_store.Encoding.cached_step_entries () in
+  let run plan = Relation.cardinal (Plan_eval.run (pe ()) plan) in
+  let naive = run (Plan.Mu { Plan.fix_id; seed; body }) in
+  let delta = run (Plan.Mu_delta { Plan.fix_id; seed; body }) in
+  check_int "closure: the descendants of every tree" (100 * 4) naive;
+  check_int "µ∆ agrees" naive delta;
+  check_int "no process-wide step memo entries" global
+    (Fixq_store.Encoding.cached_step_entries ())
+
 let test_plan_mu_counts () =
   (* µ over a child-step body computes the descendant closure *)
   let doc = Option.get (Doc_registry.find ~registry "small.xml") in
@@ -648,6 +672,8 @@ let () =
             test_construct_rejected;
           Alcotest.test_case "µ vs µ∆ tuple counts" `Quick
             test_plan_mu_counts;
+          Alcotest.test_case "steps over constructed trees" `Quick
+            test_plan_constructed_trees;
           Alcotest.test_case "multi-iteration lock-step" `Quick
             test_mu_multi_iteration_lockstep ] );
       ( "compiler",

@@ -476,6 +476,20 @@ let test_guarded_error_in_predicate () =
   check_error "predicate guard holds"
     "(1,2,3)[if (. = 2) then (1 div 0) else true()]"
 
+(* An inner loop is analysed once per evaluator but gets fresh slots
+   on every entry: its invariants read the outer binding of the entry,
+   and an outer loop of one item (which hoists nothing) leaves them to
+   the inner loop. *)
+let test_nested_loop_slots () =
+  check_run "inner invariant reads the outer variable" "110 120 210 220 310 320"
+    "for $a in (1,2,3) return for $b in (10,20) return $a * 100 + $b";
+  check_run "shared operand per outer binding" "1 2 2 3"
+    "for $a in (1,2) return for $b in (0,1) return count((1 to $a)) + $b";
+  check_run "outer loop of one item" "3 4"
+    "for $a in (1) return for $b in (1,2) return $b + count(($a, $a))";
+  check_run "outer slot inside an inner predicate" "2 2"
+    "for $a in (1,2) return count((1,2,3)[. = (1 to 3)[position() > 1]])"
+
 let test_constructors_in_loops () =
   check_run "fresh element per binding" "false"
     "let $n := for $i in (1,2) return <a/> return $n[1] is $n[2]";
@@ -583,6 +597,7 @@ let () =
             test_guarded_error_in_body;
           Alcotest.test_case "guarded error in a predicate" `Quick
             test_guarded_error_in_predicate;
+          Alcotest.test_case "nested loops" `Quick test_nested_loop_slots;
           Alcotest.test_case "constructors keep identities" `Quick
             test_constructors_in_loops;
           Alcotest.test_case "focus builtins in predicates" `Quick

@@ -10,8 +10,8 @@ module Staircase = Fixq_store.Staircase
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let sample () =
-  Node.of_spec
+let sample ?uri () =
+  Node.of_spec ?uri
     (Node.E
        ( "r", [],
          [ Node.E ("a", [], [ Node.E ("b", [], [ Node.T "t" ]) ]);
@@ -79,10 +79,16 @@ let test_encoding_region_property () =
   check "descendant region" true !ok
 
 let test_encoding_cache () =
-  let doc = sample () in
+  let doc = sample ~uri:"encoding-cache.xml" () in
   let e1 = Encoding.of_tree_cached doc in
   let e2 = Encoding.of_tree_cached (List.hd (Node.children doc)) in
-  check "cache returns same encoding for same tree" true (e1 == e2)
+  check "cache returns same encoding for same tree" true (e1 == e2);
+  Node.renumber doc;
+  check "a renumbered document is encoded again" false
+    (Encoding.of_tree_cached doc == e1);
+  let anon = sample () in
+  check "a tree without a URI is not kept process-wide" false
+    (Encoding.of_tree_cached anon == Encoding.of_tree_cached anon)
 
 (* ------------------------------------------------------------------ *)
 (* Staircase join vs navigational axes                                 *)
