@@ -438,146 +438,6 @@ let section6 () =
     (Item.set_equal plain.Fixq.result strat.Fixq.result)
 
 (* ------------------------------------------------------------------ *)
-(* Section 7 ablation: divide-and-conquer (parallel Delta)             *)
-(* ------------------------------------------------------------------ *)
-
-let section7 () =
-  printf
-    "== Section 7 ablation: parallel Delta (divide-and-conquer over ∆) ==\n\n";
-  let module Eval = Fixq_lang.Eval in
-  let module Fixpoint = Fixq_lang.Fixpoint in
-  let registry = Doc_registry.create () in
-  ignore (W.Xmark.load ~registry { W.Xmark.default with W.Xmark.scale = 0.02 });
-  (* the bidder-network payload: expensive per node (auction scans),
-     read-only — exactly the shape divide-and-conquer pays off for *)
-  let ev = Eval.create ~registry () in
-  Eval.load_prolog ev
-    (Parser.parse_program
-       {|declare variable $doc := doc("auction.xml");
-         declare function bidder ($in as node()*) as node()*
-         { for $id in $in/@id
-           let $b := $doc//open_auction[seller/@person = $id]/bidder/personref
-           return $doc//people/person[@id = $b/@person]
-         };
-         0|});
-  let body_expr = Parser.parse_expr "bidder($x)" in
-  let body input =
-    Eval.eval_expr ev ~vars:[ ("x", input) ] body_expr
-  in
-  let seed =
-    Eval.eval_expr ev
-      (Parser.parse_expr {|(doc("auction.xml")//people/person)[position() <= 100]|})
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, (Unix.gettimeofday () -. t0) *. 1000.0)
-  in
-  let stats = Stats.create () in
-  let (seq, seq_ms) =
-    time (fun () -> Fixpoint.delta ~stats ~body ~seed ())
-  in
-  printf "  sequential Delta       : %8.1f ms (%d nodes)\n" seq_ms
-    (List.length seq);
-  List.iter
-    (fun domains ->
-      let (par, par_ms) =
-        time (fun () ->
-            Fixpoint.delta_parallel ~domains ~chunk_threshold:8 ~stats ~body
-              ~seed ())
-      in
-      printf "  parallel Delta (%d dom) : %8.1f ms  ×%.2f  agree=%b\n"
-        domains par_ms (seq_ms /. par_ms)
-        (Item.set_equal seq par))
-    [ 2; 4 ];
-  printf
-    "\n  Note: a negative result on this engine. The split is sound\n\
-    \  (distributivity is exactly the licence to divide ∆), but the\n\
-    \  interpreter's list-allocating payloads are GC-bound: OCaml\n\
-    \  domains synchronize on minor collections, so added domains buy\n\
-    \  sync overhead, not throughput. A compute-bound or off-heap\n\
-    \  payload (the paper imagines distributed back-ends) is where the\n\
-    \  divide-and-conquer reading pays.\n\n"
-
-(* ------------------------------------------------------------------ *)
-(* Cluster scaling                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* The multi-process counterpart of section7: scatter-gather an XMark
-   descendant closure across 1, 2, 4 worker processes (replication =
-   worker count, so every worker serves a seed slice). Process
-   isolation sidesteps the shared-heap GC wall that sinks the
-   domains-based split — each worker collects privately. *)
-let cluster_bench () =
-  printf "== Cluster scaling: scatter-gather across worker processes ==\n\n";
-  let module Cluster = Fixq_cluster.Cluster in
-  let module Coordinator = Fixq_cluster.Coordinator in
-  let bin =
-    let next_to_me =
-      Filename.concat
-        (Filename.dirname Sys.executable_name)
-        "../bin/fixq_cli.exe"
-    in
-    if Sys.file_exists next_to_me then Some next_to_me else None
-  in
-  match bin with
-  | None ->
-    printf "  (skipped: bin/fixq_cli.exe not built next to bench/main.exe)\n\n"
-  | Some bin ->
-    let load =
-      {|{"op":"load-doc","uri":"x.xml","generate":"xmark","size":0.05,"seed":42}|}
-    in
-    let run_line =
-      {|{"op":"run","query":"with $x seeded by doc(\"x.xml\")//person recurse $x/*","cache":false}|}
-    in
-    List.iter
-      (fun workers ->
-        let dir =
-          Filename.concat
-            (Filename.get_temp_dir_name ())
-            (Printf.sprintf "fixq-bench-%d-%dw" (Unix.getpid ()) workers)
-        in
-        let command ~name:_ ~socket =
-          [| bin; "serve"; "--socket"; socket; "--workers"; "4" |]
-        in
-        let config =
-          { Coordinator.default_config with replication = workers }
-        in
-        match Cluster.launch ~dir ~count:workers ~command ~config () with
-        | exception Failure msg ->
-          printf "  %d workers: launch failed (%s)\n" workers msg
-        | cluster ->
-          let handle = Cluster.handle_line cluster in
-          ignore (handle load);
-          ignore (handle run_line) (* warm the prepared caches *);
-          let best = ref infinity in
-          let result_chars = ref 0 in
-          for _ = 1 to 3 do
-            let t0 = Unix.gettimeofday () in
-            let (resp, _) = handle run_line in
-            best := Float.min !best ((Unix.gettimeofday () -. t0) *. 1000.);
-            result_chars :=
-              String.length
-                (Option.value ~default:""
-                   (Json.str_opt (Json.member "result" (Json.parse resp))))
-          done;
-          printf "  %d worker%s: %8.1f ms  (%d result chars)\n" workers
-            (if workers = 1 then " " else "s")
-            !best !result_chars;
-          record_json
-            [ ("section", Json.Str "cluster");
-              ("workers", Json.of_int workers); ("ms", Json.Num !best);
-              ("result_chars", Json.of_int !result_chars) ];
-          Cluster.shutdown cluster)
-      [ 1; 2; 4 ];
-    printf
-      "\n  1 worker routes whole (scatter needs two live replicas); 2 and\n\
-      \  4 split the seed into that many residue classes per Theorem 3.2.\n\
-      \  Equal result_chars across rows is the parity check; at smoke\n\
-      \  sizes socket round-trips dominate, so expect speedups only on\n\
-      \  documents large enough to amortize the gather.\n\n"
-
-(* ------------------------------------------------------------------ *)
 (* IVM: cached query after a small edit vs full recompute              *)
 (* ------------------------------------------------------------------ *)
 
@@ -1602,8 +1462,15 @@ let micro () =
       R.create [ "iter"; "item" ]
         (List.mapi (fun i n -> [| V.Int (i mod 7); V.Nd n |]) nodes)
     in
-    let even = R.select_bool "pick" (R.append_col "pick"
-        (R.col_of_values (Array.init (R.cardinal rel) (fun i -> V.Bool (i mod 2 = 0)))) rel)
+    (* every other row, projected back to [rel]'s schema so that the
+       set operators accept the pair *)
+    let even =
+      R.project [ ("iter", "iter"); ("item", "item") ]
+        (R.select_bool "pick"
+           (R.append_col "pick"
+              (R.col_of_values
+                 (Array.init (R.cardinal rel) (fun i -> V.Bool (i mod 2 = 0))))
+              rel))
     in
     let k name f =
       Bechamel.Test.make ~name (Bechamel.Staged.stage (fun () -> ignore (f ())))
@@ -1652,8 +1519,8 @@ let micro () =
 (* ------------------------------------------------------------------ *)
 
 (* Table 2's machine-independent cost is its work counters: a
-   [(query, engine)] row of OLD that NEW lacks, or whose [nodes_fed] or
-   [iterations] differ, fails the comparison. Wall-clock slowdowns over
+   [(query, engine)] row of OLD that NEW lacks, or whose [nodes_fed],
+   [iterations] or [kernel_col_rows] differ, fails the comparison. Wall-clock slowdowns over
    10% are printed as warnings only — they depend on the host. *)
 let compare_bench old_path new_path =
   let table2 path =
@@ -1690,7 +1557,7 @@ let compare_bench old_path new_path =
               let show = function Some v -> string_of_int v | None -> "-" in
               printf "FAIL %s: %s %s -> %s\n" name field (show (get o)) (show (get n))
             end)
-          [ "nodes_fed"; "iterations" ];
+          [ "nodes_fed"; "iterations"; "kernel_col_rows" ];
         (match (Json.num_opt (Json.member "ms" o), Json.num_opt (Json.member "ms" n)) with
         | (Some a, Some b) when a > 0.0 && b > 1.1 *. a ->
           printf "warning %s: %.1f ms -> %.1f ms (+%.0f%%)\n" name a b
@@ -1726,7 +1593,7 @@ let () =
       (fun a ->
         List.mem a
           [ "table1"; "table2"; "figure9"; "example24"; "section41";
-            "section6"; "section7"; "accum"; "micro"; "cluster"; "ivm";
+            "section6"; "accum"; "micro"; "ivm";
             "semiring"; "columnar"; "cost"; "recovery"; "patch" ])
       args
   in
@@ -1739,7 +1606,6 @@ let () =
   when_ "example24" example24;
   when_ "section41" section41;
   when_ "section6" section6;
-  when_ "section7" section7;
   when_ "accum" accum;
   when_ "columnar" columnar_bench;
   when_ "cost" cost_bench;
@@ -1749,6 +1615,4 @@ let () =
   (* opt-in like micro: stateful temp dirs + a long patch history *)
   when_ "recovery" (fun () -> if has "recovery" then recovery_bench ());
   when_ "micro" (fun () -> if has "micro" then micro ());
-  (* opt-in like micro: needs the fixq binary built alongside *)
-  when_ "cluster" (fun () -> if has "cluster" then cluster_bench ());
   Option.iter write_json json_out

@@ -164,20 +164,6 @@ let stratified_arg =
   in
   Arg.(value & flag & info [ "stratified" ] ~doc)
 
-let domains_arg =
-  let doc =
-    "Run Delta-eligible interpreter fixpoints on N OCaml domains \
-     (Section 7 parallel Delta). Default: sequential."
-  in
-  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
-
-let chunk_threshold_arg =
-  let doc =
-    "With --domains: rounds feeding fewer than N items stay sequential \
-     (spawning domains costs more than small rounds save)."
-  in
-  Arg.(value & opt int 64 & info [ "chunk-threshold" ] ~docv:"N" ~doc)
-
 let to_engine engine mode =
   match engine with
   | `Interp -> Fixq.Interpreter mode
@@ -215,8 +201,7 @@ let engine_name = function
 (* ------------------------------------------------------------------ *)
 
 let run_cmd =
-  let action file expr docs patches engine mode stats stratified domains
-      chunk_threshold =
+  let action file expr docs patches engine mode stats stratified =
     let registry = Xdm.Doc_registry.create () in
     load_docs registry docs;
     apply_patches registry patches;
@@ -226,8 +211,7 @@ let run_cmd =
     if auto && stats then
       Printf.eprintf "engine chosen: %s\n" (engine_name engine);
     match
-      Fixq.run ~registry ~stratified ?domains ~chunk_threshold
-        ~engine:(to_engine engine mode) src
+      Fixq.run ~registry ~stratified ~engine:(to_engine engine mode) src
     with
     | report ->
       print_endline (Xdm.Serializer.seq_to_string report.Fixq.result);
@@ -255,8 +239,7 @@ let run_cmd =
   in
   let term =
     Term.(const action $ file_arg $ expr_arg $ docs_arg $ patch_arg
-          $ engine_arg $ mode_arg $ stats_arg $ stratified_arg $ domains_arg
-          $ chunk_threshold_arg)
+          $ engine_arg $ mode_arg $ stats_arg $ stratified_arg)
   in
   Cmd.v (Cmd.info "run" ~doc:"Evaluate a query.") term
 
@@ -719,7 +702,7 @@ let chaos_arg =
               'seed=42,transport.recv=drop:0.1,fixpoint.round=oom@3'. \
               Items are comma-separated: seed=N, or \
               point=kind[:prob][@nth][#max] with points transport.send, \
-              transport.recv, coordinator.scatter, supervisor.ping, \
+              transport.recv, supervisor.ping, \
               server.handle, fixpoint.round, store.read, store.patch, \
               store.wal, store.snapshot, coordinator.rebalance and kinds \
               drop, truncate, kill, oom, delayMS. Falls back to \
@@ -916,13 +899,6 @@ let cluster_cmd =
     let doc = "Directory for worker sockets and logs (default: a fresh /tmp dir)." in
     Arg.(value & opt (some string) None & info [ "worker-dir" ] ~docv:"DIR" ~doc)
   in
-  let no_scatter_arg =
-    Arg.(value & flag
-         & info [ "no-scatter" ]
-             ~doc:
-               "Disable seed-partitioned scatter-gather; route every query \
-                whole to one worker.")
-  in
   let retries_arg =
     let doc = "Re-sends per request leg before failing over." in
     Arg.(value & opt int 2 & info [ "retries"; "retry-max" ] ~docv:"N" ~doc)
@@ -966,12 +942,11 @@ let cluster_cmd =
     let doc = "Default per-request wall-clock budget in milliseconds." in
     Arg.(value & opt (some float) None & info [ "timeout-ms" ] ~docv:"MS" ~doc)
   in
-  let action docs pipe socket workers replication worker_dir no_scatter
-      retries backoff_ms jitter compact_patches state_dir health_ms
-      max_iterations timeout_ms stratified chaos
-      chaos_log max_heap_mb shed_heap_mb max_pending max_call_depth
-      max_cost retry_after_ms =
-    (* the coordinator process hosts the transport/scatter/ping points;
+  let action docs pipe socket workers replication worker_dir retries
+      backoff_ms jitter compact_patches state_dir health_ms max_iterations
+      timeout_ms stratified chaos chaos_log max_heap_mb shed_heap_mb
+      max_pending max_call_depth max_cost retry_after_ms =
+    (* the coordinator process hosts the transport/ping points;
        the same schedule is forwarded to every worker (below), where the
        server.handle/fixpoint.round/store.read points live *)
     match setup_chaos ~chaos ~chaos_log with
@@ -1014,7 +989,7 @@ let cluster_cmd =
         @ [ "--retry-after-ms"; string_of_int retry_after_ms ])
     in
     let config =
-      { C.Coordinator.replication; scatter = not no_scatter; retries;
+      { C.Coordinator.replication; retries;
         backoff_ms; jitter; compact_patches;
         (* transport read budget: the workers' own budget plus slack,
            unbounded when the workers are unbudgeted *)
@@ -1070,7 +1045,7 @@ let cluster_cmd =
           match (pipe, socket) with
           | (true, _) ->
             (* sequential on purpose: deterministic response order; the
-               parallelism lives in the scatter legs and the workers *)
+               parallelism lives in the workers *)
             Service.Server.serve_pipe_with ~handle ~workers:1 stdin stdout;
             0
           | (false, Some path) -> (
@@ -1096,7 +1071,7 @@ let cluster_cmd =
   in
   let term =
     Term.(const action $ docs_arg $ pipe_arg $ socket_arg $ workers_arg
-          $ replication_arg $ worker_dir_arg $ no_scatter_arg $ retries_arg
+          $ replication_arg $ worker_dir_arg $ retries_arg
           $ backoff_arg $ jitter_arg $ compact_arg $ cluster_state_dir_arg
           $ health_arg $ max_iterations_arg $ timeout_arg
           $ stratified_arg $ chaos_arg $ chaos_log_arg
@@ -1108,8 +1083,8 @@ let cluster_cmd =
        ~doc:
          "Run a multi-process cluster: N fixq-serve workers behind a \
           coordinator that shards documents by rendezvous hashing, \
-          scatter-gathers distributive fixed points across replicas, and \
-          respawns crashed workers.")
+          routes every query whole to one replica, fails over to the \
+          next, and respawns crashed workers.")
     term
 
 let client_cmd =

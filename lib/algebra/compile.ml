@@ -252,6 +252,11 @@ and comp_here env (e : Ast.expr) : Plan.t =
     let ctx = comp env Ast.Context_item in
     Plan.Template
       ("step", Plan.Distinct (Plan.Step (axis, test, "item", Plan.Distinct ctx)))
+  | Ast.Filter (Ast.Axis_step { axis; _ }, Ast.Literal (Atom.Int _))
+    when Axis.is_reverse axis ->
+    (* A predicate on a reverse-axis step counts nearest-first, which
+       ̺ over the item column (document order) cannot number. *)
+    unsupported "positional predicate on a reverse axis step"
   | Ast.Filter (a, Ast.Literal (Atom.Int k)) ->
     (* Positional predicate [k]: node sequences are in document order,
        so ̺ ordered by the item column per iteration recovers the

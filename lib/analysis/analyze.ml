@@ -209,9 +209,9 @@ let has_arith_over var body =
 
 let classify_structural ~var ~seed ~body =
   (* Node-only first: it is the strongest guarantee (finite node
-     universe ⇒ termination, Section 2.2) and exactly the cluster's
-     scatter precondition — internal constructors or arithmetic in a
-     branch whose *value* is still node-only do not endanger it. *)
+     universe ⇒ termination, Section 2.2) — internal constructors or
+     arithmetic in a branch whose *value* is still node-only do not
+     endanger it. *)
   if node_only ~env:[] seed && node_only ~env:[ var ] body then Terminates
   else if has_constructor body then
     May_diverge
@@ -654,18 +654,6 @@ let analyze ?(stratified = false) ?spans (p : program) =
 
 let count_ifps (p : program) =
   List.length (ifp_sites p)
-
-let scatter_eligible ?(stratified = false) (p : program) =
-  count_ifps p = 1
-  &&
-  match p.main with
-  (* Annotated fixpoints never scatter: the keyed gather merges node
-     sets, not semiring annotations. *)
-  | Ifp { var; seed; body; accum = None } ->
-    classify ~var ~seed ~body () = Terminates
-    && Lang.Distributivity.check
-         ~functions:(program_functions p) ~stratified var body
-  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* IVM eligibility *)

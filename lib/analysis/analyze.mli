@@ -14,9 +14,7 @@ module Push = Fixq_algebra.Push
 
     - [Terminates]: seed and body are node-only over loaded documents —
       the accumulator is bounded by the finite node universe, so the
-      fixed point is reached (Section 2.2 of the paper). This is also
-      exactly the cluster's scatter precondition: slices merge by
-      portable node identity.
+      fixed point is reached (Section 2.2 of the paper).
     - [Bounded]: the body mints no fresh nodes and no new atoms by
       arithmetic; the value universe is bounded but not node-only.
     - [May_diverge reason]: the body can mint fresh values every round
@@ -55,9 +53,8 @@ type t = {
 
 (** Conservative syntactic check that [e] evaluates to document-tree
     nodes only — never atoms, never freshly constructed nodes. [env]
-    lists the variables known to be bound to node-only sequences.
-    (Moved here from [Fixq]; the cluster's scatter gate and the
-    divergence classifier share it.) *)
+    lists the variables known to be bound to node-only sequences; the
+    divergence classifier builds on it. *)
 val node_only : env:string list -> Lang.Ast.expr -> bool
 
 (** Divergence classification. The structural verdict (node-only ⇒
@@ -107,11 +104,6 @@ val push_block_diag :
     [a.diagnostics]. *)
 val with_push :
   ?spans:Lang.Parser.Spans.t -> t -> Push.outcome option -> Diag.t list
-
-(** The cluster's scatter precondition, centralised: exactly one IFP,
-    it is the main expression, it [Terminates] (node-only seed and
-    body), and Figure 5 accepts the body. *)
-val scatter_eligible : ?stratified:bool -> Lang.Ast.program -> bool
 
 (** Incremental-view-maintenance eligibility of a prepared program.
 

@@ -8,8 +8,8 @@ type fault =
 type event = { point : string; fault : fault; seq : int }
 
 let points =
-  [ "transport.send"; "transport.recv"; "coordinator.scatter";
-    "supervisor.ping"; "server.handle"; "fixpoint.round"; "store.read";
+  [ "transport.send"; "transport.recv"; "supervisor.ping";
+    "server.handle"; "fixpoint.round"; "store.read";
     "store.patch"; "store.wal"; "store.snapshot"; "coordinator.rebalance" ]
 
 let fault_to_string = function

@@ -1,5 +1,5 @@
 (** Wiring: {!Supervisor} (worker processes) + {!Transport} (socket
-    clients) + {!Coordinator} (routing, scatter-gather, failover) as
+    clients) + {!Coordinator} (routing, failover) as
     one handle. This is what [fixq cluster] and the benchmarks use; the
     unit tests bypass it and drive {!Coordinator} over in-process
     servers instead. *)

@@ -16,7 +16,6 @@ type backend = {
 
 type config = {
   replication : int;
-  scatter : bool;
   retries : int;
   backoff_ms : float;
   jitter : float;
@@ -25,7 +24,7 @@ type config = {
 }
 
 let default_config =
-  { replication = 2; scatter = true; retries = 2; backoff_ms = 50.;
+  { replication = 2; retries = 2; backoff_ms = 50.;
     jitter = 0.5; timeout_ms = None; compact_patches = 16 }
 
 (* What one worker process holds, and in which order it loaded it. A
@@ -68,18 +67,15 @@ type t = {
           The sequence is the document's position in the global load
           order — fresh on every (re)load {e and} every patch, because
           both allocate fresh node ids on the workers that take them.
-          [gather_keyed] sorts by it, and
-          [order_ok] admits a worker to scatter (or prefers it for
-          routed multi-document runs) only when the worker's own load
-          order agrees, so position() enumeration and cross-document
-          serialization match across processes. *)
+          [order_ok] prefers a worker for routed multi-document runs
+          only when the worker's own load order agrees, so
+          cross-document serialization matches the single process. *)
   loaded : (string, worker_docs) Hashtbl.t;
   mutable doc_seq : int;
   mutable generation : int;
   mutable retries_total : int;
   mutable backoff_ms_total : float;
   mutable failovers_total : int;
-  mutable scatter_runs : int;
   mutable routed_runs : int;
   mutable rebalances_total : int;
   mutable docs_moved_total : int;
@@ -100,9 +96,9 @@ let create ?(config = default_config) (backend : backend) =
     docs = Hashtbl.create 16; loaded = Hashtbl.create 8;
     doc_seq = 0;
     generation = 0; retries_total = 0; backoff_ms_total = 0.;
-    failovers_total = 0; scatter_runs = 0;
-    routed_runs = 0; rebalances_total = 0; docs_moved_total = 0;
-    compactions_total = 0; started_at = Unix.gettimeofday () }
+    failovers_total = 0; routed_runs = 0; rebalances_total = 0;
+    docs_moved_total = 0; compactions_total = 0;
+    started_at = Unix.gettimeofday () }
 
 let router t = t.router
 
@@ -156,11 +152,10 @@ let record_loaded t name uri =
 
 (* After [ensure_docs] ships whatever [name] is missing of [uris] (in
    global load order, appended after everything it already holds),
-   will [name] hold [uris] in the global load order? Seed enumeration
-   — hence position() slicing — and cross-document serialization both
-   follow worker-local node-id order, so a scatter leg whose order
-   diverges from its peers slices a different enumeration, and the
-   gathered union silently drops or duplicates items. *)
+   will [name] hold [uris] in the global load order? Cross-document
+   serialization follows worker-local node-id order, so a worker whose
+   order diverges answers a multi-document query with a set-equal but
+   differently ordered result. *)
 let order_ok t name uris =
   let ords =
     match Hashtbl.find_opt t.loaded name with
@@ -298,8 +293,8 @@ let ensure_docs t name uris =
    holder. The global load sequence is KEPT: a worker rebuilding the
    document from the materialized line produces the same tree —
    preorder ranks are structural — as one that replayed the patches,
-   so [order_ok] and [gather_keyed] are unaffected; only replays get
-   shorter. Requires [doc_lock]. *)
+   so [order_ok] is unaffected; only replays get shorter. Requires
+   [doc_lock]. *)
 let compact_doc t uri =
   let info =
     locked t (fun () ->
@@ -376,8 +371,8 @@ let on_worker_respawn t name =
         locked t (fun () ->
             Hashtbl.replace t.alive name ();
             (* the respawned process is empty: forget, then replay in
-               global load order so its node-id order matches its
-               scatter peers' *)
+               global load order so its node-id order matches the
+               single process's *)
             let uris =
               match Hashtbl.find_opt t.loaded name with
               | Some wd -> Hashtbl.fold (fun uri _ acc -> uri :: acc) wd.ords []
@@ -440,42 +435,6 @@ let candidates t ~docs ~query =
         in
         consistent @ rest)
 
-(* Live workers inside the replica sets of ALL the query's documents
-   whose local document load order agrees with the global one — the
-   only sound scatter targets: a worker that loaded (or will receive,
-   via [ensure_docs]) the documents in another order enumerates the
-   seed differently, and the position()-mod-N slices would overlap or
-   miss elements. *)
-let scatter_set t ~docs ~query =
-  let reps =
-    match docs with
-    | [] -> replicas_for t ~key:("q:" ^ query)
-    | first :: rest ->
-      List.fold_left
-        (fun acc uri ->
-          let r = replicas_for t ~key:uri in
-          List.filter (fun w -> List.mem w r) acc)
-        (replicas_for t ~key:first)
-        rest
-  in
-  locked t (fun () ->
-      List.filter
-        (fun w -> Hashtbl.mem t.alive w && order_ok t w docs)
-        reps)
-
-(* Scatter is sound only when uniting the slices provably reproduces
-   the whole: the program must BE one IFP (not merely contain one),
-   its body must pass the Figure-5 syntactic distributivity check —
-   Theorem 3.2 then gives e(s1 ∪ s2) = e(s1) ∪ e(s2) — and the
-   analyzer must classify it [Terminates] (node-only seed and body):
-   [gather_keyed] merges by portable node identity, while atoms would
-   have to be restored to the single process's engine-production
-   order, which the slices do not carry. The whole precondition lives
-   in {!Fixq_analysis.Analyze.scatter_eligible}, shared with `fixq
-   lint`'s report. *)
-let scatterable t ~stratified (p : Lang.Ast.program) =
-  t.config.scatter && Fixq_analysis.Analyze.scatter_eligible ~stratified p
-
 (* ------------------------------------------------------------------ *)
 (* JSON plumbing                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -526,273 +485,14 @@ let run_routed t ~id ~docs ~cands ~timeout_ms line =
   in
   go cands
 
-type keyed_entry = { sort : int * int; tie : string; xml : string }
-
-(* Merge the legs' keyed item lists into the single-process
-   serialization: dedupe by portable identity, order document nodes by
-   (document load sequence, preorder rank) — exactly [Item.ddo]'s
-   document order for identically-loaded stores — and join with single
-   spaces as [Serializer.seq_to_string] does.
-
-   Each worker serializes its shard already in that order, so the legs
-   are merged pairwise (the same kernel shape as
-   [Fixq_xdm.Accumulator.merged]) instead of re-sorted globally; a leg
-   that arrives out of order is sorted first (counted as a fallback).
-   Entries sharing a key keep the earlier leg's serialization — the
-   first-seen-wins rule of the old hash-based dedup — and the output
-   order among survivors depends only on the key, so the merged bytes
-   equal the old globally-sorted bytes. *)
-let entry_key e = (e.sort, e.tie)
-
-let gather_keyed t legs =
-  let parse_leg leg =
-    match Json.member "keyed" leg with
-    | Json.List items ->
-      List.map
-        (fun item ->
-          let xml =
-            Option.value ~default:"" (Json.str_opt (Json.member "x" item))
-          in
-          match Json.str_opt (Json.member "u" item) with
-          | Some u ->
-            let rank =
-              Option.value ~default:0 (Json.int_opt (Json.member "r" item))
-            in
-            let seq =
-              locked t (fun () ->
-                  match Hashtbl.find_opt t.docs u with
-                  | Some (seq, _) -> seq
-                  | None -> max_int - 1)
-            in
-            { sort = (seq, rank); tie = "u:" ^ u; xml }
-          | None ->
-            let k =
-              Option.value ~default:("x:" ^ xml)
-                (Json.str_opt (Json.member "k" item))
-            in
-            { sort = (max_int, 0); tie = k; xml })
-        items
-    | _ -> []
-  in
-  (* Strictly-ascending scan doubling as within-leg dedup (first wins). *)
-  let sorted_leg entries =
-    let sorted =
-      let rec ascending prev = function
-        | [] -> true
-        | e :: rest ->
-          compare (entry_key prev) (entry_key e) < 0 && ascending e rest
-      in
-      match entries with [] -> true | e :: rest -> ascending e rest
-    in
-    if sorted then entries
-    else begin
-      incr Fixq_xdm.Counters.fallback_sorts;
-      let stable =
-        List.stable_sort
-          (fun a b -> compare (entry_key a) (entry_key b))
-          entries
-      in
-      let rec dedup = function
-        | [] -> []
-        | a :: rest ->
-          let rec drop = function
-            | b :: more when entry_key a = entry_key b -> drop more
-            | more -> more
-          in
-          a :: dedup (drop rest)
-      in
-      dedup stable
-    end
-  in
-  (* Linear two-leg merge; on equal keys the earlier leg's entry wins. *)
-  let merge a b =
-    incr Fixq_xdm.Counters.merges;
-    Fixq_xdm.Counters.merged_items :=
-      !Fixq_xdm.Counters.merged_items + List.length a + List.length b;
-    let rec go acc a b =
-      match (a, b) with
-      | ([], rest) | (rest, []) -> List.rev_append acc rest
-      | (x :: xs, y :: ys) ->
-        let c = compare (entry_key x) (entry_key y) in
-        if c < 0 then go (x :: acc) xs b
-        else if c > 0 then go (y :: acc) a ys
-        else go (x :: acc) xs ys
-    in
-    go [] a b
-  in
-  let rec reduce = function
-    | [] -> []
-    | [ l ] -> l
-    | l1 :: l2 :: rest -> reduce (merge l1 l2 :: rest)
-  in
-  let merged = reduce (List.map (fun l -> sorted_leg (parse_leg l)) legs) in
-  String.concat " " (List.map (fun e -> e.xml) merged)
-
-let num_member name j = Option.value ~default:0. (Json.num_opt (Json.member name j))
-let int_member name j = Option.value ~default:0 (Json.int_opt (Json.member name j))
-
-(* Chaos faults on a scatter leg resolve to a leg [Error], i.e. the
-   `Transport shape — the coordinator falls back to whole-query routing
-   exactly as it would for a worker that died between scatter and
-   gather. [Kill] additionally marks the worker dead so the fallback
-   must route around it (the in-flight failover path). *)
-let chaos_scatter t name =
-  match Fixq_chaos.check "coordinator.scatter" with
-  | None -> None
-  | Some (Fixq_chaos.Delay s) ->
-    Fixq_chaos.sleep s;
-    None
-  | Some Fixq_chaos.Kill ->
-    mark_dead t name;
-    Some (Printf.sprintf "chaos: %s killed mid-scatter" name)
-  | Some (Fixq_chaos.Drop | Fixq_chaos.Truncate | Fixq_chaos.Oom) ->
-    Some (Printf.sprintf "chaos: scatter leg to %s dropped" name)
-
-let run_scatter t ~id ~docs ~workers ~timeout_ms fields =
-  let m = List.length workers in
-  let base = without [ "id"; "partition" ] fields in
-  let results = Array.make m (Error "not sent") in
-  let threads =
-    List.mapi
-      (fun j name ->
-        let leg_line =
-          Json.to_string
-            (Json.Obj
-               (base
-               @ [ ("partition",
-                    Json.Obj
-                      [ ("index", Json.of_int j); ("of", Json.of_int m) ]) ]))
-        in
-        Thread.create
-          (fun () ->
-            let r =
-              match chaos_scatter t name with
-              | Some e -> Error e
-              | None -> (
-                match ensure_docs t name docs with
-                | Error e -> Error e
-                | Ok () ->
-                (* re-check after shipping: a racing load-doc may have
-                   changed this worker's local order since
-                   [scatter_set] approved it *)
-                if locked t (fun () -> order_ok t name docs) then
-                  send_retry t name ~timeout_ms leg_line
-                else
-                  Error
-                    (Printf.sprintf
-                       "%s no longer holds documents in global load order"
-                       name))
-            in
-            results.(j) <- r)
-          ())
-      workers
-  in
-  List.iter Thread.join threads;
-  let parsed =
-    Array.to_list results
-    |> List.map (fun r ->
-           match r with
-           | Error e -> Error (`Transport e)
-           | Ok resp -> (
-             match Json.parse resp with
-             | j ->
-               if Json.bool_opt (Json.member "ok" j) = Some true then Ok j
-               else
-                 Error
-                   (`Worker
-                     (Option.value ~default:"worker error"
-                        (Json.str_opt (Json.member "error" j))))
-             | exception Json.Parse_error m -> Error (`Worker m)))
-  in
-  if List.exists (function Error (`Transport _) -> true | _ -> false) parsed
-  then `Fallback (* a leg died or fell out of load order: give up *)
-  else
-    match
-      List.find_map
-        (function Error (`Worker m) -> Some m | _ -> None)
-        parsed
-    with
-    | Some msg -> `Response (Json.to_string (Protocol.error_response ~id msg))
-    | None ->
-      let legs = List.filter_map Result.to_option parsed in
-      (* belt and braces under the static node-only gate: if a leg
-         still produced an item without portable node identity (an
-         atom or constructed node, keyed "k"), its single-process
-         serialization order cannot be rebuilt here — run whole *)
-      let nodes_only =
-        List.for_all
-          (fun leg ->
-            match Json.member "keyed" leg with
-            | Json.List items ->
-              List.for_all
-                (fun item -> Json.str_opt (Json.member "u" item) <> None)
-                items
-            | _ -> true)
-          legs
-      in
-      if not nodes_only then `Fallback
-      else
-      let first = List.hd legs in
-      let result = gather_keyed t legs in
-      locked t (fun () -> t.scatter_runs <- t.scatter_runs + 1);
-      let generation = locked t (fun () -> t.generation) in
-      `Response
-        (Json.to_string
-           (Protocol.ok_response ~id
-              [ ("engine", Json.member "engine" first);
-                ("mode", Json.member "mode" first);
-                ("used_delta", Json.member "used_delta" first);
-                ("generation", Json.of_int generation);
-                ("nodes_fed",
-                 Json.of_int
-                   (List.fold_left
-                      (fun acc l -> acc + int_member "nodes_fed" l)
-                      0 legs));
-                ("depth",
-                 Json.of_int
-                   (List.fold_left
-                      (fun acc l -> max acc (int_member "depth" l))
-                      0 legs));
-                ("result", Json.Str result);
-                ("scatter",
-                 Json.Obj
-                   [ ("legs", Json.of_int m);
-                     ("workers",
-                      Json.List (List.map (fun w -> Json.Str w) workers)) ]);
-                ("wall_ms",
-                 Json.Num
-                   (List.fold_left
-                      (fun acc l -> Float.max acc (num_member "wall_ms" l))
-                      0. legs)) ]))
-
 let handle_run t ~id req (params : Protocol.run_params) =
   match parse_query params.Protocol.query with
   | Error msg -> Json.to_string (Protocol.error_response ~id msg)
   | Ok program ->
     let docs = Fixq.doc_uris program in
-    let line = Json.to_string req in
-    let timeout_ms = forward_timeout t params in
     let cands = candidates t ~docs ~query:params.Protocol.query in
-    let stratified = Option.value ~default:false params.Protocol.stratified in
-    let scatter_workers =
-      if params.Protocol.partition <> None then []
-        (* client already partitions: forward whole *)
-      else if scatterable t ~stratified program then
-        scatter_set t ~docs ~query:params.Protocol.query
-      else []
-    in
-    if List.length scatter_workers >= 2 then
-      match
-        run_scatter t ~id ~docs ~workers:scatter_workers ~timeout_ms
-          (obj_fields req)
-      with
-      | `Response r -> r
-      | `Fallback ->
-        (* failover: re-route the whole query to whoever is left *)
-        locked t (fun () -> t.failovers_total <- t.failovers_total + 1);
-        let cands = candidates t ~docs ~query:params.Protocol.query in
-        run_routed t ~id ~docs ~cands ~timeout_ms line
-    else run_routed t ~id ~docs ~cands ~timeout_ms line
+    run_routed t ~id ~docs ~cands ~timeout_ms:(forward_timeout t params)
+      (Json.to_string req)
 
 (* ------------------------------------------------------------------ *)
 (* Documents                                                           *)
@@ -1229,8 +929,9 @@ let handle_prepare t ~id req query =
   | Error msg -> Json.to_string (Protocol.error_response ~id msg)
   | Ok program -> (
     let docs = Fixq.doc_uris program in
+    let key = match docs with [] -> "q:" ^ query | uri :: _ -> uri in
     let targets =
-      match scatter_set t ~docs ~query with
+      match List.filter (is_alive t) (replicas_for t ~key) with
       | [] -> (
         match candidates t ~docs ~query with [] -> [] | c :: _ -> [ c ])
       | reps -> reps
@@ -1301,14 +1002,14 @@ let handle_stats t ~id =
               ("stats", worker_stats t name) ]))
       (current_workers t)
   in
-  let ( gen, docs, retries, backoff_ms, failovers, scatter, routed,
-        rebalances, moved, compactions ) =
+  let ( gen, docs, retries, backoff_ms, failovers, routed, rebalances,
+        moved, compactions ) =
     locked t (fun () ->
         ( t.generation,
           Hashtbl.fold (fun uri (seq, _) acc -> (seq, uri) :: acc) t.docs []
           |> List.sort compare |> List.map snd,
           t.retries_total, t.backoff_ms_total, t.failovers_total,
-          t.scatter_runs, t.routed_runs, t.rebalances_total,
+          t.routed_runs, t.rebalances_total,
           t.docs_moved_total, t.compactions_total ))
   in
   Json.to_string
@@ -1322,7 +1023,6 @@ let handle_stats t ~id =
               ("retries", Json.of_int retries);
               ("backoff_ms_total", Json.Num backoff_ms);
               ("failovers", Json.of_int failovers);
-              ("scatter_runs", Json.of_int scatter);
               ("routed_runs", Json.of_int routed);
               ("rebalances", Json.of_int rebalances);
               ("docs_moved", Json.of_int moved);
@@ -1373,13 +1073,12 @@ let prometheus_stats t =
     Buffer.add_string buf
       (Printf.sprintf "# TYPE %s counter\n%s %d\n" name name value)
   in
-  let ( gen, ndocs, retries, backoff_ms, failovers, scatter, routed,
-        rebalances, moved, compactions ) =
+  let ( gen, ndocs, retries, backoff_ms, failovers, routed, rebalances,
+        moved, compactions ) =
     locked t (fun () ->
         ( t.generation, Hashtbl.length t.docs, t.retries_total,
-          t.backoff_ms_total, t.failovers_total, t.scatter_runs,
-          t.routed_runs, t.rebalances_total, t.docs_moved_total,
-          t.compactions_total ))
+          t.backoff_ms_total, t.failovers_total, t.routed_runs,
+          t.rebalances_total, t.docs_moved_total, t.compactions_total ))
   in
   gauge "fixq_cluster_uptime_seconds"
     (Printf.sprintf "%.3f" (Unix.gettimeofday () -. t.started_at));
@@ -1396,7 +1095,6 @@ let prometheus_stats t =
        backoff_ms);
   counter "fixq_cluster_retries_total" retries;
   counter "fixq_cluster_failovers_total" failovers;
-  counter "fixq_cluster_scatter_runs_total" scatter;
   counter "fixq_cluster_routed_runs_total" routed;
   counter "fixq_cluster_rebalances_total" rebalances;
   counter "fixq_cluster_docs_moved_total" moved;

@@ -3,13 +3,10 @@
 
     Routing is document-sharded: [load-doc] goes to the rendezvous
     replicas of its URI ({!Router}), and a query follows the documents
-    it mentions ([Fixq.doc_uris]). Queries whose whole program is a
-    single {e distributive} IFP are scatter-gathered: the seed is
-    sliced into one residue class per live replica
-    ([partition:{index,of}]), every replica runs its slice, and the
-    coordinator unites the keyed results in document order —
-    Theorem 3.2 is exactly the licence that this union equals the
-    single-process answer. Everything else routes whole to one worker.
+    it mentions ([Fixq.doc_uris]). Every query routes whole to one
+    worker; multi-document queries prefer workers whose local load
+    order matches the global one, so their answers serialize as the
+    single process's do.
 
     Failures heal in layers: per-send retries with exponential backoff
     and jitter, then failover to the next live replica (marking the
@@ -51,7 +48,6 @@ type backend = {
 
 type config = {
   replication : int;  (** replicas per document (clamped to cluster size) *)
-  scatter : bool;  (** allow seed-partitioned scatter-gather *)
   retries : int;  (** re-sends per request leg before failover *)
   backoff_ms : float;  (** base backoff; doubles per retry, plus jitter *)
   jitter : float;

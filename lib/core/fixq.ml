@@ -312,17 +312,16 @@ let install_sql_handler ~verdicts ~mode ~fallbacks ~used_delta ev =
                     (Algebra_ir.Relation.create [ "iter"; "item" ] rows)))))
 
 let run_program ?(registry = Xdm.Doc_registry.default)
-    ?(max_iterations = 1_000_000) ?(stratified = false) ?domains
-    ?chunk_threshold ?deadline ?round_hook ?max_call_depth ~engine p =
+    ?(max_iterations = 1_000_000) ?(stratified = false) ?deadline
+    ?round_hook ?max_call_depth ~engine p =
   let fallbacks = ref [] in
   let used_delta = ref None in
   let mode = match engine with Interpreter m | Algebra m | Sql m -> m in
   (* Interpreter strategy doubles as the fallback policy of the plan
-     engines (and runs any IFP they decline, hence the parallel
-     knobs). *)
+     engines (and runs any IFP they decline). *)
   let ev =
-    Eval.create ~registry ~max_iterations ~stratified ?domains
-      ?chunk_threshold ?max_call_depth ~strategy:(strategy_of_mode mode) ()
+    Eval.create ~registry ~max_iterations ~stratified ?max_call_depth
+      ~strategy:(strategy_of_mode mode) ()
   in
   let verdicts = create_verdicts ~stratified ev in
   if mode = Auto then
@@ -391,10 +390,10 @@ let parse src =
     let line, col = Lang.Lexer.line_col_of src pos in
     raise (Error (Printf.sprintf "lex error at %d:%d: %s" line col msg))
 
-let run ?registry ?max_iterations ?stratified ?domains ?chunk_threshold
-    ?deadline ?round_hook ?max_call_depth ~engine src =
-  run_program ?registry ?max_iterations ?stratified ?domains ?chunk_threshold
-    ?deadline ?round_hook ?max_call_depth ~engine (parse src)
+let run ?registry ?max_iterations ?stratified ?deadline ?round_hook
+    ?max_call_depth ~engine src =
+  run_program ?registry ?max_iterations ?stratified ?deadline ?round_hook
+    ?max_call_depth ~engine (parse src)
 
 (* Capture the compiled plan of the first IFP encountered dynamically:
    install a capturing handler, then run the program on the interpreter.
@@ -534,131 +533,12 @@ let first_ifp (p : Lang.Ast.program) =
     p;
   !found
 
-(* Conservative syntactic check that [e] evaluates to document-tree
-   nodes only — never atoms, never freshly constructed nodes. The
-   cluster's scatter gate needs this: gathered slices are merged by
-   portable node identity (document uri, preorder rank); atoms and
-   constructed nodes have none, and a single process emits them in
-   engine-production order, which cannot be reconstructed from
-   slices. The check itself lives in the analyzer
-   ({!Fixq_analysis.Analyze.node_only}), shared with the divergence
-   classifier; this delegate keeps existing call sites working. *)
-let node_only = Fixq_analysis.Analyze.node_only
-
 let count_ifps (p : Lang.Ast.program) =
   let n = ref 0 in
   iter_exprs
     (function Lang.Ast.Ifp _ -> incr n | _ -> ())
     p;
   !n
-
-(* Rewrite the first IFP's seed to its [index]-th residue class modulo
-   [count]: [seed] becomes [seed[(position() - 1) mod count = index]].
-   Theorem 3.2 (distributivity) is exactly the licence to evaluate a
-   distributive IFP on each slice separately and union the results —
-   the cluster coordinator's scatter-gather applies this rewrite on one
-   worker per replica. The rewrite itself is mode- and engine-agnostic:
-   the sliced seed is an ordinary filter expression. *)
-let partition_first_seed ~index ~count (p : Lang.Ast.program) =
-  if count < 1 || index < 0 || index >= count then
-    raise
-      (Error
-         (Printf.sprintf "invalid seed partition %d/%d" index count));
-  let ilit n = Lang.Ast.Literal (Xdm.Atom.Int n) in
-  let slice seed =
-    Lang.Ast.Filter
-      ( seed,
-        Lang.Ast.Gen_cmp
-          ( Lang.Ast.Eq,
-            Lang.Ast.Arith
-              ( Lang.Ast.Mod,
-                Lang.Ast.Arith
-                  (Lang.Ast.Sub, Lang.Ast.Call ("position", []), ilit 1),
-                ilit count ),
-            ilit index ) )
-  in
-  let done_ = ref false in
-  let rec go e =
-    if !done_ then e
-    else
-      match (e : Lang.Ast.expr) with
-      | Lang.Ast.Ifp { var; seed; body; accum } ->
-        done_ := true;
-        Lang.Ast.Ifp { var; seed = slice seed; body; accum }
-      | _ -> map_subexprs go e
-  and map_subexprs f e =
-    match (e : Lang.Ast.expr) with
-    | Lang.Ast.Literal _ | Lang.Ast.Empty_seq | Lang.Ast.Var _
-    | Lang.Ast.Context_item | Lang.Ast.Root | Lang.Ast.Axis_step _ ->
-      e
-    | Lang.Ast.Sequence (a, b) -> Lang.Ast.Sequence (f a, f b)
-    | Lang.Ast.Union (a, b) -> Lang.Ast.Union (f a, f b)
-    | Lang.Ast.Except (a, b) -> Lang.Ast.Except (f a, f b)
-    | Lang.Ast.Intersect (a, b) -> Lang.Ast.Intersect (f a, f b)
-    | Lang.Ast.Path (a, b) -> Lang.Ast.Path (f a, f b)
-    | Lang.Ast.Filter (a, b) -> Lang.Ast.Filter (f a, f b)
-    | Lang.Ast.For r ->
-      Lang.Ast.For { r with source = f r.source; body = f r.body }
-    | Lang.Ast.Sort r ->
-      Lang.Ast.Sort
-        { r with source = f r.source; key = f r.key; body = f r.body }
-    | Lang.Ast.Let r ->
-      Lang.Ast.Let { r with value = f r.value; body = f r.body }
-    | Lang.Ast.If (c, t, e') -> Lang.Ast.If (f c, f t, f e')
-    | Lang.Ast.Quantified (q, v, s, pr) -> Lang.Ast.Quantified (q, v, f s, f pr)
-    | Lang.Ast.Arith (op, a, b) -> Lang.Ast.Arith (op, f a, f b)
-    | Lang.Ast.Neg a -> Lang.Ast.Neg (f a)
-    | Lang.Ast.Gen_cmp (c, a, b) -> Lang.Ast.Gen_cmp (c, f a, f b)
-    | Lang.Ast.Val_cmp (c, a, b) -> Lang.Ast.Val_cmp (c, f a, f b)
-    | Lang.Ast.Node_is (a, b) -> Lang.Ast.Node_is (f a, f b)
-    | Lang.Ast.Node_before (a, b) -> Lang.Ast.Node_before (f a, f b)
-    | Lang.Ast.Node_after (a, b) -> Lang.Ast.Node_after (f a, f b)
-    | Lang.Ast.And (a, b) -> Lang.Ast.And (f a, f b)
-    | Lang.Ast.Or (a, b) -> Lang.Ast.Or (f a, f b)
-    | Lang.Ast.Range (a, b) -> Lang.Ast.Range (f a, f b)
-    | Lang.Ast.Call (n, args) -> Lang.Ast.Call (n, List.map f args)
-    | Lang.Ast.Elem_constr (n, attrs, content) ->
-      Lang.Ast.Elem_constr
-        ( n,
-          List.map
-            (fun (an, pieces) ->
-              ( an,
-                List.map
-                  (function
-                    | Lang.Ast.A_lit l -> Lang.Ast.A_lit l
-                    | Lang.Ast.A_expr e -> Lang.Ast.A_expr (f e))
-                  pieces ))
-            attrs,
-          List.map f content )
-    | Lang.Ast.Comp_elem (n, a) -> Lang.Ast.Comp_elem (n, f a)
-    | Lang.Ast.Text_constr a -> Lang.Ast.Text_constr (f a)
-    | Lang.Ast.Attr_constr (n, a) -> Lang.Ast.Attr_constr (n, f a)
-    | Lang.Ast.Comment_constr a -> Lang.Ast.Comment_constr (f a)
-    | Lang.Ast.Doc_constr a -> Lang.Ast.Doc_constr (f a)
-    | Lang.Ast.Instance_of (a, ty) -> Lang.Ast.Instance_of (f a, ty)
-    | Lang.Ast.Cast (a, ty, o) -> Lang.Ast.Cast (f a, ty, o)
-    | Lang.Ast.Castable (a, ty, o) -> Lang.Ast.Castable (f a, ty, o)
-    | Lang.Ast.Typeswitch (s, cases, dv, db) ->
-      Lang.Ast.Typeswitch
-        (f s, List.map (fun (ty, v, b) -> (ty, v, f b)) cases, dv, f db)
-    | Lang.Ast.Ifp { var; seed; body; accum } ->
-      let accum =
-        Option.map
-          (fun (a : Lang.Ast.accum) ->
-            { a with Lang.Ast.weight = Option.map f a.Lang.Ast.weight })
-          accum
-      in
-      Lang.Ast.Ifp { var; seed = f seed; body = f body; accum }
-  in
-  let main = go p.Lang.Ast.main in
-  let functions =
-    List.map
-      (fun fd -> { fd with Lang.Ast.body = go fd.Lang.Ast.body })
-      p.Lang.Ast.functions
-  in
-  if not !done_ then
-    raise (Error "seed partition requires a query with an IFP");
-  { p with Lang.Ast.main; functions }
 
 let program_functions (p : Lang.Ast.program) =
   let functions = Hashtbl.create 16 in

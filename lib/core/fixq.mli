@@ -77,10 +77,7 @@ exception Error of string
     with {!Error} once the wall clock passes it; enforcement is
     cooperative, checked once per fixpoint round on either engine — the
     budget knob of the long-running [fixq serve] front end.
-    [domains]/[chunk_threshold] make Delta-eligible interpreter
-    fixpoints run the body in parallel on that many OCaml domains
-    (rounds smaller than [chunk_threshold], default 64, stay
-    sequential); they do not affect µ/µ∆ plans. [round_hook] is called
+    [round_hook] is called
     once per fixpoint round (same cooperative site as [deadline], before
     the deadline check) — the serving layer's resource governor uses it
     to abort runs whose heap growth exceeds their memory budget; any
@@ -91,8 +88,6 @@ val run :
   ?registry:Xdm.Doc_registry.t ->
   ?max_iterations:int ->
   ?stratified:bool ->
-  ?domains:int ->
-  ?chunk_threshold:int ->
   ?deadline:float ->
   ?round_hook:(unit -> unit) ->
   ?max_call_depth:int ->
@@ -105,8 +100,6 @@ val run_program :
   ?registry:Xdm.Doc_registry.t ->
   ?max_iterations:int ->
   ?stratified:bool ->
-  ?domains:int ->
-  ?chunk_threshold:int ->
   ?deadline:float ->
   ?round_hook:(unit -> unit) ->
   ?max_call_depth:int ->
@@ -117,17 +110,6 @@ val run_program :
 (** The recursion variable and body of the first IFP in the program
     (document order, main expression before function bodies). *)
 val first_ifp : Lang.Ast.program -> (string * Lang.Ast.expr) option
-
-(** Conservative syntactic check that the expression surely evaluates
-    to document-tree nodes only — never atoms or freshly constructed
-    nodes. [env] lists the variables known to be node-only (the IFP
-    recursion variable, for its body). The cluster scatter gate
-    requires it: scattered result slices are united by portable node
-    identity (document uri, preorder rank), which atoms and
-    constructed nodes do not have — and a single process serializes
-    such items in engine-production order, which slices cannot
-    reproduce. *)
-val node_only : env:string list -> Lang.Ast.expr -> bool
 
 (** Number of [with … seeded by … recurse] sites in the whole program.
     The prepared-query layer pins a fixpoint algorithm at preparation
@@ -140,19 +122,6 @@ val count_ifps : Lang.Ast.program -> int
     in first-occurrence order. Document-sharded routing keys on
     these. *)
 val doc_uris : Lang.Ast.program -> string list
-
-(** [partition_first_seed ~index ~count p] rewrites the {e first} IFP
-    (same traversal order as {!first_ifp}) so its seed keeps only the
-    [index]-th residue class modulo [count]:
-    [seed\[(position() - 1) mod count = index\]]. When the IFP body is
-    distributive, Theorem 3.2 makes evaluating the IFP once per slice
-    and uniting the results equivalent to one evaluation of the whole
-    seed — the soundness argument behind the cluster's scatter-gather
-    (and the same licence that justifies Naïve→Delta). Raises {!Error}
-    if the program has no IFP or the partition is malformed
-    ([count < 1] or [index] outside [0 .. count-1]). *)
-val partition_first_seed :
-  index:int -> count:int -> Lang.Ast.program -> Lang.Ast.program
 
 (** Both distributivity verdicts for the body of the {e first} IFP in
     the program: [(syntactic, algebraic)]. The algebraic verdict is

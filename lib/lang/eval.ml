@@ -48,11 +48,8 @@ type t = {
   mutable delta_licence : (ifp_site -> bool) option;
       (** [Auto]'s second opinion when Figure 5 rejects a body *)
   stratified : bool;
-  domains : int option;  (** Some d: run Delta rounds on d domains *)
-  chunk_threshold : int;
   loops : (string list * expr list) Loop_tbl.t;
       (** {!invariants} per loop body, by identity: binders, keys *)
-  loops_lock : Mutex.t;  (** Delta rounds may run on several domains *)
 }
 
 type env = {
@@ -80,12 +77,11 @@ and probe = { atoms : Atom.t list; strings : (string, unit) Hashtbl.t option }
 
 let create ?(registry = Doc_registry.default) ?(strategy = Auto)
     ?(max_iterations = 1_000_000) ?(max_call_depth = 100_000)
-    ?(stratified = false) ?domains ?(chunk_threshold = 64) () =
+    ?(stratified = false) () =
   { functions = Hashtbl.create 16; registry; stats = Stats.create ();
     strategy; max_iterations; max_call_depth; globals = Smap.empty;
     last_ifp_used_delta = None; last_annotations = None; ifp_handler = None;
-    delta_licence = None; stratified; domains; chunk_threshold;
-    loops = Loop_tbl.create 16; loops_lock = Mutex.create () }
+    delta_licence = None; stratified; loops = Loop_tbl.create 16 }
 
 let set_ifp_handler t h = t.ifp_handler <- h
 let set_delta_licence t l = t.delta_licence <- l
@@ -352,13 +348,12 @@ let invariants ~binders body =
 (* A loop body is analysed once per evaluator, not once per entry: an
    inner loop is entered once per binding of the loops around it. *)
 let loop_invariants t ~binders body =
-  Mutex.protect t.loops_lock (fun () ->
-      match Loop_tbl.find_opt t.loops body with
-      | Some (b, keys) when b = binders -> keys
-      | _ ->
-        let keys = invariants ~binders body in
-        Loop_tbl.replace t.loops body (binders, keys);
-        keys)
+  match Loop_tbl.find_opt t.loops body with
+  | Some (b, keys) when b = binders -> keys
+  | _ ->
+    let keys = invariants ~binders body in
+    Loop_tbl.replace t.loops body (binders, keys);
+    keys
 
 (* ------------------------------------------------------------------ *)
 (* The evaluator                                                       *)
@@ -807,17 +802,10 @@ and eval_ifp t env var seed body accum =
     | Some a -> eval_ifp_semiring t env var seed_v body a ~use_delta ~body_fn
     | None -> (
       t.last_ifp_used_delta <- Some use_delta;
-      match (use_delta, t.domains) with
-      | (true, Some d) ->
-        (* Parallel Delta is only sound for constructor-free distributive
-           bodies — exactly the bodies Delta itself is chosen for. *)
-        Fixpoint.delta_parallel ~max_iterations:t.max_iterations ~domains:d
-          ~chunk_threshold:t.chunk_threshold ~stats:t.stats ~body:body_fn
-          ~seed:seed_v ()
-      | (true, None) ->
+      if use_delta then
         Fixpoint.delta ~max_iterations:t.max_iterations ~stats:t.stats
           ~body:body_fn ~seed:seed_v ()
-      | (false, _) ->
+      else
         Fixpoint.naive ~max_iterations:t.max_iterations ~stats:t.stats
           ~body:body_fn ~seed:seed_v ()))
 

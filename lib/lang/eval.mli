@@ -35,16 +35,11 @@ val create :
   ?max_iterations:int ->
   ?max_call_depth:int ->
   ?stratified:bool ->
-  ?domains:int ->
-  ?chunk_threshold:int ->
   unit ->
   t
 (** [stratified] extends [Auto]'s distributivity check with the
     Section-6 stratified-difference rule (see
-    {!Distributivity.check}). [domains] makes Delta-eligible fixpoints
-    run as {!Fixpoint.delta_parallel} on that many OCaml domains
-    (rounds smaller than [chunk_threshold], default 64, stay
-    sequential); Naive fixpoints are unaffected. *)
+    {!Distributivity.check}). *)
 
 val stats : t -> Stats.t
 val strategy : t -> strategy

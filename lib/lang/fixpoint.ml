@@ -70,76 +70,3 @@ let delta ?(max_iterations = default_max) ?(include_seed = false) ~stats ~body
     else loop (fresh, fresh_n) (i + 1)
   in
   loop start 1
-
-(* Parallel Delta (Section 7's divide-and-conquer reading of
-   distributivity): split each round's ∆ across domains. The first
-   round runs sequentially so lazily-built document indexes are in
-   place before concurrent reads. *)
-let delta_parallel ?(max_iterations = default_max) ?(include_seed = false)
-    ?domains ?(chunk_threshold = 64) ~stats ~body ~seed () =
-  let domains =
-    match domains with
-    | Some d -> max 1 d
-    | None -> max 1 (Domain.recommended_domain_count () - 1)
-  in
-  let split n k items =
-    (* k roughly equal chunks, preserving order within chunks *)
-    let size = max 1 ((n + k - 1) / k) in
-    let rec go acc current count = function
-      | [] ->
-        List.rev
-          (if current = [] then acc else List.rev current :: acc)
-      | x :: rest ->
-        if count = size then go (List.rev current :: acc) [ x ] 1 rest
-        else go acc (x :: current) (count + 1) rest
-    in
-    go [] [] 0 items
-  in
-  (* Returns the per-chunk results in a preallocated array (slot 0 is
-     the chunk evaluated on this domain) — absorbed without ever
-     concatenating them into one list. *)
-  let apply_parallel input input_n =
-    if domains = 1 || input_n < chunk_threshold then [| body input |]
-    else begin
-      match split input_n domains input with
-      | [] -> [||]
-      | first :: rest ->
-        let handles =
-          List.map (fun chunk -> Domain.spawn (fun () -> body chunk)) rest
-        in
-        let parts = Array.make (List.length handles + 1) [] in
-        parts.(0) <- body first;
-        List.iteri (fun i h -> parts.(i + 1) <- Domain.join h) handles;
-        parts
-    end
-  in
-  Stats.start_run stats;
-  let acc = Accumulator.create () in
-  let start =
-    if include_seed then
-      let (fresh, fresh_n, _) = Accumulator.absorb acc ~who:"fs:ddo" seed in
-      (fresh, fresh_n)
-    else begin
-      (* sequential first application: warms lazy indexes *)
-      let seed_n = List.length seed in
-      let first = body seed in
-      let (fresh, fresh_n, first_n) =
-        Accumulator.absorb acc ~who:"fs:ddo" first
-      in
-      Stats.record_iteration stats ~fed:seed_n ~produced:first_n
-        ~result_size:(Accumulator.size acc);
-      (fresh, fresh_n)
-    end
-  in
-  let rec loop (delta, delta_n) i =
-    if i > max_iterations then raise (Diverged i);
-    let out_parts = apply_parallel delta delta_n in
-    let (fresh, fresh_n, out_n) =
-      Accumulator.absorb_parts acc ~who:"except" out_parts
-    in
-    Stats.record_iteration stats ~fed:delta_n ~produced:out_n
-      ~result_size:(Accumulator.size acc);
-    if fresh_n = 0 then Accumulator.to_seq acc
-    else loop (fresh, fresh_n) (i + 1)
-  in
-  loop start 1

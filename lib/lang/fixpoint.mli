@@ -44,27 +44,3 @@ val delta :
   seed:Fixq_xdm.Item.seq ->
   unit ->
   Fixq_xdm.Item.seq
-
-(** Parallel Delta — the divide-and-conquer evaluation the paper's
-    wrap-up (Section 7) derives from distributivity: each round's ∆ is
-    split into [domains] chunks evaluated concurrently on OCaml
-    domains, and the partial results are united. Sound under exactly
-    the same condition as {!delta} (the body must be distributive —
-    that equation is what justifies the split), and additionally the
-    [body] closure must be thread-safe: evaluate only constructor-free,
-    read-only expressions (which distributive bodies are), and warm any
-    lazily-built per-document indexes ([fn:id]'s, for instance) before
-    going parallel — this function runs the first round sequentially
-    for that reason. [chunk_threshold] (default 64) keeps small rounds
-    sequential; [domains] defaults to [Domain.recommended_domain_count
-    () - 1], at least 1. *)
-val delta_parallel :
-  ?max_iterations:int ->
-  ?include_seed:bool ->
-  ?domains:int ->
-  ?chunk_threshold:int ->
-  stats:Stats.t ->
-  body:(Fixq_xdm.Item.seq -> Fixq_xdm.Item.seq) ->
-  seed:Fixq_xdm.Item.seq ->
-  unit ->
-  Fixq_xdm.Item.seq

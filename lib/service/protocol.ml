@@ -13,7 +13,6 @@ type run_params = {
   max_iterations : int option;
   timeout_ms : float option;
   cache : bool;
-  partition : (int * int) option;
 }
 
 type stats_format = Stats_json | Stats_prometheus
@@ -72,22 +71,14 @@ let parse_request j =
         | Some other ->
           Error (Printf.sprintf "unknown mode %S (auto|naive|delta)" other)
       in
-      let* partition =
-        match Json.member "partition" j with
-        | Json.Null -> Ok None
-        | p -> (
-          match
-            ( Json.int_opt (Json.member "index" p),
-              Json.int_opt (Json.member "of" p) )
-          with
-          | (Some index, Some count) when count >= 1 && index >= 0 && index < count
-            ->
-            Ok (Some (index, count))
-          | (Some index, Some count) ->
-            Error
-              (Printf.sprintf "invalid partition %d/%d (need 0 <= index < of)"
-                 index count)
-          | _ -> Error "partition needs integer members \"index\" and \"of\"")
+      (* A client asking for a seed slice must not silently get the
+         whole result. *)
+      let* () =
+        if Json.member "partition" j = Json.Null then Ok ()
+        else
+          Error
+            "run no longer accepts \"partition\": seed-sliced runs were \
+             removed; send the whole query"
       in
       Ok
         (Run
@@ -96,8 +87,7 @@ let parse_request j =
              timeout_ms = Json.num_opt (Json.member "timeout_ms" j);
              cache =
                Option.value ~default:true
-                 (Json.bool_opt (Json.member "cache" j));
-             partition })
+                 (Json.bool_opt (Json.member "cache" j)) })
     | "prepare" ->
       let* query = query_of j in
       Ok (Prepare { query; stratified })

@@ -14,11 +14,9 @@
       resolution), ["mode"] ("auto"|"naive"|"delta"; "auto"
       uses the mode pinned at preparation), ["stratified"] (bool),
       ["max_iterations"] (int), ["timeout_ms"] (number), ["cache"]
-      (bool, default true — set false to bypass the result cache),
-      ["partition"] ([{"index":k,"of":n}] — evaluate with the first
-      IFP's seed sliced to the k-th residue class modulo n; the
-      response then carries a ["keyed"] item list so a coordinator can
-      unite slices; see {!Server}).
+      (bool, default true — set false to bypass the result cache). A
+      run carrying the removed ["partition"] member (seed slicing) is
+      refused with an error naming it.
     - [{"op":"prepare","query":Q}] — parse, statically check, compute
       both distributivity verdicts, pin the fixpoint mode and compile
       the plan into the prepared-query LRU {e without executing}: cache
@@ -81,10 +79,6 @@ type run_params = {
   max_iterations : int option;
   timeout_ms : float option;
   cache : bool;  (** [false] bypasses the result cache *)
-  partition : (int * int) option;
-      (** [(index, count)]: slice the first IFP's seed to one residue
-          class; sound to unite across all [count] slices exactly when
-          the IFP is distributive (Theorem 3.2) *)
 }
 
 type stats_format = Stats_json | Stats_prometheus

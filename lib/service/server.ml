@@ -134,46 +134,6 @@ let diag_json (d : Diag.t) =
       ("context", Json.Str d.Diag.context);
       ("message", Json.Str d.Diag.message) ]
 
-(* ------------------------------------------------------------------ *)
-(* Cross-process node identity                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Two workers that loaded the same document (same XML bytes, path, or
-   generator+seed) hold structurally identical trees, so a node's
-   preorder position within its tree — element, then its attributes,
-   then its children, the id order documented in [Node] — names the
-   same node in both processes. Every registered tree holds one
-   contiguous block of ids ([Doc_registry.register] and [Patch.apply]
-   renumber it), so that rank is the node's id offset from its root.
-   [keyed_items] tags each result item with this portable identity so a
-   cluster coordinator can unite result slices by node identity and
-   document order, reproducing byte-for-byte what a single process
-   would serialize. *)
-
-let keyed_items (items : Xdm.Item.seq) =
-  Json.List
-    (List.map
-       (fun item ->
-         match (item : Xdm.Item.t) with
-         | Xdm.Item.N n -> (
-           let root = Xdm.Node.root n in
-           let xml = Xdm.Serializer.to_string n in
-           match Xdm.Node.uri root with
-           | Some u ->
-             Json.Obj
-               [ ("u", Json.Str u);
-                 ("r", Json.of_int (n.Xdm.Node.id - root.Xdm.Node.id));
-                 ("x", Json.Str xml) ]
-           | None ->
-             (* constructed node: no portable identity; key by content.
-                Distributive bodies never construct (constructors void
-                the verdict), so the scatter path never lands here. *)
-             Json.Obj [ ("k", Json.Str ("x:" ^ xml)); ("x", Json.Str xml) ])
-         | Xdm.Item.A a ->
-           let s = Xdm.Serializer.escape_text (Xdm.Atom.to_string a) in
-           Json.Obj [ ("k", Json.Str ("a:" ^ s)); ("x", Json.Str s) ])
-       items)
-
 let engine_string = function
   | `Interp -> "interp"
   | `Algebra -> "algebra"
@@ -204,7 +164,7 @@ let maintenance_of_json = function
    lookup found, or executes. *)
 let handle_run t ~id
     { Protocol.query; engine; mode; stratified; max_iterations; timeout_ms;
-      cache; partition } =
+      cache } =
   (* A budget is an explicit request-level iteration or time bound, or
      a server-wide timeout. The config's max_iterations default is a
      backstop, not a budget the caller chose. *)
@@ -229,10 +189,6 @@ let handle_run t ~id
         | `Delta -> "delta")
       ~stratified
   in
-  (* Partitioned runs (the cluster's scatter legs) always execute: the
-     keyed item list cannot be rebuilt from a cached serialization, and
-     the coordinator only scatters cold or invalidated work anyway. *)
-  let cache = cache && partition = None in
   let cached =
     if cache then
       Result_cache.find t.results rkey
@@ -396,12 +352,6 @@ let handle_run t ~id
       | `Algebra -> Fixq.Algebra run_mode
       | `Sql -> Fixq.Sql run_mode
     in
-    let program =
-      match partition with
-      | None -> prepared.Prepared.program
-      | Some (index, count) ->
-        Fixq.partition_first_seed ~index ~count prepared.Prepared.program
-    in
     let report, footprint =
       Store.track t.store (fun () ->
           Governor.with_memory_budget t.governor (fun ~round_check ->
@@ -409,7 +359,7 @@ let handle_run t ~id
                 ~max_iterations ~stratified ?deadline ~round_hook:round_check
                 ?max_call_depth:
                   (Governor.config t.governor).Governor.max_call_depth
-                ~engine:fixq_engine program))
+                ~engine:fixq_engine prepared.Prepared.program))
     in
     let entry =
       { Result_cache.serialized =
@@ -436,14 +386,7 @@ let handle_run t ~id
               report.Fixq.result };
     Metrics.record t.metrics ~key:prepared.Prepared.hash
       ~label:(preview query) ~ms:report.Fixq.wall_ms;
-    let extra =
-      match partition with
-      | None -> []
-      | Some (index, count) ->
-        [ ("partition", Json.Str (Printf.sprintf "%d/%d" index count));
-          ("keyed", keyed_items report.Fixq.result) ]
-    in
-    respond ~prepared_status ~result_status:"miss" ~cost_extra ~extra entry
+    respond ~prepared_status ~result_status:"miss" ~cost_extra entry
 
 (* prepare: warm the prepared-query LRU (parse + static check + both
    verdicts + pinned modes + compiled plan) without executing — the

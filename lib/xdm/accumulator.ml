@@ -50,7 +50,10 @@ let set_id t id =
     (Char.chr
        (Char.code (Bytes.unsafe_get t.bitmap byte) lor (1 lsl (id land 7))))
 
-let absorb_into t ~who produced fresh_rev fresh_count items =
+let absorb t ~who items =
+  let produced = ref 0 in
+  let fresh_rev = ref [] in
+  let fresh_count = ref 0 in
   List.iter
     (fun it ->
       incr produced;
@@ -64,9 +67,7 @@ let absorb_into t ~who produced fresh_rev fresh_count items =
       | Item.A a ->
         Atom.type_error "%s: expected a sequence of nodes, got atom %s" who
           (Atom.to_string a))
-    items
-
-let commit t fresh_rev fresh_count =
+    items;
   let fresh = Item.sort_uniq_nodes (List.rev !fresh_rev) in
   (match fresh with
   | [] -> ()
@@ -74,23 +75,7 @@ let commit t fresh_rev fresh_count =
     t.runs <- Array.of_list fresh :: t.runs;
     t.size <- t.size + !fresh_count;
     t.cache <- None);
-  (List.map Item.node fresh, !fresh_count, !fresh_count)
-
-let absorb t ~who items =
-  let produced = ref 0 in
-  let fresh_rev = ref [] in
-  let fresh_count = ref 0 in
-  absorb_into t ~who produced fresh_rev fresh_count items;
-  let (fresh, n, _) = commit t fresh_rev fresh_count in
-  (fresh, n, !produced)
-
-let absorb_parts t ~who parts =
-  let produced = ref 0 in
-  let fresh_rev = ref [] in
-  let fresh_count = ref 0 in
-  Array.iter (absorb_into t ~who produced fresh_rev fresh_count) parts;
-  let (fresh, n, _) = commit t fresh_rev fresh_count in
-  (fresh, n, !produced)
+  (List.map Item.node fresh, !fresh_count, !produced)
 
 (* Runs are pairwise disjoint (the bitmap blocks re-insertion), so the
    final result is a pure merge with no deduplication. Merging

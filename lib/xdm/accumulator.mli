@@ -37,12 +37,6 @@ val mem : t -> Node.t -> bool
     [Item.as_node_seq who]. *)
 val absorb : t -> who:string -> Item.seq -> Item.seq * int * int
 
-(** [absorb_parts t ~who parts] is [absorb t ~who (List.concat parts)]
-    without building the concatenation — the gather path for
-    [Fixpoint.delta_parallel], where [parts] is the preallocated array
-    of per-domain results. *)
-val absorb_parts : t -> who:string -> Item.seq array -> Item.seq * int * int
-
 (** [merge_runs runs] — bottom-up pairwise linear merge of sorted,
     pairwise-disjoint node runs into one sorted array. The merge kernel
     behind {!to_nodes}, exposed for external run stores (the columnar

@@ -3,10 +3,8 @@
 
     These sit below the language layer (which owns {!Fixq_lang.Stats}),
     so they are plain global counters the stats layer snapshots around
-    fixpoint rounds. Updates are unsynchronized: under
-    [Fixpoint.delta_parallel] concurrent increments may be lost, which
-    is acceptable for observability counters (they never feed back into
-    evaluation). *)
+    fixpoint rounds. Updates are unsynchronized, which is acceptable
+    for observability counters: they never feed back into evaluation. *)
 
 type snapshot = {
   merges : int;  (** merge-kernel invocations (ddo/union/except/intersect) *)

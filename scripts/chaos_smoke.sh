@@ -28,13 +28,13 @@ for seed in "${SEEDS[@]}"; do
   D=$(mktemp -d /tmp/fixq-smoke-XXXXXX)
   LOG="$OUT/chaos-seed-$seed.log"
   : > "$LOG"
-  # Parity-safe faults only: connection drops (retried / failed over),
-  # dropped scatter legs (reroute whole), and delays. Caps keep any
-  # single request's worst case inside the retry budget.
+  # Parity-safe faults only: connection drops (retried / failed over)
+  # and delays. Caps keep any single request's worst case inside the
+  # retry budget.
   SCHEDULE="seed=$seed"
   SCHEDULE="$SCHEDULE,transport.send=drop:0.2#4,transport.recv=drop:0.2#4"
-  SCHEDULE="$SCHEDULE,coordinator.scatter=drop:0.3#3"
   SCHEDULE="$SCHEDULE,server.handle=delay1#6,fixpoint.round=delay1#8"
+  SCHEDULE="$SCHEDULE,server.handle=delay2:0.3#3"
 
   $FIXQ cluster --socket "$D/c.sock" --workers 2 --replication 2 \
     --worker-dir "$D/w" --health-interval-ms 3600000 \

@@ -221,29 +221,6 @@ let test_divergence_diagnostics () =
     (has_code "FQ040" c || has_code "FQ041" c)
 
 (* ------------------------------------------------------------------ *)
-(* Scatter eligibility (the cluster's gate, centralised)               *)
-(* ------------------------------------------------------------------ *)
-
-let parse src = Parser.parse_program src
-
-let test_scatter_eligible () =
-  checkb "node-only distributive main IFP" true
-    (Analyze.scatter_eligible
-       (parse "with $x seeded by doc(\"t\")/r recurse $x/a"));
-  checkb "non-distributive body" false
-    (Analyze.scatter_eligible
-       (parse "with $x seeded by doc(\"t\")/r recurse ($x/a except $x/b)"));
-  checkb "stratified flips fixed except" true
-    (Analyze.scatter_eligible ~stratified:true
-       (parse
-          "with $x seeded by doc(\"t\")/r recurse ($x/a except doc(\"t\")/b)"));
-  checkb "IFP not the main expression" false
-    (Analyze.scatter_eligible
-       (parse "(1, with $x seeded by doc(\"t\")/r recurse $x/a)"));
-  checkb "atom seed" false
-    (Analyze.scatter_eligible (parse "with $x seeded by 1 recurse $x"))
-
-(* ------------------------------------------------------------------ *)
 (* Acceptance: blame → push block → --fix-hints → both checkers agree  *)
 (* ------------------------------------------------------------------ *)
 
@@ -327,8 +304,6 @@ let () =
       ("divergence",
        [ Alcotest.test_case "classes" `Quick test_divergence_classes;
          Alcotest.test_case "diagnostics" `Quick test_divergence_diagnostics ]);
-      ("scatter",
-       [ Alcotest.test_case "eligibility" `Quick test_scatter_eligible ]);
       ("hints",
        [ Alcotest.test_case "repair roundtrip" `Quick
            test_hint_repair_roundtrip;

@@ -33,6 +33,8 @@ let test_spec_errors () =
   in
   rejected "nonsense";
   rejected "bogus.point=drop";
+  (* a point name from older schedules that no code checks any more *)
+  rejected "seed=1,coordinator.scatter=drop";
   rejected "transport.send=explode";
   rejected "transport.send=drop:1.5";
   rejected "transport.send=drop:x";

@@ -1,6 +1,6 @@
-(* The fixq_cluster subsystem: rendezvous placement, seed
-   partitioning (Theorem 3.2 soundness of scatter-gather), and the
-   coordinator's routing / scatter / retry / failover behaviour over
+(* The fixq_cluster subsystem: rendezvous placement, Theorem 3.2 on
+   the workload families (the union of seed slices equals the whole),
+   and the coordinator's routing / retry / failover behaviour over
    in-process workers (real [Server.t]s behind an injectable backend —
    the process-and-socket layer is exercised by the cram test). *)
 
@@ -11,6 +11,7 @@ module Json = Service.Json
 module Server = Service.Server
 module Router = Fixq_cluster.Router
 module Coordinator = Fixq_cluster.Coordinator
+module W = Fixq_workloads
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -79,55 +80,82 @@ let test_router_spread () =
     counts
 
 (* ------------------------------------------------------------------ *)
-(* Seed partitioning (the paper's Theorem 3.2, operationally)          *)
+(* Theorem 3.2: a distributive IFP is the union of its seed slices      *)
 (* ------------------------------------------------------------------ *)
 
 let tree_xml =
   "<r><a><b><c/><c/></b><b><c/></b></a><a><b><c/></b></a></r>"
 
-let make_registry () =
-  let registry = Xdm.Doc_registry.create () in
-  Xdm.Doc_registry.register ~registry "t.xml"
-    (Xdm.Xml_parser.parse_string ~uri:"t.xml" tree_xml);
-  registry
-
 let closure_query = {|with $x seeded by doc("t.xml")/r/* recurse $x/*|}
 
-let test_partition_union_equals_whole () =
-  let registry = make_registry () in
-  let program = Lang.Parser.parse_program closure_query in
-  let engine = Fixq.Interpreter Fixq.Auto in
-  let whole = (Fixq.run_program ~registry ~engine program).Fixq.result in
-  List.iter
-    (fun count ->
-      let slices =
-        List.init count (fun index ->
-            let p = Fixq.partition_first_seed ~index ~count program in
-            (Fixq.run_program ~registry ~engine p).Fixq.result)
-      in
-      let union = Xdm.Item.ddo (List.concat slices) in
-      checks
-        (Printf.sprintf "union of %d slices = whole" count)
-        (Xdm.Serializer.seq_to_string whole)
-        (Xdm.Serializer.seq_to_string union))
-    [ 1; 2; 3; 5 ]
+(* The four workload families as (prolog, seed, body), each seed
+   holding many nodes so that every slice is a real part of it. *)
+let families =
+  [ ("", {|doc("curriculum.xml")/curriculum/course|},
+     {|$x/id(./prerequisites/pre_code)|});
+    ({|declare variable $doc := doc("auction.xml");
+declare function bidder ($in as node()*) as node()*
+{ for $id in $in/@id
+  let $b := $doc//open_auction[seller/@person = $id]/bidder/personref
+  return $doc//people/person[@id = $b/@person]
+};
+|},
+     {|$doc//people/person|}, {|bidder($x)|});
+    ({|declare variable $doc := doc("romeo.xml");
+|},
+     {|$doc//SPEECH[not(preceding-sibling::SPEECH[1]/SPEAKER != SPEAKER)]|},
+     {|for $s in $x
+return $s/following-sibling::SPEECH[1][SPEAKER != $s/SPEAKER]|});
+    ({|declare variable $doc := doc("hospital.xml");
+|},
+     {|$doc/hospital/patient|}, {|$x/parents/patient|}) ]
 
-let test_partition_validation () =
-  let program = Lang.Parser.parse_program closure_query in
-  let invalid index count =
-    match Fixq.partition_first_seed ~index ~count program with
-    | _ -> Alcotest.failf "expected rejection of %d/%d" index count
-    | exception Fixq.Error _ -> ()
+(* The slices are written into the query text: the i-th of n keeps the
+   seed items whose position is i modulo n. *)
+let test_partition_union_equals_whole () =
+  let registry = Xdm.Doc_registry.create () in
+  let seed = 7 in
+  ignore
+    (W.Curriculum.load ~registry
+       { W.Curriculum.default with W.Curriculum.courses = 60; seed });
+  ignore
+    (W.Xmark.load ~registry
+       { W.Xmark.default with W.Xmark.scale = 0.002; seed });
+  ignore
+    (W.Shakespeare.load ~registry
+       { W.Shakespeare.default with W.Shakespeare.acts = 2; seed });
+  ignore
+    (W.Hospital.load ~registry
+       { W.Hospital.default with W.Hospital.total = 120; seed });
+  let run mode src =
+    (Fixq.run ~registry ~engine:(Fixq.Interpreter mode) src).Fixq.result
   in
-  invalid (-1) 2;
-  invalid 2 2;
-  invalid 0 0;
-  match
-    Fixq.partition_first_seed ~index:0 ~count:2
-      (Lang.Parser.parse_program "1 + 2")
-  with
-  | _ -> Alcotest.fail "expected rejection of IFP-free program"
-  | exception Fixq.Error _ -> ()
+  List.iter
+    (fun (prolog, seed, body) ->
+      let query seed =
+        Printf.sprintf "%swith $x seeded by %s recurse %s" prolog seed body
+      in
+      List.iter
+        (fun mode ->
+          let whole = run mode (query ("(" ^ seed ^ ")")) in
+          checkb ("whole result is not empty: " ^ seed) true (whole <> []);
+          List.iter
+            (fun n ->
+              let slices =
+                List.init n (fun i ->
+                    run mode
+                      (query
+                         (Printf.sprintf "(%s)[(position() - 1) mod %d = %d]"
+                            seed n i)))
+              in
+              checks
+                (Printf.sprintf "union of %d slices = whole: %s" n seed)
+                (Xdm.Serializer.seq_to_string whole)
+                (Xdm.Serializer.seq_to_string
+                   (Xdm.Item.ddo (List.concat slices))))
+            [ 2; 3 ])
+        [ Fixq.Naive; Fixq.Delta ])
+    families
 
 (* ------------------------------------------------------------------ *)
 (* Coordinator over in-process workers                                 *)
@@ -256,45 +284,25 @@ let test_coordinator_load_replication () =
 let test_coordinator_routing_deterministic () =
   let h = make_harness ~workers:4 () in
   ignore (request h load_line);
-  (* non-distributive: predicate mentions $x, so Figure 5 refuses and
-     the query routes whole *)
   let q = {|with $x seeded by doc("t.xml")/r recurse doc("t.xml")//b[$x]|} in
   let j1 = request h (run_line q) in
   let j2 = request h (run_line q) in
   checkb "ok" true (ok j1 && ok j2);
-  checkb "routed, not scattered" true
-    (Json.member "scatter" j1 = Json.Null);
   checkb "worker reported" true (str "worker" j1 <> "");
   checks "same worker both times" (str "worker" j1) (str "worker" j2)
 
-let test_coordinator_scatter_parity () =
+let test_coordinator_closure_parity () =
   let h = make_harness ~workers:3 () in
   ignore (request h load_line);
   let j = request h (run_line closure_query) in
   checkb "ok" true (ok j);
-  checki "two legs (replication 2)" 2
-    (Option.value ~default:0
-       (Json.int_opt (Json.member "legs" (Json.member "scatter" j))));
-  checks "scatter-gather equals single process"
+  checkb "one worker answers" true (str "worker" j <> "");
+  checks "cluster equals single process"
     (single_process_result closure_query)
     (str "result" j)
 
-let test_coordinator_scatter_respects_optout () =
-  let h =
-    make_harness
-      ~config:{ Coordinator.default_config with scatter = false }
-      ~workers:3 ()
-  in
-  ignore (request h load_line);
-  let j = request h (run_line closure_query) in
-  checkb "ok" true (ok j);
-  checkb "no scatter when disabled" true (Json.member "scatter" j = Json.Null);
-  checks "still the right answer"
-    (single_process_result closure_query)
-    (str "result" j)
-
-(* a dead scatter leg falls back to one whole-query run on a live
-   worker: the client still gets exactly one correct answer *)
+(* a dead first replica fails over to a live worker: the client still
+   gets exactly one correct answer *)
 let test_coordinator_failover () =
   let h = make_harness ~workers:3 () in
   ignore (request h load_line);
@@ -304,7 +312,6 @@ let test_coordinator_failover () =
   Hashtbl.replace h.failing (List.hd reps) ();
   let j = request h (run_line closure_query) in
   checkb "ok despite dead replica" true (ok j);
-  checkb "fell back from scatter" true (Json.member "scatter" j = Json.Null);
   checks "answer unchanged" (single_process_result closure_query)
     (str "result" j);
   let stats = Json.member "stats" (request h {|{"op":"stats"}|}) in
@@ -343,9 +350,9 @@ let test_coordinator_respawn_replays_docs () =
       h.sends
   in
   checkb "documents replayed on respawn" true replayed;
-  (* and the healed worker serves scatter legs again *)
+  (* and the healed worker, first in the ranking, serves runs again *)
   let j = request h (run_line ~extra:{|,"cache":false|} closure_query) in
-  checkb "scatter resumed" true (Json.member "scatter" j <> Json.Null);
+  checks "victim serves again" victim (str "worker" j);
   checks "answer unchanged" (single_process_result closure_query)
     (str "result" j)
 
@@ -390,9 +397,9 @@ let test_refused_replay_fails_over () =
 let a_xml = "<r><p><q/><q/></p></r>"
 let b_xml = "<r><s><u/></s><s/></r>"
 
-(* seed spans both documents through a union, so its enumeration —
-   which position()-mod-N slices — follows cross-document node-id
-   order, i.e. each worker's local document load order *)
+(* seed spans both documents through a union, so its result order
+   follows cross-document node-id order, i.e. each worker's local
+   document load order *)
 let multi_doc_query =
   {|with $x seeded by doc("a.xml")/r/* union doc("b.xml")/r/* recurse $x/*|}
 
@@ -410,13 +417,11 @@ let single_process_after loads query =
   checkb "single-process run ok" true (ok j);
   str "result" j
 
-(* A worker holding documents out of the global load order must not
-   serve scatter legs (its seed enumeration disagrees with its peers',
-   so the slices would overlap or miss), and routed multi-document
-   runs must prefer order-consistent workers. Reloading moves the
-   document to the end of the global order on every replica, healing
-   the divergence. *)
-let test_scatter_excludes_out_of_order_worker () =
+(* A routed multi-document run must prefer a worker holding the
+   documents in the global load order: another would serialize them in
+   a different order. Reloading moves the document to the end of the
+   global order on every replica, healing the divergence. *)
+let test_out_of_order_worker_passed_over () =
   let h = make_harness ~workers:2 () in
   (* replication 2 over 2 workers: both replicate everything — but w1
      is down while a.xml loads, so only w0 takes it *)
@@ -427,23 +432,20 @@ let test_scatter_excludes_out_of_order_worker () =
   checkb "load b with both up" true
     (ok (request h (load_uri_line "b.xml" b_xml)));
   (* w1 holds only b.xml: shipping a.xml now would append it AFTER b,
-     inverting the global order — so no scatter, and the whole query
-     goes to the order-consistent worker *)
+     inverting the global order — so the query goes to w0 *)
   let j = request h (run_line multi_doc_query) in
   checkb "ok" true (ok j);
-  checkb "routed, not scattered" true (Json.member "scatter" j = Json.Null);
+  checks "order-consistent worker" "w0" (str "worker" j);
   checks "parity with a single process that loaded a then b"
     (single_process_after
        [ load_uri_line "a.xml" a_xml; load_uri_line "b.xml" b_xml ]
        multi_doc_query)
     (str "result" j);
   (* reloading a.xml re-ships it everywhere with a fresh sequence:
-     both workers agree on the order (b before a) and scatter resumes *)
+     both workers agree on the order (b before a) *)
   checkb "reload a" true (ok (request h (load_uri_line "a.xml" a_xml)));
   let j = request h (run_line ~extra:{|,"cache":false|} multi_doc_query) in
   checkb "ok" true (ok j);
-  checkb "scatter resumed after reload" true
-    (Json.member "scatter" j <> Json.Null);
   checks "parity with a single process that loaded a, b, then a again"
     (single_process_after
        [ load_uri_line "a.xml" a_xml; load_uri_line "b.xml" b_xml;
@@ -452,8 +454,8 @@ let test_scatter_excludes_out_of_order_worker () =
     (str "result" j)
 
 (* Respawn replay must follow the global load order, not hash-table
-   fold order: the respawned worker's node-id order has to match its
-   peers' or it cannot serve multi-document scatter legs. *)
+   fold order: the respawned worker's node-id order has to match the
+   global one or routed multi-document runs pass it over. *)
 let test_respawn_replay_order () =
   let h = make_harness ~workers:2 () in
   let uris = List.init 8 (Printf.sprintf "d%d.xml") in
@@ -478,11 +480,8 @@ let test_respawn_replay_order () =
   checks "replayed in load order" (String.concat "," uris)
     (String.concat "," replayed)
 
-(* Distributive body, but the seed constructs nodes: constructed nodes
-   have no portable identity (each scatter leg would build its own
-   copies, and the gathered union could only order them by serialized
-   content, not by the single process's document order), so the query
-   must route whole — and still answer byte-identically. *)
+(* Distributive body over a constructed seed: one worker builds the
+   nodes and answers byte-identically to a single process. *)
 let test_constructed_seed_routes_whole () =
   let h = make_harness ~workers:2 () in
   let q = {|with $x seeded by <r><c/></r> recurse $x/*|} in
@@ -491,12 +490,10 @@ let test_constructed_seed_routes_whole () =
       (Printf.sprintf {|{"op":"check","query":%s}|}
          (Json.to_string (Json.Str q)))
   in
-  checkb "body is distributive (scatter is only stopped by the seed)" true
+  checkb "body is distributive" true
     (Json.bool_opt (Json.member "syntactic" c) = Some true);
   let j = request h (run_line q) in
   checkb "ok" true (ok j);
-  checkb "constructed seed routes whole" true
-    (Json.member "scatter" j = Json.Null);
   checks "parity" (single_process_after [] q) (str "result" j)
 
 let test_coordinator_retry_accounting () =
@@ -521,38 +518,6 @@ let test_coordinator_parse_error_local () =
     && String.sub (str "error" j) 0 5 = "parse");
   (* nothing was forwarded: the coordinator rejected locally *)
   checki "no worker saw it" 0 (List.length h.sends)
-
-(* Failover during an in-flight scatter-gather, triggered by the
-   deterministic chaos point rather than timing: the first leg's worker
-   is killed after the legs launch, the gather falls back to one whole
-   run on a survivor, and the answer is byte-identical. *)
-let test_chaos_kill_mid_scatter () =
-  let h = make_harness ~workers:3 () in
-  ignore (request h load_line);
-  (match Fixq_chaos.configure "seed=11,coordinator.scatter=kill@1" with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  Fun.protect ~finally:Fixq_chaos.reset (fun () ->
-      let j = request h (run_line ~extra:{|,"cache":false|} closure_query) in
-      checkb "ok despite leg killed in flight" true (ok j);
-      checkb "gather fell back to a whole run" true
-        (Json.member "scatter" j = Json.Null);
-      checks "answer byte-identical to single process"
-        (single_process_result closure_query)
-        (str "result" j);
-      checki "exactly one fault injected" 1 (Fixq_chaos.fired ());
-      (match Fixq_chaos.events () with
-      | [ e ] ->
-        checks "fault at the scatter point" "coordinator.scatter"
-          e.Fixq_chaos.point
-      | _ -> Alcotest.fail "expected exactly one chaos event");
-      checki "killed worker marked dead" 2
-        (List.length (Coordinator.alive_workers h.coordinator));
-      let stats = Json.member "stats" (request h {|{"op":"stats"}|}) in
-      checkb "failover counted" true
-        (Option.value ~default:0
-           (Json.int_opt (Json.member "failovers" stats))
-        >= 1))
 
 (* ------------------------------------------------------------------ *)
 (* Online rebalancing                                                   *)
@@ -817,23 +782,20 @@ let () =
          Alcotest.test_case "spread" `Quick test_router_spread ]);
       ("partition",
        [ Alcotest.test_case "union of slices = whole" `Quick
-           test_partition_union_equals_whole;
-         Alcotest.test_case "validation" `Quick test_partition_validation ]);
+           test_partition_union_equals_whole ]);
       ("coordinator",
        [ Alcotest.test_case "load-doc replication" `Quick
            test_coordinator_load_replication;
          Alcotest.test_case "deterministic routing" `Quick
            test_coordinator_routing_deterministic;
-         Alcotest.test_case "scatter parity" `Quick
-           test_coordinator_scatter_parity;
-         Alcotest.test_case "scatter opt-out" `Quick
-           test_coordinator_scatter_respects_optout;
+         Alcotest.test_case "closure parity" `Quick
+           test_coordinator_closure_parity;
          Alcotest.test_case "failover exactly-once" `Quick
            test_coordinator_failover;
          Alcotest.test_case "respawn replays documents" `Quick
            test_coordinator_respawn_replays_docs;
-         Alcotest.test_case "out-of-order worker excluded from scatter"
-           `Quick test_scatter_excludes_out_of_order_worker;
+         Alcotest.test_case "out-of-order worker passed over" `Quick
+           test_out_of_order_worker_passed_over;
          Alcotest.test_case "refused replay fails over" `Quick
            test_refused_replay_fails_over;
          Alcotest.test_case "respawn replays in load order" `Quick
@@ -843,9 +805,7 @@ let () =
          Alcotest.test_case "retry accounting" `Quick
            test_coordinator_retry_accounting;
          Alcotest.test_case "local parse errors" `Quick
-           test_coordinator_parse_error_local;
-         Alcotest.test_case "chaos kill mid-scatter fails over" `Quick
-           test_chaos_kill_mid_scatter ]);
+           test_coordinator_parse_error_local ]);
       ("rebalance",
        [ Alcotest.test_case "add-worker moves exactly the gained keys"
            `Quick test_add_worker_moves_exactly;

@@ -102,6 +102,25 @@ let test_forced_delta_unsound_flagged () =
   let r = run (Fixq.Interpreter Fixq.Delta) q1 in
   check "forced delta reported" true (r.Fixq.used_delta = Some true)
 
+(* A positional predicate on a reverse-axis step counts nearest-first:
+   from the third of three siblings, preceding-sibling::a[2] is the
+   first, which has no preceding sibling. *)
+let test_reverse_axis_position () =
+  let reg = Doc_registry.create () in
+  Doc_registry.register ~registry:reg "t.xml"
+    (Xml_parser.parse_string {|<a k="0"><a k="0"/><a k="0"/><a k="0"/></a>|});
+  let q =
+    {|for $y in with $x seeded by doc("t.xml")//a
+                recurse $x/preceding-sibling::a[2]
+      return count($y/preceding-sibling::*)|}
+  in
+  List.iter
+    (fun (name, engine) ->
+      match (Fixq.run ~registry:reg ~engine q).Fixq.result with
+      | [ Item.A a ] when Fixq_xdm.Atom.to_number a = 0. -> ()
+      | r -> Alcotest.failf "%s: %d items, want [0]" name (List.length r))
+    engines
+
 let test_verdicts_q1 () =
   match Fixq.distributivity_verdicts ~registry (Parser.parse_program q1) with
   | Some (syn, alg) ->
@@ -381,7 +400,9 @@ let () =
           Alcotest.test_case "Q2 stays naive" `Quick
             test_q2_stays_naive_everywhere;
           Alcotest.test_case "forced delta" `Quick
-            test_forced_delta_unsound_flagged ] );
+            test_forced_delta_unsound_flagged;
+          Alcotest.test_case "reverse-axis position" `Quick
+            test_reverse_axis_position ] );
       ( "verdicts",
         [ Alcotest.test_case "Q1" `Quick test_verdicts_q1;
           Alcotest.test_case "section 4.1" `Quick test_verdicts_section41;

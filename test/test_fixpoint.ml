@@ -211,11 +211,13 @@ let test_stats_accounting () =
      List.sort compare sizes = sizes)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel Delta (Section 7's divide-and-conquer)                     *)
+(* Section 7's divide-and-conquer: a distributive body applied to each  *)
+(* part of a round's ∆ and unioned feeds the same nodes as applied to   *)
+(* the whole ∆ (Theorem 3.2)                                            *)
 (* ------------------------------------------------------------------ *)
 
 let big_tree () =
-  (* a wide, shallow tree so rounds exceed the parallel threshold *)
+  (* a wide, shallow tree so that every round splits into many parts *)
   let leaf i = Node.E ("leaf", [ ("k", string_of_int i) ], []) in
   let mid i =
     Node.E ("mid", [], List.init 40 (fun j -> leaf ((i * 40) + j)))
@@ -223,6 +225,13 @@ let big_tree () =
   Xml_parser.parse_string ~strip_whitespace:true
     (Fixq_xdm.Serializer.to_string
        (Node.of_spec (Node.E ("root", [], List.init 30 mid))))
+
+(* [split_body ~parts body] cuts each input into [parts] round-robin
+   slices, applies [body] to each and returns the union of the
+   results. *)
+let split_body ~parts body input =
+  let slice i = List.filteri (fun j _ -> j mod parts = i) input in
+  Item.ddo (List.concat (List.init parts (fun i -> body (slice i))))
 
 let test_parallel_delta_equivalence () =
   let doc = big_tree () in
@@ -238,28 +247,28 @@ let test_parallel_delta_equivalence () =
   let sequential = Fixpoint.delta ~stats:stats_seq ~body ~seed () in
   let stats_par = Stats.create () in
   let parallel =
-    Fixpoint.delta_parallel ~domains:4 ~chunk_threshold:8 ~stats:stats_par
-      ~body ~seed ()
+    Fixpoint.delta ~stats:stats_par ~body:(split_body ~parts:4 body) ~seed ()
   in
-  check "parallel s= sequential" true (Item.set_equal sequential parallel);
+  check "split s= whole" true (Item.set_equal sequential parallel);
   check_int "same nodes fed" (Stats.nodes_fed stats_seq)
     (Stats.nodes_fed stats_par);
   check_int "same depth" (Stats.depth stats_seq) (Stats.depth stats_par)
 
 let test_parallel_delta_single_domain () =
-  (* domains=1 degrades to plain delta *)
+  (* one part is the whole ∆: plain Delta *)
   let doc = tree () in
   let seed = [ Item.N (List.hd (Node.children doc)) ] in
   let stats = Stats.create () in
   let r =
-    Fixpoint.delta_parallel ~domains:1 ~stats ~body:children_body ~seed ()
+    Fixpoint.delta ~stats ~body:(split_body ~parts:1 children_body) ~seed ()
   in
   let stats2 = Stats.create () in
   let r2 = Fixpoint.delta ~stats:stats2 ~body:children_body ~seed () in
-  check "single-domain parallel = delta" true (Item.set_equal r r2)
+  check "one part = delta" true (Item.set_equal r r2);
+  check_int "same nodes fed" (Stats.nodes_fed stats2) (Stats.nodes_fed stats)
 
 let test_parallel_delta_through_eval () =
-  (* drive a real XQuery body (axis steps only — thread-safe) *)
+  (* a real XQuery body, evaluated once per part *)
   let registry = Doc_registry.create () in
   Doc_registry.register ~registry "t.xml" (big_tree ());
   let ev = Eval.create ~registry () in
@@ -270,11 +279,10 @@ let test_parallel_delta_through_eval () =
   in
   let stats = Stats.create () in
   let par =
-    Fixpoint.delta_parallel ~domains:3 ~chunk_threshold:16 ~stats ~body ~seed
-      ()
+    Fixpoint.delta ~stats ~body:(split_body ~parts:3 body) ~seed ()
   in
   let seq = Fixpoint.delta ~stats ~body ~seed () in
-  check "xquery body parallel s= sequential" true (Item.set_equal par seq);
+  check "xquery body split s= whole" true (Item.set_equal par seq);
   check_int "descendants found" (30 + (30 * 40)) (List.length par)
 
 (* The accumulator bitmap spans the ids a fixpoint touches, not every id

@@ -256,8 +256,6 @@ let test_gates () =
       {|with $x seeded by doc("c.xml")//a recurse $x/b accumulate by why|}
   in
   let plain = parse {|with $x seeded by doc("c.xml")//a recurse $x/b|} in
-  check "plain scatters" true (Analyze.scatter_eligible plain);
-  check "annotated never scatters" false (Analyze.scatter_eligible annotated);
   check "plain IVM-eligible" true
     (Analyze.ivm_eligibility plain = Analyze.Ivm_full);
   (match Analyze.ivm_eligibility annotated with
@@ -399,7 +397,7 @@ let () =
       ( "analysis",
         [ Alcotest.test_case "FQ043/FQ044" `Quick test_semiring_diagnostics;
           Alcotest.test_case "classification" `Quick test_classification;
-          Alcotest.test_case "scatter/ivm gates" `Quick test_gates ] );
+          Alcotest.test_case "ivm gate" `Quick test_gates ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_bool_parity_interp;
           QCheck_alcotest.to_alcotest prop_bool_parity_naive;

@@ -456,6 +456,29 @@ let test_server_cache_bypass () =
   checks "but prepared does" "hit" (sfield "prepared_cache" r2);
   checkb "results agree" true (sfield "result" r1 = sfield "result" r2)
 
+(* Seed slicing was removed: a run still asking for a slice is refused
+   with an error naming the field, never answered with the whole
+   result. *)
+let test_server_refuses_partition () =
+  let server = mk_server () in
+  ignore (send server load_doc_line);
+  let r =
+    send server
+      (Json.to_string
+         (Json.Obj
+            [ ("op", Json.Str "run"); ("id", Json.of_int 7);
+              ("query", Json.Str q1);
+              ("partition",
+               Json.Obj [ ("index", Json.of_int 0); ("of", Json.of_int 2) ]) ]))
+  in
+  checkb "refused" false (ok r);
+  checki "id echoed" 7 (Option.get (Json.int_opt (field "id" r)));
+  let e = sfield "error" r in
+  checkb ("names the field: " ^ e) true
+    (List.exists (fun w -> w = "\"partition\":") (String.split_on_char ' ' e));
+  checkb "no result" true (field "result" r = Json.Null);
+  checkb "the whole run still answers" true (ok (send server run_line))
+
 let test_server_shutdown_and_ids () =
   let server = mk_server () in
   let (resp, stop) = Server.handle_line server {|{"op":"ping","id":42}|} in
@@ -996,6 +1019,8 @@ let () =
          Alcotest.test_case "failures stay up" `Quick
            test_server_failures_stay_up;
          Alcotest.test_case "cache bypass" `Quick test_server_cache_bypass;
+         Alcotest.test_case "removed partition field refused" `Quick
+           test_server_refuses_partition;
          Alcotest.test_case "shutdown and ids" `Quick
            test_server_shutdown_and_ids;
          Alcotest.test_case "unload and generated docs" `Quick
