@@ -1043,14 +1043,12 @@ let columnar_bench () =
   printf "\n"
 
 (* ------------------------------------------------------------------ *)
-(* Static cost analyzer: calibration and --engine auto                 *)
+(* Static cost analyzer: calibration                                  *)
 (* ------------------------------------------------------------------ *)
 
 (* Per workload family: the analyzer's per-engine estimates next to
-   measured wall-clock on every engine, the certified round bound next
-   to the actual recursion depth (it must never be exceeded), and the
-   auto pick next to the worst fixed engine (it must never be slower,
-   modulo measurement noise). *)
+   measured wall-clock on every engine, and the certified round bound
+   next to the actual recursion depth (it must never be exceeded). *)
 let cost_bench () =
   printf "== Static cost analyzer: estimates vs measurements ==\n\n";
   let module E = Fixq_cost.Estimate in
@@ -1079,20 +1077,20 @@ let cost_bench () =
            (W.Hospital.load ~registry
               { W.Hospital.default with W.Hospital.total = 20_000 })) ]
   in
-  printf "%-18s | %-7s | %9s | %9s | %9s | %7s | %6s | %5s\n" "Family"
-    "chosen" "interp ms" "algeb. ms" "sql ms" "auto ms" "rounds" "bound";
-  printf "%s\n" (String.make 88 '-');
+  printf "%-18s | %9s | %9s | %9s | %6s | %5s\n" "Family" "interp ms"
+    "algeb. ms" "sql ms" "rounds" "bound";
+  printf "%s\n" (String.make 68 '-');
   List.iter
     (fun (name, query, setup) ->
       let registry = Doc_registry.create () in
       setup registry;
       let store = Fixq_service.Store.create ~registry () in
-      let prepared =
-        Fixq_service.Prepared.with_sql ~store
-          (Fixq_service.Prepared.prepare ~store ~stratified:false
-             ~max_iterations:100_000 query)
+      let est =
+        Fixq_service.Prepared.cost ~store
+          (Fixq_service.Prepared.with_sql
+             (Fixq_service.Prepared.prepare ~store ~stratified:false
+                ~max_iterations:100_000 query))
       in
-      let est = prepared.Fixq_service.Prepared.cost in
       let run engine = Fixq.run ~registry ~engine query in
       let interp = run (Fixq.Interpreter Fixq.Auto) in
       let alg = run (Fixq.Algebra Fixq.Auto) in
@@ -1100,26 +1098,8 @@ let cost_bench () =
       let fixed =
         [ ("interp", interp); ("algebra", alg); ("sql", sql) ]
       in
-      let chosen_engine =
-        match Fixq_service.Prepared.chosen_engine prepared with
-        | `Algebra -> Fixq.Algebra Fixq.Auto
-        | `Sql -> Fixq.Sql Fixq.Auto
-        | `Interp -> Fixq.Interpreter Fixq.Auto
-      in
-      let auto = run chosen_engine in
-      let worst_ms =
-        List.fold_left
-          (fun acc (_, r) -> Float.max acc r.Fixq.wall_ms)
-          0. fixed
-      in
-      (* auto re-runs its pick, so compare with noise headroom *)
-      let never_slower =
-        auto.Fixq.wall_ms <= (worst_ms *. 1.10) +. 2.0
-      in
       let actual_rounds =
-        List.fold_left
-          (fun acc (_, r) -> max acc r.Fixq.depth)
-          auto.Fixq.depth fixed
+        List.fold_left (fun acc (_, r) -> max acc r.Fixq.depth) 0 fixed
       in
       let bound_ok =
         match est.E.rounds_bound with
@@ -1131,11 +1111,10 @@ let cost_bench () =
           Item.set_equal a.Fixq.result b.Fixq.result
           || Item.deep_equal a.Fixq.result b.Fixq.result
         in
-        same interp alg && same interp sql && same interp auto
+        same interp alg && same interp sql
       in
-      printf "%-18s | %-7s | %9.1f | %9.1f | %9.1f | %7.1f | %6d | %5s\n%!"
-        name est.E.chosen interp.Fixq.wall_ms alg.Fixq.wall_ms
-        sql.Fixq.wall_ms auto.Fixq.wall_ms actual_rounds
+      printf "%-18s | %9.1f | %9.1f | %9.1f | %6d | %5s\n%!" name
+        interp.Fixq.wall_ms alg.Fixq.wall_ms sql.Fixq.wall_ms actual_rounds
         (match est.E.rounds_bound with
         | Some b -> string_of_int b
         | None -> "—");
@@ -1152,7 +1131,6 @@ let cost_bench () =
       record_json
         [ ("section", Json.Str "cost"); ("family", Json.Str name);
           ("work", Json.Num (Float.round est.E.work));
-          ("chosen", Json.Str est.E.chosen);
           ("est_interp", est_cost "interp");
           ("est_algebra", est_cost "algebra");
           ("est_sql", est_cost "sql");
@@ -1162,9 +1140,6 @@ let cost_bench () =
           (* non-empty when that engine ran the site on the interpreter *)
           ("fallbacks_algebra", fallbacks alg);
           ("fallbacks_sql", fallbacks sql);
-          ("auto_ms", Json.Num auto.Fixq.wall_ms);
-          ("worst_ms", Json.Num worst_ms);
-          ("never_slower", Json.Bool never_slower);
           ("rounds_bound",
            (match est.E.rounds_bound with
            | Some b -> Json.of_int b

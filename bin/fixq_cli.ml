@@ -135,14 +135,11 @@ let engine_arg =
   let doc =
     "Engine: 'interp' (tree-walking), 'algebra' (relational), 'sql' \
      (WITH RECURSIVE over materialized document relations; \
-     non-renderable IFP sites fall back to the interpreter), or 'auto' \
-     (the cost analyzer picks the cheapest estimate)."
+     non-renderable IFP sites fall back to the interpreter)."
   in
   Arg.(value
        & opt
-           (enum
-              [ ("interp", `Interp); ("algebra", `Algebra); ("sql", `Sql);
-                ("auto", `Auto) ])
+           (enum [ ("interp", `Interp); ("algebra", `Algebra); ("sql", `Sql) ])
            `Interp
        & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
@@ -182,21 +179,8 @@ let inspect ~stratified registry src =
     ~stratified
     ~max_iterations:Fixq_service.Server.default_config.max_iterations src
 
-(* [--engine auto]: resolve to a fixed engine before execution, so an
-   auto run is byte-identical to the chosen engine spelled out. *)
-let resolve_engine ~stratified registry src engine =
-  match engine with
-  | (`Interp | `Algebra | `Sql) as e -> e
-  | `Auto -> (
-    match inspect ~stratified registry src with
-    | p -> Prepared.chosen_engine p
-    | exception Prepared.Rejected _ ->
-      `Interp (* let the evaluator report the error *))
-
-let engine_name = function
-  | `Interp -> "interp"
-  | `Algebra -> "algebra"
-  | `Sql -> "sql"
+let cost registry p =
+  Prepared.cost ~store:(Fixq_service.Store.create ~registry ()) p
 
 (* ------------------------------------------------------------------ *)
 
@@ -206,10 +190,6 @@ let run_cmd =
     load_docs registry docs;
     apply_patches registry patches;
     let src = query_source file expr in
-    let auto = engine = `Auto in
-    let engine = resolve_engine ~stratified registry src engine in
-    if auto && stats then
-      Printf.eprintf "engine chosen: %s\n" (engine_name engine);
     match
       Fixq.run ~registry ~stratified ~engine:(to_engine engine mode) src
     with
@@ -256,10 +236,7 @@ let repl_cmd =
       | line -> (
         (match
            Fixq.run ~registry ~stratified
-             ~engine:
-               (to_engine (resolve_engine ~stratified registry line engine)
-                  mode)
-             line
+             ~engine:(to_engine engine mode) line
          with
         | report ->
           print_endline (Xdm.Serializer.seq_to_string report.Fixq.result);
@@ -435,7 +412,9 @@ let lint_cmd =
       1
     | prepared ->
       let { Prepared.program = p; analysis; push; _ } = prepared in
-      let diagnostics = Prepared.diagnostics prepared in
+      let diagnostics =
+        Prepared.diagnostics ~cost:(cost registry prepared) prepared
+      in
       let errors =
         List.length (List.filter Diag.is_error diagnostics)
       in
@@ -654,7 +633,7 @@ let explain_cmd =
         prerr_endline message;
         1
       | p ->
-        print_string (Fixq_cost.Estimate.to_text p.Prepared.cost);
+        print_string (Fixq_cost.Estimate.to_text (cost registry p));
         0)
   in
   let term =
@@ -666,10 +645,10 @@ let explain_cmd =
          "Print the static cost report serve's explain op returns — \
           per-operator cardinality intervals from the document synopses, \
           the certified fixpoint round bound when one is derivable, and \
-          the per-engine cost estimates behind --engine auto. With \
-          --template, instead \
-          print the query rewritten into the paper's recursive-function \
-          templates (Figures 2/4) or the distributivity hint.")
+          the per-engine cost estimates that serve's --max-cost admits \
+          runs by. With --template, instead print the query rewritten \
+          into the paper's recursive-function templates (Figures 2/4) or \
+          the distributivity hint.")
     term
 
 (* Shared by serve and cluster: activate a fault-injection schedule

@@ -1093,7 +1093,6 @@ let prometheus_stats t =
     (Printf.sprintf
        "# TYPE fixq_backoff_ms_total counter\nfixq_backoff_ms_total %.3f\n"
        backoff_ms);
-  counter "fixq_cluster_retries_total" retries;
   counter "fixq_cluster_failovers_total" failovers;
   counter "fixq_cluster_routed_runs_total" routed;
   counter "fixq_cluster_rebalances_total" rebalances;

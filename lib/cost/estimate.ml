@@ -112,8 +112,6 @@ type t = {
   bound_reason : string;
   work : float;
   engines : engine_estimate list;
-  chosen : string;
-  choice_reason : string;
   diagnostics : Diag.t list;
   docs : (string * bool) list;
 }
@@ -1002,7 +1000,7 @@ and ifp_est env vars ctx d e ~var ~seed ~body ~accum =
   v
 
 (* ------------------------------------------------------------------ *)
-(* Engine cost model and selection                                     *)
+(* Engine cost model                                                   *)
 (* ------------------------------------------------------------------ *)
 
 (* [delta] is the one Delta licence (Figure 5 or the ∪ push-up): every
@@ -1057,23 +1055,6 @@ let engine_estimates ~work ~mat_nodes ~has_ifp ~compiled ~sql_renderable
   in
   [ interp; algebra; sql ]
 
-let choose engines =
-  let best =
-    List.fold_left
-      (fun acc e -> match acc with
-        | Some b when b.eng_cost <= e.eng_cost -> Some b
-        | _ -> Some e)
-      None engines
-  in
-  let b = Option.get best in
-  ( b.eng_name,
-    Printf.sprintf "%s (cheapest: %s)"
-      (String.concat ", "
-         (List.map
-            (fun e -> Printf.sprintf "%s %.0f" e.eng_name e.eng_cost)
-            engines))
-      b.eng_name )
-
 let analyze ?registry ?spans ?(compiled = None) ?(sql_renderable = None)
     ?(algebra_delta = false) ?(interp_delta = false) (p : Ast.program) : t =
   let env =
@@ -1104,7 +1085,6 @@ let analyze ?registry ?spans ?(compiled = None) ?(sql_renderable = None)
     engine_estimates ~work ~mat_nodes ~has_ifp ~compiled ~sql_renderable
       ~delta:(algebra_delta || interp_delta)
   in
-  let chosen, choice_reason = choose engines in
   let rounds_bound, bound_reason =
     match env.first_bound with
     | Some (b, r) -> (b, r)
@@ -1119,8 +1099,7 @@ let analyze ?registry ?spans ?(compiled = None) ?(sql_renderable = None)
   in
   { rows = List.filter_map (fun r -> !r) (List.rev env.rows);
     result_card = result.card;
-    rounds_bound; bound_reason; work; engines; chosen; choice_reason;
-    diagnostics; docs = env.docs }
+    rounds_bound; bound_reason; work; engines; diagnostics; docs = env.docs }
 
 (* ------------------------------------------------------------------ *)
 (* Human rendering (fixq explain, the explain protocol op)             *)
@@ -1143,13 +1122,10 @@ let to_text (t : t) =
   pf "engines\n";
   List.iter
     (fun e ->
-      pf "%s %-8s %8.0f  %-8s %s\n"
-        (if e.eng_name = t.chosen then "*" else " ")
-        e.eng_name e.eng_cost
+      pf "  %-8s %8.0f  %-8s %s\n" e.eng_name e.eng_cost
         (if e.eng_native then "native" else "fallback")
         e.eng_note)
     t.engines;
-  pf "  chosen: %s\n" t.choice_reason;
   if t.rows <> [] then begin
     pf "operators\n";
     let loc_str r =

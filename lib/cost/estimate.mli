@@ -14,8 +14,12 @@
     fixpoint rounds where derivable — an unannotated IFP only ever
     accumulates document nodes, so its rounds are bounded by the
     reachable-node count over the synopsis plus one — the FQ050–FQ054
-    diagnostics, and a total cost estimate per engine from which the
-    cheapest eligible engine is chosen ([--engine auto]).
+    diagnostics, and a total cost estimate per engine, which admission
+    control ([--max-cost]) reads for the requested engine.
+
+    Nothing is cached: the service computes a report on the requests
+    that read it ([check], [explain], runs under [--max-cost]), against
+    the synopses of the documents as they are then.
 
     Everything here is an {e upper-bound} analysis: estimates are
     sound to use for admission control and round budgets, never for
@@ -58,8 +62,6 @@ type t = {
   bound_reason : string;
   work : float;  (** engine-independent abstract work estimate *)
   engines : engine_estimate list;
-  chosen : string;  (** cheapest engine: ["interp"|"algebra"|"sql"] *)
-  choice_reason : string;
   diagnostics : Fixq_analysis.Diag.t list;
       (** FQ050 statically-empty step, FQ051 dead branch, FQ052
           statically-empty seed, FQ053 certified bound, FQ054
@@ -89,8 +91,8 @@ val analyze :
   t
 
 (** Deterministic human rendering of a report: work, result
-    cardinality, round bound, per-engine costs (the chosen one starred)
-    and the indented per-operator table. Shared by [fixq explain] and
+    cardinality, round bound, per-engine costs and the indented
+    per-operator table. Shared by [fixq explain] and
     the server's [explain] op. *)
 val to_text : t -> string
 

@@ -17,10 +17,8 @@ type t = {
   algebraic : bool option;
   plan : (int * Fixq_algebra.Plan.t) option;
   sql : (Fixq_algebra.Render_sql.rendered, string) result option;
-  cost : Estimate.t;
   mode : Fixq.mode;
   stratified : bool;
-  generation : int;
   prepare_ms : float;
 }
 
@@ -32,20 +30,9 @@ let hash_source src = Digest.to_hex (Digest.string src)
 
 let format_diagnostic d = Format.asprintf "%a" Lang.Static.pp_diagnostic d
 
-(* The synopsis-driven cost estimate, shaped by the first site's
-   verdicts and compile/render outcomes. *)
-let estimate ~registry ~spans ~ifp_count ~plan ~sql ~algebraic ~syntactic
-    program =
-  Estimate.analyze ~registry ~spans
-    ~compiled:(if ifp_count = 0 then None else Some (plan <> None))
-    ~sql_renderable:(Option.map Result.is_ok sql)
-    ~algebra_delta:(algebraic = Some true)
-    ~interp_delta:syntactic program
-
 let run ~static_gate ~store ~stratified ~max_iterations source =
   let t0 = Unix.gettimeofday () in
   let registry = Store.registry store in
-  let generation = Store.generation store in
   let program, spans =
     match Lang.Parser.parse_program_spans source with
     | p -> p
@@ -87,10 +74,6 @@ let run ~static_gate ~store ~stratified ~max_iterations source =
       plan
   in
   let algebraic = Option.map (fun o -> o.Push.distributive) push in
-  let cost =
-    estimate ~registry ~spans ~ifp_count ~plan ~sql:None ~algebraic
-      ~syntactic program
-  in
   (* One licence for every engine (Theorem 3.2): Delta when either
      check accepts, Naive when both reject. No algebraic verdict (the
      site was not reached or its body does not compile) pins nothing:
@@ -103,40 +86,34 @@ let run ~static_gate ~store ~stratified ~max_iterations source =
     else Fixq.Naive
   in
   { source; hash = hash_source source; program; spans; warnings; analysis;
-    push; ifp_count; syntactic; algebraic; plan; sql = None; cost; mode;
-    stratified; generation;
+    push; ifp_count; syntactic; algebraic; plan; sql = None; mode;
+    stratified;
     prepare_ms = (Unix.gettimeofday () -. t0) *. 1000.0 }
 
 let prepare = run ~static_gate:true
 
-let reestimate ~store t sql =
-  let cost =
-    estimate ~registry:(Store.registry store) ~spans:t.spans
-      ~ifp_count:t.ifp_count ~plan:t.plan ~sql ~algebraic:t.algebraic
-      ~syntactic:t.syntactic t.program
-  in
-  { t with sql; cost; generation = Store.generation store }
-
 (* The SQL:1999 rendering runs the algebra optimizer over the captured
    plan, which costs more than the rest of preparing together, and only
-   the sql engine's estimate row reads the verdict — so it is rendered
-   here, for the callers that read it, not in [run]. *)
-let with_sql ~store t =
+   the sql engine's estimate row and the SQL verdict read it — so it is
+   rendered here, for the callers that read them, not in [run]. *)
+let with_sql t =
   match (t.sql, t.plan) with
   | Some _, _ | None, None -> t
-  | None, Some plan -> reestimate ~store t (Some (Fixq.sql_of_plan plan))
+  | None, Some plan -> { t with sql = Some (Fixq.sql_of_plan plan) }
 
 let inspect ~store ~stratified ~max_iterations src =
-  with_sql ~store (run ~static_gate:false ~store ~stratified ~max_iterations src)
+  with_sql (run ~static_gate:false ~store ~stratified ~max_iterations src)
 
-(* The parse, the static check and the distributivity verdicts depend
-   only on the query text, but the cost estimate reads the document
-   synopses — so a cached entry served after a load-doc/patch-doc must
-   re-run just the abstract interpreter, or admission and engine
-   choice would act on the document as it was at prepare time. *)
-let refresh ~store t =
-  if t.generation = Store.generation store then t
-  else reestimate ~store t t.sql
+(* The estimate reads the document synopses as they are now, so it is
+   computed for each reader and never kept: an entry prepared before a
+   load-doc or patch-doc cannot gate the grown document on stale
+   figures. *)
+let cost ~store t =
+  Estimate.analyze ~registry:(Store.registry store) ~spans:t.spans
+    ~compiled:(if t.ifp_count = 0 then None else Some (t.plan <> None))
+    ~sql_renderable:(Option.map Result.is_ok t.sql)
+    ~algebra_delta:(t.algebraic = Some true)
+    ~interp_delta:t.syntactic t.program
 
 let delta_by t = Fixq.delta_by ~syntactic:t.syntactic ~algebraic:t.algebraic
 
@@ -144,10 +121,10 @@ let delta_by t = Fixq.delta_by ~syntactic:t.syntactic ~algebraic:t.algebraic
    mapping, FQ030 demoted when the push-up licenses Delta), which
    cannot be part of [Analyze.analyze], plus the cost analyzer's
    FQ050–FQ054 findings. *)
-let diagnostics t =
+let diagnostics ~cost t =
   List.stable_sort Diag.compare
     (Analyze.with_push ~spans:t.spans t.analysis t.push
-    @ t.cost.Estimate.diagnostics)
+    @ cost.Estimate.diagnostics)
 
 let divergence t =
   match t.analysis.Analyze.ifps with
@@ -158,9 +135,3 @@ let semiring t =
   match t.analysis.Analyze.ifps with
   | [] -> None
   | r :: _ -> r.Analyze.semiring
-
-let chosen_engine t =
-  match t.cost.Estimate.chosen with
-  | "algebra" -> `Algebra
-  | "sql" -> `Sql
-  | _ -> `Interp

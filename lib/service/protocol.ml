@@ -7,7 +7,7 @@ type doc_source =
 
 type run_params = {
   query : string;
-  engine : [ `Interp | `Algebra | `Sql | `Auto ];
+  engine : [ `Interp | `Algebra | `Sql ];
   mode : [ `Pinned | `Naive | `Delta ];
   stratified : bool option;
   max_iterations : int option;
@@ -57,11 +57,8 @@ let parse_request j =
         | None | Some "interp" -> Ok `Interp
         | Some "algebra" -> Ok `Algebra
         | Some "sql" -> Ok `Sql
-        | Some "auto" -> Ok `Auto
         | Some other ->
-          Error
-            (Printf.sprintf "unknown engine %S (interp|algebra|sql|auto)"
-               other)
+          Error (Printf.sprintf "unknown engine %S (interp|algebra|sql)" other)
       in
       let* mode =
         match Json.str_opt (Json.member "mode" j) with

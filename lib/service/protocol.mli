@@ -9,10 +9,9 @@
 
     Ops:
     - [{"op":"run","query":Q}] — evaluate. Optional: ["engine"]
-      ("interp"|"algebra"|"sql"|"auto"; "auto" resolves to the engine
-      the cost model predicts cheapest — the response reports the
-      resolution), ["mode"] ("auto"|"naive"|"delta"; "auto"
-      uses the mode pinned at preparation), ["stratified"] (bool),
+      ("interp"|"algebra"|"sql", default "interp"), ["mode"]
+      ("auto"|"naive"|"delta"; "auto" uses the mode pinned at
+      preparation), ["stratified"] (bool),
       ["max_iterations"] (int), ["timeout_ms"] (number), ["cache"]
       (bool, default true — set false to bypass the result cache). A
       run carrying the removed ["partition"] member (seed slicing) is
@@ -28,8 +27,7 @@
       documents' synopses.
     - [{"op":"explain","query":Q}] — the static cost report: per-operator
       cardinality estimates, the certified fixpoint round bound (when
-      derivable), per-engine cost estimates and the chosen engine with
-      its reasoning.
+      derivable) and the per-engine cost estimates.
     - [{"op":"load-doc","uri":U, ...}] — register a document; the
       source is one of ["xml"] (inline), ["path"] (file), or
       ["generate"] ("xmark"|"curriculum"|"play"|"hospital", with
@@ -70,9 +68,7 @@ type doc_source =
 
 type run_params = {
   query : string;
-  engine : [ `Interp | `Algebra | `Sql | `Auto ];
-      (** [`Auto] resolves to the cost model's cheapest engine at
-          request time *)
+  engine : [ `Interp | `Algebra | `Sql ];
   mode : [ `Pinned | `Naive | `Delta ];
       (** [`Pinned] = the preparation-time decision *)
   stratified : bool option;  (** [None] = server default *)

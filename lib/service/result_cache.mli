@@ -40,7 +40,7 @@ type maintenance = { patches : int; delta : int; maintenance_rounds : int }
 
 type entry = {
   serialized : string;
-  engine : string;  (** engine that ran, after resolving [auto] *)
+  engine : string;  (** engine that ran *)
   mode : string;  (** fixpoint mode that ran, after resolving [pinned] *)
   used_delta : bool option;
   nodes_fed : int;

@@ -99,12 +99,7 @@ let prepared_key ~stratified query = (if stratified then "s|" else "p|") ^ query
 let get_prepared t ~stratified ~max_iterations query =
   let key = prepared_key ~stratified query in
   match Lru.find t.prepared key with
-  | Some p ->
-    (* still a hit — only the synopsis-dependent cost estimate is
-       recomputed when documents changed since prepare time *)
-    let p' = Prepared.refresh ~store:t.store p in
-    if p' != p then Lru.put t.prepared key p';
-    (p', "hit")
+  | Some p -> (p, "hit")
   | None ->
     let p = Prepared.prepare ~store:t.store ~stratified ~max_iterations query in
     (match Prepared.divergence p with
@@ -116,11 +111,11 @@ let get_prepared t ~stratified ~max_iterations query =
     Lru.put t.prepared key p;
     (p, "miss")
 
-(* The SQL verdict and the per-engine estimate rows it shapes, for the
+(* The SQL verdict and the sql engine's estimate row it shapes, for the
    requests that read them; the rendered entry replaces the cached one
    so its next reader does not render again. *)
 let with_sql t ~stratified query p =
-  let p' = Prepared.with_sql ~store:t.store p in
+  let p' = Prepared.with_sql p in
   if p' != p then Lru.put t.prepared (prepared_key ~stratified query) p';
   p'
 
@@ -138,7 +133,6 @@ let engine_string = function
   | `Interp -> "interp"
   | `Algebra -> "algebra"
   | `Sql -> "sql"
-  | `Auto -> "auto"
 
 (* A maintained entry's hit reports what its maintenance did beside the
    adopting run's [nodes_fed] and [depth]. *)
@@ -179,7 +173,6 @@ let handle_run t ~id
     match timeout_ms with Some _ as x -> x | None -> t.config.timeout_ms
   in
   let generation = Store.generation t.store in
-  let auto = engine = `Auto in
   let rkey =
     Result_cache.key ~query ~engine:(engine_string engine)
       ~mode:
@@ -224,7 +217,6 @@ let handle_run t ~id
         | Some m -> [ ("maintenance", maintenance_json m) ]
         | None -> [])
       @ [ ("result", Json.Str entry.Result_cache.serialized) ]
-      @ (if auto then [ ("chosen_by", Json.Str "cost") ] else [])
       @ cost_extra @ annotated @ extra
       @ [ ("wall_ms", Json.Num entry.Result_cache.wall_ms) ])
   in
@@ -264,41 +256,35 @@ let handle_run t ~id
           max_iterations or timeout_ms"
          reason)
   | _ ->
-  (* Admission reads the requested engine's estimate row, and the sql
-     row (and so the cheapest-engine verdict) needs the rendering; an
-     interp or algebra run never renders. *)
-  let prepared =
-    match engine with
-    | `Sql | `Auto -> with_sql t ~stratified query prepared
-    | `Interp | `Algebra -> prepared
-  in
-  (* [engine:"auto"]: resolve to the cost model's cheapest engine before
-     anything downstream — pinned modes and execution all see a plain
-     fixed engine, so an auto run is byte-identical to the same request
-     with the chosen engine spelled out. *)
-  let engine =
-    match engine with
-    | `Auto -> Prepared.chosen_engine prepared
-    | (`Interp | `Algebra | `Sql) as e -> e
-  in
   let engine_str = engine_string engine in
-  let cost = prepared.Prepared.cost in
-  let predicted_cost =
-    match
-      List.find_opt
-        (fun e -> e.Fixq_cost.Estimate.eng_name = engine_str)
-        cost.Fixq_cost.Estimate.engines
-    with
-    | Some e -> e.Fixq_cost.Estimate.eng_cost
-    | None -> cost.Fixq_cost.Estimate.work
-  in
+  (* Admission control is the one reader of the estimate on the run
+     path: without a [max_cost] envelope nothing is estimated. It reads
+     the requested engine's row, and the sql row needs the rendering. *)
   let over_envelope =
     match (Governor.config t.governor).Governor.max_cost with
-    | Some envelope when predicted_cost > envelope -> Some envelope
-    | _ -> None
+    | None -> None
+    | Some envelope ->
+      let prepared =
+        match engine with
+        | `Sql -> with_sql t ~stratified query prepared
+        | `Interp | `Algebra -> prepared
+      in
+      let cost = Prepared.cost ~store:t.store prepared in
+      let predicted_cost =
+        match
+          List.find_opt
+            (fun e -> e.Fixq_cost.Estimate.eng_name = engine_str)
+            cost.Fixq_cost.Estimate.engines
+        with
+        | Some e -> e.Fixq_cost.Estimate.eng_cost
+        | None -> cost.Fixq_cost.Estimate.work
+      in
+      if predicted_cost > envelope then
+        Some (envelope, predicted_cost, cost.Fixq_cost.Estimate.rounds_bound)
+      else None
   in
   match over_envelope with
-  | Some envelope when unbudgeted ->
+  | Some (envelope, predicted_cost, rounds_bound) when unbudgeted ->
     (* Admission control: predicted cost exceeds the governor envelope
        and the caller brought no budget of their own. *)
     bump_analysis t "refused-cost";
@@ -309,7 +295,7 @@ let handle_run t ~id
           ("estimated_cost", Json.Num (Float.round predicted_cost));
           ("max_cost", Json.Num envelope);
           ("rounds_bound",
-           (match cost.Fixq_cost.Estimate.rounds_bound with
+           (match rounds_bound with
            | Some b -> Json.of_int b
            | None -> Json.Null)) ]
       (Printf.sprintf
@@ -321,17 +307,17 @@ let handle_run t ~id
      the certified round bound — the run cannot legitimately need more
      rounds, so this only cuts runaway headroom. *)
   let down_budgeted =
-    match (over_envelope, cost.Fixq_cost.Estimate.rounds_bound) with
-    | Some _, Some bound when bound < max_iterations -> Some bound
+    match over_envelope with
+    | Some (_, _, Some bound) when bound < max_iterations -> Some bound
     | _ -> None
   in
   let max_iterations = Option.value ~default:max_iterations down_budgeted in
   let cost_extra =
-    match down_budgeted with
-    | Some bound ->
+    match (down_budgeted, over_envelope) with
+    | Some bound, Some (_, predicted_cost, _) ->
       [ ("down_budgeted", Json.of_int bound);
         ("estimated_cost", Json.Num (Float.round predicted_cost)) ]
-    | None -> []
+    | _ -> []
   in
   match cached with
   | Some entry when Result_cache.within ~max_iterations entry ->
@@ -412,6 +398,7 @@ let handle_check t ~id query stratified =
     get_prepared t ~stratified ~max_iterations:t.config.max_iterations query
   in
   let p = with_sql t ~stratified query p in
+  let cost = Prepared.cost ~store:t.store p in
   let first = match p.Prepared.analysis.Analyze.ifps with
     | r :: _ -> Some r
     | [] -> None
@@ -427,7 +414,7 @@ let handle_check t ~id query stratified =
       ("warnings",
        Json.List (List.map (fun w -> Json.Str w) p.Prepared.warnings));
       ("diagnostics",
-       Json.List (List.map diag_json (Prepared.diagnostics p)));
+       Json.List (List.map diag_json (Prepared.diagnostics ~cost p)));
       ("divergence",
        (match Prepared.divergence p with
        | Some d -> Json.Str (Analyze.divergence_string d)
@@ -460,19 +447,17 @@ let handle_check t ~id query stratified =
        | Some (Error reason) -> Json.Str reason
        | Some (Ok _) | None -> Json.Null));
       ("rounds_bound",
-       (match p.Prepared.cost.Fixq_cost.Estimate.rounds_bound with
+       (match cost.Fixq_cost.Estimate.rounds_bound with
        | Some b -> Json.of_int b
        | None -> Json.Null));
-      ("bound_reason",
-       Json.Str p.Prepared.cost.Fixq_cost.Estimate.bound_reason);
+      ("bound_reason", Json.Str cost.Fixq_cost.Estimate.bound_reason);
       ("estimated_cost",
        Json.Obj
          (List.map
             (fun e ->
               ( e.Fixq_cost.Estimate.eng_name,
                 Json.Num (Float.round e.Fixq_cost.Estimate.eng_cost) ))
-            p.Prepared.cost.Fixq_cost.Estimate.engines));
-      ("chosen_engine", Json.Str p.Prepared.cost.Fixq_cost.Estimate.chosen);
+            cost.Fixq_cost.Estimate.engines));
       ("prepared_cache", Json.Str prepared_status) ]
 
 let handle_plan t ~id query stratified =
@@ -505,7 +490,7 @@ let handle_explain t ~id query stratified =
   in
   let p = with_sql t ~stratified query p in
   let module E = Fixq_cost.Estimate in
-  let c = p.Prepared.cost in
+  let c = Prepared.cost ~store:t.store p in
   Protocol.ok_response ~id
     [ ("prepared_cache", Json.Str prepared_status);
       ("work", Json.Num (Float.round c.E.work));
@@ -525,8 +510,6 @@ let handle_explain t ~id query stratified =
                   ("native", Json.Bool e.E.eng_native);
                   ("note", Json.Str e.E.eng_note) ])
             c.E.engines));
-      ("chosen", Json.Str c.E.chosen);
-      ("choice_reason", Json.Str c.E.choice_reason);
       ("operators",
        Json.List
          (List.map

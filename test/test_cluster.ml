@@ -509,6 +509,44 @@ let test_coordinator_retry_accounting () =
   checkb "retries counted" true
     (Option.value ~default:0 (Json.int_opt (Json.member "retries" stats)) >= 1)
 
+(* The exposition declares every metric once, and the coordinator's
+   retry counter is the one README documents, agreeing with stats. *)
+let test_coordinator_prometheus_metrics () =
+  let h = make_harness ~workers:2 () in
+  ignore (request h load_line);
+  let victim =
+    List.hd (Router.replicas (Coordinator.router h.coordinator) ~key:"t.xml")
+  in
+  Hashtbl.replace h.failing victim ();
+  checkb "answered" true
+    (ok (request h (run_line ~extra:{|,"cache":false|} closure_query)));
+  Hashtbl.remove h.failing victim;
+  let stats = Json.member "stats" (request h {|{"op":"stats"}|}) in
+  let retries = Option.get (Json.int_opt (Json.member "retries" stats)) in
+  checkb "a retry happened" true (retries >= 1);
+  let lines =
+    String.split_on_char '\n'
+      (str "prometheus" (request h {|{"op":"stats","format":"prometheus"}|}))
+  in
+  let typed =
+    List.filter_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | [ "#"; "TYPE"; name; _ ] -> Some name
+        | _ -> None)
+      lines
+  in
+  List.iter
+    (fun name ->
+      checki ("one # TYPE line for " ^ name) 1
+        (List.length (List.filter (String.equal name) typed)))
+    (List.sort_uniq compare typed);
+  checkb "no duplicate retry counter" false
+    (List.mem "fixq_cluster_retries_total" typed);
+  checks "fixq_retries_total = stats retries"
+    ("fixq_retries_total " ^ string_of_int retries)
+    (List.find (String.starts_with ~prefix:"fixq_retries_total ") lines)
+
 let test_coordinator_parse_error_local () =
   let h = make_harness ~workers:2 () in
   let j = request h (run_line "with $x seeded") in
@@ -804,6 +842,8 @@ let () =
            test_constructed_seed_routes_whole;
          Alcotest.test_case "retry accounting" `Quick
            test_coordinator_retry_accounting;
+         Alcotest.test_case "prometheus metrics declared once" `Quick
+           test_coordinator_prometheus_metrics;
          Alcotest.test_case "local parse errors" `Quick
            test_coordinator_parse_error_local ]);
       ("rebalance",

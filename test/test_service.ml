@@ -193,7 +193,7 @@ let test_prepared_pins_algebraic_licence () =
   (match
      List.find_opt
        (fun d -> d.Fixq_analysis.Diag.code = "FQ030")
-       (Prepared.diagnostics p)
+       (Prepared.diagnostics ~cost:(Prepared.cost ~store p) p)
    with
   | Some d ->
     checkb "FQ030 is info" true
@@ -252,7 +252,7 @@ let test_prepared_parity_with_check () =
             checkb (label "prepare leaves sql unrendered") true
               (p.Prepared.sql = None);
             checkb (label "sql rendered on demand from the capture") true
-              ((Prepared.with_sql ~store p).Prepared.sql
+              ((Prepared.with_sql p).Prepared.sql
               = Fixq.sql_of_first_ifp ~registry program))
         [ false; true ])
     [ ("q1", q1); ("q2", q2); ("no ifp", "count((1,2,3))");
@@ -478,6 +478,24 @@ let test_server_refuses_partition () =
     (List.exists (fun w -> w = "\"partition\":") (String.split_on_char ' ' e));
   checkb "no result" true (field "result" r = Json.Null);
   checkb "the whole run still answers" true (ok (send server run_line))
+
+(* Engine choice was removed: "auto" is an unknown engine, and the
+   refusal lists the three that remain. *)
+let test_server_refuses_auto_engine () =
+  let server = mk_server () in
+  ignore (send server load_doc_line);
+  let r =
+    send server
+      (Json.to_string
+         (Json.Obj
+            [ ("op", Json.Str "run"); ("query", Json.Str q1);
+              ("engine", Json.Str "auto") ]))
+  in
+  checkb "refused" false (ok r);
+  let e = sfield "error" r in
+  checkb ("names the engines: " ^ e) true
+    (String.ends_with ~suffix:"(interp|algebra|sql)" e);
+  checkb "no result" true (field "result" r = Json.Null)
 
 let test_server_shutdown_and_ids () =
   let server = mk_server () in
@@ -785,6 +803,56 @@ let test_server_sql_admission_reads_rendered_row () =
   checki "at the rendered estimate" 252
     (Option.get (Json.int_opt (field "estimated_cost" r)))
 
+(* Admission estimates against the documents as they are at run time,
+   not as they were when the query was prepared: with the envelope just
+   above q1's cost, a patch that grows the document makes the next
+   unbudgeted run of the same prepared entry answer FQ055. *)
+let test_server_admission_after_patch () =
+  let probe = mk_server () in
+  ignore (send probe load_doc_line);
+  let interp_cost server =
+    let r =
+      send server
+        (Json.to_string
+           (Json.Obj [ ("op", Json.Str "check"); ("query", Json.Str q1) ]))
+    in
+    Option.get (Json.int_opt (Json.member "interp" (field "estimated_cost" r)))
+  in
+  let envelope = float_of_int (interp_cost probe) +. 1. in
+  let server =
+    Server.create
+      ~config:
+        { Server.default_config with
+          governor = { Governor.default_config with max_cost = Some envelope } }
+      ()
+  in
+  ignore (send server load_doc_line);
+  let first = send server (run_req ~cache:false q1) in
+  checkb "under the envelope: answered" true (ok first);
+  let courses =
+    String.concat ""
+      (List.init 8 (fun i ->
+           Printf.sprintf
+             {|<course code="g%d"><prerequisites><pre_code>c1</pre_code></prerequisites></course>|}
+             i))
+  in
+  checkb "patch ok" true
+    (ok
+       (send server
+          (Json.to_string
+             (Json.Obj
+                [ ("op", Json.Str "patch-doc");
+                  ("uri", Json.Str "curriculum.xml");
+                  ("action", Json.Str "insert");
+                  ("path", Json.Str "/curriculum");
+                  ("position", Json.Str "into-last");
+                  ("xml", Json.Str ("<batch>" ^ courses ^ "</batch>")) ]))));
+  checkb "the grown document costs more" true
+    (float_of_int (interp_cost server) > envelope);
+  let r = send server (run_req ~cache:false q1) in
+  checkb "grown: refused" false (ok r);
+  checks "with FQ055" "FQ055" (sfield "code" r)
+
 (* A serving run prepares without rendering SQL, so it never runs the
    algebra optimizer that the rendering starts with. *)
 let test_server_run_skips_optimizer () =
@@ -885,7 +953,7 @@ let gen_parity_request =
       { query; engine; mode; stratified })
     (triple
        (int_bound (Array.length parity_queries - 1))
-       (opt (oneofl [ "interp"; "algebra"; "sql"; "auto" ]))
+       (opt (oneofl [ "interp"; "algebra"; "sql" ]))
        (pair (opt (oneofl [ "auto"; "naive"; "delta" ])) (opt bool)))
 
 (* A few requests per case, each sent many times under varied budgets,
@@ -1021,6 +1089,8 @@ let () =
          Alcotest.test_case "cache bypass" `Quick test_server_cache_bypass;
          Alcotest.test_case "removed partition field refused" `Quick
            test_server_refuses_partition;
+         Alcotest.test_case "removed auto engine refused" `Quick
+           test_server_refuses_auto_engine;
          Alcotest.test_case "shutdown and ids" `Quick
            test_server_shutdown_and_ids;
          Alcotest.test_case "unload and generated docs" `Quick
@@ -1040,6 +1110,8 @@ let () =
             test_server_cache_keeps_admission;
           Alcotest.test_case "sql admission reads the rendered row" `Quick
             test_server_sql_admission_reads_rendered_row;
+          Alcotest.test_case "admission after a growing patch" `Quick
+            test_server_admission_after_patch;
           Alcotest.test_case "serving run skips the optimizer" `Quick
             test_server_run_skips_optimizer;
           QCheck_alcotest.to_alcotest prop_cached_run_matches_uncached ] ) ]

@@ -161,11 +161,16 @@ let test_staircase_attributes () =
     "two attributes" 2
     (List.length (Staircase.step_nodes enc Axis.Attribute (Axis.Name "*") [ a ]))
 
-(* Property: staircase equals axes on random trees. *)
+(* Property: staircase equals axes on random trees. The property steps
+   from every node of a tree, so its work grows with the square of the
+   tree's size; the size parameter is bounded (trees of at most a few
+   hundred nodes) because an unbounded [sized] draw of up to 10_000
+   occasionally builds a tree of thousands of nodes that alone takes a
+   minute. *)
 let spec_gen =
   let open QCheck2.Gen in
   let names = oneofl [ "a"; "b"; "c" ] in
-  sized
+  sized_size (int_bound 100)
   @@ fix (fun self n ->
          if n <= 1 then map (fun s -> Node.T s) (oneofl [ "x"; "y" ])
          else
