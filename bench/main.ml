@@ -152,6 +152,7 @@ let measure_row row =
           ("kernel_bitmap_hits", Json.of_int k.Counters.bitmap_hits);
           ("kernel_index_steps", Json.of_int k.Counters.index_steps);
           ("kernel_index_nodes", Json.of_int k.Counters.index_nodes);
+          ("kernel_value_probes", Json.of_int k.Counters.value_probes);
           ("kernel_col_batches", Json.of_int k.Counters.col_batches);
           ("kernel_col_rows", Json.of_int k.Counters.col_rows);
           ("kernel_col_boxed_rows", Json.of_int k.Counters.col_boxed_rows) ])

@@ -371,6 +371,30 @@ let probe_eq p other ~probe_left =
     if probe_left then exists_pair Eq p.atoms other
     else exists_pair Eq other p.atoms
 
+(* A chain of [child::name], [@name] and [text()] steps without
+   predicates or wildcards, as a value-index key path. *)
+let rec key_path = function
+  | Axis_step { axis = Axis.Child; test = Axis.Name nm | Axis.Kind_element (Some nm) }
+    when not (String.equal nm "*") ->
+    Some [ Node.Key_child nm ]
+  | Axis_step
+      { axis = Axis.Attribute; test = Axis.Name nm | Axis.Kind_attribute (Some nm) }
+    when not (String.equal nm "*") ->
+    Some [ Node.Key_attr nm ]
+  | Axis_step { axis = Axis.Child; test = Axis.Kind_text } -> Some [ Node.Key_text ]
+  | Path (a, b) -> (
+    match (key_path a, key_path b) with
+    | (Some x, Some y) -> Some (x @ y)
+    | _ -> None)
+  | _ -> None
+
+(* An operand of predicate [p] that reads neither the focus nor anything
+   [p] binds: a variable, a literal, or one of [p]'s own invariants. *)
+let probe_operand t p v =
+  match v with
+  | Var _ | Literal _ -> true
+  | _ -> List.memq v (loop_invariants t ~binders:[] p)
+
 (* Inside a loop body, a node that is one of the enclosing loops' slots
    answers from the slot; everything else evaluates as usual. *)
 let rec eval t env (e : expr) : Item.seq =
@@ -720,19 +744,45 @@ and eval_path_steps t env a b =
   else if all_atoms then results
   else err "a path step mixes nodes and atomic values"
 
+
+(* [E[p = v]] or [E[v = p]] on a [child::E] or [descendant::E] step,
+   where [p] is a key path and [v] reads neither the focus nor anything
+   the predicate binds, answers from the document's value index; see
+   {!Axis.value_probe} for when it declines. *)
+and value_probe t env a p =
+  match (a, p, env.ctx) with
+  | ( Axis_step
+        { axis = (Axis.Child | Axis.Descendant) as axis;
+          test = Axis.Name name | Axis.Kind_element (Some name) },
+      Gen_cmp (Eq, l, r),
+      Some (Item.N n, _, _) )
+    when not (String.equal name "*") -> (
+    let probe path v =
+      Axis.value_probe axis name path n ~operand:(fun () ->
+          Item.atomize (eval t env v))
+    in
+    match (key_path l, key_path r) with
+    | (Some path, _) when probe_operand t p r -> probe path r
+    | (_, Some path) when probe_operand t p l -> probe path l
+    | _ -> None)
+  | _ -> None
+
 and eval_filter t env a p =
-  let src = eval t env a in
-  let env = hoist t env ~binders:[] p src in
-  let size = List.length src in
-  let keep i it =
-    let env' = { env with ctx = Some (it, i + 1, size) } in
-    let pv = eval t env' p in
-    match pv with
-    | [ Item.A ((Atom.Int _ | Atom.Dbl _) as num) ] ->
-      Float.equal (Atom.to_number num) (float_of_int (i + 1))
-    | _ -> Item.effective_boolean pv
-  in
-  List.filteri keep src
+  match value_probe t env a p with
+  | Some hits -> List.map Item.node hits
+  | None ->
+    let src = eval t env a in
+    let env = hoist t env ~binders:[] p src in
+    let size = List.length src in
+    let keep i it =
+      let env' = { env with ctx = Some (it, i + 1, size) } in
+      let pv = eval t env' p in
+      match pv with
+      | [ Item.A ((Atom.Int _ | Atom.Dbl _) as num) ] ->
+        Float.equal (Atom.to_number num) (float_of_int (i + 1))
+      | _ -> Item.effective_boolean pv
+    in
+    List.filteri keep src
 
 and eval_call t env f args =
   let vargs = List.map (eval t env) args in

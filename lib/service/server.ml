@@ -1069,6 +1069,7 @@ let kernel_counter_rows () =
     ("bitmap_hits", c.Xdm.Counters.bitmap_hits);
     ("index_steps", c.Xdm.Counters.index_steps);
     ("index_nodes", c.Xdm.Counters.index_nodes);
+    ("value_probes", c.Xdm.Counters.value_probes);
     ("col_batches", c.Xdm.Counters.col_batches);
     ("col_rows", c.Xdm.Counters.col_rows);
     ("col_boxed_rows", c.Xdm.Counters.col_boxed_rows) ]

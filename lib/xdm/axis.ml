@@ -161,13 +161,13 @@ let range (arr : Node.t array) lo hi =
   in
   (lower lo, lower (hi + 1))
 
-(* Elements named [pat] in the subtree of [n], answered from the
-   per-document name index: a binary search for the id interval
+(* The elements named [pat] in the subtree of [n] are [arr.(i..j-1)]
+   of the per-document name index: a binary search for the id interval
    [(n.id), subtree_max_id n] — the subtree-containment pruning that
    keeps overlapping Δ subtrees from being re-walked. Only consulted
    for real documents (Document-rooted trees); ephemeral constructed
    fragments keep the plain walk, so no index is built for them. *)
-let indexed_named_subtree ~or_self pat (n : Node.t) =
+let named_range ~or_self pat (n : Node.t) =
   match n.Node.kind with
   | Node.Element | Node.Document -> (
     let r = Node.root n in
@@ -177,37 +177,78 @@ let indexed_named_subtree ~or_self pat (n : Node.t) =
       | None -> None
       | Some arr ->
         let lo = n.Node.id + (if or_self then 0 else 1) in
-        let hi = Node.subtree_max_id n in
-        let (i, j) = range arr lo hi in
-        incr Counters.index_steps;
-        Counters.index_nodes := !Counters.index_nodes + (j - i);
-        let rec collect k acc =
-          if k < i then acc else collect (k - 1) (arr.(k) :: acc)
-        in
-        Some (collect (j - 1) []))
+        let (i, j) = range arr lo (Node.subtree_max_id n) in
+        Some (arr, i, j))
   | _ -> None
+
+let slice (arr : Node.t array) i j =
+  let rec collect k acc = if k < i then acc else collect (k - 1) (arr.(k) :: acc) in
+  collect (j - 1) []
+
+(* [arr.(i..j-1)] as the answer of an index-assisted step. *)
+let indexed_hits arr i j =
+  incr Counters.index_steps;
+  Counters.index_nodes := !Counters.index_nodes + (j - i);
+  slice arr i j
+
+let is_child_of (n : Node.t) (c : Node.t) =
+  match c.Node.parent with Some p -> p == n | None -> false
 
 let step axis test n =
   match (axis, test) with
   | ((Descendant | Descendant_or_self), (Name pat | Kind_element (Some pat)))
     when not (String.equal pat "*") -> (
-    let or_self = axis = Descendant_or_self in
-    match indexed_named_subtree ~or_self pat n with
-    | Some hits -> hits
+    match named_range ~or_self:(axis = Descendant_or_self) pat n with
+    | Some (arr, i, j) -> indexed_hits arr i j
     | None -> List.filter (matches axis test) (nodes axis n))
   | (Child, (Name pat | Kind_element (Some pat)))
     when not (String.equal pat "*") && Array.length n.Node.children > 8 -> (
     (* Use the index for child::name only when it beats scanning the
        children: candidates are all same-named elements in the subtree,
        so compare counts before materializing. *)
-    match indexed_named_subtree ~or_self:false pat n with
-    | Some hits when List.length hits <= Array.length n.Node.children ->
-      List.filter
-        (fun (c : Node.t) ->
-          match c.Node.parent with Some p -> Node.equal p n | None -> false)
-        hits
+    match named_range ~or_self:false pat n with
+    | Some (arr, i, j) when j - i <= Array.length n.Node.children ->
+      List.filter (is_child_of n) (indexed_hits arr i j)
     | _ -> List.filter (matches axis test) (nodes axis n))
   | _ -> List.filter (matches axis test) (nodes axis n)
+
+(* [E[p = v]] on [child::E] or [descendant::E] from [n], answered from
+   the value index when [v] atomizes to strings only: for each distinct
+   value, its bucket's hits inside [n]'s subtree (and, for [child],
+   under [n] itself), in document order. [operand] is forced only when
+   the step has a candidate. *)
+let value_probe axis pat path (n : Node.t) ~(operand : unit -> Atom.t list) =
+  match (axis, named_range ~or_self:false pat n) with
+  | ((Child | Descendant), Some (_, i, j))
+    when j > i
+         && (axis = Descendant
+            || Array.exists (matches Child (Name pat)) n.Node.children) -> (
+    let strings =
+      List.fold_left
+        (fun acc a ->
+          match (acc, a) with
+          | (Some l, Atom.Str s) -> Some (s :: l)
+          | _ -> None)
+        (Some []) (operand ())
+    in
+    match (strings, Node.elements_by_value n pat path) with
+    | (Some values, Some tbl) ->
+      incr Counters.value_probes;
+      let hi = Node.subtree_max_id n in
+      let inside v =
+        match Hashtbl.find_opt tbl v with
+        | None -> []
+        | Some bucket ->
+          let (i, j) = range bucket (n.Node.id + 1) hi in
+          let hits = slice bucket i j in
+          if axis = Child then List.filter (is_child_of n) hits else hits
+      in
+      Some
+        (match List.sort_uniq String.compare values with
+        | [ v ] -> inside v
+        | vs -> List.sort_uniq Node.compare_doc_order (List.concat_map inside vs))
+    | _ -> None)
+  | _ -> None
 
 (* [n]'s slot in its parent's children array, found by a binary search
    on ids (children are in document order). An attribute is in no

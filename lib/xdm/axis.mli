@@ -53,4 +53,17 @@ val step : t -> test -> Node.t -> Node.t list
     the whole axis. *)
 val nth : t -> test -> Node.t -> int -> Node.t option
 
+(** [value_probe axis name path n ~operand] answers
+    [axis::name\[path = v\]] from [n], for [axis] one of [Child] and
+    [Descendant], from {!Node.elements_by_value}: the elements whose
+    [path] reaches a string value among [operand ()] (the atomized [v]),
+    in document order, without duplicates. [operand] is called only if
+    the step has at least one candidate. [None] means "scan instead":
+    the step has no candidate, the tree is not a document with a usable
+    name index, the document holds too many other value tables, or [operand ()] holds a non-string atom. Bumps
+    {!Counters.value_probes} when it answers. *)
+val value_probe :
+  t -> string -> Node.key_step list -> Node.t -> operand:(unit -> Atom.t list) ->
+  Node.t list option
+
 val pp_test : Format.formatter -> test -> unit

@@ -1,5 +1,5 @@
 (** Process-wide kernel counters for the set kernels of {!Item},
-    {!Accumulator} and the index-assisted steps of {!Axis}.
+    {!Accumulator} and the index-assisted steps and value probes of {!Axis}.
 
     These sit below the language layer (which owns {!Fixq_lang.Stats}),
     so they are plain global counters the stats layer snapshots around
@@ -14,6 +14,7 @@ type snapshot = {
   bitmap_hits : int;  (** … of which answered "already present" *)
   index_steps : int;  (** axis steps answered from the name index *)
   index_nodes : int;  (** nodes produced by index-assisted steps *)
+  value_probes : int;  (** [E\[p = v\]] filters answered from the value index *)
   col_batches : int;  (** columnar batch-kernel invocations (algebra) *)
   col_rows : int;  (** rows flowing through columnar batch kernels *)
   col_boxed_rows : int;  (** … of which fell back to boxed row-at-a-time *)
@@ -26,6 +27,7 @@ val bitmap_tests : int ref
 val bitmap_hits : int ref
 val index_steps : int ref
 val index_nodes : int ref
+val value_probes : int ref
 val col_batches : int ref
 val col_rows : int ref
 val col_boxed_rows : int ref

@@ -1,5 +1,7 @@
 type kind = Document | Element | Attribute | Text | Comment | Pi
 
+type key_step = Key_child of string | Key_attr of string | Key_text
+
 type t = {
   mutable id : int;
   kind : kind;
@@ -19,6 +21,8 @@ and doc = {
   mutable idref_index : (string, t list) Hashtbl.t option;
       (** ID token → IDREF-typed attribute nodes referring to it *)
   mutable name_index : name_index;
+  mutable value_index : ((string * key_step list) * (string, t array) Hashtbl.t) list;
+      (** (element name, key path) → string value → elements, newest first *)
 }
 
 and name_index =
@@ -40,6 +44,11 @@ let fresh_id () =
   !counter
 
 let allocated () = !counter
+
+let new_doc ?uri ?(id_attrs = []) () =
+  { uri; id_attribute_names = id_attrs; id_index = None;
+    idref_attribute_names = []; idref_index = None; name_index = Ni_unbuilt;
+    value_index = [] }
 
 let mk kind name content =
   { id = fresh_id (); kind; name; content;
@@ -71,8 +80,7 @@ let rec build spec =
 
 let of_spec ?uri ?(id_attrs = []) spec =
   let d = mk Document None "" in
-  d.doc <- Some { uri; id_attribute_names = id_attrs; id_index = None;
-      idref_attribute_names = []; idref_index = None; name_index = Ni_unbuilt };
+  d.doc <- Some (new_doc ?uri ~id_attrs ());
   let c = build spec in
   c.parent <- Some d;
   d.children <- [| c |];
@@ -96,8 +104,7 @@ let rec deep_copy n =
     e
   | Document ->
     let d = mk Document None "" in
-    d.doc <- Some { uri = None; id_attribute_names = []; id_index = None;
-      idref_attribute_names = []; idref_index = None; name_index = Ni_unbuilt };
+    d.doc <- Some (new_doc ());
     let copy_into c =
       let c' = deep_copy c in
       c'.parent <- Some d;
@@ -139,8 +146,7 @@ let attribute n v = mk Attribute (Some (Qname.of_string n)) v
 
 let document kids =
   let d = mk Document None "" in
-  d.doc <- Some { uri = None; id_attribute_names = []; id_index = None;
-      idref_attribute_names = []; idref_index = None; name_index = Ni_unbuilt };
+  d.doc <- Some (new_doc ());
   let adopt k =
     let k' = deep_copy k in
     k'.parent <- Some d;
@@ -181,8 +187,7 @@ let doc_of_root r =
   match r.doc with
   | Some d -> d
   | None ->
-    let d = { uri = None; id_attribute_names = []; id_index = None;
-      idref_attribute_names = []; idref_index = None; name_index = Ni_unbuilt } in
+    let d = new_doc () in
     r.doc <- Some d;
     d
 
@@ -330,6 +335,63 @@ let elements_by_name n nm =
   | None -> None
   | Some t -> Some (Option.value ~default:[||] (Hashtbl.find_opt t nm))
 
+(* The string values of the nodes a key path reaches from [e]: what a
+   general comparison atomizes the path to. *)
+let key_values e path =
+  let select keep arr acc =
+    Array.fold_right (fun c acc -> if keep c then c :: acc else acc) arr acc
+  in
+  let step nodes = function
+    | Key_child nm ->
+      List.fold_right
+        (fun n -> select (fun c -> c.kind = Element && name c = nm) n.children)
+        nodes []
+    | Key_attr nm ->
+      List.fold_right (fun n -> select (fun a -> name a = nm) n.attributes) nodes []
+    | Key_text ->
+      List.fold_right (fun n -> select (fun c -> c.kind = Text) n.children) nodes []
+  in
+  List.map string_value (List.fold_left step [ e ] path)
+
+(* Buckets are built in the order of [elems] (document order); an
+   element whose key path yields one value twice is listed once. *)
+let build_value_table elems path =
+  let lists : (string, t list) Hashtbl.t = Hashtbl.create (Array.length elems) in
+  Array.iter
+    (fun e ->
+      List.iter
+        (fun v ->
+          match Hashtbl.find_opt lists v with
+          | Some (last :: _) when last == e -> ()
+          | Some l -> Hashtbl.replace lists v (e :: l)
+          | None -> Hashtbl.add lists v [ e ])
+        (key_values e path))
+    elems;
+  let out = Hashtbl.create (max 16 (Hashtbl.length lists)) in
+  Hashtbl.iter (fun v l -> Hashtbl.replace out v (Array.of_list (List.rev l))) lists;
+  out
+
+(* Each distinct (name, key path) a query probes costs one table per
+   document; past this many the callers scan. *)
+let max_value_tables = 16
+
+(* Readers build concurrently under a shared lock: a table is published
+   only once complete, and two readers racing on one key at worst build
+   it twice. *)
+let elements_by_value n nm path =
+  let r = root n in
+  let d = doc_of_root r in
+  match List.assoc_opt (nm, path) d.value_index with
+  | Some tbl -> Some tbl
+  | None when List.length d.value_index >= max_value_tables -> None
+  | None -> (
+    match elements_by_name r nm with
+    | None -> None
+    | Some elems ->
+      let tbl = build_value_table elems path in
+      d.value_index <- ((nm, path), tbl) :: d.value_index;
+      Some tbl)
+
 (* ------------------------------------------------------------------ *)
 (* In-place edits                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -365,7 +427,8 @@ let rec renumber root =
     | Some d ->
       d.id_index <- None;
       d.idref_index <- None;
-      d.name_index <- Ni_unbuilt
+      d.name_index <- Ni_unbuilt;
+      d.value_index <- []
     | None -> ()
   end
 

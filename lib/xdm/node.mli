@@ -15,6 +15,10 @@
 
 type kind = Document | Element | Attribute | Text | Comment | Pi
 
+(** One step of a value-index key path: [child::name], [@name] or
+    [text()]. *)
+type key_step = Key_child of string | Key_attr of string | Key_text
+
 type t = private {
   mutable id : int;  (** preorder position; changes only in {!renumber} *)
   kind : kind;
@@ -37,6 +41,9 @@ and doc = {
       (** attribute names declared of type IDREF/IDREFS *)
   mutable idref_index : (string, t list) Hashtbl.t option;
   mutable name_index : name_index;  (** built lazily, see {!elements_by_name} *)
+  mutable value_index :
+    ((string * key_step list) * (string, t array) Hashtbl.t) list;
+      (** built lazily, see {!elements_by_value} *)
 }
 
 (** Lazy element-name index over a tree, same pattern as [id_index]. *)
@@ -143,11 +150,21 @@ val subtree_max_id : t -> int
     validation failed); callers must then walk the tree. *)
 val elements_by_name : t -> string -> t array option
 
+(** [elements_by_value n name path] — for the elements named [name] in
+    the tree containing [n], a table from each string value that [path]
+    reaches from an element (attribute values, string values of the
+    reached elements and text nodes) to the elements reaching it, in
+    document order and without duplicates. Built on first use from the
+    name index and kept on the document until the next {!renumber}.
+    [None] when the name index is disabled, or when the document already
+    holds 16 tables for other keys; callers then scan. *)
+val elements_by_value : t -> string -> key_step list -> (string, t array) Hashtbl.t option
+
 (** [renumber root] gives every node of the tree under [root]
     (attributes included) a fresh preorder id from one block reserved
     from the counter, so the tree's ids are contiguous and [n.id -
     root.id] is [n]'s preorder rank. It also resets the root's lazy id,
-    IDREF and name indexes. One walk over the tree, which allocates
+    IDREF, name and value indexes. One walk over the tree, which allocates
     nothing. The tree moves to the end of the cross-document order. *)
 val renumber : t -> unit
 

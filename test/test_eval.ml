@@ -531,17 +531,27 @@ let index_steps_of src =
   ignore (run src);
   !Fixq_xdm.Counters.index_steps - before
 
+let value_probes_of src =
+  let before = !Fixq_xdm.Counters.value_probes in
+  ignore (run src);
+  !Fixq_xdm.Counters.value_probes - before
+
 let test_invariant_index_steps () =
   (* the whole [doc(...)//book] is invariant: one index step *)
   check_int "invariant operand evaluated once" 1
     (index_steps_of
        {|for $y in (1,2,3) return count(doc("lib.xml")//book)|});
-  (* [//book[@year = $y]] reads the loop variable: each binding still
-     answers it from the name index (its [doc(...)//] prefix is not
-     hoisted on its own) *)
-  check_int "// step in a loop keeps the index" 2
+  (* [//book[@year = $y]] reads the loop variable: each binding is a
+     value probe (its [doc(...)//] prefix is not hoisted on its own),
+     which finds its candidates by a range search, not an index step *)
+  let q = {|for $y in ("2003","2006") return doc("lib.xml")//book[@year = $y]|} in
+  check_int "// step in a loop keeps the index" 2 (value_probes_of q);
+  check_int "… without an index step" 0 (index_steps_of q);
+  (* a predicate that cannot probe still answers each binding's step
+     from the name index *)
+  check_int "// step in a loop, scanned" 2
     (index_steps_of
-       {|for $y in ("2003","2006") return doc("lib.xml")//book[@year = $y]|})
+       {|for $y in ("2003","2006") return doc("lib.xml")//book[@year = $y and true()]|})
 
 let test_positional_sibling_steps () =
   let d = {|<r><a k="1"/><b/><a k="2"/><c/><a/></r>|} in
@@ -556,6 +566,147 @@ let test_positional_sibling_steps () =
   check_run "attributes have no siblings" "0 0"
     {|let $x := <a x="1"><b/><c/></a>/@x
       return (count($x/preceding-sibling::*), count($x/following-sibling::*))|}
+
+(* ------------------------------------------------------------------ *)
+(* Value-index probes                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let test_value_probe_regressions () =
+  check_run "probe answers" "b1 b2"
+    {|for $b in doc("lib.xml")//book[author = "Grust"] return string($b/@id)|};
+  check_int "… from the value index" 1
+    (value_probes_of {|doc("lib.xml")//book[author = "Grust"]|});
+  check_run "operand on the left, child step" "b3"
+    {|string(doc("lib.xml")/lib/book["2006" = @year]/@id)|};
+  check_run "repeated operand values" "b1 b3"
+    {|let $v := ("2006", "2003", "2006")
+      for $b in doc("lib.xml")//book[@year = $v] return string($b/@id)|};
+  check_int "an operand that reads the focus scans" 0
+    (value_probes_of {|doc("lib.xml")//book[@year = ../@year]|});
+  check_run "… and keeps its answer" "0"
+    {|count(doc("lib.xml")//book[@year = ../@year])|};
+  (* no candidate: the operand is never evaluated *)
+  check_run "guarded operand, no candidate" ""
+    {|doc("lib.xml")//missing[@k = (1 div 0)]|};
+  check_error "guarded operand, a candidate"
+    {|doc("lib.xml")//book[@year = (1 div 0)]|};
+  check_error "boolean operand keeps its type error"
+    {|doc("lib.xml")//book[@year = true()]|};
+  check_run "numeric operand keeps promotion" "b1"
+    {|string(doc("lib.xml")//book[@year = 2003.0]/@id)|};
+  check_run "constructed trees scan" "1"
+    {|count(<r><e a="x"/><e a="y"/></r>//e[@a = "x"])|}
+
+(* Random documents, key paths and operands: each query must agree,
+   answer or error, with the same predicate written so that it cannot
+   probe ([… and true()]); and again after random edits of the same
+   tree, which must drop its value tables. *)
+module Patch = Fixq_xdm.Patch
+
+let values = [| "x"; "y"; "1"; "01"; "1.0"; "" |]
+
+let random_doc st =
+  let pick () = values.(Random.State.int st (Array.length values)) in
+  let attr () =
+    if Random.State.int st 4 = 0 then "" else Printf.sprintf {| a="%s"|} (pick ())
+  in
+  let b () = Printf.sprintf "<b%s>%s</b>" (attr ()) (pick ()) in
+  let rec e depth =
+    let kids =
+      List.init (Random.State.int st 3) (fun _ ->
+          if depth < 2 && Random.State.int st 4 = 0 then e (depth + 1) else b ())
+    in
+    Printf.sprintf "<e%s>%s</e>" (attr ()) (String.concat "" kids)
+  in
+  let g () =
+    Printf.sprintf "<g>%s</g>"
+      (String.concat "" (List.init (1 + Random.State.int st 10) (fun _ -> e 0)))
+  in
+  Printf.sprintf "<r>%s</r>"
+    (String.concat "" (List.init (1 + Random.State.int st 3) (fun _ -> g ())))
+
+(* Filtered steps, as paths (whose last step sorts and deduplicates)
+   and evaluated directly from a focus, where the order and the
+   multiplicity of the filter's own answer show. *)
+let steps =
+  [| Printf.sprintf {|doc("p.xml")//e[%s]|};
+     Printf.sprintf {|doc("p.xml")/r/g/e[%s]|};
+     Printf.sprintf {|doc("p.xml")//e/e[%s]|};
+     Printf.sprintf {|for $g in doc("p.xml")//g return $g//e[%s]|};
+     Printf.sprintf {|doc("p.xml")//g/count(e[%s])|};
+     Printf.sprintf
+       {|doc("p.xml")/r/(for $x in descendant::e[%s] return count($x/preceding::node()))|} |]
+
+let key_paths = [| "@a"; "b/@a"; "b/text()"; "b" |]
+
+let operands =
+  [| {|"x"|}; {|("x", "x")|}; "()"; "1"; {|"1"|}; {|("x", 1)|};
+     {|("y", "x", "01")|}; "true()" |]
+
+let random_query st =
+  let pick a = a.(Random.State.int st (Array.length a)) in
+  let step = pick steps and kp = pick key_paths and v = pick operands in
+  let bound = Random.State.bool st in
+  let operand = if bound then "$v" else v in
+  let cmp =
+    if Random.State.bool st then Printf.sprintf "%s = %s" kp operand
+    else Printf.sprintf "%s = %s" operand kp
+  in
+  let q pred =
+    let body = step pred in
+    if bound then Printf.sprintf "let $v := %s return %s" v body else body
+  in
+  (q cmp, q (cmp ^ " and true()"))
+
+let outcome registry src =
+  match Eval.run_string (Eval.create ~registry ()) src with
+  | r -> Ok (Serializer.seq_to_string r)
+  | exception (Eval.Error m | Fixq_lang.Builtins.Error m | Atom.Type_error m) ->
+    Error m
+
+let agree registry st =
+  let (probed, scanned) = random_query st in
+  let a = outcome registry probed and b = outcome registry scanned in
+  if a <> b then
+    QCheck.Test.fail_reportf "%s@.  gives %s@.  but %s gives %s" probed
+      (match a with Ok s -> s | Error m -> "error " ^ m)
+      scanned
+      (match b with Ok s -> s | Error m -> "error " ^ m);
+  true
+
+let with_random_doc seed f =
+  let st = Random.State.make [| seed |] in
+  let registry = Doc_registry.create () in
+  let doc = Xml_parser.parse_string ~uri:"p.xml" (random_doc st) in
+  Doc_registry.register ~registry "p.xml" doc;
+  f st registry doc
+
+let prop_indexed_is_scanned =
+  QCheck.Test.make ~name:"indexed = scanned" ~count:300 QCheck.small_nat
+    (fun seed ->
+      with_random_doc seed (fun st registry _ ->
+          List.for_all (fun _ -> agree registry st) (List.init 8 Fun.id)))
+
+let random_patch st =
+  let g = 1 + Random.State.int st 3 and e = 1 + Random.State.int st 4 in
+  let at = Printf.sprintf "/r/g[%d]/e[%d]" g e in
+  let xml = Printf.sprintf {|<e a="%s"><b a="x">y</b></e>|} values.(Random.State.int st 6) in
+  match Random.State.int st 4 with
+  | 0 -> Patch.Insert { path = Printf.sprintf "/r/g[%d]" g; position = Patch.Last; xml }
+  | 1 -> Patch.Delete { path = at }
+  | 2 -> Patch.Replace { path = at; xml }
+  | _ -> Patch.Set_text { path = at ^ "/b[1]"; text = values.(Random.State.int st 6) }
+
+let prop_indexed_is_scanned_after_edits =
+  QCheck.Test.make ~name:"indexed = scanned after edits" ~count:150 QCheck.small_nat
+    (fun seed ->
+      with_random_doc seed (fun st registry doc ->
+          List.for_all
+            (fun _ ->
+              (try ignore (Patch.apply doc (random_patch st))
+               with Patch.Patch_error _ -> ());
+              agree registry st && agree registry st)
+            (List.init 6 Fun.id)))
 
 let () =
   Alcotest.run "eval"
@@ -605,4 +756,8 @@ let () =
           Alcotest.test_case "hashed general =" `Quick test_hashed_general_eq;
           Alcotest.test_case "index steps" `Quick test_invariant_index_steps;
           Alcotest.test_case "positional sibling steps" `Quick
-            test_positional_sibling_steps ] ) ]
+            test_positional_sibling_steps ] );
+      ( "value index",
+        Alcotest.test_case "regressions" `Quick test_value_probe_regressions
+        :: List.map QCheck_alcotest.to_alcotest
+             [ prop_indexed_is_scanned; prop_indexed_is_scanned_after_edits ] ) ]

@@ -437,6 +437,117 @@ let test_readers_writer () =
   checki "every answer is a whole tree's" 0 (List.length !bad);
   checks "balanced edits restore the answer" pre (answer ())
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
+(* Value probes race on a document whose value tables are not yet
+   built and are dropped by every edit: each bidder-network answer must
+   be one a single-threaded server gives at some state of the edit
+   cycle. *)
+let test_probes_beside_a_writer () =
+  let load =
+    {|{"op":"load-doc","uri":"auction.xml","generate":"xmark","size":0.002,"seed":42}|}
+  in
+  let auction = "/site/open_auctions/open_auction[1]" in
+  let seller =
+    Printf.sprintf {|string(doc("auction.xml")%s/seller/@person)|} auction
+  in
+  let answer server seed =
+    member_str "result"
+      (send server (run_line ~cache:false (Fixq_workloads.Queries.bidder_network_single seed)))
+  in
+  let edit server line =
+    let resp = send server line in
+    if Json.bool_opt (member "ok" resp) <> Some true then
+      Alcotest.failf "edit failed: %s" resp
+  in
+  (* the states, single-threaded, on a server of their own *)
+  let reference = Server.create () in
+  ignore (send reference load);
+  let seed = member_str "result" (send reference (run_line seller)) in
+  let persons =
+    int_of_string
+      (member_str "result"
+         (send reference (run_line {|count(doc("auction.xml")/site/people/person)|})))
+  in
+  let bidders =
+    int_of_string
+      (member_str "result"
+         (send reference
+            (run_line (Printf.sprintf {|count(doc("auction.xml")%s/bidder)|} auction))))
+  in
+  let insert =
+    patch_line ~uri:"auction.xml" ~action:"insert" ~path:auction
+      [ ( "xml",
+          Json.Str
+            (Printf.sprintf {|<bidder><personref person="person%d"/></bidder>|}
+               (persons - 1)) ) ]
+  in
+  let delete =
+    patch_line ~uri:"auction.xml" ~action:"delete"
+      ~path:(Printf.sprintf "%s/bidder[%d]" auction (bidders + 1))
+      []
+  in
+  let pre = answer reference seed in
+  edit reference insert;
+  let post = answer reference seed in
+  edit reference delete;
+  checkb "the insert changes the answer" true (pre <> post);
+  (* a rename outside both answers leaves them as they are *)
+  let outside =
+    let rec find k =
+      let id = Printf.sprintf {|id="person%d"|} k in
+      if contains pre id || contains post id then find (k + 1) else k
+    in
+    find 0
+  in
+  let rename k =
+    patch_line ~uri:"auction.xml" ~action:"set-text"
+      ~path:(Printf.sprintf "/site/people/person[%d]/name" (outside + 1))
+      [ ("text", Json.Str (Printf.sprintf "Renamed %d" k)) ]
+  in
+  let server = Server.create () in
+  ignore (send server load);
+  let writing = Atomic.make true in
+  let reads = Atomic.make 0 in
+  let bad = ref [] and bad_lock = Mutex.create () in
+  let reader () =
+    while Atomic.get writing do
+      let a = answer server seed in
+      Atomic.incr reads;
+      if a <> pre && a <> post then begin
+        Mutex.lock bad_lock;
+        bad := a :: !bad;
+        Mutex.unlock bad_lock
+      end
+    done
+  in
+  let readers = List.init 2 (fun _ -> Thread.create reader ()) in
+  let writer =
+    Thread.create
+      (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Atomic.set writing false)
+          (fun () ->
+            for k = 1 to 100 do
+              List.iter
+                (fun line ->
+                  edit server line;
+                  Thread.yield ())
+                [ insert; rename k; delete ]
+            done;
+            while Atomic.get reads < 4 do
+              Thread.yield ()
+            done))
+      ()
+  in
+  Thread.join writer;
+  List.iter Thread.join readers;
+  checki "every answer is a single-threaded one" 0 (List.length !bad);
+  checks "balanced edits restore the answer" pre (answer server seed)
+
 (* ------------------------------------------------------------------ *)
 (* Property: maintained ≡ recompute over randomized edit sequences     *)
 (* ------------------------------------------------------------------ *)
@@ -547,7 +658,9 @@ let () =
            test_patch_delete_replace_settext;
          Alcotest.test_case "preorder + remap" `Quick test_patch_preorder;
          Alcotest.test_case "errors" `Quick test_patch_errors;
-         Alcotest.test_case "readers and a writer" `Quick test_readers_writer ]);
+         Alcotest.test_case "readers and a writer" `Quick test_readers_writer;
+         Alcotest.test_case "value probes beside a writer" `Quick
+           test_probes_beside_a_writer ]);
       ("registry",
        [ Alcotest.test_case "per-doc generations" `Quick test_doc_generations ]);
       ("eligibility",

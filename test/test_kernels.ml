@@ -186,6 +186,28 @@ let test_index_counters () =
   check "index produced the nodes" true
     (d.Counters.index_nodes >= List.length hits)
 
+(* [child::x] from a node with more than 8 children, when more [x]s
+   nest below than it has children: the step scans the children, and
+   the name index is neither counted nor materialized. *)
+let test_child_step_prefers_scan () =
+  let x k = Node.E ("x", [ ("k", string_of_int k) ], []) in
+  let root =
+    Node.of_spec
+      (Node.E
+         ( "r", [],
+           Node.E ("parents", [], List.init 20 (fun k -> x (100 + k)))
+           :: List.init 9 (fun k -> x k) ))
+  in
+  let r = root.Node.children.(0) in
+  let reference = List.filter (Axis.matches Axis.Child (Axis.Name "x")) (Node.children r) in
+  let before = Counters.snapshot () in
+  let hits = Axis.step Axis.Child (Axis.Name "x") r in
+  let d = Counters.diff (Counters.snapshot ()) before in
+  check "same answer" true (List.equal ( == ) hits reference);
+  check "nine children" true (List.length hits = 9);
+  check "no index step" true (d.Counters.index_steps = 0);
+  check "no index nodes" true (d.Counters.index_nodes = 0)
+
 let shuffle st arr =
   let a = Array.copy arr in
   for i = Array.length a - 1 downto 1 do
@@ -240,6 +262,8 @@ let () =
       ( "units",
         [ Alcotest.test_case "atom type errors" `Quick test_atom_type_errors;
           Alcotest.test_case "index counters" `Quick test_index_counters;
+          Alcotest.test_case "child step prefers the scan" `Quick
+            test_child_step_prefers_scan;
           Alcotest.test_case "atom set 10k regression" `Quick
             test_atom_set_scale;
           Alcotest.test_case "atom set numeric crossover" `Quick
