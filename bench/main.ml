@@ -1459,6 +1459,55 @@ let micro () =
         k "semi_join" (fun () -> R.semi_join [ ("item", "item") ] rel even);
         k "project" (fun () -> R.project [ ("item", "item") ] rel) ]
   in
+  (* The three passes a served response makes over its bytes, on one
+     cached 240-patient hospital closure (the cluster-scatter
+     workload's hospital document): the frame read on the receiving
+     side, the JSON escape of the result, and the coordinator's
+     "worker" splice. *)
+  let wire_tests =
+    let server = Fixq_service.Server.create () in
+    let send line = fst (Fixq_service.Server.handle_line server line) in
+    let xml =
+      Fixq_xdm.Serializer.to_string
+        (W.Hospital.generate
+           { W.Hospital.default with W.Hospital.total = 240; seed = 14 })
+    in
+    ignore
+      (send
+         (Printf.sprintf {|{"op":"load-doc","uri":"hospital.xml","xml":%s}|}
+            (Json.to_string (Json.Str xml))));
+    let response =
+      send
+        (Printf.sprintf {|{"op":"run","query":%s}|}
+           (Json.to_string
+              (Json.Str
+                 {|declare variable $doc := doc("hospital.xml");
+with $x seeded by $doc/hospital/patient
+recurse $x/parents/patient|})))
+    in
+    let result =
+      Option.get (Json.str_opt (Json.member "result" (Json.parse response)))
+    in
+    printf "wire: response %d bytes, result %d bytes\n" (String.length response)
+      (String.length result);
+    let path = Filename.temp_file "fixq-wire" ".jsonl" in
+    Out_channel.with_open_bin path (fun oc ->
+        output_string oc response;
+        output_char oc '\n');
+    let ic = open_in_bin path in
+    Sys.remove path;
+    let k name f =
+      Bechamel.Test.make ~name (Bechamel.Staged.stage (fun () -> ignore (f ())))
+    in
+    Bechamel.Test.make_grouped ~name:"wire"
+      [ k "frame_read_34k" (fun () ->
+            seek_in ic 0;
+            Fixq_service.Frame.read ic);
+        k "json_escape_33k" (fun () -> Json.to_string (Json.Str result));
+        k "append_worker_34k" (fun () ->
+            Fixq_cluster.Coordinator.append_field response "worker"
+              (Json.Str "w0")) ]
+  in
   let open Bechamel in
   let instances = [ Toolkit.Instance.monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) () in
@@ -1471,7 +1520,7 @@ let micro () =
         let raw = Benchmark.all cfg instances tests in
         let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
         Hashtbl.fold (fun name result acc -> (name, result) :: acc) results [])
-      [ tests; kernel_tests; columnar_tests ]
+      [ tests; kernel_tests; columnar_tests; wire_tests ]
     |> List.sort compare
   in
   List.iter

@@ -444,10 +444,22 @@ let obj_fields = function Json.Obj fields -> fields | _ -> []
 let without keys fields =
   List.filter (fun (k, _) -> not (List.mem k keys)) fields
 
+(* Splice [key: value] in as the last member of the object [resp]
+   without parsing it: a worker prints each response with
+   [Json.to_string], so a line framed by braces is an object, and it is
+   empty only as "{}". Any other line is returned unchanged. *)
 let append_field (resp : string) key value =
-  match Json.parse resp with
-  | Json.Obj fields -> Json.to_string (Json.Obj (fields @ [ (key, value) ]))
-  | _ | (exception Json.Parse_error _) -> resp
+  let n = String.length resp in
+  if n < 2 || resp.[0] <> '{' || resp.[n - 1] <> '}' then resp
+  else begin
+    (* {"key":value}, spliced in without its opening brace *)
+    let field = Json.to_string (Json.Obj [ (key, value) ]) in
+    let buf = Buffer.create (n + String.length field) in
+    Buffer.add_substring buf resp 0 (n - 1);
+    if n > 2 then Buffer.add_char buf ',';
+    Buffer.add_substring buf field 1 (String.length field - 1);
+    Buffer.contents buf
+  end
 
 let forward_timeout t (params : Protocol.run_params) =
   (* give the worker its own budget plus slack before the transport

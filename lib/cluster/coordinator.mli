@@ -89,3 +89,13 @@ val on_worker_respawn : t -> string -> unit
     [shutdown] the workers have been told to shut down too (best
     effort); the caller should then [backend.stop ()]. *)
 val handle_line : t -> string -> string * bool
+
+(** [append_field line key value] adds [key: value] as the last member
+    of the JSON object [line] by splicing it in before the closing
+    brace, without parsing or printing the rest: for a line written by
+    [Json.to_string (Obj fields)] it equals
+    [Json.to_string (Obj (fields @ [ (key, value) ]))]. A line that is
+    not framed by braces is returned unchanged; one that is must be
+    printed by [Json.to_string]. This is how a worker's
+    answer gains its ["worker"] field. *)
+val append_field : string -> string -> Fixq_service.Json.t -> string

@@ -12,9 +12,16 @@ exception Parse_error of string
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Clean runs are copied whole; only quotes, backslashes and control
+   bytes are rewritten. *)
 let escape_to buf s =
-  String.iter
-    (fun c ->
+  let n = String.length s in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || c < ' ' then begin
+      Buffer.add_substring buf s !start (i - !start);
+      start := i + 1;
       match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
@@ -23,10 +30,10 @@ let escape_to buf s =
       | '\t' -> Buffer.add_string buf "\\t"
       | '\b' -> Buffer.add_string buf "\\b"
       | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
+      | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+    end
+  done;
+  Buffer.add_substring buf s !start (n - !start)
 
 let number_to_string f =
   if Float.is_integer f && Float.abs f < 1e15 then

@@ -1,15 +1,32 @@
+(* Text without markup characters is returned as is; otherwise clean
+   runs are copied whole between the escapes. *)
 let escape_gen escape_quote s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '"' when escape_quote -> Buffer.add_string buf "&quot;"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+  let n = String.length s in
+  let special c = c = '<' || c = '>' || c = '&' || (escape_quote && c = '"') in
+  let rec first i =
+    if i = n || special (String.unsafe_get s i) then i else first (i + 1)
+  in
+  let i0 = first 0 in
+  if i0 = n then s
+  else begin
+    let buf = Buffer.create (n + 16) in
+    let start = ref 0 in
+    for i = i0 to n - 1 do
+      let c = String.unsafe_get s i in
+      if special c then begin
+        Buffer.add_substring buf s !start (i - !start);
+        start := i + 1;
+        Buffer.add_string buf
+          (match c with
+          | '<' -> "&lt;"
+          | '>' -> "&gt;"
+          | '&' -> "&amp;"
+          | _ -> "&quot;")
+      end
+    done;
+    Buffer.add_substring buf s !start (n - !start);
+    Buffer.contents buf
+  end
 
 let escape_text = escape_gen false
 let escape_attr = escape_gen true

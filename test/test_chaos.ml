@@ -416,6 +416,138 @@ let test_frame_reader () =
       | `Line l -> checks "stream stays framed after oversize" "next" l
       | _ -> Alcotest.fail "expected next line")
 
+(* The per-byte reader [Frame.read] replaced, kept as the oracle: one
+   [input_char] per byte, the same four outcomes. *)
+let oracle_read ?(max_len = Frame.default_max_len) ic =
+  let buf = Buffer.create 256 in
+  let rec go oversized =
+    match input_char ic with
+    | exception End_of_file ->
+      if Buffer.length buf = 0 && not oversized then `Eof
+      else `Truncated (Buffer.contents buf)
+    | '\n' -> if oversized then `Oversized else `Line (Buffer.contents buf)
+    | _ when oversized -> go true
+    | c ->
+      if Buffer.length buf >= max_len then begin
+        Buffer.clear buf;
+        go true
+      end
+      else begin
+        Buffer.add_char buf c;
+        go false
+      end
+  in
+  go false
+
+type frame_case = {
+  sizes : int list;  (** frame lengths, newline excluded *)
+  terminated : bool;  (** whether the last frame has its newline *)
+  max_len : int option;
+  seed : int;  (** frame bytes and write chunk sizes *)
+}
+
+let gen_frame_case =
+  let open QCheck2.Gen in
+  let max_len =
+    frequency
+      [ (3, pure None); (3, map Option.some (int_bound 64));
+        (2, map Option.some (int_range 60_000 140_000)) ]
+  in
+  let size max_len =
+    frequency
+      [ (5, int_bound 100);
+        (2, int_range 65_000 66_100);  (* around the 64 KiB channel buffer *)
+        (1, int_bound 200_000);
+        (* at the limit, where a frame is kept or refused *)
+        (match max_len with
+         | None -> (0, pure 0)
+         | Some m -> (3, map (fun d -> max 0 (m + d)) (int_range (-1) 1))) ]
+  in
+  max_len >>= fun max_len ->
+  map
+    (fun (sizes, terminated, seed) -> { sizes; terminated; max_len; seed })
+    (triple (list_size (int_range 0 6) (size max_len)) bool int)
+
+let print_frame_case c =
+  Printf.sprintf "{sizes=[%s]; terminated=%b; max_len=%s; seed=%d}"
+    (String.concat ";" (List.map string_of_int c.sizes))
+    c.terminated
+    (match c.max_len with None -> "default" | Some n -> string_of_int n)
+    c.seed
+
+let frame_stream c =
+  let rng = Random.State.make [| c.seed |] in
+  let frame n =
+    String.init n (fun _ ->
+        (* any byte but the newline; '\r' and '\000' included *)
+        let b = Random.State.int rng 255 in
+        Char.chr (if b >= 10 then b + 1 else b))
+  in
+  let body = String.concat "\n" (List.map frame c.sizes) in
+  if c.terminated && c.sizes <> [] then body ^ "\n" else body
+
+(* Read every outcome up to [`Eof] from [stream], written through a
+   pipe by another thread in random-sized chunks. *)
+let outcomes_through_pipe ~seed read stream =
+  let (r, w) = Unix.pipe () in
+  let writer =
+    Thread.create
+      (fun () ->
+        let rng = Random.State.make [| seed |] in
+        let n = String.length stream in
+        let rec go off =
+          if off < n then begin
+            let len = min (n - off) (1 + Random.State.int rng 90_000) in
+            let wrote = Unix.write_substring w stream off len in
+            go (off + wrote)
+          end
+        in
+        go 0;
+        Unix.close w)
+      ()
+  in
+  let ic = Unix.in_channel_of_descr r in
+  let rec collect acc =
+    match read ic with
+    | `Eof -> List.rev (`Eof :: acc)
+    | o -> collect (o :: acc)
+  in
+  let got = collect [] in
+  Thread.join writer;
+  close_in ic;
+  got
+
+let show_outcome = function
+  | `Line l -> Printf.sprintf "Line(%d bytes)" (String.length l)
+  | `Truncated p -> Printf.sprintf "Truncated(%d bytes)" (String.length p)
+  | `Oversized -> "Oversized"
+  | `Eof -> "Eof"
+
+(* Frames from empty to 200 KB that cross the channel buffer, with and
+   without a final newline, under small and large [max_len]: the bulk
+   reader answers exactly the oracle's sequence of outcomes, so it
+   stays framed after an oversized frame. *)
+let prop_frame_read_matches_oracle =
+  QCheck2.Test.make ~count:60 ~name:"Frame.read = per-byte oracle"
+    ~print:print_frame_case gen_frame_case
+    (fun c ->
+      let stream = frame_stream c in
+      let got =
+        outcomes_through_pipe ~seed:c.seed
+          (fun ic -> Frame.read ?max_len:c.max_len ic)
+          stream
+      in
+      let want =
+        outcomes_through_pipe ~seed:(c.seed + 1)
+          (fun ic -> oracle_read ?max_len:c.max_len ic)
+          stream
+      in
+      if got <> want then
+        QCheck2.Test.fail_reportf "got [%s]\nwant [%s]"
+          (String.concat "; " (List.map show_outcome got))
+          (String.concat "; " (List.map show_outcome want));
+      true)
+
 let () =
   Alcotest.run "chaos"
     [ ("spec",
@@ -449,4 +581,5 @@ let () =
            test_fuzz_deep_nesting;
          Alcotest.test_case "pipe answers truncated frames" `Quick
            test_pipe_truncated_frame;
-         Alcotest.test_case "frame reader" `Quick test_frame_reader ]) ]
+         Alcotest.test_case "frame reader" `Quick test_frame_reader;
+         QCheck_alcotest.to_alcotest prop_frame_read_matches_oracle ]) ]

@@ -756,6 +756,72 @@ let test_chaos_rebalance_kill_recovers () =
       List.iter (check_moved_doc_parity h) moved)
 
 (* ------------------------------------------------------------------ *)
+(* Splicing the "worker" field                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* JSON values with escaped strings, non-ASCII text, nested lists and
+   objects and non-integer numbers *)
+let gen_json =
+  let open QCheck2.Gen in
+  let text =
+    map (String.concat "")
+      (list_size (int_bound 6)
+         (oneofl
+            [ "a"; "xyz"; " "; "\""; "\\"; "\n"; "\t"; "\001"; "\031";
+              "\195\169"; "\240\159\152\128"; "}"; "{"; ","; ":" ]))
+  in
+  let leaf =
+    oneof
+      [ pure Json.Null; map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Num (float_of_int i)) small_signed_int;
+        map (fun f -> Json.Num f) (float_range (-1e6) 1e6);
+        map (fun f -> Json.Num f) float;
+        map (fun s -> Json.Str s) text ]
+  in
+  let obj v =
+    map (fun fields -> Json.Obj fields) (list_size (int_bound 4) (pair text v))
+  in
+  let value =
+    sized_size (int_bound 3)
+    @@ fix (fun self n ->
+           if n = 0 then leaf
+           else
+             frequency
+               [ (2, leaf);
+                 (1,
+                  map (fun l -> Json.List l)
+                    (list_size (int_bound 4) (self (n - 1))));
+                 (1, obj (self (n - 1))) ])
+  in
+  triple (list_size (int_bound 5) (pair text value)) text value
+
+let prop_append_field_splices =
+  QCheck2.Test.make ~count:300 ~name:"spliced append_field = reprinted object"
+    ~print:(fun (fields, k, x) ->
+      Printf.sprintf "%s + %S: %s"
+        (Json.to_string (Json.Obj fields))
+        k (Json.to_string x))
+    gen_json
+    (fun (fields, k, x) ->
+      Coordinator.append_field (Json.to_string (Json.Obj fields)) k x
+      = Json.to_string (Json.Obj (fields @ [ (k, x) ])))
+
+let test_append_field_cases () =
+  let w = Json.Str "w0" in
+  checks "empty object" {|{"worker":"w0"}|}
+    (Coordinator.append_field "{}" "worker" w);
+  checks "one member" {|{"ok":true,"worker":"w0"}|}
+    (Coordinator.append_field {|{"ok":true}|} "worker" w);
+  checks "escaped value" {|{"a":1,"worker":"a\"b"}|}
+    (Coordinator.append_field {|{"a":1}|} "worker" (Json.Str "a\"b"));
+  List.iter
+    (fun line ->
+      checks ("unchanged: " ^ line) line
+        (Coordinator.append_field line "worker" w))
+    [ ""; "[1,2]"; {|"{}"|}; "42"; "null"; "not json"; {|{"ok":true|}; "{";
+      "}"; {|{"a":1}x|} ]
+
+(* ------------------------------------------------------------------ *)
 (* Supervision over real worker processes                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -811,6 +877,92 @@ let test_health_check_during_add_worker () =
         (Fixq_cluster.Supervisor.restarts
            (Fixq_cluster.Cluster.supervisor cluster)))
 
+(* A hospital closure whose answer is larger than the 64 KiB channel
+   buffer, through a worker process behind the cluster and through a
+   lone serving process over its socket: the bytes agree apart from the
+   cluster's "worker" field and the timing. *)
+let test_large_response_parity () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "fixq-big-%d" (Unix.getpid ()))
+  in
+  let command ~name:_ ~socket =
+    [| Sys.executable_name; serve_worker_flag; socket; "0" |]
+  in
+  let cluster = Fixq_cluster.Cluster.launch ~dir ~count:1 ~command () in
+  let socket = Filename.concat dir "serve.sock" in
+  let serve =
+    Unix.create_process Sys.executable_name (command ~name:"serve" ~socket)
+      Unix.stdin Unix.stdout Unix.stderr
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill serve Sys.sigkill with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] serve);
+      Fixq_cluster.Cluster.shutdown cluster;
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat dir f))
+        (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () ->
+      let xml =
+        Xdm.Serializer.to_string
+          (W.Hospital.generate
+             { W.Hospital.default with W.Hospital.total = 600; seed = 14 })
+      in
+      let load =
+        Printf.sprintf {|{"op":"load-doc","uri":"hospital.xml","xml":%s}|}
+          (Json.to_string (Json.Str xml))
+      in
+      let run =
+        run_line
+          {|declare variable $doc := doc("hospital.xml");
+with $x seeded by $doc/hospital/patient
+recurse $x/parents/patient|}
+      in
+      let transport = Fixq_cluster.Transport.create socket in
+      let rec serve_call ?(tries = 200) line =
+        match Fixq_cluster.Transport.call transport line with
+        | Ok resp -> resp
+        | Error _ when tries > 0 ->
+          Unix.sleepf 0.02;
+          serve_call ~tries:(tries - 1) line
+        | Error e -> Alcotest.failf "serve: %s" e
+      in
+      let cluster_call line =
+        fst (Fixq_cluster.Cluster.handle_line cluster line)
+      in
+      checkb "serve load ok" true (ok (Json.parse (serve_call load)));
+      checkb "cluster load ok" true (ok (Json.parse (cluster_call load)));
+      let single = serve_call run and routed = cluster_call run in
+      checkb "answer crosses the channel buffer" true
+        (String.length single > 65_536);
+      let worker = str "worker" (Json.parse routed) in
+      checkb "routed to a worker" true (worker <> "");
+      (* drop the [,"wall_ms":N] member: a number, so it ends at the
+         next ',' or '}' *)
+      let untimed line =
+        let key = {|,"wall_ms":|} in
+        let n = String.length line and k = String.length key in
+        let rec find i =
+          if i + k > n then line
+          else if String.sub line i k = key then begin
+            let j = ref (i + k) in
+            while !j < n && line.[!j] <> ',' && line.[!j] <> '}' do incr j done;
+            String.sub line 0 i ^ String.sub line !j (n - !j)
+          end
+          else find (i + 1)
+        in
+        find 0
+      in
+      let suffix = Printf.sprintf {|,"worker":"%s"}|} worker in
+      checkb "worker field last" true (String.ends_with ~suffix routed);
+      checks "same bytes" (untimed single)
+        (untimed
+           (String.sub routed 0 (String.length routed - String.length suffix)
+           ^ "}")))
+
 let () =
   Alcotest.run "cluster"
     [ ("router",
@@ -845,7 +997,9 @@ let () =
          Alcotest.test_case "prometheus metrics declared once" `Quick
            test_coordinator_prometheus_metrics;
          Alcotest.test_case "local parse errors" `Quick
-           test_coordinator_parse_error_local ]);
+           test_coordinator_parse_error_local;
+         Alcotest.test_case "append_field cases" `Quick test_append_field_cases;
+         QCheck_alcotest.to_alcotest prop_append_field_splices ]);
       ("rebalance",
        [ Alcotest.test_case "add-worker moves exactly the gained keys"
            `Quick test_add_worker_moves_exactly;
@@ -859,4 +1013,6 @@ let () =
            test_chaos_rebalance_kill_recovers ]);
       ("supervision",
        [ Alcotest.test_case "health check during add-worker" `Quick
-           test_health_check_during_add_worker ]) ]
+           test_health_check_during_add_worker;
+         Alcotest.test_case "response over 64 KiB: cluster = serve" `Quick
+           test_large_response_parity ]) ]

@@ -38,6 +38,53 @@ let test_json_unicode () =
     (Json.to_string (Json.parse {|"\ud83d\ude00"|}));
   checks "control" {|"a\nb"|} (Json.to_string (Json.parse "\"a\\nb\""))
 
+(* The per-character escaper [Json.escape_to] replaced, as the
+   reference for the run-blitting one. *)
+let reference_json_string s =
+  let buf = Buffer.create (String.length s + 2) in
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\b' -> Buffer.add_string buf "\\b"
+      | '\012' -> Buffer.add_string buf "\\f"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
+(* Byte strings built from quotes, backslashes, every control byte,
+   DEL, plain ASCII runs and multi-byte UTF-8. *)
+let gen_escape_text =
+  let open QCheck2.Gen in
+  let piece =
+    frequency
+      [ (3, string_size ~gen:(char_range 'a' 'z') (int_bound 12));
+        (2, oneofl [ "\""; "\\"; "\127"; "\195\169"; "\228\184\173";
+                     "\240\159\152\128" ]);
+        (2, map (fun c -> String.make 1 (Char.chr c)) (int_bound 31)) ]
+  in
+  map (String.concat "") (list_size (int_bound 40) piece)
+
+let prop_json_escape_matches_reference =
+  QCheck2.Test.make ~count:500 ~name:"Json string escape = per-character"
+    ~print:(Printf.sprintf "%S") gen_escape_text
+    (fun s -> Json.to_string (Json.Str s) = reference_json_string s)
+
+let test_json_escape_every_control_byte () =
+  let all = String.init 128 Char.chr in
+  checks "bytes 0-127" (reference_json_string all)
+    (Json.to_string (Json.Str all));
+  checks "clean text unchanged" "\"caf\195\169 au lait\""
+    (Json.to_string (Json.Str "caf\195\169 au lait"))
+
 let test_json_errors () =
   let fails s =
     match Json.parse s with
@@ -1063,6 +1110,9 @@ let () =
        [ Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
          Alcotest.test_case "unicode" `Quick test_json_unicode;
          Alcotest.test_case "errors" `Quick test_json_errors;
+         Alcotest.test_case "every control byte escaped" `Quick
+           test_json_escape_every_control_byte;
+         QCheck_alcotest.to_alcotest prop_json_escape_matches_reference;
          Alcotest.test_case "members" `Quick test_json_members ]);
       ("lru",
        [ Alcotest.test_case "eviction" `Quick test_lru_eviction;

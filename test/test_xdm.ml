@@ -358,6 +358,42 @@ let test_serializer_escapes () =
   check_str "text escape" "a&lt;b&gt;c&amp;d" (Serializer.escape_text "a<b>c&d");
   check_str "attr escape" "a&quot;b" (Serializer.escape_attr "a\"b")
 
+(* The per-character escaper [Serializer.escape_gen] replaced, as the
+   reference for the run-blitting one. *)
+let reference_escape escape_quote s =
+  let buf = Buffer.create (String.length s) in
+  String.iter
+    (fun c ->
+      match c with
+      | '<' -> Buffer.add_string buf "&lt;"
+      | '>' -> Buffer.add_string buf "&gt;"
+      | '&' -> Buffer.add_string buf "&amp;"
+      | '"' when escape_quote -> Buffer.add_string buf "&quot;"
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let prop_escape_matches_reference =
+  let gen =
+    let open QCheck2.Gen in
+    let piece =
+      frequency
+        [ (3, string_size ~gen:(char_range ' ' '~') (int_bound 10));
+          (2, oneofl [ "<"; ">"; "&"; "\""; "'"; "\195\169"; "\n" ]) ]
+    in
+    map (String.concat "") (list_size (int_bound 30) piece)
+  in
+  QCheck2.Test.make ~count:500 ~name:"markup escape = per-character"
+    ~print:(Printf.sprintf "%S") gen
+    (fun s ->
+      let text = Serializer.escape_text s and attr = Serializer.escape_attr s in
+      let text_ref = reference_escape false s
+      and attr_ref = reference_escape true s in
+      text = text_ref && attr = attr_ref
+      (* clean text comes back as the very same string *)
+      && (text == s) = (text_ref = s)
+      && (attr == s) = (attr_ref = s))
+
 let test_serializer_indent () =
   let doc =
     Xml_parser.parse_string ~strip_whitespace:true
@@ -599,6 +635,7 @@ let () =
       ( "properties",
         qc
           [ prop_serializer_roundtrip;
+            prop_escape_matches_reference;
             prop_doc_order_total;
             prop_axes_partition;
             prop_nth_matches_step;
