@@ -305,6 +305,7 @@ let lint_cmd =
   let module Json = Fixq_service.Json in
   let module Analyze = Fixq_analysis.Analyze in
   let module Diag = Fixq_analysis.Diag in
+  let diag_json = Fixq_service.Protocol.diag_json in
   let format_arg =
     Arg.(value
          & opt
@@ -322,16 +323,6 @@ let lint_cmd =
                "Apply the Section-3.2 distributivity hint to every \
                 hint-repairable IFP, re-run both checkers on the result, \
                 and print the rewritten query.")
-  in
-  let diag_json (d : Diag.t) =
-    let (line, col) = match d.Diag.loc with Some lc -> lc | None -> (0, 0) in
-    Json.Obj
-      [ ("severity", Json.Str (Diag.severity_string d.Diag.severity));
-        ("code", Json.Str d.Diag.code);
-        ("line", Json.of_int line);
-        ("col", Json.of_int col);
-        ("context", Json.Str d.Diag.context);
-        ("message", Json.Str d.Diag.message) ]
   in
   let sarif_string ~artifact diagnostics =
     let level (d : Diag.t) =
@@ -756,7 +747,11 @@ let serve_cmd =
          & info [ "socket"; "s" ] ~docv:"PATH" ~doc)
   in
   let workers_arg =
-    let doc = "Worker threads for request handling." in
+    let doc =
+      "Requests executing at once on a socket. Each connection has its \
+       own thread and holds a slot only while one of its requests runs; \
+       --pipe answers in order."
+    in
     Arg.(value & opt int 1 & info [ "workers"; "j" ] ~docv:"N" ~doc)
   in
   let prepared_cache_arg =
@@ -1023,9 +1018,7 @@ let cluster_cmd =
         let serve () =
           match (pipe, socket) with
           | (true, _) ->
-            (* sequential on purpose: deterministic response order; the
-               parallelism lives in the workers *)
-            Service.Server.serve_pipe_with ~handle ~workers:1 stdin stdout;
+            Service.Server.serve_pipe_with ~handle stdin stdout;
             0
           | (false, Some path) -> (
             Printf.eprintf "fixq cluster: %d workers in %s, listening on %s\n%!"

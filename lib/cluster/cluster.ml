@@ -62,7 +62,7 @@ let launch ~dir ~count ~command ?(config = Coordinator.default_config)
   let backend =
     { Coordinator.workers = Supervisor.names supervisor; send; info;
       restarts = (fun () -> Supervisor.restarts supervisor);
-      stop = (fun () -> Supervisor.stop supervisor);
+      stop = (fun () -> Supervisor.stop_health supervisor);
       add_worker; retire_worker;
       kill_worker = (fun name -> Supervisor.kill9 supervisor name) }
   in

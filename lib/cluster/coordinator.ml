@@ -1,6 +1,6 @@
 module Json = Fixq_service.Json
 module Protocol = Fixq_service.Protocol
-module Lang = Fixq.Lang
+module Metrics = Fixq_service.Metrics
 
 type backend = {
   workers : string list;
@@ -142,6 +142,17 @@ let worker_docs t name =
     let wd = { next_ord = 0; ords = Hashtbl.create 16 } in
     Hashtbl.replace t.loaded name wd;
     wd
+
+(* The workers holding [uri], sorted by name; only live ones unless
+   [~live:false]. *)
+let holders_locked ?(live = true) t uri =
+  Hashtbl.fold
+    (fun name wd acc ->
+      if Hashtbl.mem wd.ords uri && ((not live) || Hashtbl.mem t.alive name)
+      then name :: acc
+      else acc)
+    t.loaded []
+  |> List.sort compare
 
 (* The worker just (re)loaded [uri], allocating fresh node ids: the
    document is now LAST in its local load order. *)
@@ -300,17 +311,7 @@ let compact_doc t uri =
     locked t (fun () ->
         match Hashtbl.find_opt t.docs uri with
         | None -> None
-        | Some (seq, lines) ->
-          let holders =
-            Hashtbl.fold
-              (fun name wd acc ->
-                if Hashtbl.mem wd.ords uri && Hashtbl.mem t.alive name then
-                  name :: acc
-                else acc)
-              t.loaded []
-            |> List.sort compare
-          in
-          Some (seq, lines, holders))
+        | Some (seq, lines) -> Some (seq, lines, holders_locked t uri))
   in
   match info with
   | None -> Error (Printf.sprintf "no document loaded under %S" uri)
@@ -406,13 +407,7 @@ let on_worker_respawn t name =
 (* ------------------------------------------------------------------ *)
 
 let parse_query query =
-  match Lang.Parser.parse_program query with
-  | p -> Ok p
-  | exception Lang.Parser.Error { line; col; msg } ->
-    Error (Printf.sprintf "parse error at %d:%d: %s" line col msg)
-  | exception Lang.Lexer.Error { pos; msg } ->
-    let line, col = Lang.Lexer.line_col_of query pos in
-    Error (Printf.sprintf "lex error at %d:%d: %s" line col msg)
+  match Fixq.parse query with p -> Ok p | exception Fixq.Error msg -> Error msg
 
 (* Preference order for a query: the rendezvous ranking of its first
    document (or of the query text itself when it touches no document),
@@ -443,6 +438,26 @@ let obj_fields = function Json.Obj fields -> fields | _ -> []
 
 let without keys fields =
   List.filter (fun (k, _) -> not (List.mem k keys)) fields
+
+(* A client request as a worker receives it: the [id] stays here. *)
+let forward_line req =
+  Json.to_string (Json.Obj (without [ "id" ] (obj_fields req)))
+
+(* The first protocol-level refusal (bad path, malformed payload) among
+   the workers' answers. It is deterministic across workers, so it is
+   reported instead of recording the op. *)
+let worker_refusal results =
+  List.find_map
+    (fun (_, r) ->
+      match r with
+      | Ok resp -> (
+        match Json.parse resp with
+        | j when Json.bool_opt (Json.member "ok" j) = Some false ->
+          Json.str_opt (Json.member "error" j)
+        | _ -> None
+        | exception Json.Parse_error _ -> None)
+      | Error _ -> None)
+    results
 
 (* Splice [key: value] in as the last member of the object [resp]
    without parsing it: a worker prints each response with
@@ -497,14 +512,14 @@ let run_routed t ~id ~docs ~cands ~timeout_ms line =
   in
   go cands
 
-let handle_run t ~id req (params : Protocol.run_params) =
-  match parse_query params.Protocol.query with
+(* A run, check, plan or explain of [query], routed whole. *)
+let handle_run t ~id ~timeout_ms req query =
+  match parse_query query with
   | Error msg -> Json.to_string (Protocol.error_response ~id msg)
   | Ok program ->
     let docs = Fixq.doc_uris program in
-    let cands = candidates t ~docs ~query:params.Protocol.query in
-    run_routed t ~id ~docs ~cands ~timeout_ms:(forward_timeout t params)
-      (Json.to_string req)
+    let cands = candidates t ~docs ~query in
+    run_routed t ~id ~docs ~cands ~timeout_ms (Json.to_string req)
 
 (* ------------------------------------------------------------------ *)
 (* Documents                                                           *)
@@ -516,7 +531,7 @@ let handle_run t ~id req (params : Protocol.run_params) =
    while [t.docs] records a single line. *)
 let handle_load_doc t ~id req uri =
   doc_locked t @@ fun () ->
-  let line = Json.to_string (Json.Obj (without [ "id" ] (obj_fields req))) in
+  let line = forward_line req in
   let reps = replicas_for t ~key:uri in
   let results =
     List.map
@@ -525,22 +540,7 @@ let handle_load_doc t ~id req uri =
         else (name, send_retry t name ~timeout_ms:t.config.timeout_ms line))
       reps
   in
-  (* a protocol-level failure (bad path, bad generator) is deterministic
-     across replicas: report it instead of recording the document *)
-  let worker_error =
-    List.find_map
-      (fun (_, r) ->
-        match r with
-        | Ok resp -> (
-          match Json.parse resp with
-          | j when Json.bool_opt (Json.member "ok" j) = Some false ->
-            Json.str_opt (Json.member "error" j)
-          | _ -> None
-          | exception Json.Parse_error _ -> None)
-        | Error _ -> None)
-      results
-  in
-  match worker_error with
+  match worker_refusal results with
   | Some msg -> Json.to_string (Protocol.error_response ~id msg)
   | None ->
     let succeeded =
@@ -578,14 +578,8 @@ let handle_load_doc t ~id req uri =
 
 let handle_unload_doc t ~id req uri =
   doc_locked t @@ fun () ->
-  let line = Json.to_string (Json.Obj (without [ "id" ] (obj_fields req))) in
-  let holders =
-    locked t (fun () ->
-        Hashtbl.fold
-          (fun name wd acc ->
-            if Hashtbl.mem wd.ords uri then name :: acc else acc)
-          t.loaded [])
-  in
+  let line = forward_line req in
+  let holders = locked t (fun () -> holders_locked ~live:false t uri) in
   List.iter
     (fun name ->
       if is_alive t name then
@@ -612,46 +606,23 @@ let handle_unload_doc t ~id req uri =
    [order_ok] honest. *)
 let handle_patch_doc t ~id req uri =
   doc_locked t @@ fun () ->
-  let line = Json.to_string (Json.Obj (without [ "id" ] (obj_fields req))) in
+  let line = forward_line req in
   let known = locked t (fun () -> Hashtbl.mem t.docs uri) in
   if not known then
     Json.to_string
       (Protocol.error_response ~id
          (Printf.sprintf "no document loaded under %S" uri))
   else begin
-    let holders =
-      locked t (fun () ->
-          Hashtbl.fold
-            (fun name wd acc ->
-              if Hashtbl.mem wd.ords uri && Hashtbl.mem t.alive name then
-                name :: acc
-              else acc)
-            t.loaded []
-          |> List.sort compare)
-    in
+    let holders = locked t (fun () -> holders_locked t uri) in
     let results =
       List.map
         (fun name ->
           (name, send_retry t name ~timeout_ms:t.config.timeout_ms line))
         holders
     in
-    (* a protocol-level refusal (bad path, malformed payload) is
-       deterministic across holders: report it, leave the history
-       unchanged so replicas stay consistent *)
-    let worker_error =
-      List.find_map
-        (fun (_, r) ->
-          match r with
-          | Ok resp -> (
-            match Json.parse resp with
-            | j when Json.bool_opt (Json.member "ok" j) = Some false ->
-              Json.str_opt (Json.member "error" j)
-            | _ -> None
-            | exception Json.Parse_error _ -> None)
-          | Error _ -> None)
-        results
-    in
-    match worker_error with
+    (* a refusal leaves the history unchanged so replicas stay
+       consistent *)
+    match worker_refusal results with
     | Some msg -> Json.to_string (Protocol.error_response ~id msg)
     | None ->
       let succeeded, failed =
@@ -867,7 +838,9 @@ let drain_out t name =
     Ok (moved, pending)
   end
 
-let handle_drain t ~id name =
+(* [drain]; with [~retire], then stop the process and forget it
+   ([remove-worker]). *)
+let handle_drain ?(retire = false) t ~id name =
   if not (List.mem name (current_workers t)) then
     Json.to_string
       (Protocol.error_response ~id (Printf.sprintf "unknown worker %S" name))
@@ -875,22 +848,14 @@ let handle_drain t ~id name =
     match drain_out t name with
     | Error msg -> Json.to_string (Protocol.error_response ~id msg)
     | Ok (moved, pending) ->
-      topology_response t ~id ~worker:name ~moved ~pending
-
-let handle_remove_worker t ~id name =
-  if not (List.mem name (current_workers t)) then
-    Json.to_string
-      (Protocol.error_response ~id (Printf.sprintf "unknown worker %S" name))
-  else
-    match drain_out t name with
-    | Error msg -> Json.to_string (Protocol.error_response ~id msg)
-    | Ok (moved, pending) ->
-      t.backend.retire_worker name;
-      locked t (fun () ->
-          t.workers <- List.filter (fun w -> w <> name) t.workers;
-          Hashtbl.remove t.alive name;
-          Hashtbl.remove t.drained name;
-          Hashtbl.remove t.loaded name);
+      if retire then begin
+        t.backend.retire_worker name;
+        locked t (fun () ->
+            t.workers <- List.filter (fun w -> w <> name) t.workers;
+            Hashtbl.remove t.alive name;
+            Hashtbl.remove t.drained name;
+            Hashtbl.remove t.loaded name)
+      end;
       topology_response t ~id ~worker:name ~moved ~pending
 
 (* The cluster-level [{"op":"snapshot"}]: compact every document's line
@@ -907,16 +872,7 @@ let handle_cluster_snapshot t ~id =
 
 (* dump-doc forwards to a live holder of the uri, verbatim. *)
 let handle_dump_doc t ~id req uri =
-  let holders =
-    locked t (fun () ->
-        Hashtbl.fold
-          (fun name wd acc ->
-            if Hashtbl.mem wd.ords uri && Hashtbl.mem t.alive name then
-              name :: acc
-            else acc)
-          t.loaded []
-        |> List.sort compare)
-  in
+  let holders = locked t (fun () -> holders_locked t uri) in
   let line = Json.to_string req in
   let rec go = function
     | [] ->
@@ -948,7 +904,7 @@ let handle_prepare t ~id req query =
         match candidates t ~docs ~query with [] -> [] | c :: _ -> [ c ])
       | reps -> reps
     in
-    let line = Json.to_string (Json.Obj (without [ "id" ] (obj_fields req))) in
+    let line = forward_line req in
     let results =
       List.filter_map
         (fun name ->
@@ -975,15 +931,6 @@ let handle_prepare t ~id req query =
            (fields
            @ [ ("workers",
                 Json.List (List.map (fun (w, _) -> Json.Str w) results)) ])))
-
-let handle_query_forward t ~id req query =
-  match parse_query query with
-  | Error msg -> Json.to_string (Protocol.error_response ~id msg)
-  | Ok program ->
-    let docs = Fixq.doc_uris program in
-    let cands = candidates t ~docs ~query in
-    run_routed t ~id ~docs ~cands ~timeout_ms:t.config.timeout_ms
-      (Json.to_string req)
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
@@ -1078,13 +1025,8 @@ let relabel_exposition ~worker ~seen_types buf text =
 
 let prometheus_stats t =
   let buf = Buffer.create 2048 in
-  let gauge name value =
-    Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n%s %s\n" name name value)
-  in
-  let counter name value =
-    Buffer.add_string buf
-      (Printf.sprintf "# TYPE %s counter\n%s %d\n" name name value)
-  in
+  let gauge = Metrics.gauge buf in
+  let counter = Metrics.counter buf in
   let ( gen, ndocs, retries, backoff_ms, failovers, routed, rebalances,
         moved, compactions ) =
     locked t (fun () ->
@@ -1101,10 +1043,8 @@ let prometheus_stats t =
   gauge "fixq_cluster_generation" (string_of_int gen);
   gauge "fixq_cluster_documents" (string_of_int ndocs);
   counter "fixq_retries_total" retries;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "# TYPE fixq_backoff_ms_total counter\nfixq_backoff_ms_total %.3f\n"
-       backoff_ms);
+  Metrics.family buf Metrics.Counter
+    "fixq_backoff_ms_total" [ ("", Printf.sprintf "%.3f" backoff_ms) ];
   counter "fixq_cluster_failovers_total" failovers;
   counter "fixq_cluster_routed_runs_total" routed;
   counter "fixq_cluster_rebalances_total" rebalances;
@@ -1153,12 +1093,15 @@ let handle_line t line =
     | Ok parsed -> (
       try
         match parsed with
-        | Protocol.Run params -> (handle_run t ~id req params, false)
+        | Protocol.Run params ->
+          ( handle_run t ~id ~timeout_ms:(forward_timeout t params) req
+              params.Protocol.query,
+            false )
         | Protocol.Prepare { query; _ } ->
           (handle_prepare t ~id req query, false)
         | Protocol.Check { query; _ } | Protocol.Plan { query; _ }
         | Protocol.Explain { query; _ } ->
-          (handle_query_forward t ~id req query, false)
+          (handle_run t ~id ~timeout_ms:t.config.timeout_ms req query, false)
         | Protocol.Load_doc { uri; _ } -> (handle_load_doc t ~id req uri, false)
         | Protocol.Unload_doc { uri } ->
           (handle_unload_doc t ~id req uri, false)
@@ -1168,7 +1111,7 @@ let handle_line t line =
         | Protocol.Dump_doc { uri } -> (handle_dump_doc t ~id req uri, false)
         | Protocol.Add_worker -> (handle_add_worker t ~id, false)
         | Protocol.Remove_worker { name } ->
-          (handle_remove_worker t ~id name, false)
+          (handle_drain ~retire:true t ~id name, false)
         | Protocol.Drain { name } -> (handle_drain t ~id name, false)
         | Protocol.Stats Protocol.Stats_json -> (handle_stats t ~id, false)
         | Protocol.Stats Protocol.Stats_prometheus ->
@@ -1184,6 +1127,8 @@ let handle_line t line =
                     Json.of_int (List.length (alive_workers t))) ]),
             false )
         | Protocol.Shutdown ->
+          (* a worker that exits on the broadcast must stay down *)
+          t.backend.stop ();
           broadcast_shutdown t;
           ( Json.to_string
               (Protocol.ok_response ~id [ ("shutdown", Json.Bool true) ]),

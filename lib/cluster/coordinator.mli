@@ -36,7 +36,9 @@ type backend = {
   info : string -> (string * Json.t) list;
       (** per-worker extras for [stats] (pid, socket, restarts, …) *)
   restarts : unit -> int;  (** total respawns so far *)
-  stop : unit -> unit;  (** terminate the workers (after [shutdown]) *)
+  stop : unit -> unit;
+      (** stop supervising, so no worker is respawned; [shutdown] calls
+          it before telling the workers to exit *)
   add_worker : unit -> (string, string) result;
       (** spawn one more worker, return its name once it accepts *)
   retire_worker : string -> unit;
@@ -86,8 +88,8 @@ val on_worker_respawn : t -> string -> unit
 (** The coordinator as a line handler — plug into
     {!Fixq_service.Server.serve_pipe_with} /
     [serve_socket_with]. Returns (response line, shutdown?). On
-    [shutdown] the workers have been told to shut down too (best
-    effort); the caller should then [backend.stop ()]. *)
+    [shutdown], health checks have stopped and the workers have been
+    told to shut down too (best effort), so none is respawned. *)
 val handle_line : t -> string -> string * bool
 
 (** [append_field line key value] adds [key: value] as the last member

@@ -15,7 +15,8 @@ type t = {
   lock : Mutex.t;
   mutable workers : worker list;
   mutable health : Thread.t option;
-  mutable stopping : bool;
+  mutable stopping : bool;  (** no respawn, no add *)
+  mutable stopped : bool;  (** workers terminated *)
 }
 
 let spawn_process t w =
@@ -57,7 +58,7 @@ let create ~dir ~count ~command ?(ready_timeout_ms = 15000.) () =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   let t =
     { dir; command; ready_timeout_ms; lock = Mutex.create (); workers = [];
-      health = None; stopping = false }
+      health = None; stopping = false; stopped = false }
   in
   t.workers <-
     List.init count (fun i ->
@@ -235,14 +236,21 @@ let start_health ~interval_ms ?ping ~on_respawn t =
   in
   t.health <- Some (Thread.create thread ())
 
-let stop t =
+let stop_health t =
   Mutex.lock t.lock;
-  let already = t.stopping in
   t.stopping <- true;
+  let health = t.health in
+  t.health <- None;
+  Mutex.unlock t.lock;
+  Option.iter Thread.join health
+
+let stop t =
+  stop_health t;
+  Mutex.lock t.lock;
+  let already = t.stopped in
+  t.stopped <- true;
   Mutex.unlock t.lock;
   if not already then begin
-    (match t.health with Some th -> Thread.join th | None -> ());
-    t.health <- None;
     List.iter kill_worker t.workers;
     List.iter
       (fun w ->

@@ -56,7 +56,7 @@ val check :
   ?ping:(string -> bool) -> on_respawn:(string -> unit) -> t -> unit
 
 (** Run {!check} every [interval_ms] in a background thread until
-    {!stop}. *)
+    {!stop_health} or {!stop}. *)
 val start_health :
   interval_ms:float ->
   ?ping:(string -> bool) ->
@@ -64,6 +64,11 @@ val start_health :
   t ->
   unit
 
-(** Stop the health thread and terminate every worker (SIGTERM, short
-    grace, then SIGKILL). Idempotent. *)
+(** Stop supervising: end the health thread (waiting for a sweep in
+    progress) and respawn or add no worker from now on. The workers
+    keep running. Idempotent. *)
+val stop_health : t -> unit
+
+(** {!stop_health}, then terminate every worker (SIGTERM, short grace,
+    then SIGKILL). Idempotent. *)
 val stop : t -> unit

@@ -95,6 +95,10 @@ val run :
   string ->
   report
 
+(** Parse a query. A parse or lex failure raises {!Error} with a
+    located message (["parse error at L:C: …"]). *)
+val parse : string -> Lang.Ast.program
+
 (** Run an already-parsed program. *)
 val run_program :
   ?registry:Xdm.Doc_registry.t ->

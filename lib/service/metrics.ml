@@ -80,26 +80,35 @@ let prom_float f =
     Printf.sprintf "%.0f" f
   else Printf.sprintf "%g" f
 
+type kind = Counter | Gauge
+
+let family buf kind name samples =
+  Printf.bprintf buf "# TYPE %s %s\n" name
+    (match kind with Counter -> "counter" | Gauge -> "gauge");
+  List.iter
+    (fun (labels, value) ->
+      if labels = "" then Printf.bprintf buf "%s %s\n" name value
+      else Printf.bprintf buf "%s{%s} %s\n" name labels value)
+    samples
+
+let gauge buf name value = family buf Gauge name [ ("", value) ]
+let counter buf name n = family buf Counter name [ ("", string_of_int n) ]
+
 let to_prometheus ?(labels = "") ~prefix t =
   let buf = Buffer.create 512 in
   let snaps = snapshots t in
-  let sample family value s =
-    Buffer.add_string buf
-      (Printf.sprintf "%s_%s{query=\"%s\"%s} %s\n" prefix family
-         (escape_label s.s_label)
-         (if labels = "" then "" else "," ^ labels)
-         value)
+  let samples value =
+    List.map
+      (fun s ->
+        ( Printf.sprintf "query=\"%s\"%s" (escape_label s.s_label)
+            (if labels = "" then "" else "," ^ labels),
+          value s ))
+      snaps
   in
   if snaps <> [] then begin
-    Buffer.add_string buf
-      (Printf.sprintf "# TYPE %s_query_executions_total counter\n" prefix);
-    List.iter
-      (fun s -> sample "query_executions_total" (string_of_int s.s_count) s)
-      snaps;
-    Buffer.add_string buf
-      (Printf.sprintf "# TYPE %s_query_ms_total counter\n" prefix);
-    List.iter
-      (fun s -> sample "query_ms_total" (prom_float s.s_total_ms) s)
-      snaps
+    family buf Counter (prefix ^ "_query_executions_total")
+      (samples (fun s -> string_of_int s.s_count));
+    family buf Counter (prefix ^ "_query_ms_total")
+      (samples (fun s -> prom_float s.s_total_ms))
   end;
   Buffer.contents buf

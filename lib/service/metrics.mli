@@ -37,6 +37,20 @@ val snapshots : t -> snapshot list
     double quote, newline). *)
 val escape_label : string -> string
 
+(** The Prometheus text-exposition writer every [stats] exposition
+    uses. [family buf kind name samples] appends one [# TYPE] header and
+    one line per [(labels, value)] sample; [labels] is the text inside
+    the braces (none when [""]) and [value] is already formatted. *)
+type kind = Counter | Gauge
+
+val family : Buffer.t -> kind -> string -> (string * string) list -> unit
+
+(** One unlabelled gauge sample under its own header. *)
+val gauge : Buffer.t -> string -> string -> unit
+
+(** One unlabelled integer counter sample under its own header. *)
+val counter : Buffer.t -> string -> int -> unit
+
 (** Prometheus text-exposition lines for the per-query aggregates:
     [<prefix>_query_executions_total{query="…"}] and
     [<prefix>_query_ms_total{query="…"}], with one [# TYPE] header per

@@ -281,3 +281,14 @@ let error_response ?(extra = []) ~id msg =
 
 let ok_response ~id fields =
   Json.Obj (("ok", Json.Bool true) :: with_id ~id fields)
+
+let diag_json (d : Fixq_analysis.Diag.t) =
+  let module Diag = Fixq_analysis.Diag in
+  let (line, col) = match d.Diag.loc with Some lc -> lc | None -> (0, 0) in
+  Json.Obj
+    [ ("severity", Json.Str (Diag.severity_string d.Diag.severity));
+      ("code", Json.Str d.Diag.code);
+      ("line", Json.of_int line);
+      ("col", Json.of_int col);
+      ("context", Json.Str d.Diag.context);
+      ("message", Json.Str d.Diag.message) ]

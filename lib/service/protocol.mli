@@ -4,8 +4,8 @@
 
     One request object per line, one response object per line. Every
     request carries an ["op"] discriminator; an optional ["id"] member
-    of any JSON type is echoed verbatim in the response, so clients
-    talking to a multi-worker server can match responses to requests.
+    of any JSON type is echoed verbatim in the response. Each stream
+    is answered in request order.
 
     Ops:
     - [{"op":"run","query":Q}] — evaluate. Optional: ["engine"]
@@ -125,3 +125,8 @@ val error_response : ?extra:(string * Json.t) list -> id:Json.t -> string -> Jso
 
 (** [{"ok":true,"id":…} ∪ fields] — ["id"] omitted when [Null]. *)
 val ok_response : id:Json.t -> (string * Json.t) list -> Json.t
+
+(** One diagnostic as JSON: [{"severity","code","line","col","context",
+    "message"}], with line and col [0] when unlocated. The shape of
+    [check] and refusal diagnostics, and of [fixq lint --format json]. *)
+val diag_json : Fixq_analysis.Diag.t -> Json.t

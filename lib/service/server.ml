@@ -1,5 +1,4 @@
 module Xdm = Fixq_xdm
-module Diag = Fixq_analysis.Diag
 module Analyze = Fixq_analysis.Analyze
 module Ivm = Fixq_ivm.Ivm
 module Semiring = Fixq_semiring.Semiring
@@ -118,16 +117,6 @@ let with_sql t ~stratified query p =
   let p' = Prepared.with_sql p in
   if p' != p then Lru.put t.prepared (prepared_key ~stratified query) p';
   p'
-
-let diag_json (d : Diag.t) =
-  let line, col = match d.Diag.loc with Some lc -> lc | None -> (0, 0) in
-  Json.Obj
-    [ ("severity", Json.Str (Diag.severity_string d.Diag.severity));
-      ("code", Json.Str d.Diag.code);
-      ("line", Json.of_int line);
-      ("col", Json.of_int col);
-      ("context", Json.Str d.Diag.context);
-      ("message", Json.Str d.Diag.message) ]
 
 let engine_string = function
   | `Interp -> "interp"
@@ -374,14 +363,20 @@ let handle_run t ~id
       ~label:(preview query) ~ms:report.Fixq.wall_ms;
     respond ~prepared_status ~result_status:"miss" ~cost_extra entry
 
+(* The prepared entry behind a prepare, check, plan or explain, and the
+   stratified setting it was prepared under. *)
+let prepare_op t query stratified =
+  let stratified = Option.value ~default:t.config.stratified stratified in
+  let (p, status) =
+    get_prepared t ~stratified ~max_iterations:t.config.max_iterations query
+  in
+  (stratified, p, status)
+
 (* prepare: warm the prepared-query LRU (parse + static check + both
    verdicts + pinned modes + compiled plan) without executing — the
    cluster coordinator uses this to warm every replica before traffic. *)
 let handle_prepare t ~id query stratified =
-  let stratified = Option.value ~default:t.config.stratified stratified in
-  let (p, prepared_status) =
-    get_prepared t ~stratified ~max_iterations:t.config.max_iterations query
-  in
+  let (_, p, prepared_status) = prepare_op t query stratified in
   Protocol.ok_response ~id
     [ ("prepared_cache", Json.Str prepared_status);
       ("hash", Json.Str p.Prepared.hash);
@@ -393,10 +388,7 @@ let handle_prepare t ~id query stratified =
       ("prepare_ms", Json.Num p.Prepared.prepare_ms) ]
 
 let handle_check t ~id query stratified =
-  let stratified = Option.value ~default:t.config.stratified stratified in
-  let (p, prepared_status) =
-    get_prepared t ~stratified ~max_iterations:t.config.max_iterations query
-  in
+  let (stratified, p, prepared_status) = prepare_op t query stratified in
   let p = with_sql t ~stratified query p in
   let cost = Prepared.cost ~store:t.store p in
   let first = match p.Prepared.analysis.Analyze.ifps with
@@ -414,7 +406,7 @@ let handle_check t ~id query stratified =
       ("warnings",
        Json.List (List.map (fun w -> Json.Str w) p.Prepared.warnings));
       ("diagnostics",
-       Json.List (List.map diag_json (Prepared.diagnostics ~cost p)));
+       Json.List (List.map Protocol.diag_json (Prepared.diagnostics ~cost p)));
       ("divergence",
        (match Prepared.divergence p with
        | Some d -> Json.Str (Analyze.divergence_string d)
@@ -461,10 +453,7 @@ let handle_check t ~id query stratified =
       ("prepared_cache", Json.Str prepared_status) ]
 
 let handle_plan t ~id query stratified =
-  let stratified = Option.value ~default:t.config.stratified stratified in
-  let (p, prepared_status) =
-    get_prepared t ~stratified ~max_iterations:t.config.max_iterations query
-  in
+  let (_, p, prepared_status) = prepare_op t query stratified in
   match p.Prepared.plan with
   | None ->
     Protocol.error_response ~id
@@ -484,10 +473,7 @@ let handle_plan t ~id query stratified =
 (* explain: the full cost report — per-engine estimates, certified round
    bound, per-operator cardinality table — without executing anything. *)
 let handle_explain t ~id query stratified =
-  let stratified = Option.value ~default:t.config.stratified stratified in
-  let (p, prepared_status) =
-    get_prepared t ~stratified ~max_iterations:t.config.max_iterations query
-  in
+  let (stratified, p, prepared_status) = prepare_op t query stratified in
   let p = with_sql t ~stratified query p in
   let module E = Fixq_cost.Estimate in
   let c = Prepared.cost ~store:t.store p in
@@ -527,7 +513,7 @@ let handle_explain t ~id query stratified =
                 | Some n -> [ ("note", Json.Str n) ]
                 | None -> []))
             c.E.rows));
-      ("diagnostics", Json.List (List.map diag_json c.E.diagnostics));
+      ("diagnostics", Json.List (List.map Protocol.diag_json c.E.diagnostics));
       ("text", Json.Str (E.to_text c)) ]
 
 (* Live result-cache entries that carry IVM state over [uri]. *)
@@ -1080,20 +1066,10 @@ let kernel_counter_rows () =
    (scraped directly or relayed by the coordinator). *)
 let prometheus_stats t =
   let buf = Buffer.create 1024 in
-  let gauge name ?(labels = "") value =
-    Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n" name);
-    Buffer.add_string buf
-      (Printf.sprintf "%s%s %s\n" name
-         (if labels = "" then "" else "{" ^ labels ^ "}")
-         value)
-  in
+  let gauge = Metrics.gauge buf in
   let counter_family name samples =
-    Buffer.add_string buf (Printf.sprintf "# TYPE %s counter\n" name);
-    List.iter
-      (fun (labels, value) ->
-        Buffer.add_string buf
-          (Printf.sprintf "%s{%s} %d\n" name labels value))
-      samples
+    Metrics.family buf Metrics.Counter name
+      (List.map (fun (labels, n) -> (labels, string_of_int n)) samples)
   in
   gauge "fixq_uptime_seconds"
     (Printf.sprintf "%.3f" (Unix.gettimeofday () -. t.started_at));
@@ -1102,12 +1078,8 @@ let prometheus_stats t =
   (match t.durable with
   | None -> ()
   | Some d ->
-    let counter name value =
-      Buffer.add_string buf
-        (Printf.sprintf "# TYPE %s counter\n%s %d\n" name name value)
-    in
-    counter "fixq_wal_appends_total" (Durability.appends d);
-    counter "fixq_snapshots_total" (Durability.snapshots d);
+    Metrics.counter buf "fixq_wal_appends_total" (Durability.appends d);
+    Metrics.counter buf "fixq_snapshots_total" (Durability.snapshots d);
     gauge "fixq_wal_bytes" (string_of_int (Durability.wal_bytes d));
     gauge "fixq_wal_last_seq" (string_of_int (Durability.last_seq d));
     let stat name =
@@ -1124,13 +1096,9 @@ let prometheus_stats t =
   counter_family "fixq_cache_misses_total"
     [ ("cache=\"prepared\"", Lru.misses t.prepared);
       ("cache=\"results\"", Result_cache.misses t.results) ];
-  Buffer.add_string buf "# TYPE fixq_cache_entries gauge\n";
-  List.iter
-    (fun (label, v) ->
-      Buffer.add_string buf
-        (Printf.sprintf "fixq_cache_entries{cache=%S} %d\n" label v))
-    [ ("prepared", Lru.length t.prepared);
-      ("results", Result_cache.length t.results) ];
+  Metrics.family buf Metrics.Gauge "fixq_cache_entries"
+    [ ("cache=\"prepared\"", string_of_int (Lru.length t.prepared));
+      ("cache=\"results\"", string_of_int (Result_cache.length t.results)) ];
   counter_family "fixq_kernel_ops_total"
     (List.map
        (fun (k, v) -> (Printf.sprintf "kernel=%S" k, v))
@@ -1163,19 +1131,16 @@ let prometheus_stats t =
                  (String.sub k 9 (String.length k - 9)),
                v ))
            semi));
-    (match
-       (List.assoc_opt "refused" rows, List.assoc_opt "refused-cost" rows)
-     with
-    | (None, None) -> ()
-    | (diverge, cost) ->
-      counter_family "fixq_refused_queries_total"
-        ((match diverge with
-         | Some n -> [ ("reason=\"may-diverge\"", n) ]
-         | None -> [])
-        @
-        match cost with
-        | Some n -> [ ("reason=\"cost\"", n) ]
-        | None -> [])));
+    match
+      List.filter_map
+        (fun (k, reason) ->
+          Option.map
+            (fun n -> (Printf.sprintf "reason=%S" reason, n))
+            (List.assoc_opt k rows))
+        [ ("refused", "may-diverge"); ("refused-cost", "cost") ]
+    with
+    | [] -> ()
+    | refused -> counter_family "fixq_refused_queries_total" refused);
   gauge "fixq_ivm_entries" (string_of_int (ivm_entries t));
   (match ivm_counter_rows t with
   | [] -> ()
@@ -1298,6 +1263,11 @@ let handle t request =
         Rwlock.write
       | _ -> Rwlock.read
     in
+    let doc_op op f =
+      let resp = logged t op f in
+      maybe_snapshot t;
+      (resp, false)
+    in
     try
       if admitted then Governor.admit t.governor;
       Fun.protect
@@ -1324,26 +1294,14 @@ let handle t request =
                 Protocol.From_xml (Store.read_file path)
               | s -> s
             in
-            let resp =
-              logged t (op_json_of_load uri source) (fun () ->
-                  handle_load_doc t ~id uri source)
-            in
-            maybe_snapshot t;
-            (resp, false)
+            doc_op (op_json_of_load uri source) (fun () ->
+                handle_load_doc t ~id uri source)
           | Protocol.Unload_doc { uri } ->
-            let resp =
-              logged t (op_json_of_unload uri) (fun () ->
-                  handle_unload_doc t ~id uri)
-            in
-            maybe_snapshot t;
-            (resp, false)
+            doc_op (op_json_of_unload uri) (fun () ->
+                handle_unload_doc t ~id uri)
           | Protocol.Patch_doc { uri; op } ->
-            let resp =
-              logged t (op_json_of_patch uri op) (fun () ->
-                  handle_patch_doc t ~id uri op)
-            in
-            maybe_snapshot t;
-            (resp, false)
+            doc_op (op_json_of_patch uri op) (fun () ->
+                handle_patch_doc t ~id uri op)
           | Protocol.Snapshot -> (
             match force_snapshot t with
             | Ok () ->
@@ -1395,7 +1353,8 @@ let handle t request =
     | Prepared.Rejected { message; diagnostics } ->
       ( Protocol.error_response ~id
           ~extra:
-            [ ("diagnostics", Json.List (List.map diag_json diagnostics)) ]
+            [ ("diagnostics",
+               Json.List (List.map Protocol.diag_json diagnostics)) ]
           message,
         false )
     | Store.Error msg | Fixq.Error msg | Chaos_fault msg ->
@@ -1437,83 +1396,67 @@ let handle_line t line =
     (Json.to_string (Protocol.error_response ~id:Json.Null msg), false)
 
 (* ------------------------------------------------------------------ *)
-(* Worker pool                                                         *)
-(* ------------------------------------------------------------------ *)
-
-module Pool = struct
-  type pool = {
-    jobs : (unit -> unit) Queue.t;
-    lock : Mutex.t;
-    nonempty : Condition.t;
-    idle : Condition.t;
-    mutable stop : bool;
-    mutable active : int;
-    mutable threads : Thread.t list;
-  }
-
-  let rec worker p =
-    Mutex.lock p.lock;
-    while Queue.is_empty p.jobs && not p.stop do
-      Condition.wait p.nonempty p.lock
-    done;
-    if Queue.is_empty p.jobs then Mutex.unlock p.lock (* stopping *)
-    else begin
-      let job = Queue.pop p.jobs in
-      p.active <- p.active + 1;
-      Mutex.unlock p.lock;
-      (try job () with _ -> ());
-      Mutex.lock p.lock;
-      p.active <- p.active - 1;
-      if Queue.is_empty p.jobs && p.active = 0 then Condition.broadcast p.idle;
-      Mutex.unlock p.lock;
-      worker p
-    end
-
-  let create n =
-    let p =
-      { jobs = Queue.create (); lock = Mutex.create ();
-        nonempty = Condition.create (); idle = Condition.create ();
-        stop = false; active = 0; threads = [] }
-    in
-    p.threads <- List.init (max 1 n) (fun _ -> Thread.create worker p);
-    p
-
-  let submit p job =
-    Mutex.lock p.lock;
-    Queue.push job p.jobs;
-    Condition.signal p.nonempty;
-    Mutex.unlock p.lock
-
-  (* Block until every submitted job has finished. *)
-  let drain p =
-    Mutex.lock p.lock;
-    while not (Queue.is_empty p.jobs && p.active = 0) do
-      Condition.wait p.idle p.lock
-    done;
-    Mutex.unlock p.lock
-
-  let shutdown p =
-    drain p;
-    Mutex.lock p.lock;
-    p.stop <- true;
-    Condition.broadcast p.nonempty;
-    Mutex.unlock p.lock;
-    List.iter Thread.join p.threads
-end
-
-(* ------------------------------------------------------------------ *)
 (* Transports                                                          *)
 (* ------------------------------------------------------------------ *)
-
-let is_shutdown_line line =
-  match Json.parse line with
-  | j -> Json.str_opt (Json.member "op" j) = Some "shutdown"
-  | exception Json.Parse_error _ -> false
 
 (* The transports are generic over the request handler so that the
    single-process server and the cluster coordinator (whose handler
    fans out to worker processes) share the exact same pipe/socket
    plumbing. [handle] maps one request line to (response line, stop). *)
+
+(* Does [line] contain [s]? *)
+let mentions line s =
+  let rec from i =
+    match String.index_from_opt line i s.[0] with
+    | None -> false
+    | Some j ->
+      (j + String.length s <= String.length line
+      && String.sub line j (String.length s) = s)
+      || from (j + 1)
+  in
+  from 0
+
+(* Only a line that can spell the op, literally or escaped, is parsed
+   before it runs. *)
+let is_shutdown_line line =
+  (mentions line "shutdown" || mentions line "\\u")
+  &&
+  match Json.parse line with
+  | j -> Json.str_opt (Json.member "op" j) = Some "shutdown"
+  | exception Json.Parse_error _ -> false
+
+(* The front door every stream's requests pass through: [slots]
+   requests execute at once, each holding a slot only while its handler
+   runs. A shutdown line marks the door stopping before it runs, takes
+   every slot (so the requests already executing finish first) and runs
+   alone; no request executes after it on any stream, so no
+   acknowledged write can follow the final snapshot. *)
+type door = {
+  slots : int;
+  free : Semaphore.Counting.t;
+  stopping : bool Atomic.t;
+}
+
+let door slots =
+  let slots = max 1 slots in
+  { slots; free = Semaphore.Counting.make slots; stopping = Atomic.make false }
+
+(* Run one line through [door]: [None] when it did not run because the
+   door is stopping. A shutdown line always answers stop. *)
+let enter door ~handle line =
+  let take n = for _ = 1 to n do Semaphore.Counting.acquire door.free done in
+  let give n = for _ = 1 to n do Semaphore.Counting.release door.free done in
+  let shutdown = is_shutdown_line line in
+  let n = if shutdown then door.slots else 1 in
+  if shutdown && not (Atomic.compare_and_set door.stopping false true) then None
+  else begin
+    take n;
+    if (not shutdown) && Atomic.get door.stopping then (give n; None)
+    else
+      Fun.protect ~finally:(fun () -> give n) (fun () ->
+          let (response, stop) = handle line in
+          Some (response, stop || shutdown))
+  end
 
 (* A stream that dies mid-frame or ships an oversized frame gets a
    well-formed error response (where the transport still accepts one)
@@ -1529,57 +1472,39 @@ let frame_error_line kind =
          Printf.sprintf "protocol error: frame larger than %d bytes"
            Frame.default_max_len))
 
-let serve_pipe_with ~handle ?(workers = 1) ic oc =
-  let out_lock = Mutex.create () in
+(* The one line loop: answer [ic]'s requests on [oc] in order until
+   EOF, a failed write, a stop or a stopping door. True when it ended
+   on a stop or a stopping door. *)
+let serve_stream door ~handle ic oc =
   let write_line s =
-    Mutex.lock out_lock;
-    output_string oc s;
-    output_char oc '\n';
-    flush oc;
-    Mutex.unlock out_lock
+    match
+      output_string oc s;
+      output_char oc '\n';
+      flush oc
+    with
+    | () -> true
+    | exception Sys_error _ -> false
   in
-  if workers <= 1 then
-    let rec loop () =
-      match Frame.read ic with
-      | `Eof -> ()
-      | `Truncated _ -> write_line (frame_error_line `Truncated)
-      | `Oversized ->
-        write_line (frame_error_line `Oversized);
-        loop ()
-      | `Line line when String.trim line = "" -> loop ()
-      | `Line line ->
-        let (response, shutdown) = handle line in
-        write_line response;
-        if not shutdown then loop ()
-    in
-    loop ()
-  else begin
-    let pool = Pool.create workers in
-    let rec loop () =
-      match Frame.read ic with
-      | `Eof -> ()
-      | `Truncated _ -> write_line (frame_error_line `Truncated)
-      | `Oversized ->
-        write_line (frame_error_line `Oversized);
-        loop ()
-      | `Line line when String.trim line = "" -> loop ()
-      | `Line line ->
-        if is_shutdown_line line then begin
-          (* answer shutdown only after in-flight requests completed *)
-          Pool.drain pool;
-          let (response, _) = handle line in
-          write_line response
-        end
-        else begin
-          Pool.submit pool (fun () ->
-              let (response, _) = handle line in
-              write_line response);
-          loop ()
-        end
-    in
-    loop ();
-    Pool.shutdown pool
-  end
+  let rec loop () =
+    match Frame.read ic with
+    | exception Sys_error _ -> false
+    | `Eof -> false
+    | `Truncated _ ->
+      ignore (write_line (frame_error_line `Truncated));
+      false
+    | `Oversized -> write_line (frame_error_line `Oversized) && loop ()
+    | `Line line when String.trim line = "" -> loop ()
+    | `Line line -> (
+      match enter door ~handle line with
+      | None -> true
+      | Some (response, true) ->
+        ignore (write_line response);
+        true
+      | Some (response, false) -> write_line response && loop ())
+  in
+  loop ()
+
+let serve_pipe_with ~handle ic oc = ignore (serve_stream (door 1) ~handle ic oc)
 
 exception Socket_in_use of string
 
@@ -1594,6 +1519,10 @@ let socket_alive path =
       | () -> true
       | exception Unix.Unix_error _ -> false)
 
+(* Open connections a socket serves at once; at the cap the accept
+   loop waits for one to close. *)
+let max_connections = 256
+
 let serve_socket_with ~handle ?(workers = 1) ~path () =
   (* a client hanging up mid-response must not kill the process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
@@ -1606,54 +1535,49 @@ let serve_socket_with ~handle ?(workers = 1) ~path () =
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind sock (Unix.ADDR_UNIX path);
   Unix.listen sock 64;
-  let stopping = ref false in
-  let pool = Pool.create workers in
-  let handle_conn fd =
-    let ic = Unix.in_channel_of_descr fd in
+  let door = door workers in
+  let room = Semaphore.Counting.make max_connections in
+  (* open connections: one leaves the table before its descriptor
+     closes, so hanging up on the table never hits a reused descriptor *)
+  let conns = Hashtbl.create 16 and conns_lock = Mutex.create () in
+  let listening = ref true in
+  let serve_conn fd =
     let oc = Unix.out_channel_of_descr fd in
-    let write_line response =
-      try
-        output_string oc response;
-        output_char oc '\n';
-        flush oc
-      with Sys_error _ -> ()
+    let stopped =
+      try serve_stream door ~handle (Unix.in_channel_of_descr fd) oc
+      with _ -> false
     in
-    let rec loop () =
-      match Frame.read ic with
-      | exception Sys_error _ -> ()
-      | `Eof -> ()
-      | `Truncated _ -> write_line (frame_error_line `Truncated)
-      | `Oversized ->
-        write_line (frame_error_line `Oversized);
-        loop ()
-      | `Line line when String.trim line = "" -> loop ()
-      | `Line line ->
-        let (response, shutdown) = handle line in
-        write_line response;
-        if shutdown then begin
-          stopping := true;
-          (* wake the accept loop *)
-          (try Unix.shutdown sock Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ());
-          (try Unix.close sock with Unix.Unix_error _ -> ())
-        end
-        else loop ()
-    in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      loop
+    Mutex.protect conns_lock (fun () ->
+        Hashtbl.remove conns fd;
+        (* wake the accept loop, unless it has closed the listener *)
+        if stopped && !listening then
+          try Unix.shutdown sock Unix.SHUTDOWN_RECEIVE
+          with Unix.Unix_error _ -> ());
+    (* closing the channel, not only the descriptor, keeps the bytes of
+       a failed write from being flushed at exit into a reused one *)
+    close_out_noerr oc;
+    Semaphore.Counting.release room
   in
   (try
-     while not !stopping do
+     while true do
+       Semaphore.Counting.acquire room;
        let (fd, _) = Unix.accept sock in
-       Pool.submit pool (fun () -> handle_conn fd)
+       Mutex.protect conns_lock (fun () -> Hashtbl.replace conns fd ());
+       ignore (Thread.create serve_conn fd)
      done
    with Unix.Unix_error _ | Sys_error _ -> ());
-  Pool.shutdown pool;
-  (try Unix.close sock with Unix.Unix_error _ -> ());
+  (* no request runs again: hang up on every client still connected
+     instead of waiting for it *)
+  Mutex.protect conns_lock (fun () ->
+      listening := false;
+      (try Unix.close sock with Unix.Unix_error _ -> ());
+      Hashtbl.iter
+        (fun fd () ->
+          try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+        conns);
   if Sys.file_exists path then (try Unix.unlink path with Sys_error _ -> ())
 
-let serve_pipe t ic oc =
-  serve_pipe_with ~handle:(handle_line t) ~workers:t.config.workers ic oc
+let serve_pipe t ic oc = serve_pipe_with ~handle:(handle_line t) ic oc
 
 let serve_socket t ~path =
   serve_socket_with ~handle:(handle_line t) ~workers:t.config.workers ~path ()

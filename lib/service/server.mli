@@ -3,16 +3,25 @@
     transports — newline-delimited JSON over a Unix-domain socket, or
     over stdin/stdout ([--pipe], the mode tests drive).
 
-    Request handling is synchronous and thread-safe; the worker pool
-    ([config.workers] threads with a mutex-guarded job queue) lets
-    several clients — or, in pipe mode, several in-flight requests —
-    evaluate concurrently. Per-request failures of any kind (parse
+    Request handling is synchronous and thread-safe. There is no
+    thread pool: a pipe is one stream, answered in order, and a socket
+    serves each connection on its own thread. [config.workers] is the
+    number of requests that execute at once; a connection holds one of
+    these slots only while one of its requests runs, so an idle client
+    never starves another. Per-request failures of any kind (parse
     errors, dynamic errors, iteration budgets, deadlines) become
     [{"ok":false,…}] responses; nothing short of transport EOF or an
-    explicit [shutdown] op stops the server. *)
+    explicit [shutdown] op stops the server.
+
+    Shutdown is one rule on every transport: a [shutdown] line stops
+    the front door before it runs; requests already executing finish;
+    the shutdown then runs alone and is answered; no later request on
+    any connection executes, so no acknowledged write follows the final
+    snapshot; every open connection is then shut down. *)
 
 type config = {
-  workers : int;  (** worker threads (default 1) *)
+  workers : int;
+      (** requests executing at once on a socket (default 1) *)
   prepared_capacity : int;  (** prepared-query LRU entries (64) *)
   result_capacity : int;  (** result LRU entries (256) *)
   max_iterations : int;
@@ -76,16 +85,16 @@ val socket_alive : string -> bool
 
 (** Generic transports: serve with an arbitrary line handler (response
     line, stop?). The single-process server and the cluster coordinator
-    share these. [workers] is the handler thread count (default 1). *)
+    share these. A [shutdown] line always stops them (see above). *)
 val serve_pipe_with :
-  handle:(string -> string * bool) ->
-  ?workers:int ->
-  in_channel ->
-  out_channel ->
-  unit
+  handle:(string -> string * bool) -> in_channel -> out_channel -> unit
 
-(** Like {!serve_pipe_with} for a Unix-domain socket listener. Raises
-    {!Socket_in_use} when a live server already answers at [path]. *)
+(** Like {!serve_pipe_with} for a Unix-domain socket listener: one
+    thread per open connection (at most 256; past that, accepting waits
+    for one to close) and [workers] requests executing at once (default
+    1). Returns after a [shutdown] without waiting for clients to hang
+    up, and removes the socket file. Raises {!Socket_in_use} when a
+    live server already answers at [path]. *)
 val serve_socket_with :
   handle:(string -> string * bool) ->
   ?workers:int ->
@@ -93,15 +102,12 @@ val serve_socket_with :
   unit ->
   unit
 
-(** Serve requests line-by-line from [ic] to [oc] until EOF or a
-    [shutdown] op. With [workers > 1], requests are dispatched to the
-    pool and responses may interleave out of request order — clients
-    should tag requests with ["id"]. *)
+(** Serve requests line by line from [ic] to [oc], in order, until EOF
+    or a [shutdown] op. *)
 val serve_pipe : t -> in_channel -> out_channel -> unit
 
 (** Listen on a Unix-domain socket at [path] (unlinking any stale
-    socket first), serving each connection from the worker pool. A
-    [shutdown] op from any client stops accepting, drains in-flight
-    work and returns. Raises {!Socket_in_use} rather than stealing a
-    live server's socket. *)
+    socket first) with [config.workers] requests executing at once,
+    until a [shutdown] op. Raises {!Socket_in_use} rather than stealing
+    a live server's socket. *)
 val serve_socket : t -> path:string -> unit

@@ -23,6 +23,20 @@ printf '%s\n' "$LOAD" "$QUERY" '{"op":"shutdown"}' \
 [ -s "$OUT/reference.txt" ] \
   || { echo "chaos-smoke: reference run produced no result" >&2; exit 1; }
 
+# A coordinator must exit 0 within 10 s of answering shutdown.
+await_clean_exit() {
+  local pid=$1 what=$2 status=0 i
+  for i in $(seq 100); do kill -0 "$pid" 2>/dev/null || break; sleep 0.1; done
+  if kill -0 "$pid" 2>/dev/null; then
+    kill -9 "$pid" 2>/dev/null || true
+    echo "chaos-smoke: $what still running 10 s after shutdown" >&2
+    exit 1
+  fi
+  wait "$pid" || status=$?
+  [ "$status" -eq 0 ] \
+    || { echo "chaos-smoke: $what exited with status $status" >&2; exit 1; }
+}
+
 total_events=0
 for seed in "${SEEDS[@]}"; do
   D=$(mktemp -d /tmp/fixq-smoke-XXXXXX)
@@ -58,7 +72,7 @@ for seed in "${SEEDS[@]}"; do
 
   echo '{"op":"shutdown"}' | $FIXQ client -s "$D/c.sock" | grep -q '"ok":true' \
     || { echo "chaos-smoke: coordinator crashed under seed $seed" >&2; exit 1; }
-  wait "$CLUSTER_PID" || true
+  await_clean_exit "$CLUSTER_PID" "coordinator (seed $seed)"
 
   [ "$(wc -l < "$D/runs.txt")" -eq "$RUNS" ] \
     || { echo "chaos-smoke: dropped answers under seed $seed" >&2; exit 1; }
@@ -199,7 +213,7 @@ for seed in "${SEEDS[@]}"; do
 
   echo '{"op":"shutdown"}' | $FIXQ client -s "$D/c.sock" | grep -q '"ok":true' \
     || { echo "chaos-smoke: coordinator crashed in rebalance (seed $seed)" >&2; exit 1; }
-  wait "$CLUSTER_PID" || true
+  await_clean_exit "$CLUSTER_PID" "rebalance coordinator (seed $seed)"
   echo "chaos-smoke: rebalance seed $seed ok (roll byte-identical under kill)"
   total_events=$((total_events + 1))
   rm -rf "$D"

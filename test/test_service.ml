@@ -1104,6 +1104,155 @@ let prop_cached_run_matches_uncached =
         steps;
       true)
 
+(* ------------------------------------------------------------------ *)
+(* Front door: the socket transport                                    *)
+(* ------------------------------------------------------------------ *)
+
+let door_counter = ref 0
+
+let fresh_socket () =
+  incr door_counter;
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "fixq-door-%d-%d.sock" (Unix.getpid ()) !door_counter)
+
+(* [Server.serve_socket_with] on a fresh socket in its own thread;
+   [returned] flips once it has returned. *)
+type door = { path : string; returned : bool Atomic.t; thread : Thread.t }
+
+let start_door ~workers server =
+  let path = fresh_socket () in
+  let returned = Atomic.make false in
+  let thread =
+    Thread.create
+      (fun () ->
+        Server.serve_socket_with ~handle:(Server.handle_line server) ~workers
+          ~path ();
+        Atomic.set returned true)
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 5. in
+  while
+    (not (Server.socket_alive path)) && Unix.gettimeofday () < deadline
+  do
+    Thread.delay 0.01
+  done;
+  { path; returned; thread }
+
+(* Every read gives up after 2 s, so a server that never answers fails
+   the test instead of hanging it. *)
+let connect path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 2.;
+  fd
+
+(* Send one line and read one answer line; [None] when the server
+   hangs up, refuses the write or stays silent past the timeout. *)
+let request fd line =
+  let out = Bytes.of_string (line ^ "\n") in
+  match Unix.write fd out 0 (Bytes.length out) with
+  | exception Unix.Unix_error _ -> None
+  | _ ->
+    let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+    let rec read () =
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | exception Unix.Unix_error _ -> None
+      | 0 -> None
+      | n -> (
+        Buffer.add_subbytes buf chunk 0 n;
+        let s = Buffer.contents buf in
+        match String.index_opt s '\n' with
+        | Some i -> Some (Json.parse (String.sub s 0 i))
+        | None -> read ())
+    in
+    read ()
+
+let answered_ok = function Some j -> ok j | None -> false
+let hang_up fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let wait_returned door ~within =
+  let deadline = Unix.gettimeofday () +. within in
+  while
+    (not (Atomic.get door.returned)) && Unix.gettimeofday () < deadline
+  do
+    Thread.delay 0.01
+  done;
+  Atomic.get door.returned
+
+(* Let a server that is still running go: hang up every client, then
+   stop it from a fresh connection if it still answers. *)
+let finish door clients =
+  List.iter hang_up clients;
+  if not (wait_returned door ~within:0.2) then begin
+    (match connect door.path with
+    | fd ->
+      ignore (request fd {|{"op":"shutdown"}|});
+      hang_up fd
+    | exception Unix.Unix_error _ -> ());
+    ignore (wait_returned door ~within:2.)
+  end;
+  if Atomic.get door.returned then Thread.join door.thread
+
+(* One request slot, one idle connection: a second connection is still
+   answered, because a connection holds the slot only while one of its
+   requests runs. *)
+let test_door_idle_connection_does_not_starve () =
+  let door = start_door ~workers:1 (mk_server ()) in
+  let a = connect door.path in
+  let b = connect door.path in
+  let answer = request b {|{"op":"ping"}|} in
+  finish door [ a; b ];
+  checkb "B's ping answered while A is open" true (answered_ok answer)
+
+(* A shutdown answered on B ends the server while A stays open: the
+   call returns and the socket path is gone. *)
+let test_door_shutdown_returns_with_client_open () =
+  let door = start_door ~workers:2 (mk_server ()) in
+  let a = connect door.path in
+  checkb "A served" true (answered_ok (request a {|{"op":"ping"}|}));
+  let b = connect door.path in
+  checkb "shutdown answered" true
+    (answered_ok (request b {|{"op":"shutdown"}|}));
+  let returned = wait_returned door ~within:2. in
+  let path_gone = not (Sys.file_exists door.path) in
+  finish door [ a; b ];
+  checkb "returned within 2 s with A open" true returned;
+  checkb "socket path removed" true path_gone
+
+(* On a durable server no write is acknowledged after the shutdown
+   answer, and a restart holds exactly the documents loaded before. *)
+let test_door_no_write_after_shutdown () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "fixq-door-state-%d" (Unix.getpid ()))
+  in
+  let remove_dir () =
+    ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
+  in
+  remove_dir ();
+  let config =
+    { Server.default_config with workers = 2; state_dir = Some dir }
+  in
+  let door = start_door ~workers:2 (Server.create ~config ()) in
+  let a = connect door.path in
+  let b = connect door.path in
+  checkb "first load acknowledged" true
+    (answered_ok (request a (load_xml_line "before.xml" "<a/>")));
+  checkb "shutdown answered" true
+    (answered_ok (request b {|{"op":"shutdown"}|}));
+  let late = request a (load_xml_line "after.xml" "<b/>") in
+  finish door [ a; b ];
+  let restarted = Server.create ~config () in
+  let uris = List.sort compare (Service.Store.uris (Server.store restarted)) in
+  ignore (Server.handle_line restarted {|{"op":"shutdown"}|});
+  remove_dir ();
+  checkb "load after the shutdown answer not acknowledged" false
+    (answered_ok late);
+  check Alcotest.(list string) "restart lists the earlier documents"
+    [ "before.xml" ] uris
+
 let () =
   Alcotest.run "service"
     [ ("json",
@@ -1164,4 +1313,11 @@ let () =
             test_server_admission_after_patch;
           Alcotest.test_case "serving run skips the optimizer" `Quick
             test_server_run_skips_optimizer;
-          QCheck_alcotest.to_alcotest prop_cached_run_matches_uncached ] ) ]
+          QCheck_alcotest.to_alcotest prop_cached_run_matches_uncached ] );
+      ( "front door",
+        [ Alcotest.test_case "idle connection does not starve" `Quick
+            test_door_idle_connection_does_not_starve;
+          Alcotest.test_case "shutdown returns with a client open" `Quick
+            test_door_shutdown_returns_with_client_open;
+          Alcotest.test_case "no write after shutdown" `Quick
+            test_door_no_write_after_shutdown ] ) ]
