@@ -1459,11 +1459,13 @@ let micro () =
         k "semi_join" (fun () -> R.semi_join [ ("item", "item") ] rel even);
         k "project" (fun () -> R.project [ ("item", "item") ] rel) ]
   in
-  (* The three passes a served response makes over its bytes, on one
-     cached 240-patient hospital closure (the cluster-scatter
-     workload's hospital document): the frame read on the receiving
-     side, the JSON escape of the result, and the coordinator's
-     "worker" splice. *)
+  (* The passes a served response makes over its bytes, on one cached
+     240-patient hospital closure (the cluster-scatter workload's
+     hospital document): the whole cached hit, the frame read on the
+     receiving side, the JSON escape of the result, and the
+     coordinator's "worker" splice. Beside them, the fused JSON-mode
+     serializer on a fresh result: the fixpoint-cold workload's
+     hospital query over its 2500-patient document. *)
   let wire_tests =
     let server = Fixq_service.Server.create () in
     let send line = fst (Fixq_service.Server.handle_line server line) in
@@ -1476,20 +1478,30 @@ let micro () =
       (send
          (Printf.sprintf {|{"op":"load-doc","uri":"hospital.xml","xml":%s}|}
             (Json.to_string (Json.Str xml))));
-    let response =
-      send
-        (Printf.sprintf {|{"op":"run","query":%s}|}
-           (Json.to_string
-              (Json.Str
-                 {|declare variable $doc := doc("hospital.xml");
+    let run_line =
+      Printf.sprintf {|{"op":"run","query":%s}|}
+        (Json.to_string
+           (Json.Str
+              {|declare variable $doc := doc("hospital.xml");
 with $x seeded by $doc/hospital/patient
-recurse $x/parents/patient|})))
+recurse $x/parents/patient|}))
     in
+    let response = send run_line in
     let result =
       Option.get (Json.str_opt (Json.member "result" (Json.parse response)))
     in
-    printf "wire: response %d bytes, result %d bytes\n" (String.length response)
-      (String.length result);
+    let fresh =
+      let registry = Doc_registry.create () in
+      Doc_registry.register ~registry "hospital.xml"
+        (W.Hospital.generate
+           { W.Hospital.default with W.Hospital.total = 2500; seed = 11 });
+      (Fixq.run ~registry ~engine:(Fixq.Interpreter Fixq.Auto)
+         W.Queries.hospital)
+        .Fixq.result
+    in
+    printf "wire: response %d bytes, result %d bytes, fresh result %d bytes\n"
+      (String.length response) (String.length result)
+      (String.length (Fixq_xdm.Serializer.seq_to_json fresh));
     let path = Filename.temp_file "fixq-wire" ".jsonl" in
     Out_channel.with_open_bin path (fun oc ->
         output_string oc response;
@@ -1500,7 +1512,9 @@ recurse $x/parents/patient|})))
       Bechamel.Test.make ~name (Bechamel.Staged.stage (fun () -> ignore (f ())))
     in
     Bechamel.Test.make_grouped ~name:"wire"
-      [ k "frame_read_34k" (fun () ->
+      [ k "cached_hit_34k" (fun () -> send run_line);
+        k "fresh_encode_39k" (fun () -> Fixq_xdm.Serializer.seq_to_json fresh);
+        k "frame_read_34k" (fun () ->
             seek_in ic 0;
             Fixq_service.Frame.read ic);
         k "json_escape_33k" (fun () -> Json.to_string (Json.Str result));

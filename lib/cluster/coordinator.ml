@@ -467,13 +467,15 @@ let append_field (resp : string) key value =
   let n = String.length resp in
   if n < 2 || resp.[0] <> '{' || resp.[n - 1] <> '}' then resp
   else begin
-    (* {"key":value}, spliced in without its opening brace *)
+    (* {"key":value}, spliced in without its opening brace: the line
+       is built in place, one allocation and two blits *)
     let field = Json.to_string (Json.Obj [ (key, value) ]) in
-    let buf = Buffer.create (n + String.length field) in
-    Buffer.add_substring buf resp 0 (n - 1);
-    if n > 2 then Buffer.add_char buf ',';
-    Buffer.add_substring buf field 1 (String.length field - 1);
-    Buffer.contents buf
+    let head = if n > 2 then n else n - 1 in
+    let line = Bytes.create (head + String.length field - 1) in
+    Bytes.blit_string resp 0 line 0 (n - 1);
+    if n > 2 then Bytes.set line (n - 1) ',';
+    Bytes.blit_string field 1 line head (String.length field - 1);
+    Bytes.unsafe_to_string line
   end
 
 let forward_timeout t (params : Protocol.run_params) =

@@ -22,7 +22,7 @@ type state = {
 type outcome =
   | Maintained of {
       state : state;
-      serialized : string;
+      escaped : string;
       delta_count : int;
       rounds : int;
     }
@@ -131,7 +131,7 @@ let differentiate ~registry st (delta : Patch.delta) =
   let dropped = List.length st.nodes - List.length old_result in
   Maintained
     { state = { st with nodes = Accumulator.to_nodes acc; seed_nodes = seed' };
-      serialized = Xdm.Serializer.seq_to_string (Accumulator.to_seq acc);
+      escaped = Xdm.Serializer.seq_to_json (Accumulator.to_seq acc);
       delta_count = !total_fresh + dropped; rounds = !rounds }
 
 let maintain ~registry ~op delta st =

@@ -27,7 +27,9 @@ type state
 type outcome =
   | Maintained of {
       state : state;  (** the state after the edit *)
-      serialized : string;  (** the updated serialized result *)
+      escaped : string;
+          (** the updated result as a JSON string literal
+              ({!Fixq_xdm.Serializer.seq_to_json}) *)
       delta_count : int;  (** how many nodes entered or left it *)
       rounds : int;  (** delta rounds the maintenance loop ran *)
     }

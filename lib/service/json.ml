@@ -5,6 +5,7 @@ type t =
   | Str of string
   | List of t list
   | Obj of (string * t) list
+  | Raw of string
 
 exception Parse_error of string
 
@@ -12,28 +13,7 @@ exception Parse_error of string
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Clean runs are copied whole; only quotes, backslashes and control
-   bytes are rewritten. *)
-let escape_to buf s =
-  let n = String.length s in
-  let start = ref 0 in
-  for i = 0 to n - 1 do
-    let c = String.unsafe_get s i in
-    if c = '"' || c = '\\' || c < ' ' then begin
-      Buffer.add_substring buf s !start (i - !start);
-      start := i + 1;
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-    end
-  done;
-  Buffer.add_substring buf s !start (n - !start)
+let escape_to = Fixq_xdm.Serializer.json_escape_to
 
 let number_to_string f =
   if Float.is_integer f && Float.abs f < 1e15 then
@@ -48,6 +28,7 @@ let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Num f -> Buffer.add_string buf (number_to_string f)
+  | Raw s -> Buffer.add_string buf s
   | Str s ->
     Buffer.add_char buf '"';
     escape_to buf s;
@@ -72,8 +53,16 @@ let rec write buf = function
       fields;
     Buffer.add_char buf '}'
 
+(* Raw pieces are the long part of a response: sizing the buffer for
+   them up front spares copying them through every doubling. *)
+let rec raw_length = function
+  | Raw s -> String.length s
+  | List items -> List.fold_left (fun n v -> n + raw_length v) 0 items
+  | Obj fields -> List.fold_left (fun n (_, v) -> n + raw_length v) 0 fields
+  | Null | Bool _ | Num _ | Str _ -> 0
+
 let to_string j =
-  let buf = Buffer.create 256 in
+  let buf = Buffer.create (256 + raw_length j) in
   write buf j;
   Buffer.contents buf
 

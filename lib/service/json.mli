@@ -14,6 +14,10 @@ type t =
   | Str of string
   | List of t list
   | Obj of (string * t) list
+  | Raw of string
+      (** JSON text printed verbatim, such as a string literal escaped
+          once and kept; the maker vouches that it is valid JSON.
+          {!parse} never returns one. *)
 
 exception Parse_error of string
 

@@ -3,7 +3,7 @@ type key = { hash : string; config : string }
 type maintenance = { patches : int; delta : int; maintenance_rounds : int }
 
 type entry = {
-  serialized : string;
+  escaped : string;
   engine : string;
   mode : string;
   used_delta : bool option;

@@ -14,7 +14,7 @@
     revalidates that footprint: loading an unrelated document leaves the
     entry live, while touching a footprint document evicts it (counted
     as a miss, exactly as if it had never been cached). An entry stores
-    the serialized result, what the response echoes (the resolved
+    the serialized result (JSON-escaped, as it goes on the wire), what the response echoes (the resolved
     engine and mode, the Table-2 instrumentation: nodes fed back,
     recursion depth) and the admission facts it was computed under, so
     a hit can answer with the same statistics the original execution
@@ -39,7 +39,11 @@ type key = {
 type maintenance = { patches : int; delta : int; maintenance_rounds : int }
 
 type entry = {
-  serialized : string;
+  escaped : string;
+      (** the serialized result as a JSON string literal, quotes
+          included: the exact bytes of a response's ["result"] value,
+          so a hit is written with no per-byte pass. The entry keeps
+          no other copy of the result. *)
   engine : string;  (** engine that ran *)
   mode : string;  (** fixpoint mode that ran, after resolving [pinned] *)
   used_delta : bool option;
@@ -65,7 +69,7 @@ type entry = {
           unbudgeted request is refused (FQ055), a budgeted one
           down-budgeted *)
   ivm : Fixq_ivm.Ivm.state option;
-      (** the state [patch-doc] maintains [serialized] through, for an
+      (** the state [patch-doc] maintains [escaped] through, for an
           IVM-eligible fixpoint *)
   maintenance : maintenance option;
       (** [None] until a patch maintains the entry *)

@@ -205,7 +205,7 @@ let handle_run t ~id
       @ (match entry.Result_cache.maintenance with
         | Some m -> [ ("maintenance", maintenance_json m) ]
         | None -> [])
-      @ [ ("result", Json.Str entry.Result_cache.serialized) ]
+      @ [ ("result", Json.Raw entry.Result_cache.escaped) ]
       @ cost_extra @ annotated @ extra
       @ [ ("wall_ms", Json.Num entry.Result_cache.wall_ms) ])
   in
@@ -337,8 +337,7 @@ let handle_run t ~id
                 ~engine:fixq_engine prepared.Prepared.program))
     in
     let entry =
-      { Result_cache.serialized =
-          Xdm.Serializer.seq_to_string report.Fixq.result;
+      { Result_cache.escaped = Xdm.Serializer.seq_to_json report.Fixq.result;
         engine = engine_str; mode = mode_string run_mode;
         used_delta = report.Fixq.used_delta;
         nodes_fed = report.Fixq.nodes_fed; depth = report.Fixq.depth;
@@ -582,7 +581,7 @@ let handle_patch_doc t ~id uri op =
                ("config", Json.Str key.Result_cache.config) ]
            in
            match Ivm.maintain ~registry ~op delta st with
-           | Ivm.Maintained { state; serialized; delta_count; rounds } ->
+           | Ivm.Maintained { state; escaped; delta_count; rounds } ->
              incr maintained;
              count key.Result_cache.hash (1, 0, delta_count);
              (* Only the patched document's stamp advances; the rest of
@@ -599,7 +598,7 @@ let handle_patch_doc t ~id uri op =
              in
              Result_cache.replace t.results key
                { e with
-                 Result_cache.serialized;
+                 Result_cache.escaped;
                  maintenance =
                    Some
                      { Result_cache.patches = m.patches + 1;
@@ -763,7 +762,7 @@ let snapshot_state t () =
           ([ ("t", Json.Str "cache");
              ("hash", Json.Str key.Result_cache.hash);
              ("config", Json.Str key.Result_cache.config);
-             ("serialized", Json.Str e.Result_cache.serialized);
+             ("serialized", Json.Raw e.Result_cache.escaped);
              ("engine", Json.Str e.Result_cache.engine);
              ("mode", Json.Str e.Result_cache.mode);
              ("used_delta", Json.of_bool_opt e.Result_cache.used_delta);
@@ -833,11 +832,12 @@ let nodes_by_rank root =
    item sequence from (uri, rank) identities against the reloaded trees,
    re-prepare the source and re-adopt. The snapshot is outside input
    (and older servers wrote rows whose ranks went stale after a patch),
-   so the rebuilt nodes must serialize to the row's cached bytes. Any
+   so the rebuilt nodes must serialize to the row's cached bytes
+   (compared escaped: escaping is injective, so no weaker a check). Any
    mismatch (document gone, rank out of range, other bytes, program no
    longer eligible) degrades to "cached result without maintenance" —
    correct, just slower on the next patch. *)
-let revive_ivm t ~serialized iv =
+let revive_ivm t ~escaped iv =
   match
     ( Json.str_opt (Json.member "source" iv),
       Json.bool_opt (Json.member "stratified" iv),
@@ -871,7 +871,7 @@ let revive_ivm t ~serialized iv =
           | _ -> raise Exit)
         rows
     in
-    if Xdm.Serializer.seq_to_string result <> serialized then None
+    if Xdm.Serializer.seq_to_json result <> escaped then None
     else
       let (prepared, _) = get_prepared t ~stratified ~max_iterations source in
       Ivm.adopt ~registry ~source ~program:prepared.Prepared.program
@@ -885,6 +885,7 @@ let restore_cache_row t row =
       Json.str_opt (Json.member "serialized" row) )
   with
   | (Some hash, Some config, Some serialized) ->
+    let escaped = Json.to_string (Json.Str serialized) in
     let pairs name fa fb =
       match Json.member name row with
       | Json.List l ->
@@ -934,11 +935,11 @@ let restore_cache_row t row =
     let ivm =
       match Json.member "ivm" row with
       | Json.Obj _ as iv -> (
-        try revive_ivm t ~serialized iv with _ -> None)
+        try revive_ivm t ~escaped iv with _ -> None)
       | _ -> None
     in
     Result_cache.put t.results key
-      { Result_cache.serialized;
+      { Result_cache.escaped;
         engine = str "engine" ~default:(config_part 0 "interp");
         mode = str "mode" ~default:(config_part 1 "auto");
         used_delta = Json.bool_opt (Json.member "used_delta" row);
@@ -1533,8 +1534,22 @@ let serve_socket_with ~handle ?(workers = 1) ~path () =
     Unix.unlink path
   end;
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind sock (Unix.ADDR_UNIX path);
-  Unix.listen sock 64;
+  (* Bind and listen under a temporary name beside [path], then rename
+     it into place: a client that sees [path] can connect. A path too
+     long to take the suffix is bound in place. *)
+  let tmp = Printf.sprintf "%s.%d~" path (Unix.getpid ()) in
+  (try Unix.unlink tmp with Unix.Unix_error _ -> ());
+  (match Unix.bind sock (Unix.ADDR_UNIX tmp) with
+  | exception Unix.Unix_error (Unix.ENAMETOOLONG, _, _) ->
+    Unix.bind sock (Unix.ADDR_UNIX path);
+    Unix.listen sock 64
+  | () -> (
+    try
+      Unix.listen sock 64;
+      Unix.rename tmp path
+    with e ->
+      (try Unix.unlink tmp with Unix.Unix_error _ -> ());
+      raise e));
   let door = door workers in
   let room = Semaphore.Counting.make max_connections in
   (* open connections: one leaves the table before its descriptor

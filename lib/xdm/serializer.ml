@@ -1,39 +1,84 @@
-(* Text without markup characters is returned as is; otherwise clean
-   runs are copied whole between the escapes. *)
-let escape_gen escape_quote s =
+(* Escape tables: entry [c] is what byte [c] becomes, [""] for a byte
+   copied as is. *)
+let table f = Array.init 256 (fun i -> f (Char.chr i))
+
+let json_byte = function
+  | '"' -> "\\\""
+  | '\\' -> "\\\\"
+  | '\n' -> "\\n"
+  | '\r' -> "\\r"
+  | '\t' -> "\\t"
+  | '\b' -> "\\b"
+  | '\012' -> "\\f"
+  | c when c < ' ' -> Printf.sprintf "\\u%04x" (Char.code c)
+  | _ -> ""
+
+let markup_byte ~quote = function
+  | '<' -> "&lt;"
+  | '>' -> "&gt;"
+  | '&' -> "&amp;"
+  | '"' when quote -> "&quot;"
+  | _ -> ""
+
+(* Markup escaping then JSON escaping, fused: no entity holds a byte
+   JSON escapes. *)
+let markup_json_byte ~quote c =
+  match markup_byte ~quote c with "" -> json_byte c | e -> e
+
+let json_table = table json_byte
+let text_table = table (markup_byte ~quote:false)
+let attr_table = table (markup_byte ~quote:true)
+let text_json_table = table (markup_json_byte ~quote:false)
+let attr_json_table = table (markup_json_byte ~quote:true)
+
+let special tbl c = String.length (Array.unsafe_get tbl (Char.code c)) > 0
+
+(* Clean runs are copied whole between the escapes. *)
+let escape_into tbl buf s =
   let n = String.length s in
-  let special c = c = '<' || c = '>' || c = '&' || (escape_quote && c = '"') in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if special tbl c then begin
+      Buffer.add_substring buf s !start (i - !start);
+      Buffer.add_string buf (Array.unsafe_get tbl (Char.code c));
+      start := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !start (n - !start)
+
+let json_escape_to = escape_into json_table
+
+(* Text without special bytes is returned as is. *)
+let escape tbl s =
+  let n = String.length s in
   let rec first i =
-    if i = n || special (String.unsafe_get s i) then i else first (i + 1)
+    if i = n || special tbl (String.unsafe_get s i) then i else first (i + 1)
   in
-  let i0 = first 0 in
-  if i0 = n then s
+  if first 0 = n then s
   else begin
     let buf = Buffer.create (n + 16) in
-    let start = ref 0 in
-    for i = i0 to n - 1 do
-      let c = String.unsafe_get s i in
-      if special c then begin
-        Buffer.add_substring buf s !start (i - !start);
-        start := i + 1;
-        Buffer.add_string buf
-          (match c with
-          | '<' -> "&lt;"
-          | '>' -> "&gt;"
-          | '&' -> "&amp;"
-          | _ -> "&quot;")
-      end
-    done;
-    Buffer.add_substring buf s !start (n - !start);
+    escape_into tbl buf s;
     Buffer.contents buf
   end
 
-let escape_text = escape_gen false
-let escape_attr = escape_gen true
+let escape_text = escape text_table
+let escape_attr = escape attr_table
 
-let to_buffer ?(indent = false) buf (n : Node.t) =
-  let pad d = if indent then Buffer.add_string buf (String.make (2 * d) ' ') in
-  let nl () = if indent then Buffer.add_char buf '\n' in
+(* Where the walk writes: plain XML, or XML JSON-escaped as it is
+   written. *)
+type sink = { buf : Buffer.t; json : bool }
+
+let raw k s =
+  if k.json then escape_into json_table k.buf s else Buffer.add_string k.buf s
+
+let text k s = escape_into (if k.json then text_json_table else text_table) k.buf s
+let attr k s = escape_into (if k.json then attr_json_table else attr_table) k.buf s
+let quote k = Buffer.add_string k.buf (if k.json then "\\\"" else "\"")
+
+let write ~indent k (n : Node.t) =
+  let pad d = if indent then Buffer.add_string k.buf (String.make (2 * d) ' ') in
+  let nl () = if indent then raw k "\n" in
   let has_element_content (n : Node.t) =
     Array.length n.Node.children > 0
     && Array.for_all
@@ -43,35 +88,36 @@ let to_buffer ?(indent = false) buf (n : Node.t) =
   let rec go d (n : Node.t) =
     match n.Node.kind with
     | Node.Document -> Array.iter (go d) n.Node.children
-    | Node.Text -> Buffer.add_string buf (escape_text n.Node.content)
+    | Node.Text -> text k n.Node.content
     | Node.Comment ->
-      Buffer.add_string buf "<!--";
-      Buffer.add_string buf n.Node.content;
-      Buffer.add_string buf "-->"
+      Buffer.add_string k.buf "<!--";
+      raw k n.Node.content;
+      Buffer.add_string k.buf "-->"
     | Node.Pi ->
-      Buffer.add_string buf "<?";
-      Buffer.add_string buf (Node.name n);
+      Buffer.add_string k.buf "<?";
+      raw k (Node.name n);
       if n.Node.content <> "" then begin
-        Buffer.add_char buf ' ';
-        Buffer.add_string buf n.Node.content
+        Buffer.add_char k.buf ' ';
+        raw k n.Node.content
       end;
-      Buffer.add_string buf "?>"
+      Buffer.add_string k.buf "?>"
     | Node.Attribute ->
-      Buffer.add_string buf (Node.name n);
-      Buffer.add_string buf "=\"";
-      Buffer.add_string buf (escape_attr n.Node.content);
-      Buffer.add_char buf '"'
+      raw k (Node.name n);
+      Buffer.add_char k.buf '=';
+      quote k;
+      attr k n.Node.content;
+      quote k
     | Node.Element ->
-      Buffer.add_char buf '<';
-      Buffer.add_string buf (Node.name n);
+      Buffer.add_char k.buf '<';
+      raw k (Node.name n);
       Array.iter
         (fun a ->
-          Buffer.add_char buf ' ';
+          Buffer.add_char k.buf ' ';
           go d a)
         n.Node.attributes;
-      if Array.length n.Node.children = 0 then Buffer.add_string buf "/>"
+      if Array.length n.Node.children = 0 then Buffer.add_string k.buf "/>"
       else begin
-        Buffer.add_char buf '>';
+        Buffer.add_char k.buf '>';
         let structured = has_element_content n in
         Array.iter
           (fun c ->
@@ -85,25 +131,37 @@ let to_buffer ?(indent = false) buf (n : Node.t) =
           nl ();
           pad d
         end;
-        Buffer.add_string buf "</";
-        Buffer.add_string buf (Node.name n);
-        Buffer.add_char buf '>'
+        Buffer.add_string k.buf "</";
+        raw k (Node.name n);
+        Buffer.add_char k.buf '>'
       end
   in
   go 0 n
+
+let write_seq ~indent k (s : Item.seq) =
+  List.iteri
+    (fun i it ->
+      if i > 0 then Buffer.add_char k.buf ' ';
+      match it with
+      | Item.N n -> write ~indent k n
+      | Item.A a -> text k (Atom.to_string a))
+    s
+
+let to_buffer ?(indent = false) buf n = write ~indent { buf; json = false } n
 
 let to_string ?indent n =
   let buf = Buffer.create 256 in
   to_buffer ?indent buf n;
   Buffer.contents buf
 
-let seq_to_string ?indent (s : Item.seq) =
+let seq_to_string ?(indent = false) s =
   let buf = Buffer.create 256 in
-  List.iteri
-    (fun i it ->
-      if i > 0 then Buffer.add_char buf ' ';
-      match it with
-      | Item.N n -> to_buffer ?indent buf n
-      | Item.A a -> Buffer.add_string buf (escape_text (Atom.to_string a)))
-    s;
+  write_seq ~indent { buf; json = false } s;
+  Buffer.contents buf
+
+let seq_to_json s =
+  let buf = Buffer.create 256 in
+  Buffer.add_char buf '"';
+  write_seq ~indent:false { buf; json = true } s;
+  Buffer.add_char buf '"';
   Buffer.contents buf

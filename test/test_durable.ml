@@ -329,6 +329,57 @@ let test_server_result_cache_recovered () =
   checks "maintenance survives recovery" (Json.to_string maintenance)
     (Json.to_string (Json.member "maintenance" j3))
 
+(* Results whose bytes need JSON escaping: quotes, a backslash, a tab
+   and markup in text and attribute values. *)
+let escape_heavy_doc =
+  "<r><a k=\"&quot;hi&quot;\"><b t=\"&amp;\">x &lt; \"y\" \\ z\t</b></a></r>"
+
+(* Snapshot rows carry each result as the escaped bytes the cache
+   holds; they must be exactly what printing the plain string as a
+   [Json.Str] gave, and a restart must answer and maintain as before. *)
+let test_snapshot_rows_keep_str_encoding () =
+  let dir = fresh_dir () in
+  let a = server_with dir in
+  checkb "load" true (ok (send a (load_line "t.xml" escape_heavy_doc)));
+  let text_query = {|doc("t.xml")//b/text()|} in
+  ignore (send a (run_line closure_query));
+  ignore (send a (run_line text_query));
+  let (hit_before, _) = Server.handle_line a (run_line closure_query) in
+  checks "cached before the snapshot" "hit"
+    (str "result_cache" (Json.parse hit_before));
+  checkb "snapshot" true (ok (send a {|{"op":"snapshot"}|}));
+  let items =
+    match Snapshot.read ~dir with
+    | Ok (Some s) -> s.Snapshot.items
+    | _ -> Alcotest.fail "snapshot unreadable"
+  in
+  let rows = List.map Json.parse items in
+  let cache_rows = List.filter (fun r -> str "t" r = "cache") rows in
+  checki "both results cached" 2 (List.length cache_rows);
+  checkb "an IVM-adopted row" true
+    (List.exists (fun r -> Json.member "ivm" r <> Json.Null) cache_rows);
+  checkb "results needed escaping" true
+    (List.for_all
+       (fun r -> String.contains (str "serialized" r) '"')
+       cache_rows);
+  List.iter
+    (fun item ->
+      checks "row = its Json.Str printing" (Json.to_string (Json.parse item))
+        item)
+    items;
+  let b = server_with dir in
+  let (hit_after, _) = Server.handle_line b (run_line closure_query) in
+  checks "restored hit answers with the same bytes" hit_before hit_after;
+  let j = send b (patch_line "t.xml") in
+  checki "revived entry maintained" 1
+    (Option.value ~default:0 (Json.int_opt (Json.member "maintained" j)));
+  let maintained = send b (run_line closure_query) in
+  checkb "maintenance reported" true
+    (Json.member "maintenance" maintained <> Json.Null);
+  checks "maintained = recomputed"
+    (str "result" (send b (run_line ~extra:{|,"cache":false|} closure_query)))
+    (str "result" maintained)
+
 (* A cache row as snapshots wrote it before rows recorded what they
    resolved to: its config names the engine and mode that ran
    ([engine:mode:stratified]) and it carries no admission facts. *)
@@ -567,6 +618,8 @@ let () =
            test_server_clean_shutdown_replays_nothing;
          Alcotest.test_case "result cache + IVM recovered" `Quick
            test_server_result_cache_recovered;
+         Alcotest.test_case "snapshot rows keep the Json.Str encoding" `Quick
+           test_snapshot_rows_keep_str_encoding;
          Alcotest.test_case "old-format cache rows recovered" `Quick
            test_server_parent_format_cache_rows;
          Alcotest.test_case "stale IVM rows not revived" `Quick

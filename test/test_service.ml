@@ -78,6 +78,66 @@ let prop_json_escape_matches_reference =
     ~print:(Printf.sprintf "%S") gen_escape_text
     (fun s -> Json.to_string (Json.Str s) = reference_json_string s)
 
+(* Item sequences of elements, attributes, text, comments, PIs and
+   atoms whose strings hold quotes, backslashes, every control byte,
+   DEL, multi-byte UTF-8 and markup characters. *)
+let gen_wire_seq =
+  let open QCheck2.Gen in
+  let module Node = Fixq_xdm.Node in
+  let module Item = Fixq_xdm.Item in
+  let module Atom = Fixq_xdm.Atom in
+  let txt =
+    let piece =
+      frequency
+        [ (3, string_size ~gen:(char_range 'a' 'z') (int_bound 6));
+          (3, oneofl [ "\""; "\\"; "\127"; "\195\169"; "\228\184\173";
+                       "\240\159\152\128"; "<"; ">"; "&" ]);
+          (2, map (fun c -> String.make 1 (Char.chr c)) (int_bound 31)) ]
+    in
+    map (String.concat "") (list_size (int_bound 8) piece)
+  in
+  let name = oneofl [ "a"; "b"; "x:y"; "item" ] in
+  let spec =
+    fix
+      (fun self depth ->
+        let leaf =
+          oneof
+            [ map (fun s -> Node.T s) txt; map (fun s -> Node.C s) txt;
+              map2 (fun t s -> Node.P (t, s)) name txt ]
+        in
+        if depth = 0 then leaf
+        else
+          frequency
+            [ (1, leaf);
+              (2,
+               map3
+                 (fun n attrs kids -> Node.E (n, attrs, kids))
+                 name
+                 (list_size (int_bound 3) (pair name txt))
+                 (list_size (int_bound 4) (self (depth - 1)))) ])
+      3
+  in
+  let item =
+    frequency
+      [ (4, map (fun sp -> Item.N (Node.of_spec sp)) spec);
+        (2, map2 (fun n v -> Item.N (Node.attribute n v)) name txt);
+        (2, map (fun s -> Item.A (Atom.Str s)) txt);
+        (1, map (fun i -> Item.A (Atom.Int i)) small_signed_int);
+        (1, map (fun f -> Item.A (Atom.Dbl f)) float);
+        (1, map (fun b -> Item.A (Atom.Bool b)) bool) ]
+  in
+  list_size (int_bound 5) item
+
+(* The JSON-mode serializer writes what escaping the plain XML would. *)
+let prop_fused_writer_matches_escape =
+  QCheck2.Test.make ~count:500
+    ~name:"seq_to_json = Json.Str (seq_to_string)"
+    ~print:(fun r -> Printf.sprintf "%S" (Fixq_xdm.Serializer.seq_to_string r))
+    gen_wire_seq
+    (fun r ->
+      Fixq_xdm.Serializer.seq_to_json r
+      = Json.to_string (Json.Str (Fixq_xdm.Serializer.seq_to_string r)))
+
 let test_json_escape_every_control_byte () =
   let all = String.init 128 Char.chr in
   checks "bytes 0-127" (reference_json_string all)
@@ -1220,6 +1280,49 @@ let test_door_shutdown_returns_with_client_open () =
   checkb "returned within 2 s with A open" true returned;
   checkb "socket path removed" true path_gone
 
+(* This test binary doubles as a bare socket server: re-executed with
+   [--serve-door SOCKET] it answers every line with [{"ok":true}] until
+   a shutdown. *)
+let serve_door_flag = "--serve-door"
+
+let () =
+  match Sys.argv with
+  | [| _; flag; socket |] when flag = serve_door_flag ->
+    Server.serve_socket_with ~handle:(fun _ -> ({|{"ok":true}|}, false))
+      ~path:socket ();
+    exit 0
+  | _ -> ()
+
+(* The socket path appears only once the server listens: a client in
+   another process that connects the moment it sees the path is
+   answered, every time. *)
+let test_door_path_means_listening () =
+  let refused = ref 0 in
+  for _ = 1 to 100 do
+    let path = fresh_socket () in
+    let pid =
+      Unix.create_process Sys.executable_name
+        [| Sys.executable_name; serve_door_flag; path |]
+        Unix.stdin Unix.stdout Unix.stderr
+    in
+    let deadline = Unix.gettimeofday () +. 5. in
+    while (not (Sys.file_exists path)) && Unix.gettimeofday () < deadline do
+      ()
+    done;
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    (match Unix.connect fd (Unix.ADDR_UNIX path) with
+    | () ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 2.;
+      if not (answered_ok (request fd {|{"op":"shutdown"}|})) then
+        incr refused
+    | exception Unix.Unix_error _ -> incr refused);
+    hang_up fd;
+    (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+    ignore (Unix.waitpid [] pid);
+    if Sys.file_exists path then Sys.remove path
+  done;
+  checki "connects refused after the path appeared" 0 !refused
+
 (* On a durable server no write is acknowledged after the shutdown
    answer, and a restart holds exactly the documents loaded before. *)
 let test_door_no_write_after_shutdown () =
@@ -1262,6 +1365,7 @@ let () =
          Alcotest.test_case "every control byte escaped" `Quick
            test_json_escape_every_control_byte;
          QCheck_alcotest.to_alcotest prop_json_escape_matches_reference;
+         QCheck_alcotest.to_alcotest prop_fused_writer_matches_escape;
          Alcotest.test_case "members" `Quick test_json_members ]);
       ("lru",
        [ Alcotest.test_case "eviction" `Quick test_lru_eviction;
@@ -1320,4 +1424,6 @@ let () =
           Alcotest.test_case "shutdown returns with a client open" `Quick
             test_door_shutdown_returns_with_client_open;
           Alcotest.test_case "no write after shutdown" `Quick
-            test_door_no_write_after_shutdown ] ) ]
+            test_door_no_write_after_shutdown;
+          Alcotest.test_case "path appears once listening" `Quick
+            test_door_path_means_listening ] ) ]
