@@ -473,6 +473,11 @@ let ivm_bench () =
            ("action", Json.Str "insert"); ("path", Json.Str "/site/people");
            ("xml", Json.Str "<person><name>Edit Probe</name></person>") ])
   in
+  let load_line scale =
+    Printf.sprintf
+      {|{"op":"load-doc","uri":"auction.xml","generate":"xmark","size":%g,"seed":42}|}
+      scale
+  in
   let member_str name resp =
     Option.value ~default:"" (Json.str_opt (Json.member name (Json.parse resp)))
   in
@@ -483,11 +488,7 @@ let ivm_bench () =
     (fun (label, scale) ->
       let server = Server.create () in
       let send line = fst (Server.handle_line server line) in
-      ignore
-        (send
-           (Printf.sprintf
-              {|{"op":"load-doc","uri":"auction.xml","generate":"xmark","size":%g,"seed":42}|}
-              scale));
+      ignore (send (load_line scale));
       ignore (send run_line) (* populate + adopt *);
       (* each round is a fresh 1-node edit. The edit itself (patch-doc,
          where differential maintenance runs) is timed separately; the
@@ -516,18 +517,31 @@ let ivm_bench () =
           Float.min !recompute_ms ((Unix.gettimeofday () -. t2) *. 1000.);
         fresh_result := member_str "result" fresh_resp
       done;
+      (* The same edits on a server that caches nothing: what a patch
+         costs without maintenance, so patch + hit can be weighed
+         against bare patch + recompute. *)
+      let bare = Server.create () in
+      ignore (fst (Server.handle_line bare (load_line scale)));
+      let bare_patch_ms = ref infinity in
+      for _ = 1 to 3 do
+        let t0 = Unix.gettimeofday () in
+        ignore (Server.handle_line bare patch_line);
+        bare_patch_ms :=
+          Float.min !bare_patch_ms ((Unix.gettimeofday () -. t0) *. 1000.)
+      done;
       let byte_equal = !hit_result = !fresh_result in
       let speedup = !recompute_ms /. Float.max !hit_ms 1e-9 in
       printf
-        "  %-14s patch %6.2f ms   cached %6.3f ms   recompute %8.2f ms   \
+        "  %-14s patch %6.2f ms (bare %6.2f)   cached %6.3f ms   recompute %8.2f ms   \
          %5.1fx   %s, cache %s, %d maintained\n"
-        label !patch_ms !hit_ms !recompute_ms speedup
+        label !patch_ms !bare_patch_ms !hit_ms !recompute_ms speedup
         (if byte_equal then "bytes equal" else "BYTES DIFFER")
         !cache_status !maintained_entries;
       record_json
         [ ("section", Json.Str "ivm"); ("doc", Json.Str label);
           ("scale", Json.Num scale);
           ("patch_ms", Json.Num !patch_ms);
+          ("bare_patch_ms", Json.Num !bare_patch_ms);
           ("maintained_ms", Json.Num !hit_ms);
           ("recompute_ms", Json.Num !recompute_ms);
           ("speedup", Json.Num speedup);
@@ -539,7 +553,8 @@ let ivm_bench () =
   printf
     "\n  patch = the edit itself, including differential maintenance of\n\
     \  every eligible cached entry (paid once per edit, amortized over\n\
-    \  all cached queries); cached = serving the query after the edit\n\
+    \  all cached queries); bare = the same edit on a server with no\n\
+    \  cached entry; cached = serving the query after the edit\n\
     \  from the maintained cache — without IVM the same request would\n\
     \  cost the recompute column. Byte equality is asserted per row.\n\n";
   (* The same parity across a restart: adopt, a rank-shifting patch
@@ -567,11 +582,7 @@ let ivm_bench () =
       in
       let a = mk () in
       let send s line = fst (Server.handle_line s line) in
-      ignore
-        (send a
-           (Printf.sprintf
-              {|{"op":"load-doc","uri":"auction.xml","generate":"xmark","size":%g,"seed":42}|}
-              scale));
+      ignore (send a (load_line scale));
       ignore (send a run_line);
       ignore (send a first_patch);
       ignore (send a {|{"op":"snapshot"}|});

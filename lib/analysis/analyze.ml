@@ -672,8 +672,9 @@ let ivm_reason = function
 (* The maintenance grammar: expressions whose value from a context node
    depends only on that node's subtree ("downward"). For such bodies the
    producers whose output a patch can change are exactly the ancestors
-   of the edit point, which is what makes the maintenance frontier
-   sub-linear. Filters are allowed only when insert-monotone — an
+   of the edit point, which bounds the maintenance frontier (a seed on
+   the edit's spine still puts the whole query in it). Filters are
+   allowed only when insert-monotone — an
    existing node's predicate can then flip false→true only by gaining
    descendants, i.e. only on the ancestor spine the frontier already
    re-feeds — and any filter at all downgrades eligibility to

@@ -16,7 +16,9 @@ type state = {
   stratified : bool;
   max_iterations : int;
   nodes : Node.t list;
-  seed_nodes : Node.t list;
+  seed_nodes : Node.t array;  (** in document order *)
+  local_body : bool;
+  seed_names : string list option;
 }
 
 type outcome =
@@ -26,6 +28,7 @@ type outcome =
       delta_count : int;
       rounds : int;
     }
+  | Untouched
   | Dropped of string
 
 let source st = st.source
@@ -38,6 +41,63 @@ let node_list items =
 
 let all_nodes items =
   List.for_all (function Item.N _ -> true | Item.A _ -> false) items
+
+let doc_order nodes =
+  let arr = Array.of_list nodes in
+  Array.stable_sort Node.compare_doc_order arr;
+  arr
+
+(* Whether the body reads only the recursion variable and its own lets:
+   no doc(…) call, no global, nothing outside the maintenance grammar
+   (which [ivm_eligibility] already keeps to downward steps). *)
+let rec local ~bound (e : Lang.Ast.expr) =
+  let open Lang.Ast in
+  match e with
+  | Var v -> List.mem v bound
+  | Empty_seq | Context_item | Literal _ | Axis_step _ -> true
+  | Path (a, b) | Sequence (a, b) | Union (a, b) | Intersect (a, b)
+  | Filter (a, b) | And (a, b) | Or (a, b) | Gen_cmp (_, a, b) | Val_cmp (_, a, b) ->
+    local ~bound a && local ~bound b
+  | Let { var; value; body } -> local ~bound value && local ~bound:(var :: bound) body
+  | _ -> false
+
+(* The element and attribute names a seed tests, when its node set is
+   fixed by them alone: named steps under one doc("literal"), and
+   predicates that compare attribute values with literals or test that
+   a named path exists — no wildcard, no kind test, no variable, no
+   position. Every seed node is then the document node or carries one
+   of these names. [None] for any other seed. *)
+let seed_names seed =
+  let open Lang.Ast in
+  let names = ref [] and uris = ref [] in
+  let named = function
+    | { axis = Axis.(Child | Descendant | Descendant_or_self | Self | Attribute);
+        test = Axis.Name nm }
+      when not (String.contains nm '*') ->
+      if not (List.mem nm !names) then names := nm :: !names;
+      true
+    | _ -> false
+  in
+  let rec sel = function
+    | Call ("doc", [ Literal (Xdm.Atom.Str u) ]) ->
+      if not (List.mem u !uris) then uris := u :: !uris;
+      true
+    | Axis_step s -> named s
+    | Path (a, b) | Union (a, b) | Intersect (a, b) | Sequence (a, b) -> sel a && sel b
+    | Filter (a, p) -> sel a && pred p
+    | _ -> false
+  and pred = function
+    | And (a, b) | Or (a, b) -> pred a && pred b
+    | Gen_cmp (_, a, b) | Val_cmp (_, a, b) -> operand a && operand b
+    | e -> sel e
+  and operand = function
+    | Literal _ -> true
+    | Axis_step ({ axis = Axis.Attribute; _ } as s) -> named s
+    | Path (a, b) -> sel a && operand b
+    | _ -> false
+  in
+  (* one document, so the seed's id order survives renumbering others *)
+  if sel seed && List.length !uris = 1 then Some !names else None
 
 let adopt ~registry ~source ~program ~stratified ~max_iterations result =
   match program.Lang.Ast.main with
@@ -58,7 +118,10 @@ let adopt ~registry ~source ~program ~stratified ~max_iterations result =
       | seed_nodes ->
         Some
           { source; program; var; seed_expr = seed; body; cls; stratified;
-            max_iterations; nodes = node_list result; seed_nodes }
+            max_iterations; nodes = node_list result;
+            seed_nodes = doc_order seed_nodes;
+            local_body = local ~bound:[ var ] body;
+            seed_names = seed_names seed }
       | exception _ -> None))
   | _ -> None
 
@@ -70,8 +133,10 @@ exception Maintenance_failed of string
 
    For eligible (downward) bodies the producers whose output a patch can
    change are exactly the ancestors of the edit point, so the frontier
-   is [fresh seed nodes ∪ (ancestor spine ∩ previously-fed nodes)] —
-   sub-linear in the document. The cached result survives the patch
+   is [fresh seed nodes ∪ (ancestor spine ∩ previously-fed nodes)]. That
+   is small only when the seed lies below the edit: a seed on the spine
+   (such as the document element) puts the seed itself in the frontier,
+   and the loop re-runs the whole query. The cached result survives the patch
    because the edit is in place: its nodes keep their identity, and only
    those in the deleted subtrees are dropped (which, for filter-free
    downward bodies, removes exactly the derivations the deleted subtree
@@ -82,7 +147,7 @@ let differentiate ~registry st (delta : Patch.delta) =
   List.iter (fun id -> Hashtbl.replace gone id ()) delta.Patch.deleted;
   let survivors ns = List.filter (fun n -> not (Hashtbl.mem gone n.Node.id)) ns in
   let old_result = survivors st.nodes in
-  let old_seed = survivors st.seed_nodes in
+  let old_seed = survivors (Array.to_list st.seed_nodes) in
   let acc = Accumulator.create () in
   ignore
     (Accumulator.absorb acc ~who:"ivm survivors"
@@ -130,11 +195,54 @@ let differentiate ~registry st (delta : Patch.delta) =
   loop frontier;
   let dropped = List.length st.nodes - List.length old_result in
   Maintained
-    { state = { st with nodes = Accumulator.to_nodes acc; seed_nodes = seed' };
+    { state = { st with nodes = Accumulator.to_nodes acc; seed_nodes = doc_order seed' };
       escaped = Xdm.Serializer.seq_to_json (Accumulator.to_seq acc);
       delta_count = !total_fresh + dropped; rounds = !rounds }
 
+(* Whether an element or attribute in the subtree of [n] carries one of
+   [names]. *)
+let rec carries names (n : Node.t) =
+  (n.Node.kind = Node.Element && List.mem (Node.name n) names)
+  || Array.exists (fun a -> List.mem (Node.name a) names) n.Node.attributes
+  || Array.exists (carries names) n.Node.children
+
+(* The slot of the first seed node at or after [id], by binary search. *)
+let rec lower (seed : Node.t array) id l r =
+  if l >= r then l
+  else
+    let m = (l + r) / 2 in
+    if seed.(m).Node.id < id then lower seed id (m + 1) r else lower seed id l m
+
+(* Whether a seed node is [n] or an ancestor of it: a binary search by
+   id for each node up the spine, since the seed stays in document
+   order across renumbering. *)
+let rec on_spine seed (n : Node.t) =
+  let i = lower seed n.Node.id 0 (Array.length seed) in
+  (i < Array.length seed && seed.(i) == n)
+  || match Node.parent n with Some p -> on_spine seed p | None -> false
+
+(* The derivative of a fixpoint over an unchanged input is zero. Under
+   the downward grammar every fed node is a descendant-or-self of a
+   seed node. If the body reads only its variable, the seed set is fixed
+   by names the edit neither inserted nor removed, and no seed node is
+   an ancestor-or-self of the edit point, then no fed node's subtree
+   changed and the seed did not change: the result, and every node's
+   serialization, is what it was. The names are checked first: they
+   also keep every seed node in the tree, so the seed is still sorted
+   for [on_spine]. *)
+let untouched st (delta : Patch.delta) =
+  st.local_body
+  && (match st.seed_names with
+     | Some names ->
+       not
+         (List.exists (carries names) delta.Patch.inserted
+         || List.exists (carries names) delta.Patch.removed)
+     | None -> false)
+  && not (on_spine st.seed_nodes delta.Patch.edit_parent)
+
 let maintain ~registry ~op delta st =
+  if untouched st delta then Untouched
+  else
   match (st.cls, op) with
   | (Analyze.Ivm_ineligible r, _) -> Dropped r
   | (Analyze.Ivm_insert_only, Patch.(Delete _ | Replace _ | Set_text _)) ->

@@ -8,9 +8,10 @@
     frontier} instead of recomputing from scratch. This module holds
     that machinery as functions over one cached result's {!state}:
     {!adopt} captures the state when a result is computed, and
-    {!maintain} drops the result's deleted nodes (the edit is in place,
-    so the rest keep their identity) and runs the differential loop
-    from the edit frontier. The module keeps no store of its own: the
+    {!maintain} leaves it untouched when the edit cannot reach it, or
+    else drops the result's deleted nodes (the edit is in place, so the
+    rest keep their identity) and runs the differential loop from the
+    edit frontier. The module keeps no store of its own: the
     server's result cache holds each state inside the entry it
     maintains, so evicting an entry evicts its state with it.
 
@@ -33,6 +34,9 @@ type outcome =
       delta_count : int;  (** how many nodes entered or left it *)
       rounds : int;  (** delta rounds the maintenance loop ran *)
     }
+  | Untouched
+      (** the edit cannot reach the result: the cached bytes and the
+          state stand as they are *)
   | Dropped of string  (** the reason for the fallback to recompute *)
 
 (** [adopt ~registry ~source ~program ~stratified ~max_iterations
@@ -51,7 +55,16 @@ val adopt :
   state option
 
 (** [maintain ~registry ~op delta state] absorbs one applied patch of a
-    document the state's result was computed from. *)
+    document the state's result was computed from.
+
+    It answers [Untouched], for [full] and [insert-only] states alike,
+    when three facts decided at {!adopt} and at the patch all hold: the
+    recursion body reads only its variable and its own [let]s; the seed
+    is named element and attribute steps under one [doc("literal")],
+    and no element or attribute of the inserted or removed subtrees
+    carries a name it tests; and no seed node is an ancestor-or-self of
+    the edit point. Every fed node then lies in a subtree the edit left
+    alone. Any other state is maintained or dropped as its class says. *)
 val maintain :
   registry:Fixq_xdm.Doc_registry.t ->
   op:Fixq_xdm.Patch.op ->

@@ -96,19 +96,23 @@ let put t key value =
         Hashtbl.replace t.table key node;
         push_front t node)
 
-let replace t key value =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.table key with
-      | Some node -> node.value <- value
-      | None -> ())
+type 'v change = Keep | Set of 'v | Remove
 
-let remove t key =
+let sweep t f =
   with_lock t (fun () ->
-      match Hashtbl.find_opt t.table key with
-      | Some node ->
-        unlink t node;
-        Hashtbl.remove t.table key
-      | None -> ())
+      let rec go = function
+        | None -> ()
+        | Some node ->
+          let next = node.next in
+          (match f node.key node.value with
+          | Keep -> ()
+          | Set v -> node.value <- v
+          | Remove ->
+            unlink t node;
+            Hashtbl.remove t.table node.key);
+          go next
+      in
+      go t.first)
 
 let length t = with_lock t (fun () -> Hashtbl.length t.table)
 let capacity t = t.cap

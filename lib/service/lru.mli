@@ -30,11 +30,14 @@ val find_valid :
     counters. *)
 val put : ('k, 'v) t -> 'k -> 'v -> unit
 
-(** Swap a live entry's value with no recency or counter effects;
-    no-op when [k] is absent. *)
-val replace : ('k, 'v) t -> 'k -> 'v -> unit
+type 'v change = Keep | Set of 'v | Remove
 
-val remove : ('k, 'v) t -> 'k -> unit
+(** [sweep t f] visits every entry, MRU first, and keeps it, swaps its
+    value or removes it as [f key value] says, in one pass with no
+    recency or counter effects and no key lookups. [f] runs with [t]'s
+    lock held, so it must not call back into [t]. *)
+val sweep : ('k, 'v) t -> ('k -> 'v -> 'v change) -> unit
+
 val length : ('k, 'v) t -> int
 val capacity : ('k, 'v) t -> int
 val hits : ('k, 'v) t -> int

@@ -20,21 +20,11 @@ type entry = {
   maintenance : maintenance option;
 }
 
-type t = (string, entry) Lru.t
+type t = (key, entry) Lru.t
 
 let key ~query ~engine ~mode ~stratified =
   { hash = Prepared.hash_source query;
     config = Printf.sprintf "%s:%s:%b" engine mode stratified }
-
-let render { hash; config } = hash ^ "|" ^ config
-
-let parse rendered =
-  match String.index_opt rendered '|' with
-  | Some i ->
-    { hash = String.sub rendered 0 i;
-      config =
-        String.sub rendered (i + 1) (String.length rendered - i - 1) }
-  | None -> { hash = rendered; config = "" }
 
 let fresh ~current entry =
   List.for_all (fun (uri, gen) -> current uri = gen) entry.footprint
@@ -44,15 +34,12 @@ let within ~max_iterations entry = entry.rounds <= max_iterations
 let create ?(capacity = 256) () : t = Lru.create ~capacity ()
 
 let find t key ~current ~max_iterations =
-  Lru.find_valid t (render key) ~valid:(fresh ~current)
+  Lru.find_valid t key ~valid:(fresh ~current)
     ~usable:(within ~max_iterations)
 
-let put t key entry = Lru.put t (render key) entry
-let replace t key entry = Lru.replace t (render key) entry
-let remove t key = Lru.remove t (render key)
-
-let bindings ?p t =
-  List.map (fun (k, entry) -> (parse k, entry)) (Lru.bindings ?p t)
+let put t key entry = Lru.put t key entry
+let sweep t ~p f = Lru.sweep t (fun k entry -> if p entry then f k entry else Lru.Keep)
+let bindings ?p t = Lru.bindings ?p t
 
 let length = Lru.length
 let hits = Lru.hits

@@ -95,16 +95,15 @@ val within : max_iterations:int -> entry -> bool
 
 val put : t -> key -> entry -> unit
 
-(** [replace t key entry] swaps a live entry's value without touching
-    its recency or the counters — maintenance is not a use. No-op when
-    [key] is not cached. *)
-val replace : t -> key -> entry -> unit
-
-val remove : t -> key -> unit
+(** [sweep t ~p f] keeps, swaps or removes each live entry satisfying
+    [p] as [f key entry] says ({!Lru.sweep}), without touching its
+    recency or the counters — maintenance is not a use. [f] must not
+    call back into [t]. *)
+val sweep : t -> p:(entry -> bool) -> (key -> entry -> entry Lru.change) -> unit
 
 (** Live entries whose value satisfies [p] (default: all), MRU first,
-    without touching hit/miss counters or recency — the [patch-doc]
-    maintenance sweep and snapshots. *)
+    without touching hit/miss counters or recency — snapshots and
+    stats. *)
 val bindings : ?p:(entry -> bool) -> t -> (key * entry) list
 
 val length : t -> int

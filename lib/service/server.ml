@@ -21,6 +21,14 @@ let default_config =
     governor = Governor.default_config; state_dir = None;
     snapshot_threshold = 64 }
 
+(* What [patch-doc] did to one query's entries, over all patches. *)
+type ivm_counters = {
+  mutable maintained : int;  (** untouched entries included *)
+  mutable fallback : int;  (** dropped for a recompute *)
+  mutable delta_nodes : int;
+  mutable untouched : int;
+}
+
 type t = {
   config : config;
   store : Store.t;
@@ -28,8 +36,8 @@ type t = {
   results : Result_cache.t;
   metrics : Metrics.t;
   governor : Governor.t;
-  ivm_counters : (string, int * int * int) Hashtbl.t;
-      (** per query hash: maintained, fallback recomputes, ∆ nodes.
+  ivm_counters : (string, ivm_counters) Hashtbl.t;
+      (** per query hash.
           Kept apart from the entries so they survive eviction; written
           only by [patch-doc], which holds [docs_lock] exclusively *)
   started_at : float;
@@ -515,20 +523,17 @@ let handle_explain t ~id query stratified =
       ("diagnostics", Json.List (List.map Protocol.diag_json c.E.diagnostics));
       ("text", Json.Str (E.to_text c)) ]
 
-(* Live result-cache entries that carry IVM state over [uri]. *)
-let maintained_over t uri =
-  Result_cache.bindings t.results ~p:(fun e ->
-      e.Result_cache.ivm <> None && List.mem_assoc uri e.Result_cache.footprint)
+(* Whether a result-cache entry carries IVM state over [uri]. *)
+let maintained_over uri e =
+  e.Result_cache.ivm <> None && List.mem_assoc uri e.Result_cache.footprint
 
 (* A wholesale replacement or an unload leaves nothing to maintain an
    entry through — only patch-doc preserves node identity — so entries
    over [uri] lose their IVM state, and with it their hold on the old
    tree. Their bytes stay until a lookup finds the footprint stale. *)
 let drop_maintenance t uri =
-  List.iter
-    (fun (key, e) ->
-      Result_cache.replace t.results key { e with Result_cache.ivm = None })
-    (maintained_over t uri)
+  Result_cache.sweep t.results ~p:(maintained_over uri) (fun _ e ->
+      Lru.Set { e with Result_cache.ivm = None })
 
 let handle_load_doc t ~id uri (source : Protocol.doc_source) =
   (match source with
@@ -555,80 +560,84 @@ let handle_unload_doc t ~id uri =
       ("generation", Json.of_int (Store.generation t.store)) ]
 
 (* One sweep over the live entries: each one carrying IVM state over
-   [uri] is maintained in place or, when maintenance falls back, dropped
-   so the next run recomputes. *)
+   [uri] is left untouched, maintained in place or, when maintenance
+   falls back, dropped so the next run recomputes. *)
 let handle_patch_doc t ~id uri op =
   let t0 = Unix.gettimeofday () in
   let delta = Store.patch t.store ~uri op in
   let registry = Store.registry t.store in
-  let current u = Store.doc_generation t.store u in
-  let count hash (m, f, d) =
-    let (m0, f0, d0) =
-      Option.value ~default:(0, 0, 0) (Hashtbl.find_opt t.ivm_counters hash)
-    in
-    Hashtbl.replace t.ivm_counters hash (m0 + m, f0 + f, d0 + d)
+  let generation = Store.doc_generation t.store uri in
+  let counters hash =
+    match Hashtbl.find_opt t.ivm_counters hash with
+    | Some c -> c
+    | None ->
+      let c = { maintained = 0; fallback = 0; delta_nodes = 0; untouched = 0 } in
+      Hashtbl.replace t.ivm_counters hash c;
+      c
+  in
+  (* Only the patched document's stamp advances; the rest of the
+     footprint keeps its recorded generations, so an unrelated
+     concurrent load still invalidates as before. *)
+  let restamp footprint =
+    List.map (fun (u, g) -> (u, if u = uri then generation else g)) footprint
   in
   let maintained = ref 0 in
   let dropped = ref 0 in
-  let entry_rows =
-    maintained_over t uri
-    |> List.filter_map (fun (key, (e : Result_cache.entry)) ->
-           Option.map (fun st -> (key, e, st)) e.Result_cache.ivm)
-    |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-    |> List.map (fun ((key : Result_cache.key), (e : Result_cache.entry), st) ->
-           let base =
-             [ ("hash", Json.Str key.Result_cache.hash);
-               ("config", Json.Str key.Result_cache.config) ]
-           in
-           match Ivm.maintain ~registry ~op delta st with
-           | Ivm.Maintained { state; escaped; delta_count; rounds } ->
-             incr maintained;
-             count key.Result_cache.hash (1, 0, delta_count);
-             (* Only the patched document's stamp advances; the rest of
-                the footprint keeps its recorded generations, so an
-                unrelated concurrent load still invalidates as before. A
-                fresh run over the patched document is at most the
-                maintenance's rounds deeper: every new derivation starts
-                from a node the old run reached or from a fresh seed
-                node. *)
-             let m =
-               Option.value e.Result_cache.maintenance
-                 ~default:
-                   { Result_cache.patches = 0; delta = 0; maintenance_rounds = 0 }
-             in
-             Result_cache.replace t.results key
-               { e with
-                 Result_cache.escaped;
-                 maintenance =
-                   Some
-                     { Result_cache.patches = m.patches + 1;
-                       delta = m.delta + delta_count;
-                       maintenance_rounds = m.maintenance_rounds + rounds };
-                 rounds = e.Result_cache.rounds + rounds;
-                 footprint =
-                   List.map
-                     (fun (u, g) -> (u, if u = uri then current u else g))
-                     e.Result_cache.footprint;
-                 ivm = Some state };
-             Json.Obj
-               (base
-               @ [ ("outcome", Json.Str "maintained");
-                   ("delta", Json.of_int delta_count);
-                   ("rounds", Json.of_int rounds) ])
-           | Ivm.Dropped reason ->
-             incr dropped;
-             count key.Result_cache.hash (0, 1, 0);
-             Result_cache.remove t.results key;
-             Json.Obj
-               (base
-               @ [ ("outcome", Json.Str "recompute");
-                   ("reason", Json.Str reason) ]))
-  in
+  let rows = ref [] in
+  Result_cache.sweep t.results ~p:(maintained_over uri)
+    (fun key (e : Result_cache.entry) ->
+      let row fields =
+        rows :=
+          ( key,
+            Json.Obj
+              (("hash", Json.Str key.Result_cache.hash)
+              :: ("config", Json.Str key.Result_cache.config) :: fields) )
+          :: !rows
+      in
+      let c = counters key.Result_cache.hash in
+      match Ivm.maintain ~registry ~op delta (Option.get e.Result_cache.ivm) with
+      | Ivm.Untouched ->
+        incr maintained;
+        c.maintained <- c.maintained + 1;
+        c.untouched <- c.untouched + 1;
+        row [ ("outcome", Json.Str "untouched") ];
+        Lru.Set { e with Result_cache.footprint = restamp e.Result_cache.footprint }
+      | Ivm.Maintained { state; escaped; delta_count; rounds } ->
+        incr maintained;
+        c.maintained <- c.maintained + 1;
+        c.delta_nodes <- c.delta_nodes + delta_count;
+        row
+          [ ("outcome", Json.Str "maintained"); ("delta", Json.of_int delta_count);
+            ("rounds", Json.of_int rounds) ];
+        (* A fresh run over the patched document is at most the
+           maintenance's rounds deeper: every new derivation starts
+           from a node the old run reached or from a fresh seed node. *)
+        let m =
+          Option.value e.Result_cache.maintenance
+            ~default:{ Result_cache.patches = 0; delta = 0; maintenance_rounds = 0 }
+        in
+        Lru.Set
+          { e with
+            Result_cache.escaped;
+            maintenance =
+              Some
+                { Result_cache.patches = m.patches + 1;
+                  delta = m.delta + delta_count;
+                  maintenance_rounds = m.maintenance_rounds + rounds };
+            rounds = e.Result_cache.rounds + rounds;
+            footprint = restamp e.Result_cache.footprint;
+            ivm = Some state }
+      | Ivm.Dropped reason ->
+        incr dropped;
+        c.fallback <- c.fallback + 1;
+        row [ ("outcome", Json.Str "recompute"); ("reason", Json.Str reason) ];
+        Lru.Remove);
+  let entry_rows = List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) !rows) in
   Protocol.ok_response ~id
     [ ("uri", Json.Str uri);
       ("path", Json.Str (Xdm.Patch.path_of_op op));
       ("generation", Json.of_int (Store.generation t.store));
-      ("doc_generation", Json.of_int (current uri));
+      ("doc_generation", Json.of_int generation);
       ("inserted", Json.of_int delta.Xdm.Patch.inserted_count);
       ("deleted", Json.of_int (List.length delta.Xdm.Patch.deleted));
       ("maintained", Json.of_int !maintained);
@@ -1034,9 +1043,10 @@ let ivm_entries t =
   List.length
     (Result_cache.bindings t.results ~p:(fun e -> e.Result_cache.ivm <> None))
 
-(* Per-query [(hash, (maintained, fallback, ∆ nodes))], sorted by hash. *)
+(* Per-query [(hash, counters)], sorted by hash. *)
 let ivm_counter_rows t =
-  List.sort compare
+  List.sort
+    (fun (a, _) (b, _) -> String.compare a b)
     (Hashtbl.fold (fun hash c acc -> (hash, c) :: acc) t.ivm_counters [])
 
 let cache_stats_json ~hits ~misses ~size ~capacity =
@@ -1146,12 +1156,14 @@ let prometheus_stats t =
   (match ivm_counter_rows t with
   | [] -> ()
   | rows ->
-    counter_family "fixq_ivm_maintained_total"
-      (List.map (fun (h, (m, _, _)) -> (Printf.sprintf "query=%S" h, m)) rows);
-    counter_family "fixq_ivm_fallback_recompute_total"
-      (List.map (fun (h, (_, f, _)) -> (Printf.sprintf "query=%S" h, f)) rows);
-    counter_family "fixq_ivm_delta_nodes_total"
-      (List.map (fun (h, (_, _, d)) -> (Printf.sprintf "query=%S" h, d)) rows));
+    let family name field =
+      counter_family name
+        (List.map (fun (h, c) -> (Printf.sprintf "query=%S" h, field c)) rows)
+    in
+    family "fixq_ivm_maintained_total" (fun c -> c.maintained);
+    family "fixq_ivm_fallback_recompute_total" (fun c -> c.fallback);
+    family "fixq_ivm_delta_nodes_total" (fun c -> c.delta_nodes);
+    family "fixq_ivm_untouched_total" (fun c -> c.untouched));
   Buffer.add_string buf (Metrics.to_prometheus ~prefix:"fixq" t.metrics);
   Buffer.contents buf
 
@@ -1206,25 +1218,22 @@ let handle_stats t ~id =
                  (analysis_counter_rows t)));
            ("ivm",
             (let rows = ivm_counter_rows t in
-             let (m, f, d) =
-               List.fold_left
-                 (fun (m, f, d) (_, (m', f', d')) -> (m + m', f + f', d + d'))
-                 (0, 0, 0) rows
-             in
+             let total field = List.fold_left (fun n (_, c) -> n + field c) 0 rows in
              Json.Obj
                [ ("entries", Json.of_int (ivm_entries t));
-                 ("maintained_total", Json.of_int m);
-                 ("fallback_recompute_total", Json.of_int f);
-                 ("delta_nodes_total", Json.of_int d);
+                 ("maintained_total", Json.of_int (total (fun c -> c.maintained)));
+                 ("fallback_recompute_total", Json.of_int (total (fun c -> c.fallback)));
+                 ("delta_nodes_total", Json.of_int (total (fun c -> c.delta_nodes)));
+                 ("untouched_total", Json.of_int (total (fun c -> c.untouched)));
                  ("queries",
                   Json.Obj
                     (List.map
-                       (fun (hash, (m, f, d)) ->
+                       (fun (hash, c) ->
                          ( hash,
                            Json.Obj
-                             [ ("maintained", Json.of_int m);
-                               ("fallback_recompute", Json.of_int f);
-                               ("delta_nodes", Json.of_int d) ] ))
+                             [ ("maintained", Json.of_int c.maintained);
+                               ("fallback_recompute", Json.of_int c.fallback);
+                               ("delta_nodes", Json.of_int c.delta_nodes) ] ))
                        rows)) ]));
            ("uptime_ms",
             Json.Num ((Unix.gettimeofday () -. t.started_at) *. 1000.0)) ]) ]

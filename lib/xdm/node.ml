@@ -28,8 +28,9 @@ and doc = {
 and name_index =
   | Ni_unbuilt
   | Ni_disabled  (** preorder id validation failed; callers must walk *)
-  | Ni_built of (string, t array) Hashtbl.t
-      (** element name → elements with that name, in document order *)
+  | Ni_built of { buckets : (string, t array) Hashtbl.t; stale : string list }
+      (** element name → elements with that name, in document order;
+          the [stale] names' buckets are rebuilt on their next lookup *)
 
 type spec =
   | E of string * (string * string) list * spec list
@@ -285,12 +286,13 @@ let rec subtree_max_id (n : t) =
     let na = Array.length n.attributes in
     if na > 0 then n.attributes.(na - 1).id else n.id
 
-(* The name index is only sound if ids really are preorder within this
-   tree (document order = id order, so each bucket is doc-ordered and
-   subtree containment is an id-interval test). All constructors
-   guarantee this, but we validate during the build walk and disable
-   the index for the whole tree if the invariant ever fails. *)
-let build_name_index r d =
+(* The elements whose name [keep] accepts, in document order, found in
+   one walk. The name index is only sound if ids really are preorder
+   within this tree (document order = id order, so each bucket is
+   doc-ordered and subtree containment is an id-interval test). All
+   constructors guarantee this, but the walk validates it and answers
+   [None] if the invariant ever fails. *)
+let collect_by_name r ~keep =
   let tbl : (string, t list ref) Hashtbl.t = Hashtbl.create 256 in
   let prev = ref (r.id - 1) in
   let ok = ref true in
@@ -303,33 +305,41 @@ let build_name_index r d =
     Array.iter check n.attributes;
     (if n.kind = Element then
        let key = name n in
-       match Hashtbl.find_opt tbl key with
-       | Some l -> l := n :: !l
-       | None -> Hashtbl.add tbl key (ref [ n ]));
+       if keep key then
+         match Hashtbl.find_opt tbl key with
+         | Some l -> l := n :: !l
+         | None -> Hashtbl.add tbl key (ref [ n ]));
     Array.iter visit n.children
   in
   visit r;
-  if !ok then begin
-    let out = Hashtbl.create (max 16 (Hashtbl.length tbl)) in
-    Hashtbl.iter
-      (fun k l -> Hashtbl.replace out k (Array.of_list (List.rev !l)))
-      tbl;
-    d.name_index <- Ni_built out;
-    Some out
-  end
-  else begin
+  if !ok then Some tbl else None
+
+(* Publishes [buckets] with the collected names' buckets put in. A
+   lookup of a stale name rebuilds every stale bucket in one walk and
+   publishes a fresh table, so readers building at once under a shared
+   lock each publish a complete one. *)
+let publish_names r d ~keep buckets =
+  match collect_by_name r ~keep with
+  | Some found ->
+    Hashtbl.iter (fun k l -> Hashtbl.replace buckets k (Array.of_list (List.rev !l))) found;
+    d.name_index <- Ni_built { buckets; stale = [] };
+    Some buckets
+  | None ->
     d.name_index <- Ni_disabled;
     None
-  end
 
 let elements_by_name n nm =
   let r = root n in
   let d = doc_of_root r in
   let tbl =
     match d.name_index with
-    | Ni_built t -> Some t
+    | Ni_built { buckets; stale } when not (List.mem nm stale) -> Some buckets
+    | Ni_built { buckets; stale } ->
+      let fresh = Hashtbl.copy buckets in
+      List.iter (Hashtbl.remove fresh) stale;
+      publish_names r d ~keep:(fun k -> List.mem k stale) fresh
     | Ni_disabled -> None
-    | Ni_unbuilt -> build_name_index r d
+    | Ni_unbuilt -> publish_names r d ~keep:(fun _ -> true) (Hashtbl.create 256)
   in
   match tbl with
   | None -> None
@@ -417,20 +427,20 @@ let rec walk_ids ~set n next =
    inside it could let another thread mint ids from the same range, so
    the block is taken only if the counter did not move; else the tree
    is walked again from past the new counter. *)
-let rec renumber root =
+let rec number root =
   let base = !counter + 1 in
   let next = walk_ids ~set:true root base in
-  if !counter <> base - 1 then renumber root
-  else begin
-    counter := next - 1;
-    match root.doc with
-    | Some d ->
-      d.id_index <- None;
-      d.idref_index <- None;
-      d.name_index <- Ni_unbuilt;
-      d.value_index <- []
-    | None -> ()
-  end
+  if !counter <> base - 1 then number root else counter := next - 1
+
+let renumber root =
+  number root;
+  match root.doc with
+  | Some d ->
+    d.id_index <- None;
+    d.idref_index <- None;
+    d.name_index <- Ni_unbuilt;
+    d.value_index <- []
+  | None -> ()
 
 let ensure_contiguous root =
   try ignore (walk_ids ~set:false root root.id) with Exit -> renumber root
@@ -459,45 +469,93 @@ let splice_children p i ~drop kids =
         else if j < i + nk then kids.(j - i)
         else old.(j - nk + drop))
 
+(* [acc] with the element names in the subtree of [n] not yet in it. *)
+let rec names_in acc n =
+  let acc =
+    if n.kind = Element && not (List.mem (name n) acc) then name n :: acc else acc
+  in
+  Array.fold_left names_in acc n.children
+
+(* Whether an element named [nm] reads the edit at [at] through [path]:
+   an edit changes [at]'s children, which a path of k child and text
+   steps reads from an element at most k - 1 levels above [at] (an
+   attribute-only path from none); a path ending in a child step reads
+   its string value, the whole subtree, from any height. *)
+let reaches_edit nm path at =
+  let levels =
+    match List.rev path with
+    | Key_child _ :: _ -> max_int
+    | _ -> List.length (List.filter (function Key_attr _ -> false | _ -> true) path) - 1
+  in
+  let rec up n k =
+    k >= 0
+    && ((n.kind = Element && String.equal (name n) nm)
+       || match n.parent with Some p -> up p (k - 1) | None -> false)
+  in
+  up at levels
+
+(* Survivors keep their relative order across a renumber, so a bucket
+   whose elements the edit neither added nor removed stays exact, and
+   so does a value table no edited subtree can reach. The edit only
+   marks names stale and filters the table list: it allocates nothing
+   in proportion to a bucket. *)
+let keep_indexes d ~at ~inserted ~removed =
+  d.id_index <- None;
+  d.idref_index <- None;
+  let touched = List.fold_left names_in (List.fold_left names_in [] inserted) removed in
+  (match d.name_index with
+  | Ni_built { buckets; stale } when touched <> [] ->
+    d.name_index <-
+      Ni_built
+        { buckets;
+          stale = List.fold_left (fun s nm -> if List.mem nm s then s else nm :: s) stale touched }
+  | Ni_built _ | Ni_unbuilt -> ()
+  | Ni_disabled -> d.name_index <- Ni_unbuilt);
+  d.value_index <-
+    List.filter
+      (fun ((nm, path), _) -> not (List.mem nm touched || reaches_edit nm path at))
+      d.value_index
+
 let splice root ~target action =
   let parent () =
     match target.parent with
     | Some p -> p
     | None -> invalid_arg "Node.splice: target has no parent"
   in
-  let inserted, removed =
+  let inserted, removed, at =
     match action with
     | Pa_insert_child (tpl, pos) ->
       let n = deep_copy tpl in
       let i = if pos = `First then 0 else Array.length target.children in
       splice_children target i ~drop:0 [| n |];
-      ([ n ], [])
+      ([ n ], [], target)
     | Pa_insert_sibling (tpl, dir) ->
       let p = parent () in
       let n = deep_copy tpl in
       let i = position p target in
       splice_children p (if dir = `Before then i else i + 1) ~drop:0 [| n |];
-      ([ n ], [])
+      ([ n ], [], p)
     | Pa_delete ->
       let p = parent () in
       splice_children p (position p target) ~drop:1 [||];
       target.parent <- None;
-      ([], [ target ])
+      ([], [ target ], p)
     | Pa_replace tpl ->
       let p = parent () in
       let n = deep_copy tpl in
       splice_children p (position p target) ~drop:1 [| n |];
       target.parent <- None;
-      ([ n ], [ target ])
+      ([ n ], [ target ], p)
     | Pa_set_text text ->
       let old = Array.to_list target.children in
       let tn = mk Text None text in
       splice_children target 0 ~drop:(List.length old) [| tn |];
       List.iter (fun c -> c.parent <- None) old;
-      ([ tn ], old)
+      ([ tn ], old, target)
   in
-  renumber root;
-  (inserted, removed)
+  number root;
+  (match root.doc with Some d -> keep_indexes d ~at ~inserted ~removed | None -> ());
+  (inserted, removed, at)
 
 let pp ppf n =
   match n.kind with

@@ -52,9 +52,12 @@ and name_index =
   | Ni_disabled
       (** preorder id validation failed during the build walk; callers
           must fall back to walking the tree *)
-  | Ni_built of (string, t array) Hashtbl.t
+  | Ni_built of { buckets : (string, t array) Hashtbl.t; stale : string list }
       (** element name (as written) → elements with that name, in
-          document order *)
+          document order. The buckets of the [stale] names are out of
+          date (a {!splice} added or removed elements of that name);
+          the next lookup of any of them rebuilds them all in one walk
+          and publishes a fresh table. *)
 
 (** Construction specification: a value describing a tree to build. *)
 type spec =
@@ -155,7 +158,9 @@ val elements_by_name : t -> string -> t array option
     reaches from an element (attribute values, string values of the
     reached elements and text nodes) to the elements reaching it, in
     document order and without duplicates. Built on first use from the
-    name index and kept on the document until the next {!renumber}.
+    name index and kept on the document until the next {!renumber}, or
+    until a {!splice} adds or removes an element named [name] or edits
+    under one that [path] reads down to.
     [None] when the name index is disabled, or when the document already
     holds 16 tables for other keys; callers then scan. *)
 val elements_by_value : t -> string -> key_step list -> (string, t array) Hashtbl.t option
@@ -187,11 +192,20 @@ type patch_action =
     at [target] (a node of that tree; it must have a parent unless the
     action is [Pa_insert_child] or [Pa_set_text]), then {!renumber}s
     [root]. Untouched nodes keep their physical identity. Returns
-    [(inserted, removed)]: the roots of the inserted subtrees, in
-    document order, and the roots of the removed subtrees, which are
-    detached (no parent) but keep their old ids. Allocates the inserted
+    [(inserted, removed, at)]: the roots of the inserted subtrees, in
+    document order, the roots of the removed subtrees, which are
+    detached (no parent) but keep their old ids, and the node whose
+    children changed ([target] for [Pa_insert_child] and
+    [Pa_set_text], its parent otherwise). Allocates the inserted
     copies and the edited children array, nothing proportional to the
-    document. *)
-val splice : t -> target:t -> patch_action -> t list * t list
+    document.
+
+    Unlike {!renumber}, it keeps what the edit cannot reach: the name
+    index marks only the element names of the inserted and removed
+    subtrees stale, and a value table is dropped only when its name is
+    stale or an element of its name on the edit point's ancestor spine
+    reads the edit through its key path. The id and IDREF indexes are
+    dropped. *)
+val splice : t -> target:t -> patch_action -> t list * t list * t
 
 val pp : Format.formatter -> t -> unit

@@ -100,37 +100,36 @@ let under_document t =
   | None -> true
 
 let apply root op =
-  let parent_of t = match Node.parent t with Some p -> p | None -> t in
   (* Every check that can fail runs before the tree is touched, so a
      refused patch leaves the document exactly as it was. *)
-  let target, action, anchor =
+  let target, action =
     match op with
     | Insert { path; position; xml } -> (
       let t = resolve root path in
       let tpl = fragment xml in
       match position with
-      | First -> (t, Node.Pa_insert_child (tpl, `First), t)
-      | Last -> (t, Node.Pa_insert_child (tpl, `Last), t)
+      | First -> (t, Node.Pa_insert_child (tpl, `First))
+      | Last -> (t, Node.Pa_insert_child (tpl, `Last))
       | Before | After ->
         if under_document t then
           err "cannot insert a sibling of the document root element";
         let dir = if position = Before then `Before else `After in
-        (t, Node.Pa_insert_sibling (tpl, dir), parent_of t))
+        (t, Node.Pa_insert_sibling (tpl, dir)))
     | Delete { path } ->
       let t = resolve root path in
       if under_document t then
         err "cannot delete the document root element";
-      (t, Node.Pa_delete, parent_of t)
+      (t, Node.Pa_delete)
     | Replace { path; xml } ->
       let t = resolve root path in
-      (t, Node.Pa_replace (fragment xml), parent_of t)
+      (t, Node.Pa_replace (fragment xml))
     | Set_text { path; text } ->
       let t = resolve root path in
-      (t, Node.Pa_set_text text, t)
+      (t, Node.Pa_set_text text)
   in
-  let inserted, removed = Node.splice root ~target action in
+  let inserted, removed, edit_parent = Node.splice root ~target action in
   { inserted;
     inserted_count = List.length (List.concat_map subtree_ids inserted);
     removed;
     deleted = List.concat_map subtree_ids removed;
-    edit_parent = anchor }
+    edit_parent }

@@ -708,6 +708,137 @@ let prop_indexed_is_scanned_after_edits =
               agree registry st && agree registry st)
             (List.init 6 Fun.id)))
 
+(* The indexes a splice keeps must equal ones built afresh, here by a
+   walk the indexes do not use: for names, the elements in document
+   order; for a key path, each value and the elements reaching it. *)
+let scan_named doc nm =
+  let acc = ref [] in
+  Node.iter_subtree
+    (fun n -> if n.Node.kind = Node.Element && Node.name n = nm then acc := n :: !acc)
+    doc;
+  List.rev !acc
+
+let rec reach n = function
+  | [] -> [ n ]
+  | step :: rest ->
+    let keep c =
+      match step with
+      | Node.Key_child nm -> c.Node.kind = Node.Element && Node.name c = nm
+      | Node.Key_attr nm -> Node.name c = nm
+      | Node.Key_text -> c.Node.kind = Node.Text
+    in
+    let from = match step with Node.Key_attr _ -> Node.attributes n | _ -> Node.children n in
+    List.concat_map (fun c -> reach c rest) (List.filter keep from)
+
+let fresh_table elems path =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun e ->
+      List.iter
+        (fun v -> Hashtbl.replace tbl v (e :: Option.value ~default:[] (Hashtbl.find_opt tbl v)))
+        (List.sort_uniq compare (List.map Node.string_value (reach e path))))
+    elems;
+  List.sort compare (Hashtbl.fold (fun v l acc -> (v, List.rev l) :: acc) tbl [])
+
+let same_nodes a b = List.length a = List.length b && List.for_all2 ( == ) a b
+
+let kept_tables =
+  Node.
+    [ ("e", [ Key_attr "a" ]); ("e", [ Key_child "b"; Key_attr "a" ]);
+      ("e", [ Key_child "b"; Key_text ]); ("e", [ Key_child "b" ]); ("e", [ Key_text ]);
+      ("b", [ Key_attr "a" ]); ("b", [ Key_text ]); ("g", [ Key_child "e" ]);
+      ("g", [ Key_child "e"; Key_attr "a" ]); ("g", [ Key_child "e"; Key_child "b" ]);
+      ("r", [ Key_child "g" ]) ]
+
+(* Every kept name bucket and value table of [doc] against a fresh
+   build, then every name through a lookup, which rebuilds the stale
+   buckets. *)
+let indexes_are_fresh doc =
+  let d = Option.get doc.Node.doc in
+  let fail what = QCheck.Test.fail_reportf "%s differs from a fresh build" what in
+  List.iter
+    (fun ((nm, path), tbl) ->
+      let kept =
+        List.sort compare (Hashtbl.fold (fun v b acc -> (v, Array.to_list b) :: acc) tbl [])
+      in
+      let fresh = fresh_table (scan_named doc nm) path in
+      if
+        not
+          (List.length kept = List.length fresh
+          && List.for_all2 (fun (v, a) (w, b) -> v = w && same_nodes a b) kept fresh)
+      then fail (Printf.sprintf "the kept value table for %s" nm))
+    d.Node.value_index;
+  let names = [ "r"; "g"; "e"; "b" ] in
+  (match d.Node.name_index with
+  | Node.Ni_built { buckets; stale } ->
+    List.iter
+      (fun nm ->
+        if not (List.mem nm stale) then
+          let kept = Option.value ~default:[||] (Hashtbl.find_opt buckets nm) in
+          if not (same_nodes (Array.to_list kept) (scan_named doc nm)) then
+            fail ("the kept bucket " ^ nm))
+      names
+  | Node.Ni_unbuilt | Node.Ni_disabled -> ());
+  List.iter
+    (fun nm ->
+      match Node.elements_by_name doc nm with
+      | Some b when same_nodes (Array.to_list b) (scan_named doc nm) -> ()
+      | _ -> fail ("the bucket " ^ nm))
+    names;
+  true
+
+let prop_kept_indexes_are_fresh =
+  QCheck.Test.make ~name:"kept indexes = fresh build" ~count:150 QCheck.small_nat
+    (fun seed ->
+      with_random_doc seed (fun st _ doc ->
+          let probe () =
+            List.iter (fun (nm, path) -> ignore (Node.elements_by_value doc nm path)) kept_tables
+          in
+          probe ();
+          List.for_all
+            (fun _ ->
+              (try ignore (Patch.apply doc (random_patch st))
+               with Patch.Patch_error _ -> ());
+              let kept = indexes_are_fresh doc in
+              probe ();
+              kept && indexes_are_fresh doc)
+            (List.init 6 Fun.id)))
+
+(* Two readers in parallel domains look up the same stale name at once:
+   both rebuild it, and each must get, and leave published, a complete
+   bucket. *)
+let test_stale_bucket_two_readers () =
+  let doc =
+    Xml_parser.parse_string ~uri:"s.xml"
+      ("<r>" ^ String.concat "" (List.init 3000 (fun _ -> "<g><e/><b>x</b></g>")) ^ "</r>")
+  in
+  for round = 1 to 20 do
+    ignore (Node.elements_by_name doc "e");
+    ignore
+      (Patch.apply doc
+         (Patch.Insert { path = Printf.sprintf "/r/g[%d]" round; position = Patch.Last; xml = "<e/>" }));
+    (match (Option.get doc.Node.doc).Node.name_index with
+    | Node.Ni_built { stale; _ } -> check "the insert makes e stale" true (List.mem "e" stale)
+    | _ -> Alcotest.fail "the name index was dropped");
+    let expected = scan_named doc "e" in
+    let ready = Atomic.make 0 in
+    let reader () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do Domain.cpu_relax () done;
+      Node.elements_by_name doc "e"
+    in
+    let a = Domain.spawn reader and b = Domain.spawn reader in
+    List.iter
+      (fun got ->
+        match got with
+        | Some arr -> check "a reader's bucket is whole" true (same_nodes (Array.to_list arr) expected)
+        | None -> Alcotest.fail "the name index was disabled")
+      [ Domain.join a; Domain.join b ];
+    match Node.elements_by_name doc "e" with
+    | Some arr -> check "the published bucket is whole" true (same_nodes (Array.to_list arr) expected)
+    | None -> Alcotest.fail "the name index was disabled"
+  done
+
 let () =
   Alcotest.run "eval"
     [ ( "basics",
@@ -759,5 +890,8 @@ let () =
             test_positional_sibling_steps ] );
       ( "value index",
         Alcotest.test_case "regressions" `Quick test_value_probe_regressions
+        :: Alcotest.test_case "two readers rebuild a stale bucket" `Quick
+             test_stale_bucket_two_readers
         :: List.map QCheck_alcotest.to_alcotest
-             [ prop_indexed_is_scanned; prop_indexed_is_scanned_after_edits ] ) ]
+             [ prop_indexed_is_scanned; prop_indexed_is_scanned_after_edits;
+               prop_kept_indexes_are_fresh ] ) ]

@@ -650,6 +650,117 @@ let test_property_restarts () =
     (fun seed -> run_edit_property ~durable:true ~seed ~steps:25 ())
     [ 7; 42; 1001 ]
 
+(* ------------------------------------------------------------------ *)
+(* Property: untouched ≡ recompute over edits on sibling branches      *)
+(* ------------------------------------------------------------------ *)
+
+(* Each entry's outcome in a patch response, by query hash. *)
+let outcomes presp =
+  match member "entries" presp with
+  | Json.List rows ->
+    List.filter_map
+      (fun row ->
+        match (Json.str_opt (Json.member "hash" row), Json.str_opt (Json.member "outcome" row)) with
+        | (Some h, Some o) -> Some (h, o)
+        | _ -> None)
+      rows
+  | _ -> []
+
+(* Closures seeded inside one of three sibling branches, under random
+   inserts, deletes, replaces and text edits anywhere in the document:
+   each cached answer, untouched or maintained, must equal a recompute
+   after every edit, and some entry must come back untouched. The
+   controls read the document past their variable or select their seed
+   by more than names, so they never may. With [durable], the server
+   snapshots at random points, untouched entries included, and is
+   re-created from its state dir. *)
+let run_untouched_property ?(durable = false) ~seed ~steps () =
+  let rng = Random.State.make [| seed |] in
+  let restarts = Random.State.make [| seed; 1 |] in
+  let config =
+    if durable then
+      { Server.default_config with state_dir = Some (fresh_state_dir ()) }
+    else Server.default_config
+  in
+  let server = ref (Server.create ~config ()) in
+  let send line = send !server line in
+  ignore
+    (send
+       (load_line "u.xml"
+          {|<r><p><q n="1"><k/></q><q n="2"/></p><s><q n="1"/><q n="3"><k/></q></s><t><q/><m/></t></r>|}));
+  let closures =
+    [ {|with $x seeded by doc("u.xml")/r/p recurse $x/*|};
+      {|with $x seeded by doc("u.xml")/r/s/q recurse $x/*|};
+      {|with $x seeded by doc("u.xml")/r/s/q[@n = "1"] recurse $x/*|};
+      {|with $x seeded by doc("u.xml")/r/t recurse $x/*[k]|} ]
+  in
+  let controls =
+    [ {|with $x seeded by doc("u.xml")/r/t recurse $x/*[doc("u.xml")/r/p]|};
+      {|with $x seeded by doc("u.xml")/r/s/* recurse $x/*|};
+      {|declare variable $d := doc("u.xml"); with $x seeded by $d/r/s recurse $x/*|} ]
+  in
+  let queries = closures @ controls in
+  let control_hashes = List.map Service.Prepared.hash_source controls in
+  List.iter (fun q -> ignore (send (run_line q))) queries;
+  let untouched = ref 0 in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  for step = 1 to steps do
+    if durable && Random.State.int restarts 3 = 0 then begin
+      ignore (send {|{"op":"snapshot"}|});
+      server := Server.create ~config ()
+    end;
+    let branch = pick [| "p"; "s"; "t" |] in
+    let at = Printf.sprintf "/r/%s/%s[1]" branch (pick [| "q"; "k"; "m" |]) in
+    let fragment =
+      pick
+        [| Printf.sprintf {|<q n="%d"><k/></q>|} (1 + Random.State.int rng 3);
+           "<k/>"; "<m><k/></m>"; "<m/>" |]
+    in
+    let edit =
+      match Random.State.int rng 6 with
+      | 0 ->
+        patch_line ~action:"insert" ~path:("/r/" ^ branch) [ ("xml", Json.Str fragment) ]
+      | 1 -> patch_line ~action:"insert" ~path:"/r" [ ("xml", Json.Str "<u><m/></u>") ]
+      | 2 -> patch_line ~action:"insert" ~path:at [ ("xml", Json.Str fragment) ]
+      | 3 -> patch_line ~action:"delete" ~path:at []
+      | 4 -> patch_line ~action:"replace" ~path:at [ ("xml", Json.Str fragment) ]
+      | _ ->
+        patch_line ~action:"set-text" ~path:at
+          [ ("text", Json.Str (Printf.sprintf "t%d" step)) ]
+    in
+    let presp = send edit in
+    if Json.bool_opt (member "ok" presp) = Some true then begin
+      List.iter
+        (fun (h, o) ->
+          if o = "untouched" then begin
+            incr untouched;
+            if List.mem h control_hashes then
+              Alcotest.failf "step %d: a control came back untouched: %s" step presp
+          end)
+        (outcomes presp);
+      List.iter
+        (fun q ->
+          let c = member_str "result" (send (run_line q)) in
+          let f = member_str "result" (send (run_line ~cache:false q)) in
+          if c <> f then
+            Alcotest.failf "step %d (%s): %s diverged:\n cached: %s\n  fresh: %s" step
+              edit q c f)
+        queries
+    end
+  done;
+  if !untouched = 0 then Alcotest.fail "no entry came back untouched";
+  if not durable then begin
+    let ivm = Json.member "ivm" (member "stats" (send {|{"op":"stats"}|})) in
+    checki "stats count every untouched entry" !untouched
+      (Option.value ~default:(-1) (Json.int_opt (Json.member "untouched_total" ivm)))
+  end
+
+let test_untouched_property () =
+  List.iter (fun seed -> run_untouched_property ~seed ~steps:40 ()) [ 3; 7; 42; 1001 ]
+
+let test_untouched_restarts () =
+  List.iter (fun seed -> run_untouched_property ~durable:true ~seed ~steps:30 ()) [ 7; 42 ]
+
 let () =
   Alcotest.run "ivm"
     [ ("patch",
@@ -681,4 +792,7 @@ let () =
          Alcotest.test_case "random edits, seed 42" `Quick
            test_property_edits_seed42;
          Alcotest.test_case "random edits across restarts" `Quick
-           test_property_restarts ]) ]
+           test_property_restarts;
+         Alcotest.test_case "untouched = recompute" `Quick test_untouched_property;
+         Alcotest.test_case "untouched = recompute across restarts" `Quick
+           test_untouched_restarts ]) ]

@@ -190,6 +190,17 @@ let test_lru_promotion () =
     "mru order" [ "a"; "c" ]
     (List.sort compare (Lru.keys c))
 
+let test_lru_sweep () =
+  let c = Lru.create ~capacity:4 () in
+  List.iter (fun (k, v) -> Lru.put c k v) [ ("a", 1); ("b", 2); ("c", 3) ];
+  Lru.sweep c (fun k v ->
+      match k with "a" -> Lru.Set (v * 10) | "b" -> Lru.Remove | _ -> Lru.Keep);
+  checki "no traffic counted" 0 (Lru.hits c + Lru.misses c);
+  check Alcotest.(list string) "b removed, order kept" [ "c"; "a" ] (Lru.keys c);
+  checkb "a swapped" true (Lru.find c "a" = Some 10);
+  checkb "c kept" true (Lru.find c "c" = Some 3);
+  checkb "b gone" true (Lru.find c "b" = None)
+
 let test_lru_counters () =
   let c = Lru.create ~capacity:4 () in
   ignore (Lru.find c "x");  (* miss *)
@@ -1370,7 +1381,8 @@ let () =
       ("lru",
        [ Alcotest.test_case "eviction" `Quick test_lru_eviction;
          Alcotest.test_case "promotion" `Quick test_lru_promotion;
-         Alcotest.test_case "counters" `Quick test_lru_counters ]);
+         Alcotest.test_case "counters" `Quick test_lru_counters;
+         Alcotest.test_case "sweep" `Quick test_lru_sweep ]);
       ("registry",
        [ Alcotest.test_case "generation" `Quick test_registry_generation ]);
       ("prepared",
