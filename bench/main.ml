@@ -1474,7 +1474,9 @@ let micro () =
      240-patient hospital closure (the cluster-scatter workload's
      hospital document): the whole cached hit, the frame read on the
      receiving side, the JSON escape of the result, and the
-     coordinator's "worker" splice. Beside them, the fused JSON-mode
+     coordinator's "worker" splice. The hit and the splice run twice:
+     printed to a string, and written into a channel on /dev/null as
+     the line loop writes them. Beside them, the fused JSON-mode
      serializer on a fresh result: the fixpoint-cold workload's
      hospital query over its 2500-patient document. *)
   let wire_tests =
@@ -1519,19 +1521,27 @@ recurse $x/parents/patient|}))
         output_char oc '\n');
     let ic = open_in_bin path in
     Sys.remove path;
+    let null = open_out_bin Filename.null in
+    let write j =
+      Json.output null j;
+      output_char null '\n';
+      flush null
+    in
+    let spliced = Json.Spliced (response, "worker", Json.Str "w0") in
     let k name f =
       Bechamel.Test.make ~name (Bechamel.Staged.stage (fun () -> ignore (f ())))
     in
     Bechamel.Test.make_grouped ~name:"wire"
       [ k "cached_hit_34k" (fun () -> send run_line);
+        k "cached_hit_34k_channel" (fun () ->
+            write (fst (Fixq_service.Server.respond server run_line)));
         k "fresh_encode_39k" (fun () -> Fixq_xdm.Serializer.seq_to_json fresh);
         k "frame_read_34k" (fun () ->
             seek_in ic 0;
             Fixq_service.Frame.read ic);
         k "json_escape_33k" (fun () -> Json.to_string (Json.Str result));
-        k "append_worker_34k" (fun () ->
-            Fixq_cluster.Coordinator.append_field response "worker"
-              (Json.Str "w0")) ]
+        k "append_worker_34k" (fun () -> Json.to_string spliced);
+        k "append_worker_34k_channel" (fun () -> write spliced) ]
   in
   let open Bechamel in
   let instances = [ Toolkit.Instance.monotonic_clock ] in

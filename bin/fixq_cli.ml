@@ -977,7 +977,7 @@ let cluster_cmd =
       Printf.eprintf "fixq cluster: %s\n" msg;
       1
     | cluster -> (
-      let handle = C.Cluster.handle_line cluster in
+      let handle = C.Cluster.respond cluster in
       (* --doc preloads route through the coordinator like any client
          load-doc, so they land on their rendezvous replicas *)
       let preload_failed =
@@ -991,7 +991,7 @@ let cluster_cmd =
               | None -> (spec, spec)
             in
             let (resp, _) =
-              handle
+              C.Cluster.handle_line cluster
                 (Service.Json.to_string
                    (Service.Json.Obj
                       [ ("op", Service.Json.Str "load-doc");

@@ -114,6 +114,7 @@ let launch ~dir ~count ~command ?(config = Coordinator.default_config)
 
 let coordinator t = t.coordinator
 let supervisor t = t.supervisor
+let respond t line = Coordinator.respond t.coordinator line
 let handle_line t line = Coordinator.handle_line t.coordinator line
 
 let shutdown t =

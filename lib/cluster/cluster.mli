@@ -25,6 +25,9 @@ val supervisor : t -> Supervisor.t
 
 (** The coordinator as a line handler, for
     {!Fixq_service.Server.serve_pipe_with} / [serve_socket_with]. *)
+val respond : t -> string -> Fixq_service.Json.t * bool
+
+(** {!respond} as a string, for in-process callers. *)
 val handle_line : t -> string -> string * bool
 
 (** Stop the health thread, terminate the workers, close the

@@ -459,25 +459,6 @@ let worker_refusal results =
       | Error _ -> None)
     results
 
-(* Splice [key: value] in as the last member of the object [resp]
-   without parsing it: a worker prints each response with
-   [Json.to_string], so a line framed by braces is an object, and it is
-   empty only as "{}". Any other line is returned unchanged. *)
-let append_field (resp : string) key value =
-  let n = String.length resp in
-  if n < 2 || resp.[0] <> '{' || resp.[n - 1] <> '}' then resp
-  else begin
-    (* {"key":value}, spliced in without its opening brace: the line
-       is built in place, one allocation and two blits *)
-    let field = Json.to_string (Json.Obj [ (key, value) ]) in
-    let head = if n > 2 then n else n - 1 in
-    let line = Bytes.create (head + String.length field - 1) in
-    Bytes.blit_string resp 0 line 0 (n - 1);
-    if n > 2 then Bytes.set line (n - 1) ',';
-    Bytes.blit_string field 1 line head (String.length field - 1);
-    Bytes.unsafe_to_string line
-  end
-
 let forward_timeout t (params : Protocol.run_params) =
   (* give the worker its own budget plus slack before the transport
      gives up on the read; an unbudgeted request inherits the
@@ -495,8 +476,7 @@ let forward_timeout t (params : Protocol.run_params) =
 let run_routed t ~id ~docs ~cands ~timeout_ms line =
   let rec go = function
     | [] ->
-      Json.to_string
-        (Protocol.error_response ~id "no live worker can serve this request")
+      Protocol.error_response ~id "no live worker can serve this request"
     | name :: rest -> (
       let fail () =
         if rest <> [] then
@@ -510,14 +490,14 @@ let run_routed t ~id ~docs ~cands ~timeout_ms line =
         | Error _ -> fail ()
         | Ok resp ->
           locked t (fun () -> t.routed_runs <- t.routed_runs + 1);
-          append_field resp "worker" (Json.Str name)))
+          Json.Spliced (resp, "worker", Json.Str name)))
   in
   go cands
 
 (* A run, check, plan or explain of [query], routed whole. *)
 let handle_run t ~id ~timeout_ms req query =
   match parse_query query with
-  | Error msg -> Json.to_string (Protocol.error_response ~id msg)
+  | Error msg -> Protocol.error_response ~id msg
   | Ok program ->
     let docs = Fixq.doc_uris program in
     let cands = candidates t ~docs ~query in
@@ -543,7 +523,7 @@ let handle_load_doc t ~id req uri =
       reps
   in
   match worker_refusal results with
-  | Some msg -> Json.to_string (Protocol.error_response ~id msg)
+  | Some msg -> Protocol.error_response ~id msg
   | None ->
     let succeeded =
       List.filter_map
@@ -551,9 +531,8 @@ let handle_load_doc t ~id req uri =
         results
     in
     if succeeded = [] then
-      Json.to_string
-        (Protocol.error_response ~id
-           (Printf.sprintf "no live replica accepted document %s" uri))
+      Protocol.error_response ~id
+        (Printf.sprintf "no live replica accepted document %s" uri)
     else begin
       let generation =
         locked t (fun () ->
@@ -570,12 +549,11 @@ let handle_load_doc t ~id req uri =
             t.generation <- t.generation + 1;
             t.generation)
       in
-      Json.to_string
-        (Protocol.ok_response ~id
-           [ ("uri", Json.Str uri);
-             ("generation", Json.of_int generation);
-             ("workers",
-              Json.List (List.map (fun w -> Json.Str w) succeeded)) ])
+      Protocol.ok_response ~id
+        [ ("uri", Json.Str uri);
+          ("generation", Json.of_int generation);
+          ("workers",
+           Json.List (List.map (fun w -> Json.Str w) succeeded)) ]
     end
 
 let handle_unload_doc t ~id req uri =
@@ -594,9 +572,8 @@ let handle_unload_doc t ~id req uri =
         t.generation <- t.generation + 1;
         t.generation)
   in
-  Json.to_string
-    (Protocol.ok_response ~id
-       [ ("uri", Json.Str uri); ("generation", Json.of_int generation) ])
+  Protocol.ok_response ~id
+    [ ("uri", Json.Str uri); ("generation", Json.of_int generation) ]
 
 (* A patch ships only to the workers currently holding the uri — the
    shards owning the document — never the whole fleet: workers without
@@ -611,9 +588,8 @@ let handle_patch_doc t ~id req uri =
   let line = forward_line req in
   let known = locked t (fun () -> Hashtbl.mem t.docs uri) in
   if not known then
-    Json.to_string
-      (Protocol.error_response ~id
-         (Printf.sprintf "no document loaded under %S" uri))
+    Protocol.error_response ~id
+      (Printf.sprintf "no document loaded under %S" uri)
   else begin
     let holders = locked t (fun () -> holders_locked t uri) in
     let results =
@@ -625,7 +601,7 @@ let handle_patch_doc t ~id req uri =
     (* a refusal leaves the history unchanged so replicas stay
        consistent *)
     match worker_refusal results with
-    | Some msg -> Json.to_string (Protocol.error_response ~id msg)
+    | Some msg -> Protocol.error_response ~id msg
     | None ->
       let succeeded, failed =
         List.partition_map
@@ -634,9 +610,8 @@ let handle_patch_doc t ~id req uri =
           results
       in
       if succeeded = [] then
-        Json.to_string
-          (Protocol.error_response ~id
-             (Printf.sprintf "no live holder accepted patch for %s" uri))
+        Protocol.error_response ~id
+          (Printf.sprintf "no live holder accepted patch for %s" uri)
       else begin
         let generation =
           locked t (fun () ->
@@ -672,12 +647,11 @@ let handle_patch_doc t ~id req uri =
           in
           if depth > t.config.compact_patches then ignore (compact_doc t uri)
         end;
-        Json.to_string
-          (Protocol.ok_response ~id
-             [ ("uri", Json.Str uri);
-               ("generation", Json.of_int generation);
-               ("workers",
-                Json.List (List.map (fun w -> Json.Str w) succeeded)) ])
+        Protocol.ok_response ~id
+          [ ("uri", Json.Str uri);
+            ("generation", Json.of_int generation);
+            ("workers",
+             Json.List (List.map (fun w -> Json.Str w) succeeded)) ]
       end
   end
 
@@ -796,19 +770,18 @@ let rebalance t ~next =
   (moving, pending)
 
 let topology_response t ~id ~worker ~moved ~pending =
-  Json.to_string
-    (Protocol.ok_response ~id
-       [ ("worker", Json.Str worker);
-         ("moved", Json.List (List.map (fun u -> Json.Str u) moved));
-         ("pending", Json.List (List.map (fun u -> Json.Str u) pending));
-         ("workers",
-          Json.List
-            (List.map (fun w -> Json.Str w)
-               (locked t (fun () -> Router.workers t.router)))) ])
+  Protocol.ok_response ~id
+    [ ("worker", Json.Str worker);
+      ("moved", Json.List (List.map (fun u -> Json.Str u) moved));
+      ("pending", Json.List (List.map (fun u -> Json.Str u) pending));
+      ("workers",
+       Json.List
+         (List.map (fun w -> Json.Str w)
+            (locked t (fun () -> Router.workers t.router)))) ]
 
 let handle_add_worker t ~id =
   match t.backend.add_worker () with
-  | Error msg -> Json.to_string (Protocol.error_response ~id msg)
+  | Error msg -> Protocol.error_response ~id msg
   | Ok name ->
     locked t (fun () ->
         t.workers <- t.workers @ [ name ];
@@ -844,11 +817,10 @@ let drain_out t name =
    ([remove-worker]). *)
 let handle_drain ?(retire = false) t ~id name =
   if not (List.mem name (current_workers t)) then
-    Json.to_string
-      (Protocol.error_response ~id (Printf.sprintf "unknown worker %S" name))
+    Protocol.error_response ~id (Printf.sprintf "unknown worker %S" name)
   else
     match drain_out t name with
-    | Error msg -> Json.to_string (Protocol.error_response ~id msg)
+    | Error msg -> Protocol.error_response ~id msg
     | Ok (moved, pending) ->
       if retire then begin
         t.backend.retire_worker name;
@@ -866,11 +838,10 @@ let handle_drain ?(retire = false) t ~id name =
 let handle_cluster_snapshot t ~id =
   let compacted = doc_locked t (fun () -> compact_all t) in
   let docs = locked t (fun () -> Hashtbl.length t.docs) in
-  Json.to_string
-    (Protocol.ok_response ~id
-       [ ("snapshot", Json.Bool true);
-         ("compacted", Json.of_int compacted);
-         ("documents", Json.of_int docs) ])
+  Protocol.ok_response ~id
+    [ ("snapshot", Json.Bool true);
+      ("compacted", Json.of_int compacted);
+      ("documents", Json.of_int docs) ]
 
 (* dump-doc forwards to a live holder of the uri, verbatim. *)
 let handle_dump_doc t ~id req uri =
@@ -878,13 +849,11 @@ let handle_dump_doc t ~id req uri =
   let line = Json.to_string req in
   let rec go = function
     | [] ->
-      Json.to_string
-        (Protocol.error_response ~id
-           (Printf.sprintf "no live holder of %S" uri))
+      Protocol.error_response ~id (Printf.sprintf "no live holder of %S" uri)
     | h :: rest -> (
       match send_retry t h ~timeout_ms:t.config.timeout_ms line with
       | Error _ -> go rest
-      | Ok resp -> append_field resp "worker" (Json.Str h))
+      | Ok resp -> Json.Spliced (resp, "worker", Json.Str h))
   in
   go holders
 
@@ -896,7 +865,7 @@ let handle_dump_doc t ~id req uri =
    useful where the query may later land; check/plan route like a run. *)
 let handle_prepare t ~id req query =
   match parse_query query with
-  | Error msg -> Json.to_string (Protocol.error_response ~id msg)
+  | Error msg -> Protocol.error_response ~id msg
   | Ok program -> (
     let docs = Fixq.doc_uris program in
     let key = match docs with [] -> "q:" ^ query | uri :: _ -> uri in
@@ -920,19 +889,17 @@ let handle_prepare t ~id req query =
     in
     match results with
     | [] ->
-      Json.to_string
-        (Protocol.error_response ~id "no live worker can serve this request")
+      Protocol.error_response ~id "no live worker can serve this request"
     | (_, first) :: _ ->
       let fields =
         match Json.parse first with
         | Json.Obj f -> without [ "ok"; "id" ] f
         | _ | (exception Json.Parse_error _) -> []
       in
-      Json.to_string
-        (Protocol.ok_response ~id
-           (fields
-           @ [ ("workers",
-                Json.List (List.map (fun (w, _) -> Json.Str w) results)) ])))
+      Protocol.ok_response ~id
+        (fields
+        @ [ ("workers",
+             Json.List (List.map (fun (w, _) -> Json.Str w) results)) ]))
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
@@ -973,24 +940,23 @@ let handle_stats t ~id =
           t.routed_runs, t.rebalances_total,
           t.docs_moved_total, t.compactions_total ))
   in
-  Json.to_string
-    (Protocol.ok_response ~id
-       [ ("stats",
-          Json.Obj
-            [ ("workers", Json.List workers);
-              ("documents", Json.List (List.map (fun u -> Json.Str u) docs));
-              ("generation", Json.of_int gen);
-              ("replication", Json.of_int (Router.replication t.router));
-              ("retries", Json.of_int retries);
-              ("backoff_ms_total", Json.Num backoff_ms);
-              ("failovers", Json.of_int failovers);
-              ("routed_runs", Json.of_int routed);
-              ("rebalances", Json.of_int rebalances);
-              ("docs_moved", Json.of_int moved);
-              ("compactions", Json.of_int compactions);
-              ("restarts", Json.of_int (t.backend.restarts ()));
-              ("uptime_ms",
-               Json.Num ((Unix.gettimeofday () -. t.started_at) *. 1000.)) ]) ])
+  Protocol.ok_response ~id
+    [ ("stats",
+       Json.Obj
+         [ ("workers", Json.List workers);
+           ("documents", Json.List (List.map (fun u -> Json.Str u) docs));
+           ("generation", Json.of_int gen);
+           ("replication", Json.of_int (Router.replication t.router));
+           ("retries", Json.of_int retries);
+           ("backoff_ms_total", Json.Num backoff_ms);
+           ("failovers", Json.of_int failovers);
+           ("routed_runs", Json.of_int routed);
+           ("rebalances", Json.of_int rebalances);
+           ("docs_moved", Json.of_int moved);
+           ("compactions", Json.of_int compactions);
+           ("restarts", Json.of_int (t.backend.restarts ()));
+           ("uptime_ms",
+            Json.Num ((Unix.gettimeofday () -. t.started_at) *. 1000.)) ]) ]
 
 (* Inject worker="name" as the first label of every sample line so the
    workers' expositions can share one scrape page; # TYPE headers are
@@ -1084,14 +1050,14 @@ let broadcast_shutdown t =
           (t.backend.send name ~timeout_ms:(Some 2000.) {|{"op":"shutdown"}|}))
     (current_workers t)
 
-let handle_line t line =
+let respond t line =
   match Json.parse line with
   | exception Json.Parse_error msg ->
-    (Json.to_string (Protocol.error_response ~id:Json.Null msg), false)
+    (Protocol.error_response ~id:Json.Null msg, false)
   | req -> (
     let id = Protocol.request_id req in
     match Protocol.parse_request req with
-    | Error msg -> (Json.to_string (Protocol.error_response ~id msg), false)
+    | Error msg -> (Protocol.error_response ~id msg, false)
     | Ok parsed -> (
       try
         match parsed with
@@ -1117,26 +1083,24 @@ let handle_line t line =
         | Protocol.Drain { name } -> (handle_drain t ~id name, false)
         | Protocol.Stats Protocol.Stats_json -> (handle_stats t ~id, false)
         | Protocol.Stats Protocol.Stats_prometheus ->
-          ( Json.to_string
-              (Protocol.ok_response ~id
-                 [ ("prometheus", Json.Str (prometheus_stats t)) ]),
+          ( Protocol.ok_response ~id
+              [ ("prometheus", Json.Str (prometheus_stats t)) ],
             false )
         | Protocol.Ping ->
-          ( Json.to_string
-              (Protocol.ok_response ~id
-                 [ ("pong", Json.Bool true);
-                   ("workers",
-                    Json.of_int (List.length (alive_workers t))) ]),
+          ( Protocol.ok_response ~id
+              [ ("pong", Json.Bool true);
+                ("workers", Json.of_int (List.length (alive_workers t))) ],
             false )
         | Protocol.Shutdown ->
           (* a worker that exits on the broadcast must stay down *)
           t.backend.stop ();
           broadcast_shutdown t;
-          ( Json.to_string
-              (Protocol.ok_response ~id [ ("shutdown", Json.Bool true) ]),
-            true )
+          (Protocol.ok_response ~id [ ("shutdown", Json.Bool true) ], true)
       with exn ->
-        ( Json.to_string
-            (Protocol.error_response ~id
-               ("internal error: " ^ Printexc.to_string exn)),
+        ( Protocol.error_response ~id
+            ("internal error: " ^ Printexc.to_string exn),
           false )))
+
+let handle_line t line =
+  let (response, stop) = respond t line in
+  (Json.to_string response, stop)

@@ -87,17 +87,11 @@ val on_worker_respawn : t -> string -> unit
 
 (** The coordinator as a line handler — plug into
     {!Fixq_service.Server.serve_pipe_with} /
-    [serve_socket_with]. Returns (response line, shutdown?). On
+    [serve_socket_with]. Returns (response, shutdown?); a worker's
+    line comes back verbatim with its ["worker"] member spliced in. On
     [shutdown], health checks have stopped and the workers have been
     told to shut down too (best effort), so none is respawned. *)
-val handle_line : t -> string -> string * bool
+val respond : t -> string -> Fixq_service.Json.t * bool
 
-(** [append_field line key value] adds [key: value] as the last member
-    of the JSON object [line] by splicing it in before the closing
-    brace, without parsing or printing the rest: for a line written by
-    [Json.to_string (Obj fields)] it equals
-    [Json.to_string (Obj (fields @ [ (key, value) ]))]. A line that is
-    not framed by braces is returned unchanged; one that is must be
-    printed by [Json.to_string]. This is how a worker's
-    answer gains its ["worker"] field. *)
-val append_field : string -> string -> Fixq_service.Json.t -> string
+(** {!respond}, printed. *)
+val handle_line : t -> string -> string * bool

@@ -178,8 +178,10 @@ let differentiate ~registry st (delta : Patch.delta) =
   in
   let rounds = ref 0 in
   let total_fresh = ref 0 in
-  (* Always at least one round: even an empty frontier must revalidate
-     doc("…")-constant parts of the body against the patched tree. *)
+  (* The first round feeds the frontier. Re-running the body on it
+     does not revalidate a constant part of the body, such as a
+     doc("…") read in a predicate, which may flip on old nodes that no
+     frontier re-feeds: [maintain] brings only local bodies here. *)
   let rec loop delta_in =
     incr rounds;
     if !rounds > st.max_iterations then
@@ -247,6 +249,8 @@ let maintain ~registry ~op delta st =
   | (Analyze.Ivm_ineligible r, _) -> Dropped r
   | (Analyze.Ivm_insert_only, Patch.(Delete _ | Replace _ | Set_text _)) ->
     Dropped "insert-only eligibility: deletions fall back to recompute"
+  | _ when not st.local_body ->
+    Dropped "the body reads outside its variable"
   | ((Analyze.Ivm_full | Analyze.Ivm_insert_only), _) -> (
     try differentiate ~registry st delta with
     | Maintenance_failed r -> Dropped r

@@ -64,7 +64,10 @@ val adopt :
     and no element or attribute of the inserted or removed subtrees
     carries a name it tests; and no seed node is an ancestor-or-self of
     the edit point. Every fed node then lies in a subtree the edit left
-    alone. Any other state is maintained or dropped as its class says. *)
+    alone. A state whose body reads outside its variable is otherwise
+    dropped: a [doc(…)] or global read in a predicate can flip on old
+    nodes that the edit frontier never re-feeds. Any other state is
+    maintained or dropped as its class says. *)
 val maintain :
   registry:Fixq_xdm.Doc_registry.t ->
   op:Fixq_xdm.Patch.op ->

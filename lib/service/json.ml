@@ -6,6 +6,7 @@ type t =
   | List of t list
   | Obj of (string * t) list
   | Raw of string
+  | Spliced of string * string * t
 
 exception Parse_error of string
 
@@ -24,11 +25,27 @@ let number_to_string f =
     let s = Printf.sprintf "%.12g" f in
     if float_of_string s = f then s else Printf.sprintf "%.17g" f
 
-let rec write buf = function
+(* The one walk behind both printers. Everything goes to [buf] except
+   the verbatim pieces, which [raw] places: into [buf] for a string, or
+   straight into a channel once [buf]'s bytes are out. *)
+let rec write ~raw buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Num f -> Buffer.add_string buf (number_to_string f)
-  | Raw s -> Buffer.add_string buf s
+  | Raw s -> raw s 0 (String.length s)
+  | Spliced (line, key, value) ->
+    let n = String.length line in
+    if n < 2 || line.[0] <> '{' || line.[n - 1] <> '}' then raw line 0 n
+    else begin
+      (* an object, empty only as "{}": all but its brace, the member *)
+      raw line 0 (n - 1);
+      if n > 2 then Buffer.add_char buf ',';
+      Buffer.add_char buf '"';
+      escape_to buf key;
+      Buffer.add_string buf "\":";
+      write ~raw buf value;
+      Buffer.add_char buf '}'
+    end
   | Str s ->
     Buffer.add_char buf '"';
     escape_to buf s;
@@ -38,7 +55,7 @@ let rec write buf = function
     List.iteri
       (fun i item ->
         if i > 0 then Buffer.add_char buf ',';
-        write buf item)
+        write ~raw buf item)
       items;
     Buffer.add_char buf ']'
   | Obj fields ->
@@ -49,22 +66,37 @@ let rec write buf = function
         Buffer.add_char buf '"';
         escape_to buf name;
         Buffer.add_string buf "\":";
-        write buf value)
+        write ~raw buf value)
       fields;
     Buffer.add_char buf '}'
 
-(* Raw pieces are the long part of a response: sizing the buffer for
-   them up front spares copying them through every doubling. *)
-let rec raw_length = function
-  | Raw s -> String.length s
-  | List items -> List.fold_left (fun n v -> n + raw_length v) 0 items
-  | Obj fields -> List.fold_left (fun n (_, v) -> n + raw_length v) 0 fields
-  | Null | Bool _ | Num _ | Str _ -> 0
-
+(* Raw pieces are the long part of a response. The walk sets them
+   aside, each with the length of [buf] where it belongs, and they are
+   blitted into the result once its size is known: one copy each. *)
 let to_string j =
-  let buf = Buffer.create (256 + raw_length j) in
-  write buf j;
-  Buffer.contents buf
+  let buf = Buffer.create 256 and pieces = ref [] and extra = ref 0 in
+  write buf j ~raw:(fun s pos len ->
+      pieces := (Buffer.length buf, s, pos, len) :: !pieces;
+      extra := !extra + len);
+  let out = Bytes.create (Buffer.length buf + !extra) in
+  let (at, from) =
+    List.fold_left
+      (fun (at, from) (mark, s, pos, len) ->
+        Buffer.blit buf from out at (mark - from);
+        Bytes.blit_string s pos out (at + mark - from) len;
+        (at + mark - from + len, mark))
+      (0, 0) (List.rev !pieces)
+  in
+  Buffer.blit buf from out at (Buffer.length buf - from);
+  Bytes.unsafe_to_string out
+
+let output oc j =
+  let buf = Buffer.create 256 in
+  write buf j ~raw:(fun s pos len ->
+      Buffer.output_buffer oc buf;
+      Buffer.clear buf;
+      output_substring oc s pos len);
+  Buffer.output_buffer oc buf
 
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)

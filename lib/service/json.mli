@@ -18,6 +18,11 @@ type t =
       (** JSON text printed verbatim, such as a string literal escaped
           once and kept; the maker vouches that it is valid JSON.
           {!parse} never returns one. *)
+  | Spliced of string * string * t
+      (** [Spliced (line, key, value)]: the object that {!to_string}
+          printed on [line], with [key: value] spliced in as its last
+          member; a [line] not framed by braces prints unchanged.
+          {!parse} never returns one; {!member} does not look in. *)
 
 exception Parse_error of string
 
@@ -29,6 +34,10 @@ val parse : string -> t
     the wire). Numbers that are integral print without a decimal
     point. *)
 val to_string : t -> string
+
+(** [output oc j] writes the bytes of [to_string j] to [oc], the
+    [Raw] and [Spliced] lines straight from their strings. *)
+val output : out_channel -> t -> unit
 
 (** [member name j] is the field [name] of object [j], [Null] when
     absent or when [j] is not an object. *)

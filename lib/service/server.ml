@@ -1397,13 +1397,15 @@ let handle t request =
          ("internal error: " ^ Printexc.to_string exn),
        false))
 
-let handle_line t line =
+let respond t line =
   match Json.parse line with
-  | request ->
-    let (response, shutdown) = handle t request in
-    (Json.to_string response, shutdown)
+  | request -> handle t request
   | exception Json.Parse_error msg ->
-    (Json.to_string (Protocol.error_response ~id:Json.Null msg), false)
+    (Protocol.error_response ~id:Json.Null msg, false)
+
+let handle_line t line =
+  let (response, shutdown) = respond t line in
+  (Json.to_string response, shutdown)
 
 (* ------------------------------------------------------------------ *)
 (* Transports                                                          *)
@@ -1412,7 +1414,7 @@ let handle_line t line =
 (* The transports are generic over the request handler so that the
    single-process server and the cluster coordinator (whose handler
    fans out to worker processes) share the exact same pipe/socket
-   plumbing. [handle] maps one request line to (response line, stop). *)
+   plumbing. [handle] maps one request line to (response, stop). *)
 
 (* Does [line] contain [s]? *)
 let mentions line s =
@@ -1473,22 +1475,22 @@ let enter door ~handle line =
    and otherwise ends the connection cleanly — never a bare
    [End_of_file] out of the serve loop, and never a truncated frame
    handed to the handler as if it were complete. *)
-let frame_error_line kind =
-  Json.to_string
-    (Protocol.error_response ~id:Json.Null
-       (match kind with
-       | `Truncated -> "protocol error: stream ended mid-frame"
-       | `Oversized ->
-         Printf.sprintf "protocol error: frame larger than %d bytes"
-           Frame.default_max_len))
+let frame_error kind =
+  Protocol.error_response ~id:Json.Null
+    (match kind with
+    | `Truncated -> "protocol error: stream ended mid-frame"
+    | `Oversized ->
+      Printf.sprintf "protocol error: frame larger than %d bytes"
+        Frame.default_max_len)
 
 (* The one line loop: answer [ic]'s requests on [oc] in order until
    EOF, a failed write, a stop or a stopping door. True when it ended
-   on a stop or a stopping door. *)
+   on a stop or a stopping door. Each response is printed straight
+   into [oc], never built as one string first. *)
 let serve_stream door ~handle ic oc =
-  let write_line s =
+  let write_line j =
     match
-      output_string oc s;
+      Json.output oc j;
       output_char oc '\n';
       flush oc
     with
@@ -1500,9 +1502,9 @@ let serve_stream door ~handle ic oc =
     | exception Sys_error _ -> false
     | `Eof -> false
     | `Truncated _ ->
-      ignore (write_line (frame_error_line `Truncated));
+      ignore (write_line (frame_error `Truncated));
       false
-    | `Oversized -> write_line (frame_error_line `Oversized) && loop ()
+    | `Oversized -> write_line (frame_error `Oversized) && loop ()
     | `Line line when String.trim line = "" -> loop ()
     | `Line line -> (
       match enter door ~handle line with
@@ -1601,7 +1603,7 @@ let serve_socket_with ~handle ?(workers = 1) ~path () =
         conns);
   if Sys.file_exists path then (try Unix.unlink path with Sys_error _ -> ())
 
-let serve_pipe t ic oc = serve_pipe_with ~handle:(handle_line t) ic oc
+let serve_pipe t ic oc = serve_pipe_with ~handle:(respond t) ic oc
 
 let serve_socket t ~path =
-  serve_socket_with ~handle:(handle_line t) ~workers:t.config.workers ~path ()
+  serve_socket_with ~handle:(respond t) ~workers:t.config.workers ~path ()

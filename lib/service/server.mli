@@ -66,6 +66,9 @@ val handle : t -> Json.t -> Json.t * bool
 
 (** {!handle} on raw wire lines (invalid JSON becomes an error
     response). *)
+val respond : t -> string -> Json.t * bool
+
+(** {!respond} with the response printed by {!Json.to_string}. *)
 val handle_line : t -> string -> string * bool
 
 (** The Prometheus text exposition of the server's counters (cache
@@ -83,11 +86,13 @@ exception Socket_in_use of string
     currently succeed? *)
 val socket_alive : string -> bool
 
-(** Generic transports: serve with an arbitrary line handler (response
-    line, stop?). The single-process server and the cluster coordinator
-    share these. A [shutdown] line always stops them (see above). *)
+(** Generic transports: serve with an arbitrary line handler
+    (response, stop?), each response written into the stream with
+    {!Json.output}. The single-process server and the cluster
+    coordinator share these. A [shutdown] line always stops them (see
+    above). *)
 val serve_pipe_with :
-  handle:(string -> string * bool) -> in_channel -> out_channel -> unit
+  handle:(string -> Json.t * bool) -> in_channel -> out_channel -> unit
 
 (** Like {!serve_pipe_with} for a Unix-domain socket listener: one
     thread per open connection (at most 256; past that, accepting waits
@@ -96,7 +101,7 @@ val serve_pipe_with :
     up, and removes the socket file. Raises {!Socket_in_use} when a
     live server already answers at [path]. *)
 val serve_socket_with :
-  handle:(string -> string * bool) ->
+  handle:(string -> Json.t * bool) ->
   ?workers:int ->
   path:string ->
   unit ->

@@ -159,8 +159,19 @@ let seq_to_string ?(indent = false) s =
   write_seq ~indent { buf; json = false } s;
   Buffer.contents buf
 
+(* Nodes and attributes in the subtree of [n]. *)
+let rec weight (n : Node.t) =
+  Array.fold_left (fun k c -> k + weight c)
+    (1 + Array.length n.Node.attributes) n.Node.children
+
+(* The buffer starts at about 16 bytes a node, instead of doubling from
+   a small start: each doubling past a few KB is a major allocation. *)
 let seq_to_json s =
-  let buf = Buffer.create 256 in
+  let nodes =
+    List.fold_left
+      (fun k -> function Item.N n -> k + weight n | Item.A _ -> k + 1) 0 s
+  in
+  let buf = Buffer.create (16 * nodes + 2) in
   Buffer.add_char buf '"';
   write_seq ~indent:false { buf; json = true } s;
   Buffer.add_char buf '"';

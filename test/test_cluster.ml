@@ -795,6 +795,10 @@ let gen_json =
   in
   triple (list_size (int_bound 5) (pair text value)) text value
 
+(* A worker's line with a member spliced in, as the coordinator
+   answers it. *)
+let append_field line k x = Json.to_string (Json.Spliced (line, k, x))
+
 let prop_append_field_splices =
   QCheck2.Test.make ~count:300 ~name:"spliced append_field = reprinted object"
     ~print:(fun (fields, k, x) ->
@@ -803,21 +807,19 @@ let prop_append_field_splices =
         k (Json.to_string x))
     gen_json
     (fun (fields, k, x) ->
-      Coordinator.append_field (Json.to_string (Json.Obj fields)) k x
+      append_field (Json.to_string (Json.Obj fields)) k x
       = Json.to_string (Json.Obj (fields @ [ (k, x) ])))
 
 let test_append_field_cases () =
   let w = Json.Str "w0" in
-  checks "empty object" {|{"worker":"w0"}|}
-    (Coordinator.append_field "{}" "worker" w);
+  checks "empty object" {|{"worker":"w0"}|} (append_field "{}" "worker" w);
   checks "one member" {|{"ok":true,"worker":"w0"}|}
-    (Coordinator.append_field {|{"ok":true}|} "worker" w);
+    (append_field {|{"ok":true}|} "worker" w);
   checks "escaped value" {|{"a":1,"worker":"a\"b"}|}
-    (Coordinator.append_field {|{"a":1}|} "worker" (Json.Str "a\"b"));
+    (append_field {|{"a":1}|} "worker" (Json.Str "a\"b"));
   List.iter
     (fun line ->
-      checks ("unchanged: " ^ line) line
-        (Coordinator.append_field line "worker" w))
+      checks ("unchanged: " ^ line) line (append_field line "worker" w))
     [ ""; "[1,2]"; {|"{}"|}; "42"; "null"; "not json"; {|{"ok":true|}; "{";
       "}"; {|{"a":1}x|} ]
 

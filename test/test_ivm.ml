@@ -281,6 +281,33 @@ let test_server_patch_maintains () =
   checks "maintained bytes = recompute bytes" (member_str "result" fresh)
     (member_str "result" hit)
 
+(* A predicate that reads the document outside the recursion variable
+   holds or fails for old nodes that no frontier re-feeds: inserting
+   <t/> flips it for <q/>, which was fed before the edit. Such an entry
+   is recomputed, never maintained, and its next hit answers as
+   cache:false does. *)
+let run_outside_read_case q () =
+  let server = Server.create () in
+  ignore (send server (load_line "u.xml" "<r><p><q/></p><s/></r>"));
+  checks "no <t/>, no result" "" (member_str "result" (send server (run_line q)));
+  let presp =
+    send server (patch_line ~action:"insert" ~path:"/r" [ ("xml", Json.Str "<t/>") ])
+  in
+  checki "not maintained" 0 (member_int "maintained" presp);
+  checki "recomputed" 1 (member_int "recompute" presp);
+  let fresh = member_str "result" (send server (run_line ~cache:false q)) in
+  checks "cache:false sees <t/>" "<q/>" fresh;
+  checks "cached run = cache:false" fresh (member_str "result" (send server (run_line q)))
+
+let test_doc_read_in_predicate =
+  run_outside_read_case
+    {|with $x seeded by doc("u.xml")/r/p recurse $x/*[doc("u.xml")/r/t]|}
+
+let test_global_read_in_predicate =
+  run_outside_read_case
+    {|declare variable $g := doc("u.xml")/r/t;
+with $x seeded by doc("u.xml")/r/p recurse $x/*[$g]|}
+
 (* Query hashes a patch response reports as maintained. *)
 let maintained_hashes presp =
   match member "entries" presp with
@@ -671,7 +698,9 @@ let outcomes presp =
    each cached answer, untouched or maintained, must equal a recompute
    after every edit, and some entry must come back untouched. The
    controls read the document past their variable or select their seed
-   by more than names, so they never may. With [durable], the server
+   by more than names, so they never may. One control's predicate flips
+   when an edit inserts <u>: maintaining it from the frontier would
+   keep its old, empty answer. With [durable], the server
    snapshots at random points, untouched entries included, and is
    re-created from its state dir. *)
 let run_untouched_property ?(durable = false) ~seed ~steps () =
@@ -696,6 +725,7 @@ let run_untouched_property ?(durable = false) ~seed ~steps () =
   in
   let controls =
     [ {|with $x seeded by doc("u.xml")/r/t recurse $x/*[doc("u.xml")/r/p]|};
+      {|with $x seeded by doc("u.xml")/r/t recurse $x/*[doc("u.xml")/r/u]|};
       {|with $x seeded by doc("u.xml")/r/s/* recurse $x/*|};
       {|declare variable $d := doc("u.xml"); with $x seeded by $d/r/s recurse $x/*|} ]
   in
@@ -785,6 +815,10 @@ let () =
            test_maintenance_follows_lru;
          Alcotest.test_case "delete drops insert-only entry" `Quick
            test_server_patch_drops_ineligible;
+         Alcotest.test_case "doc() read in a predicate recomputes" `Quick
+           test_doc_read_in_predicate;
+         Alcotest.test_case "global read in a predicate recomputes" `Quick
+           test_global_read_in_predicate;
          Alcotest.test_case "patch errors" `Quick test_server_patch_errors ]);
       ("property",
        [ Alcotest.test_case "random edits, seed 7" `Quick

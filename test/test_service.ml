@@ -138,6 +138,60 @@ let prop_fused_writer_matches_escape =
       Fixq_xdm.Serializer.seq_to_json r
       = Json.to_string (Json.Str (Fixq_xdm.Serializer.seq_to_string r)))
 
+(* Values that take every printing path: strings that need escaping,
+   raw pieces, and worker lines with a member spliced in, braced or
+   not. *)
+let gen_wire_json =
+  let open QCheck2.Gen in
+  let leaf =
+    oneof
+      [ return Json.Null; map (fun b -> Json.Bool b) bool;
+        map Json.of_int small_signed_int; map (fun s -> Json.Str s) gen_escape_text ]
+  in
+  fix
+    (fun self depth ->
+      if depth = 0 then leaf
+      else
+        let sub = self (depth - 1) in
+        let fields = list_size (int_bound 3) (pair gen_escape_text sub) in
+        let line =
+          oneof
+            [ oneofl [ "{}"; {|{"a":1}|}; ""; "[1,2]"; "42"; "{"; "}"; {|"{}"|} ];
+              map (fun f -> Json.to_string (Json.Obj f)) fields ]
+        in
+        frequency
+          [ (2, leaf);
+            (1, map (fun j -> Json.Raw (Json.to_string j)) sub);
+            (2, map3 (fun l k v -> Json.Spliced (l, k, v)) line gen_escape_text sub);
+            (1, map (fun l -> Json.List l) (list_size (int_bound 4) sub));
+            (1, map (fun f -> Json.Obj f) fields) ])
+    3
+
+(* The bytes [Json.output] writes into a channel. *)
+let output_bytes =
+  let path = Filename.temp_file "fixq-json" ".out" in
+  at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+  fun j ->
+    Out_channel.with_open_bin path (fun oc -> Json.output oc j);
+    In_channel.with_open_bin path In_channel.input_all
+
+let prop_output_matches_to_string =
+  QCheck2.Test.make ~count:500 ~name:"Json.output = Json.to_string"
+    ~print:Json.to_string gen_wire_json
+    (fun j -> output_bytes j = Json.to_string j)
+
+(* Pieces longer than a channel's buffer go out whole. *)
+let test_json_output_large_pieces () =
+  let big = Json.to_string (Json.Str (String.make 100_000 '"')) in
+  let j =
+    Json.Obj
+      [ ("result", Json.Raw big);
+        ("line",
+         Json.Spliced (Json.to_string (Json.Obj [ ("r", Json.Raw big) ]),
+                       "worker", Json.Str "w0")) ]
+  in
+  checks "same bytes" (Json.to_string j) (output_bytes j)
+
 let test_json_escape_every_control_byte () =
   let all = String.init 128 Char.chr in
   checks "bytes 0-127" (reference_json_string all)
@@ -1197,7 +1251,7 @@ let start_door ~workers server =
   let thread =
     Thread.create
       (fun () ->
-        Server.serve_socket_with ~handle:(Server.handle_line server) ~workers
+        Server.serve_socket_with ~handle:(Server.respond server) ~workers
           ~path ();
         Atomic.set returned true)
       ()
@@ -1220,7 +1274,7 @@ let connect path =
 
 (* Send one line and read one answer line; [None] when the server
    hangs up, refuses the write or stays silent past the timeout. *)
-let request fd line =
+let request_line fd line =
   let out = Bytes.of_string (line ^ "\n") in
   match Unix.write fd out 0 (Bytes.length out) with
   | exception Unix.Unix_error _ -> None
@@ -1234,10 +1288,12 @@ let request fd line =
         Buffer.add_subbytes buf chunk 0 n;
         let s = Buffer.contents buf in
         match String.index_opt s '\n' with
-        | Some i -> Some (Json.parse (String.sub s 0 i))
+        | Some i -> Some (String.sub s 0 i)
         | None -> read ())
     in
     read ()
+
+let request fd line = Option.map Json.parse (request_line fd line)
 
 let answered_ok = function Some j -> ok j | None -> false
 let hang_up fd = try Unix.close fd with Unix.Unix_error _ -> ()
@@ -1291,6 +1347,40 @@ let test_door_shutdown_returns_with_client_open () =
   checkb "returned within 2 s with A open" true returned;
   checkb "socket path removed" true path_gone
 
+(* A cached 34 KB hospital closure read off a real socket is the line
+   [handle_line] prints for the same hit. *)
+let test_door_hit_bytes_match_handle_line () =
+  let module W = Fixq_workloads in
+  let server = mk_server () in
+  let xml =
+    Fixq_xdm.Serializer.to_string
+      (W.Hospital.generate { W.Hospital.default with W.Hospital.total = 240; seed = 14 })
+  in
+  ignore
+    (Server.handle_line server
+       (Printf.sprintf {|{"op":"load-doc","uri":"hospital.xml","xml":%s}|}
+          (Json.to_string (Json.Str xml))));
+  let run =
+    Json.to_string
+      (Json.Obj
+         [ ("op", Json.Str "run");
+           ("query",
+            Json.Str
+              {|declare variable $doc := doc("hospital.xml");
+with $x seeded by $doc/hospital/patient
+recurse $x/parents/patient|}) ])
+  in
+  ignore (Server.handle_line server run);
+  let expected = fst (Server.handle_line server run) in
+  let door = start_door ~workers:1 server in
+  let fd = connect door.path in
+  let got = request_line fd run in
+  finish door [ fd ];
+  checkb "a hit over 32 KB" true
+    (String.length expected > 32_000
+    && Json.str_opt (Json.member "result_cache" (Json.parse expected)) = Some "hit");
+  checks "socket bytes = handle_line bytes" expected (Option.value ~default:"" got)
+
 (* This test binary doubles as a bare socket server: re-executed with
    [--serve-door SOCKET] it answers every line with [{"ok":true}] until
    a shutdown. *)
@@ -1299,7 +1389,8 @@ let serve_door_flag = "--serve-door"
 let () =
   match Sys.argv with
   | [| _; flag; socket |] when flag = serve_door_flag ->
-    Server.serve_socket_with ~handle:(fun _ -> ({|{"ok":true}|}, false))
+    Server.serve_socket_with
+      ~handle:(fun _ -> (Json.Obj [ ("ok", Json.Bool true) ], false))
       ~path:socket ();
     exit 0
   | _ -> ()
@@ -1377,6 +1468,9 @@ let () =
            test_json_escape_every_control_byte;
          QCheck_alcotest.to_alcotest prop_json_escape_matches_reference;
          QCheck_alcotest.to_alcotest prop_fused_writer_matches_escape;
+         QCheck_alcotest.to_alcotest prop_output_matches_to_string;
+         Alcotest.test_case "output of pieces past the channel buffer" `Quick
+           test_json_output_large_pieces;
          Alcotest.test_case "members" `Quick test_json_members ]);
       ("lru",
        [ Alcotest.test_case "eviction" `Quick test_lru_eviction;
@@ -1438,4 +1532,6 @@ let () =
           Alcotest.test_case "no write after shutdown" `Quick
             test_door_no_write_after_shutdown;
           Alcotest.test_case "path appears once listening" `Quick
-            test_door_path_means_listening ] ) ]
+            test_door_path_means_listening;
+          Alcotest.test_case "cached hit over a socket = handle_line" `Quick
+            test_door_hit_bytes_match_handle_line ] ) ]
