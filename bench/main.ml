@@ -129,19 +129,32 @@ let measure_row row =
   let registry = Doc_registry.create () in
   row.setup registry;
   let module Counters = Fixq_xdm.Counters in
+  (* Gc.minor_words is exact on OCaml 5.1 (Gc.counters lags), and the
+     same run allocates the same words every time *)
   let run engine =
     let before = Counters.snapshot () in
+    let w0 = Gc.minor_words () in
     let r = Fixq.run ~registry ~engine row.query in
-    (r, Counters.diff (Counters.snapshot ()) before)
+    let words = Gc.minor_words () -. w0 in
+    (r, Counters.diff (Counters.snapshot ()) before, words)
   in
-  let (an, kan) = run (Fixq.Algebra Fixq.Naive) in
-  let (ad, kad) = run (Fixq.Algebra Fixq.Auto) in
-  let (inn, kin) = run (Fixq.Interpreter Fixq.Naive) in
-  let (ind, kid) = run (Fixq.Interpreter Fixq.Auto) in
+  let (an, kan, wan) = run (Fixq.Algebra Fixq.Naive) in
+  let (ad, kad, wad) = run (Fixq.Algebra Fixq.Auto) in
+  let (inn, kin, win) = run (Fixq.Interpreter Fixq.Naive) in
+  let (ind, kid, wid) = run (Fixq.Interpreter Fixq.Auto) in
   List.iter
-    (fun (engine, r, k) ->
+    (fun (engine, r, k, words) ->
+      (* allocation is the interpreter's per-node cost (Table 2's
+         payload cost per node fed); the algebra rows omit it *)
+      let alloc =
+        if not (String.starts_with ~prefix:"interp" engine) then []
+        else
+          [ ("minor_words", Json.Num words);
+            ("words_per_node_fed",
+             Json.Num (words /. float_of_int (max 1 r.Fixq.nodes_fed))) ]
+      in
       record_json
-        [ ("section", Json.Str "table2"); ("query", Json.Str row.name);
+        ([ ("section", Json.Str "table2"); ("query", Json.Str row.name);
           ("engine", Json.Str engine); ("ms", Json.Num r.Fixq.wall_ms);
           ("iterations", Json.of_int r.Fixq.depth);
           ("nodes_fed", Json.of_int r.Fixq.nodes_fed);
@@ -155,9 +168,10 @@ let measure_row row =
           ("kernel_value_probes", Json.of_int k.Counters.value_probes);
           ("kernel_col_batches", Json.of_int k.Counters.col_batches);
           ("kernel_col_rows", Json.of_int k.Counters.col_rows);
-          ("kernel_col_boxed_rows", Json.of_int k.Counters.col_boxed_rows) ])
-    [ ("algebra-naive", an, kan); ("algebra-delta", ad, kad);
-      ("interp-naive", inn, kin); ("interp-delta", ind, kid) ];
+          ("kernel_col_boxed_rows", Json.of_int k.Counters.col_boxed_rows) ]
+        @ alloc))
+    [ ("algebra-naive", an, kan, wan); ("algebra-delta", ad, kad, wad);
+      ("interp-naive", inn, kin, win); ("interp-delta", ind, kid, wid) ];
   { alg_naive_ms = an.Fixq.wall_ms;
     alg_delta_ms = ad.Fixq.wall_ms;
     int_naive_ms = inn.Fixq.wall_ms;
@@ -922,7 +936,13 @@ let accum () =
     Eval.eval_expr ev (Parser.parse_expr {|doc("chain.xml")/chain/n[@id = "p1"]|})
   in
   let stats = Stats.create () in
+  (* kernel work of the rounds: counters from the start to the last
+     recorded round, so the final merge of the runs is not counted *)
+  let before = Fixq_xdm.Counters.snapshot () in
+  let last = ref before in
+  Stats.set_iteration_hook stats (Some (fun () -> last := Fixq_xdm.Counters.snapshot ()));
   let result = Fixpoint.delta ~stats ~body ~seed () in
+  let k = Fixq_xdm.Counters.diff !last before in
   let rounds = Array.of_list (Stats.last_run stats) in
   let n = Array.length rounds in
   let window = max 50 (n / 8) in
@@ -938,7 +958,6 @@ let accum () =
   let early = avg window (min (n - 1) ((2 * window) - 1)) in
   let late = avg (max 0 (n - 1 - (2 * window))) (n - 1 - window) in
   let ratio = if early > 0.0 then late /. early else Float.nan in
-  let k = Stats.run_kernel_totals stats in
   printf "  chain of %d nodes, ∆ = 1 node/round, %d rounds\n" links n;
   printf "  result size %d, early rounds avg %.4f ms, late rounds avg %.4f ms\n"
     (List.length result) early late;
@@ -1417,11 +1436,29 @@ let micro () =
     let rev = List.rev all in
     let even = List.filteri (fun i _ -> i mod 2 = 0) all in
     let odd = List.filteri (fun i _ -> i mod 2 = 1) all in
+    (* The node kernels under a path: one child step from each of the
+       2500 patients of fixpoint-cold's hospital document (nested, so
+       its hits need sorting), and the string values of its diagnosis
+       elements, which the [[diagnosis = "hereditary"]] filter reads. *)
+    let module Eval = Fixq_lang.Eval in
+    let hospital = Doc_registry.create () in
+    Doc_registry.register ~registry:hospital "hospital.xml"
+      (W.Hospital.generate { W.Hospital.default with W.Hospital.total = 2500; seed = 11 });
+    let ev = Eval.create ~registry:hospital () in
+    let patients = Eval.eval_expr ev (Parser.parse_expr {|doc("hospital.xml")//patient|}) in
+    let child_step = Parser.parse_expr "$x/parents/patient" in
+    let diagnoses =
+      Item.as_node_seq "bench"
+        (Eval.eval_expr ev (Parser.parse_expr {|doc("hospital.xml")//diagnosis|}))
+    in
     let k name f =
       Bechamel.Test.make ~name (Bechamel.Staged.stage (fun () -> ignore (f ())))
     in
     Bechamel.Test.make_grouped ~name:"kernel"
-      [ k "ddo/sorted" (fun () -> Item.ddo all);
+      [ k "path_child_2500" (fun () ->
+            Eval.eval_expr ev ~vars:[ ("x", patients) ] child_step);
+        k "string_value" (fun () -> List.map Node.string_value diagnoses);
+        k "ddo/sorted" (fun () -> Item.ddo all);
         k "ddo/reversed" (fun () -> Item.ddo rev);
         k "union/interleaved" (fun () -> Item.union even odd);
         k "except/half" (fun () -> Item.except all odd);
@@ -1580,8 +1617,11 @@ recurse $x/parents/patient|}))
 
 (* Table 2's machine-independent cost is its work counters: a
    [(query, engine)] row of OLD that NEW lacks, or whose [nodes_fed],
-   [iterations] or [kernel_col_rows] differ, fails the comparison. Wall-clock slowdowns over
-   10% are printed as warnings only — they depend on the host. *)
+   [iterations] or [kernel_col_rows] differ, fails the comparison, and
+   so does an interpreter row that allocates more than 1.10x OLD's
+   [minor_words] (the same build allocates the same words on every
+   run). Wall-clock slowdowns over 10% are printed as warnings only —
+   they depend on the host. *)
 let compare_bench old_path new_path =
   let table2 path =
     let ic = open_in_bin path in
@@ -1618,6 +1658,13 @@ let compare_bench old_path new_path =
               printf "FAIL %s: %s %s -> %s\n" name field (show (get o)) (show (get n))
             end)
           [ "nodes_fed"; "iterations"; "kernel_col_rows" ];
+        (match (Json.num_opt (Json.member "minor_words" o),
+                Json.num_opt (Json.member "minor_words" n)) with
+        | (Some a, Some b) when b > 1.1 *. a ->
+          incr failures;
+          printf "FAIL %s: minor_words %.0f -> %.0f (+%.0f%%)\n" name a b
+            ((b /. a -. 1.0) *. 100.0)
+        | _ -> ());
         (match (Json.num_opt (Json.member "ms" o), Json.num_opt (Json.member "ms" n)) with
         | (Some a, Some b) when a > 0.0 && b > 1.1 *. a ->
           printf "warning %s: %.1f ms -> %.1f ms (+%.0f%%)\n" name a b

@@ -150,12 +150,6 @@ let eval_fun_col prim (args : Relation.col list) n =
       (Array.init n (fun i ->
            eval_prim prim (List.map (fun c -> Relation.col_get c i) args)))
 
-let whitespace_tokens s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\n')
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun x -> x <> "")
-
 (* Axis steps repeat heavily across fixpoint rounds (lifted
    loop-invariant paths re-enter the step with the same context nodes),
    so results are cached per (axis, test, context node) in the step
@@ -182,7 +176,12 @@ let step_single enc axis test step_id (n : Node.t) =
   match Hashtbl.find_opt memo key with
   | Some r -> r
   | None ->
-    let r = Staircase.step_nodes enc axis test [ n ] in
+    let r =
+      (* an attribute is no row of the encoding: step from it directly *)
+      if n.Node.kind = Node.Attribute then
+        List.sort_uniq Node.compare_doc_order (Axis.step axis test n)
+      else Staircase.step_nodes enc axis test [ n ]
+    in
     Hashtbl.replace memo key r;
     r
 
@@ -285,7 +284,7 @@ let eval_id_join registry ctx_rel arg_rel =
         Option.value ~default:[] (Hashtbl.find_opt roots_by_iter key)
       in
       let tokens =
-        whitespace_tokens (Atom.to_string (Value.to_atom row.(a_item)))
+        Node.id_tokens (Atom.to_string (Value.to_atom row.(a_item)))
       in
       List.iter
         (fun tok ->

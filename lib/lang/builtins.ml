@@ -104,20 +104,18 @@ let fn_id ctx args =
     | _ -> err "id: expected 1 or 2 arguments"
   in
   let tokens =
-    List.concat_map
-      (fun a ->
-        String.split_on_char ' ' (Atom.to_string a)
-        |> List.concat_map (String.split_on_char '\n')
-        |> List.concat_map (String.split_on_char '\t')
-        |> List.filter (fun s -> s <> ""))
-      (Item.atomize idrefs)
+    List.concat_map (fun a -> Node.id_tokens (Atom.to_string a)) (Item.atomize idrefs)
   in
-  let found =
-    List.concat_map
-      (fun root -> List.filter_map (Node.lookup_id root) tokens)
-      roots
+  let found_rev =
+    List.fold_left
+      (fun acc root ->
+        List.fold_left
+          (fun acc tok ->
+            match Node.lookup_id root tok with Some n -> n :: acc | None -> acc)
+          acc tokens)
+      [] roots
   in
-  Item.ddo (List.map Item.node found)
+  Item.ddo (List.rev_map Item.node found_rev)
 
 (* fn:idref — attribute nodes of DTD type IDREF/IDREFS that refer to
    any of the given ID values. *)

@@ -50,6 +50,9 @@ type t = {
   stratified : bool;
   loops : (string list * expr list) Loop_tbl.t;
       (** {!invariants} per loop body, by identity: binders, keys *)
+  distributive : (string * bool) Loop_tbl.t;
+      (** Figure 5's verdict per IFP body, by identity: variable,
+          verdict; cleared when functions are (re)declared *)
 }
 
 type env = {
@@ -81,7 +84,8 @@ let create ?(registry = Doc_registry.default) ?(strategy = Auto)
   { functions = Hashtbl.create 16; registry; stats = Stats.create ();
     strategy; max_iterations; max_call_depth; globals = Smap.empty;
     last_ifp_used_delta = None; last_annotations = None; ifp_handler = None;
-    delta_licence = None; stratified; loops = Loop_tbl.create 16 }
+    delta_licence = None; stratified; loops = Loop_tbl.create 16;
+    distributive = Loop_tbl.create 8 }
 
 let set_ifp_handler t h = t.ifp_handler <- h
 let set_delta_licence t l = t.delta_licence <- l
@@ -205,11 +209,21 @@ let cmp_result c ord =
   | Gt -> ord > 0
   | Ge -> ord >= 0
 
-(* General comparison: some pair of atoms compares as [c]. *)
-let exists_pair c va vb =
-  List.exists
-    (fun x -> List.exists (fun y -> cmp_result c (Atom.compare_value x y)) vb)
-    va
+(* General comparison: some pair of atoms compares as [c], tried in
+   the order of [va], then of [vb]. *)
+let rec exists_pair c va vb =
+  match va with
+  | [] -> false
+  | x :: va' -> exists_with c x vb || exists_pair c va' vb
+
+and exists_with c x = function
+  | [] -> false
+  | y :: vb -> cmp_result c (Atom.compare_value x y) || exists_with c x vb
+
+(* A boolean result: the two sequences are shared, not built per use. *)
+let true_seq = [ Item.A (Atom.Bool true) ]
+let false_seq = [ Item.A (Atom.Bool false) ]
+let bool_seq b = if b then true_seq else false_seq
 
 (* ------------------------------------------------------------------ *)
 (* Node construction                                                   *)
@@ -355,6 +369,18 @@ let loop_invariants t ~binders body =
     Loop_tbl.replace t.loops body (binders, keys);
     keys
 
+(* An IFP body is checked once per evaluator, not once per entry: a
+   fixpoint inside a loop is entered once per binding. *)
+let distributive t var body =
+  match Loop_tbl.find_opt t.distributive body with
+  | Some (v, verdict) when String.equal v var -> verdict
+  | _ ->
+    let verdict =
+      Distributivity.check ~functions:t.functions ~stratified:t.stratified var body
+    in
+    Loop_tbl.replace t.distributive body (var, verdict);
+    verdict
+
 (* ------------------------------------------------------------------ *)
 (* The evaluator                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -370,6 +396,20 @@ let probe_eq p other ~probe_left =
   | _ ->
     if probe_left then exists_pair Eq p.atoms other
     else exists_pair Eq other p.atoms
+
+(* What an external engine or a Delta licence sees of an IFP: the whole
+   scope (locals and globals), not just fv(body), since compiling the
+   body may inline functions whose own bodies reference global
+   variables. Built only for the handler or the licence that asks. *)
+let ifp_site env var seed_v body accum =
+  let bindings =
+    Smap.fold
+      (fun v value acc -> if String.equal v var then acc else (v, value) :: acc)
+      env.vars []
+  in
+  let context = match env.ctx with Some (it, _, _) -> Some it | None -> None in
+  { ifp_var = var; ifp_seed = seed_v; ifp_body = body; ifp_accum = accum;
+    ifp_bindings = bindings; ifp_context = context }
 
 (* A chain of [child::name], [@name] and [text()] steps without
    predicates or wildcards, as a value-index key path. *)
@@ -512,7 +552,7 @@ let rec eval t env (e : expr) : Item.seq =
       | Some_ -> List.exists test src
       | Every -> List.for_all test src
     in
-    [ Item.A (Atom.Bool r) ]
+    bool_seq r
   | Arith (op, a, b) -> (
     let va = Item.atomize (eval t env a) in
     let vb = Item.atomize (eval t env b) in
@@ -540,13 +580,13 @@ let rec eval t env (e : expr) : Item.seq =
         let va = Item.atomize (eval t env a) in
         exists_pair c va (Item.atomize (eval t env b))
     in
-    [ Item.A (Atom.Bool holds) ]
+    bool_seq holds
   | Val_cmp (c, a, b) -> (
     let va = Item.atomize (eval t env a) in
     let vb = Item.atomize (eval t env b) in
     match (va, vb) with
     | ([], _) | (_, []) -> []
-    | ([ x ], [ y ]) -> [ Item.A (Atom.Bool (cmp_result c (Atom.compare_value x y))) ]
+    | ([ x ], [ y ]) -> bool_seq (cmp_result c (Atom.compare_value x y))
     | _ -> err "value comparison over non-singleton sequences")
   | Node_is (a, b) -> eval_node_cmp t env a b (fun x y -> Node.equal x y)
   | Node_before (a, b) ->
@@ -554,15 +594,11 @@ let rec eval t env (e : expr) : Item.seq =
   | Node_after (a, b) ->
     eval_node_cmp t env a b (fun x y -> Node.compare_doc_order x y > 0)
   | And (a, b) ->
-    [ Item.A
-        (Atom.Bool
-           (Item.effective_boolean (eval t env a)
-           && Item.effective_boolean (eval t env b))) ]
+    bool_seq
+      (Item.effective_boolean (eval t env a) && Item.effective_boolean (eval t env b))
   | Or (a, b) ->
-    [ Item.A
-        (Atom.Bool
-           (Item.effective_boolean (eval t env a)
-           || Item.effective_boolean (eval t env b))) ]
+    bool_seq
+      (Item.effective_boolean (eval t env a) || Item.effective_boolean (eval t env b))
   | Range (a, b) -> (
     let va = Item.atomize (eval t env a) in
     let vb = Item.atomize (eval t env b) in
@@ -618,7 +654,7 @@ let rec eval t env (e : expr) : Item.seq =
     if attrs <> [] then err "document constructor content has attributes";
     [ Item.N (Node.document kids) ]
   | Instance_of (a, ty) ->
-    [ Item.A (Atom.Bool (seq_matches ty (eval t env a))) ]
+    bool_seq (seq_matches ty (eval t env a))
   | Cast (a, ty, optional) -> (
     match Item.atomize (eval t env a) with
     | [] ->
@@ -628,14 +664,13 @@ let rec eval t env (e : expr) : Item.seq =
     | _ -> err "cast as xs:%s: more than one item" ty)
   | Castable (a, ty, optional) -> (
     match Item.atomize (eval t env a) with
-    | [] -> [ Item.A (Atom.Bool optional) ]
+    | [] -> bool_seq optional
     | [ atom ] ->
-      [ Item.A
-          (Atom.Bool
-             (match cast_atom ty atom with
-             | (_ : Atom.t) -> true
-             | exception _ -> false)) ]
-    | _ -> [ Item.A (Atom.Bool false) ])
+      bool_seq
+        (match cast_atom ty atom with
+        | (_ : Atom.t) -> true
+        | exception _ -> false)
+    | _ -> false_seq)
   | Typeswitch (scrut, cases, dvar, dbody) ->
     let v = eval t env scrut in
     let rec try_cases = function
@@ -706,7 +741,7 @@ and eval_node_cmp t env a b op =
   let na = eval t env a and nb = eval t env b in
   match (na, nb) with
   | ([], _) | (_, []) -> []
-  | ([ Item.N x ], [ Item.N y ]) -> [ Item.A (Atom.Bool (op x y)) ]
+  | ([ Item.N x ], [ Item.N y ]) -> bool_seq (op x y)
   | _ -> err "node comparison requires single nodes"
 
 and eval_path t env a b =
@@ -726,24 +761,32 @@ and eval_path t env a b =
   | _ -> eval_path_steps t env a b
 
 and eval_path_steps t env a b =
-  let left = eval t env a in
-  let nodes = Item.as_node_seq "path" left in
-  let nodes = Item.sort_uniq_nodes nodes in
-  let size = List.length nodes in
-  let results =
-    List.concat
-      (List.mapi
-         (fun i n ->
-           let env' = { env with ctx = Some (Item.N n, i + 1, size) } in
-           eval t env' b)
-         nodes)
-  in
-  let all_nodes = List.for_all (function Item.N _ -> true | _ -> false) results in
-  let all_atoms = List.for_all (function Item.A _ -> true | _ -> false) results in
-  if all_nodes then Item.ddo results
-  else if all_atoms then results
-  else err "a path step mixes nodes and atomic values"
-
+  let left = Item.ddo_as "path" (eval t env a) in
+  match b with
+  | Axis_step { axis; test } ->
+    (* Node to node: a bare axis step reads nothing of its focus but
+       the node, so the context nodes map straight through the axis
+       and one scan orders the hits (DESIGN.md §5, "Node steps"). *)
+    let rec gather rev = function
+      | [] -> List.rev rev
+      | Item.N n :: rest ->
+        gather (List.fold_left (fun acc m -> Item.N m :: acc) rev (Axis.step axis test n)) rest
+      | Item.A _ :: _ -> assert false (* [ddo_as] passes nodes only *)
+    in
+    Item.ddo (gather [] left)
+  | _ ->
+    let size = List.length left in
+    let results =
+      List.concat
+        (List.mapi
+           (fun i it -> eval t { env with ctx = Some (it, i + 1, size) } b)
+           left)
+    in
+    let all_nodes = List.for_all (function Item.N _ -> true | _ -> false) results in
+    let all_atoms = List.for_all (function Item.A _ -> true | _ -> false) results in
+    if all_nodes then Item.ddo results
+    else if all_atoms then results
+    else err "a path step mixes nodes and atomic values"
 
 (* [E[p = v]] or [E[v = p]] on a [child::E] or [descendant::E] step,
    where [p] is a key path and [v] reads neither the focus nor anything
@@ -808,27 +851,10 @@ and eval_call t env f args =
 
 and eval_ifp t env var seed body accum =
   let seed_v = eval t env seed in
-  let site =
-    lazy
-      (* The whole scope (locals and globals), not just fv(body):
-         compiling the body may inline functions whose own bodies
-         reference global variables. *)
-      (let bindings =
-         Smap.fold
-           (fun v value acc ->
-             if String.equal v var then acc else (v, value) :: acc)
-           env.vars []
-       in
-       let context =
-         match env.ctx with Some (it, _, _) -> Some it | None -> None
-       in
-       { ifp_var = var; ifp_seed = seed_v; ifp_body = body;
-         ifp_accum = accum; ifp_bindings = bindings; ifp_context = context })
-  in
   let external_result =
     match t.ifp_handler with
     | None -> None
-    | Some handler -> handler (Lazy.force site)
+    | Some handler -> handler (ifp_site env var seed_v body accum)
   in
   match external_result with
   | Some result -> result
@@ -841,11 +867,10 @@ and eval_ifp t env var seed body accum =
       | Naive -> false
       | Delta -> true
       | Auto -> (
-        Distributivity.check ~functions:t.functions ~stratified:t.stratified
-          var body
+        distributive t var body
         ||
         match t.delta_licence with
-        | Some licensed -> licensed (Lazy.force site)
+        | Some licensed -> licensed (ifp_site env var seed_v body accum)
         | None -> false)
     in
     match accum with
@@ -916,6 +941,7 @@ let initial_env t ?(vars = []) ?context () =
 
 let load_prolog t (p : program) =
   List.iter (fun fd -> Hashtbl.replace t.functions fd.fname fd) p.functions;
+  if p.functions <> [] then Loop_tbl.reset t.distributive;
   List.iter
     (fun (v, e) ->
       let value = eval t (initial_env t ()) e in

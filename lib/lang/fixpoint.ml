@@ -32,11 +32,12 @@ let naive ?(max_iterations = default_max) ?(include_seed = false) ~stats ~body
   let rec loop i =
     if i > max_iterations then raise (Diverged i);
     let res_n = Accumulator.size acc in
-    let out = body (Accumulator.to_seq acc) in
+    let res = Accumulator.to_seq acc in
+    let out = body res in
     let (_, fresh_n, out_n) = Accumulator.absorb acc ~who:"union" out in
     Stats.record_iteration stats ~fed:res_n ~produced:out_n
       ~result_size:(Accumulator.size acc);
-    if fresh_n = 0 then Accumulator.to_seq acc else loop (i + 1)
+    if fresh_n = 0 then res else loop (i + 1)
   in
   loop 1
 

@@ -1,49 +1,45 @@
-module Counters = Fixq_xdm.Counters
-
 type iteration = {
   fed : int;
   produced : int;
   result_size : int;
   round_ms : float;
-  kernel : Counters.snapshot;
 }
 
 type snapshot = { snap_fed : int; snap_calls : int; snap_depth : int }
 
+(* A round costs no allocation once the arrays have grown to the run's
+   depth: its numbers go into [rounds] (fed, produced, result size) and
+   [round_ms], and the clock's two floats stay unboxed in [clock]. The
+   [iteration] list is built only when {!last_run} asks. *)
 type t = {
   mutable total_fed : int;
   mutable total_calls : int;
   mutable max_depth : int;
-  mutable current_run : iteration list;  (** newest first *)
-  mutable run_len : int;  (** [List.length current_run], kept O(1) *)
+  mutable rounds : int array;
+  mutable round_ms : float array;
+  mutable run_len : int;  (** rounds of the current run *)
   mutable iteration_hook : (unit -> unit) option;
-  mutable round_started : float;
-  mutable round_counters : Counters.snapshot;
-  mutable total_ms : float;
+  clock : float array;  (** [| start of the current round; total ms |] *)
 }
 
 let now () = Unix.gettimeofday ()
 
 let create () =
-  { total_fed = 0; total_calls = 0; max_depth = 0; current_run = [];
-    run_len = 0; iteration_hook = None; round_started = now ();
-    round_counters = Counters.snapshot (); total_ms = 0.0 }
+  { total_fed = 0; total_calls = 0; max_depth = 0; rounds = Array.make 24 0;
+    round_ms = Array.make 8 0.0; run_len = 0; iteration_hook = None;
+    clock = [| now (); 0.0 |] }
 
 let reset t =
   t.total_fed <- 0;
   t.total_calls <- 0;
   t.max_depth <- 0;
-  t.current_run <- [];
   t.run_len <- 0;
-  t.total_ms <- 0.0;
-  t.round_started <- now ();
-  t.round_counters <- Counters.snapshot ()
+  t.clock.(0) <- now ();
+  t.clock.(1) <- 0.0
 
 let start_run t =
-  t.current_run <- [];
   t.run_len <- 0;
-  t.round_started <- now ();
-  t.round_counters <- Counters.snapshot ()
+  t.clock.(0) <- now ()
 
 let set_iteration_hook t hook = t.iteration_hook <- hook
 
@@ -62,17 +58,21 @@ let chaos_round_point () =
 let record_iteration t ~fed ~produced ~result_size =
   chaos_round_point ();
   let stamp = now () in
-  let counters = Counters.snapshot () in
-  let round_ms = (stamp -. t.round_started) *. 1000.0 in
-  let kernel = Counters.diff counters t.round_counters in
-  t.round_started <- stamp;
-  t.round_counters <- counters;
-  t.total_ms <- t.total_ms +. round_ms;
+  let round_ms = (stamp -. t.clock.(0)) *. 1000.0 in
+  t.clock.(0) <- stamp;
+  t.clock.(1) <- t.clock.(1) +. round_ms;
   t.total_fed <- t.total_fed + fed;
   t.total_calls <- t.total_calls + 1;
-  t.current_run <- { fed; produced; result_size; round_ms; kernel }
-    :: t.current_run;
-  t.run_len <- t.run_len + 1;
+  let i = t.run_len in
+  if i = Array.length t.round_ms then begin
+    t.round_ms <- Array.append t.round_ms (Array.make i 0.0);
+    t.rounds <- Array.append t.rounds (Array.make (3 * i) 0)
+  end;
+  t.rounds.(3 * i) <- fed;
+  t.rounds.((3 * i) + 1) <- produced;
+  t.rounds.((3 * i) + 2) <- result_size;
+  t.round_ms.(i) <- round_ms;
+  t.run_len <- i + 1;
   if t.run_len > t.max_depth then t.max_depth <- t.run_len;
   match t.iteration_hook with None -> () | Some hook -> hook ()
 
@@ -83,13 +83,12 @@ let snapshot t =
 let nodes_fed t = t.total_fed
 let depth t = t.max_depth
 let payload_calls t = t.total_calls
-let last_run t = List.rev t.current_run
-let total_ms t = t.total_ms
+let last_run t =
+  List.init t.run_len (fun i ->
+      { fed = t.rounds.(3 * i); produced = t.rounds.((3 * i) + 1);
+        result_size = t.rounds.((3 * i) + 2); round_ms = t.round_ms.(i) })
 
-let run_kernel_totals t =
-  List.fold_left
-    (fun acc it -> Counters.add acc it.kernel)
-    Counters.zero t.current_run
+let total_ms t = t.clock.(1)
 
 let pp ppf t =
   Format.fprintf ppf "fed=%d calls=%d depth=%d" t.total_fed t.total_calls

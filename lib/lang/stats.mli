@@ -11,9 +11,6 @@ type iteration = {
   produced : int;  (** nodes the body returned *)
   result_size : int;  (** accumulated result after the round *)
   round_ms : float;  (** wall-clock spent in this round *)
-  kernel : Fixq_xdm.Counters.snapshot;
-      (** kernel activity (merges, bitmap tests, index-assisted steps)
-          during this round *)
 }
 
 (** Immutable copy of the totals, cheap to store alongside a cached
@@ -57,9 +54,6 @@ val last_run : t -> iteration list
 
 (** Wall-clock milliseconds spent across all recorded rounds. *)
 val total_ms : t -> float
-
-(** Summed kernel counters over the most recent IFP run. *)
-val run_kernel_totals : t -> Fixq_xdm.Counters.snapshot
 
 (** Mark the start of a new IFP run (clears the per-run trace, keeps the
     totals). *)

@@ -19,41 +19,34 @@ external scan_line : in_channel -> int = "caml_ml_input_scan_line"
 
 let read ?(max_len = default_max_len) ic =
   let skip n = ignore (really_input_string ic n) in
-  (* the frame's bytes from earlier buffer fills; a frame that fits
-     the channel buffer is copied out once and never lands here *)
-  let acc = Buffer.create 1 in
-  let rec go oversized =
+  (* [pieces]: the frame's bytes from earlier buffer fills, newest
+     first, [len] bytes in all, copied once into the exact-size frame
+     at its end; a frame that fits the channel buffer is copied out
+     once and never lands here *)
+  let whole pieces = String.concat "" (List.rev pieces) in
+  let rec go pieces len oversized =
     let n = scan_line ic in
     if n = 0 then
       if oversized then `Truncated ""
-      else if Buffer.length acc = 0 then `Eof
-      else `Truncated (Buffer.contents acc)
+      else if pieces = [] then `Eof
+      else `Truncated (whole pieces)
     else if n > 0 then
-      if oversized || Buffer.length acc + n - 1 > max_len then begin
+      if oversized || len + n - 1 > max_len then begin
         skip n;
         `Oversized
       end
-      else if Buffer.length acc = 0 then begin
-        let line = really_input_string ic (n - 1) in
-        skip 1;
-        `Line line
-      end
       else begin
-        Buffer.add_channel acc ic (n - 1);
+        let last = really_input_string ic (n - 1) in
         skip 1;
-        `Line (Buffer.contents acc)
+        `Line (if pieces = [] then last else whole (last :: pieces))
       end
-    else if oversized || Buffer.length acc - n > max_len then begin
+    else if oversized || len - n > max_len then begin
       (* keep consuming to the frame boundary, holding nothing, so the
          stream stays in sync and the caller can answer with a clean
          error *)
       skip (-n);
-      Buffer.reset acc;
-      go true
+      go [] 0 true
     end
-    else begin
-      Buffer.add_channel acc ic (-n);
-      go false
-    end
+    else go (really_input_string ic (-n) :: pieces) (len - n) false
   in
-  go false
+  go [] 0 false

@@ -50,32 +50,36 @@ let set_id t id =
     (Char.chr
        (Char.code (Bytes.unsafe_get t.bitmap byte) lor (1 lsl (id land 7))))
 
+(* The unseen nodes of [items], in their order, as the same item
+   boxes; each is marked seen. *)
+let[@tail_mod_cons] rec keep_unseen t who = function
+  | [] -> []
+  | (Item.N n as it) :: rest ->
+    if mem_id t n.Node.id then keep_unseen t who rest
+    else begin
+      set_id t n.Node.id;
+      t.size <- t.size + 1;
+      it :: keep_unseen t who rest
+    end
+  | Item.A a :: _ ->
+    Atom.type_error "%s: expected a sequence of nodes, got atom %s" who
+      (Atom.to_string a)
+
+(* A body's output is usually in document order already (a path or
+   [id()] result), and so are its unseen nodes: [Item.ddo_as] finds
+   that in one scan and hands them back as they are, boxes and all. *)
 let absorb t ~who items =
-  let produced = ref 0 in
-  let fresh_rev = ref [] in
-  let fresh_count = ref 0 in
-  List.iter
-    (fun it ->
-      incr produced;
-      match it with
-      | Item.N n ->
-        if not (mem_id t n.Node.id) then begin
-          set_id t n.Node.id;
-          fresh_rev := n :: !fresh_rev;
-          incr fresh_count
-        end
-      | Item.A a ->
-        Atom.type_error "%s: expected a sequence of nodes, got atom %s" who
-          (Atom.to_string a))
-    items;
-  let fresh = Item.sort_uniq_nodes (List.rev !fresh_rev) in
+  let before = t.size in
+  let fresh = Item.ddo_as who (keep_unseen t who items) in
+  let fresh_count = t.size - before in
   (match fresh with
-  | [] -> ()
-  | _ ->
-    t.runs <- Array.of_list fresh :: t.runs;
-    t.size <- t.size + !fresh_count;
-    t.cache <- None);
-  (List.map Item.node fresh, !fresh_count, !produced)
+  | Item.N first :: _ ->
+    let run = Array.make fresh_count first in
+    List.iteri (fun i -> function Item.N n -> run.(i) <- n | Item.A _ -> ()) fresh;
+    t.runs <- run :: t.runs;
+    t.cache <- None
+  | _ -> ());
+  (fresh, fresh_count, List.length items)
 
 (* Runs are pairwise disjoint (the bitmap blocks re-insertion), so the
    final result is a pure merge with no deduplication. Merging
@@ -134,4 +138,8 @@ let merged t =
     a
 
 let to_nodes t = Array.to_list (merged t)
-let to_seq t = List.map Item.node (to_nodes t)
+
+let to_seq t =
+  let a = merged t in
+  let rec box i acc = if i < 0 then acc else box (i - 1) (Item.N a.(i) :: acc) in
+  box (Array.length a - 1) []

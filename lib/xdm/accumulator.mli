@@ -31,9 +31,9 @@ val mem : t -> Node.t -> bool
 (** [absorb t ~who items] filters [items] against the bitmap, adds the
     previously-unseen nodes as a new sorted run, and returns
     [(fresh, fresh_count, produced)]: the new nodes in document order
-    (the next round's Δ), how many there are, and [List.length items]
-    (counted during the same pass, so callers never re-traverse for
-    stats). Raises [Atom.Type_error] on atoms, with the same message as
+    (the next round's Δ; when [items] is ordered, its own item boxes),
+    how many there are, and [List.length items]. Raises
+    [Atom.Type_error] on atoms, with the same message as
     [Item.as_node_seq who]. *)
 val absorb : t -> who:string -> Item.seq -> Item.seq * int * int
 

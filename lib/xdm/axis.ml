@@ -194,6 +194,17 @@ let indexed_hits arr i j =
 let is_child_of (n : Node.t) (c : Node.t) =
   match c.Node.parent with Some p -> p == n | None -> false
 
+(* The entries of [arr] up to [i] that [test] selects on [axis], in
+   array order, built from the back onto [acc]: one cons per hit. *)
+let rec filter_array axis test (arr : Node.t array) i acc =
+  if i < 0 then acc
+  else
+    let c = Array.unsafe_get arr i in
+    filter_array axis test arr (i - 1) (if matches axis test c then c :: acc else acc)
+
+let filter_all axis test (arr : Node.t array) =
+  filter_array axis test arr (Array.length arr - 1) []
+
 let step axis test n =
   match (axis, test) with
   | ((Descendant | Descendant_or_self), (Name pat | Kind_element (Some pat)))
@@ -209,7 +220,9 @@ let step axis test n =
     match named_range ~or_self:false pat n with
     | Some (arr, i, j) when j - i <= Array.length n.Node.children ->
       List.filter (is_child_of n) (indexed_hits arr i j)
-    | _ -> List.filter (matches axis test) (nodes axis n))
+    | _ -> filter_all axis test n.Node.children)
+  | (Child, _) -> filter_all axis test n.Node.children
+  | (Attribute, _) -> filter_all axis test n.Node.attributes
   | _ -> List.filter (matches axis test) (nodes axis n)
 
 (* [E[p = v]] on [child::E] or [descendant::E] from [n], answered from

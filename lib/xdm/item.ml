@@ -25,21 +25,27 @@ let scan_nodes ns =
   in
   go 0 min_int true ns
 
+(* The sort behind {!sort_uniq_nodes} and {!ddo} when the ordering
+   scan fails: [ns] sorted, without duplicates, each node passed
+   through [f] as it is listed. *)
+let sort_dedup f ns =
+  incr Counters.fallback_sorts;
+  let[@tail_mod_cons] rec dedup = function
+    | (a : Node.t) :: ((b : Node.t) :: _ as rest) when a.Node.id = b.Node.id -> dedup rest
+    | a :: rest -> f a :: dedup rest
+    | [] -> []
+  in
+  dedup (List.sort Node.compare_doc_order ns)
+
+(* One ordering pass, whatever it finds, counts as one merge. *)
+let count_pass len =
+  incr Counters.merges;
+  Counters.merged_items := !Counters.merged_items + len
+
 let sort_uniq_nodes ns =
   let (sorted, len) = scan_nodes ns in
-  incr Counters.merges;
-  Counters.merged_items := !Counters.merged_items + len;
-  if sorted then ns
-  else begin
-    incr Counters.fallback_sorts;
-    let sorted = List.sort Node.compare_doc_order ns in
-    let rec dedup = function
-      | a :: (b :: _ as rest) ->
-        if Node.equal a b then dedup rest else a :: dedup rest
-      | l -> l
-    in
-    dedup sorted
-  end
+  count_pass len;
+  if sorted then ns else sort_dedup Fun.id ns
 
 (* Linear merges over sorted, duplicate-free runs. All tail-recursive:
    fixpoint accumulators get long. *)
@@ -76,7 +82,24 @@ let except_nodes na nb = merge_except [] (sort_uniq_nodes na) (sort_uniq_nodes n
 let intersect_nodes na nb =
   merge_intersect [] (sort_uniq_nodes na) (sort_uniq_nodes nb)
 
-let ddo s = List.map node (sort_uniq_nodes (as_node_seq "fs:ddo" s))
+(* [ddo_as who s]: [s] itself when the scan finds it strictly in
+   document order, which is the common case, so nothing is copied. *)
+let ddo_as who s =
+  let rec scan len prev = function
+    | [] -> len
+    | N (n : Node.t) :: rest when n.Node.id > prev -> scan (len + 1) n.Node.id rest
+    | _ -> -1
+  in
+  match scan 0 min_int s with
+  | -1 ->
+    let ns = as_node_seq who s in
+    count_pass (List.length ns);
+    sort_dedup node ns
+  | len ->
+    count_pass len;
+    s
+
+let ddo s = ddo_as "fs:ddo" s
 
 let union a b =
   let na = as_node_seq "union" a and nb = as_node_seq "union" b in

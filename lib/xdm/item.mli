@@ -33,8 +33,14 @@ val except_nodes : Node.t list -> Node.t list -> Node.t list
 val intersect_nodes : Node.t list -> Node.t list -> Node.t list
 
 (** [fs:distinct-doc-order]: sort by document order, remove duplicate
-    node identities. Requires a node-only sequence. *)
+    node identities. Requires a node-only sequence. An input already in
+    document order without duplicates is returned as it is, after one
+    scan. *)
 val ddo : seq -> seq
+
+(** [ddo_as who s] is {!ddo} with [who] naming the operation in the
+    type error raised on atoms. *)
+val ddo_as : string -> seq -> seq
 
 (** Node-set union / except / intersect ([union], [except], [intersect]
     operators) — results in document order, duplicate-free. *)

@@ -167,19 +167,25 @@ let parent n = n.parent
 let children n = Array.to_list n.children
 let attributes n = Array.to_list n.attributes
 
+(* A text-only element is most of a document's leaves: its one child's
+   content is the answer, with no buffer. *)
 let string_value n =
   match n.kind with
   | Text | Comment | Pi | Attribute -> n.content
-  | Element | Document ->
-    let buf = Buffer.create 64 in
-    let rec go n =
-      match n.kind with
-      | Text -> Buffer.add_string buf n.content
-      | Element | Document -> Array.iter go n.children
-      | Attribute | Comment | Pi -> ()
-    in
-    go n;
-    Buffer.contents buf
+  | Element | Document -> (
+    match n.children with
+    | [| { kind = Text; content; _ } |] -> content
+    | [||] -> ""
+    | _ ->
+      let buf = Buffer.create 64 in
+      let rec go n =
+        match n.kind with
+        | Text -> Buffer.add_string buf n.content
+        | Element | Document -> Array.iter go n.children
+        | Attribute | Comment | Pi -> ()
+      in
+      go n;
+      Buffer.contents buf)
 
 let name n = match n.name with None -> "" | Some q -> Qname.to_string q
 let local_name n = match n.name with None -> "" | Some q -> Qname.local q
@@ -233,11 +239,16 @@ let lookup_id r v =
   in
   Hashtbl.find_opt tbl v
 
-let whitespace_tokens s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\n')
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun x -> x <> "")
+(* A string with no separator is one token (or none), given back as
+   it is, not split into copies. *)
+let id_tokens s =
+  if String.exists (function ' ' | '\n' | '\t' -> true | _ -> false) s then
+    String.split_on_char ' ' s
+    |> List.concat_map (String.split_on_char '\n')
+    |> List.concat_map (String.split_on_char '\t')
+    |> List.filter (fun x -> x <> "")
+  else if s = "" then []
+  else [ s ]
 
 let build_idref_index r d =
   let tbl = Hashtbl.create 256 in
@@ -250,7 +261,7 @@ let build_idref_index r d =
               (fun tok ->
                 let prev = Option.value ~default:[] (Hashtbl.find_opt tbl tok) in
                 Hashtbl.replace tbl tok (a :: prev))
-              (whitespace_tokens a.content))
+              (id_tokens a.content))
         n.attributes
   in
   iter_subtree visit r;

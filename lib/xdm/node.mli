@@ -114,6 +114,11 @@ val register_id_attribute : t -> string -> unit
     attribute with value [v], if any (the index is built on first use). *)
 val lookup_id : t -> string -> t option
 
+(** [id_tokens s]: the ID tokens of an [fn:id] argument or an IDREFS
+    value, the pieces of [s] between spaces, newlines and tabs, without
+    empty ones. A token that is all of [s] is [s] itself. *)
+val id_tokens : string -> string list
+
 (** Declare attribute [name] of DTD type IDREF/IDREFS for the whole
     tree. *)
 val register_idref_attribute : t -> string -> unit

@@ -1,6 +1,11 @@
-(* Escape tables: entry [c] is what byte [c] becomes, [""] for a byte
-   copied as is. *)
-let table f = Array.init 256 (fun i -> f (Char.chr i))
+(* Escape tables: [subst.(c)] is what byte [c] becomes, [""] for a
+   byte copied as is, and [flag.[c]] is nonzero where it is not, so the
+   scan tests one byte. *)
+type table = { flag : string; subst : string array }
+
+let table f =
+  let subst = Array.init 256 (fun i -> f (Char.chr i)) in
+  { flag = String.init 256 (fun i -> if subst.(i) = "" then '\000' else '\001'); subst }
 
 let json_byte = function
   | '"' -> "\\\""
@@ -31,7 +36,7 @@ let attr_table = table (markup_byte ~quote:true)
 let text_json_table = table (markup_json_byte ~quote:false)
 let attr_json_table = table (markup_json_byte ~quote:true)
 
-let special tbl c = String.length (Array.unsafe_get tbl (Char.code c)) > 0
+let special tbl c = String.unsafe_get tbl.flag (Char.code c) <> '\000'
 
 (* Clean runs are copied whole between the escapes. *)
 let escape_into tbl buf s =
@@ -41,7 +46,7 @@ let escape_into tbl buf s =
     let c = String.unsafe_get s i in
     if special tbl c then begin
       Buffer.add_substring buf s !start (i - !start);
-      Buffer.add_string buf (Array.unsafe_get tbl (Char.code c));
+      Buffer.add_string buf (Array.unsafe_get tbl.subst (Char.code c));
       start := i + 1
     end
   done;
@@ -66,8 +71,8 @@ let escape_text = escape text_table
 let escape_attr = escape attr_table
 
 (* Where the walk writes: plain XML, or XML JSON-escaped as it is
-   written. *)
-type sink = { buf : Buffer.t; json : bool }
+   written; indented or not. *)
+type sink = { buf : Buffer.t; json : bool; indent : bool }
 
 let raw k s =
   if k.json then escape_into json_table k.buf s else Buffer.add_string k.buf s
@@ -76,78 +81,77 @@ let text k s = escape_into (if k.json then text_json_table else text_table) k.bu
 let attr k s = escape_into (if k.json then attr_json_table else attr_table) k.buf s
 let quote k = Buffer.add_string k.buf (if k.json then "\\\"" else "\"")
 
-let write ~indent k (n : Node.t) =
-  let pad d = if indent then Buffer.add_string k.buf (String.make (2 * d) ' ') in
-  let nl () = if indent then raw k "\n" in
-  let has_element_content (n : Node.t) =
-    Array.length n.Node.children > 0
-    && Array.for_all
-         (fun (c : Node.t) -> c.Node.kind <> Node.Text)
-         n.Node.children
-  in
-  let rec go d (n : Node.t) =
-    match n.Node.kind with
-    | Node.Document -> Array.iter (go d) n.Node.children
-    | Node.Text -> text k n.Node.content
-    | Node.Comment ->
-      Buffer.add_string k.buf "<!--";
-      raw k n.Node.content;
-      Buffer.add_string k.buf "-->"
-    | Node.Pi ->
-      Buffer.add_string k.buf "<?";
-      raw k (Node.name n);
-      if n.Node.content <> "" then begin
-        Buffer.add_char k.buf ' ';
-        raw k n.Node.content
-      end;
-      Buffer.add_string k.buf "?>"
-    | Node.Attribute ->
-      raw k (Node.name n);
-      Buffer.add_char k.buf '=';
-      quote k;
-      attr k n.Node.content;
-      quote k
-    | Node.Element ->
-      Buffer.add_char k.buf '<';
-      raw k (Node.name n);
-      Array.iter
-        (fun a ->
-          Buffer.add_char k.buf ' ';
-          go d a)
-        n.Node.attributes;
-      if Array.length n.Node.children = 0 then Buffer.add_string k.buf "/>"
-      else begin
-        Buffer.add_char k.buf '>';
-        let structured = has_element_content n in
-        Array.iter
-          (fun c ->
-            if structured then begin
-              nl ();
-              pad (d + 1)
-            end;
-            go (d + 1) c)
-          n.Node.children;
-        if structured then begin
-          nl ();
-          pad d
-        end;
-        Buffer.add_string k.buf "</";
-        raw k (Node.name n);
-        Buffer.add_char k.buf '>'
-      end
-  in
-  go 0 n
+let newline k d =
+  raw k "\n";
+  Buffer.add_string k.buf (String.make (2 * d) ' ')
 
-let write_seq ~indent k (s : Item.seq) =
+(* Indentation goes only between the children of an element without
+   text children: text nodes suppress it. *)
+let has_element_content (kids : Node.t array) =
+  Array.length kids > 0
+  && Array.for_all (fun (c : Node.t) -> c.Node.kind <> Node.Text) kids
+
+(* Loops over the attribute and child arrays: the walk allocates
+   nothing but the bytes it writes. *)
+let rec write k d (n : Node.t) =
+  match n.Node.kind with
+  | Node.Document ->
+    let kids = n.Node.children in
+    for i = 0 to Array.length kids - 1 do
+      write k d kids.(i)
+    done
+  | Node.Text -> text k n.Node.content
+  | Node.Comment ->
+    Buffer.add_string k.buf "<!--";
+    raw k n.Node.content;
+    Buffer.add_string k.buf "-->"
+  | Node.Pi ->
+    Buffer.add_string k.buf "<?";
+    raw k (Node.name n);
+    if n.Node.content <> "" then begin
+      Buffer.add_char k.buf ' ';
+      raw k n.Node.content
+    end;
+    Buffer.add_string k.buf "?>"
+  | Node.Attribute ->
+    raw k (Node.name n);
+    Buffer.add_char k.buf '=';
+    quote k;
+    attr k n.Node.content;
+    quote k
+  | Node.Element ->
+    Buffer.add_char k.buf '<';
+    raw k (Node.name n);
+    let attrs = n.Node.attributes in
+    for i = 0 to Array.length attrs - 1 do
+      Buffer.add_char k.buf ' ';
+      write k d attrs.(i)
+    done;
+    let kids = n.Node.children in
+    if Array.length kids = 0 then Buffer.add_string k.buf "/>"
+    else begin
+      Buffer.add_char k.buf '>';
+      let structured = k.indent && has_element_content kids in
+      for i = 0 to Array.length kids - 1 do
+        if structured then newline k (d + 1);
+        write k (d + 1) kids.(i)
+      done;
+      if structured then newline k d;
+      Buffer.add_string k.buf "</";
+      raw k (Node.name n);
+      Buffer.add_char k.buf '>'
+    end
+
+let write_seq k (s : Item.seq) =
   List.iteri
     (fun i it ->
       if i > 0 then Buffer.add_char k.buf ' ';
       match it with
-      | Item.N n -> write ~indent k n
+      | Item.N n -> write k 0 n
       | Item.A a -> text k (Atom.to_string a))
     s
 
-let to_buffer ?(indent = false) buf n = write ~indent { buf; json = false } n
+let to_buffer ?(indent = false) buf n = write { buf; json = false; indent } 0 n
 
 let to_string ?indent n =
   let buf = Buffer.create 256 in
@@ -156,7 +160,7 @@ let to_string ?indent n =
 
 let seq_to_string ?(indent = false) s =
   let buf = Buffer.create 256 in
-  write_seq ~indent { buf; json = false } s;
+  write_seq { buf; json = false; indent } s;
   Buffer.contents buf
 
 (* Nodes and attributes in the subtree of [n]. *)
@@ -173,6 +177,6 @@ let seq_to_json s =
   in
   let buf = Buffer.create (16 * nodes + 2) in
   Buffer.add_char buf '"';
-  write_seq ~indent:false { buf; json = true } s;
+  write_seq { buf; json = true; indent = false } s;
   Buffer.add_char buf '"';
   Buffer.contents buf

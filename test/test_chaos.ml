@@ -458,6 +458,7 @@ let gen_frame_case =
       [ (5, int_bound 100);
         (2, int_range 65_000 66_100);  (* around the 64 KiB channel buffer *)
         (1, int_bound 200_000);
+        (1, int_range 200_000 300_000);  (* three to five buffer fills *)
         (* at the limit, where a frame is kept or refused *)
         (match max_len with
          | None -> (0, pure 0)
@@ -523,30 +524,38 @@ let show_outcome = function
   | `Oversized -> "Oversized"
   | `Eof -> "Eof"
 
-(* Frames from empty to 200 KB that cross the channel buffer, with and
-   without a final newline, under small and large [max_len]: the bulk
-   reader answers exactly the oracle's sequence of outcomes, so it
-   stays framed after an oversized frame. *)
+(* The bulk reader answers exactly the oracle's sequence of outcomes
+   on [c]'s stream, so it stays framed after an oversized frame. *)
+let frame_read_agrees c =
+  let stream = frame_stream c in
+  let got =
+    outcomes_through_pipe ~seed:c.seed
+      (fun ic -> Frame.read ?max_len:c.max_len ic)
+      stream
+  in
+  let want =
+    outcomes_through_pipe ~seed:(c.seed + 1)
+      (fun ic -> oracle_read ?max_len:c.max_len ic)
+      stream
+  in
+  if got <> want then
+    QCheck2.Test.fail_reportf "got [%s]\nwant [%s]"
+      (String.concat "; " (List.map show_outcome got))
+      (String.concat "; " (List.map show_outcome want));
+  true
+
+(* Frames from empty to 300 KB that cross the channel buffer, with and
+   without a final newline, under small and large [max_len]. *)
 let prop_frame_read_matches_oracle =
   QCheck2.Test.make ~count:60 ~name:"Frame.read = per-byte oracle"
-    ~print:print_frame_case gen_frame_case
-    (fun c ->
-      let stream = frame_stream c in
-      let got =
-        outcomes_through_pipe ~seed:c.seed
-          (fun ic -> Frame.read ?max_len:c.max_len ic)
-          stream
-      in
-      let want =
-        outcomes_through_pipe ~seed:(c.seed + 1)
-          (fun ic -> oracle_read ?max_len:c.max_len ic)
-          stream
-      in
-      if got <> want then
-        QCheck2.Test.fail_reportf "got [%s]\nwant [%s]"
-          (String.concat "; " (List.map show_outcome got))
-          (String.concat "; " (List.map show_outcome want));
-      true)
+    ~print:print_frame_case gen_frame_case frame_read_agrees
+
+(* The same check on frames that span three and four buffer fills, so
+   that every run assembles a line and a truncated tail from pieces. *)
+let test_frame_read_spanning () =
+  Alcotest.(check bool) "agrees with the oracle" true
+    (frame_read_agrees
+       { sizes = [ 250_000; 10; 200_000 ]; terminated = false; max_len = None; seed = 7 })
 
 let () =
   Alcotest.run "chaos"
@@ -582,4 +591,6 @@ let () =
          Alcotest.test_case "pipe answers truncated frames" `Quick
            test_pipe_truncated_frame;
          Alcotest.test_case "frame reader" `Quick test_frame_reader;
-         QCheck_alcotest.to_alcotest prop_frame_read_matches_oracle ]) ]
+         QCheck_alcotest.to_alcotest prop_frame_read_matches_oracle;
+         Alcotest.test_case "Frame.read over three buffer fills" `Quick
+           test_frame_read_spanning ]) ]

@@ -356,7 +356,8 @@ let tree_gen =
    interpreter loop-invariant operands to evaluate once (a hashed [=]
    among them), positional child and sibling steps it answers from the
    children array, and a division by zero behind a guard that never
-   holds. *)
+   holds. The third group chains bare steps, through attributes and
+   [..//], which the interpreter maps node to node. *)
 let body_gen =
   QCheck2.Gen.oneofl
     [ "$x/*"; "$x/a"; "$x/a union $x/b"; "$x/.."; "$x/descendant::b";
@@ -368,7 +369,9 @@ let body_gen =
       "$x/following-sibling::*[1]"; "$x/preceding-sibling::a[2]";
       "$x/child::*[2]"; "for $v in $x/* return $v/following-sibling::*[1]";
       {|for $v in $x/* return if ($v/@k = "9") then (1 div 0) else $v|};
-      {|$x/*[if (@k = "9") then (1 div 0) else true()]|} ]
+      {|$x/*[if (@k = "9") then (1 div 0) else true()]|};
+      "$x/*/a"; "$x/a/*/leaf"; "$x/*/@k/.."; "$x/@k/../b"; "$x/..//a";
+      "$x/..//*/leaf"; "$x/../../*/*" ]
 
 let seed_gen = QCheck2.Gen.oneofl [ "/*"; "//a"; "/*/*"; "//leaf" ]
 

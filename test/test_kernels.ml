@@ -248,6 +248,139 @@ let test_atom_set_crossover () =
        (s [ Atom.Str "x"; Atom.Int 2 ]))
 
 (* ------------------------------------------------------------------ *)
+(* Node kernels on random documents                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Elements named p and q nest in each other (p/q/p, as hospital's
+   patient/parents/patient does), with attributes, text, comments and
+   processing instructions mixed in; one child list in five is wider
+   than 8, where child steps may take the name index. *)
+let gen_doc =
+  let open QCheck2.Gen in
+  let attrs =
+    oneofl [ []; [ ("a", "1") ]; [ ("a", "x y"); ("b", "") ]; [ ("b", "z") ] ]
+  in
+  let leaf =
+    oneof
+      [ map (fun s -> Node.T s) (oneofl [ "t"; "u v"; "" ]);
+        pure (Node.C "c"); pure (Node.P ("pi", "d"));
+        map2 (fun n a -> Node.E (n, a, [])) (oneofl [ "p"; "q" ]) attrs ]
+  in
+  let width = frequency [ (4, int_bound 4); (1, int_range 9 12) ] in
+  let rec tree depth =
+    if depth = 0 then leaf
+    else
+      frequency
+        [ (1, leaf);
+          ( 3,
+            map3
+              (fun n a kids -> Node.E (n, a, kids))
+              (oneofl [ "p"; "q" ]) attrs
+              (list_size width (tree (depth - 1))) ) ]
+  in
+  map
+    (fun kids -> Node.of_spec (Node.E ("root", [ ("a", "r") ], kids)))
+    (int_range 1 4 >>= fun depth -> list_size width (tree depth))
+
+let all_axes =
+  Axis.
+    [ Child; Descendant; Descendant_or_self; Parent; Ancestor; Ancestor_or_self;
+      Self; Following_sibling; Preceding_sibling; Following; Preceding;
+      Attribute ]
+
+let all_tests =
+  Axis.
+    [ Name "p"; Name "*"; Name "a"; Kind_node; Kind_text; Kind_comment;
+      Kind_pi; Kind_element (Some "q"); Kind_element None;
+      Kind_attribute (Some "a"); Kind_attribute None; Kind_document ]
+
+(* [Node.string_value] before text-only elements skipped the buffer. *)
+let ref_string_value (n : Node.t) =
+  match n.Node.kind with
+  | Node.Text | Node.Comment | Node.Pi | Node.Attribute -> n.Node.content
+  | Node.Element | Node.Document ->
+    let buf = Buffer.create 16 in
+    let rec go (n : Node.t) =
+      match n.Node.kind with
+      | Node.Text -> Buffer.add_string buf n.Node.content
+      | Node.Element | Node.Document -> Array.iter go n.Node.children
+      | _ -> ()
+    in
+    go n;
+    Buffer.contents buf
+
+(* [fn:id]'s tokenizer before [Node.id_tokens]. *)
+let ref_id_tokens s =
+  String.split_on_char ' ' s
+  |> List.concat_map (String.split_on_char '\n')
+  |> List.concat_map (String.split_on_char '\t')
+  |> List.filter (fun t -> t <> "")
+
+(* A fresh accumulator fed [batches] answers as set union and
+   difference do, whatever order or duplicates the batches have. *)
+let absorb_agrees batches =
+  let acc = Accumulator.create () in
+  let reference = ref [] in
+  List.for_all
+    (fun batch ->
+      let (fresh, fresh_count, produced) =
+        Accumulator.absorb acc ~who:"test" (List.map Item.node batch)
+      in
+      let expect_fresh = ref_except batch !reference in
+      reference := ref_union !reference batch;
+      ids_of_seq fresh = ids expect_fresh
+      && fresh_count = List.length expect_fresh
+      && produced = List.length batch
+      && Accumulator.size acc = List.length !reference
+      && ids_of_seq (Accumulator.to_seq acc) = ids !reference)
+    batches
+
+let prop_node_kernels =
+  QCheck2.Test.make ~count:150 ~name:"node kernels = reference"
+    QCheck2.Gen.(
+      tup4 gen_doc
+        (list_size (int_bound 10) nat)
+        int
+        (string_size ~gen:(oneofl [ 'a'; 'b'; ' '; '\n'; '\t'; '\r' ]) (int_bound 12)))
+    (fun (doc, picks, seed, idrefs) ->
+      let nodes = ref [] in
+      Node.iter_subtree
+        (fun n -> nodes := Array.to_list n.Node.attributes @ (n :: !nodes))
+        doc;
+      let pool = Array.of_list !nodes in
+      (* context nodes in any order, duplicates included *)
+      let ctx = List.map (fun i -> pool.(i mod Array.length pool)) picks in
+      let reference axis test n =
+        List.filter (Axis.matches axis test) (Axis.nodes axis n)
+      in
+      let st = Random.State.make [| seed |] in
+      let shuffled = Array.to_list (shuffle st (Array.of_list (ctx @ ctx))) in
+      let sorted = ref_ddo ctx in
+      let ev = Fixq_lang.Eval.create () in
+      let path axis test =
+        Fixq_lang.Eval.eval_expr ev
+          ~vars:[ ("ctx", List.map Item.node ctx) ]
+          (Fixq_lang.Ast.Path (Fixq_lang.Ast.Var "ctx", Fixq_lang.Ast.Axis_step { axis; test }))
+      in
+      List.for_all
+        (fun axis ->
+          List.for_all
+            (fun test ->
+              List.for_all (fun n -> ids (Axis.step axis test n) = ids (reference axis test n)) ctx
+              && ids_of_seq (path axis test)
+                 = ids (ref_ddo (List.concat_map (reference axis test) ctx)))
+            all_tests)
+        all_axes
+      && ids_of_seq (Item.ddo (List.map Item.node shuffled)) = ids sorted
+      && ids (Item.sort_uniq_nodes shuffled) = ids sorted
+      && (let s = List.map Item.node sorted in Item.ddo s == s)
+      && Item.sort_uniq_nodes sorted == sorted
+      && Array.for_all (fun n -> Node.string_value n = ref_string_value n) pool
+      && absorb_agrees [ sorted; shuffled; List.concat_map (fun n -> [ n; n ]) sorted ]
+      && absorb_agrees [ shuffled; sorted ]
+      && Node.id_tokens idrefs = ref_id_tokens idrefs)
+
+(* ------------------------------------------------------------------ *)
 
 let qc = List.map QCheck_alcotest.to_alcotest
 
@@ -258,7 +391,8 @@ let () =
           [ prop_kernels_match_reference;
             prop_doc_order;
             prop_accumulator;
-            prop_indexed_step ] );
+            prop_indexed_step;
+            prop_node_kernels ] );
       ( "units",
         [ Alcotest.test_case "atom type errors" `Quick test_atom_type_errors;
           Alcotest.test_case "index counters" `Quick test_index_counters;
