@@ -249,9 +249,14 @@ let from_env () =
   | Some spec when String.trim spec <> "" -> configure spec
   | _ -> Ok ()
 
-let check point =
-  if not (List.mem point points) then
-    invalid_arg (Printf.sprintf "Fixq_chaos.check: unknown point %S" point);
+type point = string
+
+let point name =
+  if not (List.mem name points) then
+    invalid_arg (Printf.sprintf "Fixq_chaos.check: unknown point %S" name);
+  name
+
+let fire point =
   if not !enabled then None
   else begin
     Mutex.lock mutex;
@@ -293,6 +298,8 @@ let check point =
     Mutex.unlock mutex;
     result
   end
+
+let check name = fire (point name)
 
 let fired () = !fired_total
 let events () = List.rev !event_log

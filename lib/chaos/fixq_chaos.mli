@@ -56,6 +56,17 @@ val check : string -> fault option
     Constant-time [None] when the registry is inactive. Raises
     [Invalid_argument] if [point] is not in {!points}. *)
 
+type point
+(** A point name checked once against {!points}. *)
+
+val point : string -> point
+(** [point name] validates [name]; raises [Invalid_argument] as {!check}
+    does for an unknown one. Make it once, at module initialisation. *)
+
+val fire : point -> fault option
+(** {!check} on a validated point: a single load of the registry's flag
+    when it is inactive. *)
+
 val fired : unit -> int
 (** Total number of faults injected since the last {!configure}/{!reset}. *)
 

@@ -1,6 +1,7 @@
 module Json = Fixq_service.Json
 module Protocol = Fixq_service.Protocol
 module Metrics = Fixq_service.Metrics
+module Lru = Fixq_service.Lru
 
 type backend = {
   workers : string list;
@@ -81,6 +82,8 @@ type t = {
   mutable docs_moved_total : int;
   mutable compactions_total : int;
   started_at : float;
+  routed : (string, string list) Lru.t;
+      (** query text → the documents it reads, for texts that parsed *)
 }
 
 let create ?(config = default_config) (backend : backend) =
@@ -98,7 +101,7 @@ let create ?(config = default_config) (backend : backend) =
     generation = 0; retries_total = 0; backoff_ms_total = 0.;
     failovers_total = 0; routed_runs = 0; rebalances_total = 0;
     docs_moved_total = 0; compactions_total = 0;
-    started_at = Unix.gettimeofday () }
+    started_at = Unix.gettimeofday (); routed = Lru.create ~capacity:1024 () }
 
 let router t = t.router
 
@@ -406,8 +409,17 @@ let on_worker_respawn t name =
 (* Routing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let parse_query query =
-  match Fixq.parse query with p -> Ok p | exception Fixq.Error msg -> Error msg
+(* The documents a query text reads, parsed once per text: a text
+   that fails to parse is not kept, so it errs on every send. *)
+let query_docs t query =
+  match Lru.find t.routed query with
+  | Some docs -> Ok docs
+  | None -> (
+    match Fixq.doc_uris (Fixq.parse query) with
+    | docs ->
+      Lru.put t.routed query docs;
+      Ok docs
+    | exception Fixq.Error msg -> Error msg)
 
 (* Preference order for a query: the rendezvous ranking of its first
    document (or of the query text itself when it touches no document),
@@ -496,10 +508,9 @@ let run_routed t ~id ~docs ~cands ~timeout_ms line =
 
 (* A run, check, plan or explain of [query], routed whole. *)
 let handle_run t ~id ~timeout_ms req query =
-  match parse_query query with
+  match query_docs t query with
   | Error msg -> Protocol.error_response ~id msg
-  | Ok program ->
-    let docs = Fixq.doc_uris program in
+  | Ok docs ->
     let cands = candidates t ~docs ~query in
     run_routed t ~id ~docs ~cands ~timeout_ms (Json.to_string req)
 
@@ -864,10 +875,9 @@ let handle_dump_doc t ~id req uri =
 (* prepare broadcasts to every live replica — cache warming is only
    useful where the query may later land; check/plan route like a run. *)
 let handle_prepare t ~id req query =
-  match parse_query query with
+  match query_docs t query with
   | Error msg -> Protocol.error_response ~id msg
-  | Ok program -> (
-    let docs = Fixq.doc_uris program in
+  | Ok docs -> (
     let key = match docs with [] -> "q:" ^ query | uri :: _ -> uri in
     let targets =
       match List.filter (is_alive t) (replicas_for t ~key) with

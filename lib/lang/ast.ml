@@ -280,6 +280,14 @@ let rec surely_boolean = function
   | Let { body; _ } -> surely_boolean body
   | _ -> false
 
+(** Is the value of [e] surely a sequence of nodes — an axis step, or a
+    path or filter ending in one? Such a predicate is not a position
+    test either: its effective boolean value is non-emptiness. *)
+let rec surely_nodes = function
+  | Axis_step _ -> true
+  | Path (_, b) | Filter (b, _) -> surely_nodes b
+  | _ -> false
+
 (** Does [e] syntactically mention [fn:position()] or [fn:last()]
     (anywhere, including under binders)? Such predicates observe the
     context sequence a step produced, so they block the [//] collapse

@@ -543,10 +543,7 @@ let () =
       arity1 "exactly-one" (fun s ->
           if List.length s = 1 then s else err "exactly-one: not a singleton"))
 
-let call ctx name args =
-  match Hashtbl.find_opt table name with
-  | Some f -> Some (f ctx args)
-  | None -> None
+let find name = Hashtbl.find_opt table name
 
 let is_builtin name = Hashtbl.mem table name
 let names () = Hashtbl.fold (fun k _ acc -> k :: acc) table [] |> List.sort compare

@@ -14,10 +14,11 @@ type ctx = {
 
 exception Error of string
 
-(** [call ctx name args] dispatches a built-in; [None] if [name] is not
-    a built-in (the evaluator then looks for a user-defined function).
-    Raises {!Error} on arity or type violations. *)
-val call : ctx -> string -> Fixq_xdm.Item.seq list -> Fixq_xdm.Item.seq option
+(** [find name] is the built-in [name] as a function value, looked up
+    once and called many times; [None] if [name] is not a built-in (the
+    evaluator then looks for a user-defined function). The function
+    raises {!Error} on arity or type violations. *)
+val find : string -> (ctx -> Fixq_xdm.Item.seq list -> Fixq_xdm.Item.seq) option
 
 val is_builtin : string -> bool
 

@@ -15,14 +15,6 @@ let err fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 module Semiring = Fixq_semiring.Semiring
 module Kernel = Fixq_semiring.Kernel
 
-(* AST nodes by physical identity *)
-module Loop_tbl = Hashtbl.Make (struct
-  type t = expr
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
 type ifp_site = {
   ifp_var : string;
   ifp_seed : Item.seq;
@@ -39,7 +31,9 @@ type t = {
   mutable strategy : strategy;
   max_iterations : int;
   max_call_depth : int;
-  mutable globals : Item.seq Smap.t;
+  globals : (string, Item.seq option ref) Hashtbl.t;
+      (** one cell per declared variable name, which compiled code
+          holds: a global is looked up once per compile *)
   mutable last_ifp_used_delta : bool option;
   mutable last_annotations :
     (Semiring.kind * (Node.t * Semiring.ann) list) option;
@@ -48,44 +42,15 @@ type t = {
   mutable delta_licence : (ifp_site -> bool) option;
       (** [Auto]'s second opinion when Figure 5 rejects a body *)
   stratified : bool;
-  loops : (string list * expr list) Loop_tbl.t;
-      (** {!invariants} per loop body, by identity: binders, keys *)
-  distributive : (string * bool) Loop_tbl.t;
-      (** Figure 5's verdict per IFP body, by identity: variable,
-          verdict; cleared when functions are (re)declared *)
 }
-
-type env = {
-  vars : Item.seq Smap.t;
-  ctx : (Item.t * int * int) option;  (** item, position, size *)
-  depth : int;
-  slots : slot list;
-      (** loop-invariant subexpressions of the enclosing loops *)
-}
-
-(* A subexpression of a [for] body or filter predicate that reads
-   nothing the loop changes, found again by the physical identity of
-   its AST node. [home] is the loop's entry environment, which binds
-   everything the subexpression reads. The value is computed on first
-   use, so a guarded branch the loop never takes (say [1 div 0]) still
-   never runs; a use that raises leaves it uncomputed. *)
-and slot = {
-  key : expr;
-  home : env;
-  mutable value : Item.seq option;
-  mutable probe : probe option;  (** atomized once for a general [=] *)
-}
-
-and probe = { atoms : Atom.t list; strings : (string, unit) Hashtbl.t option }
 
 let create ?(registry = Doc_registry.default) ?(strategy = Auto)
     ?(max_iterations = 1_000_000) ?(max_call_depth = 100_000)
     ?(stratified = false) () =
   { functions = Hashtbl.create 16; registry; stats = Stats.create ();
-    strategy; max_iterations; max_call_depth; globals = Smap.empty;
+    strategy; max_iterations; max_call_depth; globals = Hashtbl.create 8;
     last_ifp_used_delta = None; last_annotations = None; ifp_handler = None;
-    delta_licence = None; stratified; loops = Loop_tbl.create 16;
-    distributive = Loop_tbl.create 8 }
+    delta_licence = None; stratified }
 
 let set_ifp_handler t h = t.ifp_handler <- h
 let set_delta_licence t l = t.delta_licence <- l
@@ -98,19 +63,13 @@ let functions t = t.functions
 let last_ifp_used_delta t = t.last_ifp_used_delta
 let last_annotations t = t.last_annotations
 
-let builtin_ctx t env =
-  let (context_item, context_pos, context_size) =
-    match env.ctx with
-    | None -> (None, 0, 0)
-    | Some (it, pos, size) -> (Some it, pos, size)
-  in
-  { Builtins.context_item; context_pos; context_size;
-    registry = t.registry }
-
-let lookup_var env v =
-  match Smap.find_opt v env.vars with
-  | Some s -> s
-  | None -> err "undefined variable $%s" v
+let global t v =
+  match Hashtbl.find_opt t.globals v with
+  | Some cell -> cell
+  | None ->
+    let cell = ref None in
+    Hashtbl.replace t.globals v cell;
+    cell
 
 (* ------------------------------------------------------------------ *)
 (* Typeswitch matching                                                 *)
@@ -260,12 +219,9 @@ let assemble_content (content : Item.seq) =
   (List.rev !attrs, List.rev !kids)
 
 (* ------------------------------------------------------------------ *)
+(* ------------------------------------------------------------------ *)
 (* Loop-invariant subexpressions                                       *)
 (* ------------------------------------------------------------------ *)
-
-let rec find_slot e = function
-  | [] -> None
-  | s :: rest -> if s.key == e then Some s else find_slot e rest
 
 (* [invariants ~binders body]: the maximal subexpressions of a loop
    body worth evaluating once per loop instance.
@@ -287,7 +243,7 @@ let rec find_slot e = function
 
    Trivial expressions (literals, variables) are not worth a slot, and
    neither is [e/descendant-or-self::node()]: it is the first half of
-   an [e//name] path, which [eval_path] answers from the name index
+   an [e//name] path, which [compile_path] answers from the name index
    only as a whole. The result depends on the AST alone (an enclosing
    loop's slot is invariant here too, so it or an expression around it
    is found), and the function never rewrites the AST. *)
@@ -359,374 +315,181 @@ let invariants ~binders body =
   ignore (go 1 0 scope body);
   !found
 
-(* A loop body is analysed once per evaluator, not once per entry: an
-   inner loop is entered once per binding of the loops around it. *)
-let loop_invariants t ~binders body =
-  match Loop_tbl.find_opt t.loops body with
-  | Some (b, keys) when b = binders -> keys
-  | _ ->
-    let keys = invariants ~binders body in
-    Loop_tbl.replace t.loops body (binders, keys);
-    keys
-
-(* An IFP body is checked once per evaluator, not once per entry: a
-   fixpoint inside a loop is entered once per binding. *)
-let distributive t var body =
-  match Loop_tbl.find_opt t.distributive body with
-  | Some (v, verdict) when String.equal v var -> verdict
-  | _ ->
-    let verdict =
-      Distributivity.check ~functions:t.functions ~stratified:t.stratified var body
-    in
-    Loop_tbl.replace t.distributive body (var, verdict);
-    verdict
-
-(* ------------------------------------------------------------------ *)
-(* The evaluator                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* A general [=] against a hoisted operand [p], atomized once per loop
-   instance: a hash-set probe when both sides are all strings; any other
-   mix compares pairwise in the usual order, where [Atom.compare_value]
-   may raise. *)
-let probe_eq p other ~probe_left =
-  match p.strings with
-  | Some set when List.for_all (function Atom.Str _ -> true | _ -> false) other ->
-    List.exists (function Atom.Str x -> Hashtbl.mem set x | _ -> false) other
-  | _ ->
-    if probe_left then exists_pair Eq p.atoms other
-    else exists_pair Eq other p.atoms
-
-(* What an external engine or a Delta licence sees of an IFP: the whole
-   scope (locals and globals), not just fv(body), since compiling the
-   body may inline functions whose own bodies reference global
-   variables. Built only for the handler or the licence that asks. *)
-let ifp_site env var seed_v body accum =
-  let bindings =
-    Smap.fold
-      (fun v value acc -> if String.equal v var then acc else (v, value) :: acc)
-      env.vars []
-  in
-  let context = match env.ctx with Some (it, _, _) -> Some it | None -> None in
-  { ifp_var = var; ifp_seed = seed_v; ifp_body = body; ifp_accum = accum;
-    ifp_bindings = bindings; ifp_context = context }
-
-(* A chain of [child::name], [@name] and [text()] steps without
-   predicates or wildcards, as a value-index key path. *)
-let rec key_path = function
-  | Axis_step { axis = Axis.Child; test = Axis.Name nm | Axis.Kind_element (Some nm) }
-    when not (String.equal nm "*") ->
-    Some [ Node.Key_child nm ]
-  | Axis_step
-      { axis = Axis.Attribute; test = Axis.Name nm | Axis.Kind_attribute (Some nm) }
-    when not (String.equal nm "*") ->
-    Some [ Node.Key_attr nm ]
-  | Axis_step { axis = Axis.Child; test = Axis.Kind_text } -> Some [ Node.Key_text ]
+(* A chain of child and attribute steps without predicates: from one
+   node, nested scans of the children and attribute arrays visit its
+   hits in document order, without duplicates. *)
+let rec child_steps = function
+  | Axis_step { axis = (Axis.Child | Axis.Attribute) as axis; test } ->
+    Some [ (axis, test) ]
   | Path (a, b) -> (
-    match (key_path a, key_path b) with
+    match (child_steps a, child_steps b) with
     | (Some x, Some y) -> Some (x @ y)
     | _ -> None)
   | _ -> None
 
-(* An operand of predicate [p] that reads neither the focus nor anything
-   [p] binds: a variable, a literal, or one of [p]'s own invariants. *)
-let probe_operand t p v =
-  match v with
-  | Var _ | Literal _ -> true
-  | _ -> List.memq v (loop_invariants t ~binders:[] p)
+(* Such a chain of [child::name], [@name] and [text()] steps, without
+   wildcards, as a value-index key path. *)
+let key_path e =
+  let key = function
+    | (Axis.Child, (Axis.Name nm | Axis.Kind_element (Some nm)))
+      when not (String.equal nm "*") ->
+      Some (Node.Key_child nm)
+    | (Axis.Attribute, (Axis.Name nm | Axis.Kind_attribute (Some nm)))
+      when not (String.equal nm "*") ->
+      Some (Node.Key_attr nm)
+    | (Axis.Child, Axis.Kind_text) -> Some Node.Key_text
+    | _ -> None
+  in
+  match child_steps e with
+  | Some steps when List.for_all (fun st -> key st <> None) steps ->
+    Some (List.filter_map key steps)
+  | _ -> None
 
-(* Inside a loop body, a node that is one of the enclosing loops' slots
-   answers from the slot; everything else evaluates as usual. *)
-let rec eval t env (e : expr) : Item.seq =
-  match if env.slots == [] then None else find_slot e env.slots with
-  | Some s -> slot_value t s
-  | None -> (
-  match e with
-  | Literal a -> [ Item.A a ]
-  | Empty_seq -> []
-  | Var v -> lookup_var env v
-  | Context_item -> (
-    match env.ctx with
-    | Some (it, _, _) -> [ it ]
-    | None -> err "no context item for '.'")
-  | Root -> (
-    match env.ctx with
-    | Some (Item.N n, _, _) -> [ Item.N (Node.root n) ]
-    | Some (Item.A _, _, _) -> err "the context item for '/' is not a node"
-    | None -> err "no context item for '/'")
-  (* Binary operands evaluate left to right explicitly: OCaml's
-     right-to-left argument order would make constructors in the right
-     operand allocate node ids first, putting separately constructed
-     trees in surprising document order. *)
-  | Sequence (a, b) ->
-    let va = eval t env a in
-    va @ eval t env b
-  | Union (a, b) ->
-    let va = eval t env a in
-    Item.union va (eval t env b)
-  | Except (a, b) ->
-    let va = eval t env a in
-    Item.except va (eval t env b)
-  | Intersect (a, b) ->
-    let va = eval t env a in
-    Item.intersect va (eval t env b)
-  | Path (a, b) -> eval_path t env a b
-  | Axis_step { axis; test } -> (
-    match env.ctx with
-    | Some (Item.N n, _, _) ->
-      List.map Item.node (Axis.step axis test n)
-    | Some (Item.A _, _, _) -> err "axis step on a non-node context item"
-    | None -> err "no context item for an axis step")
-  | Filter
-      ( Axis_step
-          { axis = (Axis.Child | Axis.Following_sibling | Axis.Preceding_sibling) as axis;
-            test },
-        Literal (Atom.Int k) ) -> (
-    match env.ctx with
-    | Some (Item.N n, _, _) -> (
-      match Axis.nth axis test n k with Some m -> [ Item.N m ] | None -> [])
-    | Some (Item.A _, _, _) -> err "axis step on a non-node context item"
-    | None -> err "no context item for an axis step")
-  | Filter (a, p) -> eval_filter t env a p
-  | For { var; pos; source; body } ->
-    let src = eval t env source in
-    let env = hoist t env ~binders:(var :: Option.to_list pos) body src in
-    List.concat
-      (List.mapi
-         (fun i it ->
-           let vars = Smap.add var [ it ] env.vars in
-           let vars =
-             match pos with
-             | None -> vars
-             | Some p -> Smap.add p [ Item.A (Atom.Int (i + 1)) ] vars
-           in
-           eval t { env with vars } body)
-         src)
-  | Sort { var; source; key; descending; body } ->
-    let src = eval t env source in
-    let keyed =
-      List.map
-        (fun it ->
-          let kv =
-            Item.atomize
-              (eval t { env with vars = Smap.add var [ it ] env.vars } key)
-          in
-          let k =
-            match kv with
-            | [] -> None (* empty keys sort first ("empty least") *)
-            | [ a ] -> Some a
-            | _ -> err "order by: the key is not a singleton"
-          in
-          (k, it))
-        src
-    in
-    let cmp (a, _) (b, _) =
-      let base =
-        match (a, b) with
-        | (None, None) -> 0
-        | (None, Some _) -> -1
-        | (Some _, None) -> 1
-        | (Some x, Some y) -> Atom.compare_value x y
-      in
-      if descending then -base else base
-    in
-    let sorted = List.stable_sort cmp keyed in
-    List.concat_map
-      (fun (_, it) ->
-        eval t { env with vars = Smap.add var [ it ] env.vars } body)
-      sorted
-  | Let { var; value; body } ->
-    let v = eval t env value in
-    eval t { env with vars = Smap.add var v env.vars } body
-  | If (c, th, el) ->
-    if Item.effective_boolean (eval t env c) then eval t env th
-    else eval t env el
-  | Quantified (q, v, source, pred) ->
-    let src = eval t env source in
-    let test it =
-      Item.effective_boolean
-        (eval t { env with vars = Smap.add v [ it ] env.vars } pred)
-    in
-    let r =
-      match q with
-      | Some_ -> List.exists test src
-      | Every -> List.for_all test src
-    in
-    bool_seq r
-  | Arith (op, a, b) -> (
-    let va = Item.atomize (eval t env a) in
-    let vb = Item.atomize (eval t env b) in
-    match (va, vb) with
-    | ([], _) | (_, []) -> []
-    | ([ x ], [ y ]) -> [ Item.A (arith_op op x y) ]
-    | _ -> err "arithmetic over non-singleton sequences")
-  | Neg a -> (
-    match Item.atomize (eval t env a) with
-    | [] -> []
-    | [ Atom.Int i ] -> [ Item.A (Atom.Int (-i)) ]
-    | [ x ] -> [ Item.A (Atom.Dbl (-.Atom.to_number x)) ]
-    | _ -> err "unary minus over a non-singleton sequence")
-  | Gen_cmp (c, a, b) ->
-    (* operands evaluate left to right on every path *)
-    let holds =
-      match (c, find_slot a env.slots, find_slot b env.slots) with
-      | (Eq, Some s, _) ->
-        let p = slot_probe t s in
-        probe_eq p (Item.atomize (eval t env b)) ~probe_left:true
-      | (Eq, None, Some s) ->
-        let va = Item.atomize (eval t env a) in
-        probe_eq (slot_probe t s) va ~probe_left:false
-      | _ ->
-        let va = Item.atomize (eval t env a) in
-        exists_pair c va (Item.atomize (eval t env b))
-    in
-    bool_seq holds
-  | Val_cmp (c, a, b) -> (
-    let va = Item.atomize (eval t env a) in
-    let vb = Item.atomize (eval t env b) in
-    match (va, vb) with
-    | ([], _) | (_, []) -> []
-    | ([ x ], [ y ]) -> bool_seq (cmp_result c (Atom.compare_value x y))
-    | _ -> err "value comparison over non-singleton sequences")
-  | Node_is (a, b) -> eval_node_cmp t env a b (fun x y -> Node.equal x y)
-  | Node_before (a, b) ->
-    eval_node_cmp t env a b (fun x y -> Node.compare_doc_order x y < 0)
-  | Node_after (a, b) ->
-    eval_node_cmp t env a b (fun x y -> Node.compare_doc_order x y > 0)
-  | And (a, b) ->
-    bool_seq
-      (Item.effective_boolean (eval t env a) && Item.effective_boolean (eval t env b))
-  | Or (a, b) ->
-    bool_seq
-      (Item.effective_boolean (eval t env a) || Item.effective_boolean (eval t env b))
-  | Range (a, b) -> (
-    let va = Item.atomize (eval t env a) in
-    let vb = Item.atomize (eval t env b) in
-    match (va, vb) with
-    | ([], _) | (_, []) -> []
-    | ([ x ], [ y ]) ->
-      let lo = Atom.to_int x and hi = Atom.to_int y in
-      let rec build i acc = if i < lo then acc else build (i - 1) (Item.A (Atom.Int i) :: acc) in
-      build hi []
-    | _ -> err "'to' over non-singleton sequences")
-  | Call (f, args) -> eval_call t env f args
-  | Elem_constr (name, attr_specs, content) ->
-    let attr_of_spec (an, pieces) =
-      let v =
-        String.concat ""
-          (List.map
-             (function
-               | A_lit s -> s
-               | A_expr e ->
-                 String.concat " "
-                   (List.map Atom.to_string (Item.atomize (eval t env e))))
-             pieces)
-      in
-      (an, v)
-    in
-    let direct_attrs = List.map attr_of_spec attr_specs in
-    let content_items = List.concat_map (eval t env) content in
-    let (content_attrs, kids) = assemble_content content_items in
-    [ Item.N (Node.element name ~attrs:(direct_attrs @ content_attrs) kids) ]
-  | Comp_elem (name, body) ->
-    let (content_attrs, kids) = assemble_content (eval t env body) in
-    [ Item.N (Node.element name ~attrs:content_attrs kids) ]
-  | Text_constr body -> (
-    match Item.atomize (eval t env body) with
-    | [] -> []
-    | atoms ->
-      let s = String.concat " " (List.map Atom.to_string atoms) in
-      [ Item.N (Node.text s) ])
-  | Attr_constr (name, body) ->
-    let s =
-      String.concat " "
-        (List.map Atom.to_string (Item.atomize (eval t env body)))
-    in
-    [ Item.N (Node.attribute name s) ]
-  | Comment_constr body ->
-    let s =
-      String.concat " "
-        (List.map Atom.to_string (Item.atomize (eval t env body)))
-    in
-    [ Item.N (Node.comment s) ]
-  | Doc_constr body ->
-    let (attrs, kids) = assemble_content (eval t env body) in
-    if attrs <> [] then err "document constructor content has attributes";
-    [ Item.N (Node.document kids) ]
-  | Instance_of (a, ty) ->
-    bool_seq (seq_matches ty (eval t env a))
-  | Cast (a, ty, optional) -> (
-    match Item.atomize (eval t env a) with
-    | [] ->
-      if optional then []
-      else err "cast as xs:%s: empty sequence (no '?')" ty
-    | [ atom ] -> [ Item.A (cast_atom ty atom) ]
-    | _ -> err "cast as xs:%s: more than one item" ty)
-  | Castable (a, ty, optional) -> (
-    match Item.atomize (eval t env a) with
-    | [] -> bool_seq optional
-    | [ atom ] ->
-      bool_seq
-        (match cast_atom ty atom with
-        | (_ : Atom.t) -> true
-        | exception _ -> false)
-    | _ -> false_seq)
-  | Typeswitch (scrut, cases, dvar, dbody) ->
-    let v = eval t env scrut in
-    let rec try_cases = function
-      | [] ->
-        let vars =
-          match dvar with
-          | None -> env.vars
-          | Some x -> Smap.add x v env.vars
-        in
-        eval t { env with vars } dbody
-      | (ty, cvar, body) :: rest ->
-        if seq_matches ty v then
-          let vars =
-            match cvar with
-            | None -> env.vars
-            | Some x -> Smap.add x v env.vars
-          in
-          eval t { env with vars } body
-        else try_cases rest
-    in
-    try_cases cases
-  | Ifp { var; seed; body; accum } -> eval_ifp t env var seed body accum)
+(* Whether some hit of [steps] from [n] satisfies [f], found without
+   building a list. A node with more than eight children goes through
+   {!Axis.step}, which may answer from the name index, so the kernel
+   counters read as they do for the step itself. *)
+let rec steps_exist steps (n : Node.t) f =
+  match steps with
+  | [] -> f n
+  | (Axis.Child, test) :: rest when Array.length n.Node.children > 8 ->
+    List.exists (fun m -> steps_exist rest m f) (Axis.step Axis.Child test n)
+  | (Axis.Attribute, test) :: rest ->
+    scan_exist Axis.Attribute test n.Node.attributes 0 rest f
+  | (axis, test) :: rest -> scan_exist axis test n.Node.children 0 rest f
 
-(* The environment a loop instance evaluates its body in: the entry
-   environment plus one slot per invariant subexpression that no
-   enclosing loop already holds. A source of fewer than two items has
-   nothing to share. *)
-and hoist t env ~binders body src =
-  match src with
-  | [] | [ _ ] -> env
-  | _ ->
-    let slot key =
-      if find_slot key env.slots <> None then None
-      else Some { key; home = env; value = None; probe = None }
-    in
-    match List.filter_map slot (loop_invariants t ~binders body) with
-    | [] -> env
-    | slots -> { env with slots = slots @ env.slots }
+and scan_exist axis test arr i rest f =
+  i < Array.length arr
+  && ((Axis.matches axis test arr.(i) && steps_exist rest arr.(i) f)
+     || scan_exist axis test arr (i + 1) rest f)
 
-(* [s.home] is the loop's entry environment: its slots are the outer
-   loops', never [s] itself. *)
-and slot_value t s =
-  match s.value with
+(* [left/s1/…/sk] for bare steps: they read nothing of their focus but
+   the node, so the context nodes map straight through the axes and one
+   scan orders the hits (DESIGN.md §5, "Node steps"). All steps but the
+   last are child or attribute steps, which make no duplicates from
+   distinct nodes, so only the last step's hits need ordering. *)
+let rec chain_onto steps acc (n : Node.t) =
+  match steps with
+  | [] -> Item.N n :: acc
+  | (Axis.Attribute, test) :: rest -> scan_onto Axis.Attribute test n.Node.attributes 0 rest acc
+  | (Axis.Child, test) :: rest when Array.length n.Node.children <= 8 ->
+    scan_onto Axis.Child test n.Node.children 0 rest acc
+  | (axis, test) :: rest -> hits_onto rest acc (Axis.step axis test n)
+
+and scan_onto axis test arr i rest acc =
+  if i = Array.length arr then acc
+  else
+    scan_onto axis test arr (i + 1) rest
+      (if Axis.matches axis test arr.(i) then chain_onto rest acc arr.(i) else acc)
+
+and hits_onto steps acc = function
+  | [] -> acc
+  | m :: ms -> hits_onto steps (chain_onto steps acc m) ms
+
+let rec gather steps rev = function
+  | [] -> List.rev rev
+  | Item.N n :: rest -> gather steps (chain_onto steps rev n) rest
+  | Item.A _ :: _ -> assert false (* [ddo_as] passes nodes only *)
+
+let step_all steps left = Item.ddo (gather steps [] (Item.ddo_as "path" left))
+
+(* ------------------------------------------------------------------ *)
+(* Staged evaluation                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A program is compiled once into closures (DESIGN.md §5, "Staged
+   evaluation"). Every variable gets a slot in its activation's frame
+   (the main expression's, a global's or one user-function call's), and
+   every hoisted subexpression a cell. Compiled code receives the frame
+   and the focus — the context item ([no_item] when there is none), its
+   position and the context size — as arguments, so binding a variable
+   or a focus allocates no environment. *)
+type frame = {
+  vars : Item.seq array;
+  cells : cell array;
+  depth : int;  (** user-function calls below the top level *)
+}
+
+(* A loop-invariant subexpression's value for the current loop
+   instance: reset when the loop is entered, computed on first use, so
+   a guarded branch the loop never takes (say [1 div 0]) still never
+   runs; a use that raises leaves it uncomputed. *)
+and cell = { mutable value : Item.seq option; mutable probe : probe option }
+
+(* An operand atomized once: a hash set too when it is more than four
+   strings. *)
+and probe = { atoms : Atom.t list; strings : (string, unit) Hashtbl.t option }
+
+type code = frame -> Item.t -> int -> int -> Item.seq
+type test = frame -> Item.t -> int -> int -> bool
+
+(* The focus of code that has none, told apart by physical identity. *)
+let no_item = Item.A (Atom.Str "\000no context item")
+
+let context_item it = if it == no_item then None else Some it
+
+let focus_node it =
+  match it with
+  | Item.N n -> n
+  | Item.A _ when it == no_item -> err "no context item for an axis step"
+  | Item.A _ -> err "axis step on a non-node context item"
+
+(* The slots an activation needs, known once its code is compiled. *)
+type layout = { mutable nvars : int; mutable ncells : int }
+
+type scope = {
+  locals : int Smap.t;  (** variable name → frame slot *)
+  keys : (expr * (int * code)) list;
+      (** the enclosing loops' invariant subexpressions, by physical
+          identity: cell and the code that computes it *)
+  layout : layout;
+}
+
+type compiled_fn = { mutable body : code; fn_layout : layout }
+
+type cx = {
+  ev : t;
+  fns : (string, compiled_fn) Hashtbl.t;  (** user functions compiled so far *)
+  unfocused : Builtins.ctx;  (** what a builtin that reads no focus gets *)
+}
+
+let new_frame l depth =
+  { vars = Array.make l.nvars [];
+    cells = Array.init l.ncells (fun _ -> { value = None; probe = None });
+    depth }
+
+let bind sc v =
+  let i = sc.layout.nvars in
+  sc.layout.nvars <- i + 1;
+  (i, { sc with locals = Smap.add v i sc.locals })
+
+let all_strings = List.for_all (function Atom.Str _ -> true | _ -> false)
+
+let rec reset fr = function
+  | [] -> ()
+  | c :: rest ->
+    let cl = fr.cells.(c) in
+    cl.value <- None;
+    cl.probe <- None;
+    reset fr rest
+
+let cell_value fr c (key : code) it pos size =
+  let cl = fr.cells.(c) in
+  match cl.value with
   | Some v -> v
   | None ->
-    let v = eval t s.home s.key in
-    s.value <- Some v;
+    let v = key fr it pos size in
+    cl.value <- Some v;
     v
 
-and slot_probe t s =
-  match s.probe with
+let cell_probe fr c key it pos size =
+  let cl = fr.cells.(c) in
+  match cl.probe with
   | Some p -> p
   | None ->
-    let atoms = Item.atomize (slot_value t s) in
+    let atoms = Item.atomize (cell_value fr c key it pos size) in
     let strings =
-      if List.for_all (function Atom.Str _ -> true | _ -> false) atoms then begin
+      if all_strings atoms && List.compare_length_with atoms 4 > 0 then begin
         let set = Hashtbl.create (List.length atoms) in
         List.iter (function Atom.Str x -> Hashtbl.replace set x () | _ -> ()) atoms;
         Some set
@@ -734,155 +497,599 @@ and slot_probe t s =
       else None
     in
     let p = { atoms; strings } in
-    s.probe <- Some p;
+    cl.probe <- Some p;
     p
 
-and eval_node_cmp t env a b op =
-  let na = eval t env a and nb = eval t env b in
-  match (na, nb) with
-  | ([], _) | (_, []) -> []
-  | ([ Item.N x ], [ Item.N y ]) -> bool_seq (op x y)
-  | _ -> err "node comparison requires single nodes"
+let rec eval_all codes fr it pos size =
+  match codes with
+  | [] -> []
+  | (c : code) :: rest ->
+    let v = c fr it pos size in
+    v :: eval_all rest fr it pos size
 
-and eval_path t env a b =
+(* A general comparison operand as read at run time: atoms, or the
+   string values of [steps] from a node, read where they are. *)
+type side = Atoms of probe | Keys of (Axis.t * Axis.test) list * Node.t
+
+(* Some pair compares as [c], tried in the order of the left side, then
+   of the right; an [=] against a hoisted all-string operand is a hash
+   probe when the other side is all strings too. *)
+let holds c l r =
+  let sv = Node.string_value in
+  match (l, r) with
+  | (Atoms p, Atoms q) -> (
+    match (c, p.strings, q.strings) with
+    | (Eq, Some set, _) when all_strings q.atoms ->
+      List.exists (function Atom.Str x -> Hashtbl.mem set x | _ -> false) q.atoms
+    | (Eq, _, Some set) when all_strings p.atoms ->
+      List.exists (function Atom.Str x -> Hashtbl.mem set x | _ -> false) p.atoms
+    | _ -> exists_pair c p.atoms q.atoms)
+  | (Keys (st, n), Atoms { strings = Some set; _ })
+  | (Atoms { strings = Some set; _ }, Keys (st, n))
+    when c = Eq ->
+    steps_exist st n (fun m -> Hashtbl.mem set (sv m))
+  | (Keys (st, n), Atoms q) -> steps_exist st n (fun m -> exists_with c (Atom.Str (sv m)) q.atoms)
+  | (Atoms p, Keys (st, n)) ->
+    List.exists (fun x -> steps_exist st n (fun m -> exists_with c x [ Atom.Str (sv m) ])) p.atoms
+  | (Keys (s1, n1), Keys (s2, n2)) ->
+    steps_exist s1 n1 (fun m ->
+        let x = sv m in
+        steps_exist s2 n2 (fun m2 -> cmp_result c (String.compare x (sv m2))))
+
+(* What an external engine or a Delta licence sees of an IFP: the whole
+   scope (locals and globals), not just fv(body), since compiling the
+   body may inline functions whose own bodies reference global
+   variables. Built only for the handler or the licence that asks. *)
+let ifp_site t locals fr it var seed_v body accum =
+  let vars =
+    Hashtbl.fold
+      (fun v cell m -> match !cell with Some s -> Smap.add v s m | None -> m)
+      t.globals Smap.empty
+  in
+  let vars = Smap.fold (fun v i m -> Smap.add v fr.vars.(i) m) locals vars in
+  let bindings =
+    Smap.fold
+      (fun v value acc -> if String.equal v var then acc else (v, value) :: acc)
+      vars []
+  in
+  { ifp_var = var; ifp_seed = seed_v; ifp_body = body; ifp_accum = accum;
+    ifp_bindings = bindings; ifp_context = context_item it }
+
+let bool_code (b : test) : code = fun fr it pos size -> bool_seq (b fr it pos size)
+let ebv (c : code) : test = fun fr it pos size -> Item.effective_boolean (c fr it pos size)
+
+(* Inside a loop body, a node that is one of the enclosing loops'
+   invariants reads its cell; everything else compiles by its shape. *)
+let rec compile cx sc (e : expr) : code =
+  match List.assq_opt e sc.keys with
+  | Some (c, key) -> fun fr it pos size -> cell_value fr c key it pos size
+  | None -> compile_node cx sc e
+
+and compile_node cx sc e : code =
+  let c = compile cx sc in
+  (* Binary operands evaluate left to right explicitly: OCaml's
+     right-to-left argument order would make constructors in the right
+     operand allocate node ids first, putting separately constructed
+     trees in surprising document order. *)
+  let binary f a b =
+    let ca = c a and cb = c b in
+    fun fr it pos size ->
+      let va = ca fr it pos size in
+      f va (cb fr it pos size)
+  in
+  let atomized a = let ca = c a in fun fr it pos size -> Item.atomize (ca fr it pos size) in
+  (* both operands atomized; () when either is empty *)
+  let singletons what a b f =
+    let va = atomized a and vb = atomized b in
+    fun fr it p s ->
+      let xa = va fr it p s in
+      match (xa, vb fr it p s) with
+      | ([], _) | (_, []) -> []
+      | ([ x ], [ y ]) -> f x y
+      | _ -> err "%s over non-singleton sequences" what
+  in
+  let nodes a b op =
+    binary
+      (fun na nb ->
+        match (na, nb) with
+        | ([], _) | (_, []) -> []
+        | ([ Item.N x ], [ Item.N y ]) -> bool_seq (op x y)
+        | _ -> err "node comparison requires single nodes")
+      a b
+  in
+  let joined a =
+    let va = atomized a in
+    fun fr it p s -> String.concat " " (List.map Atom.to_string (va fr it p s))
+  in
+  match e with
+  | Literal a ->
+    let v = [ Item.A a ] in
+    fun _ _ _ _ -> v
+  | Empty_seq -> fun _ _ _ _ -> []
+  | Var v -> (
+    match Smap.find_opt v sc.locals with
+    | Some i -> fun fr _ _ _ -> fr.vars.(i)
+    | None ->
+      let cell = global cx.ev v in
+      fun _ _ _ _ ->
+        match !cell with Some s -> s | None -> err "undefined variable $%s" v)
+  | Context_item ->
+    fun _ it _ _ -> if it == no_item then err "no context item for '.'" else [ it ]
+  | Root -> (
+    fun _ it _ _ ->
+      match it with
+      | Item.N n -> [ Item.N (Node.root n) ]
+      | Item.A _ when it == no_item -> err "no context item for '/'"
+      | Item.A _ -> err "the context item for '/' is not a node")
+  | Sequence (a, b) -> binary ( @ ) a b
+  | Union (a, b) -> binary Item.union a b
+  | Except (a, b) -> binary Item.except a b
+  | Intersect (a, b) -> binary Item.intersect a b
+  | Path (a, b) -> compile_path cx sc a b
+  | Axis_step { axis; test } ->
+    fun _ it _ _ -> List.map Item.node (Axis.step axis test (focus_node it))
+  | Filter
+      ( Axis_step
+          { axis = (Axis.Child | Axis.Following_sibling | Axis.Preceding_sibling) as axis;
+            test },
+        Literal (Atom.Int k) ) -> (
+    fun _ it _ _ ->
+      match Axis.nth axis test (focus_node it) k with Some m -> [ Item.N m ] | None -> [])
+  | Filter (a, p) -> compile_filter cx sc a p
+  | For { var; pos; source; body } ->
+    let csrc = c source in
+    let (i, inner) = bind sc var in
+    let (pi, inner) =
+      match pos with None -> (-1, inner) | Some p -> bind inner p
+    in
+    let (keys, cells) = hoist cx sc (invariants ~binders:(var :: Option.to_list pos) body) in
+    let cbody = compile cx { inner with keys } body in
+    fun fr it p s ->
+      let src = csrc fr it p s in
+      reset fr cells;
+      let rec go k acc = function
+        | [] -> List.rev acc
+        | x :: rest ->
+          fr.vars.(i) <- [ x ];
+          if pi >= 0 then fr.vars.(pi) <- [ Item.A (Atom.Int k) ];
+          go (k + 1) (List.rev_append (cbody fr it p s) acc) rest
+      in
+      go 1 [] src
+  | Sort { var; source; key; descending; body } ->
+    let csrc = c source in
+    let (i, inner) = bind sc var in
+    let ckey = compile cx inner key and cbody = compile cx inner body in
+    fun fr it p s ->
+      let keyed =
+        List.map
+          (fun x ->
+            fr.vars.(i) <- [ x ];
+            match Item.atomize (ckey fr it p s) with
+            | [] -> (None, x) (* empty keys sort first ("empty least") *)
+            | [ a ] -> (Some a, x)
+            | _ -> err "order by: the key is not a singleton")
+          (csrc fr it p s)
+      in
+      let cmp (a, _) (b, _) =
+        let base = Option.compare Atom.compare_value a b in
+        if descending then -base else base
+      in
+      List.concat_map
+        (fun (_, x) ->
+          fr.vars.(i) <- [ x ];
+          cbody fr it p s)
+        (List.stable_sort cmp keyed)
+  | Let { var; value; body } ->
+    let cv = c value in
+    let (i, inner) = bind sc var in
+    let cbody = compile cx inner body in
+    fun fr it p s ->
+      fr.vars.(i) <- cv fr it p s;
+      cbody fr it p s
+  | If (cond, th, el) ->
+    let bc = compile_bool cx sc cond and ct = c th and ce = c el in
+    fun fr it p s -> if bc fr it p s then ct fr it p s else ce fr it p s
+  | Quantified _ | Gen_cmp _ | And _ | Or _
+  | Call (("not" | "exists" | "empty" | "boolean"), [ _ ]) ->
+    bool_code (compile_bool cx sc e)
+  | Arith (op, a, b) -> singletons "arithmetic" a b (fun x y -> [ Item.A (arith_op op x y) ])
+  | Neg a -> (
+    let va = atomized a in
+    fun fr it p s ->
+      match va fr it p s with
+      | [] -> []
+      | [ Atom.Int i ] -> [ Item.A (Atom.Int (-i)) ]
+      | [ x ] -> [ Item.A (Atom.Dbl (-.Atom.to_number x)) ]
+      | _ -> err "unary minus over a non-singleton sequence")
+  | Val_cmp (cmp, a, b) ->
+    singletons "value comparison" a b (fun x y ->
+        bool_seq (cmp_result cmp (Atom.compare_value x y)))
+  | Node_is (a, b) -> nodes a b (fun x y -> Node.equal x y)
+  | Node_before (a, b) -> nodes a b (fun x y -> Node.compare_doc_order x y < 0)
+  | Node_after (a, b) -> nodes a b (fun x y -> Node.compare_doc_order x y > 0)
+  | Range (a, b) ->
+    singletons "'to'" a b (fun x y ->
+        let lo = Atom.to_int x and hi = Atom.to_int y in
+        let rec build i acc = if i < lo then acc else build (i - 1) (Item.A (Atom.Int i) :: acc) in
+        build hi [])
+  | Call (f, args) -> compile_call cx sc f args
+  | Elem_constr (name, attr_specs, content) ->
+    let attrs =
+      List.map
+        (fun (an, pieces) ->
+          (an, List.map (function A_lit s -> Either.Left s | A_expr e -> Either.Right (joined e)) pieces))
+        attr_specs
+    in
+    let content = List.map c content in
+    fun fr it p s ->
+      let attr (an, pieces) =
+        (an, String.concat "" (List.map (Either.fold ~left:Fun.id ~right:(fun v -> v fr it p s)) pieces))
+      in
+      let direct_attrs = List.map attr attrs in
+      let (content_attrs, kids) =
+        assemble_content (List.concat_map (fun (cc : code) -> cc fr it p s) content)
+      in
+      [ Item.N (Node.element name ~attrs:(direct_attrs @ content_attrs) kids) ]
+  | Comp_elem (name, body) ->
+    let cb = c body in
+    fun fr it p s ->
+      let (content_attrs, kids) = assemble_content (cb fr it p s) in
+      [ Item.N (Node.element name ~attrs:content_attrs kids) ]
+  | Text_constr body -> (
+    let vb = atomized body in
+    fun fr it p s ->
+      match vb fr it p s with
+      | [] -> []
+      | atoms -> [ Item.N (Node.text (String.concat " " (List.map Atom.to_string atoms))) ])
+  | Attr_constr (name, body) ->
+    let vb = joined body in
+    fun fr it p s -> [ Item.N (Node.attribute name (vb fr it p s)) ]
+  | Comment_constr body ->
+    let vb = joined body in
+    fun fr it p s -> [ Item.N (Node.comment (vb fr it p s)) ]
+  | Doc_constr body ->
+    let cb = c body in
+    fun fr it p s ->
+      let (attrs, kids) = assemble_content (cb fr it p s) in
+      if attrs <> [] then err "document constructor content has attributes";
+      [ Item.N (Node.document kids) ]
+  | Instance_of (a, ty) ->
+    let ca = c a in
+    fun fr it p s -> bool_seq (seq_matches ty (ca fr it p s))
+  | Cast (a, ty, optional) -> (
+    let va = atomized a in
+    fun fr it p s ->
+      match va fr it p s with
+      | [] -> if optional then [] else err "cast as xs:%s: empty sequence (no '?')" ty
+      | [ atom ] -> [ Item.A (cast_atom ty atom) ]
+      | _ -> err "cast as xs:%s: more than one item" ty)
+  | Castable (a, ty, optional) -> (
+    let va = atomized a in
+    fun fr it p s ->
+      match va fr it p s with
+      | [] -> bool_seq optional
+      | [ atom ] ->
+        bool_seq (match cast_atom ty atom with (_ : Atom.t) -> true | exception _ -> false)
+      | _ -> false_seq)
+  | Typeswitch (scrut, cases, dvar, dbody) ->
+    let cs = c scrut in
+    let branch v body =
+      match v with
+      | None -> (-1, compile cx sc body)
+      | Some x ->
+        let (i, inner) = bind sc x in
+        (i, compile cx inner body)
+    in
+    let cases = List.map (fun (ty, v, body) -> (ty, branch v body)) cases in
+    let default = branch dvar dbody in
+    fun fr it p s ->
+      let v = cs fr it p s in
+      let (i, cb) =
+        match List.find_opt (fun (ty, _) -> seq_matches ty v) cases with
+        | Some (_, b) -> b
+        | None -> default
+      in
+      if i >= 0 then fr.vars.(i) <- v;
+      cb fr it p s
+  | Ifp { var; seed; body; accum } -> compile_ifp cx sc var seed body accum
+
+(* The loop body's invariants that no enclosing loop already holds get
+   a cell each, computed by code compiled in the loop's entry scope;
+   returns the body's keys and the cells to reset on entry. *)
+and hoist cx sc invariants =
+  let fresh = List.filter (fun k -> not (List.mem_assq k sc.keys)) invariants in
+  let keys =
+    List.map
+      (fun k ->
+        let c = sc.layout.ncells in
+        sc.layout.ncells <- c + 1;
+        (k, (c, compile_node cx sc k)))
+      fresh
+  in
+  (keys @ sc.keys, List.map (fun (_, (c, _)) -> c) keys)
+
+and compile_path cx sc a b : code =
   (* Collapse the // desugaring [e/descendant-or-self::node()/child::T]
      to [e/descendant::T] — same node set for any test T, and the form
      the per-document name index can answer. Through a filter the
      rewrite changes the predicate's context positions, so it is gated
-     on the predicate being surely boolean and position()/last()-free. *)
+     on the predicate being surely boolean or surely a node sequence,
+     and position()/last()-free. *)
   match (a, b) with
   | ( Path (x, Axis_step { axis = Axis.Descendant_or_self; test = Axis.Kind_node }),
       Axis_step { axis = Axis.Child; test } ) ->
-    eval_path t env x (Axis_step { axis = Axis.Descendant; test })
+    compile_path cx sc x (Axis_step { axis = Axis.Descendant; test })
   | ( Path (x, Axis_step { axis = Axis.Descendant_or_self; test = Axis.Kind_node }),
       Filter (Axis_step { axis = Axis.Child; test }, pred) )
-    when Ast.surely_boolean pred && not (Ast.calls_position_or_last pred) ->
-    eval_path t env x (Filter (Axis_step { axis = Axis.Descendant; test }, pred))
-  | _ -> eval_path_steps t env a b
-
-and eval_path_steps t env a b =
-  let left = Item.ddo_as "path" (eval t env a) in
-  match b with
-  | Axis_step { axis; test } ->
-    (* Node to node: a bare axis step reads nothing of its focus but
-       the node, so the context nodes map straight through the axis
-       and one scan orders the hits (DESIGN.md §5, "Node steps"). *)
-    let rec gather rev = function
-      | [] -> List.rev rev
-      | Item.N n :: rest ->
-        gather (List.fold_left (fun acc m -> Item.N m :: acc) rev (Axis.step axis test n)) rest
-      | Item.A _ :: _ -> assert false (* [ddo_as] passes nodes only *)
+    when (Ast.surely_boolean pred || Ast.surely_nodes pred)
+         && not (Ast.calls_position_or_last pred) ->
+    compile_path cx sc x (Filter (Axis_step { axis = Axis.Descendant; test }, pred))
+  | (_, Axis_step { axis; test }) ->
+    (* child and attribute steps before [b] join it, unless one is
+       hoisted or ends a [//] the collapse answers *)
+    let rec split steps = function
+      | Path (Path (_, Axis_step { axis = Axis.Descendant_or_self; _ }), _) as e -> (e, steps)
+      | Path (x, Axis_step { axis = (Axis.Child | Axis.Attribute) as axis; test }) as e
+        when not (List.mem_assq e sc.keys) ->
+        split ((axis, test) :: steps) x
+      | e -> (e, steps)
     in
-    Item.ddo (gather [] left)
+    let (base, steps) = split [ (axis, test) ] a in
+    let cb = compile cx sc base in
+    fun fr it p s -> step_all steps (cb fr it p s)
   | _ ->
-    let size = List.length left in
-    let results =
-      List.concat
-        (List.mapi
-           (fun i it -> eval t { env with ctx = Some (it, i + 1, size) } b)
-           left)
-    in
-    let all_nodes = List.for_all (function Item.N _ -> true | _ -> false) results in
-    let all_atoms = List.for_all (function Item.A _ -> true | _ -> false) results in
-    if all_nodes then Item.ddo results
-    else if all_atoms then results
-    else err "a path step mixes nodes and atomic values"
+    let ca = compile cx sc a and cb = compile cx sc b in
+    fun fr it p s ->
+      let left = Item.ddo_as "path" (ca fr it p s) in
+      let size = List.length left in
+      let rec go k acc = function
+        | [] -> List.rev acc
+        | x :: rest -> go (k + 1) (List.rev_append (cb fr x k size) acc) rest
+      in
+      let results = go 1 [] left in
+      if List.for_all (function Item.N _ -> true | _ -> false) results then Item.ddo results
+      else if List.for_all (function Item.A _ -> true | _ -> false) results then results
+      else err "a path step mixes nodes and atomic values"
 
 (* [E[p = v]] or [E[v = p]] on a [child::E] or [descendant::E] step,
-   where [p] is a key path and [v] reads neither the focus nor anything
-   the predicate binds, answers from the document's value index; see
+   where [p] is a key path and [v] is a variable, a literal or one of
+   the predicate's invariants (it reads neither the focus nor anything
+   the predicate binds), answers from the document's value index; see
    {!Axis.value_probe} for when it declines. *)
-and value_probe t env a p =
-  match (a, p, env.ctx) with
+and value_probe cx sc invariants a p =
+  match (a, p) with
   | ( Axis_step
         { axis = (Axis.Child | Axis.Descendant) as axis;
           test = Axis.Name name | Axis.Kind_element (Some name) },
-      Gen_cmp (Eq, l, r),
-      Some (Item.N n, _, _) )
+      Gen_cmp (Eq, l, r) )
     when not (String.equal name "*") -> (
-    let probe path v =
-      Axis.value_probe axis name path n ~operand:(fun () ->
-          Item.atomize (eval t env v))
+    let operand = function
+      | Var _ | Literal _ -> true
+      | v -> List.memq v invariants
+    in
+    let route path v =
+      let cv = compile cx sc v in
+      Some
+        (fun fr it pos size ->
+          match it with
+          | Item.N n ->
+            Axis.value_probe axis name path n ~operand:(fun () ->
+                Item.atomize (cv fr it pos size))
+          | Item.A _ -> None)
     in
     match (key_path l, key_path r) with
-    | (Some path, _) when probe_operand t p r -> probe path r
-    | (_, Some path) when probe_operand t p l -> probe path l
+    | (Some path, _) when operand r -> route path r
+    | (_, Some path) when operand l -> route path l
     | _ -> None)
   | _ -> None
 
-and eval_filter t env a p =
-  match value_probe t env a p with
-  | Some hits -> List.map Item.node hits
-  | None ->
-    let src = eval t env a in
-    let env = hoist t env ~binders:[] p src in
-    let size = List.length src in
-    let keep i it =
-      let env' = { env with ctx = Some (it, i + 1, size) } in
-      let pv = eval t env' p in
-      match pv with
-      | [ Item.A ((Atom.Int _ | Atom.Dbl _) as num) ] ->
-        Float.equal (Atom.to_number num) (float_of_int (i + 1))
-      | _ -> Item.effective_boolean pv
+and compile_filter cx sc a p : code =
+  let invariants = invariants ~binders:[] p in
+  let probe = value_probe cx sc invariants a p in
+  let ca = compile cx sc a in
+  let (keys, cells) = hoist cx sc invariants in
+  let keep = compile_pred cx { sc with keys } p in
+  let scan fr it pos size =
+    let src = ca fr it pos size in
+    reset fr cells;
+    let n = List.length src in
+    let rec go k acc = function
+      | [] -> List.rev acc
+      | x :: rest -> go (k + 1) (if keep fr x k n then x :: acc else acc) rest
     in
-    List.filteri keep src
-
-and eval_call t env f args =
-  let vargs = List.map (eval t env) args in
-  match Builtins.call (builtin_ctx t env) f vargs with
-  | Some result -> result
-  | None -> (
-    match Hashtbl.find_opt t.functions f with
-    | None -> err "unknown function %s#%d" f (List.length args)
-    | Some fd ->
-      if List.length fd.params <> List.length vargs then
-        err "function %s expects %d arguments, got %d" f
-          (List.length fd.params) (List.length vargs);
-      if env.depth >= t.max_call_depth then
-        err "maximum call depth exceeded in %s" f;
-      (* XQuery functions see globals but not the caller's locals or
-         context. *)
-      let vars =
-        List.fold_left2
-          (fun m (p, _) v -> Smap.add p v m)
-          t.globals fd.params vargs
-      in
-      eval t { vars; ctx = None; depth = env.depth + 1; slots = [] } fd.body)
-
-and eval_ifp t env var seed body accum =
-  let seed_v = eval t env seed in
-  let external_result =
-    match t.ifp_handler with
-    | None -> None
-    | Some handler -> handler (ifp_site env var seed_v body accum)
+    go 1 [] src
   in
-  match external_result with
-  | Some result -> result
+  match probe with
+  | None -> scan
+  | Some probe -> (
+    fun fr it pos size ->
+      match probe fr it pos size with
+      | Some hits -> List.map Item.node hits
+      | None -> scan fr it pos size)
+
+(* A predicate keeps its item when its value is the item's position (a
+   single number) or otherwise has a true effective boolean value. A
+   predicate that is surely boolean or surely nodes cannot be a number. *)
+and compile_pred cx sc p : test =
+  if Ast.surely_boolean p then compile_bool cx sc p
+  else if Ast.surely_nodes p then compile_exists cx sc p
+  else
+    let cp = compile cx sc p in
+    fun fr it pos size ->
+      match cp fr it pos size with
+      | [ Item.A ((Atom.Int _ | Atom.Dbl _) as num) ] ->
+        Float.equal (Atom.to_number num) (float_of_int pos)
+      | pv -> Item.effective_boolean pv
+
+(* Boolean mode: the effective boolean value of [e], without building
+   the sequence where [e]'s shape allows. *)
+and compile_bool cx sc e : test =
+  let b = compile_bool cx sc in
+  match e with
+  | _ when List.mem_assq e sc.keys -> ebv (compile cx sc e)
+  | And (x, y) ->
+    let bx = b x and by = b y in
+    fun fr it p s -> bx fr it p s && by fr it p s
+  | Or (x, y) ->
+    let bx = b x and by = b y in
+    fun fr it p s -> bx fr it p s || by fr it p s
+  | Quantified (q, v, source, pred) ->
+    let cs = compile cx sc source in
+    let (i, inner) = bind sc v in
+    let bp = compile_bool cx inner pred in
+    let holds_for fr it p s x =
+      fr.vars.(i) <- [ x ];
+      bp fr it p s
+    in
+    let quantify = match q with Some_ -> List.exists | Every -> List.for_all in
+    fun fr it p s -> quantify (holds_for fr it p s) (cs fr it p s)
+  | Call ("not", [ x ]) ->
+    let bx = b x in
+    fun fr it p s -> not (bx fr it p s)
+  | Call ("boolean", [ x ]) -> b x
+  | Call ("exists", [ x ]) -> compile_exists cx sc x
+  | Call ("empty", [ x ]) ->
+    let ex = compile_exists cx sc x in
+    fun fr it p s -> not (ex fr it p s)
+  | Gen_cmp (c, x, y) ->
+    let sx = compile_side cx sc c x and sy = compile_side cx sc c y in
+    fun fr it p s ->
+      let l = sx fr it p s in
+      holds c l (sy fr it p s)
+  | _ -> ebv (compile cx sc e)
+
+(* Whether [e] is non-empty; child and attribute steps from the focus
+   stop at the first hit. *)
+and compile_exists cx sc e : test =
+  match child_steps e with
+  | Some steps -> fun _ it _ _ -> steps_exist steps (focus_node it) (fun _ -> true)
+  | None ->
+    let ce = compile cx sc e in
+    fun fr it p s -> match ce fr it p s with [] -> false | _ -> true
+
+(* A general comparison operand: a literal, or a hoisted operand of
+   [=], is atomized once; child and attribute steps from the focus, or a step
+   from an operand that is one node, are read in place. *)
+and compile_side cx sc cmp e =
+  match (List.assq_opt e sc.keys, e) with
+  | (Some (c, key), _) when cmp = Eq -> fun fr it p s -> Atoms (cell_probe fr c key it p s)
+  | (Some (c, key), _) ->
+    fun fr it p s -> Atoms { atoms = Item.atomize (cell_value fr c key it p s); strings = None }
+  | (None, Literal a) ->
+    let side = Atoms { atoms = [ a ]; strings = None } in
+    fun _ _ _ _ -> side
+  | (None, _) -> (
+    match (child_steps e, e) with
+    | (Some steps, _) -> fun _ it _ _ -> Keys (steps, focus_node it)
+    | (None, Path (a, Axis_step { axis = (Axis.Child | Axis.Attribute) as axis; test })) ->
+      let ca = compile cx sc a in
+      fun fr it p s -> (
+        match ca fr it p s with
+        | [ Item.N n ] -> Keys ([ (axis, test) ], n)
+        | left -> Atoms { atoms = Item.atomize (step_all [ (axis, test) ] left); strings = None })
+    | (None, _) ->
+      let ce = compile cx sc e in
+      fun fr it p s -> Atoms { atoms = Item.atomize (ce fr it p s); strings = None })
+
+and compile_call cx sc f args : code =
+  let codes = List.map (compile cx sc) args in
+  match Builtins.find f with
+  | Some fn when args <> [] && not (String.equal f "id" || String.equal f "idref") ->
+    fun fr it p s -> fn cx.unfocused (eval_all codes fr it p s)
+  | Some fn ->
+    (* zero-argument builtins, [id()] and [idref()] read the focus *)
+    let registry = cx.ev.registry in
+    fun fr it p s ->
+      let vargs = eval_all codes fr it p s in
+      fn { Builtins.context_item = context_item it; context_pos = p; context_size = s; registry }
+        vargs
   | None -> (
-    let body_fn input =
-      eval t { env with vars = Smap.add var input env.vars; slots = [] } body
-    in
-    let use_delta =
-      match t.strategy with
-      | Naive -> false
-      | Delta -> true
-      | Auto -> (
-        distributive t var body
-        ||
-        match t.delta_licence with
-        | Some licensed -> licensed (ifp_site env var seed_v body accum)
-        | None -> false)
-    in
+    match Hashtbl.find_opt cx.ev.functions f with
+    | None ->
+      fun fr it p s ->
+        ignore (eval_all codes fr it p s);
+        err "unknown function %s#%d" f (List.length args)
+    | Some fd ->
+      let uf = compile_fn cx fd in
+      let arity = List.length fd.params in
+      fun fr it p s ->
+        let vargs = eval_all codes fr it p s in
+        if arity <> List.length vargs then
+          err "function %s expects %d arguments, got %d" f arity (List.length vargs);
+        if fr.depth >= cx.ev.max_call_depth then err "maximum call depth exceeded in %s" f;
+        (* XQuery functions see globals but not the caller's locals or
+           context. *)
+        let callee = new_frame uf.fn_layout (fr.depth + 1) in
+        List.iteri (fun k v -> callee.vars.(k) <- v) vargs;
+        uf.body callee no_item 0 0)
+
+(* A user function is compiled once per program, on its first call
+   site; a recursive call finds the entry being compiled. *)
+and compile_fn cx fd =
+  match Hashtbl.find_opt cx.fns fd.fname with
+  | Some uf -> uf
+  | None ->
+    let layout = { nvars = 0; ncells = 0 } in
+    let uf = { body = (fun _ _ _ _ -> []); fn_layout = layout } in
+    Hashtbl.replace cx.fns fd.fname uf;
+    let sc = { locals = Smap.empty; keys = []; layout } in
+    let sc = List.fold_left (fun sc (p, _) -> snd (bind sc p)) sc fd.params in
+    uf.body <- compile cx sc fd.body;
+    uf
+
+(* An IFP body sees no enclosing loop's cells ([invariants] never looks
+   inside a fixpoint); Figure 5's verdict is taken once per compile, on
+   the first [Auto] entry. *)
+and compile_ifp cx sc var seed body accum : code =
+  let t = cx.ev in
+  let cseed = compile cx sc seed in
+  let (i, inner) = bind sc var in
+  let cbody = compile cx { inner with keys = [] } body in
+  let weight =
     match accum with
-    | Some a -> eval_ifp_semiring t env var seed_v body a ~use_delta ~body_fn
+    | Some { weight = Some we; _ } -> Some (compile cx { sc with keys = [] } we)
+    | _ -> None
+  in
+  let figure5 =
+    lazy (Distributivity.check ~functions:t.functions ~stratified:t.stratified var body)
+  in
+  fun fr it p s ->
+    let seed_v = cseed fr it p s in
+    let site () = ifp_site t sc.locals fr it var seed_v body accum in
+    match match t.ifp_handler with None -> None | Some h -> h (site ()) with
+    | Some result -> result
     | None -> (
-      t.last_ifp_used_delta <- Some use_delta;
-      if use_delta then
-        Fixpoint.delta ~max_iterations:t.max_iterations ~stats:t.stats
-          ~body:body_fn ~seed:seed_v ()
-      else
-        Fixpoint.naive ~max_iterations:t.max_iterations ~stats:t.stats
-          ~body:body_fn ~seed:seed_v ()))
+      let body_fn input =
+        fr.vars.(i) <- input;
+        cbody fr it p s
+      in
+      let use_delta =
+        match t.strategy with
+        | Naive -> false
+        | Delta -> true
+        | Auto -> (
+          Lazy.force figure5
+          || match t.delta_licence with Some licensed -> licensed (site ()) | None -> false)
+      in
+      match accum with
+      | Some a -> run_semiring t a ~use_delta ~body_fn ~weight:(Option.map (weight_fn fr) weight) seed_v
+      | None ->
+        t.last_ifp_used_delta <- Some use_delta;
+        if use_delta then
+          Fixpoint.delta ~max_iterations:t.max_iterations ~stats:t.stats ~body:body_fn
+            ~seed:seed_v ()
+        else
+          Fixpoint.naive ~max_iterations:t.max_iterations ~stats:t.stats ~body:body_fn
+            ~seed:seed_v ())
+
+(* The weight expression of [min]/[max] is evaluated once per produced
+   node, with that node as the context item (the recursion variable is
+   not in scope). It must yield a single number. *)
+and weight_fn fr (we : code) n =
+  match Item.atomize (we fr (Item.N n) 1 1) with
+  | [ atom ] -> Atom.to_number atom
+  | [] -> err "accumulate by: the weight expression yielded ()"
+  | _ -> err "accumulate by: the weight expression is not a singleton"
 
 (* [accumulate by …]: route the fixpoint through the semiring kernel.
    [bool] runs the batch kernel with the same naive/delta choice as the
@@ -890,7 +1097,7 @@ and eval_ifp t env var seed body accum =
    kinds feed the body one frontier node at a time so each produced
    node's annotation extends its source's via ⊗, re-feeding only strict
    improvements. *)
-and eval_ifp_semiring t env var seed_v body a ~use_delta ~body_fn =
+and run_semiring t (a : Ast.accum) ~use_delta ~body_fn ~weight seed_v =
   let kind = a.kind in
   let record ~fed ~produced ~result_size =
     Stats.record_iteration t.stats ~fed ~produced ~result_size
@@ -898,13 +1105,9 @@ and eval_ifp_semiring t env var seed_v body a ~use_delta ~body_fn =
   Stats.start_run t.stats;
   let acc =
     match
-      Kernel.run ~max_iterations:t.max_iterations ~kind ~use_delta ~record
-        ~body:body_fn
-        ~step:(fun n ->
-          eval t
-            { env with vars = Smap.add var [ Item.N n ] env.vars; slots = [] }
-            body)
-        ~weight:(weight_fn t env a) ~seed:seed_v ()
+      Kernel.run ~max_iterations:t.max_iterations ~kind ~use_delta ~record ~body:body_fn
+        ~step:(fun n -> body_fn [ Item.N n ])
+        ~weight ~seed:seed_v ()
     with
     | acc -> acc
     | exception Kernel.Diverged i -> raise (Fixpoint.Diverged i)
@@ -913,45 +1116,37 @@ and eval_ifp_semiring t env var seed_v body a ~use_delta ~body_fn =
   t.last_annotations <- Some (kind, Kernel.Annot_acc.entries acc);
   Kernel.Annot_acc.to_seq acc
 
-(* The weight expression of [min]/[max] is evaluated once per produced
-   node, with that node as the context item (the recursion variable is
-   not in scope). It must yield a single number. *)
-and weight_fn t env (a : Ast.accum) =
-  match a.weight with
-  | None -> None
-  | Some we ->
-    Some
-      (fun n ->
-        let env' = { env with ctx = Some (Item.N n, 1, 1); slots = [] } in
-        match Item.atomize (eval t env' we) with
-        | [ atom ] -> Atom.to_number atom
-        | [] -> err "accumulate by: the weight expression yielded ()"
-        | _ -> err "accumulate by: the weight expression is not a singleton")
-
 (* ------------------------------------------------------------------ *)
 (* Program interface                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let initial_env t ?(vars = []) ?context () =
-  let vmap =
-    List.fold_left (fun m (k, v) -> Smap.add k v m) t.globals vars
-  in
-  let ctx = Option.map (fun it -> (it, 1, 1)) context in
-  { vars = vmap; ctx; depth = 0; slots = [] }
+let compiler t =
+  { ev = t; fns = Hashtbl.create 8;
+    unfocused =
+      { Builtins.context_item = None; context_pos = 0; context_size = 0;
+        registry = t.registry } }
 
-let load_prolog t (p : program) =
+(* Compile [e] as one activation, then run it on a fresh frame. *)
+let run cx ?(vars = []) ?context e =
+  let sc = { locals = Smap.empty; keys = []; layout = { nvars = 0; ncells = 0 } } in
+  let sc = List.fold_left (fun sc (v, _) -> snd (bind sc v)) sc vars in
+  let code = compile cx sc e in
+  let fr = new_frame sc.layout 0 in
+  List.iter (fun (v, value) -> fr.vars.(Smap.find v sc.locals) <- value) vars;
+  match context with None -> code fr no_item 0 0 | Some it -> code fr it 1 1
+
+let load_prolog_with cx (p : program) =
+  let t = cx.ev in
   List.iter (fun fd -> Hashtbl.replace t.functions fd.fname fd) p.functions;
-  if p.functions <> [] then Loop_tbl.reset t.distributive;
-  List.iter
-    (fun (v, e) ->
-      let value = eval t (initial_env t ()) e in
-      t.globals <- Smap.add v value t.globals)
-    p.variables
+  List.iter (fun (v, e) -> (global t v) := Some (run cx e)) p.variables
+
+let load_prolog t p = load_prolog_with (compiler t) p
 
 let run_program t (p : program) =
-  load_prolog t p;
-  eval t (initial_env t ()) p.main
+  let cx = compiler t in
+  load_prolog_with cx p;
+  run cx p.main
 
-let eval_expr t ?vars ?context e = eval t (initial_env t ?vars ?context ()) e
+let eval_expr t ?vars ?context e = run (compiler t) ?vars ?context e
 
 let run_string t src = run_program t (Parser.parse_program src)

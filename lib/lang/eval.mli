@@ -1,6 +1,8 @@
-(** Tree-walking evaluator for the [fixq] XQuery subset — the
-    conventional-processor stand-in (the paper's Saxon experiments
-    translate one-to-one to this engine).
+(** Evaluator for the [fixq] XQuery subset — the conventional-processor
+    stand-in (the paper's Saxon experiments translate one-to-one to this
+    engine). Each {!run_program} or {!eval_expr} call compiles its
+    program once into closures, with variables resolved to frame slots
+    and builtins to function values, and then runs them.
 
     The evaluator owns a function environment, a document registry, a
     {!Stats.t} for fixpoint instrumentation, and an IFP strategy:
@@ -20,8 +22,10 @@
     most once per loop instance, on first use; a general [=] against
     one atomizes it once (a hash probe when both sides are strings),
     and [child::T\[k\]] and the sibling axes with a literal [k] read
-    the children array directly. None of this changes a result, an
-    error or the fixpoint statistics, and the AST is never rewritten. *)
+    the children array directly. Predicates and conditions run in a
+    boolean mode that builds no result list. None of this changes a
+    result, an error or the fixpoint statistics, and the AST is never
+    rewritten. *)
 
 type strategy = Naive | Delta | Auto
 

@@ -48,8 +48,10 @@ let set_iteration_hook t hook = t.iteration_hook <- hook
    a chaos schedule can fault "mid-round" deterministically: a
    simulated allocation failure, a stall, or a worker crash between
    rounds N and N+1. *)
+let round_point = Fixq_chaos.point "fixpoint.round"
+
 let chaos_round_point () =
-  match Fixq_chaos.check "fixpoint.round" with
+  match Fixq_chaos.fire round_point with
   | None | Some (Fixq_chaos.Drop | Fixq_chaos.Truncate) -> ()
   | Some (Fixq_chaos.Delay s) -> Fixq_chaos.sleep s
   | Some Fixq_chaos.Oom -> raise Out_of_memory

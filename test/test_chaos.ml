@@ -65,6 +65,22 @@ let test_spec_inactive () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument for unknown point")
 
+(* A point handle is validated once, when it is made; firing it reads
+   the same schedule as [check] on its name. *)
+let test_point_handles () =
+  Chaos.reset ();
+  (match Chaos.point "no.such.point" with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "expected Invalid_argument for an unknown point");
+  let p = Chaos.point "store.read" in
+  checkb "inactive handle is None" true (Chaos.fire p = None);
+  (match Chaos.configure "store.read=drop@2" with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  checkb "first arrival passes" true (Chaos.fire p = None);
+  checkb "second arrival, by name, fires" true (Chaos.check "store.read" = Some Chaos.Drop);
+  Chaos.reset ()
+
 (* ------------------------------------------------------------------ *)
 (* Firing semantics                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -562,7 +578,8 @@ let () =
     [ ("spec",
        [ Alcotest.test_case "malformed schedules rejected" `Quick
            test_spec_errors;
-         Alcotest.test_case "inactive fast path" `Quick test_spec_inactive ]);
+         Alcotest.test_case "inactive fast path" `Quick test_spec_inactive;
+         Alcotest.test_case "point handles" `Quick test_point_handles ]);
       ("firing",
        [ Alcotest.test_case "@nth and #max" `Quick test_nth_and_max;
          Alcotest.test_case "seeded determinism" `Quick

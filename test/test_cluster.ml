@@ -557,6 +557,44 @@ let test_coordinator_parse_error_local () =
   (* nothing was forwarded: the coordinator rejected locally *)
   checki "no worker saw it" 0 (List.length h.sends)
 
+(* [line] without its [,"wall_ms":N] member: a number, so it ends at
+   the next ',' or '}' *)
+let untimed line =
+  let key = {|,"wall_ms":|} in
+  let n = String.length line and k = String.length key in
+  let rec find i =
+    if i + k > n then line
+    else if String.sub line i k = key then begin
+      let j = ref (i + k) in
+      while !j < n && line.[!j] <> ',' && line.[!j] <> '}' do incr j done;
+      String.sub line 0 i ^ String.sub line !j (n - !j)
+    end
+    else find (i + 1)
+  in
+  find 0
+
+(* The coordinator parses a text once to route it: a repeated text
+   answers with the same bytes, and a text that fails to parse is
+   never kept, so it errs on every send. *)
+let test_coordinator_repeated_texts () =
+  let h = make_harness ~workers:2 () in
+  checkb "load ok" true (ok (request h load_line));
+  let line = run_line ~extra:{|,"cache":false|} closure_query in
+  let send () = untimed (fst (Coordinator.handle_line h.coordinator line)) in
+  let first = send () in
+  checkb "routed run ok" true (ok (Json.parse first));
+  (* the first send prepares the text on its worker; later ones hit *)
+  let second = send () in
+  checks "same answer" (str "result" (Json.parse first)) (str "result" (Json.parse second));
+  checks "third send, same bytes" second (send ());
+  let before = List.length h.sends in
+  for _ = 1 to 3 do
+    let j = request h (run_line "with $x seeded") in
+    checkb "bad text errs again" true
+      (not (ok j) && String.starts_with ~prefix:"parse" (str "error" j))
+  done;
+  checki "no worker saw the bad text" before (List.length h.sends)
+
 (* ------------------------------------------------------------------ *)
 (* Online rebalancing                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -942,22 +980,6 @@ recurse $x/parents/patient|}
         (String.length single > 65_536);
       let worker = str "worker" (Json.parse routed) in
       checkb "routed to a worker" true (worker <> "");
-      (* drop the [,"wall_ms":N] member: a number, so it ends at the
-         next ',' or '}' *)
-      let untimed line =
-        let key = {|,"wall_ms":|} in
-        let n = String.length line and k = String.length key in
-        let rec find i =
-          if i + k > n then line
-          else if String.sub line i k = key then begin
-            let j = ref (i + k) in
-            while !j < n && line.[!j] <> ',' && line.[!j] <> '}' do incr j done;
-            String.sub line 0 i ^ String.sub line !j (n - !j)
-          end
-          else find (i + 1)
-        in
-        find 0
-      in
       let suffix = Printf.sprintf {|,"worker":"%s"}|} worker in
       checkb "worker field last" true (String.ends_with ~suffix routed);
       checks "same bytes" (untimed single)
@@ -1000,6 +1022,8 @@ let () =
            test_coordinator_prometheus_metrics;
          Alcotest.test_case "local parse errors" `Quick
            test_coordinator_parse_error_local;
+         Alcotest.test_case "repeated texts parse once" `Quick
+           test_coordinator_repeated_texts;
          Alcotest.test_case "append_field cases" `Quick test_append_field_cases;
          QCheck_alcotest.to_alcotest prop_append_field_splices ]);
       ("rebalance",

@@ -357,7 +357,9 @@ let tree_gen =
    among them), positional child and sibling steps it answers from the
    children array, and a division by zero behind a guard that never
    holds. The third group chains bare steps, through attributes and
-   [..//], which the interpreter maps node to node. *)
+   [..//], which the interpreter maps node to node. The fourth gives
+   the staged evaluator's boolean mode predicates, comparisons read in
+   place, positions, binders and a user-function body. *)
 let body_gen =
   QCheck2.Gen.oneofl
     [ "$x/*"; "$x/a"; "$x/a union $x/b"; "$x/.."; "$x/descendant::b";
@@ -371,7 +373,23 @@ let body_gen =
       {|for $v in $x/* return if ($v/@k = "9") then (1 div 0) else $v|};
       {|$x/*[if (@k = "9") then (1 div 0) else true()]|};
       "$x/*/a"; "$x/a/*/leaf"; "$x/*/@k/.."; "$x/@k/../b"; "$x/..//a";
-      "$x/..//*/leaf"; "$x/../../*/*" ]
+      "$x/..//*/leaf"; "$x/../../*/*";
+      "$x/*[not(a)]"; {|$x/*[a = ""]|}; {|$x/*[*/@k = "2"]|};
+      "for $v in $x return $v/*[a != $v/b]";
+      "for $v in $x return $v/*[@k != $v/@k]"; "$x/*[exists(b)]";
+      "$x/*[@k]"; "$x/*[1]"; "($x/*)[1]"; "$x/*/*[last()]";
+      "$x/*[position() < 3]"; "for $v in $x/* where exists($v/b) return $v";
+      {|$x/*[some $c in * satisfies $c/@k = "1"]|};
+      {|$x/*[every $c in * satisfies $c/@k = "0"]|};
+      "let $k := $x/@k return $x/*[@k = $k]";
+      "for $v in $x return for $w in $v/* return $w/*"; "f($x)" ]
+
+(* the user function [f] a body may call *)
+let prolog body =
+  if String.starts_with ~prefix:"f(" body then
+    {|declare function f($n as node()*) as node()* { $n/*[not(@k = "2")] };
+|}
+  else ""
 
 let seed_gen = QCheck2.Gen.oneofl [ "/*"; "//a"; "/*/*"; "//leaf" ]
 
@@ -383,7 +401,7 @@ let prop_engines_agree =
       Doc_registry.register ~registry:reg "t.xml" doc;
       let q =
         Printf.sprintf
-          {|with $x seeded by doc("t.xml")%s recurse %s|} seed body
+          {|%swith $x seeded by doc("t.xml")%s recurse %s|} (prolog body) seed body
       in
       let result engine = (Fixq.run ~registry:reg ~engine q).Fixq.result in
       let reference = result (Fixq.Interpreter Fixq.Naive) in

@@ -568,6 +568,51 @@ let test_positional_sibling_steps () =
       return (count($x/preceding-sibling::*), count($x/following-sibling::*))|}
 
 (* ------------------------------------------------------------------ *)
+(* Staged evaluation                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Names are resolved when a program is compiled, but an unbound
+   variable or an unknown function still raises only when evaluated. *)
+let test_unbound_names_in_dead_branches () =
+  check_run "unbound variable, branch not taken" "1" "if (1 = 2) then $nope else 1";
+  check_run "unknown function, branch not taken" "2" "if (false()) then nosuch(1) else 2";
+  check_run "both, in a predicate" "1 2"
+    "(1, 2)[if (. = 5) then nosuch($nope) else true()]";
+  check_error "unbound variable, branch taken" "if (1 = 1) then $nope else 1";
+  check_error "unknown function, branch taken" "if (true()) then nosuch(1) else 2"
+
+(* A predicate whose value is one number selects by position, whatever
+   expression computes it. *)
+let test_numeric_predicates () =
+  check_run "[$i]" "20 30" "for $i in (2, 3) return (10, 20, 30)[$i]";
+  check_run "[$i] on a step" "b2"
+    {|let $i := 2 return string(doc("lib.xml")/lib/book[$i]/@id)|};
+  check_run "[$d], a double" "30" "let $d := 3.0 return (10, 20, 30)[$d]";
+  check_run "[last()]" "30" "(10, 20, 30)[last()]";
+  check_run "[position() < 3]" "10 20" "(10, 20, 30)[position() < 3]"
+
+(* [//a[p]] walks the name index when [p] is surely boolean or surely a
+   node sequence, and position-free: the answer is the one the spelled
+   out descendant-or-self walk gives. *)
+let test_descendant_collapse () =
+  Doc_registry.register ~registry "nest.xml"
+    (Xml_parser.parse_string
+       {|<r><a><b/><a><b><c/></b></a></a><x><a k="1"/><a><b/><b/></a></x><a/></r>|});
+  let spelled pred =
+    Printf.sprintf
+      {|(for $n in doc("nest.xml")/descendant-or-self::node() return $n/a[%s]) union ()|}
+      pred
+  in
+  List.iter
+    (fun pred ->
+      let q = Printf.sprintf {|doc("nest.xml")//a[%s]|} pred in
+      check_str ("//a[" ^ pred ^ "]") (runs (spelled pred)) (runs q);
+      check_int ("//a[" ^ pred ^ "] uses the name index") 1 (index_steps_of q))
+    [ "b"; "b/c"; "@k" ];
+  check_str "//a[count(b)]" (runs (spelled "count(b)")) (runs {|doc("nest.xml")//a[count(b)]|});
+  check_int "//a[count(b)] keeps the walk" 0 (index_steps_of {|doc("nest.xml")//a[count(b)]|})
+
+(* ------------------------------------------------------------------ *)
 (* Value-index probes                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -874,6 +919,11 @@ let () =
           Alcotest.test_case "isolation" `Quick test_function_isolation;
           Alcotest.test_case "eval_expr api" `Quick test_eval_expr_api;
           Alcotest.test_case "errors" `Quick test_errors ] );
+      ( "staged",
+        [ Alcotest.test_case "unbound names in dead branches" `Quick
+            test_unbound_names_in_dead_branches;
+          Alcotest.test_case "numeric predicates" `Quick test_numeric_predicates;
+          Alcotest.test_case "// collapse" `Quick test_descendant_collapse ] );
       ( "loop invariants",
         [ Alcotest.test_case "guarded error in a for body" `Quick
             test_guarded_error_in_body;
