@@ -82,8 +82,9 @@ type t = {
   mutable docs_moved_total : int;
   mutable compactions_total : int;
   started_at : float;
-  routed : (string, string list) Lru.t;
-      (** query text → the documents it reads, for texts that parsed *)
+  routed : (Digest.t, string list) Lru.t;
+      (** query text's digest → the documents it reads, for texts that
+          parsed; as many entries as a server keeps prepared texts *)
 }
 
 let create ?(config = default_config) (backend : backend) =
@@ -101,7 +102,8 @@ let create ?(config = default_config) (backend : backend) =
     generation = 0; retries_total = 0; backoff_ms_total = 0.;
     failovers_total = 0; routed_runs = 0; rebalances_total = 0;
     docs_moved_total = 0; compactions_total = 0;
-    started_at = Unix.gettimeofday (); routed = Lru.create ~capacity:1024 () }
+    started_at = Unix.gettimeofday (); routed =
+      Lru.create ~capacity:Fixq_service.Server.default_config.prepared_capacity () }
 
 let router t = t.router
 
@@ -409,15 +411,17 @@ let on_worker_respawn t name =
 (* Routing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The documents a query text reads, parsed once per text: a text
-   that fails to parse is not kept, so it errs on every send. *)
+(* The documents a query text reads, parsed once per text and kept
+   under the text's digest, so a large text costs its entry 16 bytes: a
+   text that fails to parse is not kept, so it errs on every send. *)
 let query_docs t query =
-  match Lru.find t.routed query with
+  let key = Digest.string query in
+  match Lru.find t.routed key with
   | Some docs -> Ok docs
   | None -> (
     match Fixq.doc_uris (Fixq.parse query) with
     | docs ->
-      Lru.put t.routed query docs;
+      Lru.put t.routed key docs;
       Ok docs
     | exception Fixq.Error msg -> Error msg)
 

@@ -76,32 +76,24 @@ let global t v =
 (* ------------------------------------------------------------------ *)
 
 let item_matches ty (it : Item.t) =
+  let named kind pat n =
+    n.Node.kind = kind && Option.fold pat ~none:true ~some:(String.equal (Node.name n))
+  in
   match (ty, it) with
-  | (It_item, _) -> true
-  | (It_node, Item.N _) -> true
-  | (It_node, Item.A _) -> false
-  | (It_element pat, Item.N n) ->
-    n.Node.kind = Node.Element
-    && (match pat with None -> true | Some p -> p = Node.name n)
-  | (It_element _, Item.A _) -> false
-  | (It_attribute pat, Item.N n) ->
-    n.Node.kind = Node.Attribute
-    && (match pat with None -> true | Some p -> p = Node.name n)
-  | (It_attribute _, Item.A _) -> false
+  | (It_item, _) | (It_node, Item.N _) -> true
+  | (It_element pat, Item.N n) -> named Node.Element pat n
+  | (It_attribute pat, Item.N n) -> named Node.Attribute pat n
   | (It_text, Item.N n) -> n.Node.kind = Node.Text
-  | (It_text, Item.A _) -> false
   | (It_comment, Item.N n) -> n.Node.kind = Node.Comment
-  | (It_comment, Item.A _) -> false
   | (It_document, Item.N n) -> n.Node.kind = Node.Document
-  | (It_document, Item.A _) -> false
-  | (It_atomic "integer", Item.A (Atom.Int _)) -> true
-  | (It_atomic "double", Item.A (Atom.Dbl _)) -> true
-  | (It_atomic "string", Item.A (Atom.Str _)) -> true
-  | (It_atomic "boolean", Item.A (Atom.Bool _)) -> true
-  | (It_atomic ("decimal" | "numeric"), Item.A (Atom.Int _ | Atom.Dbl _)) ->
+  | (It_atomic "integer", Item.A (Atom.Int _))
+  | (It_atomic "double", Item.A (Atom.Dbl _))
+  | (It_atomic "string", Item.A (Atom.Str _))
+  | (It_atomic "boolean", Item.A (Atom.Bool _))
+  | (It_atomic ("decimal" | "numeric"), Item.A (Atom.Int _ | Atom.Dbl _))
+  | (It_atomic ("anyAtomicType" | "untypedAtomic"), Item.A _) ->
     true
-  | (It_atomic ("anyAtomicType" | "untypedAtomic"), Item.A _) -> true
-  | (It_atomic _, _) -> false
+  | _ -> false
 
 let seq_matches ty (s : Item.seq) =
   match ty with
@@ -346,22 +338,12 @@ let key_path e =
   | _ -> None
 
 (* Whether some hit of [steps] from [n] satisfies [f], found without
-   building a list. A node with more than eight children goes through
-   {!Axis.step}, which may answer from the name index, so the kernel
-   counters read as they do for the step itself. *)
-let rec steps_exist steps (n : Node.t) f =
+   building a list where {!Axis.exists_step} can scan. *)
+let rec steps_exist steps n f =
   match steps with
   | [] -> f n
-  | (Axis.Child, test) :: rest when Array.length n.Node.children > 8 ->
-    List.exists (fun m -> steps_exist rest m f) (Axis.step Axis.Child test n)
-  | (Axis.Attribute, test) :: rest ->
-    scan_exist Axis.Attribute test n.Node.attributes 0 rest f
-  | (axis, test) :: rest -> scan_exist axis test n.Node.children 0 rest f
-
-and scan_exist axis test arr i rest f =
-  i < Array.length arr
-  && ((Axis.matches axis test arr.(i) && steps_exist rest arr.(i) f)
-     || scan_exist axis test arr (i + 1) rest f)
+  | [ (axis, test) ] -> Axis.exists_step axis test n f
+  | (axis, test) :: rest -> Axis.exists_step axis test n (fun m -> steps_exist rest m f)
 
 (* [left/s1/…/sk] for bare steps: they read nothing of their focus but
    the node, so the context nodes map straight through the axes and one
@@ -371,20 +353,7 @@ and scan_exist axis test arr i rest f =
 let rec chain_onto steps acc (n : Node.t) =
   match steps with
   | [] -> Item.N n :: acc
-  | (Axis.Attribute, test) :: rest -> scan_onto Axis.Attribute test n.Node.attributes 0 rest acc
-  | (Axis.Child, test) :: rest when Array.length n.Node.children <= 8 ->
-    scan_onto Axis.Child test n.Node.children 0 rest acc
-  | (axis, test) :: rest -> hits_onto rest acc (Axis.step axis test n)
-
-and scan_onto axis test arr i rest acc =
-  if i = Array.length arr then acc
-  else
-    scan_onto axis test arr (i + 1) rest
-      (if Axis.matches axis test arr.(i) then chain_onto rest acc arr.(i) else acc)
-
-and hits_onto steps acc = function
-  | [] -> acc
-  | m :: ms -> hits_onto steps (chain_onto steps acc m) ms
+  | (axis, test) :: rest -> Axis.fold_step axis test n chain_onto rest acc
 
 let rec gather steps rev = function
   | [] -> List.rev rev
@@ -541,19 +510,12 @@ let holds c l r =
    body may inline functions whose own bodies reference global
    variables. Built only for the handler or the licence that asks. *)
 let ifp_site t locals fr it var seed_v body accum =
-  let vars =
-    Hashtbl.fold
-      (fun v cell m -> match !cell with Some s -> Smap.add v s m | None -> m)
-      t.globals Smap.empty
-  in
-  let vars = Smap.fold (fun v i m -> Smap.add v fr.vars.(i) m) locals vars in
-  let bindings =
-    Smap.fold
-      (fun v value acc -> if String.equal v var then acc else (v, value) :: acc)
-      vars []
-  in
+  let add v cell m = Option.fold !cell ~none:m ~some:(fun s -> Smap.add v s m) in
+  let globals = Hashtbl.fold add t.globals Smap.empty in
+  let vars = Smap.fold (fun v i m -> Smap.add v fr.vars.(i) m) locals globals in
   { ifp_var = var; ifp_seed = seed_v; ifp_body = body; ifp_accum = accum;
-    ifp_bindings = bindings; ifp_context = context_item it }
+    ifp_bindings = List.rev (Smap.bindings (Smap.remove var vars));
+    ifp_context = context_item it }
 
 let bool_code (b : test) : code = fun fr it pos size -> bool_seq (b fr it pos size)
 let ebv (c : code) : test = fun fr it pos size -> Item.effective_boolean (c fr it pos size)
@@ -630,11 +592,10 @@ and compile_node cx sc e : code =
     fun _ it _ _ -> List.map Item.node (Axis.step axis test (focus_node it))
   | Filter
       ( Axis_step
-          { axis = (Axis.Child | Axis.Following_sibling | Axis.Preceding_sibling) as axis;
-            test },
-        Literal (Atom.Int k) ) -> (
-    fun _ it _ _ ->
-      match Axis.nth axis test (focus_node it) k with Some m -> [ Item.N m ] | None -> [])
+          { axis = (Axis.Child | Axis.Following_sibling | Axis.Preceding_sibling) as axis; test },
+        Literal (Atom.Int k) ) ->
+    let hit m = [ Item.N m ] in
+    fun _ it _ _ -> Option.fold (Axis.nth axis test (focus_node it) k) ~none:[] ~some:hit
   | Filter (a, p) -> compile_filter cx sc a p
   | For { var; pos; source; body } ->
     let csrc = c source in
@@ -714,17 +675,11 @@ and compile_node cx sc e : code =
         build hi [])
   | Call (f, args) -> compile_call cx sc f args
   | Elem_constr (name, attr_specs, content) ->
-    let attrs =
-      List.map
-        (fun (an, pieces) ->
-          (an, List.map (function A_lit s -> Either.Left s | A_expr e -> Either.Right (joined e)) pieces))
-        attr_specs
-    in
+    let piece = function A_lit s -> fun _ _ _ _ -> s | A_expr e -> joined e in
+    let attrs = List.map (fun (an, pieces) -> (an, List.map piece pieces)) attr_specs in
     let content = List.map c content in
     fun fr it p s ->
-      let attr (an, pieces) =
-        (an, String.concat "" (List.map (Either.fold ~left:Fun.id ~right:(fun v -> v fr it p s)) pieces))
-      in
+      let attr (an, pieces) = (an, String.concat "" (List.map (fun v -> v fr it p s) pieces)) in
       let direct_attrs = List.map attr attrs in
       let (content_attrs, kids) =
         assemble_content (List.concat_map (fun (cc : code) -> cc fr it p s) content)
@@ -937,12 +892,8 @@ and compile_bool cx sc e : test =
     let cs = compile cx sc source in
     let (i, inner) = bind sc v in
     let bp = compile_bool cx inner pred in
-    let holds_for fr it p s x =
-      fr.vars.(i) <- [ x ];
-      bp fr it p s
-    in
     let quantify = match q with Some_ -> List.exists | Every -> List.for_all in
-    fun fr it p s -> quantify (holds_for fr it p s) (cs fr it p s)
+    fun fr it p s -> quantify (fun x -> fr.vars.(i) <- [ x ]; bp fr it p s) (cs fr it p s)
   | Call ("not", [ x ]) ->
     let bx = b x in
     fun fr it p s -> not (bx fr it p s)

@@ -205,6 +205,16 @@ let rec filter_array axis test (arr : Node.t array) i acc =
 let filter_all axis test (arr : Node.t array) =
   filter_array axis test arr (Array.length arr - 1) []
 
+(* Whether a child step may look its name up in the index: a named
+   test over more than eight children. Any other child step scans the
+   array. *)
+let indexed_child test (n : Node.t) =
+  Array.length n.Node.children > 8
+  &&
+  match test with
+  | Name pat | Kind_element (Some pat) -> not (String.equal pat "*")
+  | _ -> false
+
 let step axis test n =
   match (axis, test) with
   | ((Descendant | Descendant_or_self), (Name pat | Kind_element (Some pat)))
@@ -212,8 +222,7 @@ let step axis test n =
     match named_range ~or_self:(axis = Descendant_or_self) pat n with
     | Some (arr, i, j) -> indexed_hits arr i j
     | None -> List.filter (matches axis test) (nodes axis n))
-  | (Child, (Name pat | Kind_element (Some pat)))
-    when not (String.equal pat "*") && Array.length n.Node.children > 8 -> (
+  | (Child, (Name pat | Kind_element (Some pat))) when indexed_child test n -> (
     (* Use the index for child::name only when it beats scanning the
        children: candidates are all same-named elements in the subtree,
        so compare counts before materializing. *)
@@ -224,6 +233,32 @@ let step axis test n =
   | (Child, _) -> filter_all axis test n.Node.children
   | (Attribute, _) -> filter_all axis test n.Node.attributes
   | _ -> List.filter (matches axis test) (nodes axis n)
+
+(* A child or attribute step that {!step} answers by scanning is
+   scanned in place below, without building its list. *)
+let rec exists_in axis test arr i f =
+  i < Array.length arr
+  &&
+  let c = Array.unsafe_get arr i in
+  (matches axis test c && f c) || exists_in axis test arr (i + 1) f
+
+let exists_step axis test n f =
+  match axis with
+  | Attribute -> exists_in axis test n.Node.attributes 0 f
+  | Child when not (indexed_child test n) -> exists_in axis test n.Node.children 0 f
+  | _ -> List.exists f (step axis test n)
+
+let rec fold_in axis test arr i f x acc =
+  if i = Array.length arr then acc
+  else
+    let c = Array.unsafe_get arr i in
+    fold_in axis test arr (i + 1) f x (if matches axis test c then f x acc c else acc)
+
+let fold_step axis test n f x acc =
+  match axis with
+  | Attribute -> fold_in axis test n.Node.attributes 0 f x acc
+  | Child when not (indexed_child test n) -> fold_in axis test n.Node.children 0 f x acc
+  | _ -> List.fold_left (f x) acc (step axis test n)
 
 (* [E[p = v]] on [child::E] or [descendant::E] from [n], answered from
    the value index when [v] atomizes to strings only: for each distinct

@@ -46,6 +46,15 @@ val nodes : t -> Node.t -> Node.t list
 (** [step axis test n]: axis step with node test, document order. *)
 val step : t -> test -> Node.t -> Node.t list
 
+(** [exists_step axis test n f] is [List.exists f (step axis test n)],
+    and [fold_step axis test n f x acc] is [List.fold_left (f x) acc
+    (step axis test n)]; a child or attribute step that {!step} answers
+    by scanning is scanned in place, without building the list (nor,
+    for [fold_step], the closure [f x]). *)
+val exists_step : t -> test -> Node.t -> (Node.t -> bool) -> bool
+
+val fold_step : t -> test -> Node.t -> ('b -> 'a -> Node.t -> 'a) -> 'b -> 'a -> 'a
+
 (** [nth axis test n k] is the [k]-th node (1-based, axis order) of
     [step axis test n] for [axis] one of [Child], [Following_sibling] and
     [Preceding_sibling] — the answer of [axis::test\[k\]] — found by

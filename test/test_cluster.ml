@@ -595,6 +595,37 @@ let test_coordinator_repeated_texts () =
   done;
   checki "no worker saw the bad text" before (List.length h.sends)
 
+(* Texts larger than 64 KiB that differ only in the document they read
+   each route to that document's one replica, on every send: the
+   coordinator keeps a text's documents under its digest. *)
+let test_coordinator_large_texts () =
+  let config = { Coordinator.default_config with replication = 1; backoff_ms = 1. } in
+  let h = make_harness ~config ~workers:4 () in
+  let replica uri = List.hd (Router.replicas (Coordinator.router h.coordinator) ~key:uri) in
+  let other =
+    List.find
+      (fun u -> replica u <> replica "t.xml")
+      (List.init 32 (Printf.sprintf "u%d.xml"))
+  in
+  checkb "load t ok" true (ok (request h load_line));
+  checkb "load other ok" true
+    (ok
+       (request h
+          (Printf.sprintf {|{"op":"load-doc","uri":"%s","xml":%s}|} other
+             (Json.to_string (Json.Str tree_xml)))));
+  let pad = "(: " ^ String.make 70_000 'x' ^ " :) " in
+  let text uri = pad ^ Printf.sprintf {|count(doc("%s")//b)|} uri in
+  let expected = single_process_result {|count(doc("t.xml")//b)|} in
+  for _ = 1 to 2 do
+    List.iter
+      (fun uri ->
+        let j = request h (run_line (text uri)) in
+        checkb "large text ok" true (ok j);
+        checks "routed to its document's replica" (replica uri) (str "worker" j);
+        checks "large text's answer" expected (str "result" j))
+      [ "t.xml"; other ]
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Online rebalancing                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -1024,6 +1055,8 @@ let () =
            test_coordinator_parse_error_local;
          Alcotest.test_case "repeated texts parse once" `Quick
            test_coordinator_repeated_texts;
+         Alcotest.test_case "large texts route by digest" `Quick
+           test_coordinator_large_texts;
          Alcotest.test_case "append_field cases" `Quick test_append_field_cases;
          QCheck_alcotest.to_alcotest prop_append_field_splices ]);
       ("rebalance",

@@ -357,6 +357,25 @@ let prop_node_kernels =
       let shuffled = Array.to_list (shuffle st (Array.of_list (ctx @ ctx))) in
       let sorted = ref_ddo ctx in
       let ev = Fixq_lang.Eval.create () in
+      (* the in-place walks answer as [step] does, and take the name
+         index exactly when it does *)
+      let walks_agree axis test n =
+        let expect = reference axis test n in
+        let counted f =
+          let before = !Counters.index_steps in
+          let r = f () in
+          (r, !Counters.index_steps - before)
+        in
+        let even (m : Node.t) = m.Node.id mod 2 = 0 in
+        let (_, by_step) = counted (fun () -> Axis.step axis test n) in
+        let (folded, by_fold) =
+          counted (fun () -> Axis.fold_step axis test n (fun () acc m -> m :: acc) () [])
+        in
+        let (found, by_exists) = counted (fun () -> Axis.exists_step axis test n even) in
+        ids (List.rev folded) = ids expect
+        && found = List.exists even expect
+        && by_fold = by_step && by_exists = by_step
+      in
       let path axis test =
         Fixq_lang.Eval.eval_expr ev
           ~vars:[ ("ctx", List.map Item.node ctx) ]
@@ -367,6 +386,7 @@ let prop_node_kernels =
           List.for_all
             (fun test ->
               List.for_all (fun n -> ids (Axis.step axis test n) = ids (reference axis test n)) ctx
+              && List.for_all (walks_agree axis test) ctx
               && ids_of_seq (path axis test)
                  = ids (ref_ddo (List.concat_map (reference axis test) ctx)))
             all_tests)
