@@ -988,14 +988,17 @@ and compile_fn cx fd =
     uf.body <- compile cx sc fd.body;
     uf
 
-(* An IFP body sees no enclosing loop's cells ([invariants] never looks
-   inside a fixpoint); Figure 5's verdict is taken once per compile, on
-   the first [Auto] entry. *)
+(* An IFP body is a loop over rounds with the recursion variable as its
+   binder: its invariants get cells, reset when the fixpoint is entered
+   and kept across its rounds (an enclosing loop's [invariants] never
+   looks inside a fixpoint). Figure 5's verdict is taken once per
+   compile, on the first [Auto] entry. *)
 and compile_ifp cx sc var seed body accum : code =
   let t = cx.ev in
   let cseed = compile cx sc seed in
   let (i, inner) = bind sc var in
-  let cbody = compile cx { inner with keys = [] } body in
+  let (keys, cells) = hoist cx sc (invariants ~binders:[ var ] body) in
+  let cbody = compile cx { inner with keys } body in
   let weight =
     match accum with
     | Some { weight = Some we; _ } -> Some (compile cx { sc with keys = [] } we)
@@ -1006,6 +1009,7 @@ and compile_ifp cx sc var seed body accum : code =
   in
   fun fr it p s ->
     let seed_v = cseed fr it p s in
+    reset fr cells;
     let site () = ifp_site t sc.locals fr it var seed_v body accum in
     match match t.ifp_handler with None -> None | Some h -> h (site ()) with
     | Some result -> result

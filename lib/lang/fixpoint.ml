@@ -67,7 +67,7 @@ let delta ?(max_iterations = default_max) ?(include_seed = false) ~stats ~body
     let (fresh, fresh_n, out_n) = Accumulator.absorb acc ~who:"except" out in
     Stats.record_iteration stats ~fed:delta_n ~produced:out_n
       ~result_size:(Accumulator.size acc);
-    if fresh_n = 0 then Accumulator.to_seq acc
+    if fresh_n = 0 then Accumulator.final_seq acc
     else loop (fresh, fresh_n) (i + 1)
   in
   loop start 1

@@ -6,6 +6,7 @@ type t =
   | List of t list
   | Obj of (string * t) list
   | Raw of string
+  | Raw_buffer of Buffer.t
   | Spliced of string * string * t
 
 exception Parse_error of string
@@ -25,6 +26,11 @@ let number_to_string f =
     let s = Printf.sprintf "%.12g" f in
     if float_of_string s = f then s else Printf.sprintf "%.17g" f
 
+(* A verbatim piece: part of a string, or a buffer's contents. *)
+type piece = Slice of string * int | Buf of Buffer.t
+
+let piece_length = function Slice (_, len) -> len | Buf b -> Buffer.length b
+
 (* The one walk behind both printers. Everything goes to [buf] except
    the verbatim pieces, which [raw] places: into [buf] for a string, or
    straight into a channel once [buf]'s bytes are out. *)
@@ -32,13 +38,14 @@ let rec write ~raw buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Num f -> Buffer.add_string buf (number_to_string f)
-  | Raw s -> raw s 0 (String.length s)
+  | Raw s -> raw (Slice (s, String.length s))
+  | Raw_buffer b -> raw (Buf b)
   | Spliced (line, key, value) ->
     let n = String.length line in
-    if n < 2 || line.[0] <> '{' || line.[n - 1] <> '}' then raw line 0 n
+    if n < 2 || line.[0] <> '{' || line.[n - 1] <> '}' then raw (Slice (line, n))
     else begin
       (* an object, empty only as "{}": all but its brace, the member *)
-      raw line 0 (n - 1);
+      raw (Slice (line, n - 1));
       if n > 2 then Buffer.add_char buf ',';
       Buffer.add_char buf '"';
       escape_to buf key;
@@ -75,16 +82,19 @@ let rec write ~raw buf = function
    blitted into the result once its size is known: one copy each. *)
 let to_string j =
   let buf = Buffer.create 256 and pieces = ref [] and extra = ref 0 in
-  write buf j ~raw:(fun s pos len ->
-      pieces := (Buffer.length buf, s, pos, len) :: !pieces;
-      extra := !extra + len);
+  write buf j ~raw:(fun p ->
+      pieces := (Buffer.length buf, p) :: !pieces;
+      extra := !extra + piece_length p);
   let out = Bytes.create (Buffer.length buf + !extra) in
   let (at, from) =
     List.fold_left
-      (fun (at, from) (mark, s, pos, len) ->
+      (fun (at, from) (mark, p) ->
         Buffer.blit buf from out at (mark - from);
-        Bytes.blit_string s pos out (at + mark - from) len;
-        (at + mark - from + len, mark))
+        let at = at + mark - from in
+        (match p with
+        | Slice (s, len) -> Bytes.blit_string s 0 out at len
+        | Buf b -> Buffer.blit b 0 out at (Buffer.length b));
+        (at + piece_length p, mark))
       (0, 0) (List.rev !pieces)
   in
   Buffer.blit buf from out at (Buffer.length buf - from);
@@ -92,10 +102,12 @@ let to_string j =
 
 let output oc j =
   let buf = Buffer.create 256 in
-  write buf j ~raw:(fun s pos len ->
+  write buf j ~raw:(fun p ->
       Buffer.output_buffer oc buf;
       Buffer.clear buf;
-      output_substring oc s pos len);
+      match p with
+      | Slice (s, len) -> output_substring oc s 0 len
+      | Buf b -> Buffer.output_buffer oc b);
   Buffer.output_buffer oc buf
 
 (* ------------------------------------------------------------------ *)

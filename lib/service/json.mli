@@ -18,6 +18,9 @@ type t =
       (** JSON text printed verbatim, such as a string literal escaped
           once and kept; the maker vouches that it is valid JSON.
           {!parse} never returns one. *)
+  | Raw_buffer of Buffer.t
+      (** {!Raw} over a buffer's contents, which stay in place until the
+          value is printed: a response viewing its connection's buffer. *)
   | Spliced of string * string * t
       (** [Spliced (line, key, value)]: the object that {!to_string}
           printed on [line], with [key: value] spliced in as its last
@@ -36,7 +39,7 @@ val parse : string -> t
 val to_string : t -> string
 
 (** [output oc j] writes the bytes of [to_string j] to [oc], the
-    [Raw] and [Spliced] lines straight from their strings. *)
+    [Raw], [Raw_buffer] and [Spliced] pieces straight from their strings. *)
 val output : out_channel -> t -> unit
 
 (** [member name j] is the field [name] of object [j], [Null] when

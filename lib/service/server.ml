@@ -153,7 +153,7 @@ let maintenance_of_json = function
    preparing altogether. Everything else prepares, passes admission
    (FQ040/FQ043/FQ055, down-budgeting) and then uses the entry that one
    lookup found, or executes. *)
-let handle_run t ~id
+let handle_run t ~out ~id
     { Protocol.query; engine; mode; stratified; max_iterations; timeout_ms;
       cache } =
   (* A budget is an explicit request-level iteration or time bound, or
@@ -186,7 +186,7 @@ let handle_run t ~id
     else None
   in
   let respond ?prepared_status ~result_status ?(cost_extra = [])
-      ?(extra = []) (entry : Result_cache.entry) =
+      ?(extra = []) ?result (entry : Result_cache.entry) =
     let annotated =
       match entry.Result_cache.semiring with
       | None -> []
@@ -213,7 +213,8 @@ let handle_run t ~id
       @ (match entry.Result_cache.maintenance with
         | Some m -> [ ("maintenance", maintenance_json m) ]
         | None -> [])
-      @ [ ("result", Json.Raw entry.Result_cache.escaped) ]
+      @ [ ("result",
+            Option.value result ~default:(Json.Raw entry.Result_cache.escaped)) ]
       @ cost_extra @ annotated @ extra
       @ [ ("wall_ms", Json.Num entry.Result_cache.wall_ms) ])
   in
@@ -344,8 +345,13 @@ let handle_run t ~id
                   (Governor.config t.governor).Governor.max_call_depth
                 ~engine:fixq_engine prepared.Prepared.program))
     in
+    (* The answer is written into the connection's buffer. An entry the
+       cache keeps takes a string of its own, and the response prints
+       that; otherwise the response views the buffer. *)
+    Xdm.Serializer.json_into out report.Fixq.result;
+    let keep = cache && Store.generation t.store = generation in
     let entry =
-      { Result_cache.escaped = Xdm.Serializer.seq_to_json report.Fixq.result;
+      { Result_cache.escaped = (if keep then Buffer.contents out else "");
         engine = engine_str; mode = mode_string run_mode;
         used_delta = report.Fixq.used_delta;
         nodes_fed = report.Fixq.nodes_fed; depth = report.Fixq.depth;
@@ -359,7 +365,7 @@ let handle_run t ~id
        concurrent load-doc would make this entry's footprint stamps a
        lie. Eligible fixpoints carry their IVM state, so a later
        patch-doc can update the cached bytes differentially. *)
-    if cache && Store.generation t.store = generation then
+    if keep then
       Result_cache.put t.results rkey
         { entry with
           Result_cache.ivm =
@@ -368,7 +374,8 @@ let handle_run t ~id
               report.Fixq.result };
     Metrics.record t.metrics ~key:prepared.Prepared.hash
       ~label:(preview query) ~ms:report.Fixq.wall_ms;
-    respond ~prepared_status ~result_status:"miss" ~cost_extra entry
+    respond ~prepared_status ~result_status:"miss" ~cost_extra
+      ?result:(if keep then None else Some (Json.Raw_buffer out)) entry
 
 (* The prepared entry behind a prepare, check, plan or explain, and the
    stratified setting it was prepared under. *)
@@ -1251,7 +1258,7 @@ let chaos_handle_point () =
   | Some Fixq_chaos.Drop -> raise (Chaos_fault "injected fault: drop")
   | Some Fixq_chaos.Truncate -> raise (Chaos_fault "injected fault: truncate")
 
-let handle t request =
+let handle_with t out request =
   let id = Protocol.request_id request in
   match Protocol.parse_request request with
   | Error msg -> (Protocol.error_response ~id msg, false)
@@ -1286,7 +1293,7 @@ let handle t request =
           hold t.docs_lock @@ fun () ->
           chaos_handle_point ();
           match req with
-          | Protocol.Run r -> (handle_run t ~id r, false)
+          | Protocol.Run r -> (handle_run t ~out ~id r, false)
           | Protocol.Prepare { query; stratified } ->
             (handle_prepare t ~id query stratified, false)
           | Protocol.Check { query; stratified } ->
@@ -1397,11 +1404,16 @@ let handle t request =
          ("internal error: " ^ Printexc.to_string exn),
        false))
 
-let respond t line =
+(* [out] is the buffer a run's answer is written into: the
+   connection's, or a fresh one for an in-process call. *)
+let respond_with t out line =
   match Json.parse line with
-  | request -> handle t request
+  | request -> handle_with t out request
   | exception Json.Parse_error msg ->
     (Protocol.error_response ~id:Json.Null msg, false)
+
+let handle t request = handle_with t (Buffer.create 256) request
+let respond t line = respond_with t (Buffer.create 256) line
 
 let handle_line t line =
   let (response, shutdown) = respond t line in
@@ -1483,18 +1495,27 @@ let frame_error kind =
       Printf.sprintf "protocol error: frame larger than %d bytes"
         Frame.default_max_len)
 
+(* A connection's result buffer that grew past this is released after
+   its response instead of being kept for the next. *)
+let max_kept_buffer = 1 lsl 20
+
 (* The one line loop: answer [ic]'s requests on [oc] in order until
    EOF, a failed write, a stop or a stopping door. True when it ended
    on a stop or a stopping door. Each response is printed straight
-   into [oc], never built as one string first. *)
+   into [oc], never built as one string first. [handle] gets the
+   stream's own buffer, which a response may view until it is
+   written: one per connection, so never shared between threads. *)
 let serve_stream door ~handle ic oc =
+  let out = Buffer.create 1024 in
   let write_line j =
     match
       Json.output oc j;
       output_char oc '\n';
       flush oc
     with
-    | () -> true
+    | () ->
+      if Buffer.length out > max_kept_buffer then Buffer.reset out;
+      true
     | exception Sys_error _ -> false
   in
   let rec loop () =
@@ -1507,7 +1528,7 @@ let serve_stream door ~handle ic oc =
     | `Oversized -> write_line (frame_error `Oversized) && loop ()
     | `Line line when String.trim line = "" -> loop ()
     | `Line line -> (
-      match enter door ~handle line with
+      match enter door ~handle:(handle out) line with
       | None -> true
       | Some (response, true) ->
         ignore (write_line response);
@@ -1516,7 +1537,8 @@ let serve_stream door ~handle ic oc =
   in
   loop ()
 
-let serve_pipe_with ~handle ic oc = ignore (serve_stream (door 1) ~handle ic oc)
+let serve_pipe_with ~handle ic oc =
+  ignore (serve_stream (door 1) ~handle:(fun _ -> handle) ic oc)
 
 exception Socket_in_use of string
 
@@ -1535,7 +1557,7 @@ let socket_alive path =
    loop waits for one to close. *)
 let max_connections = 256
 
-let serve_socket_with ~handle ?(workers = 1) ~path () =
+let listen_socket ~handle ~workers ~path =
   (* a client hanging up mid-response must not kill the process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   if Sys.file_exists path then begin
@@ -1603,7 +1625,11 @@ let serve_socket_with ~handle ?(workers = 1) ~path () =
         conns);
   if Sys.file_exists path then (try Unix.unlink path with Sys_error _ -> ())
 
-let serve_pipe t ic oc = serve_pipe_with ~handle:(respond t) ic oc
+let serve_socket_with ~handle ?(workers = 1) ~path () =
+  listen_socket ~handle:(fun _ -> handle) ~workers ~path
+
+let serve_pipe t ic oc =
+  ignore (serve_stream (door 1) ~handle:(respond_with t) ic oc)
 
 let serve_socket t ~path =
-  serve_socket_with ~handle:(respond t) ~workers:t.config.workers ~path ()
+  listen_socket ~handle:(respond_with t) ~workers:t.config.workers ~path

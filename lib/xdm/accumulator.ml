@@ -139,7 +139,52 @@ let merged t =
 
 let to_nodes t = Array.to_list (merged t)
 
-let to_seq t =
-  let a = merged t in
-  let rec box i acc = if i < 0 then acc else box (i - 1) (Item.N a.(i) :: acc) in
-  box (Array.length a - 1) []
+let box a =
+  let rec go i acc = if i < 0 then acc else go (i - 1) (Item.N a.(i) :: acc) in
+  go (Array.length a - 1) []
+
+let to_seq t = box (merged t)
+
+(* Delta reads its result once, at the end: the runs are merged from
+   their ends straight into the item list, through a max-heap of run
+   cursors keyed by each run's last unmerged id (a drained run's key,
+   -1, sinks below the others). That is O(|res| log #runs), and the
+   only blocks besides the items are three arrays of #runs entries. A
+   cached merge is the one run left. *)
+let final_seq t =
+  match t.runs with
+  | [] -> []
+  | [ r ] -> box r
+  | runs ->
+    incr Counters.merges;
+    Counters.merged_items := !Counters.merged_items + t.size;
+    let runs = Array.of_list runs in
+    let k = Array.length runs in
+    let next = Array.map (fun r -> Array.length r - 1) runs in
+    let heap = Array.init k Fun.id in
+    let key h =
+      let r = heap.(h) in
+      if next.(r) < 0 then -1 else runs.(r).(next.(r)).Node.id
+    in
+    let rec sift i =
+      let l = (2 * i) + 1 in
+      let c = if l + 1 < k && key (l + 1) > key l then l + 1 else l in
+      if l < k && key c > key i then begin
+        let r = heap.(i) in
+        heap.(i) <- heap.(c);
+        heap.(c) <- r;
+        sift c
+      end
+    in
+    for i = (k / 2) - 1 downto 0 do sift i done;
+    let rec drain n acc =
+      if n = 0 then acc
+      else begin
+        let r = heap.(0) in
+        let acc = Item.N runs.(r).(next.(r)) :: acc in
+        next.(r) <- next.(r) - 1;
+        sift 0;
+        drain (n - 1) acc
+      end
+    in
+    drain t.size []

@@ -13,9 +13,10 @@
     Per round, {!absorb} costs O(|out| + |Δ| log |Δ|) — independent of
     the accumulated size |res| — replacing the
     [Item.except]/[Item.union] pair that re-sorted the whole result
-    every round. The full doc-ordered result is only materialized by
-    {!to_seq}/{!to_nodes} at the end, as an O(|res| log #rounds)
-    bottom-up merge of the runs. *)
+    every round. The full doc-ordered result is only materialized at
+    the end, in O(|res| log #rounds): by {!final_seq} straight into the
+    item list, or by {!to_seq}/{!to_nodes} through a bottom-up merge of
+    the runs that is kept for the next call. *)
 
 type t
 
@@ -45,7 +46,12 @@ val absorb : t -> who:string -> Item.seq -> Item.seq * int * int
 val merge_runs : Node.t array list -> Node.t array
 
 (** Accumulated result in document order. Cached; absorbing afterwards
-    invalidates the cache. *)
+    invalidates the cache. Naive reads it every round. *)
 val to_seq : t -> Item.seq
+
+(** [final_seq t] is [to_seq t] for a caller that reads the result
+    once, as Delta does at its end: a k-way merge of the runs into the
+    list, with no array of the result's size and nothing cached. *)
+val final_seq : t -> Item.seq
 
 val to_nodes : t -> Node.t list

@@ -6,7 +6,8 @@ type t = {
   mutable id : int;
   kind : kind;
   name : Qname.t option;
-  mutable content : string;
+  content : string;
+  clean : bool;
   mutable parent : t option;
   mutable children : t array;
   mutable attributes : t array;
@@ -51,8 +52,19 @@ let new_doc ?uri ?(id_attrs = []) () =
     idref_attribute_names = []; idref_index = None; name_index = Ni_unbuilt;
     value_index = [] }
 
+(* No byte of [s] from [i] on is one that markup or JSON escaping
+   rewrites. Top level, so a call allocates nothing. *)
+let rec clean_from s i =
+  i = String.length s
+  || (match String.unsafe_get s i with
+     | '\000' .. '\031' | '"' | '\\' | '<' | '>' | '&' -> false
+     | _ -> clean_from s (i + 1))
+
 let mk kind name content =
   { id = fresh_id (); kind; name; content;
+    clean =
+      clean_from content 0
+      && (match name with None -> true | Some q -> clean_from (Qname.to_string q) 0);
     parent = None; children = [||]; attributes = [||]; doc = None }
 
 (* Ids are assigned in preorder: the node itself, then its attributes,

@@ -23,7 +23,14 @@ type t = private {
   mutable id : int;  (** preorder position; changes only in {!renumber} *)
   kind : kind;
   name : Qname.t option;
-  mutable content : string;  (** text / comment / PI / attribute value *)
+  content : string;
+      (** text / comment / PI / attribute value. Never assigned: an edit
+          replaces the node ({!splice}), so [clean] stays true to it. *)
+  clean : bool;
+      (** computed once, at construction: neither [content] nor the name
+          holds a byte that markup or JSON escaping rewrites (below
+          0x20, double quote, backslash, [<], [>], [&]), so the
+          serializer copies both whole *)
   mutable parent : t option;
   mutable children : t array;
   mutable attributes : t array;

@@ -85,6 +85,16 @@ let newline k d =
   raw k "\n";
   Buffer.add_string k.buf (String.make (2 * d) ' ')
 
+(* A clean node's name and content hold no byte that either escaping
+   rewrites ({!Node.t.clean}), so they are copied whole; only the others
+   are scanned. *)
+let name k (n : Node.t) =
+  if n.Node.clean then Buffer.add_string k.buf (Node.name n) else raw k (Node.name n)
+
+let content k (n : Node.t) escape =
+  if n.Node.clean then Buffer.add_string k.buf n.Node.content
+  else escape k n.Node.content
+
 (* Indentation goes only between the children of an element without
    text children: text nodes suppress it. *)
 let has_element_content (kids : Node.t array) =
@@ -100,28 +110,28 @@ let rec write k d (n : Node.t) =
     for i = 0 to Array.length kids - 1 do
       write k d kids.(i)
     done
-  | Node.Text -> text k n.Node.content
+  | Node.Text -> content k n text
   | Node.Comment ->
     Buffer.add_string k.buf "<!--";
-    raw k n.Node.content;
+    content k n raw;
     Buffer.add_string k.buf "-->"
   | Node.Pi ->
     Buffer.add_string k.buf "<?";
-    raw k (Node.name n);
+    name k n;
     if n.Node.content <> "" then begin
       Buffer.add_char k.buf ' ';
-      raw k n.Node.content
+      content k n raw
     end;
     Buffer.add_string k.buf "?>"
   | Node.Attribute ->
-    raw k (Node.name n);
+    name k n;
     Buffer.add_char k.buf '=';
     quote k;
-    attr k n.Node.content;
+    content k n attr;
     quote k
   | Node.Element ->
     Buffer.add_char k.buf '<';
-    raw k (Node.name n);
+    name k n;
     let attrs = n.Node.attributes in
     for i = 0 to Array.length attrs - 1 do
       Buffer.add_char k.buf ' ';
@@ -138,7 +148,7 @@ let rec write k d (n : Node.t) =
       done;
       if structured then newline k d;
       Buffer.add_string k.buf "</";
-      raw k (Node.name n);
+      name k n;
       Buffer.add_char k.buf '>'
     end
 
@@ -151,11 +161,9 @@ let write_seq k (s : Item.seq) =
       | Item.A a -> text k (Atom.to_string a))
     s
 
-let to_buffer ?(indent = false) buf n = write { buf; json = false; indent } 0 n
-
-let to_string ?indent n =
+let to_string ?(indent = false) n =
   let buf = Buffer.create 256 in
-  to_buffer ?indent buf n;
+  write { buf; json = false; indent } 0 n;
   Buffer.contents buf
 
 let seq_to_string ?(indent = false) s =
@@ -163,20 +171,13 @@ let seq_to_string ?(indent = false) s =
   write_seq { buf; json = false; indent } s;
   Buffer.contents buf
 
-(* Nodes and attributes in the subtree of [n]. *)
-let rec weight (n : Node.t) =
-  Array.fold_left (fun k c -> k + weight c)
-    (1 + Array.length n.Node.attributes) n.Node.children
-
-(* The buffer starts at about 16 bytes a node, instead of doubling from
-   a small start: each doubling past a few KB is a major allocation. *)
-let seq_to_json s =
-  let nodes =
-    List.fold_left
-      (fun k -> function Item.N n -> k + weight n | Item.A _ -> k + 1) 0 s
-  in
-  let buf = Buffer.create (16 * nodes + 2) in
+let json_into buf s =
+  Buffer.clear buf;
   Buffer.add_char buf '"';
   write_seq { buf; json = true; indent = false } s;
-  Buffer.add_char buf '"';
+  Buffer.add_char buf '"'
+
+let seq_to_json s =
+  let buf = Buffer.create 256 in
+  json_into buf s;
   Buffer.contents buf

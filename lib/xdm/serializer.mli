@@ -8,16 +8,24 @@
     indentation; text nodes suppress indentation of their element. *)
 val to_string : ?indent:bool -> Node.t -> string
 
-val to_buffer : ?indent:bool -> Buffer.t -> Node.t -> unit
-
 (** Serialize a whole item sequence: nodes as XML, atoms via their
     string value, separated by spaces as in XQuery serialization. *)
 val seq_to_string : ?indent:bool -> Item.seq -> string
 
-(** [seq_to_json s] is the JSON string literal, quotes included, of
-    [seq_to_string s], written in one pass: markup and JSON escaping
-    are fused and clean runs are copied whole. *)
+(** A result leaves as a JSON string literal by one of two entry points,
+    which write the same bytes: markup and JSON escaping are fused, and
+    a {!Node.t.clean} node's name and content are copied whole.
+
+    [seq_to_json s] is the literal, quotes included, of
+    [seq_to_string s], as one exact-size string: the form a result
+    cache entry, IVM state and a snapshot keep. *)
 val seq_to_json : Item.seq -> string
+
+(** [json_into buf s] empties [buf] and writes the bytes of
+    [seq_to_json s] into it: the form a response takes, into a buffer
+    its connection owns and reuses, so a warm buffer allocates nothing
+    per result. *)
+val json_into : Buffer.t -> Item.seq -> unit
 
 (** Append [s] JSON-escaped (no quotes): quotes, backslashes and bytes
     below 0x20 are rewritten, everything else is copied. *)

@@ -553,6 +553,60 @@ let test_invariant_index_steps () =
     (index_steps_of
        {|for $y in ("2003","2006") return doc("lib.xml")//book[@year = $y and true()]|})
 
+(* An IFP body is a loop over rounds: its invariant operands are
+   computed once per fixpoint entry, on first use, and an entry inside
+   an outer loop recomputes the ones that read the outer variable. *)
+let test_ifp_guarded_error () =
+  check_run "guard never holds" "b2 b3"
+    {|for $b in with $x seeded by doc("lib.xml")//book[1]
+                recurse (if ($x/@id = "b9") then (1 div 0) else $x/following-sibling::book[1])
+      return string($b/@id)|};
+  check_error "guard holds in a late round"
+    {|with $x seeded by doc("lib.xml")//book[1]
+      recurse (if ($x/@id = "b3") then (1 div 0) else $x/following-sibling::book[1])|}
+
+let test_ifp_outer_variable () =
+  check_run "one closure per outer binding" "1 2 1"
+    {|for $y in ("2003", "2004", "2006")
+      return count(with $x seeded by ()
+                   recurse doc("lib.xml")//book[@year = $y]/author)|};
+  check_run "seeded by the outer binding" "b2 b3 b3"
+    {|for $i in (1, 2, 3)
+      for $b in with $x seeded by doc("lib.xml")//book[$i]
+                recurse $x/following-sibling::book[1][@year = doc("lib.xml")//book/@year]
+      return string($b/@id)|}
+
+let test_ifp_invariant_once () =
+  (* three rounds, one index step for the body's [doc(...)//book] *)
+  check_int "body operand evaluated once per entry" 1
+    (index_steps_of
+       {|count(with $x seeded by doc("lib.xml")//book[1]
+               recurse $x/following-sibling::book[1][@id = doc("lib.xml")//book/@id])|})
+
+(* The unfolded Q1 (Section 4.1, over a multi-course seed) evaluates
+   its [for] source once per fixpoint instead of once per round; its
+   answer is the algebra engine's, under both interpreter modes. *)
+let test_ifp_q1_unfolded () =
+  let module W = Fixq_workloads in
+  let registry = Doc_registry.create () in
+  ignore
+    (W.Curriculum.load ~registry
+       { W.Curriculum.default with W.Curriculum.courses = 60 });
+  let q1 =
+    {|with $x seeded by doc("curriculum.xml")/curriculum/course[@code = ("c1","c2","c3","c4","c5","c6","c7","c8")]
+recurse
+  for $c in doc("curriculum.xml")/curriculum/course
+  where $c/@code = $x/prerequisites/pre_code
+  return $c|}
+  in
+  let answer engine =
+    Serializer.seq_to_string (Fixq.run ~registry ~engine q1).Fixq.result
+  in
+  let algebra = answer (Fixq.Algebra Fixq.Naive) in
+  check "a non-empty closure" true (String.length algebra > 0);
+  check_str "naive" algebra (answer (Fixq.Interpreter Fixq.Naive));
+  check_str "delta" algebra (answer (Fixq.Interpreter Fixq.Delta))
+
 let test_positional_sibling_steps () =
   let d = {|<r><a k="1"/><b/><a k="2"/><c/><a/></r>|} in
   check_run "following-sibling [k]" "2"
@@ -937,7 +991,14 @@ let () =
           Alcotest.test_case "hashed general =" `Quick test_hashed_general_eq;
           Alcotest.test_case "index steps" `Quick test_invariant_index_steps;
           Alcotest.test_case "positional sibling steps" `Quick
-            test_positional_sibling_steps ] );
+            test_positional_sibling_steps;
+          Alcotest.test_case "guarded error in an IFP body" `Quick
+            test_ifp_guarded_error;
+          Alcotest.test_case "IFP operand reading an outer variable" `Quick
+            test_ifp_outer_variable;
+          Alcotest.test_case "IFP operand once per entry" `Quick
+            test_ifp_invariant_once;
+          Alcotest.test_case "unfolded Q1 unchanged" `Quick test_ifp_q1_unfolded ] );
       ( "value index",
         Alcotest.test_case "regressions" `Quick test_value_probe_regressions
         :: Alcotest.test_case "two readers rebuild a stale bucket" `Quick

@@ -80,7 +80,9 @@ let prop_json_escape_matches_reference =
 
 (* Item sequences of elements, attributes, text, comments, PIs and
    atoms whose strings hold quotes, backslashes, every control byte,
-   DEL, multi-byte UTF-8 and markup characters. *)
+   DEL, multi-byte UTF-8 and markup characters. About half the strings
+   are clean (nothing to escape), so one document mixes nodes the
+   writer copies whole with nodes it scans; one name needs escaping. *)
 let gen_wire_seq =
   let open QCheck2.Gen in
   let module Node = Fixq_xdm.Node in
@@ -94,9 +96,16 @@ let gen_wire_seq =
                        "\240\159\152\128"; "<"; ">"; "&" ]);
           (2, map (fun c -> String.make 1 (Char.chr c)) (int_bound 31)) ]
     in
-    map (String.concat "") (list_size (int_bound 8) piece)
+    let clean_piece =
+      frequency
+        [ (3, string_size ~gen:(char_range 'a' 'z') (int_bound 6));
+          (1, oneofl [ " "; "'"; "\127"; "\195\169"; "\240\159\152\128" ]) ]
+    in
+    frequency
+      [ (1, map (String.concat "") (list_size (int_bound 8) piece));
+        (1, map (String.concat "") (list_size (int_bound 8) clean_piece)) ]
   in
-  let name = oneofl [ "a"; "b"; "x:y"; "item" ] in
+  let name = oneofl [ "a"; "b"; "x:y"; "item"; "q\"n" ] in
   let spec =
     fix
       (fun self depth ->
@@ -137,6 +146,54 @@ let prop_fused_writer_matches_escape =
     (fun r ->
       Fixq_xdm.Serializer.seq_to_json r
       = Json.to_string (Json.Str (Fixq_xdm.Serializer.seq_to_string r)))
+
+(* [json_into] writes what [seq_to_json] returns, into one buffer
+   reused across the cases, as a connection's is across requests. *)
+let prop_json_into_matches =
+  let buf = Buffer.create 16 in
+  QCheck2.Test.make ~count:500 ~name:"json_into a reused buffer = seq_to_json"
+    ~print:(fun r -> Printf.sprintf "%S" (Fixq_xdm.Serializer.seq_to_string r))
+    gen_wire_seq
+    (fun r ->
+      Fixq_xdm.Serializer.json_into buf r;
+      Buffer.contents buf = Fixq_xdm.Serializer.seq_to_json r)
+
+(* A long result and then a short one through one buffer: the short
+   one leaves none of the long one's bytes behind. *)
+let test_json_into_long_then_short () =
+  let module Node = Fixq_xdm.Node in
+  let module Item = Fixq_xdm.Item in
+  let long = [ Item.N (Node.text (String.make 100_000 'x')) ] in
+  let short = [ Item.N (Node.element "a" ~attrs:[ ("k", "\"") ] []) ] in
+  let buf = Buffer.create 16 in
+  Fixq_xdm.Serializer.json_into buf long;
+  checki "long" 100_002 (Buffer.length buf);
+  Fixq_xdm.Serializer.json_into buf short;
+  checks "short" {|"<a k=\"&quot;\"/>"|} (Buffer.contents buf);
+  checks "= seq_to_json" (Fixq_xdm.Serializer.seq_to_json short) (Buffer.contents buf)
+
+(* Encoding fixpoint-cold's 38.5 KB hospital result into a warm buffer
+   allocates nothing in the major heap: no large block, and (after a
+   minor collection) too little in the minor heap to promote anything. *)
+let test_warm_encode_no_major_words () =
+  let module W = Fixq_workloads in
+  let registry = Fixq_xdm.Doc_registry.create () in
+  Fixq_xdm.Doc_registry.register ~registry "hospital.xml"
+    (W.Hospital.generate { W.Hospital.default with W.Hospital.total = 2500; seed = 11 });
+  let result =
+    (Fixq.run ~registry ~engine:(Fixq.Interpreter Fixq.Auto) W.Queries.hospital)
+      .Fixq.result
+  in
+  let buf = Buffer.create 16 in
+  Fixq_xdm.Serializer.json_into buf result;
+  checki "hospital result bytes" 38_502 (Buffer.length buf);
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  for _ = 1 to 10 do
+    Fixq_xdm.Serializer.json_into buf result
+  done;
+  let words = (Gc.quick_stat ()).Gc.major_words -. before in
+  check Alcotest.(float 0.) "major words for ten warm encodes" 0. words
 
 (* Values that take every printing path: strings that need escaping,
    raw pieces, and worker lines with a member spliced in, braced or
@@ -1381,6 +1438,100 @@ recurse $x/parents/patient|}) ])
     && Json.str_opt (Json.member "result_cache" (Json.parse expected)) = Some "hit");
   checks "socket bytes = handle_line bytes" expected (Option.value ~default:"" got)
 
+(* [line] without its [,"wall_ms":…] member. *)
+let untimed line =
+  let key = {|,"wall_ms":|} in
+  let n = String.length line and k = String.length key in
+  let rec find i =
+    if i + k > n then line
+    else if String.sub line i k = key then
+      let j = ref (i + k) in
+      while !j < n && line.[!j] <> ',' && line.[!j] <> '}' do incr j done;
+      String.sub line 0 i ^ String.sub line !j (n - !j)
+    else find (i + 1)
+  in
+  find 0
+
+(* Two connections to [Server.serve_socket] with two request slots
+   interleave [cache:false] runs whose results differ and exceed 64 KB,
+   then one asks for a short result: every response is the line
+   [handle_line] prints for its query, so no connection sees another's
+   result buffer or leftover bytes of its own. *)
+let test_socket_connection_buffers () =
+  let module W = Fixq_workloads in
+  let server =
+    Server.create ~config:{ Server.default_config with Server.workers = 2 } ()
+  in
+  let load uri seed =
+    let xml =
+      Fixq_xdm.Serializer.to_string
+        (W.Hospital.generate { W.Hospital.default with W.Hospital.total = 600; seed })
+    in
+    ignore
+      (Server.handle_line server
+         (Printf.sprintf {|{"op":"load-doc","uri":"%s","xml":%s}|} uri
+            (Json.to_string (Json.Str xml))))
+  in
+  load "a.xml" 14;
+  load "b.xml" 15;
+  let run ?(cache = false) query =
+    Json.to_string
+      (Json.Obj
+         ([ ("op", Json.Str "run"); ("query", Json.Str query) ]
+         @ if cache then [] else [ ("cache", Json.Bool false) ]))
+  in
+  let closure uri =
+    run
+      (Printf.sprintf
+         {|with $x seeded by doc("%s")/hospital/patient recurse $x/parents/patient|}
+         uri)
+  in
+  let short = run {|count(doc("a.xml")/hospital/patient)|} in
+  let expect line =
+    ignore (Server.handle_line server line);
+    untimed (fst (Server.handle_line server line))
+  in
+  let la = closure "a.xml" and lb = closure "b.xml" in
+  let ea = expect la and eb = expect lb and es = expect short in
+  checkb "results over 64 KB" true
+    (String.length ea > 65_536 && String.length eb > 65_536);
+  checkb "results differ" true (ea <> eb);
+  let path = fresh_socket () in
+  let returned = Atomic.make false in
+  let thread =
+    Thread.create
+      (fun () ->
+        Server.serve_socket server ~path;
+        Atomic.set returned true)
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 5. in
+  while (not (Server.socket_alive path)) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  let door = { path; returned; thread } in
+  let client line expected =
+    let fd = connect path in
+    let wrong = ref 0 in
+    for _ = 1 to 8 do
+      match request_line fd line with
+      | Some got when untimed got = expected -> ()
+      | _ -> incr wrong
+    done;
+    (match request_line fd short with
+    | Some got when untimed got = es -> ()
+    | _ -> incr wrong);
+    (fd, !wrong)
+  in
+  let other = ref (Unix.stdin, 0) in
+  let t = Thread.create (fun () -> other := client lb eb) () in
+  let (fa, wrong_a) = client la ea in
+  Thread.join t;
+  let (fb, wrong_b) = !other in
+  finish door [ fa; fb ];
+  checki "responses on connection A unlike handle_line" 0 wrong_a;
+  checki "responses on connection B unlike handle_line" 0 wrong_b
+
 (* This test binary doubles as a bare socket server: re-executed with
    [--serve-door SOCKET] it answers every line with [{"ok":true}] until
    a shutdown. *)
@@ -1468,6 +1619,11 @@ let () =
            test_json_escape_every_control_byte;
          QCheck_alcotest.to_alcotest prop_json_escape_matches_reference;
          QCheck_alcotest.to_alcotest prop_fused_writer_matches_escape;
+         QCheck_alcotest.to_alcotest prop_json_into_matches;
+         Alcotest.test_case "one buffer, long result then short" `Quick
+           test_json_into_long_then_short;
+         Alcotest.test_case "warm encode adds no major words" `Quick
+           test_warm_encode_no_major_words;
          QCheck_alcotest.to_alcotest prop_output_matches_to_string;
          Alcotest.test_case "output of pieces past the channel buffer" `Quick
            test_json_output_large_pieces;
@@ -1534,4 +1690,6 @@ let () =
           Alcotest.test_case "path appears once listening" `Quick
             test_door_path_means_listening;
           Alcotest.test_case "cached hit over a socket = handle_line" `Quick
-            test_door_hit_bytes_match_handle_line ] ) ]
+            test_door_hit_bytes_match_handle_line;
+          Alcotest.test_case "connection buffers over a socket = handle_line"
+            `Quick test_socket_connection_buffers ] ) ]

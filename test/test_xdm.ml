@@ -515,6 +515,84 @@ let prop_serializer_roundtrip =
       let doc2 = Xml_parser.parse_fragment out in
       Item.deep_equal [ Item.N root ] [ Item.N doc2 ])
 
+(* [Node.t.clean] is true exactly when no byte of the node's content or
+   name is one that markup or JSON escaping rewrites, for nodes from
+   every constructor: the XML parser, [of_spec], computed constructors
+   (direct and through the evaluator) and patch splices. *)
+let prop_clean_flag =
+  let open QCheck2.Gen in
+  let piece =
+    frequency
+      [ (4, string_size ~gen:(char_range ' ' '~') (int_bound 6)
+            |> map (String.map (fun c -> if String.contains "\"\\<>&" c then 'x' else c)));
+        (1, oneofl [ "<"; ">"; "&"; "\""; "\\"; "\n"; "\001"; "\031"; "\127";
+                     "\195\169"; "'" ]) ]
+  in
+  let text = map (String.concat "") (list_size (int_bound 4) piece) in
+  let gen = pair (pair text text) (oneofl [ "a"; "x:y"; "q\"n"; "b\tc" ]) in
+  let needs c = Char.code c < 0x20 || String.contains "\"\\<>&" c in
+  let rec every f (n : Node.t) =
+    f n;
+    Array.iter (every f) n.Node.attributes;
+    Array.iter (every f) n.Node.children
+  in
+  let right (n : Node.t) =
+    n.Node.clean = not (String.exists needs n.Node.content || String.exists needs (Node.name n))
+  in
+  (* XML source for [s]: entities for markup, character references for
+     control bytes *)
+  let xml_escape s =
+    String.concat ""
+      (List.map
+         (fun c ->
+           match c with
+           | '<' -> "&lt;" | '>' -> "&gt;" | '&' -> "&amp;" | '"' -> "&quot;"
+           | c when Char.code c < 0x20 -> Printf.sprintf "&#%d;" (Char.code c)
+           | c -> String.make 1 c)
+         (List.of_seq (String.to_seq s)))
+  in
+  QCheck2.Test.make ~count:300 ~name:"clean = no byte needs escaping"
+    ~print:(fun ((s, t), nm) -> Printf.sprintf "%S %S %S" s t nm)
+    gen
+    (fun ((s, t), nm) ->
+      let xml_name = if String.exists needs nm then "a" else nm in
+      let parsed =
+        Xml_parser.parse_string
+          (Printf.sprintf {|<%s k="%s">%s<!--c--><?p %s?></%s>|} xml_name
+             (xml_escape s) (xml_escape t) (if String.exists needs t then "t" else t)
+             xml_name)
+      in
+      let spec =
+        Node.of_spec
+          (Node.E (nm, [ ("k", s); (nm, t) ], [ Node.T t; Node.C s; Node.P ("p", t) ]))
+      in
+      let computed =
+        Node.element nm ~attrs:[ ("k", s) ]
+          [ Node.text t; Node.comment s; Node.attribute nm t ]
+      in
+      let evaluated =
+        let ev = Fixq_lang.Eval.create () in
+        Fixq_lang.Eval.eval_expr ev
+          ~vars:[ ("s", [ Item.A (Atom.Str s) ]); ("t", [ Item.A (Atom.Str t) ]) ]
+          (Fixq_lang.Parser.parse_expr
+             {|element e { attribute k { $s }, text { $t }, comment { $s } }|})
+      in
+      let patched =
+        let doc = Node.of_spec (Node.E ("r", [], [ Node.E ("p", [], []) ])) in
+        ignore (Fixq_xdm.Patch.apply doc (Fixq_xdm.Patch.Set_text { path = "/r/p"; text = s }));
+        ignore
+          (Fixq_xdm.Patch.apply doc
+             (Fixq_xdm.Patch.Insert
+                { path = "/r"; position = Fixq_xdm.Patch.Last;
+                  xml = Printf.sprintf {|<q k="%s">%s</q>|} (xml_escape t) (xml_escape s) }));
+        doc
+      in
+      let ok = ref true in
+      List.iter (every (fun n -> if not (right n) then ok := false))
+        (parsed :: spec :: computed :: patched
+         :: List.filter_map (function Item.N n -> Some n | Item.A _ -> None) evaluated);
+      !ok)
+
 let prop_doc_order_total =
   QCheck2.Test.make ~count:100 ~name:"document order is preorder" tree_gen
     (fun doc ->
@@ -634,7 +712,7 @@ let () =
             test_allocated_monotonic ] );
       ( "properties",
         qc
-          [ prop_serializer_roundtrip;
+          [ prop_serializer_roundtrip; prop_clean_flag;
             prop_escape_matches_reference;
             prop_doc_order_total;
             prop_axes_partition;
