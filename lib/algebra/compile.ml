@@ -90,6 +90,18 @@ let rec step_filter_chain = function
   | Ast.Filter (b, _) -> step_filter_chain b
   | _ -> false
 
+(* Whether [e] surely yields distinct nodes in document order, so that
+   the [k]th item is the [k]th in document order: a path, a forward
+   step, union, intersect, except, the recursion variable (a fixpoint's
+   result or ∆, both in document order), and filters of these. *)
+let rec numbered_in_doc_order vars = function
+  | Ast.Path _ | Ast.Union _ | Ast.Intersect _ | Ast.Except _ -> true
+  | Ast.Axis_step { axis; _ } -> not (Axis.is_reverse axis)
+  | Ast.Var v -> (
+    match Smap.find_opt v vars with Some (Plan.Fix_ref _) -> true | _ -> false)
+  | Ast.Filter (a, _) -> numbered_in_doc_order vars a
+  | _ -> false
+
 let ii = [ "iter"; "item" ]
 let keep_ii = [ ("iter", "iter"); ("item", "item") ]
 
@@ -252,15 +264,15 @@ and comp_here env (e : Ast.expr) : Plan.t =
     let ctx = comp env Ast.Context_item in
     Plan.Template
       ("step", Plan.Distinct (Plan.Step (axis, test, "item", Plan.Distinct ctx)))
-  | Ast.Filter (Ast.Axis_step { axis; _ }, Ast.Literal (Atom.Int _))
-    when Axis.is_reverse axis ->
-    (* A predicate on a reverse-axis step counts nearest-first, which
-       ̺ over the item column (document order) cannot number. *)
-    unsupported "positional predicate on a reverse axis step"
   | Ast.Filter (a, Ast.Literal (Atom.Int k)) ->
-    (* Positional predicate [k]: node sequences are in document order,
-       so ̺ ordered by the item column per iteration recovers the
-       position (the one place set-oriented compilation needs ̺). *)
+    (* Positional predicate [k]: ̺ ordered by the item column per
+       iteration numbers the items in document order, which is their
+       sequence order only when [a] surely yields distinct nodes in
+       document order. A comma sequence or a [for] result keeps its own
+       order and its duplicates, which the [iter|item] encoding drops,
+       and a reverse-axis step counts nearest-first. *)
+    if not (numbered_in_doc_order env.vars a) then
+      unsupported "positional predicate on a sequence not in document order";
     let numbered =
       Plan.Row_num
         ( { Plan.num_result = "rank"; num_order = [ "item" ];

@@ -42,12 +42,3 @@ val run_with :
   t -> ?session:session -> (int * Relation.t) list -> Plan.t -> Relation.t
 
 (**/**)
-
-(** Internal profiling counters: memo-lifetime tag (["V:"] volatile /
-    ["R:"] run / ["P:"] persistent) + operator prefix → evaluations and
-    output rows. The V: entries are what a fixpoint re-pays per round. *)
-val profile : (string, int * int * float) Hashtbl.t
-
-(** Record per-operator self-time in {!profile} (off by default: the
-    clock reads are measurable on fixpoint-heavy workloads). *)
-val profile_timing : bool ref

@@ -4,34 +4,6 @@ type outcome = {
   steps : string list;
 }
 
-let rec simplify_for_assessment (p : Plan.t) : Plan.t =
-  let s = simplify_for_assessment in
-  match p with
-  | Plan.Distinct q -> s q
-  | Plan.Row_num (_, q) -> s q
-  | Plan.Lit_table _ | Plan.Doc _ | Plan.Fix_ref _ -> p
-  | Plan.Project (cols, q) -> Plan.Project (cols, s q)
-  | Plan.Select (c, q) -> Plan.Select (c, s q)
-  | Plan.Join (pred, a, b) -> Plan.Join (pred, s a, s b)
-  | Plan.Cross (a, b) -> Plan.Cross (s a, s b)
-  | Plan.Union (a, b) -> Plan.Union (s a, s b)
-  | Plan.Difference (a, b) -> Plan.Difference (s a, s b)
-  | Plan.Aggr (agg, spec, q) -> Plan.Aggr (agg, spec, s q)
-  | Plan.Fun (prim, spec, q) -> Plan.Fun (prim, spec, s q)
-  | Plan.Tag (c, q) -> Plan.Tag (c, s q)
-  | Plan.Step (axis, test, col, q) -> Plan.Step (axis, test, col, s q)
-  | Plan.Id_join (a, b) -> Plan.Id_join (s a, s b)
-  | Plan.Construct (k, q) -> Plan.Construct (k, s q)
-  | Plan.Mu f -> Plan.Mu { f with seed = s f.seed; body = s f.body }
-  | Plan.Mu_delta f -> Plan.Mu_delta { f with seed = s f.seed; body = s f.body }
-  | Plan.Template (n, q) -> Plan.Template (n, s q)
-  | Plan.Iterate it ->
-    (* The shared map/source nodes must remain physically shared with
-       their occurrences inside it_result, so simplification keeps
-       Iterate nodes intact (δ/̺ inside stay — harmless, the big step
-       crosses the template as a whole). *)
-    Plan.Iterate it
-
 type state =
   | Clean  (** the subtree does not involve the recursion input *)
   | Carries of string list  (** ∪ pushed to the subtree root; crossed ops *)

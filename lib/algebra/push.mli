@@ -7,9 +7,9 @@
     Two refinements from the paper's prose are implemented:
 
     - {e simplification for assessment}: since distributivity disregards
-      duplicates and order (Definition 3.1), δ and ̺ operators may be
-      removed from the plan before checking
-      ({!simplify_for_assessment});
+      duplicates (Definition 3.1), {!check}'s [simplify] crosses δ
+      operators on the fly; a ̺ still blocks, because every ̺ in a plan
+      realizes a positional predicate;
     - {e big steps}: compiler-emitted {!Plan.Template} fragments are
       crossed in a single step (Figure 7(b)).
 
@@ -30,9 +30,5 @@ type outcome = {
     [(X∪Y) \ R = (X\R) ∪ (Y\R)] — the Section-6 refinement. *)
 val check :
   ?simplify:bool -> ?stratified:bool -> fix_id:int -> Plan.t -> outcome
-
-(** Strip δ and ̺ operators (legal for distributivity assessment
-    only). *)
-val simplify_for_assessment : Plan.t -> Plan.t
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -269,8 +269,6 @@ let append_col name c t =
 (* Row hashing infrastructure                                          *)
 (* ------------------------------------------------------------------ *)
 
-let row_key r = Array.to_list (Array.map Value.key r)
-
 (* Row-keyed hash table over boxed rows; the generic fallback identity
    for distinct/difference and the µ seen-set when a column isn't
    int-like. *)
@@ -786,11 +784,6 @@ let sort_idx cols_to_sort t =
   let idx = Array.init t.nrows (fun i -> i) in
   Array.sort (fun i j -> let o = cmp i j in if o <> 0 then o else Int.compare i j) idx;
   idx
-
-let sort_by names t =
-  batch t.nrows;
-  let cs = List.map (col t) names in
-  gather t (sort_idx cs t)
 
 let number ~order ~partition ~result t =
   batch t.nrows;

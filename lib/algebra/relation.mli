@@ -34,16 +34,12 @@ val cols : t -> col array
 (** Column by name; raises [Invalid_argument] for unknown columns. *)
 val col : t -> string -> col
 
-val col_length : col -> int
 val col_get : col -> int -> Value.t
 
-(** Cell hash/equality/order used by the batch kernels — aligned with
+(** Cell equality used by the batch kernels — aligned with
     {!Value.hash_cell}, {!Value.equal_key_cell} and {!Value.compare}
     (nodes by identity for hash/eq, document order for order). *)
-val col_hash : col -> int -> int
-
 val col_eq : col -> int -> col -> int -> bool
-val col_order : col -> int -> col -> int -> int
 
 (** Packed-int representation of int-like cells (ints, node ids,
     bools — 2 kind bits keep them distinct), or [None] for columns that
@@ -86,10 +82,6 @@ val select_bool : string -> t -> t
 
 (** Append a column vector (length must match). *)
 val append_col : string -> col -> t -> t
-
-(** Hashable identity of a row (cell-wise {!Value.key}) — what
-    {!distinct}/{!difference} compare by. *)
-val row_key : Value.t array -> Value.key list
 
 (** Hash table keyed by boxed rows under the same cell-wise equivalence
     as {!row_key} — the generic fallback seen-set for the µ/µ∆ loops. *)
@@ -145,5 +137,4 @@ val number :
 (** Append a column of unique integer tags. *)
 val tag : result:string -> t -> t
 
-val sort_by : string list -> t -> t
 val pp : Format.formatter -> t -> unit

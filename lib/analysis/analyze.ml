@@ -10,10 +10,6 @@ let divergence_string = function
   | Bounded -> "bounded"
   | May_diverge _ -> "may-diverge"
 
-let divergence_reason = function
-  | Terminates | Bounded -> None
-  | May_diverge r -> Some r
-
 type ifp_report = {
   index : int;
   var : string;
@@ -658,70 +654,71 @@ let count_ifps (p : program) =
 (* ------------------------------------------------------------------ *)
 (* IVM eligibility *)
 
-type ivm_class = Ivm_full | Ivm_insert_only | Ivm_ineligible of string
+type ivm_class = Ivm_eligible of string list | Ivm_ineligible of string
 
 let ivm_string = function
-  | Ivm_full -> "full"
-  | Ivm_insert_only -> "insert-only"
+  | Ivm_eligible _ -> "eligible"
   | Ivm_ineligible _ -> "ineligible"
 
-let ivm_reason = function
-  | Ivm_full | Ivm_insert_only -> None
-  | Ivm_ineligible r -> Some r
+(* The one grammar behind the untouched rule: expressions whose value
+   from a context node depends only on that node's subtree. The body
+   ([names] is [None]) reads only its variable and its own lets, through
+   any downward step: no doc(…), no global. The seed starts from one
+   doc("literal") and collects into [names] the names it tests, so that
+   its node set is fixed by them: a patch changes it only by inserting
+   or removing a node that carries one. For that, the step that selects
+   the seed's nodes tests a name ([Last_named]; the steps that lead to
+   it may be any downward step), and every step inside a predicate
+   does ([All_named]). Predicates compare attribute values with
+   literals or test that a path exists. *)
+type test_rule = Any_test | Last_named | All_named
 
-(* The maintenance grammar: expressions whose value from a context node
-   depends only on that node's subtree ("downward"). For such bodies the
-   producers whose output a patch can change are exactly the ancestors
-   of the edit point, which bounds the maintenance frontier (a seed on
-   the edit's spine still puts the whole query in it). Filters are
-   allowed only when insert-monotone — an
-   existing node's predicate can then flip false→true only by gaining
-   descendants, i.e. only on the ancestor spine the frontier already
-   re-feeds — and any filter at all downgrades eligibility to
-   insert-only, because deletions can un-derive filtered results. *)
-let downward_axis = function
-  | Axis.Child | Axis.Descendant | Axis.Descendant_or_self | Axis.Self
-  | Axis.Attribute ->
-    true
-  | _ -> false
+let ivm_grammar ~names ~uris =
+  let step rule { axis; test } =
+    (match axis with
+    | Axis.Child | Axis.Descendant | Axis.Descendant_or_self | Axis.Self
+    | Axis.Attribute ->
+      true
+    | _ -> false)
+    &&
+    match (test, names) with
+    | (Axis.Name nm, Some r) when not (String.contains nm '*') ->
+      if not (List.mem nm !r) then r := nm :: !r;
+      true
+    | _ -> rule = Any_test
+  in
+  let pred_rule = if names = None then Any_test else All_named in
+  let rec down rule ~env = function
+    | Var v -> List.mem v env
+    | Empty_seq | Context_item -> names = None
+    | Call ("doc", [ Literal (Fixq_xdm.Atom.Str u) ]) when names <> None ->
+      if not (List.mem u !uris) then uris := u :: !uris;
+      true
+    | Axis_step s -> step rule s
+    | Path (a, b) ->
+      down (if rule = Last_named then Any_test else rule) ~env a
+      && down rule ~env b
+    | Sequence (a, b) | Union (a, b) | Intersect (a, b) ->
+      down rule ~env a && down rule ~env b
+    | Let { var; value; body } when names = None ->
+      down rule ~env value && down rule ~env:(var :: env) body
+    | Filter (a, p) -> down rule ~env a && pred ~env p
+    | _ -> false
+  and pred ~env = function
+    | And (a, b) | Or (a, b) -> pred ~env a && pred ~env b
+    | Gen_cmp (_, a, b) | Val_cmp (_, a, b) -> operand ~env a && operand ~env b
+    | e -> down pred_rule ~env e
+  (* Operands a patch cannot change at an existing node: literals, and
+     downward paths ending in an attribute step. *)
+  and operand ~env = function
+    | Literal _ -> true
+    | Axis_step ({ axis = Axis.Attribute; _ } as s) -> step pred_rule s
+    | Path (a, b) -> down pred_rule ~env a && operand ~env b
+    | _ -> false
+  in
+  down
 
-let rec downward_check ~env ~filtered e =
-  match e with
-  | Var v -> List.mem v env
-  | Empty_seq | Context_item -> true
-  | Axis_step { axis; _ } -> downward_axis axis
-  | Path (a, b) | Sequence (a, b) | Union (a, b) | Intersect (a, b) ->
-    downward_check ~env ~filtered a && downward_check ~env ~filtered b
-  | Let { var; value; body } ->
-    downward_check ~env ~filtered value
-    && downward_check ~env:(var :: env) ~filtered body
-  | Call ("doc", [ Literal _ ]) -> true
-  | Filter (a, p) ->
-    filtered := true;
-    downward_check ~env ~filtered a && monotone_pred ~env ~filtered p
-  | _ -> false
-
-and monotone_pred ~env ~filtered e =
-  match e with
-  | And (a, b) | Or (a, b) ->
-    monotone_pred ~env ~filtered a && monotone_pred ~env ~filtered b
-  | Gen_cmp (_, a, b) | Val_cmp (_, a, b) ->
-    stable_operand ~env ~filtered a && stable_operand ~env ~filtered b
-  | e -> downward_check ~env ~filtered e
-
-(* Comparison operands whose value at an existing node a patch cannot
-   change: literals, and downward paths ending in an attribute step
-   (attribute values never change under subtree edits; only node
-   insertion/removal does, which the frontier covers). *)
-and stable_operand ~env ~filtered e =
-  match e with
-  | Literal _ -> true
-  | Axis_step { axis = Axis.Attribute; _ } -> true
-  | Path (a, b) ->
-    downward_check ~env ~filtered a && stable_operand ~env ~filtered b
-  | _ -> false
-
-let ivm_eligibility ?(stratified = false) (p : program) : ivm_class =
+let ivm_eligibility (p : program) : ivm_class =
   if count_ifps p <> 1 then
     Ivm_ineligible "the program must be a single top-level fixed point"
   else
@@ -731,37 +728,18 @@ let ivm_eligibility ?(stratified = false) (p : program) : ivm_class =
         "annotated fixpoints are not maintained: a patch can change \
          annotations without changing the node set"
     | Ifp { var; seed; body; accum = None } ->
-      if classify ~var ~seed ~body () <> Terminates then
-        Ivm_ineligible "seed/body are not provably node-only"
-      else if
-        not
-          (Lang.Distributivity.check
-             ~functions:(program_functions p) ~stratified var body)
-      then Ivm_ineligible "recursion body is not syntactically distributive"
-      else begin
-        (* Globals extend the environment only when filter-free
-           downward themselves (they are re-evaluated against the
-           patched document by the maintenance engine). *)
-        let env0 =
-          List.fold_left
-            (fun env (v, e) ->
-              let f = ref false in
-              if downward_check ~env ~filtered:f e && not !f then v :: env
-              else env)
-            [] p.variables
-        in
-        let bf = ref false in
-        let sf = ref false in
-        if not (downward_check ~env:(var :: env0) ~filtered:bf body) then
-          Ivm_ineligible
-            "recursion body falls outside the downward maintenance grammar \
-             (child/descendant/self/attribute steps, union/intersect, \
-             insert-monotone predicates)"
-        else if not (downward_check ~env:env0 ~filtered:sf seed) then
-          Ivm_ineligible "seed falls outside the downward maintenance grammar"
-        else if !bf || !sf then Ivm_insert_only
-        else Ivm_full
-      end
+      let names = ref [] and uris = ref [] in
+      if not (ivm_grammar ~names:(Some names) ~uris Last_named ~env:[] seed
+              && List.length !uris = 1)
+      then
+        Ivm_ineligible
+          "the seed is not downward steps under one doc(\"…\") that end \
+           in a name test, with named predicates"
+      else if not (ivm_grammar ~names:None ~uris Any_test ~env:[ var ] body) then
+        Ivm_ineligible
+          "the recursion body reads outside its variable and its own lets, \
+           or leaves the downward grammar"
+      else Ivm_eligible !names
     | _ -> Ivm_ineligible "the fixed point is not the main expression"
 
 let apply_hints (p : program) (a : t) =

@@ -23,8 +23,6 @@ type divergence = Terminates | Bounded | May_diverge of string
 
 val divergence_string : divergence -> string
 
-val divergence_reason : divergence -> string option
-
 (** Per-IFP analysis. [blame] is present iff [syntactic] is [false];
     [hint_repairable] says {!Lang.Rewrite.distributivity_hint} applied
     to [body] would satisfy Figure 5 (no constructor, no positional
@@ -105,33 +103,30 @@ val push_block_diag :
 val with_push :
   ?spans:Lang.Parser.Spans.t -> t -> Push.outcome option -> Diag.t list
 
-(** Incremental-view-maintenance eligibility of a prepared program.
+(** Incremental-view-maintenance eligibility of a program: the one
+    grammar behind the untouched rule (DESIGN.md "The untouched rule").
 
-    - [Ivm_full]: single top-level fixed point, node-only, syntactically
-      distributive, and both seed and body stay in the {e filter-free
-      downward grammar} (child / descendant / descendant-or-self / self
-      / attribute steps, union, intersect, sequence, [let], variables,
-      [doc("…")] literals). Such results can be maintained under
-      insertions {e and} deletions: downward bodies derive only within
-      the producer's subtree, so deleting a subtree deletes every result
-      it supported and nothing else.
-    - [Ivm_insert_only]: as above but with filters, each restricted to
-      insert-monotone predicates (downward existence paths, [and]/[or],
-      comparisons whose operands are literals or attribute-ended
-      downward paths). Insertions are maintainable — a predicate on an
-      existing node can only flip on the re-fed ancestor spine — but
-      deletions may un-derive results, so they fall back to recompute.
-    - [Ivm_ineligible reason]: everything else; the cache entry is
-      dropped on any patch to a footprint document. *)
-type ivm_class = Ivm_full | Ivm_insert_only | Ivm_ineligible of string
+    - [Ivm_eligible names]: the main expression is the program's only
+      fixed point, unannotated; its seed is child / descendant /
+      descendant-or-self / self / attribute steps under one
+      [doc("literal")], the step that selects its nodes a name test,
+      with predicates whose steps all test names and that compare
+      attribute values with literals or test that a path exists; and
+      its body reads only its variable and its own [let]s through
+      downward steps, [union], [intersect], sequences and the same
+      kinds of predicate.
+      [names] are the element and attribute names the seed tests: its
+      node set changes only when a patch inserts or removes a node that
+      carries one.
+    - [Ivm_ineligible reason]: everything else, a [doc(…)] or global
+      read in the body included. The cached entry keeps no IVM state,
+      and a patch to a document it read makes the next run miss. *)
+type ivm_class = Ivm_eligible of string list | Ivm_ineligible of string
 
-val ivm_eligibility : ?stratified:bool -> Lang.Ast.program -> ivm_class
+val ivm_eligibility : Lang.Ast.program -> ivm_class
 
-(** ["full" | "insert-only" | "ineligible"] — the [check] op's [ivm]
-    field. *)
+(** ["eligible" | "ineligible"] — the [check] op's [ivm] field. *)
 val ivm_string : ivm_class -> string
-
-val ivm_reason : ivm_class -> string option
 
 (** Apply {!Lang.Rewrite.distributivity_hint} to every
     [hint_repairable] IFP of the report; returns the rewritten program

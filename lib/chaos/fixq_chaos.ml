@@ -241,14 +241,6 @@ let configure spec =
     Mutex.unlock mutex;
     Ok ()
 
-let from_env () =
-  (match Sys.getenv_opt "FIXQ_CHAOS_LOG" with
-   | Some p when p <> "" -> set_log (Some p)
-   | _ -> ());
-  match Sys.getenv_opt "FIXQ_CHAOS" with
-  | Some spec when String.trim spec <> "" -> configure spec
-  | _ -> Ok ()
-
 type point = string
 
 let point name =

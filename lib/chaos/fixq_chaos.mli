@@ -38,10 +38,6 @@ val configure : string -> (unit, string) result
     schedule. [Error msg] on malformed specs; the registry is left
     untouched on error. The empty string deactivates (like {!reset}). *)
 
-val from_env : unit -> (unit, string) result
-(** Configure from [FIXQ_CHAOS] (if set and non-empty) and direct the event
-    log to [FIXQ_CHAOS_LOG] (if set). [Ok ()] when the variable is unset. *)
-
 val set_log : string option -> unit
 (** Append fired events to this file ([O_APPEND], one atomic write per
     event, so entries survive a subsequent SIGKILL). [None] disables. *)

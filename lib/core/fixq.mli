@@ -111,10 +111,6 @@ val run_program :
   Lang.Ast.program ->
   report
 
-(** The recursion variable and body of the first IFP in the program
-    (document order, main expression before function bodies). *)
-val first_ifp : Lang.Ast.program -> (string * Lang.Ast.expr) option
-
 (** Number of [with … seeded by … recurse] sites in the whole program.
     The prepared-query layer pins a fixpoint algorithm at preparation
     time only for single-IFP programs; anything else keeps the per-site

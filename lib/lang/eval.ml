@@ -1046,30 +1046,42 @@ and weight_fn fr (we : code) n =
   | [] -> err "accumulate by: the weight expression yielded ()"
   | _ -> err "accumulate by: the weight expression is not a singleton"
 
-(* [accumulate by …]: route the fixpoint through the semiring kernel.
-   [bool] runs the batch kernel with the same naive/delta choice as the
-   legacy loop (byte-identical results and round statistics); the other
-   kinds feed the body one frontier node at a time so each produced
-   node's annotation extends its source's via ⊗, re-feeding only strict
-   improvements. *)
+(* [accumulate by …]. [bool] is the plain loop, [Fixpoint.naive] or
+   [Fixpoint.delta] as the licence says, with every result node marked;
+   the other kinds run the semiring kernel, which feeds the body one
+   frontier node at a time so each produced node's annotation extends
+   its source's via ⊗, re-feeding only strict improvements. *)
 and run_semiring t (a : Ast.accum) ~use_delta ~body_fn ~weight seed_v =
-  let kind = a.kind in
-  let record ~fed ~produced ~result_size =
-    Stats.record_iteration t.stats ~fed ~produced ~result_size
-  in
-  Stats.start_run t.stats;
-  let acc =
-    match
-      Kernel.run ~max_iterations:t.max_iterations ~kind ~use_delta ~record ~body:body_fn
-        ~step:(fun n -> body_fn [ Item.N n ])
-        ~weight ~seed:seed_v ()
-    with
-    | acc -> acc
-    | exception Kernel.Diverged i -> raise (Fixpoint.Diverged i)
-  in
-  t.last_ifp_used_delta <- Some (kind <> Semiring.Bool || use_delta);
-  t.last_annotations <- Some (kind, Kernel.Annot_acc.entries acc);
-  Kernel.Annot_acc.to_seq acc
+  match a.kind with
+  | Semiring.Bool ->
+    let loop = if use_delta then Fixpoint.delta else Fixpoint.naive in
+    let result = loop ~max_iterations:t.max_iterations ~stats:t.stats ~body:body_fn ~seed:seed_v () in
+    t.last_ifp_used_delta <- Some use_delta;
+    t.last_annotations <-
+      Some
+        ( Semiring.Bool,
+          (* the loop's accumulator admits nodes only *)
+          List.filter_map
+            (function Item.N n -> Some (n, Semiring.Mark) | Item.A _ -> None)
+            result );
+    result
+  | kind ->
+    let record ~fed ~produced ~result_size =
+      Stats.record_iteration t.stats ~fed ~produced ~result_size
+    in
+    Stats.start_run t.stats;
+    let acc =
+      match
+        Kernel.run_annotated ~max_iterations:t.max_iterations ~kind ~record
+          ~step:(fun n -> body_fn [ Item.N n ])
+          ~weight ~seed:seed_v ()
+      with
+      | acc -> acc
+      | exception Kernel.Diverged i -> raise (Fixpoint.Diverged i)
+    in
+    t.last_ifp_used_delta <- Some true;
+    t.last_annotations <- Some (kind, Kernel.Annot_acc.entries acc);
+    Kernel.Annot_acc.to_seq acc
 
 (* ------------------------------------------------------------------ *)
 (* Program interface                                                   *)

@@ -8,7 +8,9 @@
 
     The kernel is closure-parameterized (per-node body application,
     weight lookup, stats recording) so it depends only on [fixq_xdm];
-    the interpreter and the algebra engine's fallback both drive it. *)
+    the interpreter and the algebra engine's fallback both drive it.
+    [accumulate by bool] does not come here: it is the plain loop
+    ({!Fixq_lang.Fixpoint}) with every result node marked. *)
 
 module Item = Fixq_xdm.Item
 module Node = Fixq_xdm.Node
@@ -90,43 +92,6 @@ let node_of ~who = function
       (Atom.to_string a)
 
 (* ------------------------------------------------------------------ *)
-(* Boolean kernel: the paper's loops over an annotated accumulator      *)
-(* ------------------------------------------------------------------ *)
-
-(* [accumulate by bool] is today's IFP run through the semiring
-   machinery: Mark annotations, batch feeding, and the same
-   naive-vs-delta choice the legacy loop makes — so results (and the
-   recorded round statistics) are byte-identical to [Fixpoint.naive]/
-   [Fixpoint.delta] by construction. *)
-let run_bool ?(max_iterations = default_max) ~use_delta ~record ~body ~seed ()
-    =
-  let acc = Annot_acc.create Semiring.Bool in
-  let absorb items =
-    let n0 = Annot_acc.size acc in
-    let fresh =
-      Annot_acc.absorb acc
-        (List.map (fun it -> (node_of ~who:"accumulate" it, Semiring.Mark)) items)
-    in
-    (List.map (fun (n, _) -> Item.N n) fresh, Annot_acc.size acc - n0)
-  in
-  let seed_n = List.length seed in
-  let first = body seed in
-  let first_n = List.length first in
-  let (fresh, _) = absorb first in
-  record ~fed:seed_n ~produced:first_n ~result_size:(Annot_acc.size acc);
-  let rec loop fresh i =
-    if i > max_iterations then raise (Diverged i);
-    let input = if use_delta then fresh else Annot_acc.to_seq acc in
-    let fed = List.length input in
-    let out = body input in
-    let out_n = List.length out in
-    let (fresh, fresh_n) = absorb out in
-    record ~fed ~produced:out_n ~result_size:(Annot_acc.size acc);
-    if fresh_n = 0 then acc else loop fresh (i + 1)
-  in
-  loop fresh 1
-
-(* ------------------------------------------------------------------ *)
 (* Annotated kernel: per-node feeding with ⊕-merge and ∆-refeed         *)
 (* ------------------------------------------------------------------ *)
 
@@ -170,11 +135,3 @@ let run_annotated ?(max_iterations = default_max) ~kind ~record ~step ~weight
     if fresh = [] then acc else loop fresh (i + 1)
   in
   loop frontier 1
-
-(* Dispatch on the kind: [Bool] batches (legacy parity), the rest run
-   the per-node annotated loop. *)
-let run ?max_iterations ~kind ~use_delta ~record ~body ~step ~weight ~seed ()
-    =
-  match kind with
-  | Semiring.Bool -> run_bool ?max_iterations ~use_delta ~record ~body ~seed ()
-  | _ -> run_annotated ?max_iterations ~kind ~record ~step ~weight ~seed ()

@@ -33,10 +33,6 @@ type snapshot = {
 (** Aggregates sorted most-executed first, copied under the lock. *)
 val snapshots : t -> snapshot list
 
-(** Escape a string for use as a Prometheus label value (backslash,
-    double quote, newline). *)
-val escape_label : string -> string
-
 (** The Prometheus text-exposition writer every [stats] exposition
     uses. [family buf kind name samples] appends one [# TYPE] header and
     one line per [(labels, value)] sample; [labels] is the text inside

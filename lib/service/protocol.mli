@@ -39,10 +39,10 @@
       [A] is ["insert"] (with ["xml"], optional ["position"]:
       "into"|"into-first"|"into-last"|"before"|"after", default
       into-last), ["delete"], ["replace"] (with ["xml"]), or
-      ["set-text"] (with ["text"]). Eligible cached fixpoint results
-      are maintained differentially instead of recomputed (see
-      {!Fixq_ivm.Ivm}); the response reports ∆ sizes and per-entry
-      maintenance outcomes.
+      ["set-text"] (with ["text"]). An eligible cached fixpoint result
+      the edit cannot reach stays cached, and every other one over the
+      document is dropped (see {!Fixq_ivm.Ivm}); the response reports
+      ∆ sizes and each entry's outcome, [untouched] or [recompute].
     - [{"op":"snapshot"}] — force a durability snapshot (when the server
       runs with [--state-dir]); the cluster coordinator instead compacts
       its per-worker doc-line histories.

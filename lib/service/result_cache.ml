@@ -1,7 +1,5 @@
 type key = { hash : string; config : string }
 
-type maintenance = { patches : int; delta : int; maintenance_rounds : int }
-
 type entry = {
   escaped : string;
   engine : string;
@@ -9,7 +7,6 @@ type entry = {
   used_delta : bool option;
   nodes_fed : int;
   depth : int;
-  rounds : int;
   wall_ms : float;
   footprint : (string * int) list;
   semiring : string option;
@@ -17,7 +14,6 @@ type entry = {
   may_diverge : bool;
   over_envelope : bool;
   ivm : Fixq_ivm.Ivm.state option;
-  maintenance : maintenance option;
 }
 
 type t = (key, entry) Lru.t
@@ -29,7 +25,7 @@ let key ~query ~engine ~mode ~stratified =
 let fresh ~current entry =
   List.for_all (fun (uri, gen) -> current uri = gen) entry.footprint
 
-let within ~max_iterations entry = entry.rounds <= max_iterations
+let within ~max_iterations entry = entry.depth <= max_iterations
 
 let create ?(capacity = 256) () : t = Lru.create ~capacity ()
 

@@ -21,8 +21,8 @@
     reported and a server can tell when admission must run first.
 
     This is the only store of cached-result state: an entry whose query
-    is IVM-eligible also carries its maintenance state
-    ({!Fixq_ivm.Ivm.state}), so eviction drops the bytes and the state
+    is IVM-eligible also carries its {!Fixq_ivm.Ivm.state}, so eviction
+    drops the bytes and the state
     together, and [patch-doc] and snapshots read the state from the
     live entries. *)
 
@@ -31,12 +31,6 @@ type key = {
   config : string;
       (** requested [engine:mode:stratified], e.g. ["interp:pinned:false"] *)
 }
-
-(** What [patch-doc] did to an entry since the run that adopted it:
-    the patches that maintained it, the ∆ nodes they fed and the rounds
-    they ran. The entry's [nodes_fed] and [depth] stay the adopting
-    run's. *)
-type maintenance = { patches : int; delta : int; maintenance_rounds : int }
 
 type entry = {
   escaped : string;
@@ -49,9 +43,8 @@ type entry = {
   used_delta : bool option;
   nodes_fed : int;
   depth : int;
-  rounds : int;
       (** most rounds any fixpoint site needed: a fresh run capped at
-          [rounds] iterations cannot diverge, so the answer serves any
+          [depth] iterations cannot diverge, so the answer serves any
           request whose [max_iterations] is at least this *)
   wall_ms : float;  (** cost of the original execution *)
   footprint : (string * int) list;
@@ -69,10 +62,8 @@ type entry = {
           unbudgeted request is refused (FQ055), a budgeted one
           down-budgeted *)
   ivm : Fixq_ivm.Ivm.state option;
-      (** the state [patch-doc] maintains [escaped] through, for an
-          IVM-eligible fixpoint *)
-  maintenance : maintenance option;
-      (** [None] until a patch maintains the entry *)
+      (** what [patch-doc] reads to keep [escaped] across an edit that
+          cannot reach it, for an IVM-eligible fixpoint *)
 }
 
 type t
@@ -85,12 +76,12 @@ val key : query:string -> engine:string -> mode:string -> stratified:bool -> key
 (** [find t key ~current ~max_iterations] — [current uri] must return
     the live per-doc generation. A footprint mismatch evicts the entry
     and counts a miss. An entry needing more than [max_iterations]
-    rounds stays cached but answers [None] and counts a miss: a fresh
+    rounds (its [depth]) stays cached but answers [None] and counts a miss: a fresh
     run under that cap may diverge, so the request must recompute. *)
 val find :
   t -> key -> current:(string -> int) -> max_iterations:int -> entry option
 
-(** [within ~max_iterations e] — [e]'s rounds fit under the cap. *)
+(** [within ~max_iterations e] — [e]'s depth fits under the cap. *)
 val within : max_iterations:int -> entry -> bool
 
 val put : t -> key -> entry -> unit

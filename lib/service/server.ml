@@ -23,10 +23,8 @@ let default_config =
 
 (* What [patch-doc] did to one query's entries, over all patches. *)
 type ivm_counters = {
-  mutable maintained : int;  (** untouched entries included *)
+  mutable untouched : int;  (** kept as they were *)
   mutable fallback : int;  (** dropped for a recompute *)
-  mutable delta_nodes : int;
-  mutable untouched : int;
 }
 
 type t = {
@@ -131,23 +129,6 @@ let engine_string = function
   | `Algebra -> "algebra"
   | `Sql -> "sql"
 
-(* A maintained entry's hit reports what its maintenance did beside the
-   adopting run's [nodes_fed] and [depth]. *)
-let maintenance_json (m : Result_cache.maintenance) =
-  Json.Obj
-    [ ("patches", Json.of_int m.Result_cache.patches);
-      ("delta", Json.of_int m.Result_cache.delta);
-      ("rounds", Json.of_int m.Result_cache.maintenance_rounds) ]
-
-let maintenance_of_json = function
-  | Json.Obj _ as j -> (
-    let int name = Json.int_opt (Json.member name j) in
-    match (int "patches", int "delta", int "rounds") with
-    | (Some patches, Some delta, Some maintenance_rounds) ->
-      Some { Result_cache.patches; delta; maintenance_rounds }
-    | _ -> None)
-  | _ -> None
-
 (* A run looks its result up first, keyed by the text and the requested
    options, so a valid cached answer that admission cannot change skips
    preparing altogether. Everything else prepares, passes admission
@@ -210,9 +191,6 @@ let handle_run t ~out ~id
           ("generation", Json.of_int generation);
           ("nodes_fed", Json.of_int entry.Result_cache.nodes_fed);
           ("depth", Json.of_int entry.Result_cache.depth) ]
-      @ (match entry.Result_cache.maintenance with
-        | Some m -> [ ("maintenance", maintenance_json m) ]
-        | None -> [])
       @ [ ("result",
             Option.value result ~default:(Json.Raw entry.Result_cache.escaped)) ]
       @ cost_extra @ annotated @ extra
@@ -355,23 +333,23 @@ let handle_run t ~out ~id
         engine = engine_str; mode = mode_string run_mode;
         used_delta = report.Fixq.used_delta;
         nodes_fed = report.Fixq.nodes_fed; depth = report.Fixq.depth;
-        rounds = report.Fixq.depth; wall_ms = report.Fixq.wall_ms;
+        wall_ms = report.Fixq.wall_ms;
         footprint; semiring = report.Fixq.semiring;
         annotations = report.Fixq.annotations;
         may_diverge = may_diverge <> None;
-        over_envelope = over_envelope <> None; ivm = None; maintenance = None }
+        over_envelope = over_envelope <> None; ivm = None }
     in
     (* Cache only when no document changed under the evaluation: a
        concurrent load-doc would make this entry's footprint stamps a
        lie. Eligible fixpoints carry their IVM state, so a later
-       patch-doc can update the cached bytes differentially. *)
+       patch-doc can keep the cached bytes when the edit cannot reach
+       them. *)
     if keep then
       Result_cache.put t.results rkey
         { entry with
           Result_cache.ivm =
             Ivm.adopt ~registry:(Store.registry t.store) ~source:query
-              ~program:prepared.Prepared.program ~stratified ~max_iterations
-              report.Fixq.result };
+              ~program:prepared.Prepared.program ~stratified ~max_iterations };
     Metrics.record t.metrics ~key:prepared.Prepared.hash
       ~label:(preview query) ~ms:report.Fixq.wall_ms;
     respond ~prepared_status ~result_status:"miss" ~cost_extra
@@ -441,7 +419,7 @@ let handle_check t ~id query stratified =
       ("ivm",
        Json.Str
          (Analyze.ivm_string
-            (Analyze.ivm_eligibility ~stratified p.Prepared.program)));
+            (Analyze.ivm_eligibility p.Prepared.program)));
       ("blocking",
        (match p.Prepared.push with
        | Some { Fixq_algebra.Push.blocking = Some b; _ } -> Json.Str b
@@ -531,15 +509,15 @@ let handle_explain t ~id query stratified =
       ("text", Json.Str (E.to_text c)) ]
 
 (* Whether a result-cache entry carries IVM state over [uri]. *)
-let maintained_over uri e =
+let ivm_over uri e =
   e.Result_cache.ivm <> None && List.mem_assoc uri e.Result_cache.footprint
 
-(* A wholesale replacement or an unload leaves nothing to maintain an
-   entry through — only patch-doc preserves node identity — so entries
-   over [uri] lose their IVM state, and with it their hold on the old
-   tree. Their bytes stay until a lookup finds the footprint stale. *)
-let drop_maintenance t uri =
-  Result_cache.sweep t.results ~p:(maintained_over uri) (fun _ e ->
+(* A wholesale replacement or an unload leaves no edit to judge an entry
+   by — only patch-doc preserves node identity — so entries over [uri]
+   lose their IVM state, and with it their hold on the old tree. Their
+   bytes stay until a lookup finds the footprint stale. *)
+let drop_ivm t uri =
+  Result_cache.sweep t.results ~p:(ivm_over uri) (fun _ e ->
       Lru.Set { e with Result_cache.ivm = None })
 
 let handle_load_doc t ~id uri (source : Protocol.doc_source) =
@@ -554,31 +532,30 @@ let handle_load_doc t ~id uri (source : Protocol.doc_source) =
         match kind with "xmark" -> 0.002 | "hospital" -> 1000.0 | _ -> 100.0)
     in
     Store.load_generated t.store ~uri ~kind ~size ~seed);
-  drop_maintenance t uri;
+  drop_ivm t uri;
   Protocol.ok_response ~id
     [ ("uri", Json.Str uri);
       ("generation", Json.of_int (Store.generation t.store)) ]
 
 let handle_unload_doc t ~id uri =
   Store.unload t.store uri;
-  drop_maintenance t uri;
+  drop_ivm t uri;
   Protocol.ok_response ~id
     [ ("uri", Json.Str uri);
       ("generation", Json.of_int (Store.generation t.store)) ]
 
 (* One sweep over the live entries: each one carrying IVM state over
-   [uri] is left untouched, maintained in place or, when maintenance
-   falls back, dropped so the next run recomputes. *)
+   [uri] is left untouched or, when the edit may reach it, dropped so
+   the next run recomputes. *)
 let handle_patch_doc t ~id uri op =
   let t0 = Unix.gettimeofday () in
   let delta = Store.patch t.store ~uri op in
-  let registry = Store.registry t.store in
   let generation = Store.doc_generation t.store uri in
   let counters hash =
     match Hashtbl.find_opt t.ivm_counters hash with
     | Some c -> c
     | None ->
-      let c = { maintained = 0; fallback = 0; delta_nodes = 0; untouched = 0 } in
+      let c = { untouched = 0; fallback = 0 } in
       Hashtbl.replace t.ivm_counters hash c;
       c
   in
@@ -588,10 +565,10 @@ let handle_patch_doc t ~id uri op =
   let restamp footprint =
     List.map (fun (u, g) -> (u, if u = uri then generation else g)) footprint
   in
-  let maintained = ref 0 in
+  let kept = ref 0 in
   let dropped = ref 0 in
   let rows = ref [] in
-  Result_cache.sweep t.results ~p:(maintained_over uri)
+  Result_cache.sweep t.results ~p:(ivm_over uri)
     (fun key (e : Result_cache.entry) ->
       let row fields =
         rows :=
@@ -602,43 +579,20 @@ let handle_patch_doc t ~id uri op =
           :: !rows
       in
       let c = counters key.Result_cache.hash in
-      match Ivm.maintain ~registry ~op delta (Option.get e.Result_cache.ivm) with
-      | Ivm.Untouched ->
-        incr maintained;
-        c.maintained <- c.maintained + 1;
+      if Ivm.untouched (Option.get e.Result_cache.ivm) delta then begin
+        incr kept;
         c.untouched <- c.untouched + 1;
         row [ ("outcome", Json.Str "untouched") ];
         Lru.Set { e with Result_cache.footprint = restamp e.Result_cache.footprint }
-      | Ivm.Maintained { state; escaped; delta_count; rounds } ->
-        incr maintained;
-        c.maintained <- c.maintained + 1;
-        c.delta_nodes <- c.delta_nodes + delta_count;
-        row
-          [ ("outcome", Json.Str "maintained"); ("delta", Json.of_int delta_count);
-            ("rounds", Json.of_int rounds) ];
-        (* A fresh run over the patched document is at most the
-           maintenance's rounds deeper: every new derivation starts
-           from a node the old run reached or from a fresh seed node. *)
-        let m =
-          Option.value e.Result_cache.maintenance
-            ~default:{ Result_cache.patches = 0; delta = 0; maintenance_rounds = 0 }
-        in
-        Lru.Set
-          { e with
-            Result_cache.escaped;
-            maintenance =
-              Some
-                { Result_cache.patches = m.patches + 1;
-                  delta = m.delta + delta_count;
-                  maintenance_rounds = m.maintenance_rounds + rounds };
-            rounds = e.Result_cache.rounds + rounds;
-            footprint = restamp e.Result_cache.footprint;
-            ivm = Some state }
-      | Ivm.Dropped reason ->
+      end
+      else begin
         incr dropped;
         c.fallback <- c.fallback + 1;
-        row [ ("outcome", Json.Str "recompute"); ("reason", Json.Str reason) ];
-        Lru.Remove);
+        row
+          [ ("outcome", Json.Str "recompute");
+            ("reason", Json.Str "the edit can reach the seed or its closure") ];
+        Lru.Remove
+      end);
   let entry_rows = List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) !rows) in
   Protocol.ok_response ~id
     [ ("uri", Json.Str uri);
@@ -647,7 +601,7 @@ let handle_patch_doc t ~id uri op =
       ("doc_generation", Json.of_int generation);
       ("inserted", Json.of_int delta.Xdm.Patch.inserted_count);
       ("deleted", Json.of_int (List.length delta.Xdm.Patch.deleted));
-      ("maintained", Json.of_int !maintained);
+      ("maintained", Json.of_int !kept);
       ("recompute", Json.of_int !dropped);
       ("entries", Json.List entry_rows);
       ("wall_ms", Json.Num ((Unix.gettimeofday () -. t0) *. 1000.0)) ]
@@ -709,42 +663,20 @@ let logged t op f =
   | None -> f ()
   | Some d -> Durability.with_op d op f
 
-(* What a snapshot needs to revive a maintained entry: the query source
-   (to re-prepare) and the result as portable (uri, preorder rank) node
-   identities, to rebuild the item sequence against the reloaded trees.
-   The ranks are read from the state's nodes at snapshot time, since a
-   patch renumbers the tree it edits. [None] when a result node belongs
-   to no registered document. *)
+(* What a snapshot needs to adopt an entry again: the query source (to
+   re-prepare), its stratified flag and iteration cap. *)
 let ivm_row st =
-  let rec items acc = function
-    | [] -> Some (List.rev acc)
-    | n :: rest -> (
-      let root = Xdm.Node.root n in
-      match Xdm.Node.uri root with
-      | Some u ->
-        items
-          (Json.Obj
-             [ ("u", Json.Str u);
-               ("r", Json.of_int (n.Xdm.Node.id - root.Xdm.Node.id)) ]
-          :: acc)
-          rest
-      | None -> None)
-  in
-  Option.map
-    (fun items ->
-      Json.Obj
-        [ ("source", Json.Str (Ivm.source st));
-          ("stratified", Json.Bool (Ivm.stratified st));
-          ("max_iterations", Json.of_int (Ivm.max_iterations st));
-          ("items", Json.List items) ])
-    (items [] (Ivm.nodes st))
+  Json.Obj
+    [ ("source", Json.Str (Ivm.source st));
+      ("stratified", Json.Bool (Ivm.stratified st));
+      ("max_iterations", Json.of_int (Ivm.max_iterations st)) ]
 
 (* The snapshot's view of the server, evaluated under the durability op
    lock so no document op is in flight: documents (in construction
    order — node ids grow monotonically, so sorting roots by id replays
    registrations in a compatible order), every per-URI generation
-   stamp, and the live result-cache rows (with IVM revival info read
-   from each entry's current state). *)
+   stamp, and the live result-cache rows (with what re-adopting each
+   IVM entry needs). *)
 let snapshot_state t () =
   let reg = Store.registry t.store in
   let docs =
@@ -766,13 +698,9 @@ let snapshot_state t () =
     List.rev_map
       (fun ((key : Result_cache.key), (e : Result_cache.entry)) ->
         let ivm_field =
-          (match Option.bind e.Result_cache.ivm ivm_row with
+          match e.Result_cache.ivm with
           | None -> []
-          | Some row -> [ ("ivm", row) ])
-          @
-          match e.Result_cache.maintenance with
-          | None -> []
-          | Some m -> [ ("maintenance", maintenance_json m) ]
+          | Some st -> [ ("ivm", ivm_row st) ]
         in
         Json.Obj
           ([ ("t", Json.Str "cache");
@@ -784,7 +712,6 @@ let snapshot_state t () =
              ("used_delta", Json.of_bool_opt e.Result_cache.used_delta);
              ("nodes_fed", Json.of_int e.Result_cache.nodes_fed);
              ("depth", Json.of_int e.Result_cache.depth);
-             ("rounds", Json.of_int e.Result_cache.rounds);
              ("may_diverge", Json.Bool e.Result_cache.may_diverge);
              ("over_envelope", Json.Bool e.Result_cache.over_envelope);
              ("wall_ms", Json.Num e.Result_cache.wall_ms);
@@ -832,66 +759,27 @@ let maybe_snapshot t =
 (* Recovery                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Invert the preorder rank: nodes of [root] as an array indexed by
-   rank (preorder, attributes after their element). *)
-let nodes_by_rank root =
-  let acc = ref [] in
-  let rec walk n =
-    acc := n :: !acc;
-    List.iter walk (Xdm.Node.attributes n);
-    List.iter walk (Xdm.Node.children n)
-  in
-  walk root;
-  Array.of_list (List.rev !acc)
-
-(* Best-effort revival of one maintained entry's IVM state: rebuild the
-   item sequence from (uri, rank) identities against the reloaded trees,
-   re-prepare the source and re-adopt. The snapshot is outside input
-   (and older servers wrote rows whose ranks went stale after a patch),
-   so the rebuilt nodes must serialize to the row's cached bytes
-   (compared escaped: escaping is injective, so no weaker a check). Any
-   mismatch (document gone, rank out of range, other bytes, program no
-   longer eligible) degrades to "cached result without maintenance" —
-   correct, just slower on the next patch. *)
-let revive_ivm t ~escaped iv =
+(* Re-adopt one entry's IVM state by evaluating its seed against the
+   recovered documents. Only an entry whose footprint matches them is
+   re-adopted: its bytes are then what a run over those documents
+   answers, so the seed read now is the seed they came from. Rows that
+   servers before this one wrote carry result ranks ("items") and a
+   "maintenance" record as well; neither is read. Anything missing,
+   stale or no longer eligible leaves a cached result without IVM
+   state — correct, only recomputed after the next patch. *)
+let revive_ivm t ~footprint iv =
   match
     ( Json.str_opt (Json.member "source" iv),
       Json.bool_opt (Json.member "stratified" iv),
-      Json.int_opt (Json.member "max_iterations" iv),
-      Json.member "items" iv )
+      Json.int_opt (Json.member "max_iterations" iv) )
   with
-  | (Some source, Some stratified, Some max_iterations, Json.List rows) ->
-    let registry = Store.registry t.store in
-    let by_root : (string, Xdm.Node.t array) Hashtbl.t = Hashtbl.create 4 in
-    let result =
-      List.map
-        (fun r ->
-          match
-            ( Json.str_opt (Json.member "u" r),
-              Json.int_opt (Json.member "r" r) )
-          with
-          | (Some u, Some rank) ->
-            let arr =
-              match Hashtbl.find_opt by_root u with
-              | Some arr -> arr
-              | None -> (
-                match Xdm.Doc_registry.find ~registry u with
-                | None -> raise Exit
-                | Some root ->
-                  let arr = nodes_by_rank root in
-                  Hashtbl.replace by_root u arr;
-                  arr)
-            in
-            if rank >= 0 && rank < Array.length arr then Xdm.Item.N arr.(rank)
-            else raise Exit
-          | _ -> raise Exit)
-        rows
-    in
-    if Xdm.Serializer.seq_to_json result <> escaped then None
-    else
-      let (prepared, _) = get_prepared t ~stratified ~max_iterations source in
-      Ivm.adopt ~registry ~source ~program:prepared.Prepared.program
-        ~stratified ~max_iterations result
+  | (Some source, Some stratified, Some max_iterations)
+    when List.for_all
+           (fun (u, g) -> Store.doc_generation t.store u = g)
+           footprint ->
+    let (prepared, _) = get_prepared t ~stratified ~max_iterations source in
+    Ivm.adopt ~registry:(Store.registry t.store) ~source
+      ~program:prepared.Prepared.program ~stratified ~max_iterations
   | _ -> None
 
 let restore_cache_row t row =
@@ -947,11 +835,16 @@ let restore_cache_row t row =
     let flag name =
       Option.value ~default:true (Json.bool_opt (Json.member name row))
     in
-    let depth = int "depth" ~default:0 in
+    (* Older rows kept a maintained entry's [rounds] beside the
+       adopting run's [depth]; a fresh run may need that many. *)
+    let depth =
+      let depth = int "depth" ~default:0 in
+      max depth (int "rounds" ~default:depth)
+    in
     let ivm =
       match Json.member "ivm" row with
       | Json.Obj _ as iv -> (
-        try revive_ivm t ~escaped iv with _ -> None)
+        try revive_ivm t ~footprint iv with _ -> None)
       | _ -> None
     in
     Result_cache.put t.results key
@@ -961,7 +854,6 @@ let restore_cache_row t row =
         used_delta = Json.bool_opt (Json.member "used_delta" row);
         nodes_fed = int "nodes_fed" ~default:0;
         depth;
-        rounds = int "rounds" ~default:depth;
         wall_ms =
           Option.value ~default:0.0
             (Json.num_opt (Json.member "wall_ms" row));
@@ -969,8 +861,7 @@ let restore_cache_row t row =
         semiring = Json.str_opt (Json.member "semiring" row);
         annotations;
         may_diverge = flag "may_diverge";
-        over_envelope = flag "over_envelope"; ivm;
-        maintenance = maintenance_of_json (Json.member "maintenance" row) };
+        over_envelope = flag "over_envelope"; ivm };
     Some (ivm <> None)
   | _ -> None
 
@@ -1045,7 +936,7 @@ let create ?(config = default_config) ?store () =
     recover_state t ~dir ~threshold:config.snapshot_threshold);
   t
 
-(* Result-cache entries that carry maintenance state. *)
+(* Result-cache entries that carry IVM state. *)
 let ivm_entries t =
   List.length
     (Result_cache.bindings t.results ~p:(fun e -> e.Result_cache.ivm <> None))
@@ -1167,10 +1058,8 @@ let prometheus_stats t =
       counter_family name
         (List.map (fun (h, c) -> (Printf.sprintf "query=%S" h, field c)) rows)
     in
-    family "fixq_ivm_maintained_total" (fun c -> c.maintained);
-    family "fixq_ivm_fallback_recompute_total" (fun c -> c.fallback);
-    family "fixq_ivm_delta_nodes_total" (fun c -> c.delta_nodes);
-    family "fixq_ivm_untouched_total" (fun c -> c.untouched));
+    family "fixq_ivm_untouched_total" (fun c -> c.untouched);
+    family "fixq_ivm_fallback_recompute_total" (fun c -> c.fallback));
   Buffer.add_string buf (Metrics.to_prometheus ~prefix:"fixq" t.metrics);
   Buffer.contents buf
 
@@ -1228,19 +1117,16 @@ let handle_stats t ~id =
              let total field = List.fold_left (fun n (_, c) -> n + field c) 0 rows in
              Json.Obj
                [ ("entries", Json.of_int (ivm_entries t));
-                 ("maintained_total", Json.of_int (total (fun c -> c.maintained)));
-                 ("fallback_recompute_total", Json.of_int (total (fun c -> c.fallback)));
-                 ("delta_nodes_total", Json.of_int (total (fun c -> c.delta_nodes)));
                  ("untouched_total", Json.of_int (total (fun c -> c.untouched)));
+                 ("fallback_recompute_total", Json.of_int (total (fun c -> c.fallback)));
                  ("queries",
                   Json.Obj
                     (List.map
                        (fun (hash, c) ->
                          ( hash,
                            Json.Obj
-                             [ ("maintained", Json.of_int c.maintained);
-                               ("fallback_recompute", Json.of_int c.fallback);
-                               ("delta_nodes", Json.of_int c.delta_nodes) ] ))
+                             [ ("untouched", Json.of_int c.untouched);
+                               ("fallback_recompute", Json.of_int c.fallback) ] ))
                        rows)) ]));
            ("uptime_ms",
             Json.Num ((Unix.gettimeofday () -. t.started_at) *. 1000.0)) ]) ]

@@ -47,7 +47,7 @@ val default_config : config
 type t
 
 (** Build a server. With [config.state_dir] set, first recovers the
-    document store, result cache and maintained IVM entries from the
+    document store, result cache and IVM entries from the
     directory's snapshot + WAL (tolerating torn tails and invalid
     snapshots — see {!Durability}), then opens the WAL for appending. *)
 val create : ?config:config -> ?store:Store.t -> unit -> t

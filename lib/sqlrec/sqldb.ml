@@ -8,9 +8,6 @@ let create () : t = Hashtbl.create 8
 let add_table t name table = Hashtbl.replace t (String.lowercase_ascii name) table
 let find_table t name = Hashtbl.find_opt t (String.lowercase_ascii name)
 
-let table_names t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t [] |> List.sort compare
-
 let value_equal a b =
   match (a, b) with
   | (S x, S y) -> String.equal x y

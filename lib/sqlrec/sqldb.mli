@@ -11,7 +11,6 @@ type t
 val create : unit -> t
 val add_table : t -> string -> table -> unit
 val find_table : t -> string -> table option
-val table_names : t -> string list
 
 val value_equal : value -> value -> bool
 val pp_value : Format.formatter -> value -> unit

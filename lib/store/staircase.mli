@@ -15,13 +15,10 @@
 
     Attributes are not part of the pre/size/level table; the
     [attribute] axis answers through the back-pointers and is returned
-    as nodes by {!attribute_step}. *)
+    as nodes. *)
 
 val step :
   Encoding.t -> Fixq_xdm.Axis.t -> Fixq_xdm.Axis.test -> int list -> int list
-
-val attribute_step :
-  Encoding.t -> Fixq_xdm.Axis.test -> int list -> Fixq_xdm.Node.t list
 
 (** Convenience: run a step on nodes and return nodes, going through the
     encoded tree (used by tests to cross-check against

@@ -137,8 +137,6 @@ let merged t =
     t.runs <- (if Array.length a = 0 then [] else [ a ]);
     a
 
-let to_nodes t = Array.to_list (merged t)
-
 let box a =
   let rec go i acc = if i < 0 then acc else go (i - 1) (Item.N a.(i) :: acc) in
   go (Array.length a - 1) []

@@ -53,5 +53,3 @@ val to_seq : t -> Item.seq
     once, as Delta does at its end: a k-way merge of the runs into the
     list, with no array of the result's size and nothing cached. *)
 val final_seq : t -> Item.seq
-
-val to_nodes : t -> Node.t list

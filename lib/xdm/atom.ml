@@ -41,8 +41,6 @@ let to_bool = function
   | Dbl f -> f <> 0.0 && not (Float.is_nan f)
   | Str s -> String.length s > 0
 
-let is_numeric = function Int _ | Dbl _ -> true | Str _ | Bool _ -> false
-
 let compare_value a b =
   match (a, b) with
   | (Int x, Int y) -> Int.compare x y

@@ -40,5 +40,4 @@ val to_string : t -> string
 (** Effective boolean value of a single atom. *)
 val to_bool : t -> bool
 
-val is_numeric : t -> bool
 val pp : Format.formatter -> t -> unit

@@ -226,16 +226,6 @@ let deep_equal a b =
          | _ -> false)
        a b
 
-let node_ids s =
-  Node_set.of_nodes
-    (List.filter_map (function N n -> Some n | A _ -> None) s)
-
-let equal_item a b =
-  match (a, b) with
-  | (N x, N y) -> Node.equal x y
-  | (A x, A y) -> Atom.equal_value x y
-  | _ -> false
-
 let pp ppf = function
   | N n -> Node.pp ppf n
   | A a -> Atom.pp ppf a

@@ -23,15 +23,6 @@ val as_node_seq : string -> seq -> Node.t list
     full sort otherwise; see {!Counters}. *)
 val sort_uniq_nodes : Node.t list -> Node.t list
 
-(** Node-level kernels underlying {!union}/{!except}/{!intersect}:
-    linear merges of sorted runs (inputs are normalized with
-    {!sort_uniq_nodes} first). Results are in document order,
-    duplicate free. *)
-val union_nodes : Node.t list -> Node.t list -> Node.t list
-
-val except_nodes : Node.t list -> Node.t list -> Node.t list
-val intersect_nodes : Node.t list -> Node.t list -> Node.t list
-
 (** [fs:distinct-doc-order]: sort by document order, remove duplicate
     node identities. Requires a node-only sequence. An input already in
     document order without duplicates is returned as it is, after one
@@ -70,9 +61,5 @@ val string_of_item : t -> string
     order). *)
 val deep_equal : seq -> seq -> bool
 
-(** Identity-based membership/cardinality helpers for fixpoints. *)
-val node_ids : seq -> Node_set.t
-
-val equal_item : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val pp_seq : Format.formatter -> seq -> unit

@@ -162,23 +162,6 @@ let text_count t key =
 let name_total t name =
   Option.value ~default:0 (Hashtbl.find_opt t.name_totals name)
 
-let attr_total t name =
-  Option.value ~default:0 (Hashtbl.find_opt t.attr_totals name)
-
-let paths_with_prefix t key =
-  let prefix = if key = "" then "" else key ^ "/" in
-  let plen = String.length prefix in
-  Hashtbl.fold
-    (fun k (e : entry) acc ->
-      if
-        k <> "" && k <> key
-        && String.length k >= plen
-        && String.sub k 0 plen = prefix
-      then (k, e.count) :: acc
-      else acc)
-    t.paths []
-  |> List.sort compare
-
 let fold_paths f t init =
   Hashtbl.fold (fun k (e : entry) acc -> f k e.count acc) t.paths init
 

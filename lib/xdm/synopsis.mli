@@ -59,10 +59,8 @@ val text_count : t -> string -> int
 val name_total : t -> string -> int
 (** Elements named [name] anywhere in the document. *)
 
-val attr_total : t -> string -> int
 (** Attributes named [name] anywhere in the document. *)
 
-val paths_with_prefix : t -> string -> (string * int) list
 (** All (path, element count) entries that are descendants of the
     given path key (the key itself excluded); [""] lists every element
     path. *)

@@ -241,7 +241,18 @@ let run_line ?(extra = "") query =
     (Json.to_string (Json.Str query))
     extra
 
-let closure_query = {|with $x seeded by doc("t.xml")/r/* recurse $x/*|}
+(* IVM-eligible, and [patch_line]'s edit is off its seed: the patch
+   leaves a cached entry untouched. *)
+let closure_query = {|with $x seeded by doc("t.xml")/r/a recurse $x/*|}
+
+(* An edit below the seed, which drops a cached entry. *)
+let spine_patch_line =
+  {|{"op":"patch-doc","uri":"t.xml","action":"insert","path":"/r/a","xml":"<c/>"}|}
+
+let outcomes j =
+  match Json.member "entries" j with
+  | Json.List rows -> List.map (str "outcome") rows
+  | _ -> []
 
 let recovered_stat server name =
   let j = send server {|{"op":"stats"}|} in
@@ -312,22 +323,21 @@ let test_server_result_cache_recovered () =
   checkb "recovered run ok" true (ok j2);
   checks "recovered run hits the restored cache" "hit" (str "result_cache" j2);
   checks "and answers identically" (str "result" j1) (str "result" j2);
-  (* the recovered entry is maintainable: a patch after recovery keeps
-     byte parity with a fresh recompute *)
-  checkb "patch after recovery" true (ok (send b (patch_line "t.xml")));
-  let maintained = send b (run_line closure_query) in
+  (* the recovered entry carries IVM state again: a patch off its seed
+     leaves it untouched, with byte parity with a fresh recompute *)
+  let patched = send b (patch_line "t.xml") in
+  checkb "patch after recovery" true (ok patched);
+  Alcotest.(check (list string)) "the entry stays untouched" [ "untouched" ]
+    (outcomes patched);
+  let kept = send b (run_line closure_query) in
+  checks "the kept entry hits" "hit" (str "result_cache" kept);
   let fresh = send b (run_line ~extra:{|,"cache":false|} closure_query) in
-  checks "maintained equals recomputed" (str "result" fresh)
-    (str "result" maintained);
-  (* the hit says what the maintenance did, and a snapshot keeps it *)
-  let maintenance = Json.member "maintenance" maintained in
-  checkb "maintained hit reports its maintenance" true (maintenance <> Json.Null);
-  checkb "snapshot after maintenance" true (ok (send b {|{"op":"snapshot"}|}));
+  checks "kept equals recomputed" (str "result" fresh) (str "result" kept);
+  checkb "snapshot after the patch" true (ok (send b {|{"op":"snapshot"}|}));
   let c = server_with dir in
   let j3 = send c (run_line closure_query) in
-  checks "recovered maintained entry hits" "hit" (str "result_cache" j3);
-  checks "maintenance survives recovery" (Json.to_string maintenance)
-    (Json.to_string (Json.member "maintenance" j3))
+  checks "recovered untouched entry hits" "hit" (str "result_cache" j3);
+  checks "with the same bytes" (str "result" fresh) (str "result" j3)
 
 (* Results whose bytes need JSON escaping: quotes, a backslash, a tab
    and markup in text and attribute values. *)
@@ -371,14 +381,12 @@ let test_snapshot_rows_keep_str_encoding () =
   let (hit_after, _) = Server.handle_line b (run_line closure_query) in
   checks "restored hit answers with the same bytes" hit_before hit_after;
   let j = send b (patch_line "t.xml") in
-  checki "revived entry maintained" 1
+  checki "revived entry kept" 1
     (Option.value ~default:0 (Json.int_opt (Json.member "maintained" j)));
-  let maintained = send b (run_line closure_query) in
-  checkb "maintenance reported" true
-    (Json.member "maintenance" maintained <> Json.Null);
-  checks "maintained = recomputed"
+  let kept = send b (run_line closure_query) in
+  checks "kept = recomputed"
     (str "result" (send b (run_line ~extra:{|,"cache":false|} closure_query)))
-    (str "result" maintained)
+    (str "result" kept)
 
 (* A cache row as snapshots wrote it before rows recorded what they
    resolved to: its config names the engine and mode that ran
@@ -434,52 +442,116 @@ let test_server_parent_format_cache_rows () =
   checks "correctly" (str "result" j1) (str "result" pinned);
   checks "under the same mode" "delta" (str "mode" pinned)
 
-(* Rewrite a cache row's IVM items to ranks shifted by [k], the way a
-   row went stale on older servers, which wrote it once at adoption
-   while later patches renumbered the tree. *)
-let shifted_ivm_row k row =
-  let map_field name f = function
-    | Json.Obj fields ->
-      Json.Obj (List.map (fun (n, v) -> (n, if n = name then f v else v)) fields)
-    | j -> j
-  in
-  let shift = function
-    | Json.List items ->
-      Json.List
-        (List.map
-           (map_field "r" (fun r ->
-                Json.of_int (Option.value ~default:0 (Json.int_opt r) + k)))
-           items)
-    | j -> j
-  in
-  map_field "ivm" (map_field "items" shift) row
+(* A cache row as servers before the untouched rule wrote it for a
+   maintained entry: its IVM record lists the result as (uri, preorder
+   rank) items, and the row carries the entry's [rounds] and a
+   [maintenance] record. The ranks are shifted by one, as a row went
+   stale on still older servers, which wrote it once at adoption while
+   later patches renumbered the tree; recovery reads none of them. *)
+let parent_ivm_row ~ranks row =
+  match row with
+  | Json.Obj fields when str "t" row = "cache" ->
+    let items =
+      List.map
+        (fun r -> Json.Obj [ ("u", Json.Str "t.xml"); ("r", Json.of_int (r + 1)) ])
+        ranks
+    in
+    let depth = Option.value ~default:0 (Json.int_opt (Json.member "depth" row)) in
+    Json.Obj
+      (List.map
+         (fun (k, v) ->
+           match (k, v) with
+           | ("ivm", Json.Obj iv) -> (k, Json.Obj (iv @ [ ("items", Json.List items) ]))
+           | _ -> (k, v))
+         fields
+      @ [ ("rounds", Json.of_int (depth + 1));
+          ("maintenance",
+           Json.Obj
+             [ ("patches", Json.of_int 1); ("delta", Json.of_int 1);
+               ("rounds", Json.of_int 1) ]) ])
+  | _ -> row
 
+(* Snapshot [a] and rewrite the snapshot's rows with [f]. *)
+let rewrite_snapshot a dir f =
+  checkb "snapshot" true (ok (send a {|{"op":"snapshot"}|}));
+  match Snapshot.read ~dir with
+  | Ok (Some s) ->
+    let items =
+      List.map (fun item -> Json.to_string (f (Json.parse item))) s.Snapshot.items
+    in
+    checkb "rewritten" true (Snapshot.write ~dir ~meta:s.Snapshot.meta ~items = Ok ())
+  | _ -> Alcotest.fail "expected a committed snapshot"
+
+(* A snapshot in the format servers before the untouched rule wrote
+   recovers to correct answers: the entry is adopted again from its
+   seed, hits with its bytes, stays untouched under an edit off its
+   seed and is dropped by one below it. *)
+let test_server_parent_format_ivm_rows () =
+  let dir = fresh_dir () in
+  let a = server_with dir in
+  checkb "load" true (ok (send a (load_line "t.xml" "<r><a><b/></a><a><b/><c/></a><d/></r>")));
+  let j1 = send a (run_line closure_query) in
+  (* r = 1, a = 2, b = 3, a = 4, b = 5, c = 6 *)
+  rewrite_snapshot a dir (parent_ivm_row ~ranks:[ 2; 3; 4; 5; 6 ]);
+  let b = server_with dir in
+  checki "the entry is recovered" 1 (recovered_stat b "cache_entries");
+  checki "and adopted again" 1 (recovered_stat b "ivm_entries");
+  let hit = send b (run_line closure_query) in
+  checks "it hits" "hit" (str "result_cache" hit);
+  checks "with its bytes" (str "result" j1) (str "result" hit);
+  let fresh () = str "result" (send b (run_line ~extra:{|,"cache":false|} closure_query)) in
+  let patched = send b (patch_line "t.xml") in
+  Alcotest.(check (list string)) "an edit off the seed leaves it untouched"
+    [ "untouched" ] (outcomes patched);
+  let kept = send b (run_line closure_query) in
+  checks "the kept entry hits" "hit" (str "result_cache" kept);
+  checks "with the cache:false bytes" (fresh ()) (str "result" kept);
+  let dropped = send b spine_patch_line in
+  Alcotest.(check (list string)) "an edit below the seed drops it"
+    [ "recompute" ] (outcomes dropped);
+  let after = send b (run_line closure_query) in
+  checks "the next run recomputes" "miss" (str "result_cache" after);
+  checks "to the cache:false bytes" (fresh ()) (str "result" after)
+
+(* A parent-format row whose footprint is a generation behind its
+   document (its bytes answer an older tree) is restored without IVM
+   state: the next run misses, and a patch has nothing to keep. *)
 let test_server_stale_ivm_rows_not_revived () =
   let dir = fresh_dir () in
   let a = server_with dir in
   checkb "load" true
     (ok (send a (load_line "t.xml" "<r><a><b/></a><a><b/><c/></a><d/></r>")));
-  let j1 = send a (run_line closure_query) in
-  checkb "snapshot" true (ok (send a {|{"op":"snapshot"}|}));
-  (match Snapshot.read ~dir with
-  | Ok (Some s) ->
-    let items =
-      List.map
-        (fun item -> Json.to_string (shifted_ivm_row 1 (Json.parse item)))
-        s.Snapshot.items
-    in
-    checkb "rewritten with shifted ranks" true
-      (Snapshot.write ~dir ~meta:s.Snapshot.meta ~items = Ok ())
-  | _ -> Alcotest.fail "expected a committed snapshot");
+  ignore (send a (run_line closure_query));
+  let behind row =
+    match parent_ivm_row ~ranks:[ 2; 3; 4; 5; 6 ] row with
+    | Json.Obj fields when str "t" row = "cache" ->
+      Json.Obj
+        (List.map
+           (fun (k, v) ->
+             match (k, v) with
+             | ("footprint", Json.List fp) ->
+               ( k,
+                 Json.List
+                   (List.map
+                      (fun e ->
+                        Json.Obj
+                          [ ("u", Json.member "u" e);
+                            ("g",
+                             Json.of_int
+                               (Option.value ~default:0 (Json.int_opt (Json.member "g" e))
+                               - 1)) ])
+                      fp) )
+             | _ -> (k, v))
+           fields)
+    | r -> r
+  in
+  rewrite_snapshot a dir behind;
   let b = server_with dir in
   checki "the entry is recovered" 1 (recovered_stat b "cache_entries");
-  checki "without maintenance" 0 (recovered_stat b "ivm_entries");
-  let hit = send b (run_line closure_query) in
-  checks "it still hits" "hit" (str "result_cache" hit);
-  checks "with its bytes" (str "result" j1) (str "result" hit);
+  checki "without IVM state" 0 (recovered_stat b "ivm_entries");
   let patched = send b (patch_line "t.xml") in
   checkb "patch" true (ok patched);
-  checkb "nothing to maintain" true
+  checkb "nothing to keep" true
     (Json.int_opt (Json.member "maintained" patched) = Some 0);
   let after = send b (run_line closure_query) in
   checks "the next run recomputes" "miss" (str "result_cache" after);
@@ -502,10 +574,9 @@ let test_server_torn_wal_tail_recovers_prefix () =
   let j = send b (run_line closure_query) in
   checkb "server serves the recovered prefix" true (ok j)
 
-(* A node's portable rank — its id offset from its root, which snapshot
-   IVM rows carry — must be its position in a preorder walk (element,
-   attributes, children) on every path that registers a tree and after
-   every kind of patch. *)
+(* A node's portable rank — its id offset from its root — must be its
+   position in a preorder walk (element, attributes, children) on every
+   path that registers a tree and after every kind of patch. *)
 let check_ranks label server uri =
   let query =
     Printf.sprintf {|with $x seeded by doc(%S) recurse ($x/node() | $x/@*)|} uri
@@ -622,6 +693,8 @@ let () =
            test_snapshot_rows_keep_str_encoding;
          Alcotest.test_case "old-format cache rows recovered" `Quick
            test_server_parent_format_cache_rows;
+         Alcotest.test_case "parent-format IVM rows recovered" `Quick
+           test_server_parent_format_ivm_rows;
          Alcotest.test_case "stale IVM rows not revived" `Quick
            test_server_stale_ivm_rows_not_revived;
          Alcotest.test_case "torn WAL tail keeps the prefix" `Quick

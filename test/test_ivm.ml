@@ -1,10 +1,11 @@
-(* Differential maintenance of cached fixpoints (lib/ivm) and its
+(* Incremental maintenance of cached fixpoints (lib/ivm) and its
    substrate: the patch-doc primitive on Node/Patch, per-document
    generation stamps, footprint-keyed result caching, the
    Analyze.ivm_eligibility verdict, and — the load-bearing property —
-   maintained results byte-identical to full recompute across
-   randomized edit sequences, driven through Server.handle_line exactly
-   as the wire transports would. *)
+   cached results, kept untouched or dropped and recomputed,
+   byte-identical to a cache-bypassing run across randomized edit
+   sequences, driven through Server.handle_line exactly as the wire
+   transports would. *)
 
 module Xdm = Fixq_xdm
 module Node = Xdm.Node
@@ -122,7 +123,7 @@ let test_patch_errors () =
   fails (Patch.Insert { path = "/r/a"; position = Patch.Last; xml = "<open" });
   checks "refused patches leave the tree" before (ser d);
   (* the same refusals through the server: the document bytes, its
-     generation and the maintained IVM entries all stay as they were *)
+     generation and the IVM entries all stay as they were *)
   let server = Server.create () in
   let send line = fst (Server.handle_line server line) in
   let member name resp = Json.member name (Json.parse resp) in
@@ -143,7 +144,7 @@ let test_patch_errors () =
   in
   let s0 = state () in
   let (_, _, entries) = s0 in
-  checkb "one maintained entry" true (entries = Some 1);
+  checkb "one IVM entry" true (entries = Some 1);
   List.iter
     (fun (label, fields) ->
       let resp =
@@ -190,31 +191,41 @@ let test_doc_generations () =
 (* ------------------------------------------------------------------ *)
 
 let eligibility q =
-  Analyze.ivm_eligibility ~stratified:false (Parser.parse_program q)
+  Analyze.ivm_string (Analyze.ivm_eligibility (Parser.parse_program q))
 
 let test_eligibility () =
-  checks "full" "full"
-    (Analyze.ivm_string
-       (eligibility
-          {|with $x seeded by doc("u.xml")/r recurse $x/*|}));
-  checks "descendant full" "full"
-    (Analyze.ivm_string
-       (eligibility
-          {|with $x seeded by doc("u.xml")/r recurse $x/descendant-or-self::*/k|}));
-  checks "filter is insert-only" "insert-only"
-    (Analyze.ivm_string
-       (eligibility
-          {|with $x seeded by doc("u.xml")/r recurse $x/*[k]|}));
-  checks "id() ineligible" "ineligible"
-    (Analyze.ivm_string
-       (eligibility
-          {|with $x seeded by doc("u.xml")/r recurse $x/id("c")|}));
-  checks "no ifp ineligible" "ineligible"
-    (Analyze.ivm_string (eligibility "1 + 1"));
-  checks "wrapped main ineligible" "ineligible"
-    (Analyze.ivm_string
-       (eligibility
-          {|count(with $x seeded by doc("u.xml")/r recurse $x/*)|}))
+  List.iter
+    (fun (label, verdict, q) -> checks label verdict (eligibility q))
+    [ ("child closure", "eligible",
+       {|with $x seeded by doc("u.xml")/r recurse $x/*|});
+      ("descendant body", "eligible",
+       {|with $x seeded by doc("u.xml")/r recurse $x/descendant-or-self::*/k|});
+      ("filtered body", "eligible",
+       {|with $x seeded by doc("u.xml")/r recurse $x/*[k]|});
+      ("// seed, attribute predicate", "eligible",
+       {|with $x seeded by doc("u.xml")//q[@n = "1"] recurse $x/*|});
+      ("let in the body", "eligible",
+       {|with $x seeded by doc("u.xml")/r recurse let $y := $x/* return $y/k|});
+      ("id() ineligible", "ineligible",
+       {|with $x seeded by doc("u.xml")/r recurse $x/id("c")|});
+      ("doc() read in the body", "ineligible",
+       {|with $x seeded by doc("u.xml")/r/p recurse $x/*[doc("u.xml")/r/t]|});
+      ("global read in the body", "ineligible",
+       {|declare variable $g := doc("u.xml")/r/t;
+with $x seeded by doc("u.xml")/r/p recurse $x/*[$g]|});
+      ("wildcard seed", "ineligible",
+       {|with $x seeded by doc("u.xml")/r/* recurse $x/*|});
+      ("wildcard in a seed predicate", "ineligible",
+       {|with $x seeded by doc("u.xml")/r/p[*] recurse $x/*|});
+      ("global seed", "ineligible",
+       {|declare variable $d := doc("u.xml"); with $x seeded by $d/r recurse $x/*|});
+      ("two documents", "ineligible",
+       {|with $x seeded by (doc("u.xml")/r, doc("v.xml")/r) recurse $x/*|});
+      ("annotated", "ineligible",
+       {|with $x seeded by doc("u.xml")/r recurse $x/* accumulate by why|});
+      ("no ifp ineligible", "ineligible", "1 + 1");
+      ("wrapped main ineligible", "ineligible",
+       {|count(with $x seeded by doc("u.xml")/r recurse $x/*)|}) ]
 
 (* ------------------------------------------------------------------ *)
 (* Server plumbing                                                     *)
@@ -262,7 +273,10 @@ let patch_line ?(uri = "u.xml") ?position ~action ~path payload =
          | None -> [])
        @ payload))
 
-let test_server_patch_maintains () =
+(* An edit below the seed reaches the cached closure: the patch drops
+   the entry, and the next read is a miss whose bytes equal a
+   cache-bypassing run's. *)
+let test_server_spine_edit_drops () =
   let server = Server.create () in
   ignore (send server (load_line "u.xml" "<r><a><k/></a><a/></r>"));
   let q = {|with $x seeded by doc("u.xml")/r recurse $x/*|} in
@@ -273,19 +287,19 @@ let test_server_patch_maintains () =
          [ ("xml", Json.Str "<a><k/></a>") ])
   in
   checkb "patch ok" true (Json.bool_opt (member "ok" presp) = Some true);
-  checki "one entry maintained" 1 (member_int "maintained" presp);
-  checki "none recomputed" 0 (member_int "recompute" presp);
-  let hit = send server (run_line q) in
-  checks "maintained entry hits" "hit" (member_str "result_cache" hit);
+  checki "nothing kept" 0 (member_int "maintained" presp);
+  checki "one entry dropped" 1 (member_int "recompute" presp);
+  let next = send server (run_line q) in
+  checks "the next read misses" "miss" (member_str "result_cache" next);
   let fresh = send server (run_line ~cache:false q) in
-  checks "maintained bytes = recompute bytes" (member_str "result" fresh)
-    (member_str "result" hit)
+  checks "its bytes = cache:false bytes" (member_str "result" fresh)
+    (member_str "result" next)
 
 (* A predicate that reads the document outside the recursion variable
-   holds or fails for old nodes that no frontier re-feeds: inserting
-   <t/> flips it for <q/>, which was fed before the edit. Such an entry
-   is recomputed, never maintained, and its next hit answers as
-   cache:false does. *)
+   holds or fails for old nodes the edit does not touch: inserting <t/>
+   flips it for <q/>, which was fed before the edit. Such a body is
+   ineligible, so its entry carries no IVM state: the patch lists no
+   entry, and the next run misses and answers as cache:false does. *)
 let run_outside_read_case q () =
   let server = Server.create () in
   ignore (send server (load_line "u.xml" "<r><p><q/></p><s/></r>"));
@@ -293,11 +307,13 @@ let run_outside_read_case q () =
   let presp =
     send server (patch_line ~action:"insert" ~path:"/r" [ ("xml", Json.Str "<t/>") ])
   in
-  checki "not maintained" 0 (member_int "maintained" presp);
-  checki "recomputed" 1 (member_int "recompute" presp);
+  checki "not kept" 0 (member_int "maintained" presp);
+  checki "not adopted, so not listed" 0 (member_int "recompute" presp);
+  let cached = send server (run_line q) in
+  checks "the next run misses" "miss" (member_str "result_cache" cached);
   let fresh = member_str "result" (send server (run_line ~cache:false q)) in
   checks "cache:false sees <t/>" "<q/>" fresh;
-  checks "cached run = cache:false" fresh (member_str "result" (send server (run_line q)))
+  checks "cached run = cache:false" fresh (member_str "result" cached)
 
 let test_doc_read_in_predicate =
   run_outside_read_case
@@ -308,59 +324,63 @@ let test_global_read_in_predicate =
     {|declare variable $g := doc("u.xml")/r/t;
 with $x seeded by doc("u.xml")/r/p recurse $x/*[$g]|}
 
-(* Query hashes a patch response reports as maintained. *)
-let maintained_hashes presp =
+(* Query hashes a patch response reports with [outcome]. *)
+let hashes_with outcome presp =
   match member "entries" presp with
   | Json.List rows ->
     List.filter_map
       (fun row ->
-        match Json.str_opt (Json.member "outcome" row) with
-        | Some "maintained" -> Json.str_opt (Json.member "hash" row)
-        | _ -> None)
+        if Json.str_opt (Json.member "outcome" row) = Some outcome then
+          Json.str_opt (Json.member "hash" row)
+        else None)
       rows
   | _ -> []
 
-(* Maintenance follows the result cache's LRU: with room for two
-   entries, running Q1, Q2, Q1, Q3 keeps Q1 and Q3, so a patch must
-   maintain exactly those and not the evicted Q2, and the hot Q1 must
-   still hit afterwards. *)
+(* The untouched rule follows the result cache's LRU: with room for two
+   entries, running Q1, Q2, Q1, Q3 keeps Q1 and Q3, so a patch off
+   their seeds must keep exactly those untouched and not the evicted
+   Q2, and the hot Q1 must still hit afterwards. *)
 let test_maintenance_follows_lru () =
   let server =
     Server.create ~config:{ Server.default_config with result_capacity = 2 } ()
   in
-  ignore (send server (load_line "t.xml" "<r><a><b/><b/></a><a><b/></a></r>"));
-  let q1 = {|with $x seeded by doc("t.xml")/r recurse $x/*|} in
-  let q2 = {|with $x seeded by doc("t.xml")/r/a recurse $x/*|} in
-  let q3 = {|with $x seeded by doc("t.xml")/r recurse $x/b|} in
+  ignore (send server (load_line "t.xml" "<r><a><b/><b/></a><c><b/></c></r>"));
+  let q1 = {|with $x seeded by doc("t.xml")/r/a recurse $x/*|} in
+  let q2 = {|with $x seeded by doc("t.xml")/r/a recurse $x/b|} in
+  let q3 = {|with $x seeded by doc("t.xml")/r/a/b recurse $x/*|} in
   List.iter (fun q -> ignore (send server (run_line q))) [ q1; q2; q1; q3 ];
   let presp =
     send server
-      (patch_line ~uri:"t.xml" ~action:"insert" ~path:"/r/a[1]"
-         [ ("xml", Json.Str "<b/>") ])
+      (patch_line ~uri:"t.xml" ~action:"insert" ~path:"/r/c"
+         [ ("xml", Json.Str "<d/>") ])
   in
   Alcotest.(check (list string))
-    "the patch maintains Q1 and Q3"
+    "the patch keeps Q1 and Q3"
     (List.sort compare (List.map Service.Prepared.hash_source [ q1; q3 ]))
-    (List.sort compare (maintained_hashes presp));
+    (List.sort compare (hashes_with "untouched" presp));
   let hit = send server (run_line q1) in
   checks "Q1 hits after the patch" "hit" (member_str "result_cache" hit);
   checks "with the recomputed bytes"
     (member_str "result" (send server (run_line ~cache:false q1)))
     (member_str "result" hit)
 
-let test_server_patch_drops_ineligible () =
+(* A delete below the seed of a filtered closure drops its entry, and
+   the stats count the fallback. *)
+let test_server_spine_delete_drops_filtered () =
   let server = Server.create () in
   ignore (send server (load_line "u.xml" "<r><a><k/></a><a/></r>"));
-  (* insert-only query: a delete edit must fall back to recompute *)
   let q = {|with $x seeded by doc("u.xml")/r recurse $x/*[k]|} in
   ignore (send server (run_line q));
   let presp =
     send server (patch_line ~action:"delete" ~path:"/r/a[2]" [])
   in
   checki "entry dropped" 1 (member_int "recompute" presp);
-  checki "nothing maintained" 0 (member_int "maintained" presp);
-  checks "next run recomputes" "miss"
-    (member_str "result_cache" (send server (run_line q)));
+  checki "nothing kept" 0 (member_int "maintained" presp);
+  let next = send server (run_line q) in
+  checks "next run recomputes" "miss" (member_str "result_cache" next);
+  checks "to the cache:false bytes"
+    (member_str "result" (send server (run_line ~cache:false q)))
+    (member_str "result" next);
   let stats = send server {|{"op":"stats"}|} in
   let ivm = Json.member "ivm" (member "stats" stats) in
   checkb "fallback counted" true
@@ -576,7 +596,7 @@ let test_probes_beside_a_writer () =
   checks "balanced edits restore the answer" pre (answer server seed)
 
 (* ------------------------------------------------------------------ *)
-(* Property: maintained ≡ recompute over randomized edit sequences     *)
+(* Property: cached ≡ recompute over randomized edit sequences         *)
 (* ------------------------------------------------------------------ *)
 
 let state_dirs = ref 0
@@ -592,15 +612,15 @@ let fresh_state_dir () =
   d
 
 (* Drive a server through a deterministic random edit sequence and
-   assert, after every edit and for every query class (full-eligible,
-   insert-only, ineligible), that the default (cached, maintained)
-   result is byte-identical to a cache-bypassing recompute, and that
-   every edit maintains the full-eligible entry. With [durable], the
-   server runs from a state dir, and before seeded random edits it
-   takes a snapshot and is re-created from that dir, as after a crash:
-   the recovered entries must go on being maintained, with the same
-   bytes. Replaces and deletes renumber the edited tree between
-   snapshots, so a snapshot must read each result's ranks live. *)
+   assert, after every edit and for every query (eligible, eligible
+   with a filter, ineligible), that the default (cached) result is
+   byte-identical to a cache-bypassing recompute, and that every edit,
+   all of them below the seed, drops the eligible entry for a
+   recompute. With [durable], the server runs from a state dir, and
+   before seeded random edits it takes a snapshot and is re-created
+   from that dir, as after a crash: the recovered entries must be
+   adopted again, and dropped by the next edit, with the same bytes.
+   Replaces and deletes renumber the edited tree between snapshots. *)
 let run_edit_property ?(durable = false) ~seed ~steps () =
   let rng = Random.State.make [| seed |] in
   let restarts = Random.State.make [| seed; 1 |] in
@@ -613,12 +633,12 @@ let run_edit_property ?(durable = false) ~seed ~steps () =
   let send line = send !server line in
   ignore (send (load_line "u.xml" "<r><a><k/></a><a><k/><k/></a></r>"));
   let queries =
-    [ ("full", {|with $x seeded by doc("u.xml")/r recurse $x/*|});
-      ("insert-only", {|with $x seeded by doc("u.xml")/r recurse $x/*[k]|});
+    [ ("eligible", {|with $x seeded by doc("u.xml")/r recurse $x/*|});
+      ("filtered", {|with $x seeded by doc("u.xml")/r recurse $x/*[k]|});
       ("ineligible", {|with $x seeded by doc("u.xml")/r recurse $x/id("c")|}) ]
   in
   List.iter (fun (_, q) -> ignore (send (run_line q))) queries;
-  let full_hash = Service.Prepared.hash_source (List.assoc "full" queries) in
+  let eligible_hash = Service.Prepared.hash_source (List.assoc "eligible" queries) in
   let c_count = ref 0 in
   for step = 1 to steps do
     if durable && Random.State.int restarts 3 = 0 then begin
@@ -646,8 +666,8 @@ let run_edit_property ?(durable = false) ~seed ~steps () =
     let presp = send edit in
     if Json.bool_opt (member "ok" presp) <> Some true then
       Alcotest.failf "step %d: patch failed: %s" step presp;
-    if not (List.mem full_hash (maintained_hashes presp)) then
-      Alcotest.failf "step %d: full query not maintained: %s" step presp;
+    if not (List.mem eligible_hash (hashes_with "recompute" presp)) then
+      Alcotest.failf "step %d: eligible query not dropped: %s" step presp;
     List.iter
       (fun (label, q) ->
         let cached = send (run_line q) in
@@ -663,9 +683,9 @@ let run_edit_property ?(durable = false) ~seed ~steps () =
   if not durable then begin
     let stats = send {|{"op":"stats"}|} in
     let ivm = Json.member "ivm" (member "stats" stats) in
-    checkb "maintenance engaged" true
-      (match Json.int_opt (Json.member "maintained_total" ivm) with
-      | Some n -> n >= steps
+    checkb "every edit dropped the eligible entries" true
+      (match Json.int_opt (Json.member "fallback_recompute_total" ivm) with
+      | Some n -> n >= 2 * steps
       | None -> false)
   end
 
@@ -695,12 +715,12 @@ let outcomes presp =
 
 (* Closures seeded inside one of three sibling branches, under random
    inserts, deletes, replaces and text edits anywhere in the document:
-   each cached answer, untouched or maintained, must equal a recompute
+   each cached answer, untouched or recomputed, must equal a recompute
    after every edit, and some entry must come back untouched. The
    controls read the document past their variable or select their seed
-   by more than names, so they never may. One control's predicate flips
-   when an edit inserts <u>: maintaining it from the frontier would
-   keep its old, empty answer. With [durable], the server
+   by more than names, so they are ineligible and never may. One
+   control's predicate flips when an edit inserts <u>: keeping it
+   untouched would keep its old, empty answer. With [durable], the server
    snapshots at random points, untouched entries included, and is
    re-created from its state dir. *)
 let run_untouched_property ?(durable = false) ~seed ~steps () =
@@ -809,12 +829,12 @@ let () =
       ("server",
        [ Alcotest.test_case "footprint survives unrelated load" `Quick
            test_footprint_survives_unrelated_load;
-         Alcotest.test_case "patch maintains cached entry" `Quick
-           test_server_patch_maintains;
+         Alcotest.test_case "a spine edit drops the entry" `Quick
+           test_server_spine_edit_drops;
          Alcotest.test_case "maintenance follows the LRU" `Quick
            test_maintenance_follows_lru;
-         Alcotest.test_case "delete drops insert-only entry" `Quick
-           test_server_patch_drops_ineligible;
+         Alcotest.test_case "a spine delete drops a filtered entry" `Quick
+           test_server_spine_delete_drops_filtered;
          Alcotest.test_case "doc() read in a predicate recomputes" `Quick
            test_doc_read_in_predicate;
          Alcotest.test_case "global read in a predicate recomputes" `Quick
